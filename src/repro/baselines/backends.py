@@ -16,12 +16,13 @@ round trip; Cowbird's adapter pays tens of nanoseconds of local stores.
 from __future__ import annotations
 
 import itertools
+import struct
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.cowbird.api import BufferFullError, CowbirdInstance
+from repro.cowbird.wire import RwType
 from repro.rdma.qp import WorkRequest, WorkType
 from repro.sim.cpu import TAG_APP, TAG_COMM, Thread
 
@@ -259,8 +260,6 @@ class TwoSidedSyncBackend(_RdmaBackendBase):
         self.pool_host.sim.spawn(self._server_loop(thread), name="rpc-server")
 
     def _server_loop(self, thread):
-        import struct
-
         verbs = self.pool_host.verbs
         cost = verbs.cost
         pool_region = self.pool_host.registry.by_rkey(self.region.rkey)
@@ -303,8 +302,6 @@ class TwoSidedSyncBackend(_RdmaBackendBase):
             yield from verbs.spin_poll(thread, self.server_qp.cq, 2 if op == 0 else 1)
 
     def issue_read(self, thread, offset, length):
-        import struct
-
         self.start_server()
         reply_addr = self._scratch_slot(length)
         # Pre-post the RECV for the server's response notification.
@@ -327,9 +324,6 @@ class TwoSidedSyncBackend(_RdmaBackendBase):
         return token
 
     def issue_write(self, thread, offset, data):
-        import struct
-
-        self.start_server()
         # Write RPC: inline for small payloads (the microbenchmark case);
         # the server applies it during request handling.
         self.start_server()
@@ -375,6 +369,9 @@ class CowbirdBackend(Backend):
         self.sharded = sharded
         self.poll_id = instance.poll_create()
         self._outstanding = 0
+        #: Tokens completed while draining for ring space inside an
+        #: issue call; the next poll returns them first.
+        self._pre_drained: list[int] = []
 
     def outstanding(self) -> int:
         return self._outstanding
@@ -419,19 +416,16 @@ class CowbirdBackend(Backend):
         events = yield from self.instance.poll_wait(thread, self.poll_id, max_ret=64)
         for event in events:
             self._release(event)
-        self._pre_drained = getattr(self, "_pre_drained", [])
         self._pre_drained.extend(event.request_id for event in events)
 
     def _release(self, event):
         self._outstanding -= 1
-        from repro.cowbird.wire import RwType
-
         if event.rw_type is RwType.READ:
             # Consume the payload so the response ring recycles.
             self.instance.fetch_response(event.request_id)
 
     def poll_completions(self, thread, max_ret=64, block=False):
-        out = list(getattr(self, "_pre_drained", []))[:max_ret]
+        out = self._pre_drained[:max_ret]
         if out:
             self._pre_drained = self._pre_drained[len(out):]
             return out

@@ -19,7 +19,9 @@ reaches everything with one rkey:
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
@@ -107,35 +109,63 @@ class CompletionEvent:
 class PollGroup:
     """An epoll-like notification group over request ids (Section 4.1).
 
-    Registration tracks, per operation type, the set of outstanding
-    sequence numbers; completion checks are integer comparisons against
-    the red block's progress counters.
+    Registration tracks, per operation type, the outstanding sequence
+    numbers in ascending order; completion checks are integer
+    comparisons against the red block's progress counters.  Progress
+    counters only move forward, so the completed ids of one type are a
+    prefix of that type's ordered ids, and ``completed`` costs
+    O(ids completed) rather than O(ids registered).
     """
 
     def __init__(self, poll_id: int) -> None:
         self.poll_id = poll_id
-        self._pending: dict[int, int] = {}  # request_id -> sequence
+        #: request_id -> registration stamp; the stamp orders results
+        #: by registration, like iterating a dict of pending ids.
+        self._stamps: dict[int, int] = {}
+        self._next_stamp = itertools.count()
+        #: (sequence, request_id) per type, ascending.
+        self._reads: list[tuple[int, int]] = []
+        self._writes: list[tuple[int, int]] = []
+
+    def _ids_of(self, request_id: int) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+        """The id's per-type list and its sort key in that list."""
+        rw_type, _region, seq = decode_request_id(request_id)
+        ids = self._reads if rw_type is RwType.READ else self._writes
+        return ids, (seq, request_id)
 
     def add(self, request_id: int) -> None:
-        _type, _region, seq = decode_request_id(request_id)
-        self._pending[request_id] = seq
+        if request_id in self._stamps:
+            return  # already registered: keeps its place
+        ids, key = self._ids_of(request_id)
+        self._stamps[request_id] = next(self._next_stamp)
+        if not ids or ids[-1] < key:
+            ids.append(key)  # the usual case: issued in sequence order
+        else:
+            bisect.insort(ids, key)
 
     def remove(self, request_id: int) -> None:
-        self._pending.pop(request_id, None)
+        if self._stamps.pop(request_id, None) is None:
+            return
+        ids, key = self._ids_of(request_id)
+        del ids[bisect.bisect_left(ids, key)]
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return len(self._stamps)
 
     def completed(self, red: RedBlock) -> list[int]:
-        """Request ids whose sequence the progress counters have passed."""
-        done = []
-        for request_id, seq in self._pending.items():
-            rw_type, _region, _seq = decode_request_id(request_id)
-            progress = (
-                red.read_progress if rw_type is RwType.READ else red.write_progress
-            )
-            if progress >= seq:
-                done.append(request_id)
+        """Request ids whose sequence the progress counters have passed,
+        in registration order."""
+        done: list[int] = []
+        for ids, progress in (
+            (self._reads, red.read_progress),
+            (self._writes, red.write_progress),
+        ):
+            if ids and ids[0][0] <= progress:
+                # (progress + 1,) sorts before every key with that sequence.
+                count = bisect.bisect_left(ids, (progress + 1,))
+                done.extend(request_id for _seq, request_id in ids[:count])
+        if len(done) > 1:
+            done.sort(key=self._stamps.__getitem__)
         return done
 
 
@@ -186,6 +216,9 @@ class CowbirdInstance:
         self._read_seq = itertools.count(1)
         self._write_seq = itertools.count(1)
         self._reads: dict[int, _OutstandingRead] = {}
+        #: Outstanding read sequences in issue order (ascending), so the
+        #: oldest read is found without scanning ``_reads``.
+        self._read_order: deque[int] = deque()
         self._writes: dict[int, _OutstandingWrite] = {}
         self._poll_groups: dict[int, PollGroup] = {}
         self._next_poll_id = itertools.count(1)
@@ -269,6 +302,7 @@ class CowbirdInstance:
             sequence=sequence, addr=dest_addr, length=length, pad=pad,
             ring_allocated=ring_allocated,
         )
+        self._read_order.append(sequence)
         self.requests_issued += 1
         # The whole issue path is a handful of local stores (Figure 2).
         yield from thread.compute(self.cost.cowbird_post, tag=TAG_COMM)
@@ -443,18 +477,16 @@ class CowbirdInstance:
 
     def _release_consumed_reads(self) -> None:
         """Advance the response ring head past consumed leading reads."""
-        while True:
-            first = min(self._reads) if self._reads else None
-            if first is None:
-                break
-            entry = self._reads[first]
+        order = self._read_order
+        while order:
+            entry = self._reads[order[0]]
             if not entry.consumed:
                 break
             if entry.ring_allocated:
                 self.response_data.advance_head(
                     self.response_data.head + entry.pad + entry.length
                 )
-            del self._reads[first]
+            del self._reads[order.popleft()]
 
     # ------------------------------------------------------------------
     # Internals

@@ -29,7 +29,7 @@ import dataclasses
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.cowbird.api import CowbirdInstance, InstanceDescriptor
 from repro.cowbird.wire import (
@@ -40,8 +40,17 @@ from repro.cowbird.wire import (
 )
 from repro.cowbird.buffers import MetadataRing, skip_pad
 from repro.rdma.packets import (
+    CARRIES_RETH,
+    OP_ACKNOWLEDGE,
+    OP_READ_REQUEST,
+    OP_WRITE_FIRST,
+    OP_WRITE_LAST,
+    OP_WRITE_MIDDLE,
+    OP_WRITE_ONLY,
+    PSN_MODULUS,
+    READ_RESPONSE_TAILS,
+    READ_RESPONSES,
     Bth,
-    Opcode,
     PacketPool,
     Reth,
     RocePacket,
@@ -52,6 +61,13 @@ from repro.sim.engine import Simulator
 from repro.sim.network import PRIORITY_LOW, PRIORITY_NORMAL, Switch
 
 __all__ = ["CowbirdP4Engine", "P4EngineConfig"]
+
+#: Serial-number comparison window: ``b`` is at or after ``a`` when
+#: ``(b - a) % PSN_MODULUS`` is below half the PSN space.
+_HALF_PSN_SPACE = PSN_MODULUS // 2
+#: Op kinds a cumulative ACK retires; read-kind ops retire only through
+#: their responses.
+_ACKED_KINDS = frozenset({"resp_write", "pool_write", "red_update"})
 
 
 @dataclass
@@ -97,9 +113,13 @@ class P4EngineStats:
     reads_paused: int = 0
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _EngineOp:
-    """One switch-initiated RDMA operation awaiting its response/ACK."""
+    """One switch-initiated RDMA operation awaiting its response/ACK.
+
+    Ops compare by identity, so finding one in a channel's in-flight
+    queue never compares field values.
+    """
 
     kind: str  # probe | meta | read_fetch | write_fetch | resp_write | pool_write | red_update
     channel: "_Channel"
@@ -112,16 +132,11 @@ class _EngineOp:
     parent: Optional["_AppOp"] = None
     instance: Optional["_Instance"] = None
     buffer: bytearray = field(default_factory=bytearray)
-    #: Parameters needed to re-emit the request on replay.
-    replay: Optional[Callable[[], None]] = None
     done: bool = False
 
     @property
     def last_psn(self) -> int:
         return psn_add(self.first_psn, self.num_psns - 1)
-
-    def covers(self, psn: int) -> bool:
-        return psn_distance(self.first_psn, psn) < self.num_psns
 
 
 @dataclass
@@ -187,11 +202,9 @@ class _Channel:
             parent=parent,
             instance=instance,
         )
-        effective_rkey = rkey if rkey is not None else self.rkey
-        op.replay = lambda: self._send_read_packet(op, addr, effective_rkey, length)
         self.send_psn = psn_add(self.send_psn, num_psns)
         self.inflight.append(op)
-        self._send_read_packet(op, addr, effective_rkey, length)
+        self._send_read_packet(op, addr, rkey if rkey is not None else self.rkey, length)
         return op
 
     def _send_read_packet(self, op: _EngineOp, addr: int, rkey: int, length: int) -> None:
@@ -199,7 +212,7 @@ class _Channel:
             src=self.engine.node,
             dst=self.peer_node,
             bth=Bth(
-                opcode=Opcode.RC_RDMA_READ_REQUEST,
+                opcode=OP_READ_REQUEST,
                 dest_qp=self.peer_qpn,
                 psn=op.first_psn,
                 ack_request=True,
@@ -251,13 +264,13 @@ class _Channel:
         """
         n = op.num_psns
         if n == 1:
-            opcode = Opcode.RC_RDMA_WRITE_ONLY
+            opcode = OP_WRITE_ONLY
         elif segment_index == 0:
-            opcode = Opcode.RC_RDMA_WRITE_FIRST
+            opcode = OP_WRITE_FIRST
         elif segment_index == n - 1:
-            opcode = Opcode.RC_RDMA_WRITE_LAST
+            opcode = OP_WRITE_LAST
         else:
-            opcode = Opcode.RC_RDMA_WRITE_MIDDLE
+            opcode = OP_WRITE_MIDDLE
         is_tail = segment_index == n - 1
         reth = (
             Reth(
@@ -265,7 +278,7 @@ class _Channel:
                 remote_key=dest_rkey,
                 dma_length=op.expect_bytes,
             )
-            if opcode.carries_reth
+            if opcode in CARRIES_RETH
             else None
         )
         psn = psn_add(op.first_psn, segment_index)
@@ -299,19 +312,20 @@ class _Channel:
     # ------------------------------------------------------------------
     def match(self, psn: int) -> Optional[_EngineOp]:
         for op in self.inflight:
-            if not op.done and op.covers(psn):
+            if not op.done and (psn - op.first_psn) % PSN_MODULUS < op.num_psns:
                 return op
         return None
 
     def retire(self, op: _EngineOp) -> None:
         op.done = True
-        if op in self.inflight:
-            self.inflight.remove(op)
+        self.drop(op)
 
     def drop(self, op: _EngineOp) -> None:
         """Remove an op that will be superseded by a replayed parent."""
-        if op in self.inflight:
+        try:
             self.inflight.remove(op)
+        except ValueError:
+            pass  # already gone
 
     def oldest_pending(self) -> Optional[_EngineOp]:
         for op in self.inflight:
@@ -536,15 +550,16 @@ class CowbirdP4Engine:
     def _pipeline(self, packet, link) -> list:
         if not isinstance(packet, RocePacket) or packet.dst != self.node:
             return [packet]  # transit traffic: forward unchanged
-        channel = self._channels_by_vqpn.get(packet.bth.dest_qp)
+        bth = packet.bth
+        channel = self._channels_by_vqpn.get(bth.dest_qp)
         if channel is None:
             self.stats.stale_packets += 1
             return []
-        state = self._instance_by_vqpn[packet.bth.dest_qp]
-        opcode = packet.opcode
-        if opcode.is_read_response:
+        state = self._instance_by_vqpn[bth.dest_qp]
+        opcode = bth.opcode
+        if opcode in READ_RESPONSES:
             self._on_read_response(state, channel, packet)
-        elif opcode is Opcode.RC_ACKNOWLEDGE:
+        elif opcode is OP_ACKNOWLEDGE:
             self._on_ack(state, channel, packet)
         return []  # always consumed: the switch interdicts all RDMA
 
@@ -560,9 +575,9 @@ class CowbirdP4Engine:
                 op.buffer.extend(b"\x00" * (op.expect_bytes - len(op.buffer)))
             op.buffer[offset : offset + len(packet.payload)] = packet.payload
         op.received_bytes += len(packet.payload)
-        complete = op.received_bytes >= op.expect_bytes and packet.opcode in (
-            Opcode.RC_RDMA_READ_RESPONSE_LAST,
-            Opcode.RC_RDMA_READ_RESPONSE_ONLY,
+        complete = (
+            op.received_bytes >= op.expect_bytes
+            and packet.bth.opcode in READ_RESPONSE_TAILS
         )
         if op.kind == "probe":
             if complete:
@@ -765,17 +780,30 @@ class CowbirdP4Engine:
         if packet.aeth is not None and packet.aeth.is_nak:
             self._go_back_n(channel)
             return
-        # Cumulative ACK: retire covered *write* ops on this channel.
-        # Read-kind ops retire only via their responses — if a response
-        # was dropped, the timeout path must still find the op pending.
+        # Cumulative ACK: retire covered *write* ops on this channel, in
+        # PSN order.  Read-kind ops retire only via their responses — if
+        # a response was dropped, the timeout path must still find the op
+        # pending.  ``inflight`` is in PSN order: every append allocates
+        # the next PSNs, and Go-Back-N drops every pending op when it
+        # rewinds ``send_psn``.  So the scan stops at the first op that
+        # starts after the ACKed PSN; no later op can be covered while
+        # fewer than half the PSN space is in flight.
         psn = packet.bth.psn
-        for op in list(channel.inflight):
-            if op.done or op.kind not in ("resp_write", "pool_write", "red_update"):
-                continue
-            if psn_distance(op.last_psn, psn) < (1 << 23):
-                channel.retire(op)
-                if op.kind in ("resp_write", "pool_write"):
-                    self._complete_app_op(state, op.parent)
+        covered = []
+        for op in channel.inflight:
+            first_psn = op.first_psn
+            if (psn - first_psn) % PSN_MODULUS >= _HALF_PSN_SPACE:
+                break
+            if (
+                not op.done
+                and op.kind in _ACKED_KINDS
+                and (psn - first_psn - op.num_psns + 1) % PSN_MODULUS < _HALF_PSN_SPACE
+            ):
+                covered.append(op)
+        for op in covered:
+            channel.retire(op)
+            if op.kind != "red_update":
+                self._complete_app_op(state, op.parent)
 
     def _complete_app_op(self, state: _Instance, app_op: _AppOp) -> None:
         app_op.completed = True

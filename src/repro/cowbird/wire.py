@@ -27,6 +27,7 @@ __all__ = [
     "BookkeepingLayout",
     "GreenBlock",
     "RedBlock",
+    "RW_TYPE_BY_VALUE",
     "RequestMetadata",
     "RwType",
     "decode_request_id",
@@ -45,6 +46,24 @@ class RwType(enum.IntEnum):
     INVALID = 0
     READ = 1
     WRITE = 2
+
+
+#: Raw rw_type value -> ``RwType`` member.  Decoding indexes this tuple
+#: instead of calling ``RwType(value)``, which costs an order of
+#: magnitude more, and returns the same member objects, so ``is``
+#: comparisons against ``RwType.READ`` keep holding.  Keyed by value,
+#: like ``packets.OPCODE_BY_VALUE``: a value with no member maps to None.
+RW_TYPE_BY_VALUE = tuple(
+    RwType._value2member_map_.get(value) for value in range(max(RwType) + 1)
+)
+
+
+def _rw_type_of(value: int) -> RwType:
+    """The member for a raw (non-negative) value; like ``RwType(value)``."""
+    member = RW_TYPE_BY_VALUE[value] if value < len(RW_TYPE_BY_VALUE) else None
+    if member is None:
+        raise ValueError(f"{value!r} is not a valid RwType")
+    return member
 
 
 #: Packed layout: rw_type u16, region_id u16, length u32, req_addr u64,
@@ -98,7 +117,7 @@ class RequestMetadata:
             raise ValueError(f"metadata entry too short: {len(data)} bytes")
         rw, region_id, length, req_addr, resp_addr = _METADATA_STRUCT.unpack_from(data)
         return cls(
-            rw_type=RwType(rw),
+            rw_type=_rw_type_of(rw),
             req_addr=req_addr,
             resp_addr=resp_addr,
             length=length,
@@ -203,6 +222,7 @@ class BookkeepingLayout:
 _REQ_SEQ_BITS = 32
 _REQ_REGION_SHIFT = _REQ_SEQ_BITS
 _REQ_TYPE_SHIFT = _REQ_REGION_SHIFT + 16
+_REQ_SEQ_MASK = (1 << _REQ_SEQ_BITS) - 1
 
 
 def encode_request_id(rw_type: RwType, region_id: int, sequence: int) -> int:
@@ -216,7 +236,7 @@ def encode_request_id(rw_type: RwType, region_id: int, sequence: int) -> int:
 
 def decode_request_id(request_id: int) -> tuple[RwType, int, int]:
     """Inverse of :func:`encode_request_id`."""
-    rw_type = RwType((request_id >> _REQ_TYPE_SHIFT) & 0xFFFF)
+    rw_type = _rw_type_of((request_id >> _REQ_TYPE_SHIFT) & 0xFFFF)
     region_id = (request_id >> _REQ_REGION_SHIFT) & 0xFFFF
-    sequence = request_id & ((1 << _REQ_SEQ_BITS) - 1)
+    sequence = request_id & _REQ_SEQ_MASK
     return rw_type, region_id, sequence

@@ -28,9 +28,25 @@ from typing import Callable, Optional
 
 from repro.memory.region import AccessError, BoundsError, RegionRegistry
 from repro.rdma.packets import (
+    CARRIES_AETH,
+    CARRIES_RETH,
+    OP_ACKNOWLEDGE,
+    OP_READ_REQUEST,
+    OP_READ_RESPONSE_FIRST,
+    OP_READ_RESPONSE_LAST,
+    OP_READ_RESPONSE_MIDDLE,
+    OP_READ_RESPONSE_ONLY,
+    OP_SEND_ONLY,
+    OP_WRITE_FIRST,
+    OP_WRITE_LAST,
+    OP_WRITE_MIDDLE,
+    OP_WRITE_ONLY,
+    READ_RESPONSE_TAILS,
+    READ_RESPONSES,
+    WRITE_TAILS,
+    WRITES,
     Aeth,
     Bth,
-    Opcode,
     Reth,
     RocePacket,
     SYNDROME_ACK,
@@ -246,7 +262,7 @@ class RNIC:
             src=self.node,
             dst=qp.remote_node,
             bth=Bth(
-                opcode=Opcode.RC_RDMA_READ_REQUEST,
+                opcode=OP_READ_REQUEST,
                 dest_qp=qp.remote_qpn,
                 psn=entry.first_psn,
                 ack_request=True,
@@ -280,13 +296,13 @@ class RNIC:
         for i in range(n):
             chunk = payload[i * mtu : (i + 1) * mtu]
             if n == 1:
-                opcode = Opcode.RC_RDMA_WRITE_ONLY
+                opcode = OP_WRITE_ONLY
             elif i == 0:
-                opcode = Opcode.RC_RDMA_WRITE_FIRST
+                opcode = OP_WRITE_FIRST
             elif i == n - 1:
-                opcode = Opcode.RC_RDMA_WRITE_LAST
+                opcode = OP_WRITE_LAST
             else:
-                opcode = Opcode.RC_RDMA_WRITE_MIDDLE
+                opcode = OP_WRITE_MIDDLE
             is_tail = i == n - 1
             packet = RocePacket(
                 src=self.node,
@@ -302,7 +318,7 @@ class RNIC:
                     remote_key=wr.rkey,
                     dma_length=wr.length,
                 )
-                if opcode.carries_reth
+                if opcode in CARRIES_RETH
                 else None,
                 payload=chunk,
                 priority=wr.priority if wr.priority is not None
@@ -323,7 +339,7 @@ class RNIC:
             src=self.node,
             dst=qp.remote_node,
             bth=Bth(
-                opcode=Opcode.RC_SEND_ONLY,
+                opcode=OP_SEND_ONLY,
                 dest_qp=qp.remote_qpn,
                 psn=first_psn,
                 ack_request=True,
@@ -344,10 +360,11 @@ class RNIC:
     def _transmit(self, packet: RocePacket, qp: Optional[QueuePair] = None) -> None:
         if self.link is None:
             raise RuntimeError(f"NIC {self.node!r} has no link attached")
+        size = packet.size_bytes
         self.stats.packets_out += 1
-        self.stats.bytes_out += packet.size_bytes
+        self.stats.bytes_out += size
         self._tel_tx_packets.inc()
-        self._tel_tx_bytes.inc(packet.size_bytes)
+        self._tel_tx_bytes.inc(size)
         if qp is not None:
             qp.packets_sent += 1
         self.link.send(packet)
@@ -359,10 +376,11 @@ class RNIC:
         """Endpoint entry: delay by processing latency, then dispatch."""
         if not isinstance(packet, RocePacket):
             return  # non-RDMA traffic (e.g. TCP) addressed to this host
+        size = packet.size_bytes
         self.stats.packets_in += 1
-        self.stats.bytes_in += packet.size_bytes
+        self.stats.bytes_in += size
         self._tel_rx_packets.inc()
-        self._tel_rx_bytes.inc(packet.size_bytes)
+        self._tel_rx_bytes.inc(size)
         self._rx_pending.append(packet)
         self.sim.call_after(
             self.config.processing_delay_ns, self._dispatch_next_callback
@@ -379,16 +397,16 @@ class RNIC:
             if qp is None:
                 return  # no such QP: real HCAs silently drop
             qp.packets_received += 1
-            opcode = packet.opcode
-            if opcode is Opcode.RC_RDMA_READ_REQUEST:
+            opcode = packet.bth.opcode
+            if opcode is OP_READ_REQUEST:
                 self._respond_read(qp, packet)
-            elif opcode.is_write:
+            elif opcode in WRITES:
                 self._respond_write(qp, packet)
-            elif opcode is Opcode.RC_SEND_ONLY:
+            elif opcode is OP_SEND_ONLY:
                 self._respond_send(qp, packet)
-            elif opcode.is_read_response:
+            elif opcode in READ_RESPONSES:
                 self._requester_read_response(qp, packet)
-            elif opcode is Opcode.RC_ACKNOWLEDGE:
+            elif opcode is OP_ACKNOWLEDGE:
                 self._requester_ack(qp, packet)
         finally:
             # The NIC is the terminal consumer of every delivered packet;
@@ -412,7 +430,7 @@ class RNIC:
             src=self.node,
             dst=request_psn_src,
             bth=Bth(
-                opcode=Opcode.RC_ACKNOWLEDGE,
+                opcode=OP_ACKNOWLEDGE,
                 dest_qp=qp.remote_qpn,
                 psn=qp.expected_psn,
             ),
@@ -426,7 +444,7 @@ class RNIC:
         packet = RocePacket(
             src=self.node,
             dst=qp.remote_node,
-            bth=Bth(opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=qp.remote_qpn, psn=psn),
+            bth=Bth(opcode=OP_ACKNOWLEDGE, dest_qp=qp.remote_qpn, psn=psn),
             aeth=Aeth(syndrome=SYNDROME_ACK, msn=qp.msn),
             priority=priority if priority is not None else self.config.priority,
         )
@@ -456,13 +474,13 @@ class RNIC:
         for i in range(n):
             chunk = data[i * mtu : (i + 1) * mtu]
             if n == 1:
-                opcode = Opcode.RC_RDMA_READ_RESPONSE_ONLY
+                opcode = OP_READ_RESPONSE_ONLY
             elif i == 0:
-                opcode = Opcode.RC_RDMA_READ_RESPONSE_FIRST
+                opcode = OP_READ_RESPONSE_FIRST
             elif i == n - 1:
-                opcode = Opcode.RC_RDMA_READ_RESPONSE_LAST
+                opcode = OP_READ_RESPONSE_LAST
             else:
-                opcode = Opcode.RC_RDMA_READ_RESPONSE_MIDDLE
+                opcode = OP_READ_RESPONSE_MIDDLE
             response = RocePacket(
                 src=self.node,
                 dst=packet.src,
@@ -472,7 +490,7 @@ class RNIC:
                     psn=psn_add(packet.bth.psn, i),
                 ),
                 aeth=Aeth(syndrome=SYNDROME_ACK, msn=qp.msn)
-                if opcode.carries_aeth
+                if opcode in CARRIES_AETH
                 else None,
                 payload=chunk,
                 # Echo the request's class (DSCP reflection): control
@@ -489,8 +507,8 @@ class RNIC:
         if status == "duplicate":
             self.stats.duplicates += 1
             self._tel_duplicates.inc()
-        opcode = packet.opcode
-        if opcode.carries_reth:
+        opcode = packet.bth.opcode
+        if opcode in CARRIES_RETH:
             context = _WriteContext(
                 rkey=packet.reth.remote_key,
                 next_addr=packet.reth.virtual_address,
@@ -508,7 +526,7 @@ class RNIC:
             self._send_nak(qp, packet.src)
             return
         context.next_addr += len(packet.payload)
-        is_tail = opcode in (Opcode.RC_RDMA_WRITE_LAST, Opcode.RC_RDMA_WRITE_ONLY)
+        is_tail = opcode in WRITE_TAILS
         if status == "expected":
             qp.expected_psn = psn_add(packet.bth.psn, 1)
             if is_tail:
@@ -561,10 +579,7 @@ class RNIC:
         if entry.wr.local_addr:
             self._dma_write_local(entry.wr.local_addr + offset, packet.payload)
         entry.bytes_received += len(packet.payload)
-        is_tail = packet.opcode in (
-            Opcode.RC_RDMA_READ_RESPONSE_LAST,
-            Opcode.RC_RDMA_READ_RESPONSE_ONLY,
-        )
+        is_tail = packet.bth.opcode in READ_RESPONSE_TAILS
         if is_tail and entry.bytes_received >= entry.wr.length:
             # Read responses arrive in order on RC; the tail retires the
             # entry and everything acknowledged before it.
@@ -636,7 +651,7 @@ class RNIC:
                     src=self.node,
                     dst=qp.remote_node,
                     bth=Bth(
-                        opcode=Opcode.RC_SEND_ONLY,
+                        opcode=OP_SEND_ONLY,
                         dest_qp=qp.remote_qpn,
                         psn=entry.first_psn,
                         ack_request=True,

@@ -15,6 +15,11 @@ programmable switches cannot — and carry a placeholder trailer instead.
 Hot-path design notes:
 
 * All ``struct`` formats are compiled once at module level.
+* Opcode predicates (which extension header an opcode carries, whether
+  it is a write or a read response) are frozensets, and the per-opcode
+  header size a dict, all computed once at import; ``Bth.unpack`` maps
+  the raw opcode byte to its ``Opcode`` member through a tuple.  Per
+  packet, nothing evaluates an enum property or calls ``Opcode(...)``.
 * :meth:`RocePacket.unpack` parses the BTH eagerly (every consumer needs
   the opcode/PSN) but leaves RETH/AETH as lazy properties backed by a
   ``memoryview`` of the wire bytes, and exposes the payload as a
@@ -40,15 +45,24 @@ __all__ = [
     "AddressBook",
     "Aeth",
     "Bth",
+    "CARRIES_AETH",
+    "CARRIES_PAYLOAD",
+    "CARRIES_RETH",
+    "HEADER_BYTES_BY_OPCODE",
     "HEADER_OVERHEAD_BYTES",
+    "OPCODE_BY_VALUE",
     "Opcode",
     "PacketPool",
     "PSN_MODULUS",
+    "READ_RESPONSES",
+    "READ_RESPONSE_TAILS",
     "Reth",
     "RocePacket",
     "ROCE_UDP_PORT",
     "SYNDROME_ACK",
     "SYNDROME_NAK_PSN_ERROR",
+    "WRITES",
+    "WRITE_TAILS",
     "psn_add",
     "psn_distance",
 ]
@@ -118,56 +132,82 @@ class Opcode(enum.IntEnum):
     RC_RDMA_READ_RESPONSE_ONLY = 0x10
     RC_ACKNOWLEDGE = 0x11
 
+    # The predicates below are kept for callers outside the hot path;
+    # per-packet code tests membership in the module-level tables
+    # instead, which avoids an enum property call per packet.
     @property
     def carries_reth(self) -> bool:
         """RETH appears on READ requests and the first/only WRITE packet."""
-        return self in (
-            Opcode.RC_RDMA_READ_REQUEST,
-            Opcode.RC_RDMA_WRITE_FIRST,
-            Opcode.RC_RDMA_WRITE_ONLY,
-        )
+        return self in CARRIES_RETH
 
     @property
     def carries_aeth(self) -> bool:
         """AETH appears on read responses (except MIDDLE) and ACKs."""
-        return self in (
-            Opcode.RC_RDMA_READ_RESPONSE_FIRST,
-            Opcode.RC_RDMA_READ_RESPONSE_LAST,
-            Opcode.RC_RDMA_READ_RESPONSE_ONLY,
-            Opcode.RC_ACKNOWLEDGE,
-        )
+        return self in CARRIES_AETH
 
     @property
     def carries_payload(self) -> bool:
-        return self in (
-            Opcode.RC_SEND_ONLY,
-            Opcode.RC_RDMA_WRITE_FIRST,
-            Opcode.RC_RDMA_WRITE_MIDDLE,
-            Opcode.RC_RDMA_WRITE_LAST,
-            Opcode.RC_RDMA_WRITE_ONLY,
-            Opcode.RC_RDMA_READ_RESPONSE_FIRST,
-            Opcode.RC_RDMA_READ_RESPONSE_MIDDLE,
-            Opcode.RC_RDMA_READ_RESPONSE_LAST,
-            Opcode.RC_RDMA_READ_RESPONSE_ONLY,
-        )
+        return self in CARRIES_PAYLOAD
 
     @property
     def is_read_response(self) -> bool:
-        return self in (
-            Opcode.RC_RDMA_READ_RESPONSE_FIRST,
-            Opcode.RC_RDMA_READ_RESPONSE_MIDDLE,
-            Opcode.RC_RDMA_READ_RESPONSE_LAST,
-            Opcode.RC_RDMA_READ_RESPONSE_ONLY,
-        )
+        return self in READ_RESPONSES
 
     @property
     def is_write(self) -> bool:
-        return self in (
-            Opcode.RC_RDMA_WRITE_FIRST,
-            Opcode.RC_RDMA_WRITE_MIDDLE,
-            Opcode.RC_RDMA_WRITE_LAST,
-            Opcode.RC_RDMA_WRITE_ONLY,
-        )
+        return self in WRITES
+
+
+# Opcode predicate tables, computed once at import.  Hot paths use these
+# (and the module-level opcode constants) rather than enum properties or
+# ``Opcode.X`` class-attribute lookups, both of which cost several times
+# a set or dict lookup on CPython.
+OP_SEND_ONLY = Opcode.RC_SEND_ONLY
+OP_WRITE_FIRST = Opcode.RC_RDMA_WRITE_FIRST
+OP_WRITE_MIDDLE = Opcode.RC_RDMA_WRITE_MIDDLE
+OP_WRITE_LAST = Opcode.RC_RDMA_WRITE_LAST
+OP_WRITE_ONLY = Opcode.RC_RDMA_WRITE_ONLY
+OP_READ_REQUEST = Opcode.RC_RDMA_READ_REQUEST
+OP_READ_RESPONSE_FIRST = Opcode.RC_RDMA_READ_RESPONSE_FIRST
+OP_READ_RESPONSE_MIDDLE = Opcode.RC_RDMA_READ_RESPONSE_MIDDLE
+OP_READ_RESPONSE_LAST = Opcode.RC_RDMA_READ_RESPONSE_LAST
+OP_READ_RESPONSE_ONLY = Opcode.RC_RDMA_READ_RESPONSE_ONLY
+OP_ACKNOWLEDGE = Opcode.RC_ACKNOWLEDGE
+
+#: RETH: READ requests and the first/only packet of a WRITE.
+CARRIES_RETH = frozenset({OP_READ_REQUEST, OP_WRITE_FIRST, OP_WRITE_ONLY})
+#: AETH: read responses other than MIDDLE, and ACKs.
+CARRIES_AETH = frozenset(
+    {OP_READ_RESPONSE_FIRST, OP_READ_RESPONSE_LAST, OP_READ_RESPONSE_ONLY, OP_ACKNOWLEDGE}
+)
+WRITES = frozenset({OP_WRITE_FIRST, OP_WRITE_MIDDLE, OP_WRITE_LAST, OP_WRITE_ONLY})
+READ_RESPONSES = frozenset(
+    {
+        OP_READ_RESPONSE_FIRST,
+        OP_READ_RESPONSE_MIDDLE,
+        OP_READ_RESPONSE_LAST,
+        OP_READ_RESPONSE_ONLY,
+    }
+)
+CARRIES_PAYLOAD = frozenset({OP_SEND_ONLY}) | WRITES | READ_RESPONSES
+#: The packets that end a WRITE train or a read-response train.
+WRITE_TAILS = frozenset({OP_WRITE_LAST, OP_WRITE_ONLY})
+READ_RESPONSE_TAILS = frozenset({OP_READ_RESPONSE_LAST, OP_READ_RESPONSE_ONLY})
+
+#: Wire size of a packet of each opcode, excluding its payload: the fixed
+#: RoCEv2 overhead plus the extension header the opcode carries.
+HEADER_BYTES_BY_OPCODE = {
+    opcode: HEADER_OVERHEAD_BYTES
+    + (RETH_BYTES if opcode in CARRIES_RETH else 0)
+    + (AETH_BYTES if opcode in CARRIES_AETH else 0)
+    for opcode in Opcode
+}
+
+#: Raw BTH opcode byte -> the ``Opcode`` member (``None`` where unused),
+#: so decoding a header returns the shared member objects without going
+#: through ``Opcode(value)``.
+OPCODE_BY_VALUE = tuple(Opcode._value2member_map_.get(value) for value in range(256))
+
 
 
 #: Read-response to write conversion map — the heart of Cowbird-P4's
@@ -209,9 +249,12 @@ class Bth:
 
     @classmethod
     def unpack(cls, data: Union[bytes, memoryview]) -> "Bth":
-        opcode, flags, pkey, dqp_word, ack_psn = _BTH_STRUCT.unpack(data[:BTH_BYTES])
+        value, flags, pkey, dqp_word, ack_psn = _BTH_STRUCT.unpack(data[:BTH_BYTES])
+        opcode = OPCODE_BY_VALUE[value]
+        if opcode is None:
+            raise ValueError(f"{value!r} is not a valid Opcode")
         return cls(
-            opcode=Opcode(opcode),
+            opcode=opcode,
             dest_qp=dqp_word & 0xFF_FFFF,
             psn=ack_psn & 0xFF_FFFF,
             ack_request=bool(ack_psn & 0x8000_0000),
@@ -330,16 +373,18 @@ class RocePacket:
         priority: int = PRIORITY_NORMAL,
     ) -> None:
         opcode = bth.opcode
-        if opcode.carries_reth and reth is None:
-            raise ValueError(f"{opcode.name} requires a RETH header")
-        if not opcode.carries_reth and reth is not None:
+        if opcode in CARRIES_RETH:
+            if reth is None:
+                raise ValueError(f"{opcode.name} requires a RETH header")
+        elif reth is not None:
             raise ValueError(f"{opcode.name} must not carry a RETH header")
-        if opcode.carries_aeth and aeth is None:
+        if aeth is None and opcode in CARRIES_AETH:
             raise ValueError(f"{opcode.name} requires an AETH header")
-        if opcode is Opcode.RC_ACKNOWLEDGE and payload:
-            raise ValueError("ACK packets carry no payload")
-        if opcode is Opcode.RC_RDMA_READ_REQUEST and payload:
-            raise ValueError("READ request packets carry no payload")
+        if payload and opcode not in CARRIES_PAYLOAD:
+            if opcode is OP_ACKNOWLEDGE:
+                raise ValueError("ACK packets carry no payload")
+            if opcode is OP_READ_REQUEST:
+                raise ValueError("READ request packets carry no payload")
         self.src = src
         self.dst = dst
         self.bth = bth
@@ -358,7 +403,7 @@ class RocePacket:
     @property
     def reth(self) -> Optional[Reth]:
         reth = self._reth
-        if reth is None and self._wire is not None and self.bth.opcode.carries_reth:
+        if reth is None and self._wire is not None and self.bth.opcode in CARRIES_RETH:
             reth = self._reth = Reth.unpack(self._wire[_EXT_OFFSET:])
         return reth
 
@@ -369,7 +414,7 @@ class RocePacket:
     @property
     def aeth(self) -> Optional[Aeth]:
         aeth = self._aeth
-        if aeth is None and self._wire is not None and self.bth.opcode.carries_aeth:
+        if aeth is None and self._wire is not None and self.bth.opcode in CARRIES_AETH:
             aeth = self._aeth = Aeth.unpack(self._wire[_EXT_OFFSET:])
         return aeth
 
@@ -379,13 +424,7 @@ class RocePacket:
 
     @property
     def size_bytes(self) -> int:
-        opcode = self.bth.opcode
-        size = HEADER_OVERHEAD_BYTES + len(self.payload)
-        if opcode.carries_reth:
-            size += RETH_BYTES
-        if opcode.carries_aeth:
-            size += AETH_BYTES
-        return size
+        return HEADER_BYTES_BY_OPCODE[self.bth.opcode] + len(self.payload)
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, RocePacket):
@@ -503,11 +542,7 @@ class RocePacket:
         offset += BTH_BYTES
         # RETH/AETH stay unparsed in the wire view; the reth/aeth
         # properties decode them on demand.
-        opcode = bth.opcode
-        if opcode.carries_reth:
-            offset += RETH_BYTES
-        if opcode.carries_aeth:
-            offset += AETH_BYTES
+        offset += HEADER_BYTES_BY_OPCODE[bth.opcode] - HEADER_OVERHEAD_BYTES
         packet = object.__new__(cls)
         packet.src = src
         packet.dst = dst

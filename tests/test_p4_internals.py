@@ -3,8 +3,18 @@
 import pytest
 
 from repro.cowbird.deploy import deploy_cowbird
-from repro.cowbird.p4_engine import P4EngineConfig
-from repro.rdma.packets import psn_add
+from repro.cowbird.p4_engine import P4EngineConfig, _AppOp
+from repro.cowbird.wire import RequestMetadata, RwType
+from repro.rdma.packets import (
+    PSN_MODULUS,
+    SYNDROME_ACK,
+    Aeth,
+    Bth,
+    Opcode,
+    RocePacket,
+    psn_add,
+    psn_distance,
+)
 
 
 def build(num_instances=1, **p4_kwargs):
@@ -76,6 +86,144 @@ class TestChannels:
         # so the counter never exceeds its pre-failure value.
         assert channel.send_psn <= psn_before
         assert engine.stats.go_back_n_events == 1
+
+
+def _app_op(state, rw_type, sequence):
+    metadata = RequestMetadata(
+        rw_type=rw_type, req_addr=0, resp_addr=0, length=8, region_id=0
+    )
+    return _AppOp(
+        instance=state, sequence=sequence, metadata=metadata,
+        ring_index=sequence - 1,
+    )
+
+
+def _full_scan_retired(channel, psn):
+    """What a scan over every in-flight op retires for an ACK of ``psn``:
+    each pending write-kind op whose last PSN is at or before ``psn``."""
+    return [
+        op for op in channel.inflight
+        if not op.done
+        and op.kind in ("resp_write", "pool_write", "red_update")
+        and psn_distance(op.last_psn, psn) < PSN_MODULUS // 2
+    ]
+
+
+def _assert_psn_order(channel):
+    start = channel.inflight[0].first_psn
+    offsets = [psn_distance(start, op.first_psn) for op in channel.inflight]
+    assert offsets == sorted(offsets)
+
+
+class TestCumulativeAckAcrossPsnWrap:
+    """A cumulative ACK retires exactly the covered write-kind ops, in
+    PSN order, also when their PSN ranges cross the 24-bit wrap."""
+
+    def _ack(self, engine, channel, psn):
+        """Deliver an ACK for ``psn``; return the ops it retired, in order."""
+        expected = _full_scan_retired(channel, psn)
+        retired = []
+        retire = channel.retire
+        channel.retire = lambda op: (retired.append(op), retire(op))
+        try:
+            packet = RocePacket(
+                src=channel.peer_node, dst=engine.node,
+                bth=Bth(opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=channel.virtual_qpn, psn=psn),
+                aeth=Aeth(syndrome=SYNDROME_ACK, msn=0),
+            )
+            assert engine._pipeline(packet, None) == []
+        finally:
+            del channel.retire
+        assert retired == expected
+        return retired
+
+    def test_data_channel_writes_cross_the_wrap(self):
+        dep = build()
+        engine = dep.engine
+        state = engine._instances[0]
+        channel = state.data_channel
+        channel.send_psn = PSN_MODULUS - 2
+        first, second = _app_op(state, RwType.READ, 1), _app_op(state, RwType.READ, 2)
+        meta = channel.emit_read(0x1000, 100, kind="meta", instance=state)
+        train = channel.begin_write(3000, kind="resp_write", parent=first, instance=state)
+        fetch = channel.emit_read(
+            0x2000, 100, kind="write_fetch",
+            parent=_app_op(state, RwType.WRITE, 1), instance=state,
+        )
+        red = channel.begin_write(40, kind="red_update", parent=None, instance=state)
+        later = channel.begin_write(2048, kind="resp_write", parent=second, instance=state)
+        assert [op.first_psn for op in channel.inflight] == [
+            PSN_MODULUS - 2, PSN_MODULUS - 1, 2, 3, 4,
+        ]
+        assert train.last_psn == 1  # the train crosses the wrap
+
+        assert self._ack(engine, channel, PSN_MODULUS - 1) == []
+        assert self._ack(engine, channel, 0) == []  # mid-train: not covered
+        assert self._ack(engine, channel, 3) == [train, red]
+        assert first.completed and not second.completed
+        # Read-kind ops stay pending; completing ``first`` queued its red
+        # block update (PSN 6) behind ``later``.
+        assert list(channel.inflight)[:3] == [meta, fetch, later]
+        update = channel.inflight[-1]
+        assert (update.kind, update.first_psn) == ("red_update", 6)
+        assert self._ack(engine, channel, 5) == [later]
+        assert second.completed
+        assert self._ack(engine, channel, 6) == [update]
+        assert list(channel.inflight)[:2] == [meta, fetch]
+
+    def test_pool_channel_leaves_read_fetches_pending(self):
+        dep = build()
+        engine = dep.engine
+        state = engine._instances[0]
+        channel = next(iter(state.pool_channels.values()))
+        channel.send_psn = PSN_MODULUS - 1
+        rkey = state.descriptor.remote_regions[0].rkey
+        reads = [_app_op(state, RwType.READ, n) for n in (1, 2)]
+        fetch = channel.emit_read(
+            0, 1024, kind="read_fetch", parent=reads[0], instance=state, rkey=rkey
+        )
+        write = _app_op(state, RwType.WRITE, 1)
+        train = channel.begin_write(2048, kind="pool_write", parent=write, instance=state)
+        fetch2 = channel.emit_read(
+            1024, 2048, kind="read_fetch", parent=reads[1], instance=state, rkey=rkey
+        )
+        assert [op.first_psn for op in channel.inflight] == [PSN_MODULUS - 1, 0, 2]
+        assert self._ack(engine, channel, 3) == [train]
+        assert write.completed
+        assert list(channel.inflight) == [fetch, fetch2]
+
+    def test_after_go_back_n_rewind(self):
+        dep = build()
+        engine = dep.engine
+        state = engine._instances[0]
+        channel = state.data_channel
+        channel.send_psn = PSN_MODULUS - 2
+        channel.emit_read(0x1000, 100, kind="meta", instance=state)
+        channel.emit_read(
+            0x2000, 100, kind="write_fetch",
+            parent=_app_op(state, RwType.WRITE, 1), instance=state,
+        )
+        channel.begin_write(3000, kind="resp_write",
+                            parent=_app_op(state, RwType.READ, 1), instance=state)
+        channel.begin_write(40, kind="red_update", parent=None, instance=state)
+        engine._go_back_n(channel)
+        # Rewound to the oldest op's PSN and replayed in order: the write
+        # fetch and the red block update; the meta read is regenerated by
+        # probing and the response train by a pool re-fetch.
+        assert channel.send_psn == psn_add(PSN_MODULUS - 2, 2)
+        fetch, red = channel.inflight
+        assert (fetch.kind, fetch.first_psn) == ("write_fetch", PSN_MODULUS - 2)
+        assert (red.kind, red.first_psn) == ("red_update", PSN_MODULUS - 1)
+        train = channel.begin_write(3000, kind="resp_write",
+                                    parent=_app_op(state, RwType.READ, 2), instance=state)
+        meta = channel.emit_read(0x3000, 100, kind="meta", instance=state)
+        red2 = channel.begin_write(40, kind="red_update", parent=None, instance=state)
+        _assert_psn_order(channel)
+        assert (train.first_psn, train.last_psn) == (0, 2)
+        assert self._ack(engine, channel, 1) == [red]
+        assert self._ack(engine, channel, 4) == [train, red2]
+        assert list(channel.inflight)[:2] == [fetch, meta]
+        _assert_psn_order(channel)
 
 
 class TestProbePolicies:

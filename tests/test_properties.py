@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.cowbird.api import PollGroup
 from repro.cowbird.buffers import DataRing, RingFullError, skip_pad
 from repro.cowbird.wire import (
     GreenBlock,
@@ -265,3 +266,121 @@ class TestMemoryRegionProperties:
         region.write(512, second)
         assert region.read(0, len(first)) == first
         assert region.read(512, len(second)) == second
+
+
+class _ScanPollGroup:
+    """Reference: the full-scan poll group, decoding every registered id
+    on every check and returning hits in registration order."""
+
+    def __init__(self) -> None:
+        self._pending: dict[int, int] = {}
+
+    def add(self, request_id: int) -> None:
+        _type, _region, seq = decode_request_id(request_id)
+        self._pending[request_id] = seq
+
+    def remove(self, request_id: int) -> None:
+        self._pending.pop(request_id, None)
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+    def completed(self, red: RedBlock) -> list[int]:
+        done = []
+        for request_id, seq in self._pending.items():
+            rw_type, _region, _seq = decode_request_id(request_id)
+            progress = red.read_progress if rw_type is RwType.READ else red.write_progress
+            if progress >= seq:
+                done.append(request_id)
+        return done
+
+
+#: One poll-group step: (action, type, region, sequence, pick).  Listing
+#: an action twice doubles how often it is drawn.
+_poll_group_steps = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "add", "add", "add",  # any sequence order, as select() allows
+            "add-again", "add-again",  # re-register a registered id
+            "remove",
+            "re-add",  # register a removed id again
+            "progress-read", "progress-write",  # advance independently
+            "poll",  # poll_wait: take the [:max_ret] prefix, deregister it
+        ]),
+        st.sampled_from([RwType.READ, RwType.WRITE]),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    max_size=60,
+)
+
+
+class TestPollGroupEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(_poll_group_steps)
+    def test_matches_full_scan(self, steps):
+        group, reference = PollGroup(1), _ScanPollGroup()
+        red = RedBlock()
+        registered: list[int] = []
+        removed: list[int] = []
+
+        def remove(request_id):
+            group.remove(request_id)
+            reference.remove(request_id)
+            if request_id in registered:
+                registered.remove(request_id)
+                removed.append(request_id)
+
+        def add(request_id):
+            group.add(request_id)
+            reference.add(request_id)
+            if request_id not in registered:
+                registered.append(request_id)
+            if request_id in removed:
+                removed.remove(request_id)
+
+        for action, rw_type, region, seq, pick in steps:
+            if action == "add":
+                add(encode_request_id(rw_type, region, seq))
+            elif action == "add-again" and registered:
+                add(registered[pick % len(registered)])
+            elif action == "remove" and registered:
+                remove(registered[pick % len(registered)])
+            elif action == "re-add" and removed:
+                add(removed[pick % len(removed)])
+            elif action == "progress-read":
+                red.read_progress += pick % 5
+            elif action == "progress-write":
+                red.write_progress += pick % 5
+            elif action == "poll":
+                max_ret = 1 + pick % 6
+                expected = reference.completed(red)[:max_ret]
+                assert group.completed(red)[:max_ret] == expected
+                for request_id in expected:
+                    remove(request_id)
+            assert group.completed(red) == reference.completed(red)
+            assert len(group) == len(reference)
+
+    def test_out_of_order_registration_keeps_registration_order(self):
+        group = PollGroup(1)
+        ids = [
+            encode_request_id(RwType.WRITE, 0, 3),
+            encode_request_id(RwType.READ, 1, 2),
+            encode_request_id(RwType.WRITE, 0, 1),
+            encode_request_id(RwType.READ, 0, 1),
+        ]
+        for request_id in ids:
+            group.add(request_id)
+        assert group.completed(RedBlock(read_progress=2, write_progress=1)) == ids[1:]
+        assert group.completed(RedBlock(read_progress=1, write_progress=3)) == [
+            ids[0], ids[2], ids[3],
+        ]
+        group.add(ids[0])  # registering a registered id keeps its place
+        assert group.completed(RedBlock(read_progress=2, write_progress=3)) == ids
+        group.remove(ids[1])
+        group.add(ids[1])  # a removed and re-added id moves to the back
+        assert group.completed(RedBlock(read_progress=2, write_progress=3)) == [
+            ids[0], ids[2], ids[3], ids[1],
+        ]
+        assert len(group) == 4

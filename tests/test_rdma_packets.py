@@ -2,7 +2,25 @@
 
 import pytest
 
+from repro.cowbird.wire import (
+    RW_TYPE_BY_VALUE,
+    RequestMetadata,
+    RwType,
+    decode_request_id,
+    encode_request_id,
+)
 from repro.rdma.packets import (
+    AETH_BYTES,
+    CARRIES_AETH,
+    CARRIES_PAYLOAD,
+    CARRIES_RETH,
+    HEADER_BYTES_BY_OPCODE,
+    OPCODE_BY_VALUE,
+    READ_RESPONSE_TAILS,
+    READ_RESPONSES,
+    RETH_BYTES,
+    WRITE_TAILS,
+    WRITES,
     AddressBook,
     Aeth,
     Bth,
@@ -122,6 +140,119 @@ class TestOpcodeProperties:
             READ_RESPONSE_TO_WRITE[Opcode.RC_RDMA_READ_RESPONSE_ONLY]
             is Opcode.RC_RDMA_WRITE_ONLY
         )
+
+
+def _header_rules(opcode):
+    """InfiniBand RC header rules, from the opcode's name alone."""
+    name = opcode.name
+    write = name.startswith("RC_RDMA_WRITE_")
+    read_response = name.startswith("RC_RDMA_READ_RESPONSE_")
+    position = name.rsplit("_", 1)[1]
+    return {
+        "reth": opcode is Opcode.RC_RDMA_READ_REQUEST
+        or (write and position in ("FIRST", "ONLY")),
+        "aeth": opcode is Opcode.RC_ACKNOWLEDGE
+        or (read_response and position != "MIDDLE"),
+        "payload": opcode not in (Opcode.RC_RDMA_READ_REQUEST, Opcode.RC_ACKNOWLEDGE),
+        "read_response": read_response,
+        "write": write,
+        "tail": position in ("LAST", "ONLY"),
+    }
+
+
+class TestOpcodeTables:
+    """The import-time opcode tables the per-packet paths use."""
+
+    @pytest.mark.parametrize("opcode", list(Opcode))
+    def test_tables_match_header_rules(self, opcode):
+        rules = _header_rules(opcode)
+        assert (opcode in CARRIES_RETH) is rules["reth"]
+        assert (opcode in CARRIES_AETH) is rules["aeth"]
+        assert (opcode in CARRIES_PAYLOAD) is rules["payload"]
+        assert (opcode in READ_RESPONSES) is rules["read_response"]
+        assert (opcode in WRITES) is rules["write"]
+        assert (opcode in WRITE_TAILS) is (rules["write"] and rules["tail"])
+        assert (opcode in READ_RESPONSE_TAILS) is (rules["read_response"] and rules["tail"])
+        assert HEADER_BYTES_BY_OPCODE[opcode] == (
+            HEADER_OVERHEAD_BYTES
+            + RETH_BYTES * rules["reth"]
+            + AETH_BYTES * rules["aeth"]
+        )
+
+    @pytest.mark.parametrize("opcode", list(Opcode))
+    def test_public_properties_still_work(self, opcode):
+        rules = _header_rules(opcode)
+        assert opcode.carries_reth is rules["reth"]
+        assert opcode.carries_aeth is rules["aeth"]
+        assert opcode.carries_payload is rules["payload"]
+        assert opcode.is_read_response is rules["read_response"]
+        assert opcode.is_write is rules["write"]
+
+    @pytest.mark.parametrize(
+        "opcode,payload_bytes",
+        [
+            (opcode, payload_bytes)
+            for opcode in Opcode
+            for payload_bytes in (0, 1, 1024)  # none, one byte, one MTU
+            if payload_bytes == 0 or _header_rules(opcode)["payload"]
+        ],
+    )
+    def test_size_bytes_equals_packed_length(self, opcode, payload_bytes):
+        rules = _header_rules(opcode)
+        packet = RocePacket(
+            src="a", dst="b",
+            bth=Bth(opcode=opcode, dest_qp=3, psn=PSN_MODULUS - 1),
+            reth=Reth(virtual_address=0x1000, remote_key=7, dma_length=payload_bytes)
+            if rules["reth"] else None,
+            aeth=Aeth(syndrome=SYNDROME_ACK, msn=2) if rules["aeth"] else None,
+            payload=bytes(payload_bytes),
+        )
+        book = AddressBook()
+        wire = packet.pack(book)
+        assert packet.size_bytes == len(wire)
+        assert RocePacket.unpack(wire, book).size_bytes == len(wire)
+
+    def test_opcode_by_value_covers_every_byte(self):
+        assert len(OPCODE_BY_VALUE) == 256
+        for value, opcode in enumerate(OPCODE_BY_VALUE):
+            if value in Opcode._value2member_map_:
+                assert opcode is Opcode(value)
+            else:
+                assert opcode is None
+
+    @pytest.mark.parametrize("opcode", list(Opcode))
+    def test_decoding_returns_the_enum_members(self, opcode):
+        assert Bth.unpack(Bth(opcode=opcode, dest_qp=1, psn=2).pack()).opcode is opcode
+        packet = RocePacket(
+            src="a", dst="b", bth=Bth(opcode=opcode, dest_qp=1, psn=2),
+            reth=Reth(0, 0, 0) if opcode in CARRIES_RETH else None,
+            aeth=Aeth(SYNDROME_ACK, 0) if opcode in CARRIES_AETH else None,
+        )
+        book = AddressBook()
+        assert RocePacket.unpack(packet.pack(book), book).opcode is opcode
+
+    def test_unknown_opcode_byte_rejected(self):
+        raw = bytearray(Bth(opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=1, psn=2).pack())
+        raw[0] = 0x7F
+        with pytest.raises(ValueError, match="not a valid Opcode"):
+            Bth.unpack(bytes(raw))
+
+    @pytest.mark.parametrize("rw_type", list(RwType))
+    def test_request_decoding_returns_the_enum_members(self, rw_type):
+        assert decode_request_id(encode_request_id(rw_type, 5, 9))[0] is rw_type
+        entry = RequestMetadata(
+            rw_type=rw_type, req_addr=1, resp_addr=2, length=3, region_id=4
+        )
+        assert RequestMetadata.unpack(entry.pack()).rw_type is rw_type
+
+    def test_request_type_table_is_keyed_by_value(self):
+        for value, member in enumerate(RW_TYPE_BY_VALUE):
+            assert member is None or member.value == value
+        assert {m for m in RW_TYPE_BY_VALUE if m is not None} == set(RwType)
+
+    def test_unknown_request_type_rejected(self):
+        with pytest.raises(ValueError, match="not a valid RwType"):
+            decode_request_id((3 << 48) | 1)
 
 
 class TestRocePacket:
