@@ -263,6 +263,12 @@ class TwoSidedSyncBackend(_RdmaBackendBase):
         verbs = self.pool_host.verbs
         cost = verbs.cost
         pool_region = self.pool_host.registry.by_rkey(self.region.rkey)
+        # One staging buffer for every read response: a reply fits the
+        # client's scratch, and the loop waits for the WRITE's completion
+        # before it takes the next request.
+        scratch = self.pool_host.registry.register(
+            self.scratch.length, name=f"{self.name}-server-scratch"
+        )
         while True:
             # Keep a recv posted, then busy-wait for the next request.
             recv = WorkRequest(
@@ -280,7 +286,6 @@ class TwoSidedSyncBackend(_RdmaBackendBase):
                 data = pool_region.remote_read(
                     self.region.translate(offset, length), length, self.region.rkey
                 )
-                scratch = self.pool_host.registry.register(max(length, 64))
                 scratch.write(scratch.base_addr, data)
                 yield from verbs.post_send(
                     thread, self.server_qp,

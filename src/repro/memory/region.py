@@ -6,12 +6,18 @@ that hold the region's ``rkey``.  The :class:`RegionRegistry` is the
 per-host table an RNIC consults to translate an incoming (address, rkey)
 pair into a buffer — including the permission and bounds checks a real
 HCA performs in hardware.
+
+Every region is backed by an anonymous ``mmap``, which the OS zero-fills
+lazily, page by page, on first touch: registering a multi-gigabyte pool
+costs host RAM only for the pages a simulation actually writes.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
+import mmap
 from typing import Iterator
 
 __all__ = [
@@ -46,12 +52,38 @@ class Permission(enum.Flag):
         )
 
 
+#: ``flags`` for the backing mappings: private and anonymous, so reads of
+#: untouched pages share the kernel's zero page and add no RSS.  None
+#: where ``mmap`` has no ``MAP_PRIVATE`` (Windows), which maps plain
+#: ``mmap.mmap(-1, length)`` — also lazily zeroed by the OS.
+MAP_FLAGS = (
+    mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS if hasattr(mmap, "MAP_PRIVATE") else None
+)
+
+
+def _zeroed_mapping(length: int) -> mmap.mmap:
+    if MAP_FLAGS is None:
+        mapping = mmap.mmap(-1, length)
+    else:
+        mapping = mmap.mmap(-1, length, flags=MAP_FLAGS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        # With transparent hugepages set to "always", one write would
+        # fault in a whole 2 MiB page; keep the cost at 4 KiB per page.
+        # Kernels built without hugepage support reject the hint.
+        try:
+            mapping.madvise(mmap.MADV_NOHUGEPAGE)
+        except OSError:
+            pass
+    return mapping
+
+
 class MemoryRegion:
     """A registered, byte-backed virtual address range.
 
     Addresses are absolute virtual addresses (the paper's API expresses
     remote addresses as offsets from ``memory_pool_addr``; the translation
-    happens in the client library).
+    happens in the client library).  Reads return ``bytes``; writes take
+    any contiguous byte buffer (``bytes``, ``bytearray``, ``memoryview``).
     """
 
     def __init__(
@@ -71,15 +103,38 @@ class MemoryRegion:
         self.length = length
         self.lkey = lkey
         self.rkey = rkey
-        self.permissions = permissions
+        self._permissions = permissions
+        # Plain booleans so the per-access checks do no enum.Flag work.
+        self._local_read = Permission.LOCAL_READ in permissions
+        self._local_write = Permission.LOCAL_WRITE in permissions
+        self._remote_read = Permission.REMOTE_READ in permissions
+        self._remote_write = Permission.REMOTE_WRITE in permissions
         self.name = name
-        self._data = bytearray(length)
+        self._data: mmap.mmap | None = _zeroed_mapping(length)
         #: Callbacks fired after any successful write: f(addr, length).
         #: Used to model memory polling without simulating every poll —
         #: e.g. the Cowbird client watching its bookkeeping block.
         self.write_watchers: list = []
 
     # ------------------------------------------------------------------
+    @property
+    def permissions(self) -> Permission:
+        return self._permissions
+
+    def close(self) -> None:
+        """Release the backing mapping; later accesses raise AccessError.
+
+        Closing drops every permission, so the access paths need no
+        extra check: the permission test fails and :meth:`_denied`
+        reports the region as closed.  Closing twice is harmless.
+        """
+        if self._data is None:
+            return
+        self._local_read = self._local_write = False
+        self._remote_read = self._remote_write = False
+        self._data.close()
+        self._data = None
+
     @property
     def end_addr(self) -> int:
         """One past the last valid address."""
@@ -98,17 +153,22 @@ class MemoryRegion:
             )
         return addr - self.base_addr
 
+    def _denied(self, what: str) -> AccessError:
+        if self._data is None:
+            return AccessError(f"region {self.name!r} is closed")
+        return AccessError(f"region {self.name!r} not {what}")
+
     # ------------------------------------------------------------------
     def read(self, addr: int, length: int) -> bytes:
         """Local read (no permission distinction from remote for tests)."""
-        if Permission.LOCAL_READ not in self.permissions:
-            raise AccessError(f"region {self.name!r} not locally readable")
+        if not self._local_read:
+            raise self._denied("locally readable")
         offset = self._check_bounds(addr, length)
-        return bytes(self._data[offset : offset + length])
+        return self._data[offset : offset + length]
 
     def write(self, addr: int, data: bytes) -> None:
-        if Permission.LOCAL_WRITE not in self.permissions:
-            raise AccessError(f"region {self.name!r} not locally writable")
+        if not self._local_write:
+            raise self._denied("locally writable")
         offset = self._check_bounds(addr, len(data))
         self._data[offset : offset + len(data)] = data
         self._notify_write(addr, len(data))
@@ -119,10 +179,10 @@ class MemoryRegion:
             raise AccessError(
                 f"bad rkey {rkey:#x} for region {self.name!r} (want {self.rkey:#x})"
             )
-        if Permission.REMOTE_READ not in self.permissions:
-            raise AccessError(f"region {self.name!r} not remotely readable")
+        if not self._remote_read:
+            raise self._denied("remotely readable")
         offset = self._check_bounds(addr, length)
-        return bytes(self._data[offset : offset + length])
+        return self._data[offset : offset + length]
 
     def remote_write(self, addr: int, data: bytes, rkey: int) -> None:
         """A responder-side RDMA WRITE: key + permission + bounds checks."""
@@ -130,8 +190,8 @@ class MemoryRegion:
             raise AccessError(
                 f"bad rkey {rkey:#x} for region {self.name!r} (want {self.rkey:#x})"
             )
-        if Permission.REMOTE_WRITE not in self.permissions:
-            raise AccessError(f"region {self.name!r} not remotely writable")
+        if not self._remote_write:
+            raise self._denied("remotely writable")
         offset = self._check_bounds(addr, len(data))
         self._data[offset : offset + len(data)] = data
         self._notify_write(addr, len(data))
@@ -159,7 +219,11 @@ class RegionRegistry:
     def __init__(self, base_addr: int = 0x10_0000, key_seed: int = 1) -> None:
         self._next_addr = base_addr
         self._key_counter = itertools.count(key_seed)
+        #: Regions in address order (the bump allocator appends in that
+        #: order and deregistering keeps it), with their end addresses
+        #: alongside for :meth:`by_addr`'s binary search.
         self._regions: list[MemoryRegion] = []
+        self._ends: list[int] = []
         self._by_rkey: dict[int, MemoryRegion] = {}
 
     def register(
@@ -184,12 +248,17 @@ class RegionRegistry:
         )
         self._next_addr = region.end_addr
         self._regions.append(region)
+        self._ends.append(region.end_addr)
         self._by_rkey[region.rkey] = region
         return region
 
     def deregister(self, region: MemoryRegion) -> None:
-        self._regions.remove(region)
+        """Unregister ``region`` and release its backing mapping."""
+        index = self._regions.index(region)
+        del self._regions[index]
+        del self._ends[index]
         del self._by_rkey[region.rkey]
+        region.close()
 
     def by_rkey(self, rkey: int) -> MemoryRegion:
         region = self._by_rkey.get(rkey)
@@ -198,8 +267,15 @@ class RegionRegistry:
         return region
 
     def by_addr(self, addr: int, length: int = 1) -> MemoryRegion:
-        for region in self._regions:
-            if region.contains(addr, length):
+        # Regions before the first one ending at or after addr + length
+        # cannot cover the access, and a later one covers it only where
+        # this one already does.  Searching the ends (not the bases) thus
+        # returns the region a scan in address order would, also for a
+        # zero-length access at a boundary two regions share.
+        index = bisect.bisect_left(self._ends, addr + length)
+        if index < len(self._regions):
+            region = self._regions[index]
+            if region.base_addr <= addr:
                 return region
         raise BoundsError(f"address {addr:#x} (+{length}) not in any region")
 

@@ -95,6 +95,22 @@ class TestOneSidedBackends:
         assert server_threads >= 1
         assert dep.pool_host.nic.stats.messages_initiated > 0
 
+    def test_two_sided_server_reuses_one_staging_region(self):
+        dep = build_microbench("two-sided", 1)
+        backend = dep.backends[0]
+        pool_region = dep.pool_host.registry.by_rkey(backend.region.rkey)
+        for i in range(3):
+            pool_region.write(backend.region.translate(i * 64), bytes([i + 1]) * 64)
+        drive_worker(dep, 0, read_n(1))
+        regions_after_one_read = len(dep.pool_host.registry)
+        drive_worker(dep, 0, read_n(3))
+        # Each read is staged in the same server region, not a new one.
+        assert len(dep.pool_host.registry) == regions_after_one_read
+        # The last three replies landed in the client's scratch in order.
+        scratch = backend.scratch
+        replies = scratch.read(scratch.base_addr + 64, 3 * 64)
+        assert replies == b"".join(bytes([i + 1]) * 64 for i in range(3))
+
 
 class TestSsd:
     def test_drive_latency_floor(self):

@@ -1,0 +1,353 @@
+"""Tests for the lazily zeroed region backing (repro.memory.region).
+
+The mapping-backed :class:`MemoryRegion` must behave exactly like the
+``bytearray``-backed region it replaced; :class:`BytearrayRegion` below
+keeps that old implementation as the reference.
+"""
+
+import ctypes
+import mmap
+import os
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.memory import region as region_mod
+from repro.memory import (
+    AccessError,
+    BoundsError,
+    MemoryPool,
+    MemoryRegion,
+    Permission,
+    RegionRegistry,
+)
+
+BASE = 0x1000
+RKEY = 2
+PAGE = 4096
+
+
+class BytearrayRegion:
+    """The previous ``bytearray``-backed region, kept as the reference."""
+
+    def __init__(self, base_addr, length, lkey, rkey, permissions=Permission.all(), name=""):
+        self.base_addr = base_addr
+        self.length = length
+        self.lkey = lkey
+        self.rkey = rkey
+        self.permissions = permissions
+        self.name = name
+        self._data = bytearray(length)
+        self.write_watchers = []
+
+    @property
+    def end_addr(self):
+        return self.base_addr + self.length
+
+    def contains(self, addr, length=1):
+        return self.base_addr <= addr and addr + length <= self.end_addr
+
+    def _check_bounds(self, addr, length):
+        if length < 0:
+            raise BoundsError(f"negative access length: {length}")
+        if not self.contains(addr, length):
+            raise BoundsError(
+                f"access [{addr:#x}, {addr + length:#x}) outside region "
+                f"{self.name!r} [{self.base_addr:#x}, {self.end_addr:#x})"
+            )
+        return addr - self.base_addr
+
+    def read(self, addr, length):
+        if Permission.LOCAL_READ not in self.permissions:
+            raise AccessError(f"region {self.name!r} not locally readable")
+        offset = self._check_bounds(addr, length)
+        return bytes(self._data[offset : offset + length])
+
+    def write(self, addr, data):
+        if Permission.LOCAL_WRITE not in self.permissions:
+            raise AccessError(f"region {self.name!r} not locally writable")
+        offset = self._check_bounds(addr, len(data))
+        self._data[offset : offset + len(data)] = data
+        self._notify_write(addr, len(data))
+
+    def remote_read(self, addr, length, rkey):
+        if rkey != self.rkey:
+            raise AccessError(
+                f"bad rkey {rkey:#x} for region {self.name!r} (want {self.rkey:#x})"
+            )
+        if Permission.REMOTE_READ not in self.permissions:
+            raise AccessError(f"region {self.name!r} not remotely readable")
+        offset = self._check_bounds(addr, length)
+        return bytes(self._data[offset : offset + length])
+
+    def remote_write(self, addr, data, rkey):
+        if rkey != self.rkey:
+            raise AccessError(
+                f"bad rkey {rkey:#x} for region {self.name!r} (want {self.rkey:#x})"
+            )
+        if Permission.REMOTE_WRITE not in self.permissions:
+            raise AccessError(f"region {self.name!r} not remotely writable")
+        offset = self._check_bounds(addr, len(data))
+        self._data[offset : offset + len(data)] = data
+        self._notify_write(addr, len(data))
+
+    def _notify_write(self, addr, length):
+        for watcher in list(self.write_watchers):
+            watcher(addr, length)
+
+
+def as_kind(payload, kind):
+    if kind == "bytes":
+        return payload
+    if kind == "bytearray":
+        return bytearray(payload)
+    # A view into the middle of a larger buffer, as packets hand out.
+    return memoryview(b"\xee\xee" + payload + b"\xee")[2 : 2 + len(payload)]
+
+
+def outcome(call):
+    try:
+        return ("ok", call())
+    except Exception as exc:  # compared, not swallowed
+        return ("err", type(exc), str(exc))
+
+
+permission_sets = st.sets(st.sampled_from(list(Permission))).map(
+    lambda members: Permission(sum(m.value for m in members))
+)
+
+
+@st.composite
+def scenarios(draw):
+    length = draw(st.integers(min_value=1, max_value=3 * PAGE + 100))
+    # Offsets cluster at both edges so out-of-bounds accesses are common.
+    offsets = st.one_of(
+        st.integers(min_value=-8, max_value=8),
+        st.integers(min_value=length - 8, max_value=length + 8),
+        st.integers(min_value=0, max_value=length),
+    )
+    payloads = st.tuples(
+        st.binary(max_size=80), st.sampled_from(["bytes", "bytearray", "memoryview"])
+    )
+    rkeys = st.sampled_from([RKEY, RKEY, 0x99])
+    op = st.one_of(
+        st.tuples(st.just("write"), offsets, payloads),
+        st.tuples(st.just("read"), offsets, st.integers(min_value=-2, max_value=80)),
+        st.tuples(st.just("remote_write"), offsets, payloads, rkeys),
+        st.tuples(
+            st.just("remote_read"), offsets, st.integers(min_value=-2, max_value=80), rkeys
+        ),
+    )
+    permissions = draw(st.one_of(st.just(Permission.all()), permission_sets))
+    return length, permissions, draw(st.lists(op, max_size=40))
+
+
+def apply(region, op):
+    kind, offset = op[0], op[1]
+    addr = BASE + offset
+    if kind == "write":
+        payload, payload_kind = op[2]
+        return outcome(lambda: region.write(addr, as_kind(payload, payload_kind)))
+    if kind == "read":
+        return outcome(lambda: region.read(addr, op[2]))
+    if kind == "remote_write":
+        (payload, payload_kind), rkey = op[2], op[3]
+        return outcome(
+            lambda: region.remote_write(addr, as_kind(payload, payload_kind), rkey)
+        )
+    return outcome(lambda: region.remote_read(addr, op[2], op[3]))
+
+
+class TestMatchesBytearrayReference:
+    @pytest.mark.parametrize(
+        "flags", [region_mod.MAP_FLAGS, None], ids=["default-flags", "no-map-private"]
+    )
+    @settings(max_examples=80, deadline=None)
+    @given(scenario=scenarios())
+    def test_same_results_and_exceptions(self, flags, scenario):
+        length, permissions, ops = scenario
+        with mock.patch.object(region_mod, "MAP_FLAGS", flags):
+            region = MemoryRegion(BASE, length, 1, RKEY, permissions, name="r")
+        reference = BytearrayRegion(BASE, length, 1, RKEY, permissions, name="r")
+        seen, want = [], []
+        region.write_watchers.append(lambda a, n: seen.append((a, n)))
+        reference.write_watchers.append(lambda a, n: want.append((a, n)))
+        for op in ops:
+            got, expected = apply(region, op), apply(reference, op)
+            assert got == expected, op
+            if got[0] == "ok" and got[1] is not None:
+                assert type(got[1]) is bytes
+        assert seen == want
+        assert region._data[:] == bytes(reference._data)
+
+    @pytest.mark.parametrize(
+        "flags", [region_mod.MAP_FLAGS, None], ids=["default-flags", "no-map-private"]
+    )
+    def test_fresh_region_reads_zero_and_round_trips(self, flags):
+        with mock.patch.object(region_mod, "MAP_FLAGS", flags):
+            region = MemoryRegion(BASE, 2 * PAGE, 1, RKEY)
+        assert region.read(BASE, 2 * PAGE) == bytes(2 * PAGE)
+        region.write(BASE + PAGE - 2, memoryview(b"span"))
+        assert region.remote_read(BASE + PAGE - 2, 4, RKEY) == b"span"
+        with pytest.raises(BoundsError):
+            region.write(BASE + 2 * PAGE - 1, b"xy")
+        with pytest.raises(BoundsError):
+            region.read(BASE - 1, 1)
+
+
+class TestPermissions:
+    def test_permissions_readable_but_not_assignable(self):
+        region = MemoryRegion(BASE, 64, 1, RKEY, Permission.REMOTE_READ)
+        assert region.permissions == Permission.REMOTE_READ
+        with pytest.raises(AttributeError):
+            region.permissions = Permission.all()
+
+    @pytest.mark.parametrize("member", list(Permission))
+    def test_each_bit_gates_only_its_access(self, member):
+        region = MemoryRegion(BASE, 64, 1, RKEY, Permission.all() & ~member, name="r")
+        accesses = {
+            Permission.LOCAL_READ: lambda: region.read(BASE, 1),
+            Permission.LOCAL_WRITE: lambda: region.write(BASE, b"x"),
+            Permission.REMOTE_READ: lambda: region.remote_read(BASE, 1, RKEY),
+            Permission.REMOTE_WRITE: lambda: region.remote_write(BASE, b"x", RKEY),
+        }
+        for bit, access in accesses.items():
+            if bit is member:
+                with pytest.raises(AccessError, match="'r' not"):
+                    access()
+            else:
+                access()
+
+
+def resident_bytes():
+    with open("/proc/self/statm") as handle:
+        return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm for RSS"
+)
+def test_untouched_pages_cost_no_host_memory():
+    gib = 1 << 30
+    before = resident_bytes()
+    region = RegionRegistry().register(gib, name="huge")
+    addrs = [region.base_addr + i * (gib // 16) + 123 for i in range(16)]
+    for i, addr in enumerate(addrs):
+        region.write(addr, bytes([i + 1]) * 8)
+    for i, addr in enumerate(addrs):
+        assert region.read(addr, 8) == bytes([i + 1]) * 8
+        # Reading an untouched page maps the zero page, not fresh memory.
+        assert region.read(addr + PAGE, 8) == bytes(8)
+    assert region.read(region.end_addr - 8, 8) == bytes(8)
+    assert resident_bytes() - before < 8 << 20
+    region.close()
+
+
+def smaps_vmflags(addr):
+    """The VmFlags of the mapping holding ``addr`` in /proc/self/smaps."""
+    inside = False
+    with open("/proc/self/smaps") as handle:
+        for line in handle:
+            head = line.split()[0]
+            if "-" in head and ":" not in head:
+                start, end = (int(part, 16) for part in head.split("-"))
+                inside = start <= addr < end
+            elif inside and head == "VmFlags:":
+                return line.split()[1:]
+    raise LookupError(f"no mapping holds {addr:#x}")
+
+
+@pytest.mark.skipif(
+    not (hasattr(mmap, "MADV_NOHUGEPAGE") and os.path.exists("/proc/self/smaps")),
+    reason="needs MADV_NOHUGEPAGE and /proc/self/smaps",
+)
+def test_mapping_opts_out_of_transparent_hugepages():
+    # Under THP "always" a write would otherwise fault in 2 MiB, not 4 KiB.
+    region = MemoryRegion(BASE, 4 << 20, 1, RKEY)
+    view = ctypes.c_char.from_buffer(region._data)
+    addr = ctypes.addressof(view)
+    del view
+    assert "nh" in smaps_vmflags(addr)
+    region.close()
+
+
+class TestClose:
+    def test_access_after_close_names_the_region(self):
+        region = MemoryRegion(BASE, 64, 1, RKEY, name="gone")
+        region.write(BASE, b"data")
+        region.close()
+        for access in (
+            lambda: region.read(BASE, 4),
+            lambda: region.write(BASE, b"x"),
+            lambda: region.remote_read(BASE, 4, RKEY),
+            lambda: region.remote_write(BASE, b"x", RKEY),
+        ):
+            with pytest.raises(AccessError, match="region 'gone' is closed"):
+                access()
+
+    def test_second_close_is_harmless(self):
+        region = MemoryRegion(BASE, 64, 1, RKEY)
+        region.close()
+        region.close()
+        assert region.permissions == Permission.all()
+
+    def test_deregister_closes_the_region(self):
+        registry = RegionRegistry()
+        region = registry.register(64, name="mr")
+        registry.deregister(region)
+        with pytest.raises(AccessError, match="closed"):
+            region.read(region.base_addr, 1)
+        with pytest.raises(ValueError):
+            registry.deregister(region)
+
+    def test_release_region_closes_pool_backing(self):
+        pool = MemoryPool("pool")
+        handle = pool.allocate_region(4096)
+        region = pool.region_for(handle)
+        pool.release_region(handle)
+        with pytest.raises(AccessError, match="closed"):
+            region.remote_read(handle.base_addr, 1, handle.rkey)
+
+
+class TestByAddr:
+    def test_lookup_after_deregistering_middle_region(self):
+        registry = RegionRegistry()
+        first, middle, last = (registry.register(100) for _ in range(3))
+        registry.deregister(middle)
+        assert registry.by_addr(first.base_addr) is first
+        assert registry.by_addr(first.end_addr - 1) is first
+        assert registry.by_addr(last.base_addr + 50, 50) is last
+        for addr, length in ((middle.base_addr, 1), (first.end_addr - 1, 2)):
+            with pytest.raises(BoundsError):
+                registry.by_addr(addr, length)
+        late = registry.register(100)
+        assert registry.by_addr(late.base_addr) is late
+        assert list(registry) == [first, last, late]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(
+            st.tuples(st.integers(1, 200), st.sampled_from([1, 8, 64])),
+            min_size=1,
+            max_size=8,
+        ),
+        removed=st.sets(st.integers(0, 7)),
+        queries=st.lists(
+            st.tuples(st.integers(-4, 2000), st.integers(-2, 64)), max_size=30
+        ),
+    )
+    def test_matches_scan_in_address_order(self, sizes, removed, queries):
+        registry = RegionRegistry(base_addr=0)
+        regions = [registry.register(n, alignment=a) for n, a in sizes]
+        for index in sorted(removed):
+            if index < len(regions):
+                registry.deregister(regions[index])
+        live = list(registry)
+        for addr, length in queries:
+            want = next((r for r in live if r.contains(addr, length)), None)
+            if want is None:
+                with pytest.raises(BoundsError):
+                    registry.by_addr(addr, length)
+            else:
+                assert registry.by_addr(addr, length) is want
