@@ -12,6 +12,11 @@ provided, matching the paper's Sections 5 and 6:
 * :class:`~repro.cowbird.spot_engine.CowbirdSpotEngine` — an
   event-driven agent on a harvested/spot VM that uses host verbs and
   batches responses (BATCH_SIZE) to cut per-request message overheads.
+
+Both follow the client's rings through one request core
+(:class:`~repro.cowbird.engine_core.RequestCore`): it picks the metadata
+to fetch, parses it, and publishes the red block over the completed
+FIFO prefix.
 """
 
 from repro.cowbird.wire import (

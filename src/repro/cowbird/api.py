@@ -175,7 +175,6 @@ class _OutstandingRead:
     addr: int
     length: int
     pad: int
-    ring_allocated: bool
     consumed: bool = False
 
 
@@ -262,29 +261,24 @@ class CowbirdInstance:
         region_id: int,
         src_offset: int,
         length: int,
-        dest_addr: Optional[int] = None,
     ) -> Generator[Any, Any, int]:
         """Asynchronously read remote bytes; returns a request id.
 
         ``src_offset`` is relative to the remote region's base (the API
         expresses remote memory as offsets from ``memory_pool_addr``).
-        With ``dest_addr=None`` the result lands in the response data
-        ring; a caller-supplied address must be in registered compute
-        memory.
+        The result lands in the response data ring, at the slot whose
+        address the metadata entry carries as ``resp_addr``.
         """
         handle = self._handle(region_id)
         remote_addr = handle.translate(src_offset, length)
         # Reserve the response slot first (step 2 of Section 4.3) so a
         # full response ring fails before any state is published.
-        pad = 0
-        ring_allocated = dest_addr is None
-        if ring_allocated:
-            before = self.response_data.tail
-            try:
-                dest_addr = self.response_data.reserve(length)
-            except RingFullError as exc:
-                raise BufferFullError(str(exc)) from exc
-            pad = (self.response_data.tail - before) - length
+        before = self.response_data.tail
+        try:
+            dest_addr = self.response_data.reserve(length)
+        except RingFullError as exc:
+            raise BufferFullError(str(exc)) from exc
+        pad = (self.response_data.tail - before) - length
         sequence = next(self._read_seq)
         try:
             self._append_metadata(
@@ -300,7 +294,6 @@ class CowbirdInstance:
             raise BufferFullError(str(exc)) from exc
         self._reads[sequence] = _OutstandingRead(
             sequence=sequence, addr=dest_addr, length=length, pad=pad,
-            ring_allocated=ring_allocated,
         )
         self._read_order.append(sequence)
         self.requests_issued += 1
@@ -482,10 +475,9 @@ class CowbirdInstance:
             entry = self._reads[order[0]]
             if not entry.consumed:
                 break
-            if entry.ring_allocated:
-                self.response_data.advance_head(
-                    self.response_data.head + entry.pad + entry.length
-                )
+            self.response_data.advance_head(
+                self.response_data.head + entry.pad + entry.length
+            )
             del self._reads[order.popleft()]
 
     # ------------------------------------------------------------------

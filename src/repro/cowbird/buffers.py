@@ -12,13 +12,12 @@ start); the ring offset is ``pointer % capacity``.  Data-ring
 allocations never wrap around the end of the buffer: if an entry would
 straddle the boundary, the allocator skips the leftover bytes
 (:func:`skip_pad`).  Producer and consumer apply the same deterministic
-rule, so the offload engine can mirror the client's cursor from lengths
-alone — no extra coordination messages (R2/R3).
+rule, so the offload engine can follow the client's cursor from lengths
+alone — no extra coordination messages (R2/R3); the engine side is
+:func:`repro.cowbird.engine_core.place`.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from repro.cowbird.wire import METADATA_ENTRY_BYTES, RequestMetadata
 from repro.memory.region import MemoryRegion
@@ -99,11 +98,6 @@ class MetadataRing:
         raw = self.region.read(self.addr_of(index), self.ENTRY_BYTES)
         return RequestMetadata.unpack(raw)
 
-    def entries_between(self, head: int, tail: int) -> Iterator[RequestMetadata]:
-        """Parse entries in [head, tail) — what an engine fetch yields."""
-        for index in range(head, tail):
-            yield self.read_entry(index)
-
     def advance_head(self, new_head: int) -> None:
         """Adopt the engine-published head (frees ring space)."""
         if new_head < self.head or new_head > self.tail:
@@ -179,15 +173,3 @@ class DataRing:
             )
         self.head = new_head
 
-    def mirror_reserve(self, cursor: int, length: int) -> tuple[int, int]:
-        """Engine-side replay of :meth:`reserve`'s cursor arithmetic.
-
-        Given the consumer's view of the producer cursor, returns
-        ``(addr, new_cursor)`` for an entry of ``length`` bytes — the
-        deterministic no-wrap rule means lengths alone reproduce the
-        producer's layout.
-        """
-        pad = skip_pad(cursor, length, self.capacity)
-        cursor += pad
-        addr = self.addr_at(cursor)
-        return addr, cursor + length

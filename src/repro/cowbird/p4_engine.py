@@ -32,13 +32,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cowbird.api import CowbirdInstance, InstanceDescriptor
-from repro.cowbird.wire import (
-    GreenBlock,
-    RedBlock,
-    RequestMetadata,
-    RwType,
-)
-from repro.cowbird.buffers import MetadataRing, skip_pad
+from repro.cowbird.engine_core import RequestCore
+from repro.cowbird.wire import GreenBlock, RequestMetadata, RwType
 from repro.rdma.packets import (
     CARRIES_RETH,
     OP_ACKNOWLEDGE,
@@ -132,7 +127,6 @@ class _EngineOp:
     parent: Optional["_AppOp"] = None
     instance: Optional["_Instance"] = None
     buffer: bytearray = field(default_factory=bytearray)
-    done: bool = False
 
     @property
     def last_psn(self) -> int:
@@ -312,51 +306,32 @@ class _Channel:
     # ------------------------------------------------------------------
     def match(self, psn: int) -> Optional[_EngineOp]:
         for op in self.inflight:
-            if not op.done and (psn - op.first_psn) % PSN_MODULUS < op.num_psns:
+            if (psn - op.first_psn) % PSN_MODULUS < op.num_psns:
                 return op
         return None
 
     def retire(self, op: _EngineOp) -> None:
-        op.done = True
-        self.drop(op)
-
-    def drop(self, op: _EngineOp) -> None:
-        """Remove an op that will be superseded by a replayed parent."""
+        """Remove a finished op, or one a replayed parent supersedes."""
         try:
             self.inflight.remove(op)
         except ValueError:
             pass  # already gone
 
     def oldest_pending(self) -> Optional[_EngineOp]:
-        for op in self.inflight:
-            if not op.done:
-                return op
-        return None
+        return self.inflight[0] if self.inflight else None
 
 
-class _Instance:
-    """Per-instance switch register state (Section 5.4)."""
+class _Instance(RequestCore):
+    """Per-instance switch register state (Section 5.4): the request
+    core of one client instance plus the switch's channels toward it."""
 
     def __init__(self, descriptor: InstanceDescriptor) -> None:
-        self.descriptor = descriptor
+        super().__init__(descriptor)
         self.probe_channel: Optional[_Channel] = None
         self.data_channel: Optional[_Channel] = None
         self.pool_channels: dict[str, _Channel] = {}
-        # The switch's view of the client's green block.
-        self.seen_meta_tail = 0
-        self.seen_data_tail = 0
-        # Monotonic ring cursors mirrored from lengths (Section 4.2).
-        self.parsed_meta = 0  # entries fetched and parsed
-        self.req_data_cursor = 0
-        self.resp_data_cursor = 0
-        # Engine-maintained red block registers.
-        self.red = RedBlock()
-        # Per-type sequence counters mirroring the client's.
-        self.read_count = 0
-        self.write_count = 0
         # Execution pipeline.
         self.pending: deque[_AppOp] = deque()
-        self.in_order: deque[_AppOp] = deque()  # ring-order, for head advance
         self.fetching_writes = 0
         self.meta_fetch_inflight = False
         self.probe_inflight = False
@@ -565,7 +540,7 @@ class CowbirdP4Engine:
 
     def _on_read_response(self, state: _Instance, channel: _Channel, packet) -> None:
         op = channel.match(packet.bth.psn)
-        if op is None or op.done:
+        if op is None:
             self.stats.stale_packets += 1
             return
         offset = psn_distance(op.first_psn, packet.bth.psn) * self.config.mtu_bytes
@@ -610,10 +585,8 @@ class CowbirdP4Engine:
         self.stats.probe_responses += 1
         self._tel_probe_responses.inc()
         state.probe_inflight = False
-        green = GreenBlock.unpack(payload)
-        state.seen_meta_tail = max(state.seen_meta_tail, green.request_meta_tail)
-        state.seen_data_tail = max(state.seen_data_tail, green.request_data_tail)
-        activity = state.seen_meta_tail > state.parsed_meta
+        state.see_tail(GreenBlock.unpack(payload).request_meta_tail)
+        activity = state.has_unparsed()
         if activity:
             state.activity_ttl = 16  # hysteresis: stay hot for a while
         elif state.activity_ttl > 0:
@@ -625,58 +598,34 @@ class CowbirdP4Engine:
         self._maybe_fetch_metadata(state)
 
     def _maybe_fetch_metadata(self, state: _Instance) -> None:
-        if state.meta_fetch_inflight or state.seen_meta_tail <= state.parsed_meta:
+        if state.meta_fetch_inflight or not state.has_unparsed():
             return
-        descriptor = state.descriptor
-        capacity = descriptor.metadata_capacity
-        start = state.parsed_meta
-        end = state.seen_meta_tail
-        # The ring may wrap: fetch only the contiguous run from start
-        # ("issue one or more RDMA read requests", Section 5.2).
-        start_slot = start % capacity
-        contiguous = min(end - start, capacity - start_slot)
-        end = start + contiguous
-        length = contiguous * MetadataRing.ENTRY_BYTES
-        addr = descriptor.metadata_base + start_slot * MetadataRing.ENTRY_BYTES
+        # The ring may wrap: fetch only the contiguous run from the
+        # parse point ("issue one or more RDMA read requests", Section 5.2).
+        start, end, addr, length = state.next_fetch()
         state.meta_fetch_inflight = True
         self.stats.metadata_fetches += 1
         self._tel_meta_fetches.inc()
         self.stats.recycled_packets += 1  # probe response recycled into this read
         self._tel_recycled.inc()
-        op = state.data_channel.emit_read(addr, length, kind="meta", instance=state)
-        op.buffer = bytearray()
-        op.parent = None
-        state._meta_fetch_span = (start, end)  # type: ignore[attr-defined]
+        state.data_channel.emit_read(addr, length, kind="meta", instance=state)
+        state._meta_fetch_span = (start, end)
 
     # -- Phase III: parse metadata, execute transfers ---------------------
     def _on_metadata(self, state: _Instance, payload: bytes) -> None:
-        start, end = state._meta_fetch_span  # type: ignore[attr-defined]
+        start, end = state._meta_fetch_span
         state.meta_fetch_inflight = False
-        entry_bytes = MetadataRing.ENTRY_BYTES
-        for i, index in enumerate(range(start, end)):
-            raw = payload[i * entry_bytes : (i + 1) * entry_bytes]
-            metadata = RequestMetadata.unpack(raw)
-            if metadata.rw_type is RwType.INVALID:
-                # The client writes rw_type last; an INVALID entry means
-                # we raced an in-progress append.  Stop here; the next
-                # probe retries from this index.
-                end = index
-                break
-            self.stats.requests_parsed += 1
-            self._tel_parsed.inc()
-            if metadata.rw_type is RwType.READ:
-                state.read_count += 1
-                sequence = state.read_count
-            else:
-                state.write_count += 1
-                sequence = state.write_count
-            app_op = _AppOp(
+        now = self.sim.now
+        app_ops = state.parse(
+            payload, start, end,
+            lambda metadata, sequence, index: _AppOp(
                 instance=state, sequence=sequence, metadata=metadata,
-                ring_index=index, parsed_at=self.sim.now,
-            )
-            state.pending.append(app_op)
-            state.in_order.append(app_op)
-        state.parsed_meta = end
+                ring_index=index, parsed_at=now,
+            ),
+        )
+        self.stats.requests_parsed += len(app_ops)
+        self._tel_parsed.inc(len(app_ops))
+        state.pending.extend(app_ops)
         self._drain_pending(state)
         self._maybe_fetch_metadata(state)
 
@@ -795,8 +744,7 @@ class CowbirdP4Engine:
             if (psn - first_psn) % PSN_MODULUS >= _HALF_PSN_SPACE:
                 break
             if (
-                not op.done
-                and op.kind in _ACKED_KINDS
+                op.kind in _ACKED_KINDS
                 and (psn - first_psn - op.num_psns + 1) % PSN_MODULUS < _HALF_PSN_SPACE
             ):
                 covered.append(op)
@@ -819,28 +767,10 @@ class CowbirdP4Engine:
         if metadata.rw_type is RwType.READ:
             self.stats.reads_executed += 1
             self._tel_reads.inc()
-            state.red.read_progress = max(state.red.read_progress, app_op.sequence)
-            # Mirror the client's response-ring reservation cursor.
-            pad = skip_pad(
-                state.resp_data_cursor, metadata.length,
-                state.descriptor.response_data_capacity,
-            )
-            state.resp_data_cursor += pad + metadata.length
-            state.red.response_data_tail = state.resp_data_cursor
         else:
             self.stats.writes_executed += 1
             self._tel_writes.inc()
-            state.red.write_progress = max(state.red.write_progress, app_op.sequence)
-            pad = skip_pad(
-                state.req_data_cursor, metadata.length,
-                state.descriptor.request_data_capacity,
-            )
-            state.req_data_cursor += pad + metadata.length
-            state.red.request_data_head = state.req_data_cursor
-        # Metadata head advances over the completed prefix, in ring order.
-        while state.in_order and state.in_order[0].completed:
-            done = state.in_order.popleft()
-            state.red.request_meta_head = done.ring_index + 1
+        state.publish()
         self._emit_red_update(state)
 
     def _emit_red_update(self, state: _Instance) -> None:
@@ -879,7 +809,7 @@ class CowbirdP4Engine:
 
     def _go_back_n(self, channel: _Channel) -> None:
         """Rewind the channel PSN and re-execute everything incomplete."""
-        pending = [op for op in channel.inflight if not op.done]
+        pending = list(channel.inflight)
         if not pending:
             return
         self.stats.go_back_n_events += 1
@@ -889,7 +819,7 @@ class CowbirdP4Engine:
                 "p4.go_back_n", process=self.node,
                 track=f"qp{channel.virtual_qpn}", pending=len(pending),
             )
-        channel.inflight = deque(op for op in channel.inflight if op.done)
+        channel.inflight.clear()
         channel.send_psn = pending[0].first_psn
         for op in pending:
             op.retries += 1
@@ -907,11 +837,7 @@ class CowbirdP4Engine:
                 # (if any) is superseded.
                 app_op = op.parent
                 if app_op.write_train is not None:
-                    app_op.write_train.channel.drop(app_op.write_train)
-                    if op.kind == "write_fetch":
-                        # the fetch never completed, so fetching_writes
-                        # still counts it; the re-fetch keeps the count.
-                        pass
+                    app_op.write_train.channel.retire(app_op.write_train)
                     app_op.write_train = None
                 if op.kind == "read_fetch":
                     app_op.fetch_op = self._replay_read_fetch(app_op)

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cowbird.api import CowbirdInstance, InstanceDescriptor
-from repro.cowbird.buffers import MetadataRing, skip_pad
+from repro.cowbird.buffers import MetadataRing
+from repro.cowbird.engine_core import RequestCore
 from repro.cowbird.wire import GreenBlock, RedBlock, RequestMetadata, RwType
 from repro.rdma.qp import CompletionQueue, WorkRequest, WorkType
 from repro.sim.network import PRIORITY_HIGH
@@ -92,44 +93,37 @@ class _SpotOp:
     parsed_at: float = 0.0
 
 
-@dataclass
-class _SpotInstance:
-    descriptor: InstanceDescriptor
-    #: Control QP (probes + metadata reads, high priority class).
-    qp_compute: object
-    #: Data QP (payload fetches, batch flushes, red updates).  Control
-    #: and data ride separate QPs because they use different network
-    #: priorities — within one QP, priority reordering would corrupt
-    #: the PSN sequence and trigger NAK storms.
-    qp_compute_data: object
-    qp_pools: dict[str, object]
-    green_staging: int
-    meta_staging: int
-    seen_meta_tail: int = 0
-    parsed_meta: int = 0
-    #: Engine-internal placement cursor for the response ring (mirrors
-    #: the client's reservation arithmetic; computes batch
-    #: destinations).  The *published* cursors live in ``red`` and
-    #: advance only with the completed FIFO prefix, so the red block is
-    #: always a consistent recovery point.
-    resp_data_cursor: int = 0
-    read_count: int = 0
-    write_count: int = 0
-    red: RedBlock = field(default_factory=RedBlock)
-    in_order: deque = field(default_factory=deque)
-    #: Writes whose pool write has not completed (for the overlap check).
-    active_writes: list = field(default_factory=list)
-    #: Reads waiting behind an overlapping write.
-    stalled_reads: deque = field(default_factory=deque)
-    #: Batch under accumulation: list of completed read ops.
-    batch: list = field(default_factory=list)
-    batch_start_cursor: int = 0
-    #: Read fetches posted to the pool but not yet completed.
-    outstanding_read_fetches: int = 0
-    probe_inflight: bool = False
-    meta_fetch_inflight: bool = False
-    #: Sim time the current batch opened (span begin for telemetry).
-    batch_opened_at: float = 0.0
+class _SpotInstance(RequestCore):
+    """The request core of one client instance plus the agent's QPs,
+    staging slots and read batch for it."""
+
+    def __init__(self, descriptor: InstanceDescriptor, qp_compute, qp_compute_data,
+                 qp_pools: dict, green_staging: int, meta_staging: int,
+                 red: Optional[RedBlock] = None) -> None:
+        super().__init__(descriptor, red)
+        #: Control QP (probes + metadata reads, high priority class).
+        self.qp_compute = qp_compute
+        #: Data QP (payload fetches, batch flushes, red updates).  Control
+        #: and data ride separate QPs because they use different network
+        #: priorities — within one QP, priority reordering would corrupt
+        #: the PSN sequence and trigger NAK storms.
+        self.qp_compute_data = qp_compute_data
+        self.qp_pools = qp_pools
+        self.green_staging = green_staging
+        self.meta_staging = meta_staging
+        #: Writes whose pool write has not completed (for the overlap check).
+        self.active_writes: list[_SpotOp] = []
+        #: Reads waiting behind an overlapping write.
+        self.stalled_reads: deque[_SpotOp] = deque()
+        #: Staged reads bound for one contiguous run of response slots.
+        self.batch: list[_SpotOp] = []
+        self.batch_bytes = 0
+        #: Read fetches posted to the pool but not yet completed.
+        self.outstanding_read_fetches = 0
+        self.probe_inflight = False
+        self.meta_fetch_inflight = False
+        #: Sim time the current batch opened (span begin for telemetry).
+        self.batch_opened_at = 0.0
 
 
 class CowbirdSpotEngine:
@@ -212,8 +206,15 @@ class CowbirdSpotEngine:
             qp_agent_p.connect(pool_node, qp_pool.qpn)
             qp_pool.connect(self.host.name, qp_agent_p.qpn)
             qp_pools[pool_node] = qp_agent_p
-        state = _SpotInstance(
-            descriptor=descriptor,
+        red = None
+        if recover:
+            # Control-plane read of the client's red block (one RDMA
+            # read in a real deployment) rebuilds the engine cursors.
+            red = RedBlock.unpack(
+                instance.region.read(descriptor.bookkeeping_addr + 64, RedBlock.SIZE)
+            )
+        self._instances.append(_SpotInstance(
+            descriptor,
             qp_compute=qp_agent_c,
             qp_compute_data=qp_agent_d,
             qp_pools=qp_pools,
@@ -221,21 +222,8 @@ class CowbirdSpotEngine:
             meta_staging=self._alloc_staging(
                 descriptor.metadata_capacity * MetadataRing.ENTRY_BYTES
             ),
-        )
-        if recover:
-            # Control-plane read of the client's red block (one RDMA
-            # read in a real deployment) rebuilds the engine cursors.
-            raw = instance.region.read(
-                descriptor.bookkeeping_addr + 64, RedBlock.SIZE
-            )
-            red = RedBlock.unpack(raw)
-            state.red = red
-            state.parsed_meta = red.request_meta_head
-            state.seen_meta_tail = red.request_meta_head
-            state.read_count = red.read_progress
-            state.write_count = red.write_progress
-            state.resp_data_cursor = red.response_data_tail
-        self._instances.append(state)
+            red=red,
+        ))
 
     def _alloc_staging(self, length: int) -> int:
         aligned = (length + 63) & ~63
@@ -347,25 +335,21 @@ class CowbirdSpotEngine:
     # Phase III: fetch metadata, parse, execute
     # ------------------------------------------------------------------
     def _build_meta_fetch(self, state: _SpotInstance):
-        """Build the WR that fetches one instance's new metadata run."""
-        descriptor = state.descriptor
-        capacity = descriptor.metadata_capacity
-        start = state.parsed_meta
-        start_slot = start % capacity
-        contiguous = min(state.seen_meta_tail - start, capacity - start_slot)
-        end = start + contiguous
-        length = contiguous * MetadataRing.ENTRY_BYTES
+        """Build the WR that fetches one instance's next metadata run."""
+        start, end, addr, length = state.next_fetch()
+        state.meta_fetch_inflight = True
         self.stats.metadata_fetches += 1
         self._tel_meta_fetches.inc()
         wr = WorkRequest(
             work_type=WorkType.READ,
             local_addr=state.meta_staging,
-            remote_addr=descriptor.metadata_base + start_slot * MetadataRing.ENTRY_BYTES,
-            rkey=descriptor.rkey,
+            remote_addr=addr,
+            rkey=state.descriptor.rkey,
             length=length,
             priority=PRIORITY_HIGH,
         )
-        return (state.qp_compute, wr), (start, end), None
+        self._wr_ops[wr.wr_id] = ("meta", (state, (start, end)))
+        return (state.qp_compute, wr)
 
     def _parse_and_dispatch(self, thread, state: _SpotInstance, span):
         start, end = span
@@ -374,31 +358,19 @@ class CowbirdSpotEngine:
         yield from thread.compute(
             self.cost.engine_parse_request * (end - start), tag=TAG_ENGINE
         )
-        ops: list[_SpotOp] = []
-        for i, index in enumerate(range(start, end)):
-            raw = self.staging.read(
-                state.meta_staging + i * MetadataRing.ENTRY_BYTES,
-                MetadataRing.ENTRY_BYTES,
-            )
-            metadata = RequestMetadata.unpack(raw)
-            if metadata.rw_type is RwType.INVALID:
-                end = index
-                break
-            self.stats.requests_parsed += 1
-            self._tel_parsed.inc()
-            if metadata.rw_type is RwType.READ:
-                state.read_count += 1
-                sequence = state.read_count
-            else:
-                state.write_count += 1
-                sequence = state.write_count
-            op = _SpotOp(
+        now = self.sim.now
+        payload = self.staging.read(
+            state.meta_staging, (end - start) * MetadataRing.ENTRY_BYTES
+        )
+        ops = state.parse(
+            payload, start, end,
+            lambda metadata, sequence, index: _SpotOp(
                 instance=state, sequence=sequence, metadata=metadata,
-                ring_index=index, parsed_at=self.sim.now,
-            )
-            ops.append(op)
-            state.in_order.append(op)
-        state.parsed_meta = end
+                ring_index=index, parsed_at=now,
+            ),
+        )
+        self.stats.requests_parsed += len(ops)
+        self._tel_parsed.inc(len(ops))
         return self._dispatch_posts(state, ops)
 
     def _overlaps_active_write(self, state: _SpotInstance, metadata: RequestMetadata) -> bool:
@@ -502,16 +474,9 @@ class CowbirdSpotEngine:
                     state = payload
                     state.probe_inflight = False
                     raw = self.staging.read(state.green_staging, GreenBlock.SIZE)
-                    green = GreenBlock.unpack(raw)
-                    state.seen_meta_tail = max(
-                        state.seen_meta_tail, green.request_meta_tail
-                    )
-                    if (state.seen_meta_tail > state.parsed_meta
-                            and not state.meta_fetch_inflight):
-                        state.meta_fetch_inflight = True
-                        post, span, _done = self._build_meta_fetch(state)
-                        self._wr_ops[post[1].wr_id] = ("meta", (state, span))
-                        follow_up.append(post)
+                    state.see_tail(GreenBlock.unpack(raw).request_meta_tail)
+                    if state.has_unparsed() and not state.meta_fetch_inflight:
+                        follow_up.append(self._build_meta_fetch(state))
                 elif kind == "meta":
                     state, span = payload
                     state.meta_fetch_inflight = False
@@ -522,11 +487,8 @@ class CowbirdSpotEngine:
                     # Chain the next fetch immediately if the tail has
                     # already moved past what we just parsed — discovery
                     # bandwidth must not be probe-gated under load.
-                    if state.seen_meta_tail > state.parsed_meta:
-                        state.meta_fetch_inflight = True
-                        post, span2, _d = self._build_meta_fetch(state)
-                        self._wr_ops[post[1].wr_id] = ("meta", (state, span2))
-                        follow_up.append(post)
+                    if state.has_unparsed():
+                        follow_up.append(self._build_meta_fetch(state))
                 elif kind == "read_fetch":
                     posts = yield from self._on_read_fetched(thread, payload)
                     follow_up.extend(posts)
@@ -567,9 +529,15 @@ class CowbirdSpotEngine:
         return (state.qp_pools[handle.node], wr)
 
     def _on_read_fetched(self, thread, op: _SpotOp):
-        """Stage a read result; flush the batch when full (step 2a)."""
+        """Stage a read result; flush the batch when full (step 2a).
+
+        The client reserved each read's response slot when it issued
+        the read and put its address in ``resp_addr``.  A batch is a run
+        of adjacent slots, so a read whose slot does not extend the run
+        (a ring wrap, or a read answered out of ring order by another
+        pool host) ships the batch first.
+        """
         state = op.instance
-        op.completed = True
         state.outstanding_read_fetches -= 1
         self.stats.reads_executed += 1
         self._tel_reads.inc()
@@ -580,59 +548,45 @@ class CowbirdSpotEngine:
                 process=self.host.name, track="agent",
                 bytes=op.metadata.length, sequence=op.sequence,
             )
-        # Mirror the client's response-ring reservation arithmetic.
-        pad = skip_pad(
-            state.resp_data_cursor, op.metadata.length,
-            state.descriptor.response_data_capacity,
-        )
         posts = []
-        if pad > 0 and state.batch:
-            # The ring wraps here: the accumulated batch is contiguous
-            # only up to the boundary, so flush it before continuing.
-            posts.extend((yield from self._flush_batch(thread, state)))
-        state.resp_data_cursor += pad
+        if state.batch:
+            last = state.batch[-1].metadata
+            if op.metadata.resp_addr != last.resp_addr + last.length:
+                posts.extend((yield from self._flush_batch(thread, state)))
         if not state.batch:
-            state.batch_start_cursor = state.resp_data_cursor
             state.batch_opened_at = self.sim.now
         state.batch.append(op)
-        state.resp_data_cursor += op.metadata.length
-        batch_bytes = state.resp_data_cursor - state.batch_start_cursor
+        state.batch_bytes += op.metadata.length
         if (len(state.batch) >= self.config.batch_size
-                or batch_bytes >= self.config.batch_max_bytes):
+                or state.batch_bytes >= self.config.batch_max_bytes):
             posts.extend((yield from self._flush_batch(thread, state)))
         return posts
 
-    def flushable(self, state: _SpotInstance) -> bool:
-        return bool(state.batch)
-
     def _flush_batch(self, thread, state: _SpotInstance):
-        """One RDMA write carries the whole batch to the compute node."""
+        """One RDMA write carries the whole batch to the compute node.
+
+        Its reads are complete once the write is posted: the red update
+        that publishes them follows it on the same QP, so it lands after
+        their bytes.
+        """
         batch, state.batch = state.batch, []
-        if not batch:
-            return
-        total = state.resp_data_cursor - state.batch_start_cursor
-        # Gather staged payloads into one contiguous send buffer.  The
-        # batch never spans a ring wrap (flushed at the boundary), so the
-        # payloads simply concatenate.
+        total, state.batch_bytes = state.batch_bytes, 0
+        # Gather staged payloads into one contiguous send buffer; the
+        # batch's response slots are adjacent, so they concatenate.
         gather_addr = self._batch_staging(total)
         offset = 0
-        copy_bytes = 0
         for op in batch:
             data = self.staging.read(op.staging_addr, op.metadata.length)
             self.staging.write(gather_addr + offset, data)
             offset += op.metadata.length
-            copy_bytes += op.metadata.length
+            op.completed = True
         yield from thread.compute(
-            self.cost.engine_batch_copy_per_byte * copy_bytes, tag=TAG_ENGINE
-        )
-        dest_addr = (
-            state.descriptor.response_data_base
-            + state.batch_start_cursor % state.descriptor.response_data_capacity
+            self.cost.engine_batch_copy_per_byte * total, tag=TAG_ENGINE
         )
         wr = WorkRequest(
             work_type=WorkType.WRITE,
             local_addr=gather_addr,
-            remote_addr=dest_addr,
+            remote_addr=batch[0].metadata.resp_addr,
             rkey=state.descriptor.rkey,
             length=total,
         )
@@ -652,10 +606,7 @@ class CowbirdSpotEngine:
                 process=self.host.name, track="agent",
                 entries=len(batch), bytes=total,
             )
-        # Publication happens prefix-wise: progress counters and the
-        # response tail only cover the completed FIFO prefix, keeping
-        # the red block a consistent recovery point.
-        self._advance_meta_head(state)
+        state.publish()
         return [(state.qp_compute_data, wr), self._build_red_update(state)]
 
     def _on_write_done(self, op: _SpotOp):
@@ -672,7 +623,7 @@ class CowbirdSpotEngine:
                 bytes=op.metadata.length, sequence=op.sequence,
             )
         state.active_writes.remove(op)
-        self._advance_meta_head(state)
+        state.publish()
         posts = [self._build_red_update(state)]
         # Unstall reads whose conflict cleared, preserving read order.
         while state.stalled_reads:
@@ -682,33 +633,6 @@ class CowbirdSpotEngine:
             state.stalled_reads.popleft()
             posts.append(self._build_read_fetch(state, head))
         return posts
-
-    def _advance_meta_head(self, state: _SpotInstance) -> None:
-        """Publish the completed FIFO prefix into the red block.
-
-        Head, per-type progress, and both data-ring cursors advance
-        together, so the red block is self-consistent at every instant —
-        which is exactly what crash recovery of the offload engine
-        (spot reclamation) relies on.
-        """
-        capacity_req = state.descriptor.request_data_capacity
-        capacity_resp = state.descriptor.response_data_capacity
-        while state.in_order and state.in_order[0].completed:
-            done = state.in_order.popleft()
-            state.red.request_meta_head = done.ring_index + 1
-            metadata = done.metadata
-            if metadata.rw_type is RwType.READ:
-                state.red.read_progress = done.sequence
-                pad = skip_pad(
-                    state.red.response_data_tail, metadata.length, capacity_resp
-                )
-                state.red.response_data_tail += pad + metadata.length
-            else:
-                state.red.write_progress = done.sequence
-                pad = skip_pad(
-                    state.red.request_data_head, metadata.length, capacity_req
-                )
-                state.red.request_data_head += pad + metadata.length
 
     def _build_red_update(self, state: _SpotInstance):
         payload = state.red.pack()

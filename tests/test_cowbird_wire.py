@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cowbird.buffers import DataRing, MetadataRing, RingFullError, skip_pad
+from repro.cowbird.engine_core import place
 from repro.cowbird.wire import (
     BookkeepingLayout,
     GreenBlock,
@@ -166,13 +167,6 @@ class TestMetadataRing:
         assert ring.addr_of(0) == ring.addr_of(4)
         assert ring.addr_of(5) == ring.addr_of(1)
 
-    def test_entries_between(self):
-        ring = self.make_ring()
-        for length in (10, 20, 30):
-            ring.append(self.entry(length=length))
-        lengths = [e.length for e in ring.entries_between(0, 3)]
-        assert lengths == [10, 20, 30]
-
     def test_head_cannot_move_backwards_or_past_tail(self):
         ring = self.make_ring()
         ring.append(self.entry())
@@ -232,15 +226,15 @@ class TestDataRing:
         with pytest.raises(ValueError):
             ring.reserve(0)
 
-    def test_mirror_reserve_matches_reserve(self):
+    def test_place_matches_reserve(self):
         """The engine's cursor replay must equal the client's layout."""
         ring = self.make_ring(capacity=256)
-        mirror_cursor = 0
+        cursor = 0
         lengths = [100, 100, 30, 90, 128, 16]
         for length in lengths:
             # Free everything so the client never blocks on capacity.
             ring.advance_head(ring.tail)
             client_addr = ring.reserve(length)
-            engine_addr, mirror_cursor = ring.mirror_reserve(mirror_cursor, length)
-            assert engine_addr == client_addr
-            assert mirror_cursor == ring.tail
+            start, cursor = place(cursor, length, ring.capacity)
+            assert ring.addr_at(start) == client_addr
+            assert cursor == ring.tail

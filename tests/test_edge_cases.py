@@ -80,8 +80,7 @@ class TestEngineRaces:
         inst.region.write(inst.metadata_ring.addr_of(0), entry.pack())
         inst._reads[1] = __import__(
             "repro.cowbird.api", fromlist=["_OutstandingRead"]
-        )._OutstandingRead(sequence=1, addr=entry.resp_addr, length=16,
-                           pad=0, ring_allocated=True)
+        )._OutstandingRead(sequence=1, addr=entry.resp_addr, length=16, pad=0)
         inst.response_data.tail += 16
         dep.sim.run(until=300_000)
         assert dep.engine._instances[0].parsed_meta == 1

@@ -103,12 +103,26 @@ def random_workload_check(dep, seed, ops=60, deadline=500e9):
         assert actual == versions[-1], f"slot {slot} diverged from the model"
 
 
-@pytest.mark.parametrize("seed", [1, 7, 42])
-class TestSpotLinearizability:
-    def test_random_mix(self, seed):
-        dep = deploy_cowbird(engine="spot", remote_bytes=REGION_BYTES)
-        random_workload_check(dep, seed)
+def lossless_cases(seeds):
+    """``(seed, ops)`` inputs for the lossless runs: every seed at the
+    default length, and again at 200 ops, long enough that many reads
+    complete out of order with writes."""
+    return [pytest.param(seed, 60, id=str(seed)) for seed in seeds] + [
+        pytest.param(seed, 200, id=f"{seed}-ops200") for seed in seeds
+    ]
 
+
+SPOT_SEEDS = [1, 7, 42]
+P4_SEEDS = [3, 11]
+
+
+class TestSpotLinearizability:
+    @pytest.mark.parametrize("seed, ops", lossless_cases(SPOT_SEEDS))
+    def test_random_mix(self, seed, ops):
+        dep = deploy_cowbird(engine="spot", remote_bytes=REGION_BYTES)
+        random_workload_check(dep, seed, ops=ops)
+
+    @pytest.mark.parametrize("seed", SPOT_SEEDS)
     def test_random_mix_under_loss(self, seed):
         dep = deploy_cowbird(
             engine="spot", remote_bytes=REGION_BYTES,
@@ -117,12 +131,13 @@ class TestSpotLinearizability:
         random_workload_check(dep, seed, ops=40)
 
 
-@pytest.mark.parametrize("seed", [3, 11])
 class TestP4Linearizability:
-    def test_random_mix(self, seed):
+    @pytest.mark.parametrize("seed, ops", lossless_cases(P4_SEEDS))
+    def test_random_mix(self, seed, ops):
         dep = deploy_cowbird(engine="p4", remote_bytes=REGION_BYTES)
-        random_workload_check(dep, seed)
+        random_workload_check(dep, seed, ops=ops)
 
+    @pytest.mark.parametrize("seed", P4_SEEDS)
     def test_random_mix_under_loss(self, seed):
         dep = deploy_cowbird(
             engine="p4", remote_bytes=REGION_BYTES,

@@ -103,8 +103,7 @@ def _full_scan_retired(channel, psn):
     each pending write-kind op whose last PSN is at or before ``psn``."""
     return [
         op for op in channel.inflight
-        if not op.done
-        and op.kind in ("resp_write", "pool_write", "red_update")
+        if op.kind in ("resp_write", "pool_write", "red_update")
         and psn_distance(op.last_psn, psn) < PSN_MODULUS // 2
     ]
 

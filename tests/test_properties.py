@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cowbird.api import PollGroup
 from repro.cowbird.buffers import DataRing, RingFullError, skip_pad
+from repro.cowbird.engine_core import place
 from repro.cowbird.wire import (
     GreenBlock,
     RedBlock,
@@ -160,8 +161,8 @@ class TestRingProperties:
         for length in lengths:
             ring.advance_head(ring.tail)  # consume everything
             addr = ring.reserve(length)
-            mirror_addr, cursor = ring.mirror_reserve(cursor, length)
-            assert mirror_addr == addr
+            start, cursor = place(cursor, length, ring.capacity)
+            assert ring.addr_at(start) == addr
             assert cursor == ring.tail
 
     @settings(max_examples=40)

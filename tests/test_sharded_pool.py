@@ -8,8 +8,11 @@ request to the owning shard — so reads/writes land on the right host
 and a spot failover recovers against every shard.
 """
 
+import random
+
 import pytest
 
+from repro.cowbird.wire import RedBlock, RwType, decode_request_id
 from repro.experiments.common import build_microbench
 from repro.cowbird.spot_engine import CowbirdSpotEngine, SpotEngineConfig
 from repro.memory.pool import MemoryPool, ShardedPool
@@ -193,3 +196,145 @@ class TestShardedDeployment:
     def test_sharding_rejected_for_non_cowbird_systems(self):
         with pytest.raises(ValueError, match="does not support sharded"):
             build_microbench("one-sided", 1, pool_shards=2)
+
+
+RECORD = 64
+
+
+def _record(index):
+    return index.to_bytes(8, "little") * (RECORD // 8)
+
+
+class _CheckedReader:
+    """Random record reads through one backend, checked as they happen:
+    every ``fetch_response`` must return the read's own record, and a
+    red block landing at the client may cover (``read_progress``) only
+    reads whose bytes are already in their response slots."""
+
+    def __init__(self, backend, records, rng):
+        self.backend = backend
+        self.instance = instance = backend.instance
+        self.records = records
+        self.rng = rng
+        self.expected = {}  # request id -> record index, until fetched
+        self.unconsumed = {}  # read sequence -> record index, until fetched
+        self.mismatches = []
+        self.early = []
+        #: Red-block updates the engine emitted with ``read_progress``
+        #: past a read it had not completed (counted for P4 only).
+        self.published_past_incomplete = 0
+        self._fetch_response = instance.fetch_response
+        instance.fetch_response = self._checked_fetch
+        instance.region.write_watchers.append(self._on_write)
+
+    def _checked_fetch(self, request_id):
+        data = self._fetch_response(request_id)
+        if data != _record(self.expected.pop(request_id)):
+            self.mismatches.append(request_id)
+        del self.unconsumed[decode_request_id(request_id)[2]]
+        return data
+
+    def _on_write(self, addr, length):
+        instance = self.instance
+        red_addr = instance.bookkeeping.red_addr
+        if not (addr < red_addr + RedBlock.SIZE and addr + length > red_addr):
+            return
+        red = RedBlock.unpack(instance.region.read(red_addr, RedBlock.SIZE))
+        for sequence, index in self.unconsumed.items():
+            if sequence > red.read_progress:
+                continue
+            entry = instance._reads[sequence]
+            if instance.region.read(entry.addr, RECORD) != _record(index):
+                self.early.append(sequence)
+
+    def run(self, thread, reads, outstanding):
+        backend = self.backend
+        issued = done = 0
+        while done < reads:
+            while issued < reads and backend.outstanding() < outstanding:
+                index = self.rng.randrange(self.records)
+                request_id = yield from backend.issue_read(
+                    thread, index * RECORD, RECORD
+                )
+                self.expected[request_id] = index
+                self.unconsumed[decode_request_id(request_id)[2]] = index
+                issued += 1
+            tokens = yield from backend.poll_completions(
+                thread, max_ret=64, block=True
+            )
+            done += len(tokens)
+
+
+def _count_early_p4_publications(engine, readers):
+    """Count, per reader, red-block updates the P4 engine emits with
+    ``read_progress`` at or past a read whose write-back it has not yet
+    seen acknowledged.  Such an update lands after the engine emits it,
+    so a client-side check would miss reads completed in between."""
+    by_instance = {r.instance.instance_id: r for r in readers}
+    completed = {instance_id: set() for instance_id in by_instance}
+    first_incomplete = dict.fromkeys(by_instance, 1)
+    complete_app_op = engine._complete_app_op
+    emit_red_update = engine._emit_red_update
+
+    def recording_complete(state, app_op):
+        if app_op.metadata.rw_type is RwType.READ:
+            completed[state.descriptor.instance_id].add(app_op.sequence)
+        return complete_app_op(state, app_op)
+
+    def checked_emit(state):
+        instance_id = state.descriptor.instance_id
+        done = completed[instance_id]
+        while first_incomplete[instance_id] in done:
+            first_incomplete[instance_id] += 1
+        if state.red.read_progress >= first_incomplete[instance_id]:
+            by_instance[instance_id].published_past_incomplete += 1
+        return emit_red_update(state)
+
+    engine._complete_app_op = recording_complete
+    engine._emit_red_update = checked_emit
+
+
+def _random_reads_check(system, shards, threads=4, reads=512, outstanding=64,
+                        seed=5):
+    """Fill every record with its own index, then run one checked reader
+    per backend; return the readers."""
+    deployment = build_microbench(
+        system, threads, remote_bytes=1 << 16, pool_shards=shards, seed=seed
+    )
+    sharded = deployment.backends[0].sharded
+    records = sharded.length // RECORD
+    for index in range(records):
+        shard, local = sharded.locate(index * RECORD, RECORD)
+        deployment.pool.region_for(shard).write(
+            shard.base_addr + local, _record(index)
+        )
+    rng = random.Random(seed)
+    readers = [
+        _CheckedReader(backend, records, rng) for backend in deployment.backends
+    ]
+    if system == "cowbird-p4":
+        _count_early_p4_publications(deployment.engine, readers)
+    sim = deployment.sim
+    processes = [
+        sim.spawn(reader.run(deployment.compute.cpu.thread(f"reader-{i}"),
+                             reads, outstanding))
+        for i, reader in enumerate(readers)
+    ]
+    for process in processes:
+        sim.run_until_complete(process, deadline=300e9)
+    deployment.close()
+    for reader in readers:
+        assert not reader.expected, f"{len(reader.expected)} reads never fetched"
+    return readers
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("system", ["cowbird", "cowbird-p4"])
+def test_every_read_returns_its_own_record(system, shards):
+    """Reads served by different shards complete out of ring order; each
+    must still land in its own response slot, and the red block may
+    publish it only once it is complete."""
+    readers = _random_reads_check(system, shards)
+    assert [r.mismatches for r in readers] == [[]] * len(readers)
+    assert [r.early for r in readers] == [[]] * len(readers)
+    assert [r.published_past_incomplete for r in readers] == [0] * len(readers)

@@ -10,7 +10,7 @@ from the client's red block and re-executes the incomplete suffix.
 
 from repro.cowbird.deploy import deploy_cowbird
 from repro.cowbird.spot_engine import CowbirdSpotEngine, SpotEngineConfig
-from repro.cowbird.wire import RwType, decode_request_id
+from repro.cowbird.wire import RedBlock, RwType, decode_request_id
 
 
 def start_replacement_agent(dep, recover=True):
@@ -36,7 +36,7 @@ class TestRecoveryBookkeeping:
         state = engine._instances[0]
         assert state.parsed_meta == 0
         assert state.read_count == 0
-        assert state.resp_data_cursor == 0
+        assert state.red == RedBlock()
 
     def test_recovery_adopts_red_block_cursors(self):
         dep = deploy_cowbird(engine="spot")
@@ -60,7 +60,10 @@ class TestRecoveryBookkeeping:
         assert state.parsed_meta == 10
         assert state.read_count == 10
         assert state.write_count == 0
-        assert state.resp_data_cursor == 10 * 64
+        assert state.red == RedBlock(
+            request_meta_head=10, request_data_head=0,
+            response_data_tail=10 * 64, write_progress=0, read_progress=10,
+        )
 
 
 class TestMidFlightFailover:
