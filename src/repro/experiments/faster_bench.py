@@ -167,7 +167,8 @@ def run_faster_bench(
     store = FasterKv(deployment.backends[0], cost, faster_config)
     load_backing(deployment, store)
     loader = YcsbWorkload(ycsb, worker_seed=0)
-    store.load({key: loader.value_for(key) for key in range(record_count)})
+    keys = range(record_count)
+    store.load(zip(keys, map(loader.value_for, keys)))
     sim = deployment.sim
     processes = []
     for i in range(threads):

@@ -1,15 +1,17 @@
 """FASTER's hash index: key -> hybrid-log address.
 
 The real index is an array of cache-line-sized buckets holding
-(tag, address) entries with lock-free CAS updates.  We keep the bucket
-structure (so occupancy and collision behaviour are observable) but let
-Python-level operations stand in for the atomics; their CPU cost is
-charged from the cost model by the store layer.
+(tag, address) entries with lock-free CAS updates.  We keep the mapping
+in one dict and derive bucket occupancy from the key set on demand, so
+collision behaviour stays observable.  Python-level operations stand in
+for the atomics; their CPU cost is charged from the cost model by the
+store layer, never from the bucket layout.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from collections import Counter
+from typing import Iterable, Iterator, Optional
 
 __all__ = ["HashIndex"]
 
@@ -23,7 +25,7 @@ def _mix64(value: int) -> int:
 
 
 class HashIndex:
-    """A bucketed hash index mapping keys to log addresses."""
+    """A hash index mapping keys to log addresses, sized in buckets."""
 
     BUCKET_ENTRIES = 8
 
@@ -31,52 +33,44 @@ class HashIndex:
         if num_buckets < 1 or (num_buckets & (num_buckets - 1)) != 0:
             raise ValueError(f"num_buckets must be a power of two: {num_buckets}")
         self.num_buckets = num_buckets
-        self._buckets: list[list[tuple[int, int]]] = [[] for _ in range(num_buckets)]
-        self.entry_count = 0
-        self.collision_overflow = 0
-
-    def _bucket_of(self, key: int) -> list[tuple[int, int]]:
-        return self._buckets[_mix64(key) & (self.num_buckets - 1)]
+        self._addresses: dict[int, int] = {}
 
     def get(self, key: int) -> Optional[int]:
         """Latest log address for ``key``, or None."""
-        for entry_key, address in self._bucket_of(key):
-            if entry_key == key:
-                return address
-        return None
+        return self._addresses.get(key)
 
     def upsert(self, key: int, address: int) -> None:
         """Point ``key`` at ``address`` (a newer log position)."""
-        bucket = self._bucket_of(key)
-        for i, (entry_key, _old) in enumerate(bucket):
-            if entry_key == key:
-                bucket[i] = (key, address)
-                return
-        if len(bucket) >= self.BUCKET_ENTRIES:
-            # Real FASTER chains overflow buckets; we track the effect.
-            self.collision_overflow += 1
-        bucket.append((key, address))
-        self.entry_count += 1
+        self._addresses[key] = address
+
+    def update(self, entries: Iterable[tuple[int, int]]) -> None:
+        """Upsert ``(key, address)`` pairs in order; a repeated key keeps
+        its last address."""
+        self._addresses.update(entries)
 
     def delete(self, key: int) -> bool:
-        bucket = self._bucket_of(key)
-        for i, (entry_key, _addr) in enumerate(bucket):
-            if entry_key == key:
-                del bucket[i]
-                self.entry_count -= 1
-                return True
-        return False
+        return self._addresses.pop(key, None) is not None
 
     def __contains__(self, key: int) -> bool:
-        return self.get(key) is not None
+        return key in self._addresses
 
     def __len__(self) -> int:
-        return self.entry_count
+        return len(self._addresses)
 
     def keys(self) -> Iterator[int]:
-        for bucket in self._buckets:
-            for key, _addr in bucket:
-                yield key
+        return iter(self._addresses)
+
+    @property
+    def collision_overflow(self) -> int:
+        """Entries beyond ``BUCKET_ENTRIES`` in their bucket.
+
+        Real FASTER chains these into overflow buckets.  Derived from the
+        current key set, so deleting a key from an overfull bucket lowers
+        it.
+        """
+        mask = self.num_buckets - 1
+        occupancy = Counter(_mix64(key) & mask for key in self._addresses)
+        return sum(max(0, n - self.BUCKET_ENTRIES) for n in occupancy.values())
 
     def load_factor(self) -> float:
-        return self.entry_count / (self.num_buckets * self.BUCKET_ENTRIES)
+        return len(self._addresses) / (self.num_buckets * self.BUCKET_ENTRIES)

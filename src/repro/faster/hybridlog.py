@@ -101,6 +101,27 @@ class HybridLog:
         self.tail_addr += size
         return addr
 
+    def starts_fresh_page(self, size: int) -> bool:
+        """Whether the next ``size``-byte record would open a new page."""
+        offset_in_page = self.tail_addr & (self.config.page_bytes - 1)
+        return offset_in_page == 0 or offset_in_page + size > self.config.page_bytes
+
+    def append_page(self, data: bytes) -> int:
+        """Open a new page at the tail holding ``data`` at its start.
+
+        Pads the current page like :meth:`allocate` and leaves the tail
+        just past ``data``.  Returns the page's start address.
+        """
+        page_bytes = self.config.page_bytes
+        if len(data) > page_bytes:
+            raise ValueError(f"{len(data)} bytes exceed page size {page_bytes}")
+        addr = -(-self.tail_addr // page_bytes) * page_bytes
+        buffer = bytearray(page_bytes)
+        buffer[: len(data)] = data
+        self._pages[addr >> self.config.page_bits] = buffer
+        self.tail_addr = addr + len(data)
+        return addr
+
     def _page_for(self, addr: int, length: int) -> tuple[bytearray, int]:
         page_bytes = self.config.page_bytes
         page = addr >> self.config.page_bits
@@ -135,11 +156,11 @@ class HybridLog:
         caller to write to the storage device, or ``None`` if nothing is
         evictable (the tail page never evicts).
         """
-        tail_page = self.tail_addr >> self.config.page_bits
-        candidates = [p for p in self._pages if p < tail_page]
-        if not candidates:
+        # _pages fills in ascending page order, so its first key is the
+        # oldest page.
+        page = next(iter(self._pages), None)
+        if page is None or page >= self.tail_addr >> self.config.page_bits:
             return None
-        page = min(candidates)
         buffer = self._pages.pop(page)
         self._flushing[page] = buffer
         data = bytes(buffer)
@@ -152,9 +173,13 @@ class HybridLog:
             raise KeyError(f"page {page} is not being flushed")
         del self._flushing[page]
         self.pages_evicted += 1
-        # Head = lowest address still in memory (or tail if none).
-        resident = list(self._pages) + list(self._flushing)
-        if resident:
-            self.head_addr = min(resident) << self.config.page_bits
+        # Head = lowest address still in memory (or tail if none).  Both
+        # dicts fill in ascending page order, so their first keys are
+        # their lowest pages.
+        oldest = [
+            next(iter(pages)) for pages in (self._flushing, self._pages) if pages
+        ]
+        if oldest:
+            self.head_addr = min(oldest) << self.config.page_bits
         else:
             self.head_addr = self.tail_addr

@@ -14,7 +14,10 @@ never span pages, and a record's device offset equals its log address.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import add
 from typing import Any, Generator, Optional
 
 from repro.baselines.backends import Backend
@@ -25,6 +28,8 @@ from repro.sim.cpu import TAG_APP, Thread
 __all__ = ["FasterConfig", "FasterKv", "ReadOutcome"]
 
 KEY_BYTES = 8
+
+_pack_key = struct.Struct("<Q").pack
 
 
 @dataclass
@@ -90,7 +95,7 @@ class FasterKv:
             )
         yield from thread.compute(self.cost.faster_op_overhead, tag=TAG_APP)
         addr = self.log.allocate(self.config.record_bytes)
-        record = struct.pack("<Q", key) + value
+        record = _pack_key(key) + value
         self.log.write(addr, record)
         yield from thread.compute(
             self.cost.memcpy_per_byte * len(record), tag=TAG_APP
@@ -167,27 +172,63 @@ class FasterKv:
     # ------------------------------------------------------------------
     # Non-simulated helpers (loading, verification)
     # ------------------------------------------------------------------
-    def load(self, items: dict[int, bytes]) -> None:
+    def load(
+        self, items: Mapping[int, bytes] | Iterable[tuple[int, bytes]]
+    ) -> None:
         """Bulk-load records without charging simulated time.
 
         Used to build the initial database before measurement starts —
         the paper's experiments also measure steady state, not loading.
+        ``items`` is a mapping or any iterable of ``(key, value)`` pairs,
+        consumed as a stream; a repeated key ends at its last record.
         Spilled pages are written to the device's backing store
-        synchronously via the drain callback the backend provides.
+        synchronously through :meth:`_store_cold_page`.
+
+        Records go in a page at a time: the log, index and device end up
+        exactly as if each record had been appended on its own.
         """
-        for key, value in items.items():
-            if len(value) != self.config.value_bytes:
-                raise ValueError("bad value size during load")
-            addr = self.log.allocate(self.config.record_bytes)
-            self.log.write(addr, struct.pack("<Q", key) + value)
-            self.index.upsert(key, addr)
-            while self.log.pages_over_budget() > 0:
-                eviction = self.log.begin_evict()
-                if eviction is None:
-                    break
-                page, device_offset, data = eviction
-                self._store_cold_page(device_offset, data)
-                self.log.finish_evict(page)
+        pairs = iter(items.items() if isinstance(items, Mapping) else items)
+        record_bytes = self.config.record_bytes
+        value_bytes = self.config.value_bytes
+        per_page = max(1, self.config.log.page_bytes // record_bytes)
+        # Finish a partly filled tail page one record at a time.
+        while not self.log.starts_fresh_page(record_bytes):
+            pair = next(pairs, None)
+            if pair is None:
+                return
+            self._load_record(*pair)
+        while chunk := list(islice(pairs, per_page)):
+            keys, values = zip(*chunk)
+            if len(keys) < per_page or set(map(len, values)) != {value_bytes}:
+                # A short last page, or a bad record to reject in order.
+                for key, value in chunk:
+                    self._load_record(key, value)
+                continue
+            addr = self.log.append_page(
+                b"".join(map(add, map(_pack_key, keys), values))
+            )
+            self.index.update(zip(
+                keys, range(addr, addr + per_page * record_bytes, record_bytes)
+            ))
+            self._evict_sync()
+
+    def _load_record(self, key: int, value: bytes) -> None:
+        if len(value) != self.config.value_bytes:
+            raise ValueError("bad value size during load")
+        addr = self.log.allocate(self.config.record_bytes)
+        self.log.write(addr, _pack_key(key) + value)
+        self.index.upsert(key, addr)
+        self._evict_sync()
+
+    def _evict_sync(self) -> None:
+        """Spill pages over the memory budget straight to the backing."""
+        while self.log.pages_over_budget() > 0:
+            eviction = self.log.begin_evict()
+            if eviction is None:
+                break
+            page, device_offset, data = eviction
+            self._store_cold_page(device_offset, data)
+            self.log.finish_evict(page)
 
     def _store_cold_page(self, device_offset: int, data: bytes) -> None:
         """Write a page into the device's backing store instantly.

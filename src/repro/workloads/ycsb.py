@@ -9,6 +9,7 @@ space instead of clustering at low ids.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -79,7 +80,9 @@ class ZipfianGenerator:
             ) / denominator
 
     @staticmethod
+    @functools.lru_cache(maxsize=64)
     def _zeta(n: int, theta: float) -> float:
+        # O(n), and every worker's generator asks for the same (n, theta).
         return sum(1.0 / (i ** theta) for i in range(1, n + 1))
 
     def next(self) -> int:

@@ -1,0 +1,262 @@
+"""Tests for FASTER's page-at-a-time load path and dict-backed index.
+
+``FasterKv.load`` fills the hybrid log one page per step and evicts the
+oldest page in O(1).  It must leave the index, the log and the device
+exactly as the record-by-record loop it replaced; that loop, the old
+min-scan eviction and the old bucket-list index are kept here as the
+references.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.faster.hashindex import HashIndex, _mix64
+from repro.faster.hybridlog import HybridLog, HybridLogConfig
+from repro.faster.store import FasterConfig, FasterKv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class MinScanLog(HybridLog):
+    """The previous eviction protocol, kept as the reference: scan every
+    resident page for the oldest one."""
+
+    def begin_evict(self):
+        tail_page = self.tail_addr >> self.config.page_bits
+        candidates = [p for p in self._pages if p < tail_page]
+        if not candidates:
+            return None
+        page = min(candidates)
+        buffer = self._pages.pop(page)
+        self._flushing[page] = buffer
+        data = bytes(buffer)
+        self.bytes_flushed += len(data)
+        return page, page << self.config.page_bits, data
+
+    def finish_evict(self, page):
+        if page not in self._flushing:
+            raise KeyError(f"page {page} is not being flushed")
+        del self._flushing[page]
+        self.pages_evicted += 1
+        resident = list(self._pages) + list(self._flushing)
+        if resident:
+            self.head_addr = min(resident) << self.config.page_bits
+        else:
+            self.head_addr = self.tail_addr
+
+
+def record_by_record_load(store, items):
+    """The previous ``FasterKv.load`` loop, kept as the reference."""
+    pairs = items.items() if isinstance(items, dict) else items
+    for key, value in pairs:
+        if len(value) != store.config.value_bytes:
+            raise ValueError("bad value size during load")
+        addr = store.log.allocate(store.config.record_bytes)
+        store.log.write(addr, key.to_bytes(8, "little") + value)
+        store.index.upsert(key, addr)
+        while store.log.pages_over_budget() > 0:
+            eviction = store.log.begin_evict()
+            if eviction is None:
+                break
+            page, device_offset, data = eviction
+            store._store_cold_page(device_offset, data)
+            store.log.finish_evict(page)
+
+
+class BucketListIndex:
+    """The previous list-of-tuples bucket index, kept as the reference for
+    bucket occupancy."""
+
+    BUCKET_ENTRIES = 8
+
+    def __init__(self, num_buckets):
+        self.num_buckets = num_buckets
+        self._buckets = [[] for _ in range(num_buckets)]
+        self.entry_count = 0
+        self.collision_overflow = 0
+
+    def upsert(self, key, address):
+        bucket = self._buckets[_mix64(key) & (self.num_buckets - 1)]
+        for i, (entry_key, _old) in enumerate(bucket):
+            if entry_key == key:
+                bucket[i] = (key, address)
+                return
+        if len(bucket) >= self.BUCKET_ENTRIES:
+            self.collision_overflow += 1
+        bucket.append((key, address))
+        self.entry_count += 1
+
+    def load_factor(self):
+        return self.entry_count / (self.num_buckets * self.BUCKET_ENTRIES)
+
+
+def make_store(page_bits, memory_pages, value_bytes, log_class=HybridLog):
+    config = FasterConfig(
+        value_bytes=value_bytes,
+        log=HybridLogConfig(page_bits=page_bits, memory_pages=memory_pages),
+    )
+    store = FasterKv(device=None, cost=None, config=config)
+    store.log = log_class(config.log)
+    store.cold_writes = []
+    store._store_cold_page = lambda offset, data: store.cold_writes.append(
+        (offset, bytes(data))
+    )
+    return store
+
+
+def snapshot(store):
+    log = store.log
+    return {
+        "index": {key: store.index.get(key) for key in store.index.keys()},
+        "tail_addr": log.tail_addr,
+        "head_addr": log.head_addr,
+        "pages": [(page, bytes(buf)) for page, buf in log._pages.items()],
+        "flushing": [(page, bytes(buf)) for page, buf in log._flushing.items()],
+        "pages_evicted": log.pages_evicted,
+        "bytes_flushed": log.bytes_flushed,
+        "cold_writes": store.cold_writes,
+    }
+
+
+def value_of(key, value_bytes, salt=0):
+    return bytes([(key * 31 + salt) % 251]) * value_bytes
+
+
+@st.composite
+def load_cases(draw):
+    page_bits = draw(st.integers(6, 11))
+    page_bytes = 1 << page_bits
+    value_bytes = draw(st.integers(1, page_bytes - 8))
+    memory_pages = draw(st.integers(2, 6))
+    max_records = min(400, 8 * page_bytes // (8 + value_bytes) + 4)
+    keys = st.integers(0, 2 * max_records)
+    prefill = draw(st.lists(keys, max_size=3))
+    first = draw(st.lists(keys, max_size=max_records))
+    second = draw(st.lists(keys, max_size=max_records))
+    return page_bits, memory_pages, value_bytes, prefill, first, second
+
+
+class TestPageAtATimeLoad:
+    @settings(max_examples=150, deadline=None)
+    @given(load_cases(), st.booleans())
+    def test_matches_record_by_record_reference(self, case, as_mapping):
+        page_bits, memory_pages, value_bytes, prefill, first, second = case
+        new = make_store(page_bits, memory_pages, value_bytes)
+        ref = make_store(page_bits, memory_pages, value_bytes, MinScanLog)
+        prefill_items = [(k, value_of(k, value_bytes, 7)) for k in prefill]
+        first_items = [(k, value_of(k, value_bytes, 1)) for k in first]
+        second_items = [(k, value_of(k, value_bytes, 2)) for k in second]
+        for store in (new, ref):
+            record_by_record_load(store, prefill_items)
+        # Both loads overlap in keys; each may also repeat keys itself.
+        new.load(dict(first_items) if as_mapping else iter(first_items))
+        record_by_record_load(ref, dict(first_items) if as_mapping else first_items)
+        new.load(pair for pair in second_items)
+        record_by_record_load(ref, second_items)
+        assert snapshot(new) == snapshot(ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(load_cases(), st.data())
+    def test_wrong_value_size_raises_at_the_same_record(self, case, data):
+        page_bits, memory_pages, value_bytes, prefill, first, _second = case
+        items = [(k, value_of(k, value_bytes)) for k in prefill + first]
+        bad_at = data.draw(st.integers(0, len(items)))
+        bad_size = data.draw(
+            st.sampled_from([0, value_bytes - 1, value_bytes + 1]).filter(
+                lambda n: n >= 0 and n != value_bytes
+            )
+        )
+        items.insert(bad_at, (1, b"x" * bad_size))
+        new = make_store(page_bits, memory_pages, value_bytes)
+        ref = make_store(page_bits, memory_pages, value_bytes, MinScanLog)
+        with pytest.raises(ValueError):
+            new.load(iter(items))
+        with pytest.raises(ValueError):
+            record_by_record_load(ref, items)
+        assert snapshot(new) == snapshot(ref)
+
+    def test_duplicate_key_ends_at_later_address(self):
+        store = make_store(page_bits=8, memory_pages=4, value_bytes=24)
+        store.load([(5, b"a" * 24), (6, b"b" * 24), (5, b"c" * 24)])
+        assert store.index.get(5) == 64
+        assert store.read_sync_for_test(5) == b"c" * 24
+
+    def test_record_larger_than_page_rejected(self):
+        store = make_store(page_bits=6, memory_pages=2, value_bytes=60)
+        with pytest.raises(ValueError):
+            store.load({1: b"v" * 60})
+
+    def test_eviction_takes_oldest_page_without_a_scan(self):
+        log = HybridLog(HybridLogConfig(page_bits=10, memory_pages=2))
+        for _ in range(4):
+            log.append_page(b"r" * 1000)
+        assert log.begin_evict()[0] == 0
+        assert log.begin_evict()[0] == 1
+        log.finish_evict(1)  # acknowledged out of order
+        assert log.head_addr == 0  # page 0 is still flushing
+        log.finish_evict(0)
+        assert log.head_addr == 2 << 10
+        assert log.begin_evict()[0] == 2
+        assert log.begin_evict() is None  # the tail page never evicts
+
+
+class TestHashIndexOccupancy:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 4, 16, 64]),
+        st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 300), max_size=600),
+    )
+    def test_matches_bucket_list_model_for_inserts(self, num_buckets, keys):
+        index = HashIndex(num_buckets)
+        model = BucketListIndex(num_buckets)
+        for address, key in enumerate(keys):
+            index.upsert(key, address)
+            model.upsert(key, address)
+        assert index.collision_overflow == model.collision_overflow
+        assert index.load_factor() == model.load_factor()
+        assert len(index) == model.entry_count
+
+    def test_oversubscribed_sixteen_buckets_match_model(self):
+        index = HashIndex(num_buckets=16)
+        model = BucketListIndex(16)
+        for key in range(500):
+            index.upsert(key, key)
+            model.upsert(key, key)
+        assert index.collision_overflow == model.collision_overflow > 0
+        assert index.load_factor() == model.load_factor()
+
+    def test_delete_lowers_collision_overflow(self):
+        index = HashIndex(num_buckets=1)  # every key shares one bucket
+        for key in range(10):
+            index.upsert(key, key)
+        assert index.collision_overflow == 2
+        assert index.delete(3)
+        assert index.collision_overflow == 1
+        assert index.delete(4)
+        assert index.delete(5)
+        assert index.collision_overflow == 0
+
+
+def test_faster_run_path_does_not_import_numpy():
+    """numpy adds ~14 MB of RSS, over the benchmark's peak-RSS bound."""
+    code = (
+        "import sys\n"
+        "import repro.faster, repro.workloads\n"
+        "from repro.experiments.faster_bench import run_faster_bench\n"
+        "run_faster_bench('cowbird', 1, record_count=500, ops_per_thread=20)\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

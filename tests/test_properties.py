@@ -242,6 +242,29 @@ class TestZipfianProperties:
         for _ in range(50):
             assert 0 <= gen.next() < n
 
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(min_value=1, max_value=5000),
+        theta=st.floats(min_value=0.01, max_value=0.99),
+        seed=st.integers(min_value=0, max_value=1 << 30),
+        scrambled=st.booleans(),
+    )
+    def test_cached_zeta_yields_the_uncached_key_stream(self, n, theta, seed, scrambled):
+        """The memoized zeta sum is bit-identical to computing it afresh."""
+
+        class UncachedZipfian(ZipfianGenerator):
+            @staticmethod
+            def _zeta(n, theta):
+                return sum(1.0 / (i ** theta) for i in range(1, n + 1))
+
+        ZipfianGenerator(n, theta=theta, seed=0)  # warm the cache
+        cached = ZipfianGenerator(n, theta=theta, seed=seed, scrambled=scrambled)
+        reference = UncachedZipfian(n, theta=theta, seed=seed, scrambled=scrambled)
+        assert cached._zetan == reference._zetan
+        assert [cached.next() for _ in range(200)] == [
+            reference.next() for _ in range(200)
+        ]
+
 
 class TestMemoryRegionProperties:
     @settings(max_examples=40)
