@@ -55,7 +55,7 @@ def run_batch_size(batch_size):
     return {
         "batch_size": batch_size,
         "mops": OPS / elapsed * 1000.0,
-        "compute_packets_in": dep.compute.nic.stats.packets_in,
+        "compute_packets_in": dep.compute.nic.stats.rx_packets,
         "mean_batch": dep.engine.stats.mean_batch_size(),
         "mean_latency_us": sum(latencies) / len(latencies) / 1000.0,
     }

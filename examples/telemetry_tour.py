@@ -54,7 +54,7 @@ def main() -> None:
         print(f"  {name} = {value}")
     links = tel.snapshot("link.")
     for name in sorted(links):
-        if name.endswith(".tx_bytes"):
+        if name.endswith(".bytes_sent"):
             print(f"  {name} = {links[name]}")
 
     print("\n== the agent's request-latency histogram\n")

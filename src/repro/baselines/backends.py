@@ -73,31 +73,14 @@ class Backend(ABC):
         return 0
 
 
-class LocalMemoryBackend(Backend):
-    """The upper bound: 'remote' accesses hit local DRAM.
+class _ImmediateCompletions(Backend):
+    """Base for synchronous backends: an operation is done when its issue
+    call returns, so the token goes straight onto a completed queue."""
 
-    Completion is immediate; the only cost is the memory touch itself,
-    which the workload already charges as application time.
-    """
-
-    name = "local"
-    pending_limit = 1
-
-    def __init__(self, cost) -> None:
-        self.cost = cost
+    def __init__(self) -> None:
         self._done: deque[int] = deque()
 
-    def issue_read(self, thread, offset, length):
-        yield from thread.compute(self.cost.local_memory_write, tag=TAG_APP)
-        token = next(_token_counter)
-        self._done.append(token)
-        return token
-
-    def issue_write(self, thread, offset, data):
-        yield from thread.compute(
-            self.cost.local_memory_write + self.cost.memcpy_per_byte * len(data),
-            tag=TAG_APP,
-        )
+    def _completed_token(self) -> int:
         token = next(_token_counter)
         self._done.append(token)
         return token
@@ -110,10 +93,37 @@ class LocalMemoryBackend(Backend):
         yield  # pragma: no cover - keeps this a generator
 
 
+class LocalMemoryBackend(_ImmediateCompletions):
+    """The upper bound: 'remote' accesses hit local DRAM.
+
+    Completion is immediate; the only cost is the memory touch itself,
+    which the workload already charges as application time.
+    """
+
+    name = "local"
+    pending_limit = 1
+
+    def __init__(self, cost) -> None:
+        super().__init__()
+        self.cost = cost
+
+    def issue_read(self, thread, offset, length):
+        yield from thread.compute(self.cost.local_memory_write, tag=TAG_APP)
+        return self._completed_token()
+
+    def issue_write(self, thread, offset, data):
+        yield from thread.compute(
+            self.cost.local_memory_write + self.cost.memcpy_per_byte * len(data),
+            tag=TAG_APP,
+        )
+        return self._completed_token()
+
+
 class _RdmaBackendBase(Backend):
     """Shared plumbing for verbs-based backends."""
 
     def __init__(self, compute_host, qp, region_handle, scratch_bytes: int = 1 << 20):
+        super().__init__()
         self.host = compute_host
         self.verbs = compute_host.verbs
         self.cost = compute_host.verbs.cost
@@ -134,24 +144,18 @@ class _RdmaBackendBase(Backend):
         return addr
 
 
-class OneSidedSyncBackend(_RdmaBackendBase):
+class OneSidedSyncBackend(_RdmaBackendBase, _ImmediateCompletions):
     """Synchronous one-sided RDMA: post, busy-poll, repeat (Section 8)."""
 
     name = "one-sided-sync"
     pending_limit = 1
-
-    def __init__(self, compute_host, qp, region_handle, **kwargs):
-        super().__init__(compute_host, qp, region_handle, **kwargs)
-        self._done: deque[int] = deque()
 
     def issue_read(self, thread, offset, length):
         yield from self.verbs.read_sync(
             thread, self.qp, self._scratch_slot(length),
             self.region.translate(offset, length), self.region.rkey, length,
         )
-        token = next(_token_counter)
-        self._done.append(token)
-        return token
+        return self._completed_token()
 
     def issue_write(self, thread, offset, data):
         addr = self._scratch_slot(len(data))
@@ -160,16 +164,7 @@ class OneSidedSyncBackend(_RdmaBackendBase):
             thread, self.qp, addr,
             self.region.translate(offset, len(data)), self.region.rkey, len(data),
         )
-        token = next(_token_counter)
-        self._done.append(token)
-        return token
-
-    def poll_completions(self, thread, max_ret=64, block=False):
-        out = []
-        while self._done and len(out) < max_ret:
-            out.append(self._done.popleft())
-        return out
-        yield  # pragma: no cover
+        return self._completed_token()
 
 
 class OneSidedAsyncBackend(_RdmaBackendBase):
@@ -230,7 +225,7 @@ class OneSidedAsyncBackend(_RdmaBackendBase):
         return out
 
 
-class TwoSidedSyncBackend(_RdmaBackendBase):
+class TwoSidedSyncBackend(_RdmaBackendBase, _ImmediateCompletions):
     """Two-sided RDMA RPC: SEND request, server WRITE + SEND response.
 
     The memory pool runs a real server thread (so this baseline consumes
@@ -248,7 +243,6 @@ class TwoSidedSyncBackend(_RdmaBackendBase):
         super().__init__(compute_host, qp, region_handle, **kwargs)
         self.pool_host = pool_host
         self.server_qp = server_qp
-        self._done: deque[int] = deque()
         self._server_started = False
 
     def start_server(self) -> None:
@@ -324,9 +318,7 @@ class TwoSidedSyncBackend(_RdmaBackendBase):
         )
         # Busy-poll until both our SEND and the response RECV complete.
         yield from self.verbs.spin_poll(thread, self.qp.cq, 2)
-        token = next(_token_counter)
-        self._done.append(token)
-        return token
+        return self._completed_token()
 
     def issue_write(self, thread, offset, data):
         # Write RPC: inline for small payloads (the microbenchmark case);
@@ -347,16 +339,7 @@ class TwoSidedSyncBackend(_RdmaBackendBase):
                         rkey=0, length=len(request), inline_payload=request),
         )
         yield from self.verbs.spin_poll(thread, self.qp.cq, 2)
-        token = next(_token_counter)
-        self._done.append(token)
-        return token
-
-    def poll_completions(self, thread, max_ret=64, block=False):
-        out = []
-        while self._done and len(out) < max_ret:
-            out.append(self._done.popleft())
-        return out
-        yield  # pragma: no cover
+        return self._completed_token()
 
 
 class CowbirdBackend(Backend):

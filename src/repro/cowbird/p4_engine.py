@@ -95,6 +95,7 @@ class P4EngineConfig:
 
 @dataclass
 class P4EngineStats:
+    probe_rounds: int = 0
     probes_sent: int = 0
     probe_responses: int = 0
     metadata_fetches: int = 0
@@ -174,16 +175,14 @@ class _Channel:
         self.inflight: deque[_EngineOp] = deque()
 
     # ------------------------------------------------------------------
-    def emit_read(
+    def open_op(
         self,
-        addr: int,
         length: int,
         kind: str,
         parent: Optional[_AppOp] = None,
         instance: Optional["_Instance"] = None,
-        rkey: Optional[int] = None,
     ) -> _EngineOp:
-        """Issue an RDMA READ request; responses are matched by PSN."""
+        """Reserve the PSN range for ``length`` bytes and track the op."""
         mtu = self.engine.config.mtu_bytes
         num_psns = max(1, (length + mtu - 1) // mtu)
         op = _EngineOp(
@@ -198,10 +197,19 @@ class _Channel:
         )
         self.send_psn = psn_add(self.send_psn, num_psns)
         self.inflight.append(op)
-        self._send_read_packet(op, addr, rkey if rkey is not None else self.rkey, length)
         return op
 
-    def _send_read_packet(self, op: _EngineOp, addr: int, rkey: int, length: int) -> None:
+    def emit_read(
+        self,
+        addr: int,
+        length: int,
+        kind: str,
+        parent: Optional[_AppOp] = None,
+        instance: Optional["_Instance"] = None,
+        rkey: Optional[int] = None,
+    ) -> _EngineOp:
+        """Issue an RDMA READ request; responses are matched by PSN."""
+        op = self.open_op(length, kind, parent, instance)
         packet = self.engine.pool.acquire(
             src=self.engine.node,
             dst=self.peer_node,
@@ -211,33 +219,14 @@ class _Channel:
                 psn=op.first_psn,
                 ack_request=True,
             ),
-            reth=Reth(virtual_address=addr, remote_key=rkey, dma_length=length),
+            reth=Reth(
+                virtual_address=addr,
+                remote_key=rkey if rkey is not None else self.rkey,
+                dma_length=length,
+            ),
             priority=self.priority,
         )
         self.engine.switch.inject(packet)
-
-    def begin_write(
-        self,
-        total_length: int,
-        kind: str,
-        parent: Optional[_AppOp],
-        instance: Optional["_Instance"],
-    ) -> _EngineOp:
-        """Allocate the PSN range for a write train about to stream out."""
-        mtu = self.engine.config.mtu_bytes
-        num_psns = max(1, (total_length + mtu - 1) // mtu)
-        op = _EngineOp(
-            kind=kind,
-            channel=self,
-            first_psn=self.send_psn,
-            num_psns=num_psns,
-            expect_bytes=total_length,
-            issued_at=self.engine.sim.now,
-            parent=parent,
-            instance=instance,
-        )
-        self.send_psn = psn_add(self.send_psn, num_psns)
-        self.inflight.append(op)
         return op
 
     def emit_write_segment(
@@ -364,17 +353,7 @@ class CowbirdP4Engine:
         self.pool = PacketPool(sanitizer=sim.sanitizer)
         tel = sim.telemetry
         self._tel = tel
-        self._tel_probes = tel.counter("p4.probes_sent")
-        self._tel_probe_rounds = tel.counter("p4.probe_rounds")
-        self._tel_probe_responses = tel.counter("p4.probe_responses")
-        self._tel_meta_fetches = tel.counter("p4.metadata_fetches")
-        self._tel_parsed = tel.counter("p4.requests_parsed")
-        self._tel_reads = tel.counter("p4.reads_executed")
-        self._tel_writes = tel.counter("p4.writes_executed")
-        self._tel_recycled = tel.counter("p4.recycled_packets")
-        self._tel_red_updates = tel.counter("p4.red_updates")
-        self._tel_gbn = tel.counter("p4.go_back_n_events")
-        self._tel_reads_paused = tel.counter("p4.reads_paused")
+        tel.expose("p4", self.stats)
         self._tel_request_ns = tel.histogram("p4.request_latency_ns")
         self._instances: list[_Instance] = []
         #: QPN-to-instance/channel map (Section 5.4: packets after Phase II
@@ -479,11 +458,10 @@ class CowbirdP4Engine:
                 interval * state.probe_interval_scale,
                 self.config.adaptive_max_interval_ns,
             )
-        self._tel_probe_rounds.inc()
+        self.stats.probe_rounds += 1
         if state is not None and not state.probe_inflight:
             state.probe_inflight = True
             self.stats.probes_sent += 1
-            self._tel_probes.inc()
             state.probe_channel.emit_read(
                 state.descriptor.bookkeeping_addr,
                 GreenBlock.SIZE,
@@ -583,7 +561,6 @@ class CowbirdP4Engine:
     # -- Phase II continued: probe response -> metadata fetch ------------
     def _on_probe_response(self, state: _Instance, payload: bytes) -> None:
         self.stats.probe_responses += 1
-        self._tel_probe_responses.inc()
         state.probe_inflight = False
         state.see_tail(GreenBlock.unpack(payload).request_meta_tail)
         activity = state.has_unparsed()
@@ -605,9 +582,7 @@ class CowbirdP4Engine:
         start, end, addr, length = state.next_fetch()
         state.meta_fetch_inflight = True
         self.stats.metadata_fetches += 1
-        self._tel_meta_fetches.inc()
         self.stats.recycled_packets += 1  # probe response recycled into this read
-        self._tel_recycled.inc()
         state.data_channel.emit_read(addr, length, kind="meta", instance=state)
         state._meta_fetch_span = (start, end)
 
@@ -624,7 +599,6 @@ class CowbirdP4Engine:
             ),
         )
         self.stats.requests_parsed += len(app_ops)
-        self._tel_parsed.inc(len(app_ops))
         state.pending.extend(app_ops)
         self._drain_pending(state)
         self._maybe_fetch_metadata(state)
@@ -636,7 +610,6 @@ class CowbirdP4Engine:
             if app_op.metadata.rw_type is RwType.READ:
                 if state.fetching_writes > 0:
                     self.stats.reads_paused += 1
-                    self._tel_reads_paused.inc()
                     return  # paused until no write is in Phase III step 1b
                 state.pending.popleft()
                 self._execute_read(state, app_op)
@@ -652,7 +625,6 @@ class CowbirdP4Engine:
         """Phase III step 1a: fetch the requested data from the pool."""
         channel, rkey = self._pool_channel_for(state, app_op.metadata.region_id)
         self.stats.recycled_packets += 1  # recycled from the Phase II response
-        self._tel_recycled.inc()
         app_op.fetch_op = channel.emit_read(
             app_op.metadata.req_addr,
             app_op.metadata.length,
@@ -666,7 +638,6 @@ class CowbirdP4Engine:
         """Phase III step 1b: fetch the to-be-written data from compute."""
         state.fetching_writes += 1
         self.stats.recycled_packets += 1
-        self._tel_recycled.inc()
         app_op.fetch_op = state.data_channel.emit_read(
             app_op.metadata.req_addr,
             app_op.metadata.length,
@@ -681,11 +652,10 @@ class CowbirdP4Engine:
         """Step 2a: recycle a pool read response into a compute write."""
         app_op = op.parent
         if app_op.write_train is None:
-            app_op.write_train = state.data_channel.begin_write(
+            app_op.write_train = state.data_channel.open_op(
                 op.expect_bytes, kind="resp_write", parent=app_op, instance=state
             )
         self.stats.recycled_packets += 1
-        self._tel_recycled.inc()
         segment = psn_distance(op.first_psn, packet.bth.psn)
         if complete:
             op.channel.retire(op)
@@ -705,11 +675,10 @@ class CowbirdP4Engine:
         app_op = op.parent
         channel, rkey = self._pool_channel_for(state, app_op.metadata.region_id)
         if app_op.write_train is None:
-            app_op.write_train = channel.begin_write(
+            app_op.write_train = channel.open_op(
                 op.expect_bytes, kind="pool_write", parent=app_op, instance=state
             )
         self.stats.recycled_packets += 1
-        self._tel_recycled.inc()
         segment = psn_distance(op.first_psn, packet.bth.psn)
         channel.emit_write_segment(
             app_op.write_train,
@@ -766,21 +735,17 @@ class CowbirdP4Engine:
             )
         if metadata.rw_type is RwType.READ:
             self.stats.reads_executed += 1
-            self._tel_reads.inc()
         else:
             self.stats.writes_executed += 1
-            self._tel_writes.inc()
         state.publish()
         self._emit_red_update(state)
 
     def _emit_red_update(self, state: _Instance) -> None:
         """Phase IV: one RDMA write refreshes all bookkeeping (R3)."""
         self.stats.red_updates += 1
-        self._tel_red_updates.inc()
         self.stats.recycled_packets += 1  # recycled from the ACK
-        self._tel_recycled.inc()
         payload = state.red.pack()
-        train = state.data_channel.begin_write(
+        train = state.data_channel.open_op(
             len(payload), kind="red_update", parent=None, instance=state
         )
         state.data_channel.emit_write_segment(
@@ -813,7 +778,6 @@ class CowbirdP4Engine:
         if not pending:
             return
         self.stats.go_back_n_events += 1
-        self._tel_gbn.inc()
         if self._tel.enabled:
             self._tel.instant(
                 "p4.go_back_n", process=self.node,

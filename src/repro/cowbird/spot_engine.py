@@ -137,15 +137,7 @@ class CowbirdSpotEngine:
         self.stats = SpotEngineStats()
         tel = self.sim.telemetry
         self._tel = tel
-        self._tel_probe_rounds = tel.counter("spot.probe_rounds")
-        self._tel_meta_fetches = tel.counter("spot.metadata_fetches")
-        self._tel_parsed = tel.counter("spot.requests_parsed")
-        self._tel_reads = tel.counter("spot.reads_executed")
-        self._tel_writes = tel.counter("spot.writes_executed")
-        self._tel_batch_flushes = tel.counter("spot.batch_flushes")
-        self._tel_batch_entries = tel.counter("spot.batch_entries")
-        self._tel_rdma_calls = tel.counter("spot.rdma_calls")
-        self._tel_overlap_stalls = tel.counter("spot.overlap_stalls")
+        tel.expose("spot", self.stats)
         self._tel_request_ns = tel.histogram("spot.request_latency_ns")
         self._tel_batch_bytes = tel.histogram("spot.batch_bytes")
         self.cq = CompletionQueue(capacity=1 << 16)
@@ -310,7 +302,6 @@ class CowbirdSpotEngine:
         """
         while self._running:
             self.stats.probe_rounds += 1
-            self._tel_probe_rounds.inc()
             posts = []
             for state in self._instances:
                 if state.probe_inflight:
@@ -339,7 +330,6 @@ class CowbirdSpotEngine:
         start, end, addr, length = state.next_fetch()
         state.meta_fetch_inflight = True
         self.stats.metadata_fetches += 1
-        self._tel_meta_fetches.inc()
         wr = WorkRequest(
             work_type=WorkType.READ,
             local_addr=state.meta_staging,
@@ -370,7 +360,6 @@ class CowbirdSpotEngine:
             ),
         )
         self.stats.requests_parsed += len(ops)
-        self._tel_parsed.inc(len(ops))
         return self._dispatch_posts(state, ops)
 
     def _overlaps_active_write(self, state: _SpotInstance, metadata: RequestMetadata) -> bool:
@@ -395,7 +384,6 @@ class CowbirdSpotEngine:
                     # Reads execute in order: once one stalls, later
                     # reads queue behind it (Section 6).
                     self.stats.overlap_stalls += 1
-                    self._tel_overlap_stalls.inc()
                     state.stalled_reads.append(op)
                     continue
                 to_post.append(self._build_read_fetch(state, op))
@@ -442,7 +430,6 @@ class CowbirdSpotEngine:
                 tag=TAG_ENGINE,
             )
             self.stats.rdma_calls += 1
-            self._tel_rdma_calls.inc()
             for qp, wr in chunk:
                 self.host.nic.post(qp, wr)
 
@@ -540,7 +527,6 @@ class CowbirdSpotEngine:
         state = op.instance
         state.outstanding_read_fetches -= 1
         self.stats.reads_executed += 1
-        self._tel_reads.inc()
         self._tel_request_ns.observe(self.sim.now - op.parsed_at)
         if self._tel.enabled:
             self._tel.complete(
@@ -597,8 +583,6 @@ class CowbirdSpotEngine:
         )
         self.stats.batches_flushed += 1
         self.stats.batch_entries_total += len(batch)
-        self._tel_batch_flushes.inc()
-        self._tel_batch_entries.inc(len(batch))
         self._tel_batch_bytes.observe(total)
         if self._tel.enabled:
             self._tel.complete(
@@ -614,7 +598,6 @@ class CowbirdSpotEngine:
         state = op.instance
         op.completed = True
         self.stats.writes_executed += 1
-        self._tel_writes.inc()
         self._tel_request_ns.observe(self.sim.now - op.parsed_at)
         if self._tel.enabled:
             self._tel.complete(

@@ -97,10 +97,11 @@ class NicConfig:
 
 @dataclass
 class NicStats:
-    packets_out: int = 0
-    packets_in: int = 0
-    bytes_out: int = 0
-    bytes_in: int = 0
+    posts: int = 0
+    tx_packets: int = 0
+    tx_bytes: int = 0
+    rx_packets: int = 0
+    rx_bytes: int = 0
     messages_initiated: int = 0
     retransmit_timeouts: int = 0
     naks_sent: int = 0
@@ -149,34 +150,14 @@ class RNIC:
         self._dispatch_next_callback = self._dispatch_next
         self._initiate_next_callback = self._initiate_next
         #: Taps invoked on every delivered (non-dropped) packet, in
-        #: attach order.  Use :meth:`add_rx_hook` to chain; the
-        #: ``rx_hook`` property remains for legacy single-tap callers.
+        #: attach order; :meth:`add_rx_hook` chains one more.
         self._rx_hooks: list[Callable[[RocePacket], None]] = []
-        tel = sim.telemetry
-        self._tel = tel
-        self._tel_posts = tel.counter(f"nic.{node}.posts")
-        self._tel_doorbells = tel.counter(f"nic.{node}.doorbells")
-        self._tel_tx_packets = tel.counter(f"nic.{node}.tx_packets")
-        self._tel_tx_bytes = tel.counter(f"nic.{node}.tx_bytes")
-        self._tel_rx_packets = tel.counter(f"nic.{node}.rx_packets")
-        self._tel_rx_bytes = tel.counter(f"nic.{node}.rx_bytes")
-        self._tel_naks = tel.counter(f"nic.{node}.naks_sent")
-        self._tel_timeouts = tel.counter(f"nic.{node}.retransmit_timeouts")
-        self._tel_duplicates = tel.counter(f"nic.{node}.duplicates")
+        self._tel = sim.telemetry
+        self._tel.expose(f"nic.{node}", self.stats)
 
     # ------------------------------------------------------------------
     # Receive taps
     # ------------------------------------------------------------------
-    @property
-    def rx_hook(self) -> Optional[Callable[[RocePacket], None]]:
-        """The most recently attached tap (legacy accessor)."""
-        return self._rx_hooks[-1] if self._rx_hooks else None
-
-    @rx_hook.setter
-    def rx_hook(self, hook: Optional[Callable[[RocePacket], None]]) -> None:
-        # Legacy assignment replaces all taps; prefer add_rx_hook.
-        self._rx_hooks = [hook] if hook is not None else []
-
     def add_rx_hook(self, hook: Callable[[RocePacket], None]) -> None:
         """Chain ``hook`` after any existing taps (never overwrites)."""
         self._rx_hooks.append(hook)
@@ -211,11 +192,10 @@ class RNIC:
         """
         if not qp.connected:
             raise RuntimeError(f"QP {qp.qpn} not connected")
-        self._tel_posts.inc()
+        self.stats.posts += 1
         if wr.work_type is WorkType.RECV:
             self._recv_queues[qp.qpn].append(wr)
             return
-        self._tel_doorbells.inc()
         delay = self._reserve_send_slot()
         self._initiate_pending.append((qp, wr))
         self.sim.call_after(delay, self._initiate_next_callback)
@@ -327,21 +307,25 @@ class RNIC:
             self._transmit(packet, qp)
 
     def _initiate_send(self, qp: QueuePair, wr: WorkRequest) -> None:
-        payload = wr.inline_payload or self._dma_read_local(wr.local_addr, wr.length)
-        if len(payload) > self.config.mtu_bytes:
-            raise ValueError("SEND payloads above one MTU are not modelled")
         first_psn = qp.reserve_psns(1)
         entry = _Outstanding(
             wr=wr, first_psn=first_psn, num_packets=1, issued_at=self.sim.now
         )
         qp.track(entry)
+        self._emit_send(qp, entry)
+
+    def _emit_send(self, qp: QueuePair, entry: _Outstanding) -> None:
+        wr = entry.wr
+        payload = wr.inline_payload or self._dma_read_local(wr.local_addr, wr.length)
+        if len(payload) > self.config.mtu_bytes:
+            raise ValueError("SEND payloads above one MTU are not modelled")
         packet = RocePacket(
             src=self.node,
             dst=qp.remote_node,
             bth=Bth(
                 opcode=OP_SEND_ONLY,
                 dest_qp=qp.remote_qpn,
-                psn=first_psn,
+                psn=entry.first_psn,
                 ack_request=True,
             ),
             payload=payload,
@@ -360,11 +344,9 @@ class RNIC:
     def _transmit(self, packet: RocePacket, qp: Optional[QueuePair] = None) -> None:
         if self.link is None:
             raise RuntimeError(f"NIC {self.node!r} has no link attached")
-        size = packet.size_bytes
-        self.stats.packets_out += 1
-        self.stats.bytes_out += size
-        self._tel_tx_packets.inc()
-        self._tel_tx_bytes.inc(size)
+        stats = self.stats
+        stats.tx_packets += 1
+        stats.tx_bytes += packet.size_bytes
         if qp is not None:
             qp.packets_sent += 1
         self.link.send(packet)
@@ -376,11 +358,9 @@ class RNIC:
         """Endpoint entry: delay by processing latency, then dispatch."""
         if not isinstance(packet, RocePacket):
             return  # non-RDMA traffic (e.g. TCP) addressed to this host
-        size = packet.size_bytes
-        self.stats.packets_in += 1
-        self.stats.bytes_in += size
-        self._tel_rx_packets.inc()
-        self._tel_rx_bytes.inc(size)
+        stats = self.stats
+        stats.rx_packets += 1
+        stats.rx_bytes += packet.size_bytes
         self._rx_pending.append(packet)
         self.sim.call_after(
             self.config.processing_delay_ns, self._dispatch_next_callback
@@ -425,7 +405,6 @@ class RNIC:
     def _send_nak(self, qp: QueuePair, request_psn_src: str,
                   priority: Optional[int] = None) -> None:
         self.stats.naks_sent += 1
-        self._tel_naks.inc()
         packet = RocePacket(
             src=self.node,
             dst=request_psn_src,
@@ -457,7 +436,6 @@ class RNIC:
             return
         if status == "duplicate":
             self.stats.duplicates += 1
-            self._tel_duplicates.inc()
             # Reads are replayable: re-execute without advancing state.
         reth = packet.reth
         try:
@@ -506,7 +484,6 @@ class RNIC:
             return
         if status == "duplicate":
             self.stats.duplicates += 1
-            self._tel_duplicates.inc()
         opcode = packet.bth.opcode
         if opcode in CARRIES_RETH:
             context = _WriteContext(
@@ -564,7 +541,6 @@ class RNIC:
             # we deliver the ACK anyway and count nothing (tests post recvs).
         else:
             self.stats.duplicates += 1
-            self._tel_duplicates.inc()
         if packet.bth.ack_request:
             self._send_ack(qp, packet.bth.psn, priority=packet.priority)
 
@@ -573,7 +549,6 @@ class RNIC:
         entry = qp.find_outstanding_by_psn(packet.bth.psn)
         if entry is None:
             self.stats.duplicates += 1
-            self._tel_duplicates.inc()
             return
         offset = psn_distance(entry.first_psn, packet.bth.psn) * self.config.mtu_bytes
         if entry.wr.local_addr:
@@ -643,23 +618,7 @@ class RNIC:
             elif entry.wr.work_type is WorkType.WRITE:
                 self._emit_write_train(qp, entry)
             elif entry.wr.work_type is WorkType.SEND:
-                # Re-emit the SEND packet with its original PSN.
-                payload = entry.wr.inline_payload or self._dma_read_local(
-                    entry.wr.local_addr, entry.wr.length
-                )
-                packet = RocePacket(
-                    src=self.node,
-                    dst=qp.remote_node,
-                    bth=Bth(
-                        opcode=OP_SEND_ONLY,
-                        dest_qp=qp.remote_qpn,
-                        psn=entry.first_psn,
-                        ack_request=True,
-                    ),
-                    payload=payload,
-                    priority=self.config.priority,
-                )
-                self._transmit(packet, qp)
+                self._emit_send(qp, entry)
 
     def _arm_timer(self, qp: QueuePair) -> None:
         if qp.qpn in self._timer_armed:
@@ -679,6 +638,5 @@ class RNIC:
             return
         if self.sim.now - oldest.issued_at >= self.config.retransmit_timeout_ns:
             self.stats.retransmit_timeouts += 1
-            self._tel_timeouts.inc()
             self._go_back_n(qp)
         self._arm_timer(qp)

@@ -67,9 +67,7 @@ class PacketSniffer:
         """Record every packet delivered to ``nic``.
 
         Registers via :meth:`~repro.rdma.nic.RNIC.add_rx_hook`, so the
-        tap *chains* with hooks installed before or after it — a later
-        ``nic.rx_hook = ...`` assignment can no longer silently replace
-        the sniffer.
+        tap *chains* with hooks installed before or after it.
         """
         name = tap_name or f"rx@{nic.node}"
         nic.add_rx_hook(lambda packet: self._record(name, packet))

@@ -36,6 +36,7 @@ Hot-path design notes:
 from __future__ import annotations
 
 import heapq
+import weakref
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -325,6 +326,7 @@ class Simulator:
         "_tel_spawns",
         "events_dispatched",
         "sanitizer",
+        "__weakref__",
     )
 
     def __init__(
@@ -362,7 +364,10 @@ class Simulator:
         when telemetry is disabled.
         """
         self.telemetry = telemetry
-        telemetry.bind_clock(lambda: self.now)
+        # Weakly: a telemetry object outliving this run (the CLI's
+        # --json/--metrics one) must not keep the whole testbed alive.
+        sim_ref = weakref.ref(self)
+        telemetry.bind_clock(lambda: sim_ref().now)
         self._tel_events = telemetry.counter("sim.events_dispatched")
         self._tel_spawns = telemetry.counter("sim.processes_spawned")
 

@@ -37,6 +37,7 @@ __all__ = [
     "PRIORITY_NORMAL",
     "PRIORITY_LOW",
     "Switch",
+    "SwitchStats",
 ]
 
 #: Numerically lower = served first at every egress arbiter.
@@ -183,18 +184,16 @@ class Link:
         self._deliver_callback = self._deliver_next
         tel = sim.telemetry
         self._tel = tel
-        self._tel_tx_packets = tel.counter(f"link.{name}.tx_packets")
-        self._tel_tx_bytes = tel.counter(f"link.{name}.tx_bytes")
-        self._tel_drops = tel.counter(f"link.{name}.drops")
+        tel.expose(f"link.{name}", self.stats)
         self._tel_queue_depth = tel.gauge(f"link.{name}.queue_depth")
-        self._tel_busy_ns = tel.gauge(f"link.{name}.busy_ns")
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Enqueue ``packet`` for transmission."""
         priority = min(max(packet.priority, 0), self.num_priorities - 1)
         self._queues[priority].append(packet)
-        self._tel_queue_depth.set(self.queued_packets())
+        if self._tel.enabled:
+            self._tel_queue_depth.set(self.queued_packets())
         if not self._busy:
             self._transmit_next()
 
@@ -220,7 +219,6 @@ class Link:
         )
         self.stats.busy_ns += serialization
         if self._tel.enabled:
-            self._tel_busy_ns.set(self.stats.busy_ns)
             self._tel_queue_depth.set(self.queued_packets())
             self._tel.complete(
                 "link.tx", self.sim.now, self.sim.now + serialization,
@@ -235,7 +233,6 @@ class Link:
         packet = self._serializing.popleft()
         if self.fault_injector is not None and self.fault_injector.should_drop(packet):
             self.stats.packets_dropped += 1
-            self._tel_drops.inc()
             # The wire consumed the packet: return pooled shells to their
             # free-list (TCP segments have no release and fall through).
             release = getattr(packet, "release", None)
@@ -243,8 +240,6 @@ class Link:
                 release()
         else:
             self.stats.record(packet)
-            self._tel_tx_packets.inc()
-            self._tel_tx_bytes.inc(packet.size_bytes)
             self._propagating.append(packet)
             self.sim.call_after(self.propagation_delay_ns, self._deliver_callback)
         self._transmit_next()
@@ -287,6 +282,16 @@ class DuplexLink:
         )
 
 
+@dataclass
+class SwitchStats:
+    """Per-switch packet counters."""
+
+    packets_forwarded: int = 0
+    packets_consumed: int = 0
+    packets_generated: int = 0
+    packets_unroutable: int = 0
+
+
 #: A pipeline hook: receives (packet, ingress link) and returns the list of
 #: packets to forward.  Returning ``[]`` consumes the packet; returning new
 #: packets models data-plane generation/recycling.
@@ -313,19 +318,12 @@ class Switch:
         self.forward_delay_ns = forward_delay_ns
         self._ports: dict[str, Link] = {}
         self.pipeline: Optional[PipelineFn] = None
-        self.packets_forwarded = 0
-        self.packets_consumed = 0
-        self.packets_generated = 0
-        self.packets_unroutable = 0
+        self.stats = SwitchStats()
         # Forward delay is constant, so pending (egress, packet) pairs
         # drain FIFO through one cached callback.
         self._forward_pending: deque[tuple[Link, Packet]] = deque()
         self._forward_callback = self._forward_next
-        tel = sim.telemetry
-        self._tel_forwarded = tel.counter(f"switch.{name}.forwarded")
-        self._tel_consumed = tel.counter(f"switch.{name}.consumed")
-        self._tel_generated = tel.counter(f"switch.{name}.generated")
-        self._tel_unroutable = tel.counter(f"switch.{name}.unroutable")
+        sim.telemetry.expose(f"switch.{name}", self.stats)
 
     # ------------------------------------------------------------------
     def attach(self, node_id: str, egress_link: Link) -> None:
@@ -347,12 +345,10 @@ class Switch:
         if self.pipeline is not None:
             outputs = self.pipeline(packet, link)
             if not outputs:
-                self.packets_consumed += 1
-                self._tel_consumed.inc()
+                self.stats.packets_consumed += 1
                 return
             if len(outputs) != 1 or outputs[0] is not packet:
-                self.packets_generated += len(outputs)
-                self._tel_generated.inc(len(outputs))
+                self.stats.packets_generated += len(outputs)
             for out in outputs:
                 self._forward(out)
         else:
@@ -360,23 +356,20 @@ class Switch:
 
     def inject(self, packet: Packet) -> None:
         """Data-plane packet generation: send without an ingress port."""
-        self.packets_generated += 1
-        self._tel_generated.inc()
+        self.stats.packets_generated += 1
         self._forward(packet)
 
     def _forward(self, packet: Packet) -> None:
         egress = self._ports.get(packet.dst)
         if egress is None:
-            self.packets_unroutable += 1
-            self._tel_unroutable.inc()
+            self.stats.packets_unroutable += 1
             # Terminal consumption: an unroutable pooled packet goes back
             # to its free-list instead of leaking.
             release = getattr(packet, "release", None)
             if release is not None:
                 release()
             return
-        self.packets_forwarded += 1
-        self._tel_forwarded.inc()
+        self.stats.packets_forwarded += 1
         self._forward_pending.append((egress, packet))
         self.sim.call_after(self.forward_delay_ns, self._forward_callback)
 

@@ -5,7 +5,8 @@ reproduction carries one cross-cutting observability layer instead of
 ad-hoc per-experiment accounting.  A :class:`Telemetry` object bundles
 
 * a hierarchical :class:`~repro.telemetry.metrics.MetricsRegistry`
-  (``nic.compute.tx_bytes``, ``qp.103.retransmits``, ...),
+  (``nic.compute.tx_bytes``, ``qp.103.retransmits``, ...) that holds
+  instruments and reads the stats objects components expose,
 * a :class:`~repro.telemetry.spans.Tracer` recording spans against the
   *simulated* clock (RDMA verbs, link serialization, engine phases), and
 * exporters — Chrome ``trace_event`` JSON for Perfetto, JSONL, and flat
@@ -108,6 +109,9 @@ class Telemetry:
 
     def histogram(self, name: str, bounds=None) -> Histogram:
         return self.metrics.histogram(name, bounds)
+
+    def expose(self, prefix: str, stats) -> None:
+        self.metrics.expose(prefix, stats)
 
     # -- tracing pass-throughs ------------------------------------------
     def bind_clock(self, clock) -> None:

@@ -1,10 +1,16 @@
-"""Hierarchical metrics: counters, gauges, and log-bucket histograms.
+"""Hierarchical metrics: counters, gauges, histograms and exposed stats.
 
-Components register instruments under stable dotted names —
-``nic.compute.tx_bytes``, ``qp.103.retransmits``, ``p4.probe_rounds``,
-``spot.batch_flushes`` — into one :class:`MetricsRegistry` per
-:class:`~repro.telemetry.Telemetry` instance.  ``snapshot()`` flattens
-everything into a plain dict for JSON dumps and assertions.
+Metrics live under stable dotted names — ``nic.compute.tx_bytes``,
+``qp.103.retransmits``, ``p4.probe_rounds``, ``spot.batches_flushed`` —
+in one :class:`MetricsRegistry` per :class:`~repro.telemetry.Telemetry`
+instance.  ``snapshot()`` flattens everything into a plain dict for JSON
+dumps and assertions.
+
+Components that already count events in a stats dataclass (NICs, links,
+the switch, both Cowbird engines) do not mirror those counts into
+instruments: they :meth:`~MetricsRegistry.expose` the stats object once,
+and the registry reads its numeric fields at snapshot time.  So every
+event is counted once, and an untraced run pays nothing for it.
 
 Every instrument has a *null* twin whose mutators are no-ops; the null
 registry hands those out so that instrumented hot paths cost one
@@ -13,6 +19,7 @@ attribute load and one no-op call when telemetry is disabled.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterable, Optional
 
 __all__ = [
@@ -186,6 +193,31 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, object] = {}
+        #: name -> (stats object, field name) sources summed at snapshot.
+        self._exposed: dict[str, list[tuple[object, str]]] = {}
+
+    def expose(self, prefix: str, stats) -> None:
+        """Publish the numeric fields of dataclass ``stats`` as ``prefix.<field>``.
+
+        The registry holds ``stats`` itself (never its owner) and reads
+        the fields at :meth:`snapshot` time.  Sources under one name sum,
+        together with a counter of that name (how :meth:`merge_snapshot`
+        folds in other runs); a name held by a gauge or histogram raises
+        ``TypeError``.
+        """
+        for spec in dataclasses.fields(stats):
+            value = getattr(stats, spec.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                continue
+            name = f"{prefix}.{spec.name}"
+            existing = self._instruments.get(name)
+            if existing is not None and type(existing) is not Counter:
+                raise TypeError(
+                    f"metric {name!r} already registered as "
+                    f"{type(existing).__name__}"
+                )
+            _validate_name(name)
+            self._exposed.setdefault(name, []).append((stats, spec.name))
 
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
@@ -204,6 +236,7 @@ class MetricsRegistry:
                     f"{type(existing).__name__}"
                 )
             return existing
+        self._check_not_exposed(name)
         _validate_name(name)
         instrument = Histogram(name, bounds)
         self._instruments[name] = instrument
@@ -218,10 +251,16 @@ class MetricsRegistry:
                     f"{type(existing).__name__}"
                 )
             return existing
+        if cls is not Counter:
+            self._check_not_exposed(name)
         _validate_name(name)
         instrument = cls(name)
         self._instruments[name] = instrument
         return instrument
+
+    def _check_not_exposed(self, name: str) -> None:
+        if name in self._exposed:
+            raise TypeError(f"metric {name!r} already exposed by a stats object")
 
     # ------------------------------------------------------------------
     def merge_snapshot(self, snapshot: dict) -> None:
@@ -254,14 +293,23 @@ class MetricsRegistry:
                 self.counter(name).inc(value)
 
     def names(self, prefix: str = "") -> list[str]:
-        return sorted(n for n in self._instruments if n.startswith(prefix))
+        return sorted(
+            n for n in self._instruments.keys() | self._exposed.keys()
+            if n.startswith(prefix)
+        )
 
     def snapshot(self, prefix: str = "") -> dict:
         """Flat ``{name: value}`` dict; histograms expand to sub-dicts."""
         out: dict = {}
         for name in self.names(prefix):
-            instrument = self._instruments[name]
-            if isinstance(instrument, Histogram):
+            instrument = self._instruments.get(name)
+            sources = self._exposed.get(name)
+            if sources is not None:
+                total = instrument.value if instrument is not None else 0  # type: ignore[union-attr]
+                for stats, field_name in sources:
+                    total += getattr(stats, field_name)
+                out[name] = total
+            elif isinstance(instrument, Histogram):
                 out[name] = instrument.to_dict()
             elif isinstance(instrument, Gauge):
                 out[name] = {"value": instrument.value, "max": instrument.max_value}
@@ -270,11 +318,14 @@ class MetricsRegistry:
         return out
 
     def __len__(self) -> int:
-        return len(self._instruments)
+        return len(self._instruments.keys() | self._exposed.keys())
 
 
 class NullRegistry(MetricsRegistry):
     """Registry that hands out shared no-op instruments and stores nothing."""
+
+    def expose(self, prefix: str, stats) -> None:
+        pass
 
     def counter(self, name: str) -> Counter:
         return NULL_COUNTER

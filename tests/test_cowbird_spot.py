@@ -182,7 +182,7 @@ class TestBatching:
                     done += len(events)
 
             run_app(dep, app())
-            return dep.compute.nic.stats.packets_in
+            return dep.compute.nic.stats.rx_packets
 
         # Batched responses mean far fewer packets hit the compute RNIC.
         assert run_with(batch_size=32) < run_with(batch_size=1)

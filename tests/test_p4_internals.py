@@ -144,13 +144,13 @@ class TestCumulativeAckAcrossPsnWrap:
         channel.send_psn = PSN_MODULUS - 2
         first, second = _app_op(state, RwType.READ, 1), _app_op(state, RwType.READ, 2)
         meta = channel.emit_read(0x1000, 100, kind="meta", instance=state)
-        train = channel.begin_write(3000, kind="resp_write", parent=first, instance=state)
+        train = channel.open_op(3000, kind="resp_write", parent=first, instance=state)
         fetch = channel.emit_read(
             0x2000, 100, kind="write_fetch",
             parent=_app_op(state, RwType.WRITE, 1), instance=state,
         )
-        red = channel.begin_write(40, kind="red_update", parent=None, instance=state)
-        later = channel.begin_write(2048, kind="resp_write", parent=second, instance=state)
+        red = channel.open_op(40, kind="red_update", parent=None, instance=state)
+        later = channel.open_op(2048, kind="resp_write", parent=second, instance=state)
         assert [op.first_psn for op in channel.inflight] == [
             PSN_MODULUS - 2, PSN_MODULUS - 1, 2, 3, 4,
         ]
@@ -182,7 +182,7 @@ class TestCumulativeAckAcrossPsnWrap:
             0, 1024, kind="read_fetch", parent=reads[0], instance=state, rkey=rkey
         )
         write = _app_op(state, RwType.WRITE, 1)
-        train = channel.begin_write(2048, kind="pool_write", parent=write, instance=state)
+        train = channel.open_op(2048, kind="pool_write", parent=write, instance=state)
         fetch2 = channel.emit_read(
             1024, 2048, kind="read_fetch", parent=reads[1], instance=state, rkey=rkey
         )
@@ -202,9 +202,9 @@ class TestCumulativeAckAcrossPsnWrap:
             0x2000, 100, kind="write_fetch",
             parent=_app_op(state, RwType.WRITE, 1), instance=state,
         )
-        channel.begin_write(3000, kind="resp_write",
+        channel.open_op(3000, kind="resp_write",
                             parent=_app_op(state, RwType.READ, 1), instance=state)
-        channel.begin_write(40, kind="red_update", parent=None, instance=state)
+        channel.open_op(40, kind="red_update", parent=None, instance=state)
         engine._go_back_n(channel)
         # Rewound to the oldest op's PSN and replayed in order: the write
         # fetch and the red block update; the meta read is regenerated by
@@ -213,10 +213,10 @@ class TestCumulativeAckAcrossPsnWrap:
         fetch, red = channel.inflight
         assert (fetch.kind, fetch.first_psn) == ("write_fetch", PSN_MODULUS - 2)
         assert (red.kind, red.first_psn) == ("red_update", PSN_MODULUS - 1)
-        train = channel.begin_write(3000, kind="resp_write",
+        train = channel.open_op(3000, kind="resp_write",
                                     parent=_app_op(state, RwType.READ, 2), instance=state)
         meta = channel.emit_read(0x3000, 100, kind="meta", instance=state)
-        red2 = channel.begin_write(40, kind="red_update", parent=None, instance=state)
+        red2 = channel.open_op(40, kind="red_update", parent=None, instance=state)
         _assert_psn_order(channel)
         assert (train.first_psn, train.last_psn) == (0, 2)
         assert self._ack(engine, channel, 1) == [red]

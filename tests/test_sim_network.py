@@ -181,14 +181,14 @@ class TestSwitch:
         sim.run()
         assert len(sink_a.arrivals) == 1
         assert len(sink_b.arrivals) == 1
-        assert switch.packets_forwarded == 2
+        assert switch.stats.packets_forwarded == 2
 
     def test_unroutable_counted_not_crashed(self):
         sim = Simulator()
         switch, _, _ = self.build(sim)
         switch.receive(FakePacket(dst="nowhere"), None)
         sim.run()
-        assert switch.packets_unroutable == 1
+        assert switch.stats.packets_unroutable == 1
 
     def test_duplicate_attach_rejected(self):
         sim = Simulator()
@@ -203,7 +203,7 @@ class TestSwitch:
         switch.receive(FakePacket(dst="b"), None)
         sim.run()
         assert sink_b.arrivals == []
-        assert switch.packets_consumed == 1
+        assert switch.stats.packets_consumed == 1
 
     def test_pipeline_can_rewrite_destination(self):
         sim = Simulator()
@@ -237,7 +237,7 @@ class TestSwitch:
         switch.inject(FakePacket(dst="a"))
         sim.run()
         assert len(sink_a.arrivals) == 1
-        assert switch.packets_generated == 1
+        assert switch.stats.packets_generated == 1
 
     def test_forward_delay_applied(self):
         sim = Simulator()

@@ -102,16 +102,6 @@ class TestHookChaining:
         assert len(sniffer) >= 1
         assert len(seen) == len(later) == len(sniffer)
 
-    def test_legacy_rx_hook_property_round_trips(self):
-        bed = Testbed()
-        host = bed.add_host("h")
-        assert host.nic.rx_hook is None
-        hook = lambda packet: None  # noqa: E731
-        host.nic.rx_hook = hook
-        assert host.nic.rx_hook is hook
-        host.nic.rx_hook = None
-        assert host.nic.rx_hook is None
-
 
 class TestExport:
     def make_capture(self):

@@ -19,6 +19,7 @@ import pytest
 from repro import telemetry
 from repro.experiments import fig01, fig08, fig13
 from repro.experiments.sweep import SweepPoint, run_sweep, sweep_cache_key
+from repro.sim.network import LinkStats
 from repro.telemetry.metrics import MetricsRegistry
 
 # Tiny grids: enough points to exercise ordering and merging, small
@@ -161,12 +162,14 @@ class TestMergeSnapshot:
         shared = MetricsRegistry()
         parts = [MetricsRegistry(), MetricsRegistry()]
         for i, registry in enumerate(parts):
+            stats = LinkStats(packets_sent=3 * (i + 1), busy_ns=2.5 * (i + 1))
             for target in (shared, registry):
                 target.counter("ops").inc(10 * (i + 1))
                 target.gauge("depth").set(5 - i)
                 hist = target.histogram("lat", bounds=(1.0, 10.0, 100.0))
                 hist.observe(3.0 * (i + 1))
                 hist.observe(50.0)
+                target.expose("link.a", stats)
         merged = MetricsRegistry()
         for registry in parts:
             merged.merge_snapshot(registry.snapshot())

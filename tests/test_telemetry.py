@@ -6,8 +6,11 @@ Chrome ``trace_event`` JSON schema, the zero-cost null mode, and — most
 importantly — that enabling telemetry never changes experiment numbers.
 """
 
+import dataclasses
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
@@ -24,7 +27,13 @@ from repro.telemetry import (
     chrome_trace_document,
     log_bucket_bounds,
 )
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    NullRegistry,
+)
 from repro.telemetry.spans import SpanEvent
 
 
@@ -54,6 +63,8 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         with pytest.raises(ValueError):
             reg.counter(name)
+        with pytest.raises(ValueError):
+            reg.expose(name, _Stats())
 
     def test_type_conflict_raises(self):
         reg = MetricsRegistry()
@@ -84,6 +95,67 @@ class TestMetricsRegistry:
         g.add(-3)
         assert g.value == 2
         assert g.max_value == 5
+
+
+@dataclasses.dataclass
+class _Stats:
+    sent: int = 0
+    busy_ns: float = 0.0
+    by_class: dict = dataclasses.field(default_factory=dict)
+    enabled: bool = False
+
+
+class TestExpose:
+    def test_numeric_fields_are_read_at_snapshot_time(self):
+        reg = MetricsRegistry()
+        stats = _Stats()
+        reg.expose("link.a", stats)
+        assert reg.names() == ["link.a.busy_ns", "link.a.sent"]
+        stats.sent += 3
+        stats.busy_ns += 1.5
+        assert reg.snapshot() == {"link.a.busy_ns": 1.5, "link.a.sent": 3}
+        assert len(reg) == 2
+
+    def test_sources_under_one_name_sum(self):
+        reg = MetricsRegistry()
+        first, second = _Stats(sent=2), _Stats(sent=5)
+        reg.expose("nic.compute", first)
+        reg.expose("nic.compute", second)
+        assert reg.snapshot("nic.compute.sent") == {"nic.compute.sent": 7}
+        second.sent += 1
+        assert reg.snapshot()["nic.compute.sent"] == 8
+
+    def test_counter_of_the_same_name_sums_with_sources(self):
+        reg = MetricsRegistry()
+        reg.expose("x", _Stats(sent=4))
+        reg.merge_snapshot({"x.sent": 6})
+        assert reg.snapshot()["x.sent"] == 10
+
+    def test_null_registry_stores_nothing(self):
+        reg = NullRegistry()
+        reg.expose("x", _Stats(sent=1))
+        assert reg.snapshot() == {}
+        assert len(reg) == 0
+        NULL_TELEMETRY.expose("y", _Stats(sent=1))
+        assert NULL_TELEMETRY.snapshot() == {}
+
+    def test_collision_with_gauge_or_histogram_raises(self):
+        reg = MetricsRegistry()
+        reg.gauge("x.sent")
+        with pytest.raises(TypeError):
+            reg.expose("x", _Stats())
+        reg = MetricsRegistry()
+        reg.histogram("x.busy_ns")
+        with pytest.raises(TypeError):
+            reg.expose("x", _Stats())
+        reg = MetricsRegistry()
+        reg.expose("x", _Stats())
+        with pytest.raises(TypeError):
+            reg.gauge("x.sent")
+        with pytest.raises(TypeError):
+            reg.histogram("x.busy_ns")
+        with pytest.raises(TypeError):
+            reg.merge_snapshot({"x.sent": {"value": 1.0, "max": 1.0}})
 
 
 class TestHistogram:
@@ -332,7 +404,7 @@ class TestInstrumentation:
         assert snap["nic.compute.posts"] == 1
         assert snap["nic.compute.tx_packets"] >= 1
         assert snap["nic.pool.rx_packets"] >= 1
-        assert snap["link.compute->switch.tx_bytes"] > 0
+        assert snap["link.compute->switch.bytes_sent"] > 0
         assert snap["sim.events_dispatched"] > 0
 
     def test_spans_cover_verbs_rdma_and_link(self):
@@ -344,6 +416,82 @@ class TestInstrumentation:
         assert names["link.tx"] >= 2  # request out, response back
         # All timestamps are sim-time (the read completes in microseconds).
         assert 0 < tel.tracer.last_timestamp_ns() < 1e9
+
+
+class TestExposedStats:
+    """Component counts reach telemetry through their stats objects."""
+
+    def test_lossy_run_snapshot_equals_component_stats(self):
+        from repro.sim.network import FaultInjector
+        from repro.testbed import Testbed
+
+        tel = Telemetry()
+        with telemetry.activate(tel):
+            bed = Testbed()
+            compute = bed.add_host("compute", cpu_cores=2)
+            pool = bed.add_host("pool")
+            qp_c, _ = bed.connect_qps(compute, pool)
+        # Only the pool's uplink loses packets: the first read response
+        # and the ACK of the first write.
+        pool.uplink.fault_injector = FaultInjector(drop_exactly=[1, 3])
+        remote = pool.registry.register(1 << 12)
+        local = compute.registry.register(1 << 12)
+        local.write(local.base_addr + 1024, b"w" * 64)
+        thread = compute.cpu.thread()
+
+        def ops():
+            for i in range(2):
+                yield from compute.verbs.read_sync(
+                    thread, qp_c, local.base_addr, remote.base_addr + 64 * i,
+                    remote.rkey, 64,
+                )
+                yield from compute.verbs.write_sync(
+                    thread, qp_c, local.base_addr + 1024,
+                    remote.base_addr + 64 * i, remote.rkey, 64,
+                )
+
+        bed.sim.run_until_complete(bed.sim.spawn(ops()), deadline=1e9)
+        snap = tel.snapshot()
+
+        def numeric(stats):
+            return {
+                f.name: getattr(stats, f.name)
+                for f in dataclasses.fields(stats)
+                if isinstance(getattr(stats, f.name), (int, float))
+            }
+
+        components = [(f"switch.{bed.switch.name}", bed.switch.stats)]
+        for host in (compute, pool):
+            components.append((f"nic.{host.name}", host.nic.stats))
+            for link in (host.uplink, bed.switch.port_to(host.name)):
+                components.append((f"link.{link.name}", link.stats))
+        for prefix, stats in components:
+            fields = numeric(stats)
+            assert fields
+            for name, value in fields.items():
+                assert snap[f"{prefix}.{name}"] == value, f"{prefix}.{name}"
+        assert pool.uplink.stats.packets_dropped == 2
+        assert snap[f"link.{pool.uplink.name}.packets_dropped"] == 2
+        assert snap["nic.compute.retransmit_timeouts"] == 2
+        assert compute.nic.stats.retransmit_timeouts == 2
+        assert snap[f"qp.{qp_c.qpn}.retransmits"] == qp_c.retransmissions > 0
+        assert snap["nic.pool.duplicates"] == pool.nic.stats.duplicates > 0
+
+    def test_dropped_testbed_is_not_kept_alive(self):
+        from repro.testbed import Testbed
+
+        tel = Telemetry()
+        with telemetry.activate(tel):
+            bed = Testbed()
+            compute = bed.add_host("compute", cpu_cores=2)
+            pool = bed.add_host("pool")
+            bed.connect_qps(compute, pool)
+        sim_ref = weakref.ref(bed.sim)
+        assert "nic.compute.tx_packets" in tel.snapshot()
+        del bed, compute, pool
+        gc.collect()
+        assert sim_ref() is None
+        assert tel.snapshot()["nic.compute.tx_packets"] == 0
 
 
 class TestDeterminism:
