@@ -11,9 +11,9 @@ loops and tracks:
   sites; packets still outstanding at :meth:`check_end_of_run` are
   reported as leaks with where they were acquired,
 * **timer tokens** — every ``call_at_cancellable`` token is registered
-  with its arming site; tokens neither dispatched nor ``.cancel()``ed
-  by end-of-run are reported (a started engine that is never stopped
-  shows up here),
+  with its arming site; tokens neither fired (directly or through a
+  wrapping callable) nor ``.cancel()``ed by end-of-run are reported
+  (a started engine that is never stopped shows up here),
 * **clock monotonicity** — the event loop asserts dispatch timestamps
   never run backwards,
 * **event-stream digest** — every dispatched event folds into a blake2b
@@ -118,6 +118,7 @@ class SimSanitizer:
                     sim.now = until
                     return until
                 _w, seq, callback = pop(queue)
+                sim.current_seq = seq
                 if when < sim.now:
                     self.monotonic_violations.append((sim.now, when))
                 sim.now = when
@@ -156,6 +157,7 @@ class SimSanitizer:
                         f"process {process.name!r} missed deadline {deadline}"
                     )
                 _w, seq, callback = pop(queue)
+                sim.current_seq = seq
                 if when < sim.now:
                     self.monotonic_violations.append((sim.now, when))
                 sim.now = when
@@ -173,11 +175,11 @@ class SimSanitizer:
     # End-of-run checks
     # ------------------------------------------------------------------
     def armed_tokens(self) -> List[Tuple[EventToken, str]]:
-        """Tokens still queued and not cancelled."""
+        """Tokens neither fired nor cancelled."""
         return [
             (token, site)
             for token, site in self._armed.values()
-            if not token.cancelled
+            if not (token.cancelled or token.fired)
         ]
 
     def outstanding_packets(self) -> List[Tuple[Any, str]]:

@@ -141,13 +141,9 @@ class RNIC:
         #: Per-QP timeout callbacks, created once so re-arming a timer
         #: allocates nothing.
         self._timer_callbacks: dict[int, Callable[[], None]] = {}
-        # Pending FIFOs for the two per-packet scheduling points.  Both
-        # delays are constant per NIC (processing delay) or monotonic
-        # (send slots), so a deque paired with one cached callback
-        # replaces a fresh closure per packet without reordering.
-        self._rx_pending: deque[RocePacket] = deque()
+        # Send slots are monotonic, so pending initiations drain FIFO
+        # through one cached callback instead of a closure per message.
         self._initiate_pending: deque[tuple[QueuePair, WorkRequest]] = deque()
-        self._dispatch_next_callback = self._dispatch_next
         self._initiate_next_callback = self._initiate_next
         #: Taps invoked on every delivered (non-dropped) packet, in
         #: attach order; :meth:`add_rx_hook` chains one more.
@@ -354,22 +350,18 @@ class RNIC:
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
+    @property
+    def rx_delay_ns(self) -> float:
+        """Receive processing latency; the link folds it into delivery."""
+        return self.config.processing_delay_ns
+
     def receive(self, packet, link) -> None:
-        """Endpoint entry: delay by processing latency, then dispatch."""
+        """Endpoint entry, :attr:`rx_delay_ns` after the packet arrived."""
         if not isinstance(packet, RocePacket):
             return  # non-RDMA traffic (e.g. TCP) addressed to this host
         stats = self.stats
         stats.rx_packets += 1
         stats.rx_bytes += packet.size_bytes
-        self._rx_pending.append(packet)
-        self.sim.call_after(
-            self.config.processing_delay_ns, self._dispatch_next_callback
-        )
-
-    def _dispatch_next(self) -> None:
-        self._dispatch(self._rx_pending.popleft())
-
-    def _dispatch(self, packet: RocePacket) -> None:
         try:
             for hook in self._rx_hooks:
                 hook(packet)

@@ -193,10 +193,6 @@ class _Core:
         self.smt = smt
         self.occupants: set[int] = set()
 
-    @property
-    def free_slots(self) -> int:
-        return self.smt - len(self.occupants)
-
 
 class CPU:
     """A pool of physical cores with optional SMT and FIFO admission.
@@ -248,20 +244,26 @@ class CPU:
         """Prefer an empty core; fall back to a core with a free sibling."""
         best: Optional[_Core] = None
         for core in self._cores:
-            if core.free_slots == core.smt:
+            busy = len(core.occupants)
+            if not busy:
                 return core
-            if core.free_slots > 0 and best is None:
+            if best is None and busy < core.smt:
                 best = core
         return best
 
-    def _acquire(self, thread: "Thread") -> Future:
-        future = self.sim.future()
+    def _take_slot(self, thread: "Thread") -> Optional[_Core]:
+        """Give ``thread`` a free slot now, or None if it must queue."""
+        if self._wait_queue:
+            return None
         core = self._pick_core()
-        if core is not None and not self._wait_queue:
+        if core is not None:
             core.occupants.add(thread.thread_id)
-            future.resolve(core)
-        else:
-            self._wait_queue.append((thread, future))
+        return core
+
+    def _wait_for_slot(self, thread: "Thread") -> Future:
+        """Queue ``thread`` FIFO; the future resolves with its core."""
+        future = self.sim.future()
+        self._wait_queue.append((thread, future))
         return future
 
     def _release(self, thread: "Thread", core: _Core) -> None:
@@ -306,12 +308,22 @@ class Thread:
             raise SimulationError(f"negative compute time: {ns}")
         if ns == 0:
             return
-        queue_start = self.sim.now
-        core = yield self.cpu._acquire(self)
-        self.stats.queue_wait_ns += self.sim.now - queue_start
-        duration = ns * self.cpu._slowdown(core)
+        cpu = self.cpu
+        core = cpu._take_slot(self)
+        if core is None:
+            queue_start = self.sim.now
+            core = yield cpu._wait_for_slot(self)
+            self.stats.queue_wait_ns += self.sim.now - queue_start
+        else:
+            queue = self.sim._queue
+            if queue and queue[0][0] <= self.sim.now:
+                # Let this instant's other events run first: one may take
+                # the SMT sibling, which the slowdown below must see.  With
+                # none queued the yield would resume at once: skip it.
+                yield None
+        duration = ns * cpu._slowdown(core)
         yield duration
-        self.cpu._release(self, core)
+        cpu._release(self, core)
         self.stats.charge(tag, ns)
 
     def wait(self, future: Future) -> Generator[Any, Any, Any]:
@@ -329,12 +341,19 @@ class Thread:
         its core inside the communication library until the completion
         arrives (the behaviour Figure 10's communication ratio exposes).
         """
-        queue_start = self.sim.now
-        core = yield self.cpu._acquire(self)
-        self.stats.queue_wait_ns += self.sim.now - queue_start
+        cpu = self.cpu
+        core = cpu._take_slot(self)
+        if core is None:
+            queue_start = self.sim.now
+            core = yield cpu._wait_for_slot(self)
+            self.stats.queue_wait_ns += self.sim.now - queue_start
+        else:
+            queue = self.sim._queue
+            if queue and queue[0][0] <= self.sim.now:
+                yield None
         start = self.sim.now
         value = yield future
-        self.cpu._release(self, core)
+        cpu._release(self, core)
         self.stats.charge(tag, self.sim.now - start)
         return value
 

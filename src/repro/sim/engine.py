@@ -62,19 +62,23 @@ class EventToken:
 
     Cancellation is lazy: the heap entry stays queued and fires as a
     no-op, which keeps cancellation O(1) and leaves the hot scheduling
-    path free of bookkeeping.
+    path free of bookkeeping.  ``fired`` records that the entry came up,
+    whether or not the loop called the token directly (a tracer may wrap
+    it in another callable).
     """
 
-    __slots__ = ("_callback", "cancelled")
+    __slots__ = ("_callback", "cancelled", "fired")
 
     def __init__(self, callback: Callable[[], None]) -> None:
         self._callback = callback
         self.cancelled = False
+        self.fired = False
 
     def cancel(self) -> None:
         self.cancelled = True
 
     def __call__(self) -> None:
+        self.fired = True
         if not self.cancelled:
             self._callback()
 
@@ -325,6 +329,7 @@ class Simulator:
         "_tel_events",
         "_tel_spawns",
         "events_dispatched",
+        "current_seq",
         "sanitizer",
         "__weakref__",
     )
@@ -339,6 +344,9 @@ class Simulator:
         self._sequence = count(1)
         self._live: dict[Process, None] = {}
         self.events_dispatched = 0
+        #: Sequence number of the event being dispatched: events due at
+        #: the same time run in sequence order.
+        self.current_seq = 0
         self.telemetry: Telemetry = NULL_TELEMETRY
         self._tel_events = NULL_TELEMETRY.counter("sim.events_dispatched")
         self._tel_spawns = NULL_TELEMETRY.counter("sim.processes_spawned")
@@ -473,7 +481,7 @@ class Simulator:
                 if until is not None and when > until:
                     self.now = until
                     return until
-                _w, _seq, callback = pop(queue)
+                _w, self.current_seq, callback = pop(queue)
                 self.now = when
                 dispatched += 1
                 # Inline dispatch of the common case — a process resuming
@@ -537,7 +545,7 @@ class Simulator:
                     raise SimulationError(
                         f"process {process.name!r} missed deadline {deadline}"
                     )
-                _w, _seq, callback = pop(queue)
+                _w, self.current_seq, callback = pop(queue)
                 self.now = when
                 dispatched += 1
                 if callback.__class__ is Process:

@@ -18,6 +18,7 @@ The network model captures exactly what the paper's arguments depend on:
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -62,38 +63,40 @@ class Packet(Protocol):
 
 @runtime_checkable
 class Endpoint(Protocol):
-    """Anything that can terminate a link (a NIC, a switch port, a sink)."""
+    """Anything that can terminate a link (a NIC, a switch port, a sink).
+
+    An endpoint that acts on a packet a fixed time after it arrives (a
+    NIC's processing delay) may say so with an ``rx_delay_ns``
+    attribute: the link then calls :meth:`receive` that much after the
+    arrival, folding the delay into its one delivery event.
+    """
 
     def receive(self, packet: Packet, link: "Link") -> None:
         """Handle a packet delivered by ``link``."""
 
 
 class FaultInjector:
-    """Deterministic, seeded packet-loss and corruption injection.
+    """Deterministic, seeded packet-loss injection.
 
     ``drop_rate`` applies uniformly; ``drop_exactly`` drops specific
     1-based packet ordinals (useful for tests that need to kill *the*
-    read response of request 3).
+    read response of request 3).  A corrupted RoCE packet fails its ICRC
+    check and is discarded, so loss also models corruption.
     """
 
     def __init__(
         self,
         seed: int = 0,
         drop_rate: float = 0.0,
-        corrupt_rate: float = 0.0,
         drop_exactly: Optional[Iterable[int]] = None,
     ) -> None:
         if not 0.0 <= drop_rate <= 1.0:
             raise ValueError(f"drop_rate out of range: {drop_rate}")
-        if not 0.0 <= corrupt_rate <= 1.0:
-            raise ValueError(f"corrupt_rate out of range: {corrupt_rate}")
         self._rng = random.Random(seed)
         self.drop_rate = drop_rate
-        self.corrupt_rate = corrupt_rate
         self._drop_exactly = set(drop_exactly or ())
         self._seen = 0
         self.dropped = 0
-        self.corrupted = 0
 
     def should_drop(self, packet: Packet) -> bool:
         self._seen += 1
@@ -102,12 +105,6 @@ class FaultInjector:
             return True
         if self.drop_rate > 0.0 and self._rng.random() < self.drop_rate:
             self.dropped += 1
-            return True
-        return False
-
-    def should_corrupt(self, packet: Packet) -> bool:
-        if self.corrupt_rate > 0.0 and self._rng.random() < self.corrupt_rate:
-            self.corrupted += 1
             return True
         return False
 
@@ -122,11 +119,11 @@ class LinkStats:
     bytes_by_priority: dict[int, int] = field(default_factory=dict)
     busy_ns: float = 0.0
 
-    def record(self, packet: Packet) -> None:
+    def record(self, size_bytes: int, priority: int) -> None:
         self.packets_sent += 1
-        self.bytes_sent += packet.size_bytes
+        self.bytes_sent += size_bytes
         per_prio = self.bytes_by_priority
-        per_prio[packet.priority] = per_prio.get(packet.priority, 0) + packet.size_bytes
+        per_prio[priority] = per_prio.get(priority, 0) + size_bytes
 
     def utilization(self, elapsed_ns: float) -> float:
         if elapsed_ns <= 0:
@@ -137,12 +134,25 @@ class LinkStats:
 class Link:
     """A unidirectional link with strict-priority egress queueing.
 
-    Packets enqueued while the link is serializing wait in per-priority
-    FIFO queues; at each transmit completion the arbiter picks the head
-    of the highest-priority (numerically lowest) non-empty queue.  This
-    is the same strict-priority model Tofino's traffic manager applies,
-    and it is what makes low-priority Cowbird probes consume only idle
-    link cycles.
+    Packets that reach the egress while it is serializing wait in
+    per-priority FIFO queues; each time the egress frees up, the arbiter
+    picks the head of the highest-priority (numerically lowest) queue
+    whose packet has reached the egress.  This is the same
+    strict-priority model Tofino's traffic manager applies, and it is
+    what makes low-priority Cowbird probes consume only idle link cycles.
+
+    Timing is analytic.  The link keeps ``busy_until``, the time its
+    current serialization ends; a packet that finds the egress idle is
+    committed on the spot, with one event at
+    ``start + serialization + propagation + rx_delay_ns``.  Only a packet
+    that queues can cost one more event, the arbiter's wake-up when the
+    egress frees (one wake-up starts every packet whose start falls
+    within ``lookahead_ns``).  A link with a :class:`FaultInjector` keeps one
+    event per step (arrival at the egress, serialization end, arrival at
+    the far end, end of the endpoint's receive delay), because the
+    injector draws once per packet at serialization end and one
+    injector is shared by every link of a testbed: the global order of
+    the draws must not depend on this optimisation.
     """
 
     def __init__(
@@ -172,66 +182,245 @@ class Link:
         #: Per-packet processing cost at the attached NIC's packet
         #: engine; models packet-rate (pps) limits on top of bandwidth.
         self.fixed_packet_overhead_ns = fixed_packet_overhead_ns
+        #: Time between a packet's arrival and the endpoint acting on it:
+        #: the endpoint's own ``rx_delay_ns``, 0 without one.
+        self.rx_delay_ns = getattr(endpoint, "rx_delay_ns", 0.0)
         self.stats = LinkStats()
-        self._queues: list[deque[Packet]] = [deque() for _ in range(num_priorities)]
-        self._busy = False
-        # One packet serializes at a time and propagation delay is a
-        # per-link constant, so both completion points are FIFO: a deque
-        # plus one cached callback replaces a closure per packet.
-        self._serializing: deque[Packet] = deque()
-        self._propagating: deque[Packet] = deque()
-        self._on_serialized_callback = self._on_serialized_next
+        #: When the serialization in progress ends; idle from then on.
+        self.busy_until = 0.0
+        self._busy_start = 0.0
+        self._free_seq = 0
+        #: Minimum time between a :meth:`send` call and the packet's
+        #: ready time.  Every packet that reaches the egress before
+        #: ``now + lookahead_ns`` is therefore known, and the arbiter may
+        #: commit that far ahead; a switch sets its forward delay here.
+        self.lookahead_ns = 0.0
+        # Waiting packets as (ready time, hand-over order, packet), one
+        # FIFO per priority.
+        self._queues: list[deque[tuple[float, int, Packet]]] = [
+            deque() for _ in range(num_priorities)
+        ]
+        self._queued = 0
+        self._handed = 0
+        self._last_ready = 0.0
+        self._wake_armed = False
+        # Delivery times on one link never decrease (each serialization
+        # starts after the previous one ends and the other delays are
+        # constant), so a FIFO plus one cached callback replaces a closure
+        # per packet.
+        self._arriving: deque[Packet] = deque()
         self._deliver_callback = self._deliver_next
+        self._wake_callback = self._wake
+        # Per-step state of the fault-injecting path (see _send_lossy).
+        self._entering: deque[Packet] = deque()
+        self._serializing: Optional[Packet] = None
+        self._propagating: deque[Packet] = deque()
+        self._enter_callback = self._enter_next
+        self._serialized_callback = self._on_serialized
+        self._arrive_callback = self._arrive_next
         tel = sim.telemetry
         self._tel = tel
         tel.expose(f"link.{name}", self.stats)
         self._tel_queue_depth = tel.gauge(f"link.{name}.queue_depth")
 
     # ------------------------------------------------------------------
-    def send(self, packet: Packet) -> None:
-        """Enqueue ``packet`` for transmission."""
-        priority = min(max(packet.priority, 0), self.num_priorities - 1)
-        self._queues[priority].append(packet)
+    def send(self, packet: Packet, ready_at: Optional[float] = None) -> None:
+        """Hand ``packet`` to the egress arbiter.
+
+        The packet reaches the egress at ``ready_at`` (default: now); a
+        switch passes ``now + forward_delay_ns``.  Ready times on one
+        link must not decrease and must be at least ``lookahead_ns`` away.
+        """
+        now = self.sim.now
+        ready = now if ready_at is None else ready_at
+        if ready < self._last_ready or ready < now + self.lookahead_ns:
+            raise ValueError(
+                f"link {self.name}: ready time {ready} is before the last one "
+                f"({self._last_ready}) or within the lookahead"
+            )
+        self._last_ready = ready
         if self._tel.enabled:
-            self._tel_queue_depth.set(self.queued_packets())
-        if not self._busy:
-            self._transmit_next()
+            self._tel_queue_depth.set(self._queued + 1)
+        if self.fault_injector is not None:
+            self._send_lossy(packet, ready)
+            return
+        busy_until = self.busy_until
+        if not self._queued and (
+            busy_until < ready or (busy_until == ready and not self._enters_first())
+        ):
+            self._start(packet, ready)
+        else:
+            self._enqueue(packet, ready)
+            if not self._wake_armed:
+                self._arm_wake()
 
     def queued_packets(self) -> int:
-        return sum(len(q) for q in self._queues)
+        return self._queued
+
+    def set_rx_delay(self, rx_delay_ns: float) -> None:
+        """Change :attr:`rx_delay_ns`; deliveries must stay FIFO, so only
+        while none is pending."""
+        if self._arriving:
+            raise RuntimeError(
+                f"link {self.name}: cannot change the receive delay with "
+                "deliveries pending"
+            )
+        self.rx_delay_ns = rx_delay_ns
 
     # ------------------------------------------------------------------
-    def _pop_next(self) -> Optional[Packet]:
-        for queue in self._queues:
-            if queue:
-                return queue.popleft()
-        return None
+    # Analytic path.  A packet that reaches the egress at the very
+    # instant the serialization in progress ends is arbitrated against
+    # the packets queued then if it reached the egress first, as the
+    # event order of the per-event model had it: the serialization-end
+    # event was scheduled when that serialization started.
+    # ------------------------------------------------------------------
+    def _enters_first(self) -> bool:
+        """Whether a packet handed over now, ready when the egress frees,
+        reaches the egress before the serialization-end it ties with."""
+        if self.lookahead_ns:
+            # The hand-over was scheduled now; the serialization end when
+            # the serialization started.
+            return self.sim.now < self._busy_start
+        return self.sim.current_seq < self._free_seq
 
-    def _transmit_next(self) -> None:
-        packet = self._pop_next()
-        if packet is None:
-            self._busy = False
-            return
-        self._busy = True
+    def _begin(self, packet: Packet, size_bytes: int, start: float) -> float:
+        """Occupy the egress with ``packet`` from ``start``; returns the
+        serialization end."""
         serialization = (
-            transmission_time_ns(packet.size_bytes, self.bandwidth_gbps)
+            transmission_time_ns(size_bytes, self.bandwidth_gbps)
             + self.fixed_packet_overhead_ns
         )
+        end = start + serialization
+        self.busy_until = end
         self.stats.busy_ns += serialization
         if self._tel.enabled:
-            self._tel_queue_depth.set(self.queued_packets())
+            self._tel_queue_depth.set(self._queued)
             self._tel.complete(
-                "link.tx", self.sim.now, self.sim.now + serialization,
+                "link.tx", start, end,
                 process="net", track=self.name,
-                size_bytes=packet.size_bytes, priority=packet.priority,
-                dst=packet.dst,
+                size_bytes=size_bytes, priority=packet.priority, dst=packet.dst,
             )
-        self._serializing.append(packet)
-        self.sim.call_after(serialization, self._on_serialized_callback)
+        return end
 
-    def _on_serialized_next(self) -> None:
-        packet = self._serializing.popleft()
-        if self.fault_injector is not None and self.fault_injector.should_drop(packet):
+    def _start(self, packet: Packet, start: float) -> None:
+        """Commit ``packet``'s serialization at ``start`` and schedule its
+        delivery, all in one step."""
+        size_bytes = packet.size_bytes
+        end = self._begin(packet, size_bytes, start)
+        self._busy_start = start
+        self.stats.record(size_bytes, packet.priority)
+        self._arriving.append(packet)
+        sim = self.sim
+        sequence = sim._sequence
+        if not self.lookahead_ns:
+            # The sequence number the serialization-end event would get.
+            self._free_seq = next(sequence)
+        heapq.heappush(
+            sim._queue,
+            (
+                end + self.propagation_delay_ns + self.rx_delay_ns,
+                next(sequence),
+                self._deliver_callback,
+            ),
+        )
+
+    def _enqueue(self, packet: Packet, ready: float) -> None:
+        priority = min(max(packet.priority, 0), self.num_priorities - 1)
+        self._handed += 1
+        self._queues[priority].append((ready, self._handed, packet))
+        self._queued += 1
+
+    def _next_start(self) -> float:
+        """When the egress next starts a queued packet."""
+        when = min(queue[0][0] for queue in self._queues if queue)
+        return when if when > self.busy_until else self.busy_until
+
+    def _pop_winner(self, start: float) -> Packet:
+        """Remove the queued packet that starts at ``start``."""
+        queues = [queue for queue in self._queues if queue and queue[0][0] <= start]
+        if start == self.busy_until and self.lookahead_ns:
+            if start - self.lookahead_ns >= self._busy_start:
+                # Packets ready right now reach the egress only after it
+                # frees; they do not take part in this arbitration.
+                queues = [queue for queue in queues if queue[0][0] < start] or queues
+                waited = queues[0][0][0] < start
+            else:
+                waited = True
+        else:
+            waited = start == self.busy_until
+        if waited:
+            # The egress frees at ``start``: strict priority among the
+            # packets waiting for it.
+            winner = queues[0]
+        else:
+            # The egress is idle when the packets reach it: they go out in
+            # hand-over order, without arbitration.
+            winner = min(queues, key=lambda queue: queue[0][1])
+        self._queued -= 1
+        return winner.popleft()[2]
+
+    def _arm_wake(self) -> None:
+        self._wake_armed = True
+        when = self._next_start()
+        sim = self.sim
+        # On a link without lookahead the wake takes the place of the
+        # serialization-end event, so it fires exactly where that would.
+        seq = next(sim._sequence) if self.lookahead_ns else self._free_seq
+        heapq.heappush(sim._queue, (when, seq, self._wake_callback))
+
+    def _wake(self) -> None:
+        """Start the next queued packet, and every later one whose start
+        falls inside the lookahead (no unseen packet can compete)."""
+        self._wake_armed = False
+        start = self.sim.now
+        horizon = start + self.lookahead_ns
+        while True:
+            self._start(self._pop_winner(start), start)
+            if not self._queued:
+                return
+            start = self._next_start()
+            if start >= horizon:
+                break
+        self._arm_wake()
+
+    def _deliver_next(self) -> None:
+        self.endpoint.receive(self._arriving.popleft(), self)
+
+    # ------------------------------------------------------------------
+    # Fault-injecting path: one event per step, in the same order as the
+    # per-event model, so the injector's draws keep their global order.
+    # ------------------------------------------------------------------
+    def _send_lossy(self, packet: Packet, ready: float) -> None:
+        if ready > self.sim.now:
+            self._entering.append(packet)
+            self.sim.call_at(ready, self._enter_callback)
+        else:
+            self._enter(packet)
+
+    def _enter_next(self) -> None:
+        self._enter(self._entering.popleft())
+
+    def _enter(self, packet: Packet) -> None:
+        self._enqueue(packet, self.sim.now)
+        if self._serializing is None:
+            self._transmit_next()
+
+    def _transmit_next(self) -> None:
+        for queue in self._queues:
+            if queue:
+                break
+        else:
+            return
+        packet = queue.popleft()[2]
+        self._queued -= 1
+        self._serializing = packet
+        end = self._begin(packet, packet.size_bytes, self.sim.now)
+        self.sim.call_at(end, self._serialized_callback)
+
+    def _on_serialized(self) -> None:
+        packet = self._serializing
+        self._serializing = None
+        if self.fault_injector.should_drop(packet):
             self.stats.packets_dropped += 1
             # The wire consumed the packet: return pooled shells to their
             # free-list (TCP segments have no release and fall through).
@@ -239,13 +428,18 @@ class Link:
             if release is not None:
                 release()
         else:
-            self.stats.record(packet)
+            self.stats.record(packet.size_bytes, packet.priority)
             self._propagating.append(packet)
-            self.sim.call_after(self.propagation_delay_ns, self._deliver_callback)
+            self.sim.call_after(self.propagation_delay_ns, self._arrive_callback)
         self._transmit_next()
 
-    def _deliver_next(self) -> None:
-        self.endpoint.receive(self._propagating.popleft(), self)
+    def _arrive_next(self) -> None:
+        packet = self._propagating.popleft()
+        if self.rx_delay_ns:
+            self._arriving.append(packet)
+            self.sim.call_after(self.rx_delay_ns, self._deliver_callback)
+        else:
+            self.endpoint.receive(packet, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Link({self.name!r}, {self.bandwidth_gbps} Gb/s)"
@@ -319,10 +513,6 @@ class Switch:
         self._ports: dict[str, Link] = {}
         self.pipeline: Optional[PipelineFn] = None
         self.stats = SwitchStats()
-        # Forward delay is constant, so pending (egress, packet) pairs
-        # drain FIFO through one cached callback.
-        self._forward_pending: deque[tuple[Link, Packet]] = deque()
-        self._forward_callback = self._forward_next
         sim.telemetry.expose(f"switch.{name}", self.stats)
 
     # ------------------------------------------------------------------
@@ -331,6 +521,9 @@ class Switch:
         if node_id in self._ports:
             raise ValueError(f"node {node_id!r} already attached")
         self._ports[node_id] = egress_link
+        # Packets reach the egress forward_delay_ns after the switch
+        # hands them over, so the egress may commit that far ahead.
+        egress_link.lookahead_ns = self.forward_delay_ns
 
     def port_to(self, node_id: str) -> Link:
         return self._ports[node_id]
@@ -370,12 +563,9 @@ class Switch:
                 release()
             return
         self.stats.packets_forwarded += 1
-        self._forward_pending.append((egress, packet))
-        self.sim.call_after(self.forward_delay_ns, self._forward_callback)
-
-    def _forward_next(self) -> None:
-        egress, packet = self._forward_pending.popleft()
-        egress.send(packet)
+        # The egress arbiter sees the packet once the forwarding pipeline
+        # is through with it.
+        egress.send(packet, self.sim.now + self.forward_delay_ns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Switch({self.name!r}, ports={sorted(self._ports)})"

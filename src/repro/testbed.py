@@ -13,10 +13,12 @@ code declarative::
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional
 
 from repro.memory.region import RegionRegistry
 from repro.rdma.nic import NicConfig, RNIC
+from repro.rdma.packets import RocePacket
 from repro.rdma.qp import CompletionQueue, QueuePair
 from repro.rdma.verbs import RdmaVerbs
 from repro.sim.cpu import CPU, CostModel
@@ -57,9 +59,26 @@ class Host:
         self.verbs = RdmaVerbs(self.nic, cost)
         self._protocol_handlers: list[Callable] = []
         self.uplink: Optional[Link] = None  # host -> switch
+        self.downlink: Optional[Link] = None  # switch -> host
+        # RoCE packets waiting out the NIC's processing delay once
+        # protocol handlers take deliveries at arrival (see receive).
+        self._nic_pending: deque[tuple[RocePacket, Link]] = deque()
+        self._nic_receive_callback = self._nic_receive_next
+
+    @property
+    def rx_delay_ns(self) -> float:
+        """What the downlink folds into delivery: the NIC's processing
+        delay, or nothing once protocol handlers need arrival times."""
+        return 0.0 if self._protocol_handlers else self.nic.rx_delay_ns
 
     def add_protocol_handler(self, handler: Callable) -> None:
-        """Register a non-RDMA packet handler (e.g. a TCP sink/demux)."""
+        """Register a non-RDMA packet handler (e.g. a TCP sink/demux).
+
+        Handlers see each packet when it arrives, so register them
+        before traffic reaches the host.
+        """
+        if self.downlink is not None:
+            self.downlink.set_rx_delay(0.0)
         self._protocol_handlers.append(handler)
 
     def attach_pool(self, pool) -> None:
@@ -79,9 +98,18 @@ class Host:
         self.nic.registry = pool.registry
 
     def receive(self, packet, link) -> None:
-        self.nic.receive(packet, link)
-        for handler in self._protocol_handlers:
+        handlers = self._protocol_handlers
+        if not handlers:
+            self.nic.receive(packet, link)
+            return
+        if isinstance(packet, RocePacket):
+            self._nic_pending.append((packet, link))
+            self.sim.call_after(self.nic.rx_delay_ns, self._nic_receive_callback)
+        for handler in handlers:
             handler(packet, link)
+
+    def _nic_receive_next(self) -> None:
+        self.nic.receive(*self._nic_pending.popleft())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Host({self.name!r})"
@@ -167,6 +195,7 @@ class Testbed:
         )
         host.nic.attach_link(uplink)
         host.uplink = uplink
+        host.downlink = downlink
         self.switch.attach(name, downlink)
         self.hosts[name] = host
         return host

@@ -115,6 +115,26 @@ class TestTimerTokens:
         assert fired == [True]
         assert sim.sanitizer.check_end_of_run() == []
 
+    def test_token_fired_through_a_wrapper_is_clean(self, monkeypatch):
+        """A tracer that wraps every scheduled callback (as the simulator
+        benchmark's does) hands the loop a plain callable, not the token;
+        the token still counts as fired."""
+        call_at = Simulator.call_at
+
+        def wrapping_call_at(sim, when, callback):
+            return call_at(sim, when, lambda: callback())
+
+        monkeypatch.setattr(Simulator, "call_at", wrapping_call_at)
+        sim = Simulator(sanitize=True)
+        fired = []
+        sim.call_after_cancellable(10.0, lambda: fired.append(True))
+        pending = sim.call_after_cancellable(50.0, lambda: fired.append(False))
+        sim.run(until=20.0)
+        assert fired == [True]
+        assert len(sim.sanitizer.armed_tokens()) == 1
+        pending.cancel()
+        assert sim.sanitizer.check_end_of_run() == []
+
 
 class TestClockAndDigest:
     def test_monotonic_violation_detected(self):

@@ -159,7 +159,7 @@ class TestFaultInjection:
         with pytest.raises(ValueError):
             FaultInjector(drop_rate=1.5)
         with pytest.raises(ValueError):
-            FaultInjector(corrupt_rate=-0.1)
+            FaultInjector(drop_rate=-0.1)
 
 
 class TestSwitch:

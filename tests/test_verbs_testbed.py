@@ -6,6 +6,7 @@ from repro.cowbird.deploy import deploy_cowbird
 from repro.rdma.nic import NicConfig
 from repro.rdma.verbs import RdmaError
 from repro.sim.cpu import CostModel, TAG_COMM
+from repro.sim.tcp import TcpSegment
 from repro.testbed import Testbed
 
 
@@ -142,3 +143,51 @@ class TestDeployHelper:
         dep = deploy_cowbird(engine="none", remote_bytes=4096)
         region = dep.pool_region()
         assert region.length == 4096
+
+
+class TestProtocolHandlers:
+    """A host with protocol handlers takes deliveries at arrival, so the
+    handlers see packets then, while its NIC still acts after the NIC's
+    processing delay."""
+
+    def read_latency(self, with_handler):
+        bed = Testbed()
+        compute = bed.add_host("compute", cpu_cores=2)
+        pool = bed.add_host("pool")
+        seen = []
+        if with_handler:
+            compute.add_protocol_handler(
+                lambda packet, link: seen.append((bed.sim.now, type(packet).__name__))
+            )
+        qp_c, _ = bed.connect_qps(compute, pool)
+        remote = pool.registry.register(1 << 12)
+        local = compute.registry.register(1 << 12)
+        thread = compute.cpu.thread()
+        pool.uplink.send(TcpSegment("pool", "compute", 1250, 1, flow_id=1, sequence=1))
+
+        def op():
+            start = bed.sim.now
+            yield from compute.verbs.read_sync(
+                thread, qp_c, local.base_addr, remote.base_addr, remote.rkey, 64
+            )
+            return bed.sim.now - start
+
+        return bed.sim.run_until_complete(bed.sim.spawn(op()), deadline=1e9), seen
+
+    def test_handler_sees_arrival_and_nic_keeps_its_delay(self):
+        plain, _ = self.read_latency(with_handler=False)
+        latency, seen = self.read_latency(with_handler=True)
+        assert latency == plain
+        # 1250 B at 100 Gb/s is 100 ns per hop, plus 500 ns propagation
+        # per link and the switch's 300 ns forwarding delay.
+        assert seen[0] == (100.0 + 500.0 + 300.0 + 100.0 + 500.0, "TcpSegment")
+        assert {kind for _, kind in seen} == {"TcpSegment", "RocePacket"}
+
+    def test_handlers_refused_with_deliveries_in_flight(self):
+        bed = Testbed()
+        compute = bed.add_host("compute")
+        pool = bed.add_host("pool")
+        bed.connect_qps(compute, pool)
+        bed.switch.inject(TcpSegment("pool", "compute", 64, 1, flow_id=1, sequence=1))
+        with pytest.raises(RuntimeError, match="deliveries pending"):
+            compute.add_protocol_handler(lambda packet, link: None)
