@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
@@ -47,6 +48,10 @@ __all__ = [
     "InstanceDescriptor",
     "PollGroup",
 ]
+
+
+#: The request id of a PollGroup ``(sequence, request_id)`` key.
+_second = operator.itemgetter(1)
 
 
 class BufferFullError(Exception):
@@ -163,7 +168,7 @@ class PollGroup:
             if ids and ids[0][0] <= progress:
                 # (progress + 1,) sorts before every key with that sequence.
                 count = bisect.bisect_left(ids, (progress + 1,))
-                done.extend(request_id for _seq, request_id in ids[:count])
+                done.extend(map(_second, ids[:count]))
         if len(done) > 1:
             done.sort(key=self._stamps.__getitem__)
         return done
@@ -223,6 +228,10 @@ class CowbirdInstance:
         self._next_poll_id = itertools.count(1)
         self._progress_waiters: list = []
         self.remote_regions: dict[int, RemoteRegionHandle] = {}
+        self._red_addr = self.bookkeeping.red_addr
+        #: Whether the red block in memory may differ from ``self.red``:
+        #: set by every write that touches it, cleared by _sync_red.
+        self._red_dirty = False
         # Observe engine RDMA writes to the red block so poll_wait can be
         # event-driven instead of simulating every empty poll.
         self.region.write_watchers.append(self._on_region_write)
@@ -373,13 +382,19 @@ class CowbirdInstance:
         while True:
             # Register for progress *before* checking, so an engine
             # update landing between the check and the wait cannot be
-            # missed (the classic lost-wakeup race).
-            progress = self.sim.future()
-            self._progress_waiters.append(progress)
-            self._sync_red()
+            # missed (the classic lost-wakeup race).  A call whose
+            # deadline has passed cannot wait, so it registers nothing.
+            if deadline is None or deadline > self.sim.now:
+                progress = self.sim.future()
+                self._progress_waiters.append(progress)
+            else:
+                progress = None
+            if self._red_dirty:
+                self._sync_red()
             done_ids = group.completed(self.red)[:max_ret]
             if done_ids or not len(group):
-                self._discard_waiter(progress)
+                if progress is not None:
+                    self._discard_waiter(progress)
                 yield from thread.compute(
                     self.cost.cowbird_poll if done_ids else self.cost.cowbird_poll_empty,
                     tag=TAG_COMM,
@@ -390,7 +405,8 @@ class CowbirdInstance:
                 return events
             yield from thread.compute(self.cost.cowbird_poll_empty, tag=TAG_COMM)
             if deadline is not None and self.sim.now >= deadline:
-                self._discard_waiter(progress)
+                if progress is not None:
+                    self._discard_waiter(progress)
                 return []
             if deadline is None:
                 yield from thread.wait(progress)
@@ -398,6 +414,9 @@ class CowbirdInstance:
                 yield from thread.wait(
                     self.sim.any_of([progress, self.sim.timeout(deadline - self.sim.now)])
                 )
+                if not progress.done:
+                    # The timeout won: the next pass registers afresh.
+                    self._discard_waiter(progress)
 
     # ------------------------------------------------------------------
     # Convenience methods (Section 4.1: "Simple extensions can be made
@@ -499,8 +518,14 @@ class CowbirdInstance:
         self.region.write(self.bookkeeping.green_addr, self.green.pack())
 
     def _sync_red(self) -> None:
-        """Adopt the engine-published red block into local mirrors."""
-        raw = self.region.read(self.bookkeeping.red_addr, RedBlock.SIZE)
+        """Adopt the engine-published red block into local mirrors.
+
+        poll_wait calls this only when ``_red_dirty`` says a write touched
+        the red block since the last sync: the engine republishes it
+        about once per batch, while the application polls far more often.
+        """
+        self._red_dirty = False
+        raw = self.region.read(self._red_addr, RedBlock.SIZE)
         red = RedBlock.unpack(raw)
         if red.request_meta_head > self.metadata_ring.head:
             self.metadata_ring.advance_head(red.request_meta_head)
@@ -515,9 +540,11 @@ class CowbirdInstance:
             pass  # already fired and cleared by _on_region_write
 
     def _on_region_write(self, addr: int, length: int) -> None:
-        """Wake poll_wait sleepers when the engine touches the red block."""
-        red_addr = self.bookkeeping.red_addr
+        """Mark the red block dirty and wake poll_wait sleepers when a
+        write touches it."""
+        red_addr = self._red_addr
         if addr < red_addr + RedBlock.SIZE and addr + length > red_addr:
+            self._red_dirty = True
             waiters, self._progress_waiters = self._progress_waiters, []
             for waiter in waiters:
                 waiter.resolve(None)

@@ -25,6 +25,7 @@ CQE reaping, so per-request CPU cost is a few nanoseconds while the
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from collections import deque
 from dataclasses import dataclass
@@ -42,6 +43,11 @@ __all__ = ["CowbirdSpotEngine", "SpotEngineConfig"]
 
 #: CPU-accounting tag for agent work (it is all communication offload).
 TAG_ENGINE = "engine"
+
+#: Work-request kinds that feed the pipeline (probe and metadata reads).
+_DISCOVERY_KINDS = ("probe", "meta")
+#: What ``_wr_ops`` yields for a work request it does not track.
+_UNTRACKED = (None, None)
 
 
 @dataclass
@@ -246,18 +252,24 @@ class CowbirdSpotEngine:
         )
 
     def _free_staging(self, addr: int, length: int) -> None:
-        """Return a transient slot; coalesce with free neighbours."""
+        """Return a transient slot; coalesce with free neighbours.
+
+        The free list stays sorted with no two ranges touching, so the
+        slot can merge only with the ranges just before and after it.
+        """
         aligned = (length + 63) & ~63
         offset = addr - self.staging.base_addr
-        self._free_ranges.append((offset, aligned))
-        self._free_ranges.sort()
-        merged = []
-        for start, size in self._free_ranges:
-            if merged and merged[-1][0] + merged[-1][1] == start:
-                merged[-1] = (merged[-1][0], merged[-1][1] + size)
-            else:
-                merged.append((start, size))
-        self._free_ranges = merged
+        end = offset + aligned
+        ranges = self._free_ranges
+        index = bisect.bisect_right(ranges, (offset, aligned))
+        if index < len(ranges) and ranges[index][0] == end:
+            end += ranges[index][1]
+            del ranges[index]
+        if index and ranges[index - 1][0] + ranges[index - 1][1] == offset:
+            start = ranges[index - 1][0]
+            ranges[index - 1] = (start, end - start)
+        else:
+            ranges.insert(index, (offset, end - offset))
 
     def start(self) -> None:
         """Spawn the agent's prober and completer loops (one core)."""
@@ -437,26 +449,32 @@ class CowbirdSpotEngine:
     # Completions: stage, batch, write back, bookkeeping
     # ------------------------------------------------------------------
     def _completion_loop(self, thread):
+        wr_ops = self._wr_ops
         while self._running:
             completions = self.cq.poll(max_entries=256)
-            # Handle discovery (probe/meta) completions first: they feed
-            # the pipeline, and delaying them stretches every instance's
-            # probe cadence.
-            completions.sort(
-                key=lambda c: 0 if self._wr_ops.get(c.wr_id, ("",))[0]
-                in ("probe", "meta") else 1
-            )
             if not completions:
                 signal = self.sim.future()
                 self.cq.notify_next_push(signal)
                 yield from thread.wait(signal)
                 continue
+            # Handle discovery (probe/meta) completions first: they feed
+            # the pipeline, and delaying them stretches every instance's
+            # probe cadence.  Each group keeps its completion order.
+            discovery: list[tuple] = []
+            entries: list[tuple] = []
+            for completion in completions:
+                entry = wr_ops.pop(completion.wr_id, _UNTRACKED)
+                if entry[0] in _DISCOVERY_KINDS:
+                    discovery.append(entry)
+                else:
+                    entries.append(entry)
+            if discovery:
+                entries[:0] = discovery
             follow_up: list[tuple[object, WorkRequest]] = []
             yield from thread.compute(
                 self.cost.engine_cqe_batched * len(completions), tag=TAG_ENGINE
             )
-            for completion in completions:
-                kind, payload = self._wr_ops.pop(completion.wr_id, (None, None))
+            for kind, payload in entries:
                 if kind == "probe":
                     state = payload
                     state.probe_inflight = False

@@ -143,15 +143,19 @@ class MemoryRegion:
     def contains(self, addr: int, length: int = 1) -> bool:
         return self.base_addr <= addr and addr + length <= self.end_addr
 
-    def _check_bounds(self, addr: int, length: int) -> int:
+    def _bounds_error(self, addr: int, length: int) -> BoundsError:
+        """The error for an access that failed the inline bounds check.
+
+        Each access path checks ``0 <= addr - base_addr <= self.length -
+        length`` inline (reads also ``length >= 0``), which is
+        :meth:`contains` for a non-negative length.
+        """
         if length < 0:
-            raise BoundsError(f"negative access length: {length}")
-        if not self.contains(addr, length):
-            raise BoundsError(
-                f"access [{addr:#x}, {addr + length:#x}) outside region "
-                f"{self.name!r} [{self.base_addr:#x}, {self.end_addr:#x})"
-            )
-        return addr - self.base_addr
+            return BoundsError(f"negative access length: {length}")
+        return BoundsError(
+            f"access [{addr:#x}, {addr + length:#x}) outside region "
+            f"{self.name!r} [{self.base_addr:#x}, {self.end_addr:#x})"
+        )
 
     def _denied(self, what: str) -> AccessError:
         if self._data is None:
@@ -163,15 +167,21 @@ class MemoryRegion:
         """Local read (no permission distinction from remote for tests)."""
         if not self._local_read:
             raise self._denied("locally readable")
-        offset = self._check_bounds(addr, length)
+        offset = addr - self.base_addr
+        if length < 0 or not 0 <= offset <= self.length - length:
+            raise self._bounds_error(addr, length)
         return self._data[offset : offset + length]
 
     def write(self, addr: int, data: bytes) -> None:
         if not self._local_write:
             raise self._denied("locally writable")
-        offset = self._check_bounds(addr, len(data))
-        self._data[offset : offset + len(data)] = data
-        self._notify_write(addr, len(data))
+        length = len(data)
+        offset = addr - self.base_addr
+        if not 0 <= offset <= self.length - length:
+            raise self._bounds_error(addr, length)
+        self._data[offset : offset + length] = data
+        if self.write_watchers:
+            self._notify_write(addr, length)
 
     def remote_read(self, addr: int, length: int, rkey: int) -> bytes:
         """A responder-side RDMA READ: key + permission + bounds checks."""
@@ -181,7 +191,9 @@ class MemoryRegion:
             )
         if not self._remote_read:
             raise self._denied("remotely readable")
-        offset = self._check_bounds(addr, length)
+        offset = addr - self.base_addr
+        if length < 0 or not 0 <= offset <= self.length - length:
+            raise self._bounds_error(addr, length)
         return self._data[offset : offset + length]
 
     def remote_write(self, addr: int, data: bytes, rkey: int) -> None:
@@ -192,14 +204,19 @@ class MemoryRegion:
             )
         if not self._remote_write:
             raise self._denied("remotely writable")
-        offset = self._check_bounds(addr, len(data))
-        self._data[offset : offset + len(data)] = data
-        self._notify_write(addr, len(data))
+        length = len(data)
+        offset = addr - self.base_addr
+        if not 0 <= offset <= self.length - length:
+            raise self._bounds_error(addr, length)
+        self._data[offset : offset + length] = data
+        if self.write_watchers:
+            self._notify_write(addr, length)
 
     def _notify_write(self, addr: int, length: int) -> None:
-        if self.write_watchers:
-            for watcher in list(self.write_watchers):
-                watcher(addr, length)
+        """Run the write watchers; the access paths call this only when
+        there are any."""
+        for watcher in list(self.write_watchers):
+            watcher(addr, length)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -240,6 +240,78 @@ class TestPollInterface:
         assert events == []
         assert dep.sim.now >= 10_000
 
+    def test_timed_out_waits_leave_no_waiter(self):
+        dep = deploy()
+        inst = dep.instances[0]
+        thread = dep.compute.cpu.thread()
+        left = []
+
+        def app():
+            poll = inst.poll_create()
+            inst.poll_add(poll, (yield from inst.async_read(thread, 0, 0, 32)))
+            for _ in range(5):
+                assert (yield from inst.poll_wait(thread, poll, timeout=5_000)) == []
+                left.append(len(inst._progress_waiters))
+
+        run(dep, app())
+        assert left == [0, 0, 0, 0, 0]
+
+    def test_zero_timeout_poll_registers_nothing(self):
+        class Recording(list):
+            added = 0
+
+            def append(self, item):
+                self.added += 1
+                super().append(item)
+
+        def events_after_progress(timeout):
+            dep = deploy()
+            inst = dep.instances[0]
+            thread = dep.compute.cpu.thread()
+
+            def app():
+                poll = inst.poll_create()
+                for offset in (0, 64):
+                    rid = yield from inst.async_read(thread, 0, offset, 32)
+                    inst.poll_add(poll, rid)
+                inst._progress_waiters = waiters = Recording()
+                assert (yield from inst.poll_wait(thread, poll, timeout=0)) == []
+                push_red(inst, read_progress=2, response_data_tail=64)
+                inst._progress_waiters = waiters
+                events = yield from inst.poll_wait(thread, poll, timeout=timeout)
+                return events, waiters.added
+
+            return run(dep, app())
+
+        events, added = events_after_progress(timeout=0)
+        assert added == 0
+        assert len(events) == 2
+        assert events == events_after_progress(timeout=None)[0]
+
+    @pytest.mark.parametrize("path", ["local", "remote"])
+    def test_red_block_write_seen_by_next_poll(self, path):
+        dep = deploy()
+        inst = dep.instances[0]
+        thread = dep.compute.cpu.thread()
+
+        def app():
+            poll = inst.poll_create()
+            rid = yield from inst.async_read(thread, 0, 0, 32)
+            inst.poll_add(poll, rid)
+            assert (yield from inst.poll_wait(thread, poll, timeout=0)) == []
+            red = RedBlock(read_progress=1, response_data_tail=32).pack()
+            if path == "local":
+                inst.region.write(inst.bookkeeping.red_addr, red)
+            else:
+                inst.region.remote_write(
+                    inst.bookkeeping.red_addr, red, inst.region.rkey
+                )
+            events = yield from inst.poll_wait(thread, poll, timeout=0)
+            return rid, events
+
+        rid, events = run(dep, app())
+        assert [event.request_id for event in events] == [rid]
+
     def test_poll_remove_drops_interest(self):
         dep = deploy()
         inst = dep.instances[0]

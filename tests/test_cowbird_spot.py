@@ -1,5 +1,8 @@
 """Integration tests for the Cowbird-Spot offload engine (Section 6)."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cowbird.deploy import deploy_cowbird
 from repro.cowbird.spot_engine import SpotEngineConfig
@@ -313,3 +316,58 @@ class TestMultiInstance:
         sim.run_until_complete(p1, deadline=100_000_000)
         sim.run_until_complete(p2, deadline=100_000_000)
         assert results == {0: b"AAAA", 1: b"BBBB"}
+
+
+def _sort_and_merge(ranges, offset, aligned):
+    """The staging free-list update as a full sort and merge."""
+    merged = []
+    for start, size in sorted(ranges + [(offset, aligned)]):
+        if merged and merged[-1][0] + merged[-1][1] == start:
+            merged[-1] = (merged[-1][0], merged[-1][1] + size)
+        else:
+            merged.append((start, size))
+    return merged
+
+
+class TestStagingFreeList:
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return deploy_cowbird(
+            engine="spot", spot_config=SpotEngineConfig(staging_bytes=1 << 20)
+        ).engine
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(
+        st.tuples(st.booleans(), st.integers(1, 40_000), st.integers(0, 1 << 16)),
+        max_size=80,
+    ))
+    def test_matches_sort_and_merge(self, engine, steps):
+        """Random first-fit allocations and frees in random order: the
+        incremental free list equals a full sort and merge after every
+        free, so first fit hands out the same addresses."""
+        base = engine.staging.base_addr
+        engine._free_ranges = [
+            (engine._transient_base, engine.staging.length - engine._transient_base)
+        ]
+        want = list(engine._free_ranges)
+        live = []
+        for allocate, length, pick in steps:
+            if allocate or not live:
+                try:
+                    addr = engine._batch_staging(length)
+                except MemoryError:
+                    continue
+                live.append((addr, length))
+                want = list(engine._free_ranges)
+            else:
+                addr, length = live.pop(pick % len(live))
+                want = _sort_and_merge(want, addr - base, (length + 63) & ~63)
+                engine._free_staging(addr, length)
+                assert engine._free_ranges == want
+        for addr, length in live:
+            want = _sort_and_merge(want, addr - base, (length + 63) & ~63)
+            engine._free_staging(addr, length)
+            assert engine._free_ranges == want
+        assert want == [
+            (engine._transient_base, engine.staging.length - engine._transient_base)
+        ]

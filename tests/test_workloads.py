@@ -102,6 +102,14 @@ class TestYcsbWorkload:
         assert value == workload.value_for(42)
         assert value != workload.value_for(43)
 
+    @pytest.mark.parametrize("value_bytes", [*range(1, 18), 64, 512])
+    def test_value_matches_the_reference_formula(self, value_bytes):
+        workload = YcsbWorkload(YcsbConfig(value_bytes=value_bytes))
+        for key in (0, 1, 42, 99_999, 2**40 + 3):
+            unit = ((key * 2654435761) & 0xFFFF_FFFF).to_bytes(4, "little")
+            want = (unit * -(-value_bytes // 4))[:value_bytes]
+            assert workload.value_for(key) == want
+
     def test_record_bytes(self):
         config = YcsbConfig(value_bytes=512)
         assert config.record_bytes == 520
