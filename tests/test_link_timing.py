@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from repro.sim.engine import Simulator
 from repro.sim.network import FaultInjector, Link, Switch
 from repro.sim.units import transmission_time_ns
+from repro.telemetry import Telemetry
 
 PROPAGATION_NS = 500.0
 FORWARD_NS = 300.0
@@ -255,3 +256,63 @@ def test_uplinks_freeing_together_keep_serialization_order():
     log, _ = run(False, plan)
     assert log == run(True, plan)[0]
     assert [label for _, label in log["h2"]] == ["0.0", "1.0", "3.0", "2.0"]
+
+
+# ----------------------------------------------------------------------
+# Link._start inlines Link._begin and LinkStats.record, which the
+# fault-injecting path keeps: with an injector that drops nothing, both
+# paths must record the same spans, stats and deliveries.
+# ----------------------------------------------------------------------
+class Sink:
+    def __init__(self, sim, log):
+        self.sim = sim
+        self.log = log
+
+    def receive(self, packet, link):
+        self.log.append((self.sim.now, packet.label))
+
+
+def run_one_link(lossy: bool, sends):
+    telemetry = Telemetry()
+    sim = Simulator(sanitize=False, telemetry=telemetry)
+    log = []
+    # A bandwidth and overhead off the 10 ns grid, so the inlined float
+    # expression is compared beyond whole numbers.
+    link = Link(
+        sim, "a->b", Sink(sim, log), bandwidth_gbps=40.0,
+        propagation_delay_ns=PROPAGATION_NS, fixed_packet_overhead_ns=3.3,
+        fault_injector=FaultInjector() if lossy else None,
+    )
+
+    def make_send(label, size, priority):
+        return lambda: link.send(Pkt("a", "b", size, priority, label))
+
+    for index, (when, size, priority) in enumerate(sends):
+        sim.call_at(when, make_send(str(index), size, priority))
+    sim.run()
+    spans = sorted(
+        (event.begin_ns, event.end_ns, event.track, sorted(event.attrs.items()))
+        for event in telemetry.tracer.events
+        if event.name == "link.tx"
+    )
+    stats = link.stats
+    return (
+        log,
+        spans,
+        (stats.packets_sent, stats.bytes_sent, stats.bytes_by_priority, stats.busy_ns),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=60).map(lambda t: t * 10.0),
+        st.integers(min_value=1, max_value=5000),
+        PRIORITIES,
+    ),
+    min_size=1, max_size=12,
+))
+def test_inlined_start_matches_the_lossy_path(sends):
+    lossless = run_one_link(False, sends)
+    assert lossless == run_one_link(True, sends)
+    assert len(lossless[1]) == len(sends)

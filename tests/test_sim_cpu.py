@@ -1,5 +1,7 @@
 """Unit tests for the CPU/thread model (repro.sim.cpu)."""
 
+import itertools
+
 import pytest
 
 from repro.sim.cpu import CPU, CostModel, TAG_APP, TAG_COMM
@@ -196,6 +198,69 @@ class TestSmt:
             CPU(sim, physical_cores=0)
         with pytest.raises(ValueError):
             CPU(sim, physical_cores=1, smt=0)
+
+
+class TestInlinedSlotPolicy:
+    """Thread.compute inlines CPU._pick_core, _take_slot and _release and
+    ThreadStats.charge, which spin_wait and _admit_waiters keep: from any
+    core occupancy both must pick the same core."""
+
+    PATTERNS = [
+        busy for busy in itertools.product(range(3), repeat=3) if busy != (2, 2, 2)
+    ]
+
+    @staticmethod
+    def occupied(busy, smt_efficiency=0.7):
+        sim, cpu = make_cpu(cores=3, smt=2, smt_efficiency=smt_efficiency)
+        for core, count in zip(cpu._cores, busy):
+            core.occupants.update(range(-count, 0))
+        return sim, cpu
+
+    @staticmethod
+    def core_of(cpu, thread):
+        (core,) = [core for core in cpu._cores if thread.thread_id in core.occupants]
+        return core
+
+    @pytest.mark.parametrize("busy", PATTERNS)
+    def test_compute_and_spin_wait_pick_the_same_core(self, busy):
+        sim, cpu = self.occupied(busy)
+        expected = cpu._pick_core()
+        shared = len(expected.occupants) > 0
+        thread = cpu.thread()
+        sim.spawn(thread.compute(100.0))
+        sim.run(until=1.0)
+        assert self.core_of(cpu, thread) is expected
+        sim.run()
+        assert sim.now == (100.0 * (1.0 / 0.7) if shared else 100.0)
+        assert thread.stats.cpu_ns == {TAG_APP: 100.0}
+        assert [len(core.occupants) for core in cpu._cores] == list(busy)
+
+        sim, cpu = self.occupied(busy)
+        thread = cpu.thread()
+        sim.spawn(thread.spin_wait(sim.future()))
+        sim.run(until=1.0)
+        assert self.core_of(cpu, thread).index == expected.index
+
+    @pytest.mark.parametrize("freed", PATTERNS)
+    def test_released_slot_goes_where_compute_would_go(self, freed):
+        """A chunk's release admits a queued thread through _admit_waiters
+        onto the core compute itself would pick."""
+        sim, cpu = self.occupied((2, 2, 2))
+        waiter = cpu.thread()
+        sim.spawn(waiter.compute(100.0))
+        sim.run(until=1.0)
+        assert cpu._wait_queue
+        for core, count in zip(cpu._cores, freed):
+            core.occupants.difference_update(range(-2, -count))
+        expected_index = cpu._pick_core().index
+        probe_sim, probe_cpu = self.occupied(freed)
+        probe = probe_cpu.thread()
+        probe_sim.spawn(probe.compute(100.0))
+        probe_sim.run(until=1.0)
+        assert self.core_of(probe_cpu, probe).index == expected_index
+        cpu._admit_waiters()
+        sim.run(until=2.0)
+        assert self.core_of(cpu, waiter).index == expected_index
 
 
 class TestAccounting:
