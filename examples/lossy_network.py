@@ -4,8 +4,10 @@
 Injects random packet loss on every link and drives reads and writes
 through the switch offload engine.  The protocol recovers via data-plane
 timeouts and Go-Back-N re-execution (Section 5.3) — every operation
-still completes with the right bytes, and the engine's counters show how
-much recovery work the loss cost.
+still completes with the right bytes (the example checks them, and exits
+non-zero if one does not), and the engine's counters show how much
+recovery work the loss cost.  Each link draws its losses from its own
+seeded stream.
 
 Run:  python examples/lossy_network.py
 """
@@ -27,9 +29,10 @@ def main() -> None:
         thread = dep.compute.cpu.thread()
         n = 30
 
+        reads = []
+
         def app():
             poll = instance.poll_create()
-            ids = []
             for i in range(n):
                 if i % 3 == 0:
                     request_id = yield from instance.async_write(
@@ -39,17 +42,29 @@ def main() -> None:
                     request_id = yield from instance.async_read(
                         thread, 0, i * 64, 64
                     )
+                    reads.append(request_id)
                 instance.poll_add(poll, request_id)
-                ids.append(request_id)
             done = 0
             while done < n:
                 events = yield from instance.poll_wait(thread, poll, max_ret=32)
                 done += len(events)
 
         dep.sim.run_until_complete(dep.sim.spawn(app()), deadline=30e9)
+        # Reads cover slots no write touches, so they must return zeros;
+        # every write must have landed in the memory pool.
+        pool = dep.pool_region()
+        correct = sum(instance.fetch_response(r) == bytes(64) for r in reads) + sum(
+            pool.read(dep.region.translate(i * 64), 64) == bytes([i]) * 64
+            for i in range(0, n, 3)
+        )
         stats = dep.engine.stats
+        if correct != n or stats.ops_failed:
+            raise SystemExit(
+                f"drop={drop_rate:.0%}: {correct}/{n} correct, "
+                f"{stats.ops_failed} failed"
+            )
         print(
-            f"drop={drop_rate:5.0%}  completed={n}/{n}  "
+            f"drop={drop_rate:5.0%}  correct={correct}/{n}  "
             f"dropped_packets={injector.dropped:4d}  "
             f"go_back_n_events={stats.go_back_n_events:3d}  "
             f"time={dep.sim.now / 1000:8.1f} us"

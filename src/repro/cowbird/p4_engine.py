@@ -73,7 +73,8 @@ class P4EngineConfig:
     probe_interval_ns: float = 2_000.0
     #: Data-plane timeout before Go-Back-N recovery.
     timeout_ns: float = 500_000.0
-    #: Give up on an operation after this many replays.
+    #: Give up on a request after this many replays (counted in
+    #: ``ops_failed``).
     max_retries: int = 16
     #: Probes ride the lowest priority so they only use idle cycles.
     probe_priority: int = PRIORITY_LOW
@@ -107,6 +108,8 @@ class P4EngineStats:
     go_back_n_events: int = 0
     stale_packets: int = 0
     reads_paused: int = 0
+    #: Requests given up after ``max_retries`` replays: never completed.
+    ops_failed: int = 0
 
 
 @dataclass(eq=False, slots=True)
@@ -124,7 +127,6 @@ class _EngineOp:
     expect_bytes: int = 0
     received_bytes: int = 0
     issued_at: float = 0.0
-    retries: int = 0
     parent: Optional["_AppOp"] = None
     instance: Optional["_Instance"] = None
     buffer: bytearray = field(default_factory=bytearray)
@@ -147,6 +149,8 @@ class _AppOp:
     write_train: Optional[_EngineOp] = None
     #: Sim time the switch parsed this request (span begin for telemetry).
     parsed_at: float = 0.0
+    #: Go-Back-N replays so far.
+    retries: int = 0
 
 
 class _Channel:
@@ -299,12 +303,16 @@ class _Channel:
                 return op
         return None
 
-    def retire(self, op: _EngineOp) -> None:
-        """Remove a finished op, or one a replayed parent supersedes."""
+    def retire(self, op: _EngineOp) -> bool:
+        """Remove a finished op, or one a replayed parent supersedes.
+
+        Returns whether ``op`` was still in flight.
+        """
         try:
             self.inflight.remove(op)
         except ValueError:
-            pass  # already gone
+            return False  # already gone
+        return True
 
     def oldest_pending(self) -> Optional[_EngineOp]:
         return self.inflight[0] if self.inflight else None
@@ -624,7 +632,8 @@ class CowbirdP4Engine:
     def _execute_read(self, state: _Instance, app_op: _AppOp) -> None:
         """Phase III step 1a: fetch the requested data from the pool."""
         channel, rkey = self._pool_channel_for(state, app_op.metadata.region_id)
-        self.stats.recycled_packets += 1  # recycled from the Phase II response
+        if not app_op.retries:
+            self.stats.recycled_packets += 1  # recycled from the Phase II response
         app_op.fetch_op = channel.emit_read(
             app_op.metadata.req_addr,
             app_op.metadata.length,
@@ -636,8 +645,11 @@ class CowbirdP4Engine:
 
     def _execute_write(self, state: _Instance, app_op: _AppOp) -> None:
         """Phase III step 1b: fetch the to-be-written data from compute."""
-        state.fetching_writes += 1
         self.stats.recycled_packets += 1
+        self._execute_write_fetch(state, app_op)
+
+    def _execute_write_fetch(self, state: _Instance, app_op: _AppOp) -> None:
+        state.fetching_writes += 1
         app_op.fetch_op = state.data_channel.emit_read(
             app_op.metadata.req_addr,
             app_op.metadata.length,
@@ -773,7 +785,13 @@ class CowbirdP4Engine:
         )
 
     def _go_back_n(self, channel: _Channel) -> None:
-        """Rewind the channel PSN and re-execute everything incomplete."""
+        """Rewind the channel PSN and re-execute everything incomplete.
+
+        Replayed reads go back to the front of the instance's pending
+        queue, in their original order, and obey pause-all-reads like new
+        ones: a replayed write fetches its payload from the compute node
+        again, and a read sent at once could overtake it.
+        """
         pending = list(channel.inflight)
         if not pending:
             return
@@ -785,52 +803,43 @@ class CowbirdP4Engine:
             )
         channel.inflight.clear()
         channel.send_psn = pending[0].first_psn
+        state = pending[0].instance
+        reads = []
         for op in pending:
-            op.retries += 1
-            if op.retries > self.config.max_retries:
-                continue  # dropped; the client will observe a stall
-            if op.kind in ("probe",):
-                op.instance.probe_inflight = False
+            if op.kind == "probe":
+                state.probe_inflight = False
                 continue  # the probe loop regenerates probes
             if op.kind == "meta":
-                op.instance.meta_fetch_inflight = False
-                self._maybe_fetch_metadata(op.instance)
-                continue
-            if op.kind in ("read_fetch", "write_fetch"):
-                # Re-execute Phase III step 1; the stale converted train
-                # (if any) is superseded.
-                app_op = op.parent
-                if app_op.write_train is not None:
-                    app_op.write_train.channel.retire(app_op.write_train)
-                    app_op.write_train = None
-                if op.kind == "read_fetch":
-                    app_op.fetch_op = self._replay_read_fetch(app_op)
-                else:
-                    app_op.fetch_op = op.instance.data_channel.emit_read(
-                        app_op.metadata.req_addr, app_op.metadata.length,
-                        kind="write_fetch", parent=app_op, instance=op.instance,
-                    )
-                continue
-            if op.kind in ("resp_write", "pool_write"):
-                # The switch keeps no payloads: re-fetch from the source.
-                app_op = op.parent
-                app_op.write_train = None
-                if op.kind == "resp_write":
-                    app_op.fetch_op = self._replay_read_fetch(app_op)
-                else:
-                    op.instance.fetching_writes += 1
-                    app_op.fetch_op = op.instance.data_channel.emit_read(
-                        app_op.metadata.req_addr, app_op.metadata.length,
-                        kind="write_fetch", parent=app_op, instance=op.instance,
-                    )
+                state.meta_fetch_inflight = False
+                self._maybe_fetch_metadata(state)
                 continue
             if op.kind == "red_update":
-                self._emit_red_update(op.instance)
-
-    def _replay_read_fetch(self, app_op: _AppOp) -> _EngineOp:
-        state = app_op.instance
-        channel, rkey = self._pool_channel_for(state, app_op.metadata.region_id)
-        return channel.emit_read(
-            app_op.metadata.req_addr, app_op.metadata.length,
-            kind="read_fetch", parent=app_op, instance=state, rkey=rkey,
-        )
+                self._emit_red_update(state)
+                continue
+            # The op executes a request; the switch keeps no payloads, so
+            # a replay fetches from the source again and supersedes the
+            # request's fetch and converted train, on whichever channel.
+            app_op = op.parent
+            fetch = app_op.fetch_op
+            if fetch is not None:
+                # The fetch was in flight if it still sits on its own
+                # channel or is ``op`` (the rewind just cleared it).  A
+                # write fetch cut short gives back its ``fetching_writes``
+                # count; only the fetch re-emitted below takes one again.
+                in_flight = fetch.channel.retire(fetch) or fetch is op
+                if in_flight and fetch.kind == "write_fetch":
+                    state.fetching_writes -= 1
+            if app_op.write_train is not None:
+                app_op.write_train.channel.retire(app_op.write_train)
+                app_op.write_train = None
+            app_op.retries += 1
+            if app_op.retries > self.config.max_retries:
+                # Give up: the request never completes, so the client
+                # sees it stall and ``ops_failed`` says why.
+                self.stats.ops_failed += 1
+            elif op.kind in ("read_fetch", "resp_write"):
+                reads.append(app_op)
+            else:
+                self._execute_write_fetch(state, app_op)
+        state.pending.extendleft(reversed(reads))
+        self._drain_pending(state)

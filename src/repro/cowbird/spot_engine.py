@@ -35,7 +35,7 @@ from repro.cowbird.api import CowbirdInstance, InstanceDescriptor
 from repro.cowbird.buffers import MetadataRing
 from repro.cowbird.engine_core import RequestCore
 from repro.cowbird.wire import GreenBlock, RedBlock, RequestMetadata, RwType
-from repro.rdma.qp import CompletionQueue, WorkRequest, WorkType
+from repro.rdma.qp import CompletionQueue, CompletionStatus, WorkRequest, WorkType
 from repro.sim.network import PRIORITY_HIGH
 from repro.sim.engine import Future
 
@@ -48,6 +48,7 @@ TAG_ENGINE = "engine"
 _DISCOVERY_KINDS = ("probe", "meta")
 #: What ``_wr_ops`` yields for a work request it does not track.
 _UNTRACKED = (None, None)
+_SUCCESS = CompletionStatus.SUCCESS
 
 
 @dataclass
@@ -78,6 +79,11 @@ class SpotEngineStats:
     batch_entries_total: int = 0
     rdma_calls: int = 0
     overlap_stalls: int = 0
+    #: Client requests whose work request completed with an error status
+    #: (the NIC gave up on it): a read or write fetch, a pool write, or
+    #: each read of a batch write.  Failed probes, metadata fetches and
+    #: red-block updates carry no request and are not counted.
+    ops_failed: int = 0
 
     def mean_batch_size(self) -> float:
         if self.batches_flushed == 0:
@@ -464,7 +470,9 @@ class CowbirdSpotEngine:
             entries: list[tuple] = []
             for completion in completions:
                 entry = wr_ops.pop(completion.wr_id, _UNTRACKED)
-                if entry[0] in _DISCOVERY_KINDS:
+                if completion.status is not _SUCCESS:
+                    self._on_failed(*entry)
+                elif entry[0] in _DISCOVERY_KINDS:
                     discovery.append(entry)
                 else:
                     entries.append(entry)
@@ -504,12 +512,7 @@ class CowbirdSpotEngine:
                     self._free_staging(op.staging_addr, op.metadata.length)
                     follow_up.extend(self._on_write_done(op))
                 elif kind == "batch_flush":
-                    # Batch landed: its gather buffer and every member's
-                    # staged payload may now be recycled.
-                    _state, gather_addr, total, members = payload
-                    self._free_staging(gather_addr, total)
-                    for member_addr, member_len in members:
-                        self._free_staging(member_addr, member_len)
+                    self._free_batch(payload)
                 elif kind == "red_update":
                     state_and_slot = payload
                     self._free_staging(state_and_slot[1], RedBlock.SIZE)
@@ -519,6 +522,38 @@ class CowbirdSpotEngine:
                 if state.batch and state.outstanding_read_fetches == 0:
                     follow_up.extend((yield from self._flush_batch(thread, state)))
             yield from self._post_batched(thread, follow_up)
+
+    def _on_failed(self, kind, payload) -> None:
+        """A work request completed with an error: release what it held,
+        count the client requests it carried, but deliver nothing.  A
+        failed read's staging bytes were never written, so they never
+        reach the client; the request stays incomplete, and publication
+        stops in front of it."""
+        if kind == "probe":
+            payload.probe_inflight = False
+        elif kind == "meta":
+            # Parsing restarts where it stood: the next probe refetches.
+            payload[0].meta_fetch_inflight = False
+        elif kind == "read_fetch":
+            self.stats.ops_failed += 1
+            payload.instance.outstanding_read_fetches -= 1
+            self._free_staging(payload.staging_addr, payload.metadata.length)
+        elif kind in ("write_fetch", "pool_write"):
+            self.stats.ops_failed += 1
+            self._free_staging(payload.staging_addr, payload.metadata.length)
+        elif kind == "batch_flush":
+            self.stats.ops_failed += len(payload[3])  # its member reads
+            self._free_batch(payload)
+        elif kind == "red_update":
+            self._free_staging(payload[1], RedBlock.SIZE)
+
+    def _free_batch(self, payload) -> None:
+        """A batch write is done: its gather buffer and every member's
+        staged payload may now be recycled."""
+        _state, gather_addr, total, members = payload
+        self._free_staging(gather_addr, total)
+        for member_addr, member_len in members:
+            self._free_staging(member_addr, member_len)
 
     def _build_pool_write(self, op: _SpotOp):
         state = op.instance

@@ -11,8 +11,8 @@ the reliable-connection protocol:
   host's registered memory *without any host CPU involvement* (this is
   why the memory pool needs no compute, and why the Cowbird compute
   node can have its request queues read remotely for free).
-* **Reliability**: 24-bit PSN validation, cumulative ACKs, NAK on
-  sequence gaps, and Go-Back-N retransmission on NAK or timeout
+* **Reliability**: 24-bit PSN validation, cumulative ACKs, one NAK per
+  sequence error, and Go-Back-N retransmission on NAK or timeout
   (Section 5.3's recovery story ends up exercising exactly this
   machinery).
 * **Pacing**: a per-message initiation gap models the NIC's finite
@@ -387,12 +387,25 @@ class RNIC:
 
     # -- responder side -------------------------------------------------
     def _psn_status(self, qp: QueuePair, psn: int) -> str:
-        """Classify ``psn`` against the responder's expected PSN."""
+        """Classify ``psn`` against the responder's expected PSN.
+
+        The expected PSN ends a sequence error: the next gap may be
+        NAKed again.
+        """
         if psn == qp.expected_psn:
+            qp.nak_pending = False
             return "expected"
         if psn_distance(psn, qp.expected_psn) < PSN_MODULUS // 2:
             return "duplicate"
         return "gap"
+
+    def _nak_sequence_error(self, qp: QueuePair, packet: RocePacket) -> None:
+        """NAK a PSN gap, once per sequence error: the packets behind the
+        lost one all arrive as gaps, and each NAK would cost the requester
+        a full Go-Back-N round."""
+        if not qp.nak_pending:
+            qp.nak_pending = True
+            self._send_nak(qp, packet.src)
 
     def _send_nak(self, qp: QueuePair, request_psn_src: str,
                   priority: Optional[int] = None) -> None:
@@ -424,7 +437,7 @@ class RNIC:
     def _respond_read(self, qp: QueuePair, packet: RocePacket) -> None:
         status = self._psn_status(qp, packet.bth.psn)
         if status == "gap":
-            self._send_nak(qp, packet.src)
+            self._nak_sequence_error(qp, packet)
             return
         if status == "duplicate":
             self.stats.duplicates += 1
@@ -472,7 +485,7 @@ class RNIC:
     def _respond_write(self, qp: QueuePair, packet: RocePacket) -> None:
         status = self._psn_status(qp, packet.bth.psn)
         if status == "gap":
-            self._send_nak(qp, packet.src)
+            self._nak_sequence_error(qp, packet)
             return
         if status == "duplicate":
             self.stats.duplicates += 1
@@ -508,7 +521,7 @@ class RNIC:
     def _respond_send(self, qp: QueuePair, packet: RocePacket) -> None:
         status = self._psn_status(qp, packet.bth.psn)
         if status == "gap":
-            self._send_nak(qp, packet.src)
+            self._nak_sequence_error(qp, packet)
             return
         if status == "expected":
             qp.expected_psn = psn_add(packet.bth.psn, 1)

@@ -174,6 +174,10 @@ class QueuePair:
         # Responder state.
         self.expected_psn = 0
         self.msn = 0
+        #: A sequence-error NAK is out for ``expected_psn``: an RC
+        #: responder sends one per sequence error and sends no other
+        #: until the expected PSN arrives.
+        self.nak_pending = False
         # Stats.
         self.packets_sent = 0
         self.packets_received = 0

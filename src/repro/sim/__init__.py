@@ -22,7 +22,6 @@ from repro.sim.engine import (
 )
 from repro.sim.cpu import CPU, CostModel, Thread, ThreadStats
 from repro.sim.network import (
-    DuplexLink,
     Endpoint,
     FaultInjector,
     Link,
@@ -46,7 +45,6 @@ __all__ = [
     "AnyOf",
     "CPU",
     "CostModel",
-    "DuplexLink",
     "Endpoint",
     "FaultInjector",
     "Future",

@@ -12,8 +12,10 @@ The network model captures exactly what the paper's arguments depend on:
   same three opportunities a Tofino pipeline has — inspect an arriving
   packet, transform it in flight, and generate fresh packets — which is
   the hook :mod:`repro.cowbird.p4_engine` plugs into.
-* **Loss.**  :class:`FaultInjector` drops packets deterministically from a
-  seeded RNG so the Go-Back-N recovery paths (Section 5.3) can be tested.
+* **Loss.**  :class:`FaultInjector` drops packets deterministically, from
+  one seeded loss stream per link, so the Go-Back-N recovery paths
+  (Section 5.3) can be tested.  A link decides a packet's fate when it
+  commits the packet, under the same timing model as lossless traffic.
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Protocol, runtime_checkable
+from typing import Callable, Iterable, Mapping, Optional, Protocol, runtime_checkable
 
 from repro.sim.engine import Simulator
-from repro.sim.units import transmission_time_ns
 
 __all__ = [
-    "DuplexLink",
     "Endpoint",
     "FaultInjector",
     "Link",
@@ -78,55 +78,74 @@ class Endpoint(Protocol):
 
 
 class FaultInjector:
-    """Deterministic, seeded packet-loss injection.
+    """Deterministic, seeded packet loss, drawn from one stream per link.
 
-    ``drop_rate`` applies uniformly; ``drop_exactly`` drops specific
-    1-based packet ordinals (useful for tests that need to kill *the*
-    read response of request 3).  A corrupted RoCE packet fails its ICRC
-    check and is discarded, so loss also models corruption.
+    A link asks :meth:`should_drop` once per packet, when it commits the
+    packet's serialization; commits on one link follow its serialization
+    order.  Each link draws from its own stream,
+    ``random.Random(f"{seed}:{link name}")`` (a string seed gives the
+    same stream in every process), so which packets a link drops does
+    not depend on how other links' events interleave.
+
+    ``drop_rate`` applies uniformly; ``drop_exactly`` maps a link name
+    to the 1-based ordinals of the packets to drop on that link (useful
+    for tests that need to kill *the* read response of request 3).  A
+    corrupted RoCE packet fails its ICRC check and is discarded, so loss
+    also models corruption.
     """
 
     def __init__(
         self,
         seed: int = 0,
         drop_rate: float = 0.0,
-        drop_exactly: Optional[Iterable[int]] = None,
+        drop_exactly: Optional[Mapping[str, Iterable[int]]] = None,
     ) -> None:
         if not 0.0 <= drop_rate <= 1.0:
             raise ValueError(f"drop_rate out of range: {drop_rate}")
-        self._rng = random.Random(seed)
+        if drop_exactly is not None and not isinstance(drop_exactly, Mapping):
+            raise TypeError("drop_exactly maps link names to packet ordinals")
+        self.seed = seed
         self.drop_rate = drop_rate
-        self._drop_exactly = set(drop_exactly or ())
-        self._seen = 0
+        self._drop_exactly = {
+            link: frozenset(ordinals) for link, ordinals in (drop_exactly or {}).items()
+        }
+        #: Packets seen and loss stream, per link name.
+        self._seen: dict[str, int] = {}
+        self._streams: dict[str, random.Random] = {}
         self.dropped = 0
 
-    def should_drop(self, packet: Packet) -> bool:
-        self._seen += 1
-        if self._seen in self._drop_exactly:
+    def should_drop(self, link_name: str) -> bool:
+        """Decide the fate of the next packet ``link_name`` commits."""
+        seen = self._seen[link_name] = self._seen.get(link_name, 0) + 1
+        if seen in self._drop_exactly.get(link_name, ()):
             self.dropped += 1
             return True
-        if self.drop_rate > 0.0 and self._rng.random() < self.drop_rate:
-            self.dropped += 1
-            return True
+        if self.drop_rate > 0.0:
+            stream = self._streams.get(link_name)
+            if stream is None:
+                stream = self._streams[link_name] = random.Random(
+                    f"{self.seed}:{link_name}"
+                )
+            if stream.random() < self.drop_rate:
+                self.dropped += 1
+                return True
         return False
 
 
 @dataclass
 class LinkStats:
-    """Per-link byte/packet counters, split by priority class."""
+    """Per-link byte/packet counters, split by priority class.
+
+    ``packets_sent``, ``bytes_sent`` and ``bytes_by_priority`` count
+    delivered packets; ``busy_ns`` also covers the serializations of
+    dropped ones.
+    """
 
     packets_sent: int = 0
     bytes_sent: int = 0
     packets_dropped: int = 0
     bytes_by_priority: dict[int, int] = field(default_factory=dict)
     busy_ns: float = 0.0
-
-    def record(self, size_bytes: int, priority: int) -> None:
-        # Link._start keeps an inlined copy of this: edit both.
-        self.packets_sent += 1
-        self.bytes_sent += size_bytes
-        per_prio = self.bytes_by_priority
-        per_prio[priority] = per_prio.get(priority, 0) + size_bytes
 
     def utilization(self, elapsed_ns: float) -> float:
         if elapsed_ns <= 0:
@@ -150,12 +169,10 @@ class Link:
     ``start + serialization + propagation + rx_delay_ns``.  Only a packet
     that queues can cost one more event, the arbiter's wake-up when the
     egress frees (one wake-up starts every packet whose start falls
-    within ``lookahead_ns``).  A link with a :class:`FaultInjector` keeps one
-    event per step (arrival at the egress, serialization end, arrival at
-    the far end, end of the endpoint's receive delay), because the
-    injector draws once per packet at serialization end and one
-    injector is shared by every link of a testbed: the global order of
-    the draws must not depend on this optimisation.
+    within ``lookahead_ns``).  A link with a :class:`FaultInjector`
+    decides each packet's fate when it commits it: a dropped packet
+    still occupies the egress for its serialization, then is released
+    without a delivery event.
     """
 
     def __init__(
@@ -166,13 +183,10 @@ class Link:
         bandwidth_gbps: float = 100.0,
         propagation_delay_ns: float = 500.0,
         fault_injector: Optional[FaultInjector] = None,
-        num_priorities: int = 3,
         fixed_packet_overhead_ns: float = 0.0,
     ) -> None:
         if bandwidth_gbps <= 0:
             raise ValueError(f"bandwidth must be positive: {bandwidth_gbps}")
-        if num_priorities < 1:
-            raise ValueError("need at least one priority class")
         if fixed_packet_overhead_ns < 0:
             raise ValueError("packet overhead cannot be negative")
         self.sim = sim
@@ -181,7 +195,6 @@ class Link:
         self.bandwidth_gbps = bandwidth_gbps
         self.propagation_delay_ns = propagation_delay_ns
         self.fault_injector = fault_injector
-        self.num_priorities = num_priorities
         #: Per-packet processing cost at the attached NIC's packet
         #: engine; models packet-rate (pps) limits on top of bandwidth.
         self.fixed_packet_overhead_ns = fixed_packet_overhead_ns
@@ -199,9 +212,9 @@ class Link:
         #: commit that far ahead; a switch sets its forward delay here.
         self.lookahead_ns = 0.0
         # Waiting packets as (ready time, hand-over order, packet), one
-        # FIFO per priority.
+        # FIFO per priority class.
         self._queues: list[deque[tuple[float, int, Packet]]] = [
-            deque() for _ in range(num_priorities)
+            deque() for _ in range(PRIORITY_LOW + 1)
         ]
         self._queued = 0
         self._handed = 0
@@ -214,13 +227,6 @@ class Link:
         self._arriving: deque[Packet] = deque()
         self._deliver_callback = self._deliver_next
         self._wake_callback = self._wake
-        # Per-step state of the fault-injecting path (see _send_lossy).
-        self._entering: deque[Packet] = deque()
-        self._serializing: Optional[Packet] = None
-        self._propagating: deque[Packet] = deque()
-        self._enter_callback = self._enter_next
-        self._serialized_callback = self._on_serialized
-        self._arrive_callback = self._arrive_next
         tel = sim.telemetry
         self._tel = tel
         tel.expose(f"link.{name}", self.stats)
@@ -244,9 +250,6 @@ class Link:
         self._last_ready = ready
         if self._tel.enabled:
             self._tel_queue_depth.set(self._queued + 1)
-        if self.fault_injector is not None:
-            self._send_lossy(packet, ready)
-            return
         busy_until = self.busy_until
         if not self._queued and (
             busy_until < ready or (busy_until == ready and not self._enters_first())
@@ -274,11 +277,11 @@ class Link:
         self.rx_delay_ns = rx_delay_ns
 
     # ------------------------------------------------------------------
-    # Analytic path.  A packet that reaches the egress at the very
-    # instant the serialization in progress ends is arbitrated against
-    # the packets queued then if it reached the egress first, as the
-    # event order of the per-event model had it: the serialization-end
-    # event was scheduled when that serialization started.
+    # A packet that reaches the egress at the very instant the
+    # serialization in progress ends is arbitrated against the packets
+    # queued then if it reached the egress first, as the event order of
+    # the per-event model had it: the serialization-end event was
+    # scheduled when that serialization started.
     # ------------------------------------------------------------------
     def _enters_first(self) -> bool:
         """Whether a packet handed over now, ready when the egress frees,
@@ -289,35 +292,13 @@ class Link:
             return self.sim.now < self._busy_start
         return self.sim.current_seq < self._free_seq
 
-    def _begin(self, packet: Packet, size_bytes: int, start: float) -> float:
-        """Occupy the egress with ``packet`` from ``start``; returns the
-        serialization end.  The fault-injecting path's step; the analytic
-        :meth:`_start` keeps an inlined copy of it: edit both."""
-        serialization = (
-            transmission_time_ns(size_bytes, self.bandwidth_gbps)
-            + self.fixed_packet_overhead_ns
-        )
-        end = start + serialization
-        self.busy_until = end
-        self.stats.busy_ns += serialization
-        if self._tel.enabled:
-            self._tel_queue_depth.set(self._queued)
-            self._tel.complete(
-                "link.tx", start, end,
-                process="net", track=self.name,
-                size_bytes=size_bytes, priority=packet.priority, dst=packet.dst,
-            )
-        return end
-
     def _start(self, packet: Packet, start: float) -> None:
         """Commit ``packet``'s serialization at ``start`` and schedule its
-        delivery, all in one step.
+        delivery, all in one step; it runs once per packet hop.
 
-        This is :meth:`_begin` plus :meth:`LinkStats.record`, inlined: it
-        runs once per packet hop.  The serialization is computed as
-        :func:`~repro.sim.units.transmission_time_ns` computes it.  Those
-        stay for the fault-injecting path, so a change to one copy goes
-        into the other (tests/test_link_timing.py pins them together).
+        The serialization is computed as
+        :func:`~repro.sim.units.transmission_time_ns` computes it.  A
+        packet the fault injector drops occupies the egress all the same.
         """
         size_bytes = packet.size_bytes
         priority = packet.priority
@@ -329,10 +310,6 @@ class Link:
         self._busy_start = start
         stats = self.stats
         stats.busy_ns += serialization
-        stats.packets_sent += 1
-        stats.bytes_sent += size_bytes
-        per_prio = stats.bytes_by_priority
-        per_prio[priority] = per_prio.get(priority, 0) + size_bytes
         if self._tel.enabled:
             self._tel_queue_depth.set(self._queued)
             self._tel.complete(
@@ -340,12 +317,21 @@ class Link:
                 process="net", track=self.name,
                 size_bytes=size_bytes, priority=priority, dst=packet.dst,
             )
-        self._arriving.append(packet)
         sim = self.sim
         sequence = sim._sequence
         if not self.lookahead_ns:
             # The sequence number the serialization-end event would get.
             self._free_seq = next(sequence)
+        if self.fault_injector is not None and self.fault_injector.should_drop(
+            self.name
+        ):
+            self._drop(packet)
+            return
+        stats.packets_sent += 1
+        stats.bytes_sent += size_bytes
+        per_prio = stats.bytes_by_priority
+        per_prio[priority] = per_prio.get(priority, 0) + size_bytes
+        self._arriving.append(packet)
         heapq.heappush(
             sim._queue,
             (
@@ -355,8 +341,16 @@ class Link:
             ),
         )
 
+    def _drop(self, packet: Packet) -> None:
+        self.stats.packets_dropped += 1
+        # The wire consumed the packet: return pooled shells to their
+        # free-list (TCP segments have no release and fall through).
+        release = getattr(packet, "release", None)
+        if release is not None:
+            release()
+
     def _enqueue(self, packet: Packet, ready: float) -> None:
-        priority = min(max(packet.priority, 0), self.num_priorities - 1)
+        priority = min(max(packet.priority, 0), PRIORITY_LOW)
         self._handed += 1
         self._queues[priority].append((ready, self._handed, packet))
         self._queued += 1
@@ -428,94 +422,8 @@ class Link:
     def _deliver_next(self) -> None:
         self.endpoint.receive(self._arriving.popleft(), self)
 
-    # ------------------------------------------------------------------
-    # Fault-injecting path: one event per step, in the same order as the
-    # per-event model, so the injector's draws keep their global order.
-    # ------------------------------------------------------------------
-    def _send_lossy(self, packet: Packet, ready: float) -> None:
-        if ready > self.sim.now:
-            self._entering.append(packet)
-            self.sim.call_at(ready, self._enter_callback)
-        else:
-            self._enter(packet)
-
-    def _enter_next(self) -> None:
-        self._enter(self._entering.popleft())
-
-    def _enter(self, packet: Packet) -> None:
-        self._enqueue(packet, self.sim.now)
-        if self._serializing is None:
-            self._transmit_next()
-
-    def _transmit_next(self) -> None:
-        for queue in self._queues:
-            if queue:
-                break
-        else:
-            return
-        packet = queue.popleft()[2]
-        self._queued -= 1
-        self._serializing = packet
-        end = self._begin(packet, packet.size_bytes, self.sim.now)
-        self.sim.call_at(end, self._serialized_callback)
-
-    def _on_serialized(self) -> None:
-        packet = self._serializing
-        self._serializing = None
-        if self.fault_injector.should_drop(packet):
-            self.stats.packets_dropped += 1
-            # The wire consumed the packet: return pooled shells to their
-            # free-list (TCP segments have no release and fall through).
-            release = getattr(packet, "release", None)
-            if release is not None:
-                release()
-        else:
-            self.stats.record(packet.size_bytes, packet.priority)
-            self._propagating.append(packet)
-            self.sim.call_after(self.propagation_delay_ns, self._arrive_callback)
-        self._transmit_next()
-
-    def _arrive_next(self) -> None:
-        packet = self._propagating.popleft()
-        if self.rx_delay_ns:
-            self._arriving.append(packet)
-            self.sim.call_after(self.rx_delay_ns, self._deliver_callback)
-        else:
-            self.endpoint.receive(packet, self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Link({self.name!r}, {self.bandwidth_gbps} Gb/s)"
-
-
-class DuplexLink:
-    """A pair of opposed unidirectional links between two endpoints."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        endpoint_a: Endpoint,
-        endpoint_b: Endpoint,
-        bandwidth_gbps: float = 100.0,
-        propagation_delay_ns: float = 500.0,
-        fault_injector: Optional[FaultInjector] = None,
-    ) -> None:
-        self.a_to_b = Link(
-            sim,
-            f"{name}:a->b",
-            endpoint_b,
-            bandwidth_gbps=bandwidth_gbps,
-            propagation_delay_ns=propagation_delay_ns,
-            fault_injector=fault_injector,
-        )
-        self.b_to_a = Link(
-            sim,
-            f"{name}:b->a",
-            endpoint_a,
-            bandwidth_gbps=bandwidth_gbps,
-            propagation_delay_ns=propagation_delay_ns,
-            fault_injector=fault_injector,
-        )
 
 
 @dataclass

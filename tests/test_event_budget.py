@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments.common import build_microbench, drive_probe_workload
 from repro.sim.cpu import CostModel
+from repro.sim.network import FaultInjector
 from repro.workloads.hashtable import HashTable, HashTableConfig
 
 #: Measured 11.67 (cowbird-p4) and 14.30 (cowbird) events per op.
@@ -42,3 +43,20 @@ def test_events_per_op_within_budget(system):
     assert result.total_ops == 800
     events_per_op = deployment.sim.events_dispatched / result.total_ops
     assert events_per_op <= BUDGETS[system]
+
+
+@pytest.mark.parametrize("system", sorted(BUDGETS))
+def test_zero_drop_injector_costs_no_events(system):
+    """A link with a fault injector that drops nothing runs the same
+    model as a lossless one: the same events, ending at the same time."""
+    lossless, drive = probe_round(system)
+    drive()
+    lossy, drive = probe_round(system)
+    injector = FaultInjector(seed=1, drop_rate=0.0)
+    for host in lossy.bed.hosts.values():
+        host.uplink.fault_injector = injector
+        host.downlink.fault_injector = injector
+    drive()
+    assert lossy.sim.events_dispatched == lossless.sim.events_dispatched
+    assert lossy.sim.now == lossless.sim.now
+    assert injector.dropped == 0

@@ -14,6 +14,7 @@ import pytest
 from repro.cowbird.deploy import deploy_cowbird
 from repro.cowbird.p4_engine import P4EngineConfig
 from repro.cowbird.wire import RwType, decode_request_id
+from repro.sim.engine import SimulationError
 from repro.sim.network import FaultInjector
 
 REGION_BYTES = 1 << 14
@@ -37,6 +38,19 @@ def random_workload_check(dep, seed, ops=60, deadline=500e9):
     issue_order = {"read": [], "write": []}
     completion_order = {"read": [], "write": []}
     version = 0
+
+    def check(events):
+        for event in events:
+            rw_type, _r, _s = decode_request_id(event.request_id)
+            kind = "read" if rw_type is RwType.READ else "write"
+            completion_order[kind].append(event.request_id)
+            if rw_type is RwType.READ:
+                data = inst.fetch_response(event.request_id)
+                slot, floor = read_window[event.request_id]
+                assert data in history[slot][floor:], (
+                    f"read {event.request_id} of slot {slot} returned a value "
+                    f"never current during its window (stale or corrupt)"
+                )
 
     def app():
         nonlocal version
@@ -65,35 +79,37 @@ def random_workload_check(dep, seed, ops=60, deadline=500e9):
                 thread, poll, max_ret=16,
                 timeout=None if outstanding >= 24 else 0,
             )
-            for event in events:
-                rw_type, _r, _s = decode_request_id(event.request_id)
-                kind = "read" if rw_type is RwType.READ else "write"
-                completion_order[kind].append(event.request_id)
-                if rw_type is RwType.READ:
-                    data = inst.fetch_response(event.request_id)
-                    slot, floor = read_window[event.request_id]
-                    assert data in history[slot][floor:], (
-                        f"read {event.request_id} returned a value never "
-                        f"current during its window (stale or corrupt)"
-                    )
+            check(events)
             outstanding -= len(events)
         while outstanding > 0:
             events = yield from inst.poll_wait(thread, poll, max_ret=16)
-            for event in events:
-                rw_type, _r, _s = decode_request_id(event.request_id)
-                kind = "read" if rw_type is RwType.READ else "write"
-                completion_order[kind].append(event.request_id)
-                if rw_type is RwType.READ:
-                    data = inst.fetch_response(event.request_id)
-                    slot, floor = read_window[event.request_id]
-                    assert data in history[slot][floor:]
+            check(events)
             outstanding -= len(events)
 
-    dep.sim.run_until_complete(dep.sim.spawn(app()), deadline=deadline)
+    # Run in 1 ms windows: a request the engine gives up on never
+    # completes, so the check stops once one is counted instead of
+    # waiting out the deadline.
+    sim = dep.sim
+    process = sim.spawn(app())
+    window_end = sim.now
+    done = False
+    while not done:
+        window_end = min(window_end + 1e6, deadline)
+        try:
+            sim.run_until_complete(process, deadline=window_end)
+            done = True
+        except SimulationError:
+            if (process.completion.done or window_end >= deadline
+                    or not sim.pending_events):
+                raise
+        failed = dep.engine.stats.ops_failed
+        assert failed == 0, f"the engine failed {failed} operations"
     # Per-type linearized order (Section 4.1): completions arrive in
     # exactly the order issued, within each operation type.
-    assert completion_order["read"] == issue_order["read"]
-    assert completion_order["write"] == issue_order["write"]
+    for kind in ("read", "write"):
+        assert completion_order[kind] == issue_order[kind], (
+            f"{kind}s completed out of issue order"
+        )
     # Final pool state = last write per slot (writes complete in issue
     # order, so the last issued write is the last applied).
     pool_region = dep.pool_region()
@@ -128,7 +144,7 @@ class TestSpotLinearizability:
             engine="spot", remote_bytes=REGION_BYTES,
             fault_injector=FaultInjector(seed=seed, drop_rate=0.01),
         )
-        random_workload_check(dep, seed, ops=40)
+        random_workload_check(dep, seed, ops=200)
 
 
 class TestP4Linearizability:
@@ -145,3 +161,59 @@ class TestP4Linearizability:
             p4_config=P4EngineConfig(timeout_ns=100_000),
         )
         random_workload_check(dep, seed, ops=40)
+
+
+class TestErrorCompletions:
+    """A request the transport gives up on fails loudly: the engine
+    counts it in ``ops_failed`` and the client never sees it complete,
+    so no unwritten staging bytes reach it as data."""
+
+    @pytest.mark.parametrize("engine", ["spot", "p4"])
+    def test_read_from_a_dead_pool_fails_and_delivers_nothing(self, engine):
+        dep = deploy_cowbird(
+            engine=engine, remote_bytes=REGION_BYTES,
+            p4_config=P4EngineConfig(timeout_ns=20_000, max_retries=2),
+        )
+        dep.pool_region().write(dep.region.translate(0), b"\x5a" * SLOT_BYTES)
+        # Every packet the pool sends is lost: reads never get data back.
+        dep.pool_host.uplink.fault_injector = FaultInjector(drop_rate=1.0)
+        inst = dep.instances[0]
+        thread = dep.compute.cpu.thread()
+        seen = []
+
+        def app():
+            poll = inst.poll_create()
+            request_id = yield from inst.async_read(thread, 0, 0, SLOT_BYTES)
+            inst.poll_add(poll, request_id)
+            seen.extend((yield from inst.poll_wait(
+                thread, poll, max_ret=1, timeout=5_000_000,
+            )))
+
+        dep.sim.spawn(app())
+        dep.sim.run(until=10_000_000)
+        dep.close()
+        assert dep.engine.stats.ops_failed == 1
+        assert seen == []
+
+    @pytest.mark.parametrize("engine", ["spot", "p4"])
+    def test_failed_probes_are_not_requests(self, engine):
+        """``ops_failed`` counts client requests on both engines: probes
+        into a compute node that answers nothing fail, but none of them
+        carries a request."""
+        dep = deploy_cowbird(
+            engine=engine, remote_bytes=REGION_BYTES,
+            p4_config=P4EngineConfig(timeout_ns=20_000, max_retries=2),
+        )
+        # Every packet the compute node sends is lost: no probe returns.
+        dep.compute.uplink.fault_injector = FaultInjector(drop_rate=1.0)
+        inst = dep.instances[0]
+        thread = dep.compute.cpu.thread()
+
+        def app():
+            yield from inst.async_read(thread, 0, 0, SLOT_BYTES)
+
+        dep.sim.spawn(app())
+        dep.sim.run(until=10_000_000)
+        dep.close()
+        assert dep.engine.stats.requests_parsed == 0
+        assert dep.engine.stats.ops_failed == 0

@@ -88,9 +88,9 @@ class TestChannels:
         assert engine.stats.go_back_n_events == 1
 
 
-def _app_op(state, rw_type, sequence):
+def _app_op(state, rw_type, sequence, length=8):
     metadata = RequestMetadata(
-        rw_type=rw_type, req_addr=0, resp_addr=0, length=8, region_id=0
+        rw_type=rw_type, req_addr=0, resp_addr=0, length=length, region_id=0
     )
     return _AppOp(
         instance=state, sequence=sequence, metadata=metadata,
@@ -223,6 +223,113 @@ class TestCumulativeAckAcrossPsnWrap:
         assert self._ack(engine, channel, 4) == [train, red2]
         assert list(channel.inflight)[:2] == [fetch, meta]
         _assert_psn_order(channel)
+
+
+def _fetch_response(engine, state, fetch, segment, opcode):
+    """One compute-node read-response segment for ``fetch``."""
+    mtu = engine.config.mtu_bytes
+    size = min(mtu, fetch.expect_bytes - segment * mtu)
+    return RocePacket(
+        src="compute", dst=engine.node,
+        bth=Bth(opcode=opcode, dest_qp=state.data_channel.virtual_qpn,
+                psn=psn_add(fetch.first_psn, segment)),
+        aeth=Aeth(syndrome=SYNDROME_ACK, msn=0),
+        payload=b"w" * size,
+    )
+
+
+class TestGoBackNReplay:
+    def test_replayed_read_waits_for_a_replayed_write_fetch(self):
+        """Go-Back-N on a pool channel re-fetches a lost pool write's
+        payload from the compute node; the read replayed with it waits
+        for that fetch (pause-all-reads) instead of overtaking the write,
+        and counts as no new recycled packet."""
+        dep = build()
+        engine = dep.engine
+        state = engine._instances[0]
+        pool = next(iter(state.pool_channels.values()))
+        write = _app_op(state, RwType.WRITE, 1)
+        read = _app_op(state, RwType.READ, 2)
+        engine._execute_write(state, write)
+        engine._pipeline(_fetch_response(
+            engine, state, write.fetch_op, 0, Opcode.RC_RDMA_READ_RESPONSE_ONLY,
+        ), None)
+        engine._execute_read(state, read)
+        recycled = engine.stats.recycled_packets
+
+        engine._go_back_n(pool)
+        assert list(state.pending) == [read]
+        assert not pool.inflight
+        (fetch,) = state.data_channel.inflight
+        assert (fetch.kind, fetch.parent) == ("write_fetch", write)
+        assert state.fetching_writes == 1
+
+        # The payload arrives: the write goes to the pool, then the read.
+        response = _fetch_response(
+            engine, state, fetch, 0, Opcode.RC_RDMA_READ_RESPONSE_ONLY,
+        )
+        assert engine._pipeline(response, None) == []
+        assert [(op.kind, op.parent) for op in pool.inflight] == [
+            ("pool_write", write), ("read_fetch", read),
+        ]
+        assert not state.pending
+        assert state.fetching_writes == 0
+        # One recycle for the converted write data, none for the replay.
+        assert engine.stats.recycled_packets == recycled + 1
+
+    @pytest.mark.parametrize("max_retries", [16, 0])
+    def test_rewind_mid_fetch_keeps_fetching_writes_balanced(self, max_retries):
+        """A two-MTU write opens its pool train on the first fetched
+        segment.  Rewinding the pool channel then supersedes a fetch that
+        is still streaming: its ``fetching_writes`` count is given back,
+        so a queued read drains once the replayed fetch lands (or at once
+        when the write is given up)."""
+        dep = build(max_retries=max_retries)
+        engine = dep.engine
+        state = engine._instances[0]
+        pool = next(iter(state.pool_channels.values()))
+        mtu = engine.config.mtu_bytes
+        write = _app_op(state, RwType.WRITE, 1, length=2 * mtu)
+        read = _app_op(state, RwType.READ, 2)
+        engine._execute_write(state, write)
+        state.pending.append(read)
+        engine._drain_pending(state)
+        assert list(state.pending) == [read]  # paused behind the write
+
+        stale_fetch = write.fetch_op
+        engine._pipeline(_fetch_response(
+            engine, state, stale_fetch, 0, Opcode.RC_RDMA_READ_RESPONSE_FIRST,
+        ), None)
+        assert [op.kind for op in pool.inflight] == ["pool_write"]
+
+        engine._go_back_n(pool)
+        assert stale_fetch not in state.data_channel.inflight
+        # The rest of the superseded fetch is stale.
+        stale = engine.stats.stale_packets
+        engine._pipeline(_fetch_response(
+            engine, state, stale_fetch, 1, Opcode.RC_RDMA_READ_RESPONSE_LAST,
+        ), None)
+        assert engine.stats.stale_packets == stale + 1
+
+        if max_retries == 0:
+            assert engine.stats.ops_failed == 1
+            assert not state.data_channel.inflight
+        else:
+            assert state.fetching_writes == 1
+            assert list(state.pending) == [read]
+            fetch = write.fetch_op
+            for segment, opcode in enumerate((
+                Opcode.RC_RDMA_READ_RESPONSE_FIRST,
+                Opcode.RC_RDMA_READ_RESPONSE_LAST,
+            )):
+                engine._pipeline(
+                    _fetch_response(engine, state, fetch, segment, opcode), None
+                )
+            assert [(op.kind, op.parent) for op in pool.inflight] == [
+                ("pool_write", write), ("read_fetch", read),
+            ]
+        assert state.fetching_writes == 0
+        assert not state.pending
 
 
 class TestProbePolicies:

@@ -199,9 +199,9 @@ class TestTwoSided:
 
 class TestReliability:
     def test_lost_read_response_recovered_by_timeout(self):
-        # Each packet crosses two links (host->switch, switch->host) and the
-        # injector counts per crossing: 1-2 = read request, 3-4 = response.
-        injector = FaultInjector(seed=3, drop_exactly=[3])  # kill the response
+        # The injector counts packets per link: the pool's first packet
+        # out is the read response.
+        injector = FaultInjector(seed=3, drop_exactly={"pool->switch": [1]})
         bed, compute, pool, qp_c, _ = build_bed(fault_injector=injector)
         remote = pool.registry.register(4096)
         local = compute.registry.register(4096)
@@ -216,10 +216,12 @@ class TestReliability:
         run_op(bed, op())
         assert local.read(local.base_addr, 8) == b"survivor"
         assert compute.nic.stats.retransmit_timeouts >= 1
+        assert pool.uplink.stats.packets_dropped == 1
+        assert injector.dropped == 1
 
     def test_lost_write_ack_recovered(self):
-        # Crossings: 1-2 = write packet, 3-4 = ACK; kill the ACK's last hop.
-        injector = FaultInjector(seed=3, drop_exactly=[4])  # kill the ACK
+        # The compute node's first packet in is the ACK: kill its last hop.
+        injector = FaultInjector(seed=3, drop_exactly={"switch->compute": [1]})
         bed, compute, pool, qp_c, _ = build_bed(fault_injector=injector)
         remote = pool.registry.register(4096)
         local = compute.registry.register(4096)
@@ -234,6 +236,8 @@ class TestReliability:
         run_op(bed, op())
         assert remote.read(remote.base_addr, 7) == b"ackless"
         assert pool.nic.stats.duplicates >= 1
+        assert compute.downlink.stats.packets_dropped == 1
+        assert injector.dropped == 1
 
     def test_random_loss_eventually_completes_all_ops(self):
         injector = FaultInjector(seed=11, drop_rate=0.05)
@@ -258,9 +262,9 @@ class TestReliability:
         """Regression: a cumulative ACK for a later WRITE must not
         retire an earlier READ whose response packets were dropped —
         the read has no data and must be retried, not completed."""
-        # Crossings: 1-2 read request, 3 read response (pool->switch,
-        # DROPPED), then the write train and its ACK flow normally.
-        injector = FaultInjector(seed=3, drop_exactly=[3])
+        # The pool's first packet out is the read response (DROPPED);
+        # the write train and its ACK flow normally.
+        injector = FaultInjector(seed=3, drop_exactly={"pool->switch": [1]})
         bed, compute, pool, qp_c, _ = build_bed(fault_injector=injector)
         remote = pool.registry.register(4096)
         local = compute.registry.register(4096)
@@ -289,6 +293,8 @@ class TestReliability:
         assert all(c.status is CompletionStatus.SUCCESS for c in results)
         # The read's data is real, not a garbage buffer.
         assert local.read(local.base_addr, 14) == b"must-see-this!"
+        assert pool.uplink.stats.packets_dropped == 1
+        assert injector.dropped == 1
 
     def test_total_blackhole_exhausts_retries(self):
         injector = FaultInjector(seed=1, drop_rate=1.0)

@@ -1,12 +1,12 @@
 """Unit tests for the network substrate (repro.sim.network, sim.tcp)."""
 
+import random
 from dataclasses import dataclass
 
 import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.network import (
-    DuplexLink,
     FaultInjector,
     Link,
     PRIORITY_HIGH,
@@ -119,30 +119,63 @@ class TestLink:
         with pytest.raises(ValueError):
             Link(sim, "l", sink, bandwidth_gbps=0)
         with pytest.raises(ValueError):
-            Link(sim, "l", sink, num_priorities=0)
+            Link(sim, "l", sink, fixed_packet_overhead_ns=-1.0)
 
 
 class TestFaultInjection:
     def test_no_faults_by_default(self):
         injector = FaultInjector(seed=1)
-        assert not any(injector.should_drop(FakePacket()) for _ in range(100))
+        assert not any(injector.should_drop("l") for _ in range(100))
 
     def test_drop_rate_one_drops_everything(self):
         injector = FaultInjector(seed=1, drop_rate=1.0)
-        assert all(injector.should_drop(FakePacket()) for _ in range(10))
+        assert all(injector.should_drop("l") for _ in range(10))
         assert injector.dropped == 10
 
     def test_drop_exactly_targets_specific_ordinals(self):
-        injector = FaultInjector(seed=1, drop_exactly=[2])
-        results = [injector.should_drop(FakePacket()) for _ in range(4)]
-        assert results == [False, True, False, False]
+        """Ordinals count per link: the second packet committed on
+        ``l`` drops, whatever other links carried in between."""
+        sim = Simulator()
+        injector = FaultInjector(seed=1, drop_exactly={"l": [2]})
+        sinks = {name: Collector(sim) for name in ("l", "m")}
+        links = {
+            name: Link(sim, name, sink, propagation_delay_ns=0,
+                       fault_injector=injector)
+            for name, sink in sinks.items()
+        }
+        for index, name in enumerate(["m", "l", "m", "l", "l", "l"]):
+            links[name].send(FakePacket(label=f"{name}{index}"))
+        sim.run()
+        assert [p.label for _, p in sinks["l"].arrivals] == ["l1", "l4", "l5"]
+        assert [p.label for _, p in sinks["m"].arrivals] == ["m0", "m2"]
+        assert links["l"].stats.packets_dropped == 1
+        assert links["m"].stats.packets_dropped == 0
+        assert injector.dropped == 1
+
+    def test_drop_exactly_names_links(self):
+        with pytest.raises(TypeError):
+            FaultInjector(drop_exactly=[2])
 
     def test_deterministic_across_instances(self):
         a = FaultInjector(seed=7, drop_rate=0.3)
         b = FaultInjector(seed=7, drop_rate=0.3)
-        seq_a = [a.should_drop(FakePacket()) for _ in range(50)]
-        seq_b = [b.should_drop(FakePacket()) for _ in range(50)]
+        seq_a = [a.should_drop("l") for _ in range(50)]
+        seq_b = [b.should_drop("l") for _ in range(50)]
         assert seq_a == seq_b
+
+    def test_links_draw_from_their_own_streams(self):
+        """A link's draws do not depend on other links' traffic, and
+        follow ``random.Random(f"{seed}:{link name}")``."""
+        alone = FaultInjector(seed=7, drop_rate=0.3)
+        shared = FaultInjector(seed=7, drop_rate=0.3)
+        seq_alone = [alone.should_drop("l") for _ in range(50)]
+        seq_shared = []
+        for _ in range(50):
+            shared.should_drop("m")
+            seq_shared.append(shared.should_drop("l"))
+        assert seq_alone == seq_shared
+        stream = random.Random("7:l")
+        assert seq_alone == [stream.random() < 0.3 for _ in range(50)]
 
     def test_dropped_packet_never_delivered(self):
         sim = Simulator()
@@ -154,6 +187,22 @@ class TestFaultInjection:
         sim.run()
         assert sink.arrivals == []
         assert link.stats.packets_dropped == 1
+
+    def test_dropped_packet_occupies_the_egress(self):
+        """A dropped packet is serialized all the same: the packet behind
+        it waits, and busy time covers both."""
+        sim = Simulator()
+        sink = Collector(sim)
+        link = Link(
+            sim, "l", sink, propagation_delay_ns=0,
+            fault_injector=FaultInjector(drop_exactly={"l": [1]}),
+        )
+        link.send(FakePacket(size_bytes=1250, label="lost"))  # 100 ns
+        link.send(FakePacket(size_bytes=1250, label="kept"))
+        sim.run()
+        assert [(t, p.label) for t, p in sink.arrivals] == [(200.0, "kept")]
+        assert link.stats.busy_ns == pytest.approx(200.0)
+        assert (link.stats.packets_sent, link.stats.packets_dropped) == (1, 1)
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
@@ -246,18 +295,6 @@ class TestSwitch:
         sim.run()
         # 100 ns forward delay + 100 ns serialization at 100 Gb/s
         assert sink_a.arrivals[0][0] == pytest.approx(200.0)
-
-
-class TestDuplexLink:
-    def test_both_directions_work(self):
-        sim = Simulator()
-        sink_a, sink_b = Collector(sim), Collector(sim)
-        duplex = DuplexLink(sim, "d", sink_a, sink_b, propagation_delay_ns=0)
-        duplex.a_to_b.send(FakePacket(dst="b"))
-        duplex.b_to_a.send(FakePacket(dst="a"))
-        sim.run()
-        assert len(sink_a.arrivals) == 1
-        assert len(sink_b.arrivals) == 1
 
 
 class TestTcpFlow:

@@ -432,8 +432,11 @@ class TestExposedStats:
             pool = bed.add_host("pool")
             qp_c, _ = bed.connect_qps(compute, pool)
         # Only the pool's uplink loses packets: the first read response
-        # and the ACK of the first write.
-        pool.uplink.fault_injector = FaultInjector(drop_exactly=[1, 3])
+        # (1) and, after its retransmission (2), the ACK of the first
+        # write (3).
+        pool.uplink.fault_injector = FaultInjector(
+            drop_exactly={pool.uplink.name: [1, 3]}
+        )
         remote = pool.registry.register(1 << 12)
         local = compute.registry.register(1 << 12)
         local.write(local.base_addr + 1024, b"w" * 64)
