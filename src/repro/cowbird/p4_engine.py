@@ -790,7 +790,9 @@ class CowbirdP4Engine:
         Replayed reads go back to the front of the instance's pending
         queue, in their original order, and obey pause-all-reads like new
         ones: a replayed write fetches its payload from the compute node
-        again, and a read sent at once could overtake it.
+        again, and a read sent at once could overtake it.  Every red
+        block update carries the whole current red block, so one replay
+        stands for all the rewound ones.
         """
         pending = list(channel.inflight)
         if not pending:
@@ -805,6 +807,7 @@ class CowbirdP4Engine:
         channel.send_psn = pending[0].first_psn
         state = pending[0].instance
         reads = []
+        red_replayed = False
         for op in pending:
             if op.kind == "probe":
                 state.probe_inflight = False
@@ -814,7 +817,9 @@ class CowbirdP4Engine:
                 self._maybe_fetch_metadata(state)
                 continue
             if op.kind == "red_update":
-                self._emit_red_update(state)
+                if not red_replayed:
+                    red_replayed = True
+                    self._emit_red_update(state)
                 continue
             # The op executes a request; the switch keeps no payloads, so
             # a replay fetches from the source again and supersedes the

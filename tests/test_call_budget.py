@@ -1,9 +1,10 @@
 """Python calls per simulated op: a deterministic guard on host work.
 
-``tests/test_event_budget.py`` bounds the host events per op; this bounds
-the host work behind them, counted as Python function calls (the
-``call`` events of :func:`sys.setprofile`, generator resumptions
-included) on the same round.  The count does not depend on the host's
+``tests/test_simbench_counts.py`` pins the host events per op of the
+benchmark's workloads; this bounds the host work behind them, counted as
+Python function calls (the ``call`` events of :func:`sys.setprofile`,
+generator resumptions included) on the probe round of
+``tests/test_event_budget.py``.  The count does not depend on the host's
 speed, only on the interpreter: 3.12 inlines comprehensions and reads a
 few calls lower than 3.10 and 3.11.  The sanitizer runs its own event
 loop, so the budgets do not apply under ``REPRO_SANITIZE=1``.

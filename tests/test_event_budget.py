@@ -1,11 +1,12 @@
-"""Host events per simulated op: a deterministic, host-independent guard.
+"""The fixed probe round both host-work guards run, and what a lossless
+injector costs on it.
 
-Packets on lossless links cost one event per hop (their delivery), the
-switch's forwarding and the NIC's receive processing cost none, and a
-thread that finds a free core goes on computing without a same-instant
-hop.  One tiny fixed hash-table round per Cowbird engine must stay
-within these budgets; the per-event model spent about 25.5 events per op
-on both.
+Packets on lossless links cost one event per hop (their delivery), and a
+link with a fault injector runs the same model: an injector that drops
+nothing must leave a run's events and end time as they are without it.
+``tests/test_call_budget.py`` bounds the Python calls per op on this
+round; ``tests/test_simbench_counts.py`` pins the events per op of the
+benchmark's own workloads.
 """
 
 import pytest
@@ -15,8 +16,7 @@ from repro.sim.cpu import CostModel
 from repro.sim.network import FaultInjector
 from repro.workloads.hashtable import HashTable, HashTableConfig
 
-#: Measured 11.67 (cowbird-p4) and 14.30 (cowbird) events per op.
-BUDGETS = {"cowbird-p4": 12.0, "cowbird": 14.5}
+SYSTEMS = ("cowbird", "cowbird-p4")
 
 
 def probe_round(system):
@@ -36,16 +36,7 @@ def probe_round(system):
     return deployment, lambda: drive_probe_workload(deployment, table, cost, seed=1)
 
 
-@pytest.mark.parametrize("system", sorted(BUDGETS))
-def test_events_per_op_within_budget(system):
-    deployment, drive = probe_round(system)
-    result = drive()
-    assert result.total_ops == 800
-    events_per_op = deployment.sim.events_dispatched / result.total_ops
-    assert events_per_op <= BUDGETS[system]
-
-
-@pytest.mark.parametrize("system", sorted(BUDGETS))
+@pytest.mark.parametrize("system", SYSTEMS)
 def test_zero_drop_injector_costs_no_events(system):
     """A link with a fault injector that drops nothing runs the same
     model as a lossless one: the same events, ending at the same time."""

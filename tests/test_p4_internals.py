@@ -277,6 +277,31 @@ class TestGoBackNReplay:
         # One recycle for the converted write data, none for the replay.
         assert engine.stats.recycled_packets == recycled + 1
 
+    def test_one_red_update_per_rewind(self):
+        """Each red block update carries the whole current red block, so
+        a rewind over several of them replays one, in the first one's
+        place, with the current block."""
+        dep = build()
+        engine = dep.engine
+        state = engine._instances[0]
+        channel = state.data_channel
+        for sequence in (1, 2, 3):
+            channel.open_op(40, kind="red_update", parent=None, instance=state)
+            write = _app_op(state, RwType.WRITE, sequence)
+            write.fetch_op = channel.emit_read(
+                0x2000, 100, kind="write_fetch", parent=write, instance=state,
+            )
+        state.fetching_writes = 3
+        updates = engine.stats.red_updates
+
+        engine._go_back_n(channel)
+        assert [op.kind for op in channel.inflight] == [
+            "red_update", "write_fetch", "write_fetch", "write_fetch",
+        ]
+        assert [op.first_psn for op in channel.inflight] == [0, 1, 2, 3]
+        assert engine.stats.red_updates == updates + 1
+        assert state.fetching_writes == 3
+
     @pytest.mark.parametrize("max_retries", [16, 0])
     def test_rewind_mid_fetch_keeps_fetching_writes_balanced(self, max_retries):
         """A two-MTU write opens its pool train on the first fetched

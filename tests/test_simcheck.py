@@ -88,7 +88,7 @@ class TestSuppressionAndAllowlist:
 
     def test_allowlisted_paths(self):
         assert is_allowlisted("src/repro/cli.py")
-        assert is_allowlisted("benchmarks/perf/bench_engine.py")
+        assert is_allowlisted("benchmarks/test_fig08_hashtable.py")
         assert not is_allowlisted("src/repro/sim/engine.py")
 
     def test_allowlisted_fixtures_have_no_sim001(self):
