@@ -45,9 +45,7 @@ from repro.rdma.packets import (
     PSN_MODULUS,
     READ_RESPONSE_TAILS,
     READ_RESPONSES,
-    Bth,
     PacketPool,
-    Reth,
     RocePacket,
     psn_add,
     psn_distance,
@@ -217,17 +215,13 @@ class _Channel:
         packet = self.engine.pool.acquire(
             src=self.engine.node,
             dst=self.peer_node,
-            bth=Bth(
-                opcode=OP_READ_REQUEST,
-                dest_qp=self.peer_qpn,
-                psn=op.first_psn,
-                ack_request=True,
-            ),
-            reth=Reth(
-                virtual_address=addr,
-                remote_key=rkey if rkey is not None else self.rkey,
-                dma_length=length,
-            ),
+            opcode=OP_READ_REQUEST,
+            dest_qp=self.peer_qpn,
+            psn=op.first_psn,
+            ack_request=True,
+            virtual_address=addr,
+            remote_key=rkey if rkey is not None else self.rkey,
+            dma_length=length,
             priority=self.priority,
         )
         self.engine.switch.inject(packet)
@@ -259,15 +253,11 @@ class _Channel:
         else:
             opcode = OP_WRITE_MIDDLE
         is_tail = segment_index == n - 1
-        reth = (
-            Reth(
-                virtual_address=dest_addr,
-                remote_key=dest_rkey,
-                dma_length=op.expect_bytes,
-            )
-            if opcode in CARRIES_RETH
-            else None
-        )
+        # Only the head of the train (FIRST or ONLY) carries the RETH.
+        if opcode in CARRIES_RETH:
+            vaddr, rkey, length = dest_addr, dest_rkey, op.expect_bytes
+        else:
+            vaddr = rkey = length = 0
         psn = psn_add(op.first_psn, segment_index)
         if recycle is not None:
             packet = recycle.recycle(
@@ -277,20 +267,22 @@ class _Channel:
                 dest_qp=self.peer_qpn,
                 psn=psn,
                 ack_request=is_tail,
-                reth=reth,
+                virtual_address=vaddr,
+                remote_key=rkey,
+                dma_length=length,
                 priority=self.priority,
             )
         else:
             packet = self.engine.pool.acquire(
                 src=self.engine.node,
                 dst=self.peer_node,
-                bth=Bth(
-                    opcode=opcode,
-                    dest_qp=self.peer_qpn,
-                    psn=psn,
-                    ack_request=is_tail,
-                ),
-                reth=reth,
+                opcode=opcode,
+                dest_qp=self.peer_qpn,
+                psn=psn,
+                ack_request=is_tail,
+                virtual_address=vaddr,
+                remote_key=rkey,
+                dma_length=length,
                 payload=payload,
                 priority=self.priority,
             )
@@ -511,13 +503,12 @@ class CowbirdP4Engine:
     def _pipeline(self, packet, link) -> list:
         if not isinstance(packet, RocePacket) or packet.dst != self.node:
             return [packet]  # transit traffic: forward unchanged
-        bth = packet.bth
-        channel = self._channels_by_vqpn.get(bth.dest_qp)
+        channel = self._channels_by_vqpn.get(packet.dest_qp)
         if channel is None:
             self.stats.stale_packets += 1
             return []
-        state = self._instance_by_vqpn[bth.dest_qp]
-        opcode = bth.opcode
+        state = self._instance_by_vqpn[packet.dest_qp]
+        opcode = packet.opcode
         if opcode in READ_RESPONSES:
             self._on_read_response(state, channel, packet)
         elif opcode is OP_ACKNOWLEDGE:
@@ -525,11 +516,11 @@ class CowbirdP4Engine:
         return []  # always consumed: the switch interdicts all RDMA
 
     def _on_read_response(self, state: _Instance, channel: _Channel, packet) -> None:
-        op = channel.match(packet.bth.psn)
+        op = channel.match(packet.psn)
         if op is None:
             self.stats.stale_packets += 1
             return
-        offset = psn_distance(op.first_psn, packet.bth.psn) * self.config.mtu_bytes
+        offset = psn_distance(op.first_psn, packet.psn) * self.config.mtu_bytes
         if op.kind in ("probe", "meta"):
             # Control reads are parsed by the pipeline (they fit the PHV).
             if len(op.buffer) < op.expect_bytes:
@@ -538,7 +529,7 @@ class CowbirdP4Engine:
         op.received_bytes += len(packet.payload)
         complete = (
             op.received_bytes >= op.expect_bytes
-            and packet.bth.opcode in READ_RESPONSE_TAILS
+            and packet.opcode in READ_RESPONSE_TAILS
         )
         if op.kind == "probe":
             if complete:
@@ -668,7 +659,7 @@ class CowbirdP4Engine:
                 op.expect_bytes, kind="resp_write", parent=app_op, instance=state
             )
         self.stats.recycled_packets += 1
-        segment = psn_distance(op.first_psn, packet.bth.psn)
+        segment = psn_distance(op.first_psn, packet.psn)
         if complete:
             op.channel.retire(op)
         state.data_channel.emit_write_segment(
@@ -691,7 +682,7 @@ class CowbirdP4Engine:
                 op.expect_bytes, kind="pool_write", parent=app_op, instance=state
             )
         self.stats.recycled_packets += 1
-        segment = psn_distance(op.first_psn, packet.bth.psn)
+        segment = psn_distance(op.first_psn, packet.psn)
         channel.emit_write_segment(
             app_op.write_train,
             segment,
@@ -707,7 +698,7 @@ class CowbirdP4Engine:
 
     # -- Phase IV: completion ---------------------------------------------
     def _on_ack(self, state: _Instance, channel: _Channel, packet) -> None:
-        if packet.aeth is not None and packet.aeth.is_nak:
+        if packet.is_nak:
             self._go_back_n(channel)
             return
         # Cumulative ACK: retire covered *write* ops on this channel, in
@@ -718,7 +709,7 @@ class CowbirdP4Engine:
         # rewinds ``send_psn``.  So the scan stops at the first op that
         # starts after the ACKed PSN; no later op can be covered while
         # fewer than half the PSN space is in flight.
-        psn = packet.bth.psn
+        psn = packet.psn
         covered = []
         for op in channel.inflight:
             first_psn = op.first_psn

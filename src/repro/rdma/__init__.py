@@ -12,13 +12,11 @@ First/Middle/Last packets.
 
 from repro.rdma.packets import (
     AddressBook,
-    Aeth,
-    Bth,
     Opcode,
-    Reth,
     RocePacket,
     SYNDROME_ACK,
     SYNDROME_NAK_PSN_ERROR,
+    SYNDROME_NAK_REMOTE_ACCESS,
     psn_add,
     psn_distance,
 )
@@ -35,8 +33,6 @@ from repro.rdma.verbs import RdmaVerbs
 
 __all__ = [
     "AddressBook",
-    "Aeth",
-    "Bth",
     "Completion",
     "CompletionQueue",
     "CompletionStatus",
@@ -45,10 +41,10 @@ __all__ = [
     "QueuePair",
     "RNIC",
     "RdmaVerbs",
-    "Reth",
     "RocePacket",
     "SYNDROME_ACK",
     "SYNDROME_NAK_PSN_ERROR",
+    "SYNDROME_NAK_REMOTE_ACCESS",
     "WorkRequest",
     "WorkType",
     "psn_add",

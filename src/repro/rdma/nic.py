@@ -12,9 +12,10 @@ the reliable-connection protocol:
   why the memory pool needs no compute, and why the Cowbird compute
   node can have its request queues read remotely for free).
 * **Reliability**: 24-bit PSN validation, cumulative ACKs, one NAK per
-  sequence error, and Go-Back-N retransmission on NAK or timeout
-  (Section 5.3's recovery story ends up exercising exactly this
-  machinery).
+  sequence error, and Go-Back-N retransmission on a sequence NAK or
+  timeout (Section 5.3's recovery story ends up exercising exactly this
+  machinery).  A remote access error (bad rkey, out of bounds) is not
+  retried: it fails its WR and puts the QP in the error state.
 * **Pacing**: a per-message initiation gap models the NIC's finite
   message rate — the "request-level bottleneck" that motivates
   batching in Redy and in Cowbird's offload engine.
@@ -45,12 +46,10 @@ from repro.rdma.packets import (
     READ_RESPONSES,
     WRITE_TAILS,
     WRITES,
-    Aeth,
-    Bth,
-    Reth,
     RocePacket,
     SYNDROME_ACK,
     SYNDROME_NAK_PSN_ERROR,
+    SYNDROME_NAK_REMOTE_ACCESS,
     psn_add,
     psn_distance,
     PSN_MODULUS,
@@ -189,6 +188,9 @@ class RNIC:
         if not qp.connected:
             raise RuntimeError(f"QP {qp.qpn} not connected")
         self.stats.posts += 1
+        if qp.in_error:
+            self._flush(qp, wr)
+            return
         if wr.work_type is WorkType.RECV:
             self._recv_queues[qp.qpn].append(wr)
             return
@@ -208,6 +210,9 @@ class RNIC:
         self._initiate(qp, wr)
 
     def _initiate(self, qp: QueuePair, wr: WorkRequest) -> None:
+        if qp.in_error:  # the QP failed while ``wr`` waited for its slot
+            self._flush(qp, wr)
+            return
         self.stats.messages_initiated += 1
         if wr.work_type is WorkType.READ:
             self._initiate_read(qp, wr)
@@ -237,17 +242,13 @@ class RNIC:
         packet = RocePacket(
             src=self.node,
             dst=qp.remote_node,
-            bth=Bth(
-                opcode=OP_READ_REQUEST,
-                dest_qp=qp.remote_qpn,
-                psn=entry.first_psn,
-                ack_request=True,
-            ),
-            reth=Reth(
-                virtual_address=entry.wr.remote_addr,
-                remote_key=entry.wr.rkey,
-                dma_length=entry.wr.length,
-            ),
+            opcode=OP_READ_REQUEST,
+            dest_qp=qp.remote_qpn,
+            psn=entry.first_psn,
+            ack_request=True,
+            virtual_address=entry.wr.remote_addr,
+            remote_key=entry.wr.rkey,
+            dma_length=entry.wr.length,
             priority=entry.wr.priority
             if entry.wr.priority is not None
             else self.config.priority,
@@ -279,23 +280,21 @@ class RNIC:
                 opcode = OP_WRITE_LAST
             else:
                 opcode = OP_WRITE_MIDDLE
-            is_tail = i == n - 1
+            # Only the head of the train (FIRST or ONLY) carries the RETH.
+            if opcode in CARRIES_RETH:
+                vaddr, rkey, length = wr.remote_addr, wr.rkey, wr.length
+            else:
+                vaddr = rkey = length = 0
             packet = RocePacket(
                 src=self.node,
                 dst=qp.remote_node,
-                bth=Bth(
-                    opcode=opcode,
-                    dest_qp=qp.remote_qpn,
-                    psn=psn_add(entry.first_psn, i),
-                    ack_request=is_tail,
-                ),
-                reth=Reth(
-                    virtual_address=wr.remote_addr,
-                    remote_key=wr.rkey,
-                    dma_length=wr.length,
-                )
-                if opcode in CARRIES_RETH
-                else None,
+                opcode=opcode,
+                dest_qp=qp.remote_qpn,
+                psn=psn_add(entry.first_psn, i),
+                ack_request=i == n - 1,
+                virtual_address=vaddr,
+                remote_key=rkey,
+                dma_length=length,
                 payload=chunk,
                 priority=wr.priority if wr.priority is not None
                 else self.config.priority,
@@ -318,12 +317,10 @@ class RNIC:
         packet = RocePacket(
             src=self.node,
             dst=qp.remote_node,
-            bth=Bth(
-                opcode=OP_SEND_ONLY,
-                dest_qp=qp.remote_qpn,
-                psn=entry.first_psn,
-                ack_request=True,
-            ),
+            opcode=OP_SEND_ONLY,
+            dest_qp=qp.remote_qpn,
+            psn=entry.first_psn,
+            ack_request=True,
             payload=payload,
             priority=self.config.priority,
         )
@@ -365,11 +362,11 @@ class RNIC:
         try:
             for hook in self._rx_hooks:
                 hook(packet)
-            qp = self._qps.get(packet.bth.dest_qp)
+            qp = self._qps.get(packet.dest_qp)
             if qp is None:
                 return  # no such QP: real HCAs silently drop
             qp.packets_received += 1
-            opcode = packet.bth.opcode
+            opcode = packet.opcode
             if opcode is OP_READ_REQUEST:
                 self._respond_read(qp, packet)
             elif opcode in WRITES:
@@ -405,21 +402,27 @@ class RNIC:
         a full Go-Back-N round."""
         if not qp.nak_pending:
             qp.nak_pending = True
-            self._send_nak(qp, packet.src)
+            self._send_nak(qp, packet.src, SYNDROME_NAK_PSN_ERROR, qp.expected_psn)
 
-    def _send_nak(self, qp: QueuePair, request_psn_src: str,
-                  priority: Optional[int] = None) -> None:
+    def _nak_access_error(self, qp: QueuePair, packet: RocePacket) -> None:
+        """NAK a request for memory it may not touch (bad rkey, out of
+        bounds) with the request's own PSN.  The expected PSN stays put
+        and no sequence NAK follows for the packets behind it: the
+        requester fails the WR and flushes the rest."""
+        qp.nak_pending = True
+        self._send_nak(qp, packet.src, SYNDROME_NAK_REMOTE_ACCESS, packet.psn)
+
+    def _send_nak(self, qp: QueuePair, dst: str, syndrome: int, psn: int) -> None:
         self.stats.naks_sent += 1
         packet = RocePacket(
             src=self.node,
-            dst=request_psn_src,
-            bth=Bth(
-                opcode=OP_ACKNOWLEDGE,
-                dest_qp=qp.remote_qpn,
-                psn=qp.expected_psn,
-            ),
-            aeth=Aeth(syndrome=SYNDROME_NAK_PSN_ERROR, msn=qp.msn),
-            priority=priority if priority is not None else self.config.priority,
+            dst=dst,
+            opcode=OP_ACKNOWLEDGE,
+            dest_qp=qp.remote_qpn,
+            psn=psn,
+            syndrome=syndrome,
+            msn=qp.msn,
+            priority=self.config.priority,
         )
         self._transmit(packet, qp)
 
@@ -428,31 +431,34 @@ class RNIC:
         packet = RocePacket(
             src=self.node,
             dst=qp.remote_node,
-            bth=Bth(opcode=OP_ACKNOWLEDGE, dest_qp=qp.remote_qpn, psn=psn),
-            aeth=Aeth(syndrome=SYNDROME_ACK, msn=qp.msn),
+            opcode=OP_ACKNOWLEDGE,
+            dest_qp=qp.remote_qpn,
+            psn=psn,
+            syndrome=SYNDROME_ACK,
+            msn=qp.msn,
             priority=priority if priority is not None else self.config.priority,
         )
         self._transmit(packet, qp)
 
     def _respond_read(self, qp: QueuePair, packet: RocePacket) -> None:
-        status = self._psn_status(qp, packet.bth.psn)
+        status = self._psn_status(qp, packet.psn)
         if status == "gap":
             self._nak_sequence_error(qp, packet)
             return
         if status == "duplicate":
             self.stats.duplicates += 1
             # Reads are replayable: re-execute without advancing state.
-        reth = packet.reth
+        rkey = packet.remote_key
         try:
-            region = self.registry.by_rkey(reth.remote_key)
-            data = region.remote_read(reth.virtual_address, reth.dma_length, reth.remote_key)
+            region = self.registry.by_rkey(rkey)
+            data = region.remote_read(packet.virtual_address, packet.dma_length, rkey)
         except (AccessError, BoundsError):
-            self._send_nak(qp, packet.src)
+            self._nak_access_error(qp, packet)
             return
         mtu = self.config.mtu_bytes
         n = max(1, (len(data) + mtu - 1) // mtu)
         if status == "expected":
-            qp.expected_psn = psn_add(packet.bth.psn, n)
+            qp.expected_psn = psn_add(packet.psn, n)
             qp.msn = (qp.msn + 1) % PSN_MODULUS
         for i in range(n):
             chunk = data[i * mtu : (i + 1) * mtu]
@@ -464,17 +470,19 @@ class RNIC:
                 opcode = OP_READ_RESPONSE_LAST
             else:
                 opcode = OP_READ_RESPONSE_MIDDLE
+            # MIDDLE responses carry no AETH.
+            if opcode in CARRIES_AETH:
+                syndrome, msn = SYNDROME_ACK, qp.msn
+            else:
+                syndrome = msn = 0
             response = RocePacket(
                 src=self.node,
                 dst=packet.src,
-                bth=Bth(
-                    opcode=opcode,
-                    dest_qp=qp.remote_qpn,
-                    psn=psn_add(packet.bth.psn, i),
-                ),
-                aeth=Aeth(syndrome=SYNDROME_ACK, msn=qp.msn)
-                if opcode in CARRIES_AETH
-                else None,
+                opcode=opcode,
+                dest_qp=qp.remote_qpn,
+                psn=psn_add(packet.psn, i),
+                syndrome=syndrome,
+                msn=msn,
                 payload=chunk,
                 # Echo the request's class (DSCP reflection): control
                 # reads come back at control priority.
@@ -483,48 +491,48 @@ class RNIC:
             self._transmit(response, qp)
 
     def _respond_write(self, qp: QueuePair, packet: RocePacket) -> None:
-        status = self._psn_status(qp, packet.bth.psn)
+        status = self._psn_status(qp, packet.psn)
         if status == "gap":
             self._nak_sequence_error(qp, packet)
             return
         if status == "duplicate":
             self.stats.duplicates += 1
-        opcode = packet.bth.opcode
+        opcode = packet.opcode
         if opcode in CARRIES_RETH:
             context = _WriteContext(
-                rkey=packet.reth.remote_key,
-                next_addr=packet.reth.virtual_address,
+                rkey=packet.remote_key,
+                next_addr=packet.virtual_address,
             )
             self._write_contexts[qp.qpn] = context
         else:
             context = self._write_contexts.get(qp.qpn)
             if context is None:
-                self._send_nak(qp, packet.src)
+                self._send_nak(qp, packet.src, SYNDROME_NAK_PSN_ERROR, qp.expected_psn)
                 return
         try:
             region = self.registry.by_rkey(context.rkey)
             region.remote_write(context.next_addr, packet.payload, context.rkey)
         except (AccessError, BoundsError):
-            self._send_nak(qp, packet.src)
+            self._nak_access_error(qp, packet)
             return
         context.next_addr += len(packet.payload)
         is_tail = opcode in WRITE_TAILS
         if status == "expected":
-            qp.expected_psn = psn_add(packet.bth.psn, 1)
+            qp.expected_psn = psn_add(packet.psn, 1)
             if is_tail:
                 qp.msn = (qp.msn + 1) % PSN_MODULUS
-        if packet.bth.ack_request:
+        if packet.ack_request:
             # Cumulative: acknowledge everything received so far.
-            ack_psn = packet.bth.psn if status == "expected" else psn_add(qp.expected_psn, -1)
+            ack_psn = packet.psn if status == "expected" else psn_add(qp.expected_psn, -1)
             self._send_ack(qp, ack_psn, priority=packet.priority)
 
     def _respond_send(self, qp: QueuePair, packet: RocePacket) -> None:
-        status = self._psn_status(qp, packet.bth.psn)
+        status = self._psn_status(qp, packet.psn)
         if status == "gap":
             self._nak_sequence_error(qp, packet)
             return
         if status == "expected":
-            qp.expected_psn = psn_add(packet.bth.psn, 1)
+            qp.expected_psn = psn_add(packet.psn, 1)
             qp.msn = (qp.msn + 1) % PSN_MODULUS
             recvq = self._recv_queues[qp.qpn]
             if recvq:
@@ -546,20 +554,20 @@ class RNIC:
             # we deliver the ACK anyway and count nothing (tests post recvs).
         else:
             self.stats.duplicates += 1
-        if packet.bth.ack_request:
-            self._send_ack(qp, packet.bth.psn, priority=packet.priority)
+        if packet.ack_request:
+            self._send_ack(qp, packet.psn, priority=packet.priority)
 
     # -- requester side ---------------------------------------------------
     def _requester_read_response(self, qp: QueuePair, packet: RocePacket) -> None:
-        entry = qp.find_outstanding_by_psn(packet.bth.psn)
+        entry = qp.find_outstanding_by_psn(packet.psn)
         if entry is None:
             self.stats.duplicates += 1
             return
-        offset = psn_distance(entry.first_psn, packet.bth.psn) * self.config.mtu_bytes
+        offset = psn_distance(entry.first_psn, packet.psn) * self.config.mtu_bytes
         if entry.wr.local_addr:
             self._dma_write_local(entry.wr.local_addr + offset, packet.payload)
         entry.bytes_received += len(packet.payload)
-        is_tail = packet.bth.opcode in READ_RESPONSE_TAILS
+        is_tail = packet.opcode in READ_RESPONSE_TAILS
         if is_tail and entry.bytes_received >= entry.wr.length:
             # Read responses arrive in order on RC; the tail retires the
             # entry and everything acknowledged before it.
@@ -568,14 +576,48 @@ class RNIC:
                 self._complete(qp, done, CompletionStatus.SUCCESS)
 
     def _requester_ack(self, qp: QueuePair, packet: RocePacket) -> None:
-        aeth = packet.aeth
-        if aeth.is_nak:
+        if packet.is_nak:
             qp.note_nak()
-            self._go_back_n(qp)
+            # Only a sequence error is recoverable by resending; any
+            # other NAK fails the WR it names.
+            if packet.syndrome == SYNDROME_NAK_PSN_ERROR:
+                self._go_back_n(qp)
+            else:
+                self._fail_from(qp, packet.psn)
             return
-        retired = qp.complete_through(packet.bth.psn, self.sim.now)
+        retired = qp.complete_through(packet.psn, self.sim.now)
         for done in retired:
             self._complete(qp, done, CompletionStatus.SUCCESS)
+
+    def _fail_from(self, qp: QueuePair, psn: int) -> None:
+        """Fail the WR at ``psn`` with a remote access error.
+
+        As on an IB RC QP, the error is fatal to the connection: the WRs
+        before the failed one completed at the responder, every later one
+        is flushed, and the QP enters the error state, in which later
+        posts complete ``FLUSHED`` at once.
+        """
+        failed = qp.find_outstanding_by_psn(psn)
+        if failed is None:
+            return  # stale: that WR already retired
+        for done in qp.complete_through(psn_add(failed.first_psn, -1), self.sim.now):
+            self._complete(qp, done, CompletionStatus.SUCCESS)
+        qp.in_error = True
+        rest = list(qp.outstanding)
+        qp.outstanding.clear()
+        for entry in rest:
+            status = (
+                CompletionStatus.REMOTE_ACCESS_ERROR if entry is failed
+                else CompletionStatus.FLUSHED
+            )
+            self._complete(qp, entry, status)
+
+    def _flush(self, qp: QueuePair, wr: WorkRequest) -> None:
+        """Complete a WR posted to a QP in the error state."""
+        entry = _Outstanding(
+            wr=wr, first_psn=qp.send_psn, num_packets=1, issued_at=self.sim.now
+        )
+        self._complete(qp, entry, CompletionStatus.FLUSHED)
 
     def _complete(self, qp: QueuePair, entry: _Outstanding, status: CompletionStatus) -> None:
         if self._tel.enabled:

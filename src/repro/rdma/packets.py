@@ -14,16 +14,23 @@ programmable switches cannot — and carry a placeholder trailer instead.
 
 Hot-path design notes:
 
+* A packet is one flat ``__slots__`` record: the BTH, RETH and AETH
+  fields are plain attributes of :class:`RocePacket`, and the fields of
+  a header the opcode does not carry are zero.  Reading a PSN or an
+  rkey is one attribute load, and the switch's header rewrite is a few
+  attribute stores.
+* ``size_bytes`` is a slot, set wherever the opcode or payload is set:
+  by the constructor, :meth:`RocePacket.unpack`,
+  :meth:`PacketPool.acquire` and :meth:`RocePacket.recycle`.  Every hop
+  (``Link`` start, NIC transmit and receive) reads it without a call.
 * All ``struct`` formats are compiled once at module level.
 * Opcode predicates (which extension header an opcode carries, whether
   it is a write or a read response) are frozensets, and the per-opcode
-  header size a dict, all computed once at import; ``Bth.unpack`` maps
-  the raw opcode byte to its ``Opcode`` member through a tuple.  Per
+  header size a dict, all computed once at import; decoding maps the
+  raw opcode byte to its ``Opcode`` member through a tuple.  Per
   packet, nothing evaluates an enum property or calls ``Opcode(...)``.
-* :meth:`RocePacket.unpack` parses the BTH eagerly (every consumer needs
-  the opcode/PSN) but leaves RETH/AETH as lazy properties backed by a
-  ``memoryview`` of the wire bytes, and exposes the payload as a
-  zero-copy ``memoryview`` slice.
+* :meth:`RocePacket.unpack` decodes every header field eagerly and
+  exposes the payload as a zero-copy ``memoryview`` slice of the input.
 * :meth:`RocePacket.recycle` is the switch primitive — strip one header,
   prepend another — as an in-place header rewrite that never touches
   the payload.
@@ -36,15 +43,12 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from repro.sim.network import PRIORITY_NORMAL
 
 __all__ = [
     "AddressBook",
-    "Aeth",
-    "Bth",
     "CARRIES_AETH",
     "CARRIES_PAYLOAD",
     "CARRIES_RETH",
@@ -56,11 +60,11 @@ __all__ = [
     "PSN_MODULUS",
     "READ_RESPONSES",
     "READ_RESPONSE_TAILS",
-    "Reth",
     "RocePacket",
     "ROCE_UDP_PORT",
     "SYNDROME_ACK",
     "SYNDROME_NAK_PSN_ERROR",
+    "SYNDROME_NAK_REMOTE_ACCESS",
     "WRITES",
     "WRITE_TAILS",
     "psn_add",
@@ -90,6 +94,9 @@ PSN_MODULUS = 1 << 24
 SYNDROME_ACK = 0x1F
 #: AETH syndrome for a NAK / PSN sequence error (triggers Go-Back-N).
 SYNDROME_NAK_PSN_ERROR = 0x60
+#: AETH syndrome for a NAK / remote access error (NAK code 2): a bad rkey
+#: or an access outside the region.  Fatal to the work request.
+SYNDROME_NAK_REMOTE_ACCESS = 0x62
 
 # Precompiled wire formats — compiled once, shared by every pack/unpack.
 _BTH_STRUCT = struct.Struct(">BBHII")
@@ -102,9 +109,12 @@ _U32_STRUCT = struct.Struct(">I")
 _ETHERTYPE_IPV4_BYTES = _U16_STRUCT.pack(ETHERTYPE_IPV4)
 _ICRC_PLACEHOLDER = b"\x00" * ICRC_BYTES
 
-#: Offset of the first extension header (RETH or AETH) in the wire image.
-#: RETH and AETH never appear together, so the offset is a constant.
-_EXT_OFFSET = ETH_HEADER_BYTES + IPV4_HEADER_BYTES + UDP_HEADER_BYTES + BTH_BYTES
+#: Offsets of the UDP header, the BTH and the extension header (RETH or
+#: AETH) in the wire image.  RETH and AETH never appear together, so the
+#: extension offset is a constant.
+_UDP_OFFSET = ETH_HEADER_BYTES + IPV4_HEADER_BYTES
+_BTH_OFFSET = _UDP_OFFSET + UDP_HEADER_BYTES
+_EXT_OFFSET = _BTH_OFFSET + BTH_BYTES
 
 
 def psn_add(psn: int, delta: int) -> int:
@@ -132,36 +142,11 @@ class Opcode(enum.IntEnum):
     RC_RDMA_READ_RESPONSE_ONLY = 0x10
     RC_ACKNOWLEDGE = 0x11
 
-    # The predicates below are kept for callers outside the hot path;
-    # per-packet code tests membership in the module-level tables
-    # instead, which avoids an enum property call per packet.
-    @property
-    def carries_reth(self) -> bool:
-        """RETH appears on READ requests and the first/only WRITE packet."""
-        return self in CARRIES_RETH
-
-    @property
-    def carries_aeth(self) -> bool:
-        """AETH appears on read responses (except MIDDLE) and ACKs."""
-        return self in CARRIES_AETH
-
-    @property
-    def carries_payload(self) -> bool:
-        return self in CARRIES_PAYLOAD
-
-    @property
-    def is_read_response(self) -> bool:
-        return self in READ_RESPONSES
-
-    @property
-    def is_write(self) -> bool:
-        return self in WRITES
-
 
 # Opcode predicate tables, computed once at import.  Hot paths use these
-# (and the module-level opcode constants) rather than enum properties or
-# ``Opcode.X`` class-attribute lookups, both of which cost several times
-# a set or dict lookup on CPython.
+# (and the module-level opcode constants) rather than ``Opcode.X``
+# class-attribute lookups, which cost several times a set or dict lookup
+# on CPython.
 OP_SEND_ONLY = Opcode.RC_SEND_ONLY
 OP_WRITE_FIRST = Opcode.RC_RDMA_WRITE_FIRST
 OP_WRITE_MIDDLE = Opcode.RC_RDMA_WRITE_MIDDLE
@@ -209,109 +194,6 @@ HEADER_BYTES_BY_OPCODE = {
 OPCODE_BY_VALUE = tuple(Opcode._value2member_map_.get(value) for value in range(256))
 
 
-
-#: Read-response to write conversion map — the heart of Cowbird-P4's
-#: Execute phase (Section 5.2 Phase III): Response First/Middle/Last/Only
-#: become Write First/Middle/Last/Only with the payload untouched.
-READ_RESPONSE_TO_WRITE = {
-    Opcode.RC_RDMA_READ_RESPONSE_FIRST: Opcode.RC_RDMA_WRITE_FIRST,
-    Opcode.RC_RDMA_READ_RESPONSE_MIDDLE: Opcode.RC_RDMA_WRITE_MIDDLE,
-    Opcode.RC_RDMA_READ_RESPONSE_LAST: Opcode.RC_RDMA_WRITE_LAST,
-    Opcode.RC_RDMA_READ_RESPONSE_ONLY: Opcode.RC_RDMA_WRITE_ONLY,
-}
-
-
-@dataclass
-class Bth:
-    """Base Transport Header (12 bytes)."""
-
-    opcode: Opcode
-    dest_qp: int
-    psn: int
-    ack_request: bool = False
-    partition_key: int = 0xFFFF
-    solicited: bool = False
-
-    def pack(self) -> bytes:
-        if not 0 <= self.dest_qp < (1 << 24):
-            raise ValueError(f"dest_qp out of 24-bit range: {self.dest_qp}")
-        if not 0 <= self.psn < PSN_MODULUS:
-            raise ValueError(f"psn out of 24-bit range: {self.psn}")
-        flags = 0x80 if self.solicited else 0x00
-        ack_psn = (0x8000_0000 if self.ack_request else 0) | self.psn
-        return _BTH_STRUCT.pack(
-            int(self.opcode),
-            flags,
-            self.partition_key,
-            self.dest_qp,  # high byte reserved, low 24 bits QPN
-            ack_psn,
-        )
-
-    @classmethod
-    def unpack(cls, data: Union[bytes, memoryview]) -> "Bth":
-        value, flags, pkey, dqp_word, ack_psn = _BTH_STRUCT.unpack(data[:BTH_BYTES])
-        opcode = OPCODE_BY_VALUE[value]
-        if opcode is None:
-            raise ValueError(f"{value!r} is not a valid Opcode")
-        return cls(
-            opcode=opcode,
-            dest_qp=dqp_word & 0xFF_FFFF,
-            psn=ack_psn & 0xFF_FFFF,
-            ack_request=bool(ack_psn & 0x8000_0000),
-            partition_key=pkey,
-            solicited=bool(flags & 0x80),
-        )
-
-
-@dataclass
-class Reth:
-    """RDMA Extended Transport Header (16 bytes): vaddr, rkey, length."""
-
-    virtual_address: int
-    remote_key: int
-    dma_length: int
-
-    def pack(self) -> bytes:
-        if not 0 <= self.virtual_address < (1 << 64):
-            raise ValueError(f"virtual address out of range: {self.virtual_address}")
-        if not 0 <= self.dma_length < (1 << 32):
-            raise ValueError(f"dma_length out of range: {self.dma_length}")
-        return _RETH_STRUCT.pack(
-            self.virtual_address, self.remote_key & 0xFFFF_FFFF, self.dma_length
-        )
-
-    @classmethod
-    def unpack(cls, data: Union[bytes, memoryview]) -> "Reth":
-        vaddr, rkey, length = _RETH_STRUCT.unpack(data[:RETH_BYTES])
-        return cls(virtual_address=vaddr, remote_key=rkey, dma_length=length)
-
-
-@dataclass
-class Aeth:
-    """ACK Extended Transport Header (4 bytes): syndrome, MSN."""
-
-    syndrome: int
-    msn: int
-
-    def pack(self) -> bytes:
-        if not 0 <= self.msn < (1 << 24):
-            raise ValueError(f"msn out of 24-bit range: {self.msn}")
-        return _AETH_STRUCT.pack(((self.syndrome & 0xFF) << 24) | self.msn)
-
-    @classmethod
-    def unpack(cls, data: Union[bytes, memoryview]) -> "Aeth":
-        word, = _AETH_STRUCT.unpack(data[:AETH_BYTES])
-        return cls(syndrome=(word >> 24) & 0xFF, msn=word & 0xFF_FFFF)
-
-    @property
-    def is_ack(self) -> bool:
-        return (self.syndrome & 0xE0) == 0x00 or self.syndrome == SYNDROME_ACK
-
-    @property
-    def is_nak(self) -> bool:
-        return (self.syndrome & 0xE0) == 0x60
-
-
 class AddressBook:
     """Deterministic node-name <-> IPv4/MAC assignment for packing.
 
@@ -347,84 +229,74 @@ DEFAULT_ADDRESS_BOOK = AddressBook()
 
 
 class RocePacket:
-    """A complete RoCEv2 packet: addressing, transport headers, payload.
+    """A complete RoCEv2 packet as one flat record.
 
     Satisfies the network layer's Packet protocol (``src``/``dst``/
-    ``size_bytes``/``priority``) while carrying real header objects the
-    Cowbird-P4 pipeline rewrites.
+    ``size_bytes``/``priority``) and carries every transport header
+    field as a plain attribute, for the Cowbird-P4 pipeline to rewrite:
 
-    Direct construction validates the header/opcode combination.
-    :meth:`unpack` skips validation (the wire image is well-formed by
-    construction) and defers RETH/AETH parsing until the ``reth``/
-    ``aeth`` properties are first read; its ``payload`` is a zero-copy
-    ``memoryview`` of the input buffer.
+    * BTH: ``opcode``, ``dest_qp``, ``psn``, ``ack_request``;
+    * RETH: ``virtual_address``, ``remote_key``, ``dma_length``;
+    * AETH: ``syndrome``, ``msn``.
+
+    The fields of an extension header the opcode does not carry are
+    zero; direct construction rejects anything else, and a payload on an
+    opcode that carries none.  :meth:`unpack` skips that validation (the
+    wire image is well-formed by construction); its ``payload`` is a
+    zero-copy ``memoryview`` of the input buffer.
     """
 
-    __slots__ = ("src", "dst", "bth", "payload", "priority", "_reth", "_aeth", "_wire", "_pool")
+    __slots__ = (
+        "src", "dst",
+        "opcode", "dest_qp", "psn", "ack_request",  # BTH
+        "virtual_address", "remote_key", "dma_length",  # RETH
+        "syndrome", "msn",  # AETH
+        "payload", "priority", "size_bytes", "_pool",
+    )
 
     def __init__(
         self,
         src: str,
         dst: str,
-        bth: Bth,
-        reth: Optional[Reth] = None,
-        aeth: Optional[Aeth] = None,
+        opcode: Opcode,
+        dest_qp: int,
+        psn: int,
+        ack_request: bool = False,
+        virtual_address: int = 0,
+        remote_key: int = 0,
+        dma_length: int = 0,
+        syndrome: int = 0,
+        msn: int = 0,
         payload: Union[bytes, memoryview] = b"",
         priority: int = PRIORITY_NORMAL,
     ) -> None:
-        opcode = bth.opcode
-        if opcode in CARRIES_RETH:
-            if reth is None:
-                raise ValueError(f"{opcode.name} requires a RETH header")
-        elif reth is not None:
+        if opcode not in CARRIES_RETH and (virtual_address or remote_key or dma_length):
             raise ValueError(f"{opcode.name} must not carry a RETH header")
-        if aeth is None and opcode in CARRIES_AETH:
-            raise ValueError(f"{opcode.name} requires an AETH header")
+        if opcode not in CARRIES_AETH and (syndrome or msn):
+            raise ValueError(f"{opcode.name} must not carry an AETH header")
         if payload and opcode not in CARRIES_PAYLOAD:
-            if opcode is OP_ACKNOWLEDGE:
-                raise ValueError("ACK packets carry no payload")
-            if opcode is OP_READ_REQUEST:
-                raise ValueError("READ request packets carry no payload")
+            raise ValueError(f"{opcode.name} packets carry no payload")
         self.src = src
         self.dst = dst
-        self.bth = bth
+        self.opcode = opcode
+        self.dest_qp = dest_qp
+        self.psn = psn
+        self.ack_request = ack_request
+        self.virtual_address = virtual_address
+        self.remote_key = remote_key
+        self.dma_length = dma_length
+        self.syndrome = syndrome
+        self.msn = msn
         self.payload = payload
         self.priority = priority
-        self._reth = reth
-        self._aeth = aeth
-        self._wire: Optional[memoryview] = None
+        self.size_bytes = HEADER_BYTES_BY_OPCODE[opcode] + len(payload)
         self._pool: Optional["PacketPool"] = None
 
     # ------------------------------------------------------------------
     @property
-    def opcode(self) -> Opcode:
-        return self.bth.opcode
-
-    @property
-    def reth(self) -> Optional[Reth]:
-        reth = self._reth
-        if reth is None and self._wire is not None and self.bth.opcode in CARRIES_RETH:
-            reth = self._reth = Reth.unpack(self._wire[_EXT_OFFSET:])
-        return reth
-
-    @reth.setter
-    def reth(self, value: Optional[Reth]) -> None:
-        self._reth = value
-
-    @property
-    def aeth(self) -> Optional[Aeth]:
-        aeth = self._aeth
-        if aeth is None and self._wire is not None and self.bth.opcode in CARRIES_AETH:
-            aeth = self._aeth = Aeth.unpack(self._wire[_EXT_OFFSET:])
-        return aeth
-
-    @aeth.setter
-    def aeth(self, value: Optional[Aeth]) -> None:
-        self._aeth = value
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_BYTES_BY_OPCODE[self.bth.opcode] + len(self.payload)
+    def is_nak(self) -> bool:
+        """The AETH syndrome is a NAK (of any NAK code)."""
+        return (self.syndrome & 0xE0) == 0x60
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, RocePacket):
@@ -432,9 +304,15 @@ class RocePacket:
         return (
             self.src == other.src
             and self.dst == other.dst
-            and self.bth == other.bth
-            and self.reth == other.reth
-            and self.aeth == other.aeth
+            and self.opcode is other.opcode
+            and self.dest_qp == other.dest_qp
+            and self.psn == other.psn
+            and self.ack_request == other.ack_request
+            and self.virtual_address == other.virtual_address
+            and self.remote_key == other.remote_key
+            and self.dma_length == other.dma_length
+            and self.syndrome == other.syndrome
+            and self.msn == other.msn
             and bytes(self.payload) == bytes(other.payload)
             and self.priority == other.priority
         )
@@ -450,28 +328,32 @@ class RocePacket:
         dest_qp: int,
         psn: int,
         ack_request: bool = False,
-        reth: Optional[Reth] = None,
-        aeth: Optional[Aeth] = None,
+        virtual_address: int = 0,
+        remote_key: int = 0,
+        dma_length: int = 0,
         priority: int = PRIORITY_NORMAL,
     ) -> "RocePacket":
         """In-place header rewrite — the switch recycling primitive.
 
         Strips the old extension header, rewrites the BTH and addressing,
-        and prepends the new extension header, leaving the payload bytes
-        untouched (the data plane never parses payloads; they exceed the
-        PHV).  Returns ``self`` for chaining into ``switch.inject``.
+        and prepends the new RETH (zero for an opcode without one),
+        leaving the payload bytes untouched (the data plane never parses
+        payloads; they exceed the PHV).  Every packet the switch recycles
+        becomes a request, so none carries an AETH.  Returns ``self`` for
+        chaining into ``switch.inject``.
         """
-        bth = self.bth
-        bth.opcode = opcode
-        bth.dest_qp = dest_qp
-        bth.psn = psn
-        bth.ack_request = ack_request
         self.src = src
         self.dst = dst
-        self._reth = reth
-        self._aeth = aeth
-        self._wire = None
+        self.opcode = opcode
+        self.dest_qp = dest_qp
+        self.psn = psn
+        self.ack_request = ack_request
+        self.virtual_address = virtual_address
+        self.remote_key = remote_key
+        self.dma_length = dma_length
+        self.syndrome = self.msn = 0
         self.priority = priority
+        self.size_bytes = HEADER_BYTES_BY_OPCODE[opcode] + len(self.payload)
         return self
 
     def release(self) -> None:
@@ -484,13 +366,16 @@ class RocePacket:
     def pack(self, book: Optional[AddressBook] = None) -> bytes:
         """Serialize to wire bytes (placeholder ICRC, like the prototype)."""
         book = book or DEFAULT_ADDRESS_BOOK
-        parts: list[bytes] = []
-        # Ethernet
-        parts.append(book.mac_of(self.dst) + book.mac_of(self.src))
-        parts.append(_ETHERTYPE_IPV4_BYTES)
-        # IPv4 (minimal, no options): total length filled in below.
+        if not 0 <= self.dest_qp < (1 << 24):
+            raise ValueError(f"dest_qp out of 24-bit range: {self.dest_qp}")
+        if not 0 <= self.psn < PSN_MODULUS:
+            raise ValueError(f"psn out of 24-bit range: {self.psn}")
+        opcode = self.opcode
+        # IPv4 (minimal, no options) and UDP lengths cover the transport.
         transport_len = self.size_bytes - ETH_HEADER_BYTES - IPV4_HEADER_BYTES
-        parts.append(
+        parts = [
+            book.mac_of(self.dst) + book.mac_of(self.src),
+            _ETHERTYPE_IPV4_BYTES,
             _IPV4_STRUCT.pack(
                 0x45,  # version 4, IHL 5
                 0,  # DSCP/ECN
@@ -502,19 +387,30 @@ class RocePacket:
                 0,  # header checksum (placeholder)
                 book.ip_of(self.src),
                 book.ip_of(self.dst),
+            ),
+            _UDP_STRUCT.pack(ROCE_UDP_PORT, ROCE_UDP_PORT, transport_len, 0),
+            _BTH_STRUCT.pack(
+                opcode,
+                0,  # flags: solicited event, migration, pad, version
+                0xFFFF,  # default partition key
+                self.dest_qp,  # high byte reserved, low 24 bits QPN
+                (0x8000_0000 if self.ack_request else 0) | self.psn,
+            ),
+        ]
+        if opcode in CARRIES_RETH:
+            if not 0 <= self.virtual_address < (1 << 64):
+                raise ValueError(f"virtual address out of range: {self.virtual_address}")
+            if not 0 <= self.dma_length < (1 << 32):
+                raise ValueError(f"dma_length out of range: {self.dma_length}")
+            parts.append(
+                _RETH_STRUCT.pack(
+                    self.virtual_address, self.remote_key & 0xFFFF_FFFF, self.dma_length
+                )
             )
-        )
-        # UDP
-        udp_len = transport_len
-        parts.append(_UDP_STRUCT.pack(ROCE_UDP_PORT, ROCE_UDP_PORT, udp_len, 0))
-        # IB transport
-        parts.append(self.bth.pack())
-        reth = self.reth
-        if reth is not None:
-            parts.append(reth.pack())
-        aeth = self.aeth
-        if aeth is not None:
-            parts.append(aeth.pack())
+        elif opcode in CARRIES_AETH:
+            if not 0 <= self.msn < (1 << 24):
+                raise ValueError(f"msn out of 24-bit range: {self.msn}")
+            parts.append(_AETH_STRUCT.pack(((self.syndrome & 0xFF) << 24) | self.msn))
         parts.append(bytes(self.payload))
         parts.append(_ICRC_PLACEHOLDER)  # placeholder ICRC (footnote 1)
         wire = b"".join(parts)
@@ -526,39 +422,50 @@ class RocePacket:
         cls, data: Union[bytes, memoryview], book: Optional[AddressBook] = None
     ) -> "RocePacket":
         book = book or DEFAULT_ADDRESS_BOOK
-        if len(data) < HEADER_OVERHEAD_BYTES:
-            raise ValueError(f"packet too short: {len(data)} bytes")
+        size = len(data)
+        if size < HEADER_OVERHEAD_BYTES:
+            raise ValueError(f"packet too short: {size} bytes")
         view = memoryview(data)
-        offset = ETH_HEADER_BYTES
-        ip_fields = _IPV4_STRUCT.unpack(view[offset : offset + IPV4_HEADER_BYTES])
-        src = book.name_of(ip_fields[8])
-        dst = book.name_of(ip_fields[9])
-        offset += IPV4_HEADER_BYTES
-        dst_port = _UDP_STRUCT.unpack(view[offset : offset + UDP_HEADER_BYTES])[1]
+        ip_fields = _IPV4_STRUCT.unpack_from(view, ETH_HEADER_BYTES)
+        dst_port = _UDP_STRUCT.unpack_from(view, _UDP_OFFSET)[1]
         if dst_port != ROCE_UDP_PORT:
             raise ValueError(f"not a RoCEv2 packet (UDP port {dst_port})")
-        offset += UDP_HEADER_BYTES
-        bth = Bth.unpack(view[offset : offset + BTH_BYTES])
-        offset += BTH_BYTES
-        # RETH/AETH stay unparsed in the wire view; the reth/aeth
-        # properties decode them on demand.
-        offset += HEADER_BYTES_BY_OPCODE[bth.opcode] - HEADER_OVERHEAD_BYTES
+        value, _flags, _pkey, dqp_word, ack_psn = _BTH_STRUCT.unpack_from(view, _BTH_OFFSET)
+        opcode = OPCODE_BY_VALUE[value]
+        if opcode is None:
+            raise ValueError(f"{value!r} is not a valid Opcode")
+        header_bytes = HEADER_BYTES_BY_OPCODE[opcode]
+        if size < header_bytes:
+            raise ValueError(f"packet too short for {opcode.name}: {size} bytes")
         packet = object.__new__(cls)
-        packet.src = src
-        packet.dst = dst
-        packet.bth = bth
-        packet.payload = view[offset : len(data) - ICRC_BYTES]
+        packet.src = book.name_of(ip_fields[8])
+        packet.dst = book.name_of(ip_fields[9])
+        packet.opcode = opcode
+        packet.dest_qp = dqp_word & 0xFF_FFFF
+        packet.psn = ack_psn & 0xFF_FFFF
+        packet.ack_request = bool(ack_psn & 0x8000_0000)
+        if opcode in CARRIES_RETH:
+            packet.virtual_address, packet.remote_key, packet.dma_length = (
+                _RETH_STRUCT.unpack_from(view, _EXT_OFFSET)
+            )
+        else:
+            packet.virtual_address = packet.remote_key = packet.dma_length = 0
+        if opcode in CARRIES_AETH:
+            word, = _AETH_STRUCT.unpack_from(view, _EXT_OFFSET)
+            packet.syndrome = word >> 24
+            packet.msn = word & 0xFF_FFFF
+        else:
+            packet.syndrome = packet.msn = 0
+        packet.payload = view[header_bytes - ICRC_BYTES : size - ICRC_BYTES]
         packet.priority = PRIORITY_NORMAL
-        packet._reth = None
-        packet._aeth = None
-        packet._wire = view
+        packet.size_bytes = size
         packet._pool = None
         return packet
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RocePacket({self.opcode.name}, {self.src}->{self.dst}, "
-            f"qp={self.bth.dest_qp}, psn={self.bth.psn}, {len(self.payload)}B)"
+            f"qp={self.dest_qp}, psn={self.psn}, {len(self.payload)}B)"
         )
 
 
@@ -569,9 +476,8 @@ class PacketPool:
     steady-state case) and falls back to normal construction otherwise.
     Validation is skipped on the recycled path — every acquire site in
     the engine builds a well-formed header combination, and the direct
-    constructor still validates for everyone else.  Payload and wire
-    references are dropped at release so buffers do not outlive their
-    packet.
+    constructor still validates for everyone else.  Payload references
+    are dropped at release so buffers do not outlive their packet.
 
     ``sanitizer`` is an optional :class:`repro.analysis.SimSanitizer`
     (duck-typed: anything with ``on_acquire``/``on_release``); when set,
@@ -594,9 +500,15 @@ class PacketPool:
         self,
         src: str,
         dst: str,
-        bth: Bth,
-        reth: Optional[Reth] = None,
-        aeth: Optional[Aeth] = None,
+        opcode: Opcode,
+        dest_qp: int,
+        psn: int,
+        ack_request: bool = False,
+        virtual_address: int = 0,
+        remote_key: int = 0,
+        dma_length: int = 0,
+        syndrome: int = 0,
+        msn: int = 0,
         payload: Union[bytes, memoryview] = b"",
         priority: int = PRIORITY_NORMAL,
     ) -> RocePacket:
@@ -605,16 +517,23 @@ class PacketPool:
             packet = free.pop()
             packet.src = src
             packet.dst = dst
-            packet.bth = bth
+            packet.opcode = opcode
+            packet.dest_qp = dest_qp
+            packet.psn = psn
+            packet.ack_request = ack_request
+            packet.virtual_address = virtual_address
+            packet.remote_key = remote_key
+            packet.dma_length = dma_length
+            packet.syndrome = syndrome
+            packet.msn = msn
             packet.payload = payload
             packet.priority = priority
-            packet._reth = reth
-            packet._aeth = aeth
-            packet._wire = None
+            packet.size_bytes = HEADER_BYTES_BY_OPCODE[opcode] + len(payload)
         else:
             packet = RocePacket(
-                src, dst, bth, reth=reth, aeth=aeth, payload=payload,
-                priority=priority,
+                src, dst, opcode, dest_qp, psn, ack_request,
+                virtual_address, remote_key, dma_length, syndrome, msn,
+                payload, priority,
             )
         packet._pool = self
         if self.sanitizer is not None:
@@ -628,8 +547,5 @@ class PacketPool:
             return  # not ours (or already released): ignore
         packet._pool = None
         packet.payload = b""
-        packet._wire = None
-        packet._reth = None
-        packet._aeth = None
         if len(self._free) < self.maxsize:
             self._free.append(packet)

@@ -171,6 +171,9 @@ class QueuePair:
         # Requester state.
         self.send_psn = 0
         self.outstanding: deque[_Outstanding] = deque()
+        #: A fatal NAK (remote access error) put the QP in the error
+        #: state: every WR posted from then on completes ``FLUSHED``.
+        self.in_error = False
         # Responder state.
         self.expected_psn = 0
         self.msn = 0

@@ -96,8 +96,8 @@ class PacketSniffer:
                 src=packet.src,
                 dst=packet.dst,
                 opcode=packet.opcode,
-                dest_qp=packet.bth.dest_qp,
-                psn=packet.bth.psn,
+                dest_qp=packet.dest_qp,
+                psn=packet.psn,
                 payload_bytes=len(packet.payload),
                 size_bytes=packet.size_bytes,
             )

@@ -8,8 +8,6 @@ from repro.cowbird.wire import RequestMetadata, RwType
 from repro.rdma.packets import (
     PSN_MODULUS,
     SYNDROME_ACK,
-    Aeth,
-    Bth,
     Opcode,
     RocePacket,
     psn_add,
@@ -127,8 +125,8 @@ class TestCumulativeAckAcrossPsnWrap:
         try:
             packet = RocePacket(
                 src=channel.peer_node, dst=engine.node,
-                bth=Bth(opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=channel.virtual_qpn, psn=psn),
-                aeth=Aeth(syndrome=SYNDROME_ACK, msn=0),
+                opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=channel.virtual_qpn, psn=psn,
+                syndrome=SYNDROME_ACK, msn=0,
             )
             assert engine._pipeline(packet, None) == []
         finally:
@@ -231,9 +229,9 @@ def _fetch_response(engine, state, fetch, segment, opcode):
     size = min(mtu, fetch.expect_bytes - segment * mtu)
     return RocePacket(
         src="compute", dst=engine.node,
-        bth=Bth(opcode=opcode, dest_qp=state.data_channel.virtual_qpn,
-                psn=psn_add(fetch.first_psn, segment)),
-        aeth=Aeth(syndrome=SYNDROME_ACK, msn=0),
+        opcode=opcode, dest_qp=state.data_channel.virtual_qpn,
+        psn=psn_add(fetch.first_psn, segment),
+        syndrome=SYNDROME_ACK, msn=0,
         payload=b"w" * size,
     )
 

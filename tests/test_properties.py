@@ -16,12 +16,15 @@ from repro.cowbird.wire import (
 from repro.faster.hybridlog import HybridLog, HybridLogConfig
 from repro.memory.region import MemoryRegion
 from repro.rdma.packets import (
+    CARRIES_AETH,
+    CARRIES_PAYLOAD,
+    CARRIES_RETH,
+    READ_RESPONSES,
+    WRITES,
     AddressBook,
-    Aeth,
-    Bth,
     Opcode,
     PSN_MODULUS,
-    Reth,
+    PacketPool,
     RocePacket,
     psn_add,
     psn_distance,
@@ -50,54 +53,92 @@ class TestPsnProperties:
             assert psn_distance(a, b) == 0
 
 
+u8 = st.integers(min_value=0, max_value=(1 << 8) - 1)
+u24 = st.integers(min_value=0, max_value=(1 << 24) - 1)
+u32 = st.integers(min_value=0, max_value=(1 << 32) - 1)
+u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+@st.composite
+def header_fields(draw, opcodes=st.sampled_from(list(Opcode))):
+    """Random header fields and payload, legal for a random opcode."""
+    opcode = draw(opcodes)
+    fields = dict(opcode=opcode, dest_qp=draw(u24), psn=draw(psn), ack_request=draw(st.booleans()))
+    if opcode in CARRIES_RETH:
+        fields.update(virtual_address=draw(u64), remote_key=draw(u32), dma_length=draw(u32))
+    if opcode in CARRIES_AETH:
+        fields.update(syndrome=draw(u8), msn=draw(u24))
+    if opcode in CARRIES_PAYLOAD:
+        fields["payload"] = draw(st.binary(max_size=1024))
+    return fields
+
+
+def packets(opcodes=st.sampled_from(list(Opcode))):
+    return header_fields(opcodes).map(lambda fields: RocePacket("alpha", "beta", **fields))
+
+
+def assert_round_trips(packet):
+    """The packet survives the wire unchanged, and its size is its wire length."""
+    book = AddressBook()
+    wire = packet.pack(book)
+    assert packet.size_bytes == len(wire)
+    restored = RocePacket.unpack(wire, book)
+    assert restored == packet
+    assert restored.size_bytes == len(wire)
+
+
 class TestWireFormatProperties:
-    @given(
-        opcode=st.sampled_from(list(Opcode)),
-        dest_qp=st.integers(min_value=0, max_value=(1 << 24) - 1),
-        seq=psn,
-        ack=st.booleans(),
-        solicited=st.booleans(),
-    )
-    def test_bth_round_trip(self, opcode, dest_qp, seq, ack, solicited):
-        bth = Bth(opcode=opcode, dest_qp=dest_qp, psn=seq, ack_request=ack,
-                  solicited=solicited)
-        assert Bth.unpack(bth.pack()) == bth
+    """Whole-packet properties; the three header groups split the opcodes."""
+
+    @given(packets(st.sampled_from(
+        [op for op in Opcode if op not in CARRIES_RETH and op not in CARRIES_AETH]
+    )))
+    def test_bth_round_trip(self, packet):
+        assert_round_trips(packet)
+
+    @given(packets(st.sampled_from(sorted(CARRIES_RETH))))
+    def test_reth_round_trip(self, packet):
+        assert_round_trips(packet)
+
+    @given(packets(st.sampled_from(sorted(CARRIES_AETH))))
+    def test_aeth_round_trip(self, packet):
+        assert_round_trips(packet)
+
+    @settings(max_examples=200)
+    @given(packets())
+    def test_full_packet_round_trip(self, packet):
+        assert_round_trips(packet)
+
+    @given(header_fields(), header_fields())
+    def test_pool_reuse_sets_every_field(self, first, second):
+        pool = PacketPool()
+        shell = pool.acquire("alpha", "beta", **first)
+        shell.release()
+        reused = pool.acquire("alpha", "beta", **second)
+        assert reused is shell
+        assert reused == RocePacket("alpha", "beta", **second)
+        assert_round_trips(reused)
 
     @given(
-        vaddr=st.integers(min_value=0, max_value=(1 << 64) - 1),
-        rkey=st.integers(min_value=0, max_value=(1 << 32) - 1),
-        length=st.integers(min_value=0, max_value=(1 << 32) - 1),
+        packets(st.sampled_from(sorted(READ_RESPONSES))),
+        st.sampled_from(sorted(WRITES)),
+        u24, psn, u64, u32,
     )
-    def test_reth_round_trip(self, vaddr, rkey, length):
-        reth = Reth(virtual_address=vaddr, remote_key=rkey, dma_length=length)
-        assert Reth.unpack(reth.pack()) == reth
-
-    @given(
-        syndrome=st.integers(min_value=0, max_value=255),
-        msn=st.integers(min_value=0, max_value=(1 << 24) - 1),
-    )
-    def test_aeth_round_trip(self, syndrome, msn):
-        aeth = Aeth(syndrome=syndrome, msn=msn)
-        assert Aeth.unpack(aeth.pack()) == aeth
-
-    @settings(max_examples=50)
-    @given(
-        payload=st.binary(min_size=0, max_size=1024),
-        seq=psn,
-        qp=st.integers(min_value=0, max_value=(1 << 24) - 1),
-    )
-    def test_full_packet_round_trip(self, payload, seq, qp):
+    def test_recycled_read_response_is_a_well_formed_write(
+        self, response, opcode, dest_qp, seq, vaddr, rkey
+    ):
         book = AddressBook()
-        packet = RocePacket(
-            src="alpha", dst="beta",
-            bth=Bth(opcode=Opcode.RC_RDMA_READ_RESPONSE_ONLY, dest_qp=qp, psn=seq),
-            aeth=Aeth(syndrome=0x1F, msn=0),
-            payload=payload,
+        arriving = RocePacket.unpack(response.pack(book), book)
+        reth = (
+            dict(virtual_address=vaddr, remote_key=rkey, dma_length=len(response.payload))
+            if opcode in CARRIES_RETH else {}
         )
-        restored = RocePacket.unpack(packet.pack(book), book)
-        assert restored.payload == payload
-        assert restored.bth == packet.bth
-        assert restored.size_bytes == packet.size_bytes
+        arriving.recycle("switch", "pool", opcode, dest_qp, seq, True, **reth)
+        assert arriving == RocePacket(
+            "switch", "pool", opcode, dest_qp, seq, True,
+            payload=bytes(response.payload), **reth,
+        )
+        assert_round_trips(arriving)
 
 
 class TestCowbirdWireProperties:

@@ -321,17 +321,108 @@ class TestReliability:
         pool.registry.register(4096)
         local = compute.registry.register(4096)
         thread = compute.cpu.thread()
+        failed = []
 
         def op():
             try:
                 yield from compute.verbs.read_sync(
                     thread, qp_c, local.base_addr, 0x4000_0000, 0xBAD_0000, 8
                 )
-            except Exception:  # noqa: BLE001 - retry exhaustion expected
-                pass
+            except Exception as exc:  # noqa: BLE001 - asserting on the message below
+                failed.append(exc)
 
         run_op(bed, op(), deadline=10_000_000_000)
-        assert pool.nic.stats.naks_sent >= 1
+        assert pool.nic.stats.naks_sent == 1
+        assert len(failed) == 1
+        assert "remote_access_error" in str(failed[0])
+        assert qp_c.retransmissions == 0
+
+
+class TestRemoteAccessErrors:
+    """A bad rkey or an out-of-bounds access is fatal to its WR: the
+    responder NAKs it as a remote access error, the requester fails it at
+    once without a Go-Back-N round, flushes the rest and enters the error
+    state."""
+
+    def run_and_poll(self, bed, compute, qp, posts):
+        """Post each ``(kind, remote_addr, rkey, length)`` back to back,
+        then reap one completion per post."""
+        thread = compute.cpu.thread()
+        local = compute.registry.register(8192)
+        local.write(local.base_addr, b"w" * 4096)
+        results = []
+
+        def op():
+            for kind, remote_addr, rkey, length in posts:
+                post = compute.verbs.read_async if kind == "read" else compute.verbs.write_async
+                yield from post(thread, qp, local.base_addr, remote_addr, rkey, length)
+            completions = yield from compute.verbs.spin_poll(thread, qp.cq, count=len(posts))
+            results.extend(completions)
+
+        run_op(bed, op(), deadline=10_000_000_000)
+        return [c.status for c in results]
+
+    def test_bad_rkey_then_out_of_bounds_read(self):
+        bed, compute, pool, qp_c, _ = build_bed()
+        remote = pool.registry.register(4096)
+        statuses = self.run_and_poll(bed, compute, qp_c, [
+            ("read", remote.base_addr, 0xBAD_0000, 8),
+            ("read", remote.base_addr + 4090, remote.rkey, 64),
+        ])
+        assert statuses == [
+            CompletionStatus.REMOTE_ACCESS_ERROR, CompletionStatus.FLUSHED,
+        ]
+        assert qp_c.in_error
+        assert qp_c.retransmissions == 0
+        assert qp_c.naks_received == 1
+        assert pool.nic.stats.naks_sent == 1
+        assert bed.sim.now < NicConfig().retransmit_timeout_ns
+
+    def test_out_of_bounds_read_fails_on_its_own(self):
+        bed, compute, pool, qp_c, _ = build_bed()
+        remote = pool.registry.register(4096)
+        statuses = self.run_and_poll(bed, compute, qp_c, [
+            ("read", remote.base_addr + 4090, remote.rkey, 64),
+        ])
+        assert statuses == [CompletionStatus.REMOTE_ACCESS_ERROR]
+        assert qp_c.retransmissions == 0
+
+    def test_bad_rkey_write_train_draws_one_nak(self):
+        bed, compute, pool, qp_c, _ = build_bed()
+        remote = pool.registry.register(4096)
+        statuses = self.run_and_poll(bed, compute, qp_c, [
+            ("write", remote.base_addr, 0xBAD_0000, 3000),  # three packets
+        ])
+        assert statuses == [CompletionStatus.REMOTE_ACCESS_ERROR]
+        assert pool.nic.stats.naks_sent == 1
+        assert qp_c.retransmissions == 0
+
+    def test_earlier_wr_succeeds_and_later_ones_flush(self):
+        bed, compute, pool, qp_c, _ = build_bed()
+        remote = pool.registry.register(4096)
+        statuses = self.run_and_poll(bed, compute, qp_c, [
+            ("write", remote.base_addr, remote.rkey, 16),
+            ("read", remote.base_addr, 0xBAD_0000, 8),
+            ("read", remote.base_addr, remote.rkey, 8),
+        ])
+        assert statuses == [
+            CompletionStatus.SUCCESS,
+            CompletionStatus.REMOTE_ACCESS_ERROR,
+            CompletionStatus.FLUSHED,
+        ]
+        assert remote.read(remote.base_addr, 16) == b"w" * 16
+
+    def test_posts_to_a_failed_qp_flush_at_once(self):
+        bed, compute, pool, qp_c, _ = build_bed()
+        remote = pool.registry.register(4096)
+        self.run_and_poll(bed, compute, qp_c, [("read", remote.base_addr, 0xBAD_0000, 8)])
+        sent = compute.nic.stats.tx_packets
+        statuses = self.run_and_poll(bed, compute, qp_c, [
+            ("read", remote.base_addr, remote.rkey, 8),
+            ("write", remote.base_addr, remote.rkey, 8),
+        ])
+        assert statuses == [CompletionStatus.FLUSHED, CompletionStatus.FLUSHED]
+        assert compute.nic.stats.tx_packets == sent  # nothing reached the wire
 
 
 class TestNicPacing:

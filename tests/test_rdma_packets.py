@@ -22,20 +22,34 @@ from repro.rdma.packets import (
     WRITE_TAILS,
     WRITES,
     AddressBook,
-    Aeth,
-    Bth,
     HEADER_OVERHEAD_BYTES,
     Opcode,
     PSN_MODULUS,
     PacketPool,
-    READ_RESPONSE_TO_WRITE,
-    Reth,
     RocePacket,
     SYNDROME_ACK,
     SYNDROME_NAK_PSN_ERROR,
+    SYNDROME_NAK_REMOTE_ACCESS,
     psn_add,
     psn_distance,
 )
+
+#: Wire offsets: Eth(14) + IPv4(20) + UDP(8) precede the BTH (12), and
+#: the RETH or AETH follows it.
+BTH_OFFSET = 42
+EXT_OFFSET = BTH_OFFSET + 12
+
+
+def ack(syndrome=SYNDROME_ACK, msn=0, psn=0):
+    return RocePacket(
+        src="a", dst="b", opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=1, psn=psn,
+        syndrome=syndrome, msn=msn,
+    )
+
+
+def round_trip(packet):
+    book = AddressBook()
+    return RocePacket.unpack(packet.pack(book), book)
 
 
 class TestPsnArithmetic:
@@ -55,91 +69,156 @@ class TestPsnArithmetic:
 
 class TestBth:
     def test_round_trip(self):
-        bth = Bth(
-            opcode=Opcode.RC_RDMA_READ_REQUEST,
+        packet = RocePacket(
+            src="a", dst="b",
+            opcode=Opcode.RC_RDMA_WRITE_MIDDLE,
             dest_qp=0x1234,
             psn=0xABCDE,
             ack_request=True,
-            solicited=True,
+            payload=b"x",
         )
-        assert Bth.unpack(bth.pack()) == bth
+        restored = round_trip(packet)
+        assert restored == packet
+        assert (restored.opcode, restored.dest_qp, restored.psn, restored.ack_request) == (
+            Opcode.RC_RDMA_WRITE_MIDDLE, 0x1234, 0xABCDE, True,
+        )
 
     def test_packed_size_is_12_bytes(self):
-        bth = Bth(opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=1, psn=0)
-        assert len(bth.pack()) == 12
+        # A SEND without payload carries the BTH and no extension header.
+        packet = RocePacket(src="a", dst="b", opcode=Opcode.RC_SEND_ONLY, dest_qp=1, psn=0)
+        wire = packet.pack(AddressBook())
+        assert len(wire) - BTH_OFFSET - 4 == 12  # 4: the ICRC trailer
 
     def test_opcode_is_first_byte(self):
-        bth = Bth(opcode=Opcode.RC_RDMA_WRITE_ONLY, dest_qp=1, psn=0)
-        assert bth.pack()[0] == int(Opcode.RC_RDMA_WRITE_ONLY)
+        packet = RocePacket(
+            src="a", dst="b", opcode=Opcode.RC_RDMA_WRITE_ONLY, dest_qp=1, psn=0
+        )
+        assert packet.pack(AddressBook())[BTH_OFFSET] == int(Opcode.RC_RDMA_WRITE_ONLY)
+
+    def test_byte_layout(self):
+        packet = RocePacket(
+            src="a", dst="b", opcode=Opcode.RC_RDMA_READ_REQUEST, dest_qp=0x1234,
+            psn=0xABCDE, ack_request=True,
+        )
+        bth = packet.pack(AddressBook())[BTH_OFFSET : BTH_OFFSET + 12]
+        assert bth == bytes.fromhex("0c00ffff" "00001234" "800abcde")
 
     def test_out_of_range_fields_rejected(self):
-        with pytest.raises(ValueError):
-            Bth(opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=1 << 24, psn=0).pack()
-        with pytest.raises(ValueError):
-            Bth(opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=1, psn=PSN_MODULUS).pack()
+        for dest_qp, seq, field in ((1 << 24, 0, "dest_qp"), (1, PSN_MODULUS, "psn")):
+            packet = RocePacket(
+                src="a", dst="b", opcode=Opcode.RC_SEND_ONLY, dest_qp=dest_qp, psn=seq
+            )
+            with pytest.raises(ValueError, match=field):
+                packet.pack()
 
 
 class TestReth:
+    def make(self, **reth):
+        return RocePacket(
+            src="a", dst="b", opcode=Opcode.RC_RDMA_READ_REQUEST, dest_qp=1, psn=0, **reth
+        )
+
     def test_round_trip(self):
-        reth = Reth(virtual_address=0xDEADBEEF_CAFE, remote_key=0x8000_0001, dma_length=4096)
-        assert Reth.unpack(reth.pack()) == reth
+        packet = self.make(
+            virtual_address=0xDEADBEEF_CAFE, remote_key=0x8000_0001, dma_length=4096
+        )
+        restored = round_trip(packet)
+        assert restored == packet
+        assert (restored.virtual_address, restored.remote_key, restored.dma_length) == (
+            0xDEADBEEF_CAFE, 0x8000_0001, 4096,
+        )
 
     def test_packed_size_is_16_bytes(self):
-        assert len(Reth(virtual_address=0, remote_key=0, dma_length=0).pack()) == 16
+        wire = self.make().pack(AddressBook())
+        assert len(wire) - EXT_OFFSET - 4 == 16
+
+    def test_byte_layout(self):
+        packet = self.make(
+            virtual_address=0xDEADBEEF_CAFE, remote_key=0x8000_0001, dma_length=4096
+        )
+        reth = packet.pack(AddressBook())[EXT_OFFSET : EXT_OFFSET + 16]
+        assert reth == bytes.fromhex("0000deadbeefcafe" "80000001" "00001000")
 
     def test_rejects_oversized_length(self):
-        with pytest.raises(ValueError):
-            Reth(virtual_address=0, remote_key=0, dma_length=1 << 32).pack()
+        with pytest.raises(ValueError, match="dma_length"):
+            self.make(dma_length=1 << 32).pack()
+
+    def test_rejects_oversized_address(self):
+        with pytest.raises(ValueError, match="virtual address"):
+            self.make(virtual_address=1 << 64).pack()
 
 
 class TestAeth:
     def test_round_trip(self):
-        aeth = Aeth(syndrome=SYNDROME_NAK_PSN_ERROR, msn=0x123)
-        assert Aeth.unpack(aeth.pack()) == aeth
+        packet = ack(syndrome=SYNDROME_NAK_PSN_ERROR, msn=0x123)
+        restored = round_trip(packet)
+        assert restored == packet
+        assert (restored.syndrome, restored.msn) == (SYNDROME_NAK_PSN_ERROR, 0x123)
 
     def test_packed_size_is_4_bytes(self):
-        assert len(Aeth(syndrome=0, msn=0).pack()) == 4
+        wire = ack().pack(AddressBook())
+        assert len(wire) - EXT_OFFSET - 4 == 4
+
+    def test_byte_layout(self):
+        aeth = ack(syndrome=SYNDROME_NAK_PSN_ERROR, msn=0x123).pack(AddressBook())
+        assert aeth[EXT_OFFSET : EXT_OFFSET + 4] == bytes.fromhex("60000123")
+
+    def test_rejects_oversized_msn(self):
+        with pytest.raises(ValueError, match="msn"):
+            ack(msn=1 << 24).pack()
 
     def test_ack_and_nak_classification(self):
-        assert Aeth(syndrome=SYNDROME_ACK, msn=0).is_ack
-        assert not Aeth(syndrome=SYNDROME_ACK, msn=0).is_nak
-        assert Aeth(syndrome=SYNDROME_NAK_PSN_ERROR, msn=0).is_nak
-        assert not Aeth(syndrome=SYNDROME_NAK_PSN_ERROR, msn=0).is_ack
+        assert not ack(SYNDROME_ACK).is_nak
+        assert ack(SYNDROME_NAK_PSN_ERROR).is_nak
+        assert ack(SYNDROME_NAK_REMOTE_ACCESS).is_nak
+        # Packets without an AETH read syndrome 0: never a NAK.
+        assert not RocePacket(
+            src="a", dst="b", opcode=Opcode.RC_RDMA_READ_RESPONSE_MIDDLE, dest_qp=1, psn=0
+        ).is_nak
 
 
 class TestOpcodeProperties:
     def test_reth_on_read_request_and_write_head(self):
-        assert Opcode.RC_RDMA_READ_REQUEST.carries_reth
-        assert Opcode.RC_RDMA_WRITE_FIRST.carries_reth
-        assert Opcode.RC_RDMA_WRITE_ONLY.carries_reth
-        assert not Opcode.RC_RDMA_WRITE_MIDDLE.carries_reth
-        assert not Opcode.RC_RDMA_WRITE_LAST.carries_reth
+        assert Opcode.RC_RDMA_READ_REQUEST in CARRIES_RETH
+        assert Opcode.RC_RDMA_WRITE_FIRST in CARRIES_RETH
+        assert Opcode.RC_RDMA_WRITE_ONLY in CARRIES_RETH
+        assert Opcode.RC_RDMA_WRITE_MIDDLE not in CARRIES_RETH
+        assert Opcode.RC_RDMA_WRITE_LAST not in CARRIES_RETH
 
     def test_aeth_on_responses_and_acks(self):
-        assert Opcode.RC_ACKNOWLEDGE.carries_aeth
-        assert Opcode.RC_RDMA_READ_RESPONSE_FIRST.carries_aeth
-        assert Opcode.RC_RDMA_READ_RESPONSE_ONLY.carries_aeth
-        assert not Opcode.RC_RDMA_READ_RESPONSE_MIDDLE.carries_aeth
+        assert Opcode.RC_ACKNOWLEDGE in CARRIES_AETH
+        assert Opcode.RC_RDMA_READ_RESPONSE_FIRST in CARRIES_AETH
+        assert Opcode.RC_RDMA_READ_RESPONSE_ONLY in CARRIES_AETH
+        assert Opcode.RC_RDMA_READ_RESPONSE_MIDDLE not in CARRIES_AETH
 
     def test_read_response_to_write_conversion_map(self):
-        """Section 5.2: Response First/Middle/Last map to Write
-        First/Middle/Last when Cowbird-P4 recycles them."""
-        assert (
-            READ_RESPONSE_TO_WRITE[Opcode.RC_RDMA_READ_RESPONSE_FIRST]
-            is Opcode.RC_RDMA_WRITE_FIRST
-        )
-        assert (
-            READ_RESPONSE_TO_WRITE[Opcode.RC_RDMA_READ_RESPONSE_MIDDLE]
-            is Opcode.RC_RDMA_WRITE_MIDDLE
-        )
-        assert (
-            READ_RESPONSE_TO_WRITE[Opcode.RC_RDMA_READ_RESPONSE_LAST]
-            is Opcode.RC_RDMA_WRITE_LAST
-        )
-        assert (
-            READ_RESPONSE_TO_WRITE[Opcode.RC_RDMA_READ_RESPONSE_ONLY]
-            is Opcode.RC_RDMA_WRITE_ONLY
-        )
+        """Section 5.2: Response First/Middle/Last/Only recycle into Write
+        First/Middle/Last/Only with the payload untouched; each result is
+        the packet a sender would have built."""
+        book = AddressBook()
+        for position in ("FIRST", "MIDDLE", "LAST", "ONLY"):
+            response = Opcode[f"RC_RDMA_READ_RESPONSE_{position}"]
+            write = Opcode[f"RC_RDMA_WRITE_{position}"]
+            aeth = {"syndrome": SYNDROME_ACK, "msn": 4} if response in CARRIES_AETH else {}
+            reth = (
+                {"virtual_address": 0x1000, "remote_key": 0x77, "dma_length": 3000}
+                if write in CARRIES_RETH else {}
+            )
+            tail = position in ("LAST", "ONLY")
+            arriving = RocePacket.unpack(
+                RocePacket(
+                    src="pool", dst="switch", opcode=response, dest_qp=5, psn=9,
+                    payload=b"p" * 64, **aeth,
+                ).pack(book),
+                book,
+            )
+            arriving.recycle("switch", "compute", write, 3, 100, tail, **reth)
+            fresh = RocePacket(
+                src="switch", dst="compute", opcode=write, dest_qp=3, psn=100,
+                ack_request=tail, payload=b"p" * 64, **reth,
+            )
+            assert arriving == fresh
+            assert arriving.pack(book) == fresh.pack(book)
 
 
 def _header_rules(opcode):
@@ -181,12 +260,25 @@ class TestOpcodeTables:
 
     @pytest.mark.parametrize("opcode", list(Opcode))
     def test_public_properties_still_work(self, opcode):
+        """The header fields are public attributes of the packet: the
+        groups an opcode carries survive the wire, the others read 0
+        and are rejected at construction."""
         rules = _header_rules(opcode)
-        assert opcode.carries_reth is rules["reth"]
-        assert opcode.carries_aeth is rules["aeth"]
-        assert opcode.carries_payload is rules["payload"]
-        assert opcode.is_read_response is rules["read_response"]
-        assert opcode.is_write is rules["write"]
+        reth = {"virtual_address": 0x1000, "remote_key": 7, "dma_length": 64}
+        aeth = {"syndrome": SYNDROME_NAK_PSN_ERROR, "msn": 2}
+        fields = {**(reth if rules["reth"] else {}), **(aeth if rules["aeth"] else {})}
+        restored = round_trip(
+            RocePacket(src="a", dst="b", opcode=opcode, dest_qp=3, psn=4, **fields)
+        )
+        for name in (*reth, *aeth):
+            assert getattr(restored, name) == fields.get(name, 0)
+        assert restored.is_nak is rules["aeth"]
+        if not rules["reth"]:
+            with pytest.raises(ValueError, match="must not carry a RETH"):
+                RocePacket(src="a", dst="b", opcode=opcode, dest_qp=3, psn=4, **reth)
+        if not rules["aeth"]:
+            with pytest.raises(ValueError, match="must not carry an AETH"):
+                RocePacket(src="a", dst="b", opcode=opcode, dest_qp=3, psn=4, **aeth)
 
     @pytest.mark.parametrize(
         "opcode,payload_bytes",
@@ -199,13 +291,13 @@ class TestOpcodeTables:
     )
     def test_size_bytes_equals_packed_length(self, opcode, payload_bytes):
         rules = _header_rules(opcode)
+        reth = {"virtual_address": 0x1000, "remote_key": 7, "dma_length": payload_bytes}
+        aeth = {"syndrome": SYNDROME_ACK, "msn": 2}
         packet = RocePacket(
-            src="a", dst="b",
-            bth=Bth(opcode=opcode, dest_qp=3, psn=PSN_MODULUS - 1),
-            reth=Reth(virtual_address=0x1000, remote_key=7, dma_length=payload_bytes)
-            if rules["reth"] else None,
-            aeth=Aeth(syndrome=SYNDROME_ACK, msn=2) if rules["aeth"] else None,
+            src="a", dst="b", opcode=opcode, dest_qp=3, psn=PSN_MODULUS - 1,
             payload=bytes(payload_bytes),
+            **(reth if rules["reth"] else {}),
+            **(aeth if rules["aeth"] else {}),
         )
         book = AddressBook()
         wire = packet.pack(book)
@@ -222,20 +314,15 @@ class TestOpcodeTables:
 
     @pytest.mark.parametrize("opcode", list(Opcode))
     def test_decoding_returns_the_enum_members(self, opcode):
-        assert Bth.unpack(Bth(opcode=opcode, dest_qp=1, psn=2).pack()).opcode is opcode
-        packet = RocePacket(
-            src="a", dst="b", bth=Bth(opcode=opcode, dest_qp=1, psn=2),
-            reth=Reth(0, 0, 0) if opcode in CARRIES_RETH else None,
-            aeth=Aeth(SYNDROME_ACK, 0) if opcode in CARRIES_AETH else None,
-        )
-        book = AddressBook()
-        assert RocePacket.unpack(packet.pack(book), book).opcode is opcode
+        packet = RocePacket(src="a", dst="b", opcode=opcode, dest_qp=1, psn=2)
+        assert round_trip(packet).opcode is opcode
 
     def test_unknown_opcode_byte_rejected(self):
-        raw = bytearray(Bth(opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=1, psn=2).pack())
-        raw[0] = 0x7F
+        book = AddressBook()
+        raw = bytearray(ack(psn=2).pack(book))
+        raw[BTH_OFFSET] = 0x7F
         with pytest.raises(ValueError, match="not a valid Opcode"):
-            Bth.unpack(bytes(raw))
+            RocePacket.unpack(bytes(raw), book)
 
     @pytest.mark.parametrize("rw_type", list(RwType))
     def test_request_decoding_returns_the_enum_members(self, rw_type):
@@ -260,39 +347,58 @@ class TestRocePacket:
         return RocePacket(
             src="compute",
             dst="pool",
-            bth=Bth(opcode=Opcode.RC_RDMA_READ_REQUEST, dest_qp=7, psn=42),
-            reth=Reth(virtual_address=0x4000_0000, remote_key=0x8000_0001, dma_length=256),
+            opcode=Opcode.RC_RDMA_READ_REQUEST,
+            dest_qp=7,
+            psn=42,
+            virtual_address=0x4000_0000,
+            remote_key=0x8000_0001,
+            dma_length=256,
         )
 
     def test_header_validation_missing_reth(self):
-        with pytest.raises(ValueError, match="requires a RETH"):
-            RocePacket(
-                src="a", dst="b",
-                bth=Bth(opcode=Opcode.RC_RDMA_READ_REQUEST, dest_qp=1, psn=0),
-            )
-
-    def test_header_validation_unexpected_reth(self):
-        with pytest.raises(ValueError, match="must not carry"):
-            RocePacket(
-                src="a", dst="b",
-                bth=Bth(opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=1, psn=0),
-                reth=Reth(virtual_address=0, remote_key=0, dma_length=0),
-                aeth=Aeth(syndrome=SYNDROME_ACK, msn=0),
-            )
+        """A flat record cannot lack a header: a READ request built
+        without RETH fields still carries a (zero) RETH on the wire."""
+        packet = RocePacket(
+            src="a", dst="b", opcode=Opcode.RC_RDMA_READ_REQUEST, dest_qp=1, psn=0
+        )
+        wire = packet.pack(AddressBook())
+        assert len(wire) == packet.size_bytes == HEADER_OVERHEAD_BYTES + RETH_BYTES
+        assert wire[EXT_OFFSET : EXT_OFFSET + RETH_BYTES] == bytes(RETH_BYTES)
 
     def test_header_validation_missing_aeth(self):
-        with pytest.raises(ValueError, match="requires an AETH"):
+        """An ACK built without AETH fields carries syndrome 0 (an ACK,
+        never a NAK) and MSN 0."""
+        packet = RocePacket(src="a", dst="b", opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=1, psn=0)
+        wire = packet.pack(AddressBook())
+        assert len(wire) == packet.size_bytes == HEADER_OVERHEAD_BYTES + AETH_BYTES
+        assert wire[EXT_OFFSET : EXT_OFFSET + AETH_BYTES] == bytes(AETH_BYTES)
+        assert not packet.is_nak
+
+    def test_header_validation_unexpected_reth(self):
+        with pytest.raises(ValueError, match="must not carry a RETH"):
             RocePacket(
-                src="a", dst="b",
-                bth=Bth(opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=1, psn=0),
+                src="a", dst="b", opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=1, psn=0,
+                remote_key=5, syndrome=SYNDROME_ACK,
+            )
+
+    def test_header_validation_unexpected_aeth(self):
+        with pytest.raises(ValueError, match="must not carry an AETH"):
+            RocePacket(
+                src="a", dst="b", opcode=Opcode.RC_RDMA_READ_REQUEST, dest_qp=1, psn=0,
+                msn=3,
             )
 
     def test_ack_with_payload_rejected(self):
         with pytest.raises(ValueError, match="no payload"):
             RocePacket(
-                src="a", dst="b",
-                bth=Bth(opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=1, psn=0),
-                aeth=Aeth(syndrome=SYNDROME_ACK, msn=0),
+                src="a", dst="b", opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=1, psn=0,
+                syndrome=SYNDROME_ACK, payload=b"x",
+            )
+
+    def test_read_request_with_payload_rejected(self):
+        with pytest.raises(ValueError, match="no payload"):
+            RocePacket(
+                src="a", dst="b", opcode=Opcode.RC_RDMA_READ_REQUEST, dest_qp=1, psn=0,
                 payload=b"x",
             )
 
@@ -304,10 +410,8 @@ class TestRocePacket:
 
     def test_size_accounting_with_payload(self):
         packet = RocePacket(
-            src="a", dst="b",
-            bth=Bth(opcode=Opcode.RC_RDMA_READ_RESPONSE_ONLY, dest_qp=1, psn=0),
-            aeth=Aeth(syndrome=SYNDROME_ACK, msn=0),
-            payload=b"z" * 256,
+            src="a", dst="b", opcode=Opcode.RC_RDMA_READ_RESPONSE_ONLY, dest_qp=1, psn=0,
+            syndrome=SYNDROME_ACK, payload=b"z" * 256,
         )
         assert packet.size_bytes == HEADER_OVERHEAD_BYTES + 4 + 256
 
@@ -322,21 +426,19 @@ class TestRocePacket:
         restored = RocePacket.unpack(packet.pack(book), book)
         assert restored.src == "compute"
         assert restored.dst == "pool"
-        assert restored.bth == packet.bth
-        assert restored.reth == packet.reth
+        assert restored == packet
         assert restored.payload == b""
 
     def test_pack_unpack_round_trip_with_payload(self):
         book = AddressBook()
         packet = RocePacket(
-            src="pool", dst="compute",
-            bth=Bth(opcode=Opcode.RC_RDMA_READ_RESPONSE_ONLY, dest_qp=5, psn=9),
-            aeth=Aeth(syndrome=SYNDROME_ACK, msn=1),
-            payload=bytes(range(200)),
+            src="pool", dst="compute", opcode=Opcode.RC_RDMA_READ_RESPONSE_ONLY,
+            dest_qp=5, psn=9, syndrome=SYNDROME_ACK, msn=1, payload=bytes(range(200)),
         )
         restored = RocePacket.unpack(packet.pack(book), book)
         assert restored.payload == bytes(range(200))
-        assert restored.aeth == packet.aeth
+        assert (restored.syndrome, restored.msn) == (SYNDROME_ACK, 1)
+        assert restored == packet
 
     def test_udp_port_is_4791(self):
         book = AddressBook()
@@ -357,6 +459,12 @@ class TestRocePacket:
     def test_unpack_rejects_truncated(self):
         with pytest.raises(ValueError, match="too short"):
             RocePacket.unpack(b"\x00" * 10)
+
+    def test_unpack_rejects_truncated_extension_header(self):
+        book = AddressBook()
+        wire = self.make_read_request().pack(book)
+        with pytest.raises(ValueError, match="too short for RC_RDMA_READ_REQUEST"):
+            RocePacket.unpack(wire[:EXT_OFFSET + 8], book)
 
 
 class TestAddressBook:
@@ -391,10 +499,8 @@ class TestZeroCopyUnpack:
 
     def make_response(self, payload=bytes(range(200))):
         return RocePacket(
-            src="pool", dst="compute",
-            bth=Bth(opcode=Opcode.RC_RDMA_READ_RESPONSE_ONLY, dest_qp=5, psn=9),
-            aeth=Aeth(syndrome=SYNDROME_ACK, msn=1),
-            payload=payload,
+            src="pool", dst="compute", opcode=Opcode.RC_RDMA_READ_RESPONSE_ONLY,
+            dest_qp=5, psn=9, syndrome=SYNDROME_ACK, msn=1, payload=payload,
         )
 
     def test_unpacked_payload_is_memoryview_slice(self):
@@ -403,77 +509,60 @@ class TestZeroCopyUnpack:
         assert isinstance(restored.payload, memoryview)
         assert bytes(restored.payload) == bytes(range(200))
 
-    def test_extension_headers_parse_lazily(self):
-        book = AddressBook()
-        restored = RocePacket.unpack(self.make_response().pack(book), book)
-        assert restored._aeth is None  # not parsed yet
-        assert restored.aeth == Aeth(syndrome=SYNDROME_ACK, msn=1)
-        assert restored._aeth is not None  # cached after first access
-
     def test_repack_after_unpack_round_trips(self):
         book = AddressBook()
         wire = self.make_response().pack(book)
         assert RocePacket.unpack(wire, book).pack(book) == wire
 
-    def test_size_bytes_correct_without_parsing_extensions(self):
-        book = AddressBook()
-        original = self.make_response()
-        restored = RocePacket.unpack(original.pack(book), book)
-        assert restored.size_bytes == original.size_bytes
-        assert restored._aeth is None  # size never forced a parse
-
 
 class TestRecycle:
     """In-place read-response -> write conversion (the P4 primitive)."""
 
+    RETH = {"virtual_address": 0x1000, "remote_key": 0x77, "dma_length": 64}
+
     def recycled_write(self, payload=bytes(range(64))):
         book = AddressBook()
         response = RocePacket(
-            src="pool", dst="compute",
-            bth=Bth(opcode=Opcode.RC_RDMA_READ_RESPONSE_ONLY, dest_qp=5, psn=9),
-            aeth=Aeth(syndrome=SYNDROME_ACK, msn=1),
-            payload=payload,
+            src="pool", dst="compute", opcode=Opcode.RC_RDMA_READ_RESPONSE_ONLY,
+            dest_qp=5, psn=9, syndrome=SYNDROME_ACK, msn=1, payload=payload,
         )
         arriving = RocePacket.unpack(response.pack(book), book)
-        reth = Reth(virtual_address=0x1000, remote_key=0x77, dma_length=len(payload))
         arriving.recycle(
             src="switch", dst="pool",
             opcode=Opcode.RC_RDMA_WRITE_ONLY, dest_qp=3, psn=100,
-            ack_request=True, reth=reth,
+            ack_request=True, **self.RETH,
         )
-        return arriving, reth, book
+        return arriving, book
 
     def test_recycle_matches_fresh_packet_bytes(self):
-        recycled, reth, book = self.recycled_write()
+        recycled, book = self.recycled_write()
         fresh = RocePacket(
-            src="switch", dst="pool",
-            bth=Bth(opcode=Opcode.RC_RDMA_WRITE_ONLY, dest_qp=3, psn=100,
-                    ack_request=True),
-            reth=reth,
-            payload=bytes(range(64)),
+            src="switch", dst="pool", opcode=Opcode.RC_RDMA_WRITE_ONLY, dest_qp=3,
+            psn=100, ack_request=True, payload=bytes(range(64)), **self.RETH,
         )
         assert recycled.pack(book) == fresh.pack(book)
         assert recycled == fresh
 
     def test_recycle_leaves_payload_view_untouched(self):
-        recycled, _reth, _book = self.recycled_write()
+        recycled, _book = self.recycled_write()
         assert isinstance(recycled.payload, memoryview)
         assert bytes(recycled.payload) == bytes(range(64))
 
     def test_recycle_round_trips_through_wire(self):
-        recycled, reth, book = self.recycled_write()
+        recycled, book = self.recycled_write()
         restored = RocePacket.unpack(recycled.pack(book), book)
-        assert restored.bth == recycled.bth
-        assert restored.reth == reth
+        assert restored == recycled
+        assert (restored.virtual_address, restored.remote_key, restored.dma_length) == (
+            0x1000, 0x77, 64,
+        )
         assert restored.payload == bytes(range(64))
 
 
 class TestPacketPool:
     def make_request(self, pool):
         return pool.acquire(
-            src="switch", dst="pool",
-            bth=Bth(opcode=Opcode.RC_RDMA_READ_REQUEST, dest_qp=7, psn=42),
-            reth=Reth(virtual_address=0x4000, remote_key=0x8, dma_length=256),
+            src="switch", dst="pool", opcode=Opcode.RC_RDMA_READ_REQUEST, dest_qp=7,
+            psn=42, virtual_address=0x4000, remote_key=0x8, dma_length=256,
         )
 
     def test_release_then_acquire_reuses_shell(self):
@@ -488,14 +577,11 @@ class TestPacketPool:
     def test_release_clears_buffers(self):
         pool = PacketPool()
         packet = pool.acquire(
-            src="a", dst="b",
-            bth=Bth(opcode=Opcode.RC_RDMA_WRITE_ONLY, dest_qp=1, psn=0),
-            reth=Reth(virtual_address=0, remote_key=0, dma_length=4),
-            payload=b"data",
+            src="a", dst="b", opcode=Opcode.RC_RDMA_WRITE_ONLY, dest_qp=1, psn=0,
+            dma_length=4, payload=b"data",
         )
         packet.release()
         assert packet.payload == b""
-        assert packet._wire is None
 
     def test_double_release_is_idempotent(self):
         pool = PacketPool()
@@ -506,11 +592,7 @@ class TestPacketPool:
 
     def test_foreign_packet_release_ignored(self):
         pool = PacketPool()
-        outsider = RocePacket(
-            src="a", dst="b",
-            bth=Bth(opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=1, psn=0),
-            aeth=Aeth(syndrome=SYNDROME_ACK, msn=0),
-        )
+        outsider = ack()
         outsider.release()  # no pool: no-op
         pool.release(outsider)  # not ours: ignored
         assert len(pool) == 0
@@ -525,11 +607,14 @@ class TestPacketPool:
     def test_acquired_shell_packs_like_fresh(self):
         book = AddressBook()
         pool = PacketPool()
-        self.make_request(pool).release()
+        pool.acquire(
+            "switch", "compute", Opcode.RC_RDMA_WRITE_MIDDLE, 3, 5, payload=b"m" * 900
+        ).release()
         reused = self.make_request(pool)
         fresh = RocePacket(
-            src="switch", dst="pool",
-            bth=Bth(opcode=Opcode.RC_RDMA_READ_REQUEST, dest_qp=7, psn=42),
-            reth=Reth(virtual_address=0x4000, remote_key=0x8, dma_length=256),
+            src="switch", dst="pool", opcode=Opcode.RC_RDMA_READ_REQUEST, dest_qp=7,
+            psn=42, virtual_address=0x4000, remote_key=0x8, dma_length=256,
         )
+        assert reused == fresh
+        assert reused.size_bytes == fresh.size_bytes
         assert reused.pack(book) == fresh.pack(book)

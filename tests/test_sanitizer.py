@@ -15,7 +15,7 @@ from repro import telemetry
 from repro.analysis import SanitizerError, sanitize_enabled
 from repro.experiments.common import run_microbench
 from repro.experiments.sweep import SweepPoint, run_sweep
-from repro.rdma.packets import Bth, Opcode, PacketPool
+from repro.rdma.packets import Opcode, PacketPool
 from repro.sim.engine import SimulationError, Simulator
 
 
@@ -24,9 +24,7 @@ def make_pool(sim):
 
 
 def acquire(pool):
-    return pool.acquire(
-        "a", "b", Bth(opcode=Opcode.RC_SEND_ONLY, dest_qp=1, psn=0)
-    )
+    return pool.acquire("a", "b", Opcode.RC_SEND_ONLY, dest_qp=1, psn=0)
 
 
 class TestEnvGate:
@@ -85,8 +83,7 @@ class TestPacketLifetime:
     def test_foreign_release_is_counted_not_raised(self):
         sim = Simulator(sanitize=True)
         pool = make_pool(sim)
-        stranger = Bth(opcode=Opcode.RC_SEND_ONLY, dest_qp=1, psn=0)
-        packet = pool.acquire("a", "b", stranger)
+        packet = pool.acquire("a", "b", Opcode.RC_SEND_ONLY, dest_qp=1, psn=0)
         packet._pool = None  # simulate a never-pooled packet reaching release
         sim.sanitizer._outstanding.clear()
         sim.sanitizer._freed.clear()

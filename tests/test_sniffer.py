@@ -2,7 +2,7 @@
 
 
 from repro.cowbird.deploy import deploy_cowbird
-from repro.rdma.packets import Opcode
+from repro.rdma.packets import WRITES, Opcode
 from repro.rdma.sniffer import PacketSniffer
 from repro.testbed import Testbed
 
@@ -198,6 +198,6 @@ class TestProtocolValidation:
         # 32 reads batched: far fewer than 32 write packets arrive.
         writes = [
             p for p in sniffer.filter(dst="compute")
-            if p.opcode.is_write and p.payload_bytes > 40
+            if p.opcode in WRITES and p.payload_bytes > 40
         ]
         assert len(writes) < 16
