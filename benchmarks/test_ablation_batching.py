@@ -6,17 +6,16 @@ read latency.  The design claim under test: batching raises throughput
 and cuts compute-RNIC load at a bounded latency cost.
 """
 
-from repro.cowbird.deploy import deploy_cowbird
-from repro.cowbird.spot_engine import SpotEngineConfig
+from repro.experiments.common import build_microbench
 
 BATCH_SIZES = (1, 8, 32, 100)
 OPS = 600
 
 
 def run_batch_size(batch_size):
-    dep = deploy_cowbird(
-        engine="spot", remote_bytes=1 << 20,
-        spot_config=SpotEngineConfig(batch_size=batch_size),
+    dep = build_microbench(
+        "cowbird", 1, remote_bytes=1 << 20,
+        engine_config={"batch_size": batch_size},
     )
     inst = dep.instances[0]
     thread = dep.compute.cpu.thread()

@@ -7,20 +7,19 @@ measure per-request latency and probe packet counts; we also check the
 adaptive ramp-up mode against the fixed fastest rate.
 """
 
-from repro.cowbird.deploy import deploy_cowbird
-from repro.cowbird.p4_engine import P4EngineConfig
+from repro.experiments.common import build_microbench
 
 INTERVALS_US = (1, 2, 8, 32)
 BURSTS = 10
 
 
 def run_interval(interval_us, adaptive=False):
-    dep = deploy_cowbird(
-        engine="p4", remote_bytes=1 << 20,
-        p4_config=P4EngineConfig(
-            probe_interval_ns=interval_us * 1000.0,
-            adaptive_probing=adaptive,
-        ),
+    dep = build_microbench(
+        "cowbird-p4", 1, remote_bytes=1 << 20,
+        engine_config={
+            "probe_interval_ns": interval_us * 1000.0,
+            "adaptive_probing": adaptive,
+        },
     )
     inst = dep.instances[0]
     thread = dep.compute.cpu.thread()

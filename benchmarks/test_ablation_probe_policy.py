@@ -7,18 +7,16 @@ should cut the hot instance's request latency versus uniform
 round-robin while spending fewer probes on the idle crowd.
 """
 
-from repro.cowbird.deploy import deploy_cowbird
-from repro.cowbird.p4_engine import P4EngineConfig
+from repro.experiments.common import build_microbench
 
 IDLE_INSTANCES = 7
 OPS = 60
 
 
 def run_policy(policy):
-    dep = deploy_cowbird(
-        engine="p4", num_instances=IDLE_INSTANCES + 1, remote_bytes=1 << 20,
-        p4_config=P4EngineConfig(probe_interval_ns=2_000.0,
-                                 probe_policy=policy),
+    dep = build_microbench(
+        "cowbird-p4", IDLE_INSTANCES + 1, remote_bytes=1 << 20,
+        engine_config={"probe_interval_ns": 2_000.0, "probe_policy": policy},
     )
     hot = dep.instances[0]
     thread = dep.compute.cpu.thread()

@@ -12,18 +12,16 @@ seeded stream.
 Run:  python examples/lossy_network.py
 """
 
-from repro.cowbird.deploy import deploy_cowbird
-from repro.cowbird.p4_engine import P4EngineConfig
+from repro.experiments.common import build_microbench
 from repro.sim.network import FaultInjector
 
 
 def main() -> None:
     for drop_rate in (0.0, 0.01, 0.05):
         injector = FaultInjector(seed=42, drop_rate=drop_rate)
-        dep = deploy_cowbird(
-            engine="p4",
-            fault_injector=injector,
-            p4_config=P4EngineConfig(timeout_ns=100_000),
+        dep = build_microbench(
+            "cowbird-p4", 1, fault_injector=injector,
+            engine_config={"timeout_ns": 100_000},
         )
         instance = dep.instances[0]
         thread = dep.compute.cpu.thread()

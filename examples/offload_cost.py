@@ -15,12 +15,12 @@ from repro.cloud.pricing import (
     format_table,
     offload_cost_per_compute_node,
 )
-from repro.cowbird.deploy import deploy_cowbird
+from repro.experiments.common import build_microbench
 
 
 def measure_engine_utilization() -> float:
     """Run a burst of traffic and measure the spot core's duty cycle."""
-    dep = deploy_cowbird(engine="spot")
+    dep = build_microbench("cowbird", 1)
     instance = dep.instances[0]
     thread = dep.compute.cpu.thread()
 

@@ -14,12 +14,12 @@ resulting RoCEv2 trace.  You can see the whole Section 5.2 sequence:
 Run:  python examples/protocol_trace.py
 """
 
-from repro.cowbird.deploy import deploy_cowbird
+from repro.experiments.common import build_microbench
 from repro.rdma.sniffer import PacketSniffer
 
 
 def main() -> None:
-    dep = deploy_cowbird(engine="p4", remote_bytes=1 << 16)
+    dep = build_microbench("cowbird-p4", 1, remote_bytes=1 << 16)
     sniffer = PacketSniffer(dep.sim)
     sniffer.attach_nic(dep.compute.nic, "rx@compute")
     sniffer.attach_nic(dep.pool_host.nic, "rx@pool")

@@ -10,13 +10,13 @@ the application thread is tens of nanoseconds.
 Run:  python examples/quickstart.py
 """
 
-from repro.cowbird.deploy import deploy_cowbird
+from repro.experiments.common import build_microbench
 
 
 def main() -> None:
     # One call builds the Section 7 testbed and starts the offload
     # engine ("spot" = the Section 6 agent; try engine="p4" too).
-    dep = deploy_cowbird(engine="spot", remote_bytes=1 << 20)
+    dep = build_microbench("cowbird", 1, remote_bytes=1 << 20)
     sim = dep.sim
     instance = dep.instances[0]
     thread = dep.compute.cpu.thread("app")

@@ -21,13 +21,13 @@ Run:  python examples/telemetry_tour.py
 import tempfile
 
 from repro import telemetry
-from repro.cowbird.deploy import deploy_cowbird
+from repro.experiments.common import build_microbench
 
 
 def main() -> None:
     tel = telemetry.Telemetry()
     with telemetry.activate(tel):
-        dep = deploy_cowbird(engine="spot", remote_bytes=1 << 16)
+        dep = build_microbench("cowbird", 1, remote_bytes=1 << 16)
         instance = dep.instances[0]
         thread = dep.compute.cpu.thread("app")
         for i in range(8):

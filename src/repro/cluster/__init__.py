@@ -22,7 +22,7 @@ from repro.cluster.engine import OffloadEngine
 from repro.cluster.registry import (
     SYSTEMS,
     BuildContext,
-    BuiltSystem,
+    MicrobenchDeployment,
     SystemRegistry,
     register_system,
 )
@@ -42,10 +42,10 @@ del _builders
 
 __all__ = [
     "BuildContext",
-    "BuiltSystem",
     "EngineSpec",
     "HostSpec",
     "LinkSpec",
+    "MicrobenchDeployment",
     "OffloadEngine",
     "PoolSpec",
     "ScenarioError",

@@ -27,8 +27,12 @@ from repro.baselines import (
     TwoSidedSyncBackend,
 )
 from repro.baselines.backends import CowbirdBackend
-from repro.cluster.registry import BuildContext, BuiltSystem, register_system
-from repro.cowbird.api import CowbirdClient, CowbirdConfig
+from repro.cluster.registry import (
+    BuildContext,
+    MicrobenchDeployment,
+    register_system,
+)
+from repro.cowbird.api import CowbirdClient
 from repro.cowbird.p4_engine import CowbirdP4Engine, P4EngineConfig
 from repro.cowbird.spot_engine import CowbirdSpotEngine, SpotEngineConfig
 from repro.memory.pool import ShardedPool
@@ -36,65 +40,62 @@ from repro.memory.pool import ShardedPool
 __all__ = []  # systems are reached through the registry, not imports
 
 
-def _setup_pool(ctx: BuildContext):
+def _setup_pool(ctx: BuildContext) -> MicrobenchDeployment:
     """One pool host serving the benchmark region (the common case)."""
     pool_host, pool = ctx.bed.add_pool("pool")
-    handle = pool.allocate_region(ctx.remote_bytes, name="bench-remote")
-    built = BuiltSystem(
-        backends=[], pool_host=pool_host, pool=pool,
-        pool_hosts={pool.node: pool_host},
+    region = pool.allocate_region(ctx.remote_bytes, name="bench-remote")
+    return ctx.deployment(
+        [], pool=pool, pool_hosts={pool.node: pool_host}, region=region
     )
-    return built, handle
 
 
 @register_system("local")
-def build_local(ctx: BuildContext) -> BuiltSystem:
-    return BuiltSystem(
-        backends=[LocalMemoryBackend(ctx.cost) for _ in range(ctx.threads)]
-    )
+def build_local(ctx: BuildContext) -> MicrobenchDeployment:
+    return ctx.deployment([LocalMemoryBackend(ctx.cost) for _ in range(ctx.threads)])
 
 
 @register_system("two-sided")
-def build_two_sided(ctx: BuildContext) -> BuiltSystem:
-    built, handle = _setup_pool(ctx)
+def build_two_sided(ctx: BuildContext) -> MicrobenchDeployment:
+    dep = _setup_pool(ctx)
+    pool_host = dep.pool_host
     # Two-sided RPC burns pool CPU: one busy-polling server thread per
     # connection (they spin, so each needs a core).
     from repro.sim.cpu import CPU
 
-    built.pool_host.cpu = CPU(
+    pool_host.cpu = CPU(
         ctx.sim, physical_cores=max(2, ctx.threads), smt=1, cost_model=ctx.cost
     )
     for _ in range(ctx.threads):
-        qp_c, qp_p = ctx.bed.connect_qps(ctx.compute, built.pool_host)
-        built.backends.append(
-            TwoSidedSyncBackend(ctx.compute, built.pool_host, qp_c, qp_p, handle)
+        qp_c, qp_p = ctx.bed.connect_qps(ctx.compute, pool_host)
+        dep.backends.append(
+            TwoSidedSyncBackend(ctx.compute, pool_host, qp_c, qp_p, dep.region)
         )
-    return built
+    return dep
 
 
 @register_system("one-sided")
-def build_one_sided(ctx: BuildContext) -> BuiltSystem:
-    built, handle = _setup_pool(ctx)
+def build_one_sided(ctx: BuildContext) -> MicrobenchDeployment:
+    dep = _setup_pool(ctx)
     for _ in range(ctx.threads):
-        qp_c, _qp_p = ctx.bed.connect_qps(ctx.compute, built.pool_host)
-        built.backends.append(OneSidedSyncBackend(ctx.compute, qp_c, handle))
-    return built
+        qp_c, _qp_p = ctx.bed.connect_qps(ctx.compute, dep.pool_host)
+        dep.backends.append(OneSidedSyncBackend(ctx.compute, qp_c, dep.region))
+    return dep
 
 
 @register_system("async")
-def build_async(ctx: BuildContext) -> BuiltSystem:
-    built, handle = _setup_pool(ctx)
+def build_async(ctx: BuildContext) -> MicrobenchDeployment:
+    dep = _setup_pool(ctx)
     for _ in range(ctx.threads):
-        qp_c, _qp_p = ctx.bed.connect_qps(ctx.compute, built.pool_host)
-        built.backends.append(
+        qp_c, _qp_p = ctx.bed.connect_qps(ctx.compute, dep.pool_host)
+        dep.backends.append(
             OneSidedAsyncBackend(
-                ctx.compute, qp_c, handle, batch=ctx.pipeline_depth
+                ctx.compute, qp_c, dep.region, batch=ctx.pipeline_depth
             )
         )
-    return built
+    return dep
 
 
-def _build_cowbird(ctx: BuildContext, engine_factory) -> BuiltSystem:
+def _build_cowbird(ctx: BuildContext, engine_factory) -> MicrobenchDeployment:
     """Shared Phase I wiring for all three Cowbird variants.
 
     ``engine_factory(ctx)`` runs *after* instances are created (the
@@ -111,33 +112,29 @@ def _build_cowbird(ctx: BuildContext, engine_factory) -> BuiltSystem:
             pool_hosts[shard_pool.node] = host
         pool = ShardedPool(pools)
         sharded = pool.allocate_region(ctx.remote_bytes, name="bench-remote")
+        dep = ctx.deployment(
+            [], pool=pool, pool_hosts=pool_hosts, region=sharded
+        )
         handles = sharded.shards
-        primary_host = pool_hosts[pools[0].node]
     else:
-        built, handle = _setup_pool(ctx)
-        pool = built.pool
-        pool_hosts = built.pool_hosts
-        primary_host = built.pool_host
+        dep = _setup_pool(ctx)
         sharded = None
-        handles = (handle,)
-    client = CowbirdClient(ctx.compute, CowbirdConfig())
+        handles = (dep.region,)
+    client = CowbirdClient(ctx.compute, ctx.cowbird_config)
     for handle in handles:
         client.register_remote_region(handle)
     instances = [client.create_instance() for _ in range(ctx.threads)]
-    engine = engine_factory(ctx)
+    dep.engine = engine = engine_factory(ctx)
     for instance in instances:
-        engine.register_instance(instance, pool_hosts)
+        engine.register_instance(instance, dep.pool_hosts)
     engine.start()
-    backends = [
+    dep.backends = [
         CowbirdBackend(
             instance, pending_limit=ctx.pipeline_depth, sharded=sharded
         )
         for instance in instances
     ]
-    return BuiltSystem(
-        backends=backends, pool_host=primary_host, pool=pool,
-        engine=engine, pool_hosts=pool_hosts,
-    )
+    return dep
 
 
 def _spot_engine_factory(base_config: dict):
@@ -150,7 +147,7 @@ def _spot_engine_factory(base_config: dict):
 
 
 @register_system("cowbird-nb", sharded=True)
-def build_cowbird_nb(ctx: BuildContext) -> BuiltSystem:
+def build_cowbird_nb(ctx: BuildContext) -> MicrobenchDeployment:
     # "Batching disabled": every read response is written back
     # individually, and doorbell batching is restricted, so per-request
     # verb overhead returns (Section 6).
@@ -160,12 +157,12 @@ def build_cowbird_nb(ctx: BuildContext) -> BuiltSystem:
 
 
 @register_system("cowbird", sharded=True)
-def build_cowbird(ctx: BuildContext) -> BuiltSystem:
-    return _build_cowbird(ctx, _spot_engine_factory({"batch_size": 100}))
+def build_cowbird(ctx: BuildContext) -> MicrobenchDeployment:
+    return _build_cowbird(ctx, _spot_engine_factory({}))
 
 
 @register_system("cowbird-p4", sharded=True)
-def build_cowbird_p4(ctx: BuildContext) -> BuiltSystem:
+def build_cowbird_p4(ctx: BuildContext) -> MicrobenchDeployment:
     def factory(ctx: BuildContext) -> CowbirdP4Engine:
         config = P4EngineConfig(**ctx.engine_config)
         return CowbirdP4Engine(ctx.sim, ctx.bed.switch, config)
@@ -174,30 +171,29 @@ def build_cowbird_p4(ctx: BuildContext) -> BuiltSystem:
 
 
 @register_system("redy")
-def build_redy(ctx: BuildContext) -> BuiltSystem:
-    built, handle = _setup_pool(ctx)
+def build_redy(ctx: BuildContext) -> MicrobenchDeployment:
+    dep = _setup_pool(ctx)
     io_threads = max(1, -(-ctx.threads // 4))
     qp_pairs = [
-        ctx.bed.connect_qps(ctx.compute, built.pool_host)
+        ctx.bed.connect_qps(ctx.compute, dep.pool_host)
         for _ in range(io_threads)
     ]
     shared = RedyBackend(
-        ctx.compute, built.pool_host, handle, qp_pairs,
+        ctx.compute, dep.pool_host, dep.region, qp_pairs,
         RedyConfig(io_threads=io_threads),
     )
-    built.backends = [shared] * ctx.threads
-    return built
+    dep.backends = [shared] * ctx.threads
+    return dep
 
 
 @register_system("aifm")
-def build_aifm(ctx: BuildContext) -> BuiltSystem:
-    built, handle = _setup_pool(ctx)
-    shared = AifmBackend(ctx.compute, built.pool_host, handle, AifmConfig())
-    built.backends = [shared] * ctx.threads
-    return built
+def build_aifm(ctx: BuildContext) -> MicrobenchDeployment:
+    dep = _setup_pool(ctx)
+    shared = AifmBackend(ctx.compute, dep.pool_host, dep.region, AifmConfig())
+    dep.backends = [shared] * ctx.threads
+    return dep
 
 
 @register_system("ssd")
-def build_ssd(ctx: BuildContext) -> BuiltSystem:
-    shared = SsdBackend(ctx.compute)
-    return BuiltSystem(backends=[shared] * ctx.threads)
+def build_ssd(ctx: BuildContext) -> MicrobenchDeployment:
+    return ctx.deployment([SsdBackend(ctx.compute)] * ctx.threads)

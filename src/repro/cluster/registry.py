@@ -6,18 +6,18 @@ experiment harness resolves systems through the registry instead of an
 ``if system == ...`` ladder.  Adding a third-party backend is one
 decorator::
 
-    from repro.cluster import register_system, BuildContext, BuiltSystem
+    from repro.cluster import register_system, BuildContext, MicrobenchDeployment
 
     @register_system("my-system")
-    def build_my_system(ctx: BuildContext) -> BuiltSystem:
+    def build_my_system(ctx: BuildContext) -> MicrobenchDeployment:
         backend = MyBackend(ctx.compute, ...)
-        return BuiltSystem(backends=[backend] * ctx.threads)
+        return ctx.deployment([backend] * ctx.threads)
 
 Builders receive a :class:`BuildContext` (testbed, compute host, thread
-count, sizing) and return a :class:`BuiltSystem` (per-thread backends
-plus whatever pool hosts/engine they assembled).  Registration order is
-preserved — ``SYSTEMS.names()`` is the canonical legend order used by
-``MICROBENCH_SYSTEMS``.
+count, sizing) and return the :class:`MicrobenchDeployment` they
+assembled (per-thread backends plus whatever pool hosts/engine they
+built).  Registration order is preserved — ``SYSTEMS.names()`` is the
+canonical legend order used by ``MICROBENCH_SYSTEMS``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.testbed import Host, Testbed
 
 __all__ = [
     "BuildContext",
-    "BuiltSystem",
+    "MicrobenchDeployment",
     "SystemRegistry",
     "SYSTEMS",
     "register_system",
@@ -46,6 +46,7 @@ class BuildContext:
     simulator prologue (determinism depends on construction order).
     """
 
+    system: str
     bed: Testbed
     compute: Host
     threads: int
@@ -58,29 +59,89 @@ class BuildContext:
     #: Field overrides applied to the engine's config dataclass
     #: (e.g. ``{"batch_size": 32}`` for the spot engine).
     engine_config: dict = field(default_factory=dict)
+    #: Client ring sizes for cowbird systems (``None``: the defaults).
+    cowbird_config: Optional[object] = None
 
     @property
     def sim(self):
         return self.bed.sim
 
+    def deployment(self, backends: list, **fields) -> "MicrobenchDeployment":
+        """The deployment record for this build, holding ``backends``."""
+        return MicrobenchDeployment(
+            system=self.system, bed=self.bed, compute=self.compute,
+            backends=backends, **fields,
+        )
+
 
 @dataclass
-class BuiltSystem:
-    """What a builder hands back to the harness."""
+class MicrobenchDeployment:
+    """One assembled system-under-test."""
 
+    system: str
+    bed: Testbed
+    compute: Host
     backends: list
-    pool_host: Optional[Host] = None
-    pool: Optional[object] = None  # MemoryPool or ShardedPool
     engine: Optional[object] = None  # satisfies OffloadEngine when set
-    #: Pool node name -> Host, for engines and pool-side assertions.
+    #: MemoryPool or ShardedPool backing the benchmark region, if any.
+    pool: Optional[object] = None
+    #: Pool node name -> Host (several entries for sharded pools).
     pool_hosts: dict = field(default_factory=dict)
+    #: The benchmark region: a RemoteRegionHandle, or a
+    #: ShardedRegionHandle over several pool hosts.
+    region: Optional[object] = None
+
+    @property
+    def sim(self):
+        return self.bed.sim
+
+    @property
+    def pool_host(self) -> Optional[Host]:
+        """The (first) pool host, or ``None`` for pool-less systems."""
+        return next(iter(self.pool_hosts.values()), None)
+
+    @property
+    def instances(self) -> list:
+        """The Cowbird instances behind the backends, one per thread."""
+        return [backend.instance for backend in self.backends]
+
+    @property
+    def agent_host(self) -> Optional[Host]:
+        """The spot agent's host (Cowbird-Spot only)."""
+        return getattr(self.engine, "host", None)
+
+    def pool_region(self):
+        """The backing memory region of an unsharded :attr:`region`."""
+        return self.pool.region_for(self.region)
+
+    def close(self) -> None:
+        """Stop the engine so the deployment leaks no recurring events.
+
+        A started engine re-arms probe/timeout ticks forever; a sweep
+        that builds thousands of deployments without stopping them
+        drags every simulation's event heap.  Idempotent.
+
+        Under the sanitizer (``REPRO_SANITIZE=1``), close additionally
+        drains in-flight packets for a bounded window and then raises
+        :class:`repro.analysis.SanitizerError` on any packet or timer
+        leak, with allocation sites.
+        """
+        if self.engine is not None:
+            self.engine.stop()
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.drain_and_check()
+
+
+#: A system builder: fills the deployment record from a build context.
+Builder = Callable[[BuildContext], MicrobenchDeployment]
 
 
 class SystemRegistry:
     """Ordered name -> builder mapping with sharding capability flags."""
 
     def __init__(self) -> None:
-        self._builders: dict[str, Callable[[BuildContext], BuiltSystem]] = {}
+        self._builders: dict[str, Builder] = {}
         self._sharded: set[str] = set()
 
     def register(
@@ -88,7 +149,7 @@ class SystemRegistry:
     ) -> Callable[[Callable], Callable]:
         """Decorator registering ``fn`` as the builder for ``name``."""
 
-        def decorator(fn: Callable[[BuildContext], BuiltSystem]) -> Callable:
+        def decorator(fn: Builder) -> Callable:
             if name in self._builders:
                 raise ValueError(f"system {name!r} already registered")
             self._builders[name] = fn
@@ -108,7 +169,7 @@ class SystemRegistry:
     def supports_sharding(self, name: str) -> bool:
         return name in self._sharded
 
-    def build(self, name: str, ctx: BuildContext) -> BuiltSystem:
+    def build(self, name: str, ctx: BuildContext) -> MicrobenchDeployment:
         """Resolve and run the builder for ``name``."""
         builder = self._builders.get(name)
         if builder is None:

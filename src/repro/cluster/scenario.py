@@ -1,12 +1,12 @@
 """Build and run deployments described by :class:`ScenarioSpec`.
 
 This is the execution half of the declarative layer: a validated spec
-becomes a :class:`~repro.experiments.common.MicrobenchDeployment`
-(testbed with the spec's link parameters, compute host with the spec's
-shape, system resolved through the registry — including sharded pools
-and engine-config overrides) and then runs the same Section 8.1 probe
-workload the figures use, so a scenario that mirrors a figure point
-reproduces its numbers exactly.
+becomes one :func:`~repro.experiments.common.build_microbench` call
+(the spec's link parameters, compute-host shape, sharded pools and
+engine-config overrides, with the system resolved through the
+registry) and then runs the same Section 8.1 probe workload the
+figures use, so a scenario that mirrors a figure point reproduces its
+numbers exactly.
 
 Kept out of ``repro.cluster.__init__``: this module imports the
 experiment harness, which itself builds through the cluster registry.
@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cluster.registry import SYSTEMS, BuildContext
 from repro.cluster.spec import ScenarioSpec
 from repro.sim.cpu import CostModel
-from repro.testbed import Testbed
 
 __all__ = ["build_scenario", "run_scenario"]
 
@@ -45,35 +43,18 @@ def build_scenario(
     remote_bytes: Optional[int] = None,
 ):
     """Assemble the deployment a spec describes (without running it)."""
-    from repro.experiments.common import MicrobenchDeployment
+    from repro.experiments.common import build_microbench
 
     spec.validate()
-    cost = cost or CostModel()
     if remote_bytes is None:
         remote_bytes = max(_make_table(spec).remote_bytes_needed(), 1 << 16)
-    bed = Testbed(
-        seed=spec.seed,
-        cost=cost,
+    return build_microbench(
+        spec.system, spec.workload.threads, remote_bytes=remote_bytes,
+        cost=cost, pipeline_depth=spec.workload.pipeline_depth,
+        pool_shards=spec.pool.shards, engine_config=dict(spec.engine.config),
+        compute_cores=spec.compute.cpu_cores, compute_smt=spec.compute.smt,
         bandwidth_gbps=spec.link.bandwidth_gbps,
         propagation_delay_ns=spec.link.propagation_delay_ns,
-    )
-    compute = bed.add_host(
-        "compute", cpu_cores=spec.compute.cpu_cores, smt=spec.compute.smt
-    )
-    built = SYSTEMS.build(
-        spec.system,
-        BuildContext(
-            bed=bed, compute=compute, threads=spec.workload.threads,
-            remote_bytes=remote_bytes, cost=cost,
-            pipeline_depth=spec.workload.pipeline_depth,
-            pool_shards=spec.pool.shards,
-            engine_config=dict(spec.engine.config),
-        ),
-    )
-    return MicrobenchDeployment(
-        system=spec.system, bed=bed, compute=compute, backends=built.backends,
-        pool_host=built.pool_host, engine=built.engine, pool=built.pool,
-        pool_hosts=dict(built.pool_hosts),
     )
 
 

@@ -64,7 +64,6 @@ class PoolSpec:
     """The memory pool: one host, or a region striped over N shards."""
 
     shards: int = 1
-    capacity_bytes: Optional[int] = None
 
 
 @dataclass

@@ -29,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.baselines.backends import Backend
-from repro.cluster import SYSTEMS, BuildContext
+from repro.cluster import SYSTEMS, BuildContext, MicrobenchDeployment
+from repro.cowbird.api import CowbirdConfig
 from repro.sim.cpu import CostModel
+from repro.sim.network import FaultInjector
 from repro.sim.trace import mops
-from repro.testbed import Host, Testbed
+from repro.testbed import Testbed
 from repro.workloads.hashtable import HashTable, HashTableConfig, probe_worker
 
 __all__ = [
@@ -50,44 +51,6 @@ MICROBENCH_SYSTEMS = SYSTEMS.names()
 #: Compute-node shape from Section 7: Xeon Silver 4110, 8 cores + HT.
 COMPUTE_CORES = 8
 COMPUTE_SMT = 2
-
-
-@dataclass
-class MicrobenchDeployment:
-    """One assembled system-under-test."""
-
-    system: str
-    bed: Testbed
-    compute: Host
-    backends: list[Backend]
-    pool_host: Optional[Host] = None
-    engine: Optional[object] = None
-    #: MemoryPool or ShardedPool backing the benchmark region, if any.
-    pool: Optional[object] = None
-    #: Pool node name -> Host (several entries for sharded pools).
-    pool_hosts: dict = field(default_factory=dict)
-
-    @property
-    def sim(self):
-        return self.bed.sim
-
-    def close(self) -> None:
-        """Stop the engine so the deployment leaks no recurring events.
-
-        A started engine re-arms probe/timeout ticks forever; a sweep
-        that builds thousands of deployments without stopping them
-        drags every simulation's event heap.  Idempotent.
-
-        Under the sanitizer (``REPRO_SANITIZE=1``), close additionally
-        drains in-flight packets for a bounded window and then raises
-        :class:`repro.analysis.SanitizerError` on any packet or timer
-        leak, with allocation sites.
-        """
-        if self.engine is not None:
-            self.engine.stop()
-        sanitizer = self.sim.sanitizer
-        if sanitizer is not None:
-            sanitizer.drain_and_check()
 
 
 @dataclass
@@ -122,26 +85,40 @@ def build_microbench(
     pipeline_depth: int = 100,
     pool_shards: int = 1,
     engine_config: Optional[dict] = None,
+    cowbird_config: Optional[CowbirdConfig] = None,
+    fault_injector: Optional[FaultInjector] = None,
+    compute_cores: int = COMPUTE_CORES,
+    compute_smt: int = COMPUTE_SMT,
+    bandwidth_gbps: Optional[float] = None,
+    propagation_delay_ns: Optional[float] = None,
 ) -> MicrobenchDeployment:
-    """Assemble one system-under-test with ``threads`` worker backends."""
+    """Assemble one system-under-test with ``threads`` worker backends.
+
+    This is the one way to build a testbed for a registered system:
+    figures, scenarios, tests and examples all come through here.
+    ``engine_config`` overrides fields of the Cowbird engine's config,
+    ``cowbird_config`` sizes the client's rings, ``fault_injector``
+    drops packets on every link, and ``bandwidth_gbps`` /
+    ``propagation_delay_ns`` override the cost model's links.  The
+    build draws nothing at random: ``seed`` is accepted for callers
+    that pass their round's seed, and reaches nothing.
+    """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; pick from {SYSTEMS.names()}")
     cost = cost or CostModel()
-    bed = Testbed(seed=seed, cost=cost)
-    compute = bed.add_host("compute", cpu_cores=COMPUTE_CORES, smt=COMPUTE_SMT)
-    built = SYSTEMS.build(
+    bed = Testbed(
+        cost=cost, bandwidth_gbps=bandwidth_gbps,
+        propagation_delay_ns=propagation_delay_ns, fault_injector=fault_injector,
+    )
+    compute = bed.add_host("compute", cpu_cores=compute_cores, smt=compute_smt)
+    return SYSTEMS.build(
         system,
         BuildContext(
-            bed=bed, compute=compute, threads=threads,
+            system=system, bed=bed, compute=compute, threads=threads,
             remote_bytes=remote_bytes, cost=cost,
             pipeline_depth=pipeline_depth, pool_shards=pool_shards,
-            engine_config=engine_config or {},
+            engine_config=engine_config or {}, cowbird_config=cowbird_config,
         ),
-    )
-    return MicrobenchDeployment(
-        system=system, bed=bed, compute=compute, backends=built.backends,
-        pool_host=built.pool_host, engine=built.engine, pool=built.pool,
-        pool_hosts=dict(built.pool_hosts),
     )
 
 

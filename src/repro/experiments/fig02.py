@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cowbird.deploy import deploy_cowbird
+from repro.experiments.common import build_microbench
 from repro.sim.cpu import CostModel
 from repro.testbed import Testbed
 
@@ -73,7 +73,7 @@ def _measure_rdma(cost: CostModel, ops: int = 50) -> float:
 
 def _measure_cowbird(cost: CostModel, ops: int = 50) -> float:
     """Issue+poll CPU time per Cowbird read on a simulated thread."""
-    dep = deploy_cowbird(engine="spot", cost=cost)
+    dep = build_microbench("cowbird", 1, cost=cost)
     inst = dep.instances[0]
     thread = dep.compute.cpu.thread()
 

@@ -1,4 +1,4 @@
-"""Measurement utilities: bandwidth meters, latency recorders, percentiles.
+"""Measurement utilities: latency recorders, percentiles, rates.
 
 Every figure in the paper is either a rate (MOPS, Gb/s), a ratio, or a
 latency distribution (median/p99).  This module holds the small set of
@@ -8,13 +8,12 @@ instruments the experiment harness uses to produce those numbers.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.sim.units import S
 
-__all__ = ["BandwidthMeter", "LatencyRecorder", "mops", "percentile"]
+__all__ = ["LatencyRecorder", "mops", "percentile"]
 
 
 def percentile(samples: Iterable[float], fraction: float) -> float:
@@ -35,105 +34,25 @@ def percentile(samples: Iterable[float], fraction: float) -> float:
 
 
 @dataclass
-class BandwidthMeter:
-    """Counts delivered bytes over a window; reports Gb/s.
-
-    Used as a link endpoint decorator or fed manually from receive hooks.
-    """
-
-    bytes_delivered: int = 0
-    packets_delivered: int = 0
-    window_start_ns: float = 0.0
-
-    def record(self, size_bytes: int) -> None:
-        self.bytes_delivered += size_bytes
-        self.packets_delivered += 1
-
-    def reset(self, now_ns: float) -> None:
-        self.bytes_delivered = 0
-        self.packets_delivered = 0
-        self.window_start_ns = now_ns
-
-    def gbps(self, now_ns: float) -> float:
-        elapsed = now_ns - self.window_start_ns
-        if elapsed <= 0:
-            return 0.0
-        return (self.bytes_delivered * 8.0) / elapsed  # bits / ns == Gb/s
-
-
-@dataclass
 class LatencyRecorder:
-    """Collects per-operation latencies and reports summary statistics.
-
-    By default every sample is kept.  Setting ``max_samples`` switches to
-    bounded-memory mode: count, sum, and max stay exact while the sample
-    list becomes a uniform reservoir (Vitter's Algorithm R, seeded for
-    determinism) from which the percentile estimates are drawn.
-    """
+    """Collects per-operation latencies and reports their percentiles."""
 
     samples_ns: list[float] = field(default_factory=list)
-    #: Keep at most this many samples (``None`` = unbounded).
-    max_samples: Optional[int] = None
-    #: Reservoir RNG seed; same seed + same inputs = same percentiles.
-    seed: int = 0
-    _count: int = field(default=0, repr=False)
-    _sum_ns: float = field(default=0.0, repr=False)
-    _max_ns: float = field(default=0.0, repr=False)
-    _rng: Optional[random.Random] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.max_samples is not None and self.max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1: {self.max_samples}")
 
     def record(self, latency_ns: float) -> None:
         if latency_ns < 0:
             raise ValueError(f"negative latency: {latency_ns}")
-        self._count += 1
-        self._sum_ns += latency_ns
-        if latency_ns > self._max_ns:
-            self._max_ns = latency_ns
-        if self.max_samples is None or len(self.samples_ns) < self.max_samples:
-            self.samples_ns.append(latency_ns)
-            return
-        if self._rng is None:
-            self._rng = random.Random(self.seed)
-        slot = self._rng.randrange(self._count)
-        if slot < self.max_samples:
-            self.samples_ns[slot] = latency_ns
-
-    def __len__(self) -> int:
-        return len(self.samples_ns)
+        self.samples_ns.append(latency_ns)
 
     @property
     def count(self) -> int:
-        # Exact even in reservoir mode; falls back to the list length for
-        # recorders built around a pre-populated ``samples_ns``.
-        return max(self._count, len(self.samples_ns))
-
-    def mean_ns(self) -> float:
-        if self._count:
-            return self._sum_ns / self._count
-        if not self.samples_ns:
-            raise ValueError("no samples recorded")
-        return sum(self.samples_ns) / len(self.samples_ns)
+        return len(self.samples_ns)
 
     def median_us(self) -> float:
         return percentile(self.samples_ns, 0.5) / 1_000.0
 
-    def p50_ns(self) -> float:
-        return percentile(self.samples_ns, 0.5)
-
     def p99_us(self) -> float:
         return percentile(self.samples_ns, 0.99) / 1_000.0
-
-    def p999_ns(self) -> float:
-        return percentile(self.samples_ns, 0.999)
-
-    def max_us(self) -> float:
-        if not self.samples_ns and not self._count:
-            raise ValueError("no samples recorded")
-        observed = max(self.samples_ns) if self.samples_ns else 0.0
-        return max(self._max_ns, observed) / 1_000.0
 
 
 def mops(ops: int, elapsed_ns: float) -> float:

@@ -5,7 +5,7 @@ pool, and optionally a spot VM and a TCP traffic sink) hang off one
 Wedge100BF-32X switch over 100 Gb/s links.  The helper keeps experiment
 code declarative::
 
-    bed = Testbed(seed=42)
+    bed = Testbed()
     compute = bed.add_host("compute", cpu_cores=8, smt=2)
     pool = bed.add_host("pool")
     qp_c, qp_p = bed.connect_qps(compute, pool)
@@ -33,9 +33,11 @@ __all__ = ["Host", "Testbed"]
 class Host:
     """A server: region registry + RNIC + (optionally) a CPU.
 
-    The host object is the link endpoint; it hands RoCE traffic to the
-    NIC and everything else to registered protocol handlers (the TCP
-    sink of Figure 14 registers itself this way).
+    The NIC terminates the host's downlink.  A host with protocol
+    handlers (the TCP sink of Figure 14 registers itself this way)
+    terminates it instead: the handlers see every packet when it
+    arrives, and RoCE traffic reaches the NIC after its processing
+    delay.
     """
 
     def __init__(
@@ -65,20 +67,16 @@ class Host:
         self._nic_pending: deque[tuple[RocePacket, Link]] = deque()
         self._nic_receive_callback = self._nic_receive_next
 
-    @property
-    def rx_delay_ns(self) -> float:
-        """What the downlink folds into delivery: the NIC's processing
-        delay, or nothing once protocol handlers need arrival times."""
-        return 0.0 if self._protocol_handlers else self.nic.rx_delay_ns
-
     def add_protocol_handler(self, handler: Callable) -> None:
         """Register a non-RDMA packet handler (e.g. a TCP sink/demux).
 
         Handlers see each packet when it arrives, so register them
-        before traffic reaches the host.
+        before traffic reaches the host: the first one re-points the
+        downlink from the NIC to the host.
         """
         if self.downlink is not None:
             self.downlink.set_rx_delay(0.0)
+            self.downlink.endpoint = self
         self._protocol_handlers.append(handler)
 
     def attach_pool(self, pool) -> None:
@@ -98,14 +96,11 @@ class Host:
         self.nic.registry = pool.registry
 
     def receive(self, packet, link) -> None:
-        handlers = self._protocol_handlers
-        if not handlers:
-            self.nic.receive(packet, link)
-            return
+        """Downlink endpoint once protocol handlers are registered."""
         if isinstance(packet, RocePacket):
             self._nic_pending.append((packet, link))
             self.sim.call_after(self.nic.rx_delay_ns, self._nic_receive_callback)
-        for handler in handlers:
+        for handler in self._protocol_handlers:
             handler(packet, link)
 
     def _nic_receive_next(self) -> None:
@@ -122,7 +117,6 @@ class Testbed:
 
     def __init__(
         self,
-        seed: int = 0,
         cost: Optional[CostModel] = None,
         bandwidth_gbps: Optional[float] = None,
         propagation_delay_ns: Optional[float] = None,
@@ -137,7 +131,6 @@ class Testbed:
         self.sim = Simulator(
             telemetry=telemetry or _telemetry.current(), sanitize=sanitize
         )
-        self.seed = seed
         self.cost = cost or CostModel()
         self.bandwidth_gbps = bandwidth_gbps or self.cost.link_bandwidth_gbps
         self.propagation_delay_ns = (
@@ -176,7 +169,8 @@ class Testbed:
         )
         bw = bandwidth_gbps or self.bandwidth_gbps
         # Host -> switch direction terminates at the switch; switch -> host
-        # at the host.  Faults, when configured, apply to both directions.
+        # at the host's NIC.  Faults, when configured, apply to both
+        # directions.
         uplink = Link(
             self.sim,
             f"{name}->switch",
@@ -188,7 +182,7 @@ class Testbed:
         downlink = Link(
             self.sim,
             f"switch->{name}",
-            host,
+            host.nic,
             bandwidth_gbps=bw,
             propagation_delay_ns=self.propagation_delay_ns,
             fault_injector=self.fault_injector,
@@ -200,26 +194,18 @@ class Testbed:
         self.hosts[name] = host
         return host
 
-    def add_pool(
-        self,
-        name: str,
-        pool=None,
-        capacity_bytes: Optional[int] = None,
-        **host_kwargs,
-    ) -> tuple[Host, "MemoryPool"]:
+    def add_pool(self, name: str, **host_kwargs) -> tuple[Host, "MemoryPool"]:
         """Create a host serving a memory pool, cabled to the switch.
 
         Builds the host (CPU-less by default: a disaggregated pool
-        needs no compute for data transfers), then either adopts the
-        given ``pool`` or creates a fresh :class:`MemoryPool` named
-        after the host, and attaches it via :meth:`Host.attach_pool`.
+        needs no compute for data transfers) and attaches a fresh
+        :class:`MemoryPool` named after it via :meth:`Host.attach_pool`.
         Returns ``(pool_host, pool)``.
         """
         from repro.memory.pool import MemoryPool
 
         host = self.add_host(name, **host_kwargs)
-        if pool is None:
-            pool = MemoryPool(name, capacity_bytes=capacity_bytes)
+        pool = MemoryPool(name)
         host.attach_pool(pool)
         return host, pool
 

@@ -8,7 +8,6 @@ import pytest
 from repro.cluster import (
     SYSTEMS,
     BuildContext,
-    BuiltSystem,
     EngineSpec,
     PoolSpec,
     ScenarioError,
@@ -44,7 +43,7 @@ class TestSystemRegistry:
 
         @registry.register("thing")
         def build_thing(ctx):
-            return BuiltSystem(backends=[])
+            return ctx.deployment([])
 
         with pytest.raises(ValueError, match="already registered"):
             registry.register("thing")(build_thing)
@@ -54,12 +53,13 @@ class TestSystemRegistry:
 
         @registry.register("mine", sharded=True)
         def build_mine(ctx):
-            return BuiltSystem(backends=["b"] * ctx.threads)
+            return ctx.deployment(["b"] * ctx.threads)
 
         assert "mine" in registry
         assert registry.supports_sharding("mine")
         ctx = BuildContext(
-            bed=None, compute=None, threads=3, remote_bytes=0, cost=None
+            system="mine", bed=None, compute=None, threads=3, remote_bytes=0,
+            cost=None,
         )
         assert registry.build("mine", ctx).backends == ["b", "b", "b"]
 
@@ -131,6 +131,10 @@ class TestSerialization:
         with pytest.raises(ScenarioError, match="unknown key"):
             ScenarioSpec.from_dict(
                 {"name": "x", "system": "local", "workload": {"treads": 2}}
+            )
+        with pytest.raises(ScenarioError, match="unknown key"):
+            ScenarioSpec.from_dict(
+                {"name": "x", "system": "cowbird", "pool": {"capacity_bytes": 1}}
             )
 
     def test_missing_required_keys_rejected(self):

@@ -1,7 +1,7 @@
 """Unit tests for the Cowbird client library (engine-less).
 
-These tests use ``deploy_cowbird(engine="none")`` and play the offload
-engine by hand, asserting the exact local-memory protocol of Section 4:
+These tests build a client with no offload engine and play the engine
+by hand, asserting the exact local-memory protocol of Section 4:
 what the client publishes in its green block, how requests are laid out
 in the rings, and how progress counters drive poll_wait.
 """
@@ -9,12 +9,8 @@ in the rings, and how progress counters drive poll_wait.
 import pytest
 
 from repro.cowbird.api import BufferFullError, CowbirdConfig
-from repro.cowbird.deploy import deploy_cowbird
 from repro.cowbird.wire import GreenBlock, RedBlock, RwType, decode_request_id
-
-
-def deploy(**kwargs):
-    return deploy_cowbird(engine="none", **kwargs)
+from tests.client_only import client_only as deploy
 
 
 def run(dep, generator, deadline=10_000_000):
@@ -421,14 +417,14 @@ class TestResponseConsumption:
 
 class TestMultiInstance:
     def test_instances_have_disjoint_regions(self):
-        dep = deploy(num_instances=3)
+        dep = deploy(threads=3)
         regions = [inst.region for inst in dep.instances]
         for i, a in enumerate(regions):
             for b in regions[i + 1 :]:
                 assert a.end_addr <= b.base_addr or b.end_addr <= a.base_addr
 
     def test_shared_remote_region_visible_to_all(self):
-        dep = deploy(num_instances=2)
+        dep = deploy(threads=2)
         for inst in dep.instances:
             assert 0 in inst.remote_regions
 

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.cowbird.deploy import deploy_cowbird
-from repro.cowbird.p4_engine import P4EngineConfig
 from repro.cowbird.p4_resources import (
     cowbird_pipeline_units,
     estimate_pipeline_resources,
 )
+from repro.experiments.common import build_microbench
 from repro.sim.network import FaultInjector, PRIORITY_LOW
 
 
@@ -34,7 +33,7 @@ def roundtrip(dep, offset=0, payload=b"p4-engine-payload"):
 
 class TestBasicOperation:
     def test_read_returns_remote_bytes(self):
-        dep = deploy_cowbird(engine="p4")
+        dep = build_microbench("cowbird-p4", 1)
         dep.pool_region().write(dep.region.translate(32), b"switch-read")
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
@@ -49,29 +48,29 @@ class TestBasicOperation:
         assert run_app(dep, app()) == b"switch-read"
 
     def test_write_then_read_roundtrip(self):
-        dep = deploy_cowbird(engine="p4")
+        dep = build_microbench("cowbird-p4", 1)
         assert roundtrip(dep) == b"p4-engine-payload"
 
     def test_write_lands_in_pool_memory(self):
-        dep = deploy_cowbird(engine="p4")
+        dep = build_microbench("cowbird-p4", 1)
         roundtrip(dep, offset=512, payload=b"to-the-pool")
         assert dep.pool_region().read(dep.region.translate(512), 11) == b"to-the-pool"
 
     def test_no_cpu_anywhere_but_the_app(self):
         """Cowbird-P4 requires no compute, pool, or agent CPU at all."""
-        dep = deploy_cowbird(engine="p4")
+        dep = build_microbench("cowbird-p4", 1)
         roundtrip(dep)
         assert dep.compute.nic.stats.messages_initiated == 0
         assert dep.pool_host.cpu is None
         assert dep.agent_host is None
 
     def test_segmented_transfer(self):
-        dep = deploy_cowbird(engine="p4")
+        dep = build_microbench("cowbird-p4", 1)
         payload = bytes(i % 253 for i in range(4000))
         assert roundtrip(dep, payload=payload) == payload
 
     def test_pipelined_reads(self):
-        dep = deploy_cowbird(engine="p4")
+        dep = build_microbench("cowbird-p4", 1)
         pool_region = dep.pool_region()
         for i in range(16):
             pool_region.write(dep.region.translate(i * 64), bytes([i]) * 64)
@@ -98,14 +97,14 @@ class TestBasicOperation:
 class TestPacketRecycling:
     def test_recycling_dominates_generation(self):
         """Only probes are generated; everything else is recycled."""
-        dep = deploy_cowbird(engine="p4")
+        dep = build_microbench("cowbird-p4", 1)
         roundtrip(dep)
         stats = dep.engine.stats
         assert stats.recycled_packets > 0
         assert stats.probe_responses > 0
 
     def test_probes_are_lowest_priority(self):
-        dep = deploy_cowbird(engine="p4")
+        dep = build_microbench("cowbird-p4", 1)
         roundtrip(dep)
         # Probe traffic shows up in the low-priority byte counters of the
         # switch->compute link; data traffic in the normal class.
@@ -113,8 +112,8 @@ class TestPacketRecycling:
         assert downlink.stats.bytes_by_priority.get(PRIORITY_LOW, 0) > 0
 
     def test_probe_rate_respects_interval(self):
-        dep = deploy_cowbird(
-            engine="p4", p4_config=P4EngineConfig(probe_interval_ns=2_000)
+        dep = build_microbench(
+            "cowbird-p4", 1, engine_config={"probe_interval_ns": 2_000}
         )
         dep.sim.run(until=100_000)
         # 100 us / 2 us = 50 ticks; only one probe outstanding at a time.
@@ -122,14 +121,14 @@ class TestPacketRecycling:
         assert dep.engine.stats.probes_sent >= 10
 
     def test_adaptive_probing_backs_off_when_idle(self):
-        dep = deploy_cowbird(
-            engine="p4",
-            p4_config=P4EngineConfig(probe_interval_ns=2_000, adaptive_probing=True),
+        dep = build_microbench(
+            "cowbird-p4", 1,
+            engine_config={"probe_interval_ns": 2_000, "adaptive_probing": True},
         )
         dep.sim.run(until=500_000)
         idle_probes = dep.engine.stats.probes_sent
-        fixed = deploy_cowbird(
-            engine="p4", p4_config=P4EngineConfig(probe_interval_ns=2_000)
+        fixed = build_microbench(
+            "cowbird-p4", 1, engine_config={"probe_interval_ns": 2_000}
         )
         fixed.sim.run(until=500_000)
         assert idle_probes < fixed.engine.stats.probes_sent
@@ -138,7 +137,7 @@ class TestPacketRecycling:
 class TestConsistency:
     def test_read_after_write_sees_new_data(self):
         """Pause-all-reads keeps reads behind in-flight writes."""
-        dep = deploy_cowbird(engine="p4")
+        dep = build_microbench("cowbird-p4", 1)
         dep.pool_region().write(dep.region.translate(0), b"OLDVALUE")
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
@@ -159,7 +158,7 @@ class TestConsistency:
 
     def test_all_reads_pause_even_disjoint_ones(self):
         """Unlike Spot, P4 pauses every read while a write fetches."""
-        dep = deploy_cowbird(engine="p4")
+        dep = build_microbench("cowbird-p4", 1)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -178,7 +177,7 @@ class TestConsistency:
         assert dep.engine.stats.reads_paused >= 0  # counted when batched together
 
     def test_per_type_fifo_completion_order(self):
-        dep = deploy_cowbird(engine="p4")
+        dep = build_microbench("cowbird-p4", 1)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
         order = []
@@ -204,9 +203,9 @@ class TestConsistency:
 class TestFaultTolerance:
     def test_recovers_from_random_loss(self):
         injector = FaultInjector(seed=5, drop_rate=0.02)
-        dep = deploy_cowbird(
-            engine="p4", fault_injector=injector,
-            p4_config=P4EngineConfig(timeout_ns=100_000),
+        dep = build_microbench(
+            "cowbird-p4", 1, fault_injector=injector,
+            engine_config={"timeout_ns": 100_000},
         )
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
@@ -232,18 +231,18 @@ class TestFaultTolerance:
 
     def test_go_back_n_counted_under_loss(self):
         injector = FaultInjector(seed=9, drop_rate=0.1)
-        dep = deploy_cowbird(
-            engine="p4", fault_injector=injector,
-            p4_config=P4EngineConfig(timeout_ns=50_000),
+        dep = build_microbench(
+            "cowbird-p4", 1, fault_injector=injector,
+            engine_config={"timeout_ns": 50_000},
         )
         roundtrip(dep)
         assert dep.engine.stats.go_back_n_events >= 1
 
     def test_write_recovery_preserves_data(self):
         injector = FaultInjector(seed=13, drop_rate=0.05)
-        dep = deploy_cowbird(
-            engine="p4", fault_injector=injector,
-            p4_config=P4EngineConfig(timeout_ns=100_000),
+        dep = build_microbench(
+            "cowbird-p4", 1, fault_injector=injector,
+            engine_config={"timeout_ns": 100_000},
         )
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
@@ -268,14 +267,14 @@ class TestFaultTolerance:
 
 class TestMultiInstanceTdm:
     def test_probes_round_robin_across_instances(self):
-        dep = deploy_cowbird(engine="p4", num_instances=3)
+        dep = build_microbench("cowbird-p4", 3)
         dep.sim.run(until=100_000)
         # All three instances' probe channels saw traffic.
         for state in dep.engine._instances:
             assert state.probe_channel.send_psn > 0
 
     def test_instances_do_not_interfere(self):
-        dep = deploy_cowbird(engine="p4", num_instances=2)
+        dep = build_microbench("cowbird-p4", 2)
         dep.pool_region().write(dep.region.translate(0), b"XXXX")
         dep.pool_region().write(dep.region.translate(64), b"YYYY")
         results = {}

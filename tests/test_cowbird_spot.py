@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cowbird.deploy import deploy_cowbird
-from repro.cowbird.spot_engine import SpotEngineConfig
+from repro.experiments.common import build_microbench
 
 
 def run_app(dep, generator, deadline=200_000_000):
@@ -31,7 +30,7 @@ def read_write_roundtrip(dep, offset=0, payload=b"spot-engine-payload"):
 
 class TestBasicOperation:
     def test_read_returns_remote_bytes(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         dep.pool_region().write(dep.region.translate(64), b"hello-cowbird")
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
@@ -46,22 +45,22 @@ class TestBasicOperation:
         assert run_app(dep, app()) == b"hello-cowbird"
 
     def test_write_then_read_roundtrip(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         assert read_write_roundtrip(dep) == b"spot-engine-payload"
 
     def test_write_lands_in_pool_memory(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         read_write_roundtrip(dep, offset=256, payload=b"persisted")
         assert dep.pool_region().read(dep.region.translate(256), 9) == b"persisted"
 
     def test_compute_node_posts_no_rdma_messages(self):
         """The headline property: zero compute-side RDMA operations."""
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         read_write_roundtrip(dep)
         assert dep.compute.nic.stats.messages_initiated == 0
 
     def test_compute_cpu_time_is_tens_of_ns_per_op(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
         n = 20
@@ -81,12 +80,12 @@ class TestBasicOperation:
         assert comm / n < 100  # tens of ns per op, not ~630
 
     def test_large_transfer_spans_mtu_segments(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         payload = bytes(i % 251 for i in range(5000))
         assert read_write_roundtrip(dep, payload=payload) == payload
 
     def test_many_interleaved_ops(self):
-        dep = deploy_cowbird(engine="spot", seed=7)
+        dep = build_microbench("cowbird", 1, seed=7)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
         import random
@@ -119,8 +118,7 @@ class TestBasicOperation:
 
 class TestBatching:
     def test_batch_flush_counts(self):
-        config = SpotEngineConfig(batch_size=8)
-        dep = deploy_cowbird(engine="spot", spot_config=config)
+        dep = build_microbench("cowbird", 1, engine_config={"batch_size": 8})
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -141,8 +139,7 @@ class TestBatching:
         assert stats.batch_entries_total == 16
 
     def test_batching_disabled_means_one_flush_per_read(self):
-        config = SpotEngineConfig(batch_size=1)
-        dep = deploy_cowbird(engine="spot", spot_config=config)
+        dep = build_microbench("cowbird", 1, engine_config={"batch_size": 1})
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -161,15 +158,14 @@ class TestBatching:
 
     def test_partial_batch_flushes_when_idle(self):
         """A batch below BATCH_SIZE must not wait forever."""
-        config = SpotEngineConfig(batch_size=100)
-        dep = deploy_cowbird(engine="spot", spot_config=config)
+        dep = build_microbench("cowbird", 1, engine_config={"batch_size": 100})
         assert read_write_roundtrip(dep) == b"spot-engine-payload"
         assert dep.engine.stats.batches_flushed >= 1
 
     def test_batching_reduces_rdma_calls(self):
         def run_with(batch_size):
-            dep = deploy_cowbird(
-                engine="spot", spot_config=SpotEngineConfig(batch_size=batch_size)
+            dep = build_microbench(
+                "cowbird", 1, engine_config={"batch_size": batch_size}
             )
             inst = dep.instances[0]
             thread = dep.compute.cpu.thread()
@@ -195,7 +191,7 @@ class TestConsistency:
     def test_read_after_write_same_address_sees_new_data(self):
         """Per-range linearizability: the overlap check must hold the
         read until the conflicting write completes."""
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         dep.pool_region().write(dep.region.translate(0), b"OLD-OLD-")
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
@@ -215,7 +211,7 @@ class TestConsistency:
         assert run_app(dep, app()) == b"NEW-NEW-"
 
     def test_non_overlapping_read_not_stalled(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         dep.pool_region().write(dep.region.translate(4096), b"disjoint")
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
@@ -236,7 +232,7 @@ class TestConsistency:
         assert dep.engine.stats.overlap_stalls == 0
 
     def test_overlap_stall_is_counted(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -255,7 +251,7 @@ class TestConsistency:
         assert dep.engine.stats.overlap_stalls >= 1
 
     def test_writes_complete_in_issue_order(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
         completions = []
@@ -280,24 +276,24 @@ class TestConsistency:
 
 class TestResourceUsage:
     def test_agent_limited_to_one_core(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         assert dep.agent_host.cpu.physical_cores == 1
         assert dep.agent_host.cpu.hardware_threads == 2
 
     def test_agent_cpu_accounted(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         read_write_roundtrip(dep)
         assert dep.engine.agent_cpu_ns() > 0
 
     def test_pool_needs_no_cpu(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         read_write_roundtrip(dep)
         assert dep.pool_host.cpu is None
 
 
 class TestMultiInstance:
     def test_two_instances_serviced_independently(self):
-        dep = deploy_cowbird(engine="spot", num_instances=2)
+        dep = build_microbench("cowbird", 2)
         dep.pool_region().write(dep.region.translate(0), b"AAAA")
         dep.pool_region().write(dep.region.translate(64), b"BBBB")
         threads = [dep.compute.cpu.thread() for _ in range(2)]
@@ -332,8 +328,8 @@ def _sort_and_merge(ranges, offset, aligned):
 class TestStagingFreeList:
     @pytest.fixture(scope="class")
     def engine(self):
-        return deploy_cowbird(
-            engine="spot", spot_config=SpotEngineConfig(staging_bytes=1 << 20)
+        return build_microbench(
+            "cowbird", 1, engine_config={"staging_bytes": 1 << 20}
         ).engine
 
     @settings(max_examples=150, deadline=None)

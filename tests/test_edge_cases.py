@@ -2,8 +2,8 @@
 
 
 from repro.cowbird.api import CowbirdConfig
-from repro.cowbird.deploy import deploy_cowbird
 from repro.cowbird.wire import RequestMetadata, RwType
+from repro.experiments.common import build_microbench
 from repro.rdma.packets import PSN_MODULUS
 from repro.testbed import Testbed
 
@@ -58,7 +58,7 @@ class TestEngineRaces:
     def test_engine_sees_invalid_entry_and_retries(self):
         """An entry whose rw_type has not been written yet (the client
         writes it last) must stop the parse, not corrupt state."""
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -87,9 +87,8 @@ class TestEngineRaces:
 
     def test_metadata_ring_wraps_many_times(self):
         """Long-running instance: ring indices far beyond capacity."""
-        dep = deploy_cowbird(
-            engine="spot",
-            cowbird_config=CowbirdConfig(metadata_capacity=8),
+        dep = build_microbench(
+            "cowbird", 1, cowbird_config=CowbirdConfig(metadata_capacity=8),
         )
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
@@ -116,8 +115,8 @@ class TestEngineRaces:
     def test_response_ring_wrap_with_batching(self):
         """Response payloads wrapping the ring boundary force batch
         splits; data must stay intact."""
-        dep = deploy_cowbird(
-            engine="spot",
+        dep = build_microbench(
+            "cowbird", 1,
             cowbird_config=CowbirdConfig(response_data_capacity=1024),
         )
         inst = dep.instances[0]
@@ -201,7 +200,7 @@ class TestMultiplePools:
 
 class TestCompletionQueueStress:
     def test_cq_never_overflows_under_normal_load(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 

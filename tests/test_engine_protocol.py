@@ -10,18 +10,20 @@ completes identically through either.
 import pytest
 
 from repro.cluster import OffloadEngine
-from repro.cowbird.deploy import deploy_cowbird
+from repro.experiments.common import build_microbench
 
-ENGINE_KINDS = ("spot", "p4")
+#: Engine kind -> the registered system that runs it.
+SYSTEMS = {"spot": "cowbird", "p4": "cowbird-p4"}
+ENGINE_KINDS = tuple(SYSTEMS)
 
 READS = 16
 WRITES = 8
 RECORD = 128
 
 
-def _run_protocol_workload(kind: str, seed: int = 3):
+def _run_protocol_workload(kind: str):
     """Drive one instance through reads + writes; return what completed."""
-    dep = deploy_cowbird(engine=kind, seed=seed, remote_bytes=1 << 20)
+    dep = build_microbench(SYSTEMS[kind], 1, remote_bytes=1 << 20)
     inst = dep.instances[0]
     thread = dep.compute.cpu.thread()
     pool_region = dep.pool_region()
@@ -61,7 +63,7 @@ def _run_protocol_workload(kind: str, seed: int = 3):
 class TestProtocolConformance:
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_engine_satisfies_protocol(self, kind):
-        dep = deploy_cowbird(engine=kind)
+        dep = build_microbench(SYSTEMS[kind], 1)
         assert isinstance(dep.engine, OffloadEngine)
         dep.close()
 
@@ -80,7 +82,7 @@ class TestProtocolConformance:
 
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_stop_is_idempotent(self, kind):
-        dep = deploy_cowbird(engine=kind)
+        dep = build_microbench(SYSTEMS[kind], 1)
         dep.engine.stop()
         dep.engine.stop()  # second stop must be a no-op
         dep.close()  # and so must closing again

@@ -11,9 +11,8 @@ import random
 
 import pytest
 
-from repro.cowbird.deploy import deploy_cowbird
-from repro.cowbird.p4_engine import P4EngineConfig
 from repro.cowbird.wire import RwType, decode_request_id
+from repro.experiments.common import build_microbench
 from repro.sim.engine import SimulationError
 from repro.sim.network import FaultInjector
 
@@ -117,6 +116,9 @@ def random_workload_check(dep, seed, ops=60, deadline=500e9):
         actual = pool_region.read(dep.region.translate(slot * SLOT_BYTES),
                                   SLOT_BYTES)
         assert actual == versions[-1], f"slot {slot} diverged from the model"
+    # Under REPRO_SANITIZE=1 this also drains the network and fails on a
+    # leaked packet or timer.
+    dep.close()
 
 
 def lossless_cases(seeds):
@@ -135,13 +137,13 @@ P4_SEEDS = [3, 11]
 class TestSpotLinearizability:
     @pytest.mark.parametrize("seed, ops", lossless_cases(SPOT_SEEDS))
     def test_random_mix(self, seed, ops):
-        dep = deploy_cowbird(engine="spot", remote_bytes=REGION_BYTES)
+        dep = build_microbench("cowbird", 1, remote_bytes=REGION_BYTES)
         random_workload_check(dep, seed, ops=ops)
 
     @pytest.mark.parametrize("seed", SPOT_SEEDS)
     def test_random_mix_under_loss(self, seed):
-        dep = deploy_cowbird(
-            engine="spot", remote_bytes=REGION_BYTES,
+        dep = build_microbench(
+            "cowbird", 1, remote_bytes=REGION_BYTES,
             fault_injector=FaultInjector(seed=seed, drop_rate=0.01),
         )
         random_workload_check(dep, seed, ops=200)
@@ -150,17 +152,28 @@ class TestSpotLinearizability:
 class TestP4Linearizability:
     @pytest.mark.parametrize("seed, ops", lossless_cases(P4_SEEDS))
     def test_random_mix(self, seed, ops):
-        dep = deploy_cowbird(engine="p4", remote_bytes=REGION_BYTES)
+        dep = build_microbench("cowbird-p4", 1, remote_bytes=REGION_BYTES)
         random_workload_check(dep, seed, ops=ops)
 
     @pytest.mark.parametrize("seed", P4_SEEDS)
     def test_random_mix_under_loss(self, seed):
-        dep = deploy_cowbird(
-            engine="p4", remote_bytes=REGION_BYTES,
+        dep = build_microbench(
+            "cowbird-p4", 1, remote_bytes=REGION_BYTES,
             fault_injector=FaultInjector(seed=seed + 100, drop_rate=0.01),
-            p4_config=P4EngineConfig(timeout_ns=100_000),
+            engine_config={"timeout_ns": 100_000},
         )
         random_workload_check(dep, seed, ops=40)
+
+
+def fast_failing(engine):
+    """A deployment on ``engine`` whose P4 engine gives up on a request
+    after two 20 µs timeouts."""
+    if engine == "spot":
+        return build_microbench("cowbird", 1, remote_bytes=REGION_BYTES)
+    return build_microbench(
+        "cowbird-p4", 1, remote_bytes=REGION_BYTES,
+        engine_config={"timeout_ns": 20_000, "max_retries": 2},
+    )
 
 
 class TestErrorCompletions:
@@ -170,10 +183,7 @@ class TestErrorCompletions:
 
     @pytest.mark.parametrize("engine", ["spot", "p4"])
     def test_read_from_a_dead_pool_fails_and_delivers_nothing(self, engine):
-        dep = deploy_cowbird(
-            engine=engine, remote_bytes=REGION_BYTES,
-            p4_config=P4EngineConfig(timeout_ns=20_000, max_retries=2),
-        )
+        dep = fast_failing(engine)
         dep.pool_region().write(dep.region.translate(0), b"\x5a" * SLOT_BYTES)
         # Every packet the pool sends is lost: reads never get data back.
         dep.pool_host.uplink.fault_injector = FaultInjector(drop_rate=1.0)
@@ -200,10 +210,7 @@ class TestErrorCompletions:
         """``ops_failed`` counts client requests on both engines: probes
         into a compute node that answers nothing fail, but none of them
         carries a request."""
-        dep = deploy_cowbird(
-            engine=engine, remote_bytes=REGION_BYTES,
-            p4_config=P4EngineConfig(timeout_ns=20_000, max_retries=2),
-        )
+        dep = fast_failing(engine)
         # Every packet the compute node sends is lost: no probe returns.
         dep.compute.uplink.fault_injector = FaultInjector(drop_rate=1.0)
         inst = dep.instances[0]

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.cowbird.deploy import deploy_cowbird
-from repro.cowbird.p4_engine import P4EngineConfig, _AppOp
+from repro.cowbird.p4_engine import _AppOp
 from repro.cowbird.wire import RequestMetadata, RwType
+from repro.experiments.common import build_microbench
 from repro.rdma.packets import (
     PSN_MODULUS,
     SYNDROME_ACK,
@@ -16,10 +16,7 @@ from repro.rdma.packets import (
 
 
 def build(num_instances=1, **p4_kwargs):
-    return deploy_cowbird(
-        engine="p4", num_instances=num_instances,
-        p4_config=P4EngineConfig(**p4_kwargs),
-    )
+    return build_microbench("cowbird-p4", num_instances, engine_config=p4_kwargs)
 
 
 class TestChannels:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.trace import BandwidthMeter, LatencyRecorder, mops, percentile
+from repro.sim.trace import LatencyRecorder, mops, percentile
 
 
 class TestPercentile:
@@ -30,35 +30,13 @@ class TestPercentile:
             percentile([1], 1.5)
 
 
-class TestBandwidthMeter:
-    def test_gbps_computation(self):
-        meter = BandwidthMeter()
-        meter.record(1250)  # 10_000 bits
-        assert meter.gbps(now_ns=100.0) == pytest.approx(100.0)
-
-    def test_reset_moves_window(self):
-        meter = BandwidthMeter()
-        meter.record(1000)
-        meter.reset(now_ns=500.0)
-        assert meter.bytes_delivered == 0
-        meter.record(1250)
-        assert meter.gbps(now_ns=600.0) == pytest.approx(100.0)
-
-    def test_zero_elapsed_returns_zero(self):
-        meter = BandwidthMeter()
-        meter.record(1000)
-        assert meter.gbps(now_ns=0.0) == 0.0
-
-
 class TestLatencyRecorder:
     def test_summary_statistics(self):
         recorder = LatencyRecorder()
         for value in [1000, 2000, 3000, 4000]:
             recorder.record(value)
         assert recorder.count == 4
-        assert recorder.mean_ns() == pytest.approx(2500.0)
         assert recorder.median_us() == pytest.approx(2.0)
-        assert recorder.max_us() == pytest.approx(4.0)
 
     def test_p99_dominated_by_tail(self):
         recorder = LatencyRecorder()
@@ -66,16 +44,11 @@ class TestLatencyRecorder:
             recorder.record(1_000)
         recorder.record(50_000)
         assert recorder.p99_us() == pytest.approx(1.0)
-        assert recorder.max_us() == pytest.approx(50.0)
 
     def test_negative_latency_rejected(self):
         recorder = LatencyRecorder()
         with pytest.raises(ValueError):
             recorder.record(-1.0)
-
-    def test_mean_of_empty_raises(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder().mean_ns()
 
 
 class TestMops:

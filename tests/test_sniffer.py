@@ -1,7 +1,7 @@
 """Tests for the packet sniffer, used to validate protocol sequences."""
 
 
-from repro.cowbird.deploy import deploy_cowbird
+from repro.experiments.common import build_microbench
 from repro.rdma.packets import WRITES, Opcode
 from repro.rdma.sniffer import PacketSniffer
 from repro.testbed import Testbed
@@ -145,7 +145,7 @@ class TestProtocolValidation:
     def test_p4_recycling_sequence_visible(self):
         """The sniffer shows the Section 5.2 sequence: probe read ->
         metadata read -> pool read -> spoofed write -> bookkeeping."""
-        dep = deploy_cowbird(engine="p4")
+        dep = build_microbench("cowbird-p4", 1)
         sniffer = PacketSniffer(dep.sim)
         sniffer.attach_nic(dep.compute.nic, "rx@compute")
         sniffer.attach_nic(dep.pool_host.nic, "rx@pool")
@@ -178,7 +178,7 @@ class TestProtocolValidation:
         assert len(data_writes) == 1
 
     def test_spot_batching_visible_in_byte_accounting(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         sniffer = PacketSniffer(dep.sim)
         sniffer.attach_nic(dep.compute.nic)
         inst = dep.instances[0]

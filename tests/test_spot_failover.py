@@ -8,9 +8,10 @@ from the client's red block and re-executes the incomplete suffix.
 """
 
 
-from repro.cowbird.deploy import deploy_cowbird
 from repro.cowbird.spot_engine import CowbirdSpotEngine, SpotEngineConfig
 from repro.cowbird.wire import RedBlock, RwType, decode_request_id
+from repro.experiments.common import build_microbench
+from tests.client_only import client_only
 
 
 def start_replacement_agent(dep, recover=True):
@@ -28,7 +29,7 @@ def start_replacement_agent(dep, recover=True):
 
 class TestRecoveryBookkeeping:
     def test_fresh_recovery_matches_zero_state(self):
-        dep = deploy_cowbird(engine="none")
+        dep = client_only()
         agent = dep.bed.add_host("agent", cpu_cores=1, smt=2)
         engine = CowbirdSpotEngine(agent)
         engine.register_instance(dep.instances[0], {"pool": dep.pool_host},
@@ -39,7 +40,7 @@ class TestRecoveryBookkeeping:
         assert state.red == RedBlock()
 
     def test_recovery_adopts_red_block_cursors(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -70,7 +71,7 @@ class TestMidFlightFailover:
     def test_pending_requests_complete_on_new_agent(self):
         """Requests issued after (or lost during) the reclamation are
         executed by the replacement agent."""
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
         pool_region = dep.pool_region()
@@ -116,7 +117,7 @@ class TestMidFlightFailover:
         """Writes parsed but not completed by the dead agent re-execute
         from the request data ring (payloads persist until the head
         advances)."""
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
         sim = dep.sim
@@ -150,7 +151,7 @@ class TestMidFlightFailover:
         """The prefix-published red block keeps per-type sequence
         numbering correct across a failover even when reads and writes
         interleave."""
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
         sim = dep.sim
@@ -190,7 +191,7 @@ class TestMidFlightFailover:
 
 class TestConvenienceApi:
     def test_wait_one(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
         dep.pool_region().write(dep.region.translate(0), b"single")
@@ -204,7 +205,7 @@ class TestConvenienceApi:
                                           deadline=50e9) == b"single"
 
     def test_wait_one_timeout(self):
-        dep = deploy_cowbird(engine="none")  # no engine: never completes
+        dep = client_only()  # no engine: never completes
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -216,7 +217,7 @@ class TestConvenienceApi:
                                           deadline=50e9) is None
 
     def test_select_returns_ready_subset(self):
-        dep = deploy_cowbird(engine="spot")
+        dep = build_microbench("cowbird", 1)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -237,7 +238,7 @@ class TestConvenienceApi:
         assert len(collected) == 4
 
     def test_select_empty_is_noop(self):
-        dep = deploy_cowbird(engine="none")
+        dep = client_only()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 

@@ -1,13 +1,15 @@
-"""Unit tests for the verbs layer, testbed assembly, and deploy helper."""
+"""Unit tests for the verbs layer, testbed assembly, and the deployment
+builder."""
 
 import pytest
 
-from repro.cowbird.deploy import deploy_cowbird
+from repro.experiments.common import build_microbench
 from repro.rdma.nic import NicConfig
 from repro.rdma.verbs import RdmaError
 from repro.sim.cpu import CostModel, TAG_COMM
 from repro.sim.tcp import TcpSegment
 from repro.testbed import Testbed
+from tests.client_only import client_only
 
 
 class TestVerbsCosts:
@@ -121,26 +123,26 @@ class TestTestbedAssembly:
 class TestDeployHelper:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            deploy_cowbird(engine="fpga")
+            build_microbench("cowbird-fpga", 1)
 
     def test_none_engine_builds_client_only(self):
-        dep = deploy_cowbird(engine="none")
+        dep = client_only()
         assert dep.engine is None
         assert dep.agent_host is None
         assert len(dep.instances) == 1
 
     def test_p4_engine_has_no_agent_host(self):
-        dep = deploy_cowbird(engine="p4")
+        dep = build_microbench("cowbird-p4", 1)
         assert dep.agent_host is None
         assert dep.engine is not None
 
     def test_multiple_instances(self):
-        dep = deploy_cowbird(engine="spot", num_instances=3)
+        dep = build_microbench("cowbird", 3)
         assert len(dep.instances) == 3
         assert len(dep.engine._instances) == 3
 
     def test_pool_region_accessor(self):
-        dep = deploy_cowbird(engine="none", remote_bytes=4096)
+        dep = client_only(remote_bytes=4096)
         region = dep.pool_region()
         assert region.length == 4096
 
@@ -182,6 +184,16 @@ class TestProtocolHandlers:
         # per link and the switch's 300 ns forwarding delay.
         assert seen[0] == (100.0 + 500.0 + 300.0 + 100.0 + 500.0, "TcpSegment")
         assert {kind for _, kind in seen} == {"TcpSegment", "RocePacket"}
+
+    def test_nic_terminates_the_downlink_until_a_handler_arrives(self):
+        bed = Testbed()
+        host = bed.add_host("compute")
+        downlink = bed.switch.port_to("compute")
+        assert downlink.endpoint is host.nic
+        assert downlink.rx_delay_ns == host.nic.rx_delay_ns
+        host.add_protocol_handler(lambda packet, link: None)
+        assert downlink.endpoint is host
+        assert downlink.rx_delay_ns == 0.0
 
     def test_handlers_refused_with_deliveries_in_flight(self):
         bed = Testbed()
