@@ -16,6 +16,7 @@ round trip; Cowbird's adapter pays tens of nanoseconds of local stores.
 from __future__ import annotations
 
 import itertools
+import operator
 import struct
 from abc import ABC, abstractmethod
 from collections import deque
@@ -342,6 +343,9 @@ class TwoSidedSyncBackend(_RdmaBackendBase, _ImmediateCompletions):
         return self._completed_token()
 
 
+_request_id = operator.attrgetter("request_id")
+
+
 class CowbirdBackend(Backend):
     """Adapter presenting a Cowbird instance through the Backend API."""
 
@@ -419,8 +423,8 @@ class CowbirdBackend(Backend):
             return out
         timeout = None if block and self._outstanding else 0
         events = yield from self.instance.poll_wait(
-            thread, self.poll_id, max_ret=max_ret, timeout=timeout
+            thread, self.poll_id, max_ret, timeout
         )
         for event in events:
             self._release(event)
-        return [event.request_id for event in events]
+        return list(map(_request_id, events))

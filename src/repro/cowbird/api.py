@@ -28,12 +28,13 @@ from typing import Any, Generator, Optional
 
 from repro.cowbird.buffers import DataRing, MetadataRing, RingFullError
 from repro.cowbird.wire import (
+    REQUEST_SEQUENCE_MASK,
+    REQUEST_TYPE_SHIFT,
     BookkeepingLayout,
     GreenBlock,
     RedBlock,
     RequestMetadata,
     RwType,
-    decode_request_id,
     encode_request_id,
 )
 from repro.memory.pool import RemoteRegionHandle
@@ -52,6 +53,8 @@ __all__ = [
 
 #: The request id of a PollGroup ``(sequence, request_id)`` key.
 _second = operator.itemgetter(1)
+#: ``request_id >> REQUEST_TYPE_SHIFT`` of a read's id.
+_READ = int(RwType.READ)
 
 
 class BufferFullError(Exception):
@@ -111,6 +114,14 @@ class CompletionEvent:
     length: int
 
 
+class _PollGroups(dict):
+    """Poll id -> :class:`PollGroup`; an unknown id raises a KeyError
+    that names it."""
+
+    def __missing__(self, poll_id: int) -> PollGroup:
+        raise KeyError(f"unknown poll id {poll_id}")
+
+
 class PollGroup:
     """An epoll-like notification group over request ids (Section 4.1).
 
@@ -134,9 +145,8 @@ class PollGroup:
 
     def _ids_of(self, request_id: int) -> tuple[list[tuple[int, int]], tuple[int, int]]:
         """The id's per-type list and its sort key in that list."""
-        rw_type, _region, seq = decode_request_id(request_id)
-        ids = self._reads if rw_type is RwType.READ else self._writes
-        return ids, (seq, request_id)
+        ids = self._reads if request_id >> REQUEST_TYPE_SHIFT == _READ else self._writes
+        return ids, (request_id & REQUEST_SEQUENCE_MASK, request_id)
 
     def add(self, request_id: int) -> None:
         if request_id in self._stamps:
@@ -214,6 +224,7 @@ class CowbirdInstance:
         # Local mirrors of the shared blocks.
         self.green = GreenBlock()
         self.red = RedBlock()
+        self._green_addr = self.bookkeeping.green_addr
         self._publish_green()
         self.region.write(self.bookkeeping.red_addr, self.red.pack())
         # Sequence counters (per type, starting at 1; Section 4.3).
@@ -224,17 +235,20 @@ class CowbirdInstance:
         #: oldest read is found without scanning ``_reads``.
         self._read_order: deque[int] = deque()
         self._writes: dict[int, _OutstandingWrite] = {}
-        self._poll_groups: dict[int, PollGroup] = {}
+        self._poll_groups = _PollGroups()
         self._next_poll_id = itertools.count(1)
         self._progress_waiters: list = []
         self.remote_regions: dict[int, RemoteRegionHandle] = {}
         self._red_addr = self.bookkeeping.red_addr
         #: Whether the red block in memory may differ from ``self.red``:
-        #: set by every write that touches it, cleared by _sync_red.
+        #: set by every write that touches it (_on_red_write), cleared by
+        #: _sync_red.
         self._red_dirty = False
         # Observe engine RDMA writes to the red block so poll_wait can be
         # event-driven instead of simulating every empty poll.
-        self.region.write_watchers.append(self._on_region_write)
+        self.region.watch(
+            self._red_addr, self._red_addr + RedBlock.SIZE, self._on_red_write
+        )
         # Stats.
         self.requests_issued = 0
         self.requests_completed = 0
@@ -291,23 +305,15 @@ class CowbirdInstance:
         sequence = next(self._read_seq)
         try:
             self._append_metadata(
-                RequestMetadata(
-                    rw_type=RwType.READ,
-                    req_addr=remote_addr,
-                    resp_addr=dest_addr,
-                    length=length,
-                    region_id=region_id,
-                )
+                RequestMetadata(RwType.READ, remote_addr, dest_addr, length, region_id)
             )
         except RingFullError as exc:
             raise BufferFullError(str(exc)) from exc
-        self._reads[sequence] = _OutstandingRead(
-            sequence=sequence, addr=dest_addr, length=length, pad=pad,
-        )
+        self._reads[sequence] = _OutstandingRead(sequence, dest_addr, length, pad)
         self._read_order.append(sequence)
         self.requests_issued += 1
         # The whole issue path is a handful of local stores (Figure 2).
-        yield from thread.compute(self.cost.cowbird_post, tag=TAG_COMM)
+        yield from thread.compute(self.cost.cowbird_post, TAG_COMM)
         return encode_request_id(RwType.READ, region_id, sequence)
 
     def async_write(
@@ -332,24 +338,15 @@ class CowbirdInstance:
         sequence = next(self._write_seq)
         try:
             self._append_metadata(
-                RequestMetadata(
-                    rw_type=RwType.WRITE,
-                    req_addr=src_addr,
-                    resp_addr=remote_addr,
-                    length=len(data),
-                    region_id=region_id,
-                )
+                RequestMetadata(RwType.WRITE, src_addr, remote_addr, len(data), region_id)
             )
         except RingFullError as exc:
             raise BufferFullError(str(exc)) from exc
-        self._writes[sequence] = _OutstandingWrite(
-            sequence=sequence, data_pad=pad, length=len(data)
-        )
+        self._writes[sequence] = _OutstandingWrite(sequence, pad, len(data))
         self.requests_issued += 1
         # Post cost plus the payload copy into the request data ring.
         yield from thread.compute(
-            self.cost.cowbird_post + self.cost.memcpy_per_byte * len(data),
-            tag=TAG_COMM,
+            self.cost.cowbird_post + self.cost.memcpy_per_byte * len(data), TAG_COMM
         )
         return encode_request_id(RwType.WRITE, region_id, sequence)
 
@@ -360,10 +357,10 @@ class CowbirdInstance:
         return poll_id
 
     def poll_add(self, poll_id: int, request_id: int) -> None:
-        self._group(poll_id).add(request_id)
+        self._poll_groups[poll_id].add(request_id)
 
     def poll_remove(self, poll_id: int, request_id: int) -> None:
-        self._group(poll_id).remove(request_id)
+        self._poll_groups[poll_id].remove(request_id)
 
     def poll_wait(
         self,
@@ -377,7 +374,7 @@ class CowbirdInstance:
         Completion checks are purely local: integer comparisons against
         the red block's progress counters (Section 4.3).
         """
-        group = self._group(poll_id)
+        group = self._poll_groups[poll_id]
         deadline = None if timeout is None else self.sim.now + timeout
         while True:
             # Register for progress *before* checking, so an engine
@@ -392,18 +389,18 @@ class CowbirdInstance:
             if self._red_dirty:
                 self._sync_red()
             done_ids = group.completed(self.red)[:max_ret]
-            if done_ids or not len(group):
+            if done_ids or not group._stamps:
                 if progress is not None:
                     self._discard_waiter(progress)
                 yield from thread.compute(
                     self.cost.cowbird_poll if done_ids else self.cost.cowbird_poll_empty,
-                    tag=TAG_COMM,
+                    TAG_COMM,
                 )
                 events = [self._complete(request_id) for request_id in done_ids]
                 for request_id in done_ids:
                     group.remove(request_id)
                 return events
-            yield from thread.compute(self.cost.cowbird_poll_empty, tag=TAG_COMM)
+            yield from thread.compute(self.cost.cowbird_poll_empty, TAG_COMM)
             if deadline is not None and self.sim.now >= deadline:
                 if progress is not None:
                     self._discard_waiter(progress)
@@ -474,9 +471,9 @@ class CowbirdInstance:
     # ------------------------------------------------------------------
     def fetch_response(self, request_id: int) -> bytes:
         """Copy a completed read's bytes out and free its ring slot."""
-        rw_type, _region, sequence = decode_request_id(request_id)
-        if rw_type is not RwType.READ:
+        if request_id >> REQUEST_TYPE_SHIFT != _READ:
             raise ValueError("only reads have response payloads")
+        sequence = request_id & REQUEST_SEQUENCE_MASK
         entry = self._reads.get(sequence)
         if entry is None:
             raise KeyError(f"unknown or already-freed read sequence {sequence}")
@@ -515,7 +512,7 @@ class CowbirdInstance:
         self._publish_green()
 
     def _publish_green(self) -> None:
-        self.region.write(self.bookkeeping.green_addr, self.green.pack())
+        self.region.write(self._green_addr, self.green.pack())
 
     def _sync_red(self) -> None:
         """Adopt the engine-published red block into local mirrors.
@@ -537,37 +534,24 @@ class CowbirdInstance:
         try:
             self._progress_waiters.remove(progress)
         except ValueError:
-            pass  # already fired and cleared by _on_region_write
+            pass  # already fired and cleared by _on_red_write
 
-    def _on_region_write(self, addr: int, length: int) -> None:
-        """Mark the red block dirty and wake poll_wait sleepers when a
-        write touches it."""
-        red_addr = self._red_addr
-        if addr < red_addr + RedBlock.SIZE and addr + length > red_addr:
-            self._red_dirty = True
-            waiters, self._progress_waiters = self._progress_waiters, []
-            for waiter in waiters:
-                waiter.resolve(None)
-
-    def _group(self, poll_id: int) -> PollGroup:
-        group = self._poll_groups.get(poll_id)
-        if group is None:
-            raise KeyError(f"unknown poll id {poll_id}")
-        return group
+    def _on_red_write(self, addr: int, length: int) -> None:
+        """A write touched the red block: mark it dirty and wake the
+        poll_wait sleepers."""
+        self._red_dirty = True
+        waiters, self._progress_waiters = self._progress_waiters, []
+        for waiter in waiters:
+            waiter.resolve(None)
 
     def _complete(self, request_id: int) -> CompletionEvent:
-        rw_type, _region, sequence = decode_request_id(request_id)
+        sequence = request_id & REQUEST_SEQUENCE_MASK
         self.requests_completed += 1
-        if rw_type is RwType.READ:
+        if request_id >> REQUEST_TYPE_SHIFT == _READ:
             entry = self._reads[sequence]
-            return CompletionEvent(
-                request_id=request_id, rw_type=rw_type,
-                addr=entry.addr, length=entry.length,
-            )
+            return CompletionEvent(request_id, RwType.READ, entry.addr, entry.length)
         entry = self._writes.pop(sequence)
-        return CompletionEvent(
-            request_id=request_id, rw_type=rw_type, addr=0, length=entry.length
-        )
+        return CompletionEvent(request_id, RwType.WRITE, 0, entry.length)
 
 
 class CowbirdClient:

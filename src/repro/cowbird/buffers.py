@@ -84,13 +84,17 @@ class MetadataRing:
         space (the paper's API returns an error telling the app to retry
         after processing existing responses).
         """
-        if self.free_entries() <= 0:
-            raise RingFullError(
-                f"metadata ring full ({self.capacity} entries outstanding)"
-            )
+        # free_entries() and addr_of(), inlined: one append per request.
         index = self.tail
-        self.region.write(self.addr_of(index), entry.pack())
-        self.tail += 1
+        capacity = self.capacity
+        if index - self.head >= capacity:
+            raise RingFullError(
+                f"metadata ring full ({capacity} entries outstanding)"
+            )
+        self.region.write(
+            self.base_addr + (index % capacity) * self.ENTRY_BYTES, entry.pack()
+        )
+        self.tail = index + 1
         return index
 
     def read_entry(self, index: int) -> RequestMetadata:
@@ -154,7 +158,7 @@ class DataRing:
                 f"data ring full ({self.free_bytes()} free, need {pad + length})"
             )
         self.tail += pad
-        addr = self.addr_at(self.tail)
+        addr = self.base_addr + (self.tail % self.capacity)  # addr_at(tail)
         self.tail += length
         return addr
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cowbird.api import CowbirdInstance, InstanceDescriptor
@@ -42,13 +42,12 @@ from repro.rdma.packets import (
     OP_WRITE_LAST,
     OP_WRITE_MIDDLE,
     OP_WRITE_ONLY,
+    PSN_MASK,
     PSN_MODULUS,
     READ_RESPONSE_TAILS,
     READ_RESPONSES,
     PacketPool,
     RocePacket,
-    psn_add,
-    psn_distance,
 )
 from repro.sim.engine import Simulator
 from repro.sim.network import PRIORITY_LOW, PRIORITY_NORMAL, Switch
@@ -56,7 +55,7 @@ from repro.sim.network import PRIORITY_LOW, PRIORITY_NORMAL, Switch
 __all__ = ["CowbirdP4Engine", "P4EngineConfig"]
 
 #: Serial-number comparison window: ``b`` is at or after ``a`` when
-#: ``(b - a) % PSN_MODULUS`` is below half the PSN space.
+#: ``(b - a) & PSN_MASK`` is below half the PSN space.
 _HALF_PSN_SPACE = PSN_MODULUS // 2
 #: Op kinds a cumulative ACK retires; read-kind ops retire only through
 #: their responses.
@@ -127,11 +126,13 @@ class _EngineOp:
     issued_at: float = 0.0
     parent: Optional["_AppOp"] = None
     instance: Optional["_Instance"] = None
-    buffer: bytearray = field(default_factory=bytearray)
+    #: The response bytes of a probe or metadata read, from its first
+    #: response packet on; the pipeline parses only those.
+    buffer: Optional[bytearray] = None
 
     @property
     def last_psn(self) -> int:
-        return psn_add(self.first_psn, self.num_psns - 1)
+        return (self.first_psn + self.num_psns - 1) & PSN_MASK
 
 
 @dataclass
@@ -142,11 +143,11 @@ class _AppOp:
     sequence: int
     metadata: RequestMetadata
     ring_index: int
+    #: Sim time the switch parsed this request (span begin for telemetry).
+    parsed_at: float = 0.0
     completed: bool = False
     fetch_op: Optional[_EngineOp] = None
     write_train: Optional[_EngineOp] = None
-    #: Sim time the switch parsed this request (span begin for telemetry).
-    parsed_at: float = 0.0
     #: Go-Back-N replays so far.
     retries: int = 0
 
@@ -185,19 +186,16 @@ class _Channel:
         instance: Optional["_Instance"] = None,
     ) -> _EngineOp:
         """Reserve the PSN range for ``length`` bytes and track the op."""
-        mtu = self.engine.config.mtu_bytes
-        num_psns = max(1, (length + mtu - 1) // mtu)
+        engine = self.engine
+        mtu = engine.config.mtu_bytes
+        num_psns = (length + mtu - 1) // mtu or 1
+        first_psn = self.send_psn
+        # Fields in declaration order: kind, channel, first_psn, num_psns,
+        # expect_bytes, received_bytes, issued_at, parent, instance.
         op = _EngineOp(
-            kind=kind,
-            channel=self,
-            first_psn=self.send_psn,
-            num_psns=num_psns,
-            expect_bytes=length,
-            issued_at=self.engine.sim.now,
-            parent=parent,
-            instance=instance,
+            kind, self, first_psn, num_psns, length, 0, engine.sim.now, parent, instance
         )
-        self.send_psn = psn_add(self.send_psn, num_psns)
+        self.send_psn = (first_psn + num_psns) & PSN_MASK
         self.inflight.append(op)
         return op
 
@@ -212,19 +210,14 @@ class _Channel:
     ) -> _EngineOp:
         """Issue an RDMA READ request; responses are matched by PSN."""
         op = self.open_op(length, kind, parent, instance)
-        packet = self.engine.pool.acquire(
-            src=self.engine.node,
-            dst=self.peer_node,
-            opcode=OP_READ_REQUEST,
-            dest_qp=self.peer_qpn,
-            psn=op.first_psn,
-            ack_request=True,
-            virtual_address=addr,
-            remote_key=rkey if rkey is not None else self.rkey,
-            dma_length=length,
-            priority=self.priority,
+        engine = self.engine
+        packet = engine.pool.acquire(
+            engine.node, self.peer_node, OP_READ_REQUEST, self.peer_qpn, op.first_psn,
+            True, addr, rkey if rkey is not None else self.rkey, length,  # RETH
+            0, 0, b"",  # no AETH, no payload
+            self.priority,
         )
-        self.engine.switch.inject(packet)
+        engine.switch.inject(packet)
         return op
 
     def emit_write_segment(
@@ -258,40 +251,27 @@ class _Channel:
             vaddr, rkey, length = dest_addr, dest_rkey, op.expect_bytes
         else:
             vaddr = rkey = length = 0
-        psn = psn_add(op.first_psn, segment_index)
+        psn = (op.first_psn + segment_index) & PSN_MASK
+        engine = self.engine
         if recycle is not None:
             packet = recycle.recycle(
-                src=self.engine.node,
-                dst=self.peer_node,
-                opcode=opcode,
-                dest_qp=self.peer_qpn,
-                psn=psn,
-                ack_request=is_tail,
-                virtual_address=vaddr,
-                remote_key=rkey,
-                dma_length=length,
-                priority=self.priority,
+                engine.node, self.peer_node, opcode, self.peer_qpn, psn,
+                is_tail, vaddr, rkey, length,  # ack_request, RETH
+                self.priority,
             )
         else:
-            packet = self.engine.pool.acquire(
-                src=self.engine.node,
-                dst=self.peer_node,
-                opcode=opcode,
-                dest_qp=self.peer_qpn,
-                psn=psn,
-                ack_request=is_tail,
-                virtual_address=vaddr,
-                remote_key=rkey,
-                dma_length=length,
-                payload=payload,
-                priority=self.priority,
+            packet = engine.pool.acquire(
+                engine.node, self.peer_node, opcode, self.peer_qpn, psn,
+                is_tail, vaddr, rkey, length,  # ack_request, RETH
+                0, 0, payload,  # no AETH
+                self.priority,
             )
-        self.engine.switch.inject(packet)
+        engine.switch.inject(packet)
 
     # ------------------------------------------------------------------
     def match(self, psn: int) -> Optional[_EngineOp]:
         for op in self.inflight:
-            if (psn - op.first_psn) % PSN_MODULUS < op.num_psns:
+            if (psn - op.first_psn) & PSN_MASK < op.num_psns:
                 return op
         return None
 
@@ -501,7 +481,7 @@ class CowbirdP4Engine:
     # The data plane pipeline: every packet traverses this
     # ------------------------------------------------------------------
     def _pipeline(self, packet, link) -> list:
-        if not isinstance(packet, RocePacket) or packet.dst != self.node:
+        if packet.__class__ is not RocePacket or packet.dst != self.node:
             return [packet]  # transit traffic: forward unchanged
         channel = self._channels_by_vqpn.get(packet.dest_qp)
         if channel is None:
@@ -520,20 +500,22 @@ class CowbirdP4Engine:
         if op is None:
             self.stats.stale_packets += 1
             return
-        offset = psn_distance(op.first_psn, packet.psn) * self.config.mtu_bytes
+        offset = ((packet.psn - op.first_psn) & PSN_MASK) * self.config.mtu_bytes
         if op.kind in ("probe", "meta"):
             # Control reads are parsed by the pipeline (they fit the PHV).
-            if len(op.buffer) < op.expect_bytes:
-                op.buffer.extend(b"\x00" * (op.expect_bytes - len(op.buffer)))
+            if op.buffer is None:
+                op.buffer = bytearray(op.expect_bytes)
             op.buffer[offset : offset + len(packet.payload)] = packet.payload
         op.received_bytes += len(packet.payload)
         complete = (
             op.received_bytes >= op.expect_bytes
             and packet.opcode in READ_RESPONSE_TAILS
         )
+        # ``match`` found ``op`` in flight on ``channel``; a finished op
+        # leaves it (the ``retire`` of an op known to be there).
         if op.kind == "probe":
             if complete:
-                channel.retire(op)
+                channel.inflight.remove(op)
                 if self._tel.enabled:
                     self._tel.complete(
                         "p4.probe", op.issued_at, self.sim.now,
@@ -542,7 +524,7 @@ class CowbirdP4Engine:
                 self._on_probe_response(state, bytes(op.buffer))
         elif op.kind == "meta":
             if complete:
-                channel.retire(op)
+                channel.inflight.remove(op)
                 if self._tel.enabled:
                     self._tel.complete(
                         "p4.meta_fetch", op.issued_at, self.sim.now,
@@ -593,8 +575,7 @@ class CowbirdP4Engine:
         app_ops = state.parse(
             payload, start, end,
             lambda metadata, sequence, index: _AppOp(
-                instance=state, sequence=sequence, metadata=metadata,
-                ring_index=index, parsed_at=now,
+                state, sequence, metadata, index, now
             ),
         )
         self.stats.requests_parsed += len(app_ops)
@@ -616,22 +597,14 @@ class CowbirdP4Engine:
                 state.pending.popleft()
                 self._execute_write(state, app_op)
 
-    def _pool_channel_for(self, state: _Instance, region_id: int) -> tuple[_Channel, int]:
-        handle = state.descriptor.remote_regions[region_id]
-        return state.pool_channels[handle.node], handle.rkey
-
     def _execute_read(self, state: _Instance, app_op: _AppOp) -> None:
         """Phase III step 1a: fetch the requested data from the pool."""
-        channel, rkey = self._pool_channel_for(state, app_op.metadata.region_id)
+        handle = state.descriptor.remote_regions[app_op.metadata.region_id]
         if not app_op.retries:
             self.stats.recycled_packets += 1  # recycled from the Phase II response
-        app_op.fetch_op = channel.emit_read(
-            app_op.metadata.req_addr,
-            app_op.metadata.length,
-            kind="read_fetch",
-            parent=app_op,
-            instance=state,
-            rkey=rkey,
+        metadata = app_op.metadata
+        app_op.fetch_op = state.pool_channels[handle.node].emit_read(
+            metadata.req_addr, metadata.length, "read_fetch", app_op, state, handle.rkey
         )
 
     def _execute_write(self, state: _Instance, app_op: _AppOp) -> None:
@@ -641,12 +614,9 @@ class CowbirdP4Engine:
 
     def _execute_write_fetch(self, state: _Instance, app_op: _AppOp) -> None:
         state.fetching_writes += 1
+        metadata = app_op.metadata
         app_op.fetch_op = state.data_channel.emit_read(
-            app_op.metadata.req_addr,
-            app_op.metadata.length,
-            kind="write_fetch",
-            parent=app_op,
-            instance=state,
+            metadata.req_addr, metadata.length, "write_fetch", app_op, state
         )
 
     def _convert_read_data(
@@ -656,19 +626,15 @@ class CowbirdP4Engine:
         app_op = op.parent
         if app_op.write_train is None:
             app_op.write_train = state.data_channel.open_op(
-                op.expect_bytes, kind="resp_write", parent=app_op, instance=state
+                op.expect_bytes, "resp_write", app_op, state
             )
         self.stats.recycled_packets += 1
-        segment = psn_distance(op.first_psn, packet.psn)
+        segment = (packet.psn - op.first_psn) & PSN_MASK
         if complete:
-            op.channel.retire(op)
+            op.channel.inflight.remove(op)
         state.data_channel.emit_write_segment(
-            app_op.write_train,
-            segment,
-            dest_addr=app_op.metadata.resp_addr,
-            dest_rkey=state.descriptor.rkey,
-            payload=packet.payload,
-            recycle=packet,
+            app_op.write_train, segment, app_op.metadata.resp_addr,
+            state.descriptor.rkey, packet.payload, packet,
         )
 
     def _convert_write_data(
@@ -676,29 +642,26 @@ class CowbirdP4Engine:
     ) -> None:
         """Step 2b: recycle compute data into a memory-pool write."""
         app_op = op.parent
-        channel, rkey = self._pool_channel_for(state, app_op.metadata.region_id)
+        handle = state.descriptor.remote_regions[app_op.metadata.region_id]
+        channel = state.pool_channels[handle.node]
         if app_op.write_train is None:
             app_op.write_train = channel.open_op(
-                op.expect_bytes, kind="pool_write", parent=app_op, instance=state
+                op.expect_bytes, "pool_write", app_op, state
             )
         self.stats.recycled_packets += 1
-        segment = psn_distance(op.first_psn, packet.psn)
+        segment = (packet.psn - op.first_psn) & PSN_MASK
         channel.emit_write_segment(
-            app_op.write_train,
-            segment,
-            dest_addr=app_op.metadata.resp_addr,
-            dest_rkey=rkey,
-            payload=packet.payload,
-            recycle=packet,
+            app_op.write_train, segment, app_op.metadata.resp_addr,
+            handle.rkey, packet.payload, packet,
         )
         if complete:
-            op.channel.retire(op)
+            op.channel.inflight.remove(op)
             state.fetching_writes -= 1
             self._drain_pending(state)
 
     # -- Phase IV: completion ---------------------------------------------
     def _on_ack(self, state: _Instance, channel: _Channel, packet) -> None:
-        if packet.is_nak:
+        if (packet.syndrome & 0xE0) == 0x60:  # a NAK, of any NAK code
             self._go_back_n(channel)
             return
         # Cumulative ACK: retire covered *write* ops on this channel, in
@@ -713,11 +676,11 @@ class CowbirdP4Engine:
         covered = []
         for op in channel.inflight:
             first_psn = op.first_psn
-            if (psn - first_psn) % PSN_MODULUS >= _HALF_PSN_SPACE:
+            if (psn - first_psn) & PSN_MASK >= _HALF_PSN_SPACE:
                 break
             if (
                 op.kind in _ACKED_KINDS
-                and (psn - first_psn - op.num_psns + 1) % PSN_MODULUS < _HALF_PSN_SPACE
+                and (psn - first_psn - op.num_psns + 1) & PSN_MASK < _HALF_PSN_SPACE
             ):
                 covered.append(op)
         for op in covered:
@@ -728,8 +691,8 @@ class CowbirdP4Engine:
     def _complete_app_op(self, state: _Instance, app_op: _AppOp) -> None:
         app_op.completed = True
         metadata = app_op.metadata
-        self._tel_request_ns.observe(self.sim.now - app_op.parsed_at)
         if self._tel.enabled:
+            self._tel_request_ns.observe(self.sim.now - app_op.parsed_at)
             self._tel.complete(
                 "p4.request", app_op.parsed_at, self.sim.now,
                 process=self.node, track=f"inst{self._instances.index(state)}",
@@ -748,15 +711,12 @@ class CowbirdP4Engine:
         self.stats.red_updates += 1
         self.stats.recycled_packets += 1  # recycled from the ACK
         payload = state.red.pack()
-        train = state.data_channel.open_op(
-            len(payload), kind="red_update", parent=None, instance=state
-        )
-        state.data_channel.emit_write_segment(
-            train,
-            0,
-            dest_addr=state.descriptor.bookkeeping_addr + 64,  # red offset
-            dest_rkey=state.descriptor.rkey,
-            payload=payload,
+        channel = state.data_channel
+        train = channel.open_op(len(payload), "red_update", None, state)
+        channel.emit_write_segment(
+            train, 0,
+            state.descriptor.bookkeeping_addr + 64,  # the red block's offset
+            state.descriptor.rkey, payload,
         )
 
     # ------------------------------------------------------------------

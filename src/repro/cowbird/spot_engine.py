@@ -580,8 +580,8 @@ class CowbirdSpotEngine:
         state = op.instance
         state.outstanding_read_fetches -= 1
         self.stats.reads_executed += 1
-        self._tel_request_ns.observe(self.sim.now - op.parsed_at)
         if self._tel.enabled:
+            self._tel_request_ns.observe(self.sim.now - op.parsed_at)
             self._tel.complete(
                 "spot.read", op.parsed_at, self.sim.now,
                 process=self.host.name, track="agent",
@@ -636,8 +636,8 @@ class CowbirdSpotEngine:
         )
         self.stats.batches_flushed += 1
         self.stats.batch_entries_total += len(batch)
-        self._tel_batch_bytes.observe(total)
         if self._tel.enabled:
+            self._tel_batch_bytes.observe(total)
             self._tel.complete(
                 "spot.batch", state.batch_opened_at, self.sim.now,
                 process=self.host.name, track="agent",
@@ -651,8 +651,8 @@ class CowbirdSpotEngine:
         state = op.instance
         op.completed = True
         self.stats.writes_executed += 1
-        self._tel_request_ns.observe(self.sim.now - op.parsed_at)
         if self._tel.enabled:
+            self._tel_request_ns.observe(self.sim.now - op.parsed_at)
             self._tel.complete(
                 "spot.write", op.parsed_at, self.sim.now,
                 process=self.host.name, track="agent",

@@ -27,6 +27,8 @@ __all__ = [
     "BookkeepingLayout",
     "GreenBlock",
     "RedBlock",
+    "REQUEST_SEQUENCE_MASK",
+    "REQUEST_TYPE_SHIFT",
     "RW_TYPE_BY_VALUE",
     "RequestMetadata",
     "RwType",
@@ -56,11 +58,12 @@ class RwType(enum.IntEnum):
 RW_TYPE_BY_VALUE = tuple(
     RwType._value2member_map_.get(value) for value in range(max(RwType) + 1)
 )
+_RW_TYPE_LIMIT = len(RW_TYPE_BY_VALUE)
 
 
 def _rw_type_of(value: int) -> RwType:
     """The member for a raw (non-negative) value; like ``RwType(value)``."""
-    member = RW_TYPE_BY_VALUE[value] if value < len(RW_TYPE_BY_VALUE) else None
+    member = RW_TYPE_BY_VALUE[value] if value < _RW_TYPE_LIMIT else None
     if member is None:
         raise ValueError(f"{value!r} is not a valid RwType")
     return member
@@ -116,13 +119,20 @@ class RequestMetadata:
         if len(data) < _METADATA_STRUCT.size:
             raise ValueError(f"metadata entry too short: {len(data)} bytes")
         rw, region_id, length, req_addr, resp_addr = _METADATA_STRUCT.unpack_from(data)
-        return cls(
-            rw_type=_rw_type_of(rw),
-            req_addr=req_addr,
-            resp_addr=resp_addr,
-            length=length,
-            region_id=region_id,
-        )
+        rw_type = RW_TYPE_BY_VALUE[rw] if rw < _RW_TYPE_LIMIT else None
+        if rw_type is None:
+            _rw_type_of(rw)  # raises the ValueError
+        # The wire field widths already bound every value __post_init__
+        # checks, so the (frozen) entry is filled in directly: engines
+        # parse one per request.
+        entry = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(entry, "rw_type", rw_type)
+        set_field(entry, "req_addr", req_addr)
+        set_field(entry, "resp_addr", resp_addr)
+        set_field(entry, "length", length)
+        set_field(entry, "region_id", region_id)
+        return entry
 
 
 # ----------------------------------------------------------------------
@@ -221,8 +231,12 @@ class BookkeepingLayout:
 
 _REQ_SEQ_BITS = 32
 _REQ_REGION_SHIFT = _REQ_SEQ_BITS
-_REQ_TYPE_SHIFT = _REQ_REGION_SHIFT + 16
-_REQ_SEQ_MASK = (1 << _REQ_SEQ_BITS) - 1
+#: A request id's rw_type value is ``request_id >> REQUEST_TYPE_SHIFT``
+#: (ids are built only by :func:`encode_request_id`, so nothing sits
+#: above it) and its sequence is ``request_id & REQUEST_SEQUENCE_MASK``:
+#: hot paths read them inline.
+REQUEST_TYPE_SHIFT = _REQ_REGION_SHIFT + 16
+REQUEST_SEQUENCE_MASK = (1 << _REQ_SEQ_BITS) - 1
 
 
 def encode_request_id(rw_type: RwType, region_id: int, sequence: int) -> int:
@@ -231,12 +245,14 @@ def encode_request_id(rw_type: RwType, region_id: int, sequence: int) -> int:
         raise ValueError(f"region_id out of range: {region_id}")
     if not 0 < sequence < (1 << _REQ_SEQ_BITS):
         raise ValueError(f"sequence out of range: {sequence}")
-    return (int(rw_type) << _REQ_TYPE_SHIFT) | (region_id << _REQ_REGION_SHIFT) | sequence
+    return (
+        (int(rw_type) << REQUEST_TYPE_SHIFT) | (region_id << _REQ_REGION_SHIFT) | sequence
+    )
 
 
 def decode_request_id(request_id: int) -> tuple[RwType, int, int]:
     """Inverse of :func:`encode_request_id`."""
-    rw_type = _rw_type_of((request_id >> _REQ_TYPE_SHIFT) & 0xFFFF)
+    rw_type = _rw_type_of((request_id >> REQUEST_TYPE_SHIFT) & 0xFFFF)
     region_id = (request_id >> _REQ_REGION_SHIFT) & 0xFFFF
-    sequence = request_id & _REQ_SEQ_MASK
+    sequence = request_id & REQUEST_SEQUENCE_MASK
     return rw_type, region_id, sequence

@@ -111,10 +111,13 @@ class MemoryRegion:
         self._remote_write = Permission.REMOTE_WRITE in permissions
         self.name = name
         self._data: mmap.mmap | None = _zeroed_mapping(length)
-        #: Callbacks fired after any successful write: f(addr, length).
-        #: Used to model memory polling without simulating every poll —
-        #: e.g. the Cowbird client watching its bookkeeping block.
-        self.write_watchers: list = []
+        #: ``(lo, hi, callback)`` per :meth:`watch`, in watch order.
+        self._watchers: tuple = ()
+        #: The smallest range holding every watched one; a write outside
+        #: it runs no watcher code beyond two comparisons.  Empty (0, 0)
+        #: while nothing is watched: every address is at least 0.
+        self._watch_lo = 0
+        self._watch_hi = 0
 
     # ------------------------------------------------------------------
     @property
@@ -134,6 +137,24 @@ class MemoryRegion:
         self._remote_read = self._remote_write = False
         self._data.close()
         self._data = None
+
+    def watch(self, lo: int, hi: int, callback) -> None:
+        """Call ``callback(addr, length)`` after every successful write
+        that overlaps ``[lo, hi)``.
+
+        Used to model memory polling without simulating every poll —
+        e.g. the Cowbird client watching its red bookkeeping block.
+        Writes outside every watched range call nothing, and an empty
+        write overlaps no range.
+        """
+        if hi <= lo:
+            raise ValueError(f"empty watch range [{lo:#x}, {hi:#x})")
+        if self._watchers:
+            self._watch_lo = min(self._watch_lo, lo)
+            self._watch_hi = max(self._watch_hi, hi)
+        else:
+            self._watch_lo, self._watch_hi = lo, hi
+        self._watchers += ((lo, hi, callback),)
 
     @property
     def end_addr(self) -> int:
@@ -180,8 +201,10 @@ class MemoryRegion:
         if not 0 <= offset <= self.length - length:
             raise self._bounds_error(addr, length)
         self._data[offset : offset + length] = data
-        if self.write_watchers:
-            self._notify_write(addr, length)
+        if addr < self._watch_hi and addr + length > self._watch_lo:
+            for lo, hi, callback in self._watchers:
+                if length and addr < hi and addr + length > lo:
+                    callback(addr, length)
 
     def remote_read(self, addr: int, length: int, rkey: int) -> bytes:
         """A responder-side RDMA READ: key + permission + bounds checks."""
@@ -209,20 +232,23 @@ class MemoryRegion:
         if not 0 <= offset <= self.length - length:
             raise self._bounds_error(addr, length)
         self._data[offset : offset + length] = data
-        if self.write_watchers:
-            self._notify_write(addr, length)
-
-    def _notify_write(self, addr: int, length: int) -> None:
-        """Run the write watchers; the access paths call this only when
-        there are any."""
-        for watcher in list(self.write_watchers):
-            watcher(addr, length)
+        if addr < self._watch_hi and addr + length > self._watch_lo:
+            for lo, hi, callback in self._watchers:
+                if length and addr < hi and addr + length > lo:
+                    callback(addr, length)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MemoryRegion({self.name!r}, base={self.base_addr:#x}, "
             f"len={self.length}, rkey={self.rkey:#x})"
         )
+
+
+class _RegionsByRkey(dict):
+    """rkey -> region; an unknown rkey raises :class:`AccessError`."""
+
+    def __missing__(self, rkey: int) -> MemoryRegion:
+        raise AccessError(f"unknown rkey {rkey:#x}")
 
 
 class RegionRegistry:
@@ -241,7 +267,12 @@ class RegionRegistry:
         #: alongside for :meth:`by_addr`'s binary search.
         self._regions: list[MemoryRegion] = []
         self._ends: list[int] = []
-        self._by_rkey: dict[int, MemoryRegion] = {}
+        self._by_rkey = _RegionsByRkey()
+        #: ``by_rkey(rkey)``: the region registered under ``rkey``; an
+        #: unknown rkey raises :class:`AccessError`.  The lookup an RNIC
+        #: does per incoming request, so it is the dict's own
+        #: ``__getitem__``, which runs Python code only on a miss.
+        self.by_rkey = self._by_rkey.__getitem__
 
     def register(
         self,
@@ -276,12 +307,6 @@ class RegionRegistry:
         del self._ends[index]
         del self._by_rkey[region.rkey]
         region.close()
-
-    def by_rkey(self, rkey: int) -> MemoryRegion:
-        region = self._by_rkey.get(rkey)
-        if region is None:
-            raise AccessError(f"unknown rkey {rkey:#x}")
-        return region
 
     def by_addr(self, addr: int, length: int = 1) -> MemoryRegion:
         # Regions before the first one ending at or after addr + length

@@ -46,13 +46,12 @@ from repro.rdma.packets import (
     READ_RESPONSES,
     WRITE_TAILS,
     WRITES,
+    PSN_MASK,
+    PSN_MODULUS,
     RocePacket,
     SYNDROME_ACK,
     SYNDROME_NAK_PSN_ERROR,
     SYNDROME_NAK_REMOTE_ACCESS,
-    psn_add,
-    psn_distance,
-    PSN_MODULUS,
 )
 from repro.rdma.qp import (
     Completion,
@@ -67,6 +66,10 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Link, PRIORITY_NORMAL
 
 __all__ = ["NicConfig", "RNIC"]
+
+#: A PSN up to half the PSN space behind the expected one is a duplicate;
+#: one further behind is read as ahead of it, a gap.
+_HALF_PSN_SPACE = PSN_MODULUS // 2
 
 
 @dataclass
@@ -231,37 +234,25 @@ class RNIC:
     def _initiate_read(self, qp: QueuePair, wr: WorkRequest) -> None:
         num_packets = self._segments(wr.length)
         first_psn = qp.reserve_psns(num_packets)
-        entry = _Outstanding(
-            wr=wr, first_psn=first_psn, num_packets=num_packets,
-            issued_at=self.sim.now,
-        )
+        # wr, first_psn, num_packets, bytes_received, issued_at
+        entry = _Outstanding(wr, first_psn, num_packets, 0, self.sim.now)
         qp.track(entry)
         self._emit_read_request(qp, entry)
 
     def _emit_read_request(self, qp: QueuePair, entry: _Outstanding) -> None:
+        wr = entry.wr
         packet = RocePacket(
-            src=self.node,
-            dst=qp.remote_node,
-            opcode=OP_READ_REQUEST,
-            dest_qp=qp.remote_qpn,
-            psn=entry.first_psn,
-            ack_request=True,
-            virtual_address=entry.wr.remote_addr,
-            remote_key=entry.wr.rkey,
-            dma_length=entry.wr.length,
-            priority=entry.wr.priority
-            if entry.wr.priority is not None
-            else self.config.priority,
+            self.node, qp.remote_node, OP_READ_REQUEST, qp.remote_qpn, entry.first_psn,
+            True, wr.remote_addr, wr.rkey, wr.length,  # ack_request, RETH
+            0, 0, b"",  # no AETH, no payload
+            wr.priority if wr.priority is not None else self.config.priority,
         )
         self._transmit(packet, qp)
 
     def _initiate_write(self, qp: QueuePair, wr: WorkRequest) -> None:
         num_packets = self._segments(wr.length)
         first_psn = qp.reserve_psns(num_packets)
-        entry = _Outstanding(
-            wr=wr, first_psn=first_psn, num_packets=num_packets,
-            issued_at=self.sim.now,
-        )
+        entry = _Outstanding(wr, first_psn, num_packets, 0, self.sim.now)
         qp.track(entry)
         self._emit_write_train(qp, entry)
 
@@ -270,6 +261,7 @@ class RNIC:
         payload = self._dma_read_local(wr.local_addr, wr.length)
         mtu = self.config.mtu_bytes
         n = entry.num_packets
+        priority = wr.priority if wr.priority is not None else self.config.priority
         for i in range(n):
             chunk = payload[i * mtu : (i + 1) * mtu]
             if n == 1:
@@ -286,18 +278,11 @@ class RNIC:
             else:
                 vaddr = rkey = length = 0
             packet = RocePacket(
-                src=self.node,
-                dst=qp.remote_node,
-                opcode=opcode,
-                dest_qp=qp.remote_qpn,
-                psn=psn_add(entry.first_psn, i),
-                ack_request=i == n - 1,
-                virtual_address=vaddr,
-                remote_key=rkey,
-                dma_length=length,
-                payload=chunk,
-                priority=wr.priority if wr.priority is not None
-                else self.config.priority,
+                self.node, qp.remote_node, opcode, qp.remote_qpn,
+                (entry.first_psn + i) & PSN_MASK,
+                i == n - 1, vaddr, rkey, length,  # ack_request, RETH
+                0, 0, chunk,  # no AETH
+                priority,
             )
             self._transmit(packet, qp)
 
@@ -354,7 +339,7 @@ class RNIC:
 
     def receive(self, packet, link) -> None:
         """Endpoint entry, :attr:`rx_delay_ns` after the packet arrived."""
-        if not isinstance(packet, RocePacket):
+        if packet.__class__ is not RocePacket:
             return  # non-RDMA traffic (e.g. TCP) addressed to this host
         stats = self.stats
         stats.rx_packets += 1
@@ -379,30 +364,33 @@ class RNIC:
                 self._requester_ack(qp, packet)
         finally:
             # The NIC is the terminal consumer of every delivered packet;
-            # pool-allocated shells go back to their free-list here.
-            packet.release()
+            # pool-allocated shells go back to their free-list here
+            # (RocePacket.release, inlined).
+            pool = packet._pool
+            if pool is not None:
+                pool.release(packet)
 
     # -- responder side -------------------------------------------------
-    def _psn_status(self, qp: QueuePair, psn: int) -> str:
-        """Classify ``psn`` against the responder's expected PSN.
+    # Each responder handles the expected PSN inline; it ends a sequence
+    # error, so the next gap may be NAKed again.  Any other PSN goes
+    # through :meth:`_out_of_sequence`.
+    def _out_of_sequence(self, qp: QueuePair, packet: RocePacket) -> bool:
+        """Handle a request whose PSN is not the expected one; return
+        whether to drop it.
 
-        The expected PSN ends a sequence error: the next gap may be
-        NAKed again.
+        A duplicate (behind the expected PSN) is counted and executed
+        again without advancing state.  A gap is dropped and NAKed, once
+        per sequence error: the packets behind the lost one all arrive as
+        gaps, and each NAK would cost the requester a full Go-Back-N
+        round.
         """
-        if psn == qp.expected_psn:
-            qp.nak_pending = False
-            return "expected"
-        if psn_distance(psn, qp.expected_psn) < PSN_MODULUS // 2:
-            return "duplicate"
-        return "gap"
-
-    def _nak_sequence_error(self, qp: QueuePair, packet: RocePacket) -> None:
-        """NAK a PSN gap, once per sequence error: the packets behind the
-        lost one all arrive as gaps, and each NAK would cost the requester
-        a full Go-Back-N round."""
+        if (qp.expected_psn - packet.psn) & PSN_MASK < _HALF_PSN_SPACE:
+            self.stats.duplicates += 1
+            return False
         if not qp.nak_pending:
             qp.nak_pending = True
             self._send_nak(qp, packet.src, SYNDROME_NAK_PSN_ERROR, qp.expected_psn)
+        return True
 
     def _nak_access_error(self, qp: QueuePair, packet: RocePacket) -> None:
         """NAK a request for memory it may not touch (bad rkey, out of
@@ -429,25 +417,20 @@ class RNIC:
     def _send_ack(self, qp: QueuePair, psn: int,
                   priority: Optional[int] = None) -> None:
         packet = RocePacket(
-            src=self.node,
-            dst=qp.remote_node,
-            opcode=OP_ACKNOWLEDGE,
-            dest_qp=qp.remote_qpn,
-            psn=psn,
-            syndrome=SYNDROME_ACK,
-            msn=qp.msn,
-            priority=priority if priority is not None else self.config.priority,
+            self.node, qp.remote_node, OP_ACKNOWLEDGE, qp.remote_qpn, psn,
+            False, 0, 0, 0,  # no ack request, no RETH
+            SYNDROME_ACK, qp.msn, b"",  # AETH, no payload
+            priority if priority is not None else self.config.priority,
         )
         self._transmit(packet, qp)
 
     def _respond_read(self, qp: QueuePair, packet: RocePacket) -> None:
-        status = self._psn_status(qp, packet.psn)
-        if status == "gap":
-            self._nak_sequence_error(qp, packet)
+        psn = packet.psn
+        expected = psn == qp.expected_psn
+        if expected:
+            qp.nak_pending = False
+        elif self._out_of_sequence(qp, packet):
             return
-        if status == "duplicate":
-            self.stats.duplicates += 1
-            # Reads are replayable: re-execute without advancing state.
         rkey = packet.remote_key
         try:
             region = self.registry.by_rkey(rkey)
@@ -457,9 +440,9 @@ class RNIC:
             return
         mtu = self.config.mtu_bytes
         n = max(1, (len(data) + mtu - 1) // mtu)
-        if status == "expected":
-            qp.expected_psn = psn_add(packet.psn, n)
-            qp.msn = (qp.msn + 1) % PSN_MODULUS
+        if expected:
+            qp.expected_psn = (psn + n) & PSN_MASK
+            qp.msn = (qp.msn + 1) & PSN_MASK
         for i in range(n):
             chunk = data[i * mtu : (i + 1) * mtu]
             if n == 1:
@@ -476,33 +459,25 @@ class RNIC:
             else:
                 syndrome = msn = 0
             response = RocePacket(
-                src=self.node,
-                dst=packet.src,
-                opcode=opcode,
-                dest_qp=qp.remote_qpn,
-                psn=psn_add(packet.psn, i),
-                syndrome=syndrome,
-                msn=msn,
-                payload=chunk,
+                self.node, packet.src, opcode, qp.remote_qpn, (psn + i) & PSN_MASK,
+                False, 0, 0, 0,  # no ack request, no RETH
+                syndrome, msn, chunk,
                 # Echo the request's class (DSCP reflection): control
                 # reads come back at control priority.
-                priority=packet.priority,
+                packet.priority,
             )
             self._transmit(response, qp)
 
     def _respond_write(self, qp: QueuePair, packet: RocePacket) -> None:
-        status = self._psn_status(qp, packet.psn)
-        if status == "gap":
-            self._nak_sequence_error(qp, packet)
+        psn = packet.psn
+        expected = psn == qp.expected_psn
+        if expected:
+            qp.nak_pending = False
+        elif self._out_of_sequence(qp, packet):
             return
-        if status == "duplicate":
-            self.stats.duplicates += 1
         opcode = packet.opcode
         if opcode in CARRIES_RETH:
-            context = _WriteContext(
-                rkey=packet.remote_key,
-                next_addr=packet.virtual_address,
-            )
+            context = _WriteContext(packet.remote_key, packet.virtual_address)
             self._write_contexts[qp.qpn] = context
         else:
             context = self._write_contexts.get(qp.qpn)
@@ -516,24 +491,21 @@ class RNIC:
             self._nak_access_error(qp, packet)
             return
         context.next_addr += len(packet.payload)
-        is_tail = opcode in WRITE_TAILS
-        if status == "expected":
-            qp.expected_psn = psn_add(packet.psn, 1)
-            if is_tail:
-                qp.msn = (qp.msn + 1) % PSN_MODULUS
+        if expected:
+            qp.expected_psn = (psn + 1) & PSN_MASK
+            if opcode in WRITE_TAILS:
+                qp.msn = (qp.msn + 1) & PSN_MASK
         if packet.ack_request:
             # Cumulative: acknowledge everything received so far.
-            ack_psn = packet.psn if status == "expected" else psn_add(qp.expected_psn, -1)
-            self._send_ack(qp, ack_psn, priority=packet.priority)
+            ack_psn = psn if expected else (qp.expected_psn - 1) & PSN_MASK
+            self._send_ack(qp, ack_psn, packet.priority)
 
     def _respond_send(self, qp: QueuePair, packet: RocePacket) -> None:
-        status = self._psn_status(qp, packet.psn)
-        if status == "gap":
-            self._nak_sequence_error(qp, packet)
-            return
-        if status == "expected":
-            qp.expected_psn = psn_add(packet.psn, 1)
-            qp.msn = (qp.msn + 1) % PSN_MODULUS
+        psn = packet.psn
+        if psn == qp.expected_psn:
+            qp.nak_pending = False
+            qp.expected_psn = (psn + 1) & PSN_MASK
+            qp.msn = (qp.msn + 1) & PSN_MASK
             recvq = self._recv_queues[qp.qpn]
             if recvq:
                 recv_wr = recvq.popleft()
@@ -552,10 +524,10 @@ class RNIC:
                 )
             # Receiver-not-ready without a posted recv: real RC would RNR-NAK;
             # we deliver the ACK anyway and count nothing (tests post recvs).
-        else:
-            self.stats.duplicates += 1
+        elif self._out_of_sequence(qp, packet):
+            return
         if packet.ack_request:
-            self._send_ack(qp, packet.psn, priority=packet.priority)
+            self._send_ack(qp, psn, packet.priority)
 
     # -- requester side ---------------------------------------------------
     def _requester_read_response(self, qp: QueuePair, packet: RocePacket) -> None:
@@ -563,7 +535,7 @@ class RNIC:
         if entry is None:
             self.stats.duplicates += 1
             return
-        offset = psn_distance(entry.first_psn, packet.psn) * self.config.mtu_bytes
+        offset = ((packet.psn - entry.first_psn) & PSN_MASK) * self.config.mtu_bytes
         if entry.wr.local_addr:
             self._dma_write_local(entry.wr.local_addr + offset, packet.payload)
         entry.bytes_received += len(packet.payload)
@@ -571,12 +543,13 @@ class RNIC:
         if is_tail and entry.bytes_received >= entry.wr.length:
             # Read responses arrive in order on RC; the tail retires the
             # entry and everything acknowledged before it.
-            retired = qp.complete_through(entry.last_psn, self.sim.now)
+            last_psn = (entry.first_psn + entry.num_packets - 1) & PSN_MASK
+            retired = qp.complete_through(last_psn, self.sim.now)
             for done in retired:
                 self._complete(qp, done, CompletionStatus.SUCCESS)
 
     def _requester_ack(self, qp: QueuePair, packet: RocePacket) -> None:
-        if packet.is_nak:
+        if (packet.syndrome & 0xE0) == 0x60:  # a NAK, of any NAK code
             qp.note_nak()
             # Only a sequence error is recoverable by resending; any
             # other NAK fails the WR it names.
@@ -600,7 +573,7 @@ class RNIC:
         failed = qp.find_outstanding_by_psn(psn)
         if failed is None:
             return  # stale: that WR already retired
-        for done in qp.complete_through(psn_add(failed.first_psn, -1), self.sim.now):
+        for done in qp.complete_through((failed.first_psn - 1) & PSN_MASK, self.sim.now):
             self._complete(qp, done, CompletionStatus.SUCCESS)
         qp.in_error = True
         rest = list(qp.outstanding)
@@ -630,15 +603,9 @@ class RNIC:
             )
         if not entry.wr.signaled:
             return
+        wr = entry.wr
         qp.cq.push(
-            Completion(
-                wr_id=entry.wr.wr_id,
-                status=status,
-                work_type=entry.wr.work_type,
-                byte_len=entry.wr.length,
-                qp_num=qp.qpn,
-                completed_at=self.sim.now,
-            )
+            Completion(wr.wr_id, status, wr.work_type, wr.length, qp.qpn, self.sim.now)
         )
 
     # ------------------------------------------------------------------

@@ -57,6 +57,7 @@ __all__ = [
     "OPCODE_BY_VALUE",
     "Opcode",
     "PacketPool",
+    "PSN_MASK",
     "PSN_MODULUS",
     "READ_RESPONSES",
     "READ_RESPONSE_TAILS",
@@ -89,6 +90,9 @@ HEADER_OVERHEAD_BYTES = (
 
 #: PSNs are 24-bit serial numbers.
 PSN_MODULUS = 1 << 24
+#: ``x & PSN_MASK`` is ``x % PSN_MODULUS``, negative ``x`` included: hot
+#: paths add and subtract PSNs with it inline.
+PSN_MASK = PSN_MODULUS - 1
 
 #: AETH syndrome for a positive acknowledgment (credit field saturated).
 SYNDROME_ACK = 0x1F
@@ -119,12 +123,12 @@ _EXT_OFFSET = _BTH_OFFSET + BTH_BYTES
 
 def psn_add(psn: int, delta: int) -> int:
     """24-bit wrapping PSN addition."""
-    return (psn + delta) % PSN_MODULUS
+    return (psn + delta) & PSN_MASK
 
 
 def psn_distance(start: int, end: int) -> int:
     """Forward distance from ``start`` to ``end`` in PSN space."""
-    return (end - start) % PSN_MODULUS
+    return (end - start) & PSN_MASK
 
 
 class Opcode(enum.IntEnum):

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.rdma.packets import PSN_MODULUS, psn_add, psn_distance
+from repro.rdma.packets import PSN_MASK, PSN_MODULUS
 
 __all__ = [
     "Completion",
@@ -43,6 +43,10 @@ class CompletionStatus(enum.Enum):
 
 
 _wr_ids = itertools.count(1)
+
+#: ``b`` is at or after ``a`` in serial arithmetic when
+#: ``(b - a) & PSN_MASK`` is below half the PSN space.
+_HALF_PSN_SPACE = PSN_MODULUS // 2
 
 
 @dataclass(slots=True)
@@ -148,7 +152,7 @@ class _Outstanding:
 
     @property
     def last_psn(self) -> int:
-        return psn_add(self.first_psn, self.num_packets - 1)
+        return (self.first_psn + self.num_packets - 1) & PSN_MASK
 
 
 class QueuePair:
@@ -214,7 +218,7 @@ class QueuePair:
         if count < 1:
             raise ValueError("must reserve at least one PSN")
         first = self.send_psn
-        self.send_psn = psn_add(self.send_psn, count)
+        self.send_psn = (first + count) & PSN_MASK
         return first
 
     def track(self, entry: _Outstanding) -> None:
@@ -239,7 +243,7 @@ class QueuePair:
     def find_outstanding_by_psn(self, psn: int) -> Optional[_Outstanding]:
         """Locate the in-flight WR whose PSN range covers ``psn``."""
         for entry in self.outstanding:
-            if psn_distance(entry.first_psn, psn) < entry.num_packets:
+            if (psn - entry.first_psn) & PSN_MASK < entry.num_packets:
                 return entry
         return None
 
@@ -256,16 +260,18 @@ class QueuePair:
         with a garbage buffer.
         """
         retired: list[_Outstanding] = []
-        while self.outstanding:
-            head = self.outstanding[0]
-            if psn_distance(head.last_psn, psn) >= PSN_MODULUS // 2:
+        outstanding = self.outstanding
+        while outstanding:
+            head = outstanding[0]
+            last_psn = head.first_psn + head.num_packets - 1
+            if (psn - last_psn) & PSN_MASK >= _HALF_PSN_SPACE:
                 break  # head.last_psn > psn in serial arithmetic
             if (
                 head.wr.work_type is WorkType.READ
                 and head.bytes_received < head.wr.length
             ):
                 break  # data not here yet: the timeout path must retry
-            self.outstanding.popleft()
+            outstanding.popleft()
             retired.append(head)
         return retired
 

@@ -508,6 +508,9 @@ class Simulator:
                         if target >= 0:
                             push(queue, (when + target, next(sequence), callback))
                             continue
+                    elif target is None:  # resume at this instant
+                        push(queue, (when, next(sequence), callback))
+                        continue
                     callback._wait_on(target)
                 else:
                     callback()
@@ -569,6 +572,9 @@ class Simulator:
                         if target >= 0:
                             push(queue, (when + target, next(sequence), callback))
                             continue
+                    elif target is None:  # resume at this instant
+                        push(queue, (when, next(sequence), callback))
+                        continue
                     callback._wait_on(target)
                 else:
                     callback()

@@ -256,7 +256,11 @@ class Link:
         ):
             self._start(packet, ready)
         else:
-            self._enqueue(packet, ready)
+            self._handed += 1
+            self._queues[min(max(packet.priority, 0), PRIORITY_LOW)].append(
+                (ready, self._handed, packet)
+            )
+            self._queued += 1
             if not self._wake_armed:
                 # The wake is armed whenever packets are queued, so this
                 # packet queued alone behind the serialization in
@@ -349,20 +353,6 @@ class Link:
         if release is not None:
             release()
 
-    def _enqueue(self, packet: Packet, ready: float) -> None:
-        priority = min(max(packet.priority, 0), PRIORITY_LOW)
-        self._handed += 1
-        self._queues[priority].append((ready, self._handed, packet))
-        self._queued += 1
-
-    def _next_start(self) -> float:
-        """When the egress next starts a queued packet."""
-        when = _INFINITY
-        for queue in self._queues:
-            if queue and queue[0][0] < when:
-                when = queue[0][0]
-        return when if when > self.busy_until else self.busy_until
-
     def _pop_winner(self, start: float) -> Packet:
         """Remove the queued packet that starts at ``start``."""
         # One pass over the classes whose head has reached the egress by
@@ -410,11 +400,19 @@ class Link:
         self._wake_armed = False
         start = self.sim.now
         horizon = start + self.lookahead_ns
+        queues = self._queues
         while True:
             self._start(self._pop_winner(start), start)
             if not self._queued:
                 return
-            start = self._next_start()
+            # The next start: the earliest head's ready time, or when the
+            # serialization just committed ends.
+            start = _INFINITY
+            for queue in queues:
+                if queue and queue[0][0] < start:
+                    start = queue[0][0]
+            if start <= self.busy_until:
+                start = self.busy_until
             if start >= horizon:
                 break
         self._arm_wake(start)
@@ -485,37 +483,42 @@ class Switch:
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, link: Optional[Link] = None) -> None:
         """Ingress: run the pipeline, then forward survivors."""
-        if self.pipeline is not None:
+        if self.pipeline is None:
+            outputs = (packet,)
+        else:
             outputs = self.pipeline(packet, link)
             if not outputs:
                 self.stats.packets_consumed += 1
                 return
             if len(outputs) != 1 or outputs[0] is not packet:
                 self.stats.packets_generated += len(outputs)
-            for out in outputs:
-                self._forward(out)
-        else:
-            self._forward(packet)
+        for out in outputs:
+            egress = self._ports.get(out.dst)
+            if egress is None:
+                self._unroutable(out)
+                continue
+            self.stats.packets_forwarded += 1
+            # The egress arbiter sees the packet once the forwarding
+            # pipeline is through with it.
+            egress.send(out, self.sim.now + self.forward_delay_ns)
 
     def inject(self, packet: Packet) -> None:
         """Data-plane packet generation: send without an ingress port."""
         self.stats.packets_generated += 1
-        self._forward(packet)
-
-    def _forward(self, packet: Packet) -> None:
         egress = self._ports.get(packet.dst)
         if egress is None:
-            self.stats.packets_unroutable += 1
-            # Terminal consumption: an unroutable pooled packet goes back
-            # to its free-list instead of leaking.
-            release = getattr(packet, "release", None)
-            if release is not None:
-                release()
+            self._unroutable(packet)
             return
         self.stats.packets_forwarded += 1
-        # The egress arbiter sees the packet once the forwarding pipeline
-        # is through with it.
         egress.send(packet, self.sim.now + self.forward_delay_ns)
+
+    def _unroutable(self, packet: Packet) -> None:
+        self.stats.packets_unroutable += 1
+        # Terminal consumption: an unroutable pooled packet goes back to
+        # its free-list instead of leaking.
+        release = getattr(packet, "release", None)
+        if release is not None:
+            release()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Switch({self.name!r}, ports={sorted(self._ports)})"

@@ -120,33 +120,31 @@ def probe_worker(
     def reap(tokens: list) -> Generator[Any, Any, None]:
         nonlocal inflight
         for _token in tokens:
-            yield from thread.compute(touch_ns, tag=TAG_APP)
+            yield from thread.compute(touch_ns, TAG_APP)
         inflight -= len(tokens)
 
     for _ in range(total_ops):
         key = rng.randrange(config.num_records)
-        yield from thread.compute(cost.hash_probe_compute, tag=TAG_APP)
+        yield from thread.compute(cost.hash_probe_compute, TAG_APP)
         is_local, offset = table.locate(key)
         result.ops += 1
         if is_local:
             result.local_hits += 1
-            yield from thread.compute(touch_ns, tag=TAG_APP)
+            yield from thread.compute(touch_ns, TAG_APP)
             continue
         result.remote_hits += 1
         yield from backend.issue_read(thread, offset, config.record_bytes)
         inflight += 1
-        if inflight >= depth:
-            tokens = yield from backend.poll_completions(
-                thread, max_ret=depth, block=True
-            )
-            yield from reap(tokens)
-        else:
-            tokens = yield from backend.poll_completions(thread, max_ret=depth)
+        tokens = yield from backend.poll_completions(
+            thread, max_ret=depth, block=inflight >= depth
+        )
+        if tokens:
             yield from reap(tokens)
     while inflight > 0:
         tokens = yield from backend.poll_completions(thread, max_ret=depth,
                                                      block=True)
-        yield from reap(tokens)
+        if tokens:
+            yield from reap(tokens)
     result.finished_at = thread.sim.now
     result.comm_cpu_ns = thread.stats.cpu_ns.get("comm", 0.0)
     result.app_cpu_ns = thread.stats.cpu_ns.get("app", 0.0)

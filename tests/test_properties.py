@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cowbird.api import PollGroup
 from repro.cowbird.buffers import DataRing, RingFullError, skip_pad
 from repro.cowbird.engine_core import place
+from repro.cowbird.p4_engine import _EngineOp
 from repro.cowbird.wire import (
     GreenBlock,
     RedBlock,
@@ -23,17 +24,24 @@ from repro.rdma.packets import (
     WRITES,
     AddressBook,
     Opcode,
+    PSN_MASK,
     PSN_MODULUS,
     PacketPool,
     RocePacket,
     psn_add,
     psn_distance,
 )
+from repro.rdma.qp import _Outstanding
 from repro.sim.trace import percentile
 from repro.workloads.ycsb import ZipfianGenerator
 
 
 psn = st.integers(min_value=0, max_value=PSN_MODULUS - 1)
+#: PSNs within a few packets of either side of the 2**24 wrap.
+psn_near_wrap = st.one_of(
+    st.integers(min_value=PSN_MODULUS - 40, max_value=PSN_MODULUS - 1),
+    st.integers(min_value=0, max_value=40),
+)
 
 
 class TestPsnProperties:
@@ -51,6 +59,30 @@ class TestPsnProperties:
             assert psn_distance(a, b) + psn_distance(b, a) == PSN_MODULUS
         else:
             assert psn_distance(a, b) == 0
+
+    @given(
+        st.one_of(psn, psn_near_wrap),
+        st.one_of(
+            st.integers(min_value=-64, max_value=64),
+            st.integers(min_value=-2 * PSN_MODULUS, max_value=2 * PSN_MODULUS),
+        ),
+    )
+    def test_inline_masks_are_the_modular_helpers(self, a, delta):
+        """The inline forms the hot paths use, ``(a + n) & PSN_MASK`` and
+        ``(b - a) & PSN_MASK``, equal the helpers and arithmetic modulo
+        2**24, for negative deltas and across the wrap too."""
+        assert (a + delta) & PSN_MASK == psn_add(a, delta) == (a + delta) % PSN_MODULUS
+        b = psn_add(a, delta)
+        assert (b - a) & PSN_MASK == psn_distance(a, b) == (b - a) % PSN_MODULUS
+
+    @given(psn_near_wrap, st.integers(min_value=1, max_value=64))
+    def test_last_psn_of_a_range_across_the_wrap(self, first, count):
+        """A requester WR and a switch op spanning ``count`` PSNs end at
+        ``psn_add(first, count - 1)``, also when the range wraps."""
+        entry = _Outstanding(wr=None, first_psn=first, num_packets=count)
+        op = _EngineOp(kind="meta", channel=None, first_psn=first, num_psns=count)
+        assert entry.last_psn == op.last_psn == psn_add(first, count - 1)
+        assert 0 <= op.last_psn < PSN_MODULUS
 
 
 u8 = st.integers(min_value=0, max_value=(1 << 8) - 1)

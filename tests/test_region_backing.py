@@ -39,7 +39,10 @@ class BytearrayRegion:
         self.permissions = permissions
         self.name = name
         self._data = bytearray(length)
-        self.write_watchers = []
+        self._watched = []
+
+    def watch(self, lo, hi, callback):
+        self._watched.append((range(lo, hi), callback))
 
     @property
     def end_addr(self):
@@ -93,8 +96,11 @@ class BytearrayRegion:
         self._notify_write(addr, len(data))
 
     def _notify_write(self, addr, length):
-        for watcher in list(self.write_watchers):
-            watcher(addr, length)
+        # Byte by byte: a write is reported to each range holding any
+        # byte it wrote.
+        for watched, callback in self._watched:
+            if any(byte in watched for byte in range(addr, addr + length)):
+                callback(addr, length)
 
 
 def as_kind(payload, kind):
@@ -140,7 +146,12 @@ def scenarios(draw):
         ),
     )
     permissions = draw(st.one_of(st.just(Permission.all()), permission_sets))
-    return length, permissions, draw(st.lists(op, max_size=40))
+    # Watched ranges as (start offset, length); they may reach past
+    # either edge of the region.
+    watched = draw(st.lists(
+        st.tuples(offsets, st.integers(min_value=1, max_value=length)), max_size=3,
+    ))
+    return length, permissions, watched, draw(st.lists(op, max_size=40))
 
 
 def apply(region, op):
@@ -166,13 +177,17 @@ class TestMatchesBytearrayReference:
     @settings(max_examples=80, deadline=None)
     @given(scenario=scenarios())
     def test_same_results_and_exceptions(self, flags, scenario):
-        length, permissions, ops = scenario
+        length, permissions, watched, ops = scenario
         with mock.patch.object(region_mod, "MAP_FLAGS", flags):
             region = MemoryRegion(BASE, length, 1, RKEY, permissions, name="r")
         reference = BytearrayRegion(BASE, length, 1, RKEY, permissions, name="r")
         seen, want = [], []
-        region.write_watchers.append(lambda a, n: seen.append((a, n)))
-        reference.write_watchers.append(lambda a, n: want.append((a, n)))
+        # The whole region, then the drawn sub-ranges; each watcher
+        # reports which range it watches.
+        for index, (start, size) in enumerate([(0, length)] + watched):
+            lo, hi = BASE + start, BASE + start + size
+            region.watch(lo, hi, lambda a, n, i=index: seen.append((i, a, n)))
+            reference.watch(lo, hi, lambda a, n, i=index: want.append((i, a, n)))
         for op in ops:
             got, expected = apply(region, op), apply(reference, op)
             assert got == expected, op
@@ -194,6 +209,24 @@ class TestMatchesBytearrayReference:
             region.write(BASE + 2 * PAGE - 1, b"xy")
         with pytest.raises(BoundsError):
             region.read(BASE - 1, 1)
+
+
+class TestWatch:
+    def test_empty_range_rejected(self):
+        region = MemoryRegion(BASE, PAGE, 1, RKEY)
+        with pytest.raises(ValueError):
+            region.watch(BASE + 8, BASE + 8, lambda a, n: None)
+
+    def test_only_overlapping_writes_call(self):
+        region = MemoryRegion(BASE, PAGE, 1, RKEY)
+        seen = []
+        region.watch(BASE + 64, BASE + 104, lambda a, n: seen.append((a, n)))
+        region.write(BASE, b"x" * 64)  # ends where the range starts
+        region.remote_write(BASE + 104, b"y", RKEY)  # starts where it ends
+        region.write(BASE + 100, b"")  # empty: overlaps nothing
+        region.remote_write(BASE + 60, b"z" * 8, RKEY)
+        region.write(BASE + 103, b"w")
+        assert seen == [(BASE + 60, 8), (BASE + 103, 1)]
 
 
 class TestPermissions:

@@ -226,7 +226,8 @@ class _CheckedReader:
         self.published_past_incomplete = 0
         self._fetch_response = instance.fetch_response
         instance.fetch_response = self._checked_fetch
-        instance.region.write_watchers.append(self._on_write)
+        red_addr = instance.bookkeeping.red_addr
+        instance.region.watch(red_addr, red_addr + RedBlock.SIZE, self._on_write)
 
     def _checked_fetch(self, request_id):
         data = self._fetch_response(request_id)
@@ -236,10 +237,9 @@ class _CheckedReader:
         return data
 
     def _on_write(self, addr, length):
+        """A write touched the red block."""
         instance = self.instance
         red_addr = instance.bookkeeping.red_addr
-        if not (addr < red_addr + RedBlock.SIZE and addr + length > red_addr):
-            return
         red = RedBlock.unpack(instance.region.read(red_addr, RedBlock.SIZE))
         for sequence, index in self.unconsumed.items():
             if sequence > red.read_progress:
