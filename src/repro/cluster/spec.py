@@ -11,10 +11,7 @@ Serialization is stable: ``to_dict`` emits every field in declaration
 order and ``to_json`` sorts keys, so a round-tripped spec is
 byte-identical and diffs are meaningful.
 
-TOML loading uses :mod:`tomllib` where available (Python >= 3.11) and
-falls back to a small parser covering the subset scenario files need
-(``[section]`` tables including dotted names, string/int/float/bool
-values, comments).
+TOML files are read with :mod:`tomllib`.
 """
 
 from __future__ import annotations
@@ -217,54 +214,11 @@ def load_scenario(path) -> ScenarioSpec:
 
 
 def _load_toml(text: str, origin: str) -> dict:
-    try:
-        import tomllib
-    except ImportError:  # Python 3.10: use the fallback subset parser
-        return _parse_toml_subset(text, origin)
+    # Imported here: about 0.5 MB of RSS that runs without a scenario
+    # file (every benchmark workload) never need.
+    import tomllib
+
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
         raise ScenarioError(f"{origin}: invalid TOML: {exc}") from exc
-
-
-def _parse_toml_subset(text: str, origin: str) -> dict:
-    """Parse the TOML subset scenario files use.
-
-    Supports ``[section]`` / ``[dotted.section]`` tables, ``key = value``
-    pairs with string/int/float/bool values, blank lines, and ``#``
-    comments.  Deliberately tiny — real TOML is handled by tomllib.
-    """
-    root: dict = {}
-    table = root
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            table = root
-            for part in line[1:-1].strip().split("."):
-                table = table.setdefault(part.strip(), {})
-            continue
-        if "=" not in line:
-            raise ScenarioError(f"{origin}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        table[key.strip()] = _parse_toml_value(value.strip(), origin, lineno)
-    return root
-
-
-def _parse_toml_value(token: str, origin: str, lineno: int):
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        return int(token.replace("_", ""))
-    except ValueError:
-        pass
-    try:
-        return float(token.replace("_", ""))
-    except ValueError:
-        pass
-    raise ScenarioError(f"{origin}:{lineno}: cannot parse value {token!r}")

@@ -57,6 +57,10 @@ _second = operator.itemgetter(1)
 _READ = int(RwType.READ)
 
 
+def _metadata_full(ring: MetadataRing) -> str:
+    return f"metadata ring full ({ring.capacity} entries outstanding)"
+
+
 class BufferFullError(Exception):
     """A queue/buffer is full; retry after consuming completions.
 
@@ -294,7 +298,13 @@ class CowbirdInstance:
         """
         handle = self._handle(region_id)
         remote_addr = handle.translate(src_offset, length)
-        # Reserve the response slot first (step 2 of Section 4.3) so a
+        # A request takes its metadata entry, data-ring space and
+        # sequence number together or not at all, so a full ring is
+        # refused before anything is taken (inlined: one check per op).
+        metadata = self.metadata_ring
+        if metadata.tail - metadata.head >= metadata.capacity:
+            raise BufferFullError(_metadata_full(metadata))
+        # Reserve the response slot next (step 2 of Section 4.3) so a
         # full response ring fails before any state is published.
         before = self.response_data.tail
         try:
@@ -303,12 +313,9 @@ class CowbirdInstance:
             raise BufferFullError(str(exc)) from exc
         pad = (self.response_data.tail - before) - length
         sequence = next(self._read_seq)
-        try:
-            self._append_metadata(
-                RequestMetadata(RwType.READ, remote_addr, dest_addr, length, region_id)
-            )
-        except RingFullError as exc:
-            raise BufferFullError(str(exc)) from exc
+        self._append_metadata(
+            RequestMetadata(RwType.READ, remote_addr, dest_addr, length, region_id)
+        )
         self._reads[sequence] = _OutstandingRead(sequence, dest_addr, length, pad)
         self._read_order.append(sequence)
         self.requests_issued += 1
@@ -328,6 +335,9 @@ class CowbirdInstance:
             raise ValueError("cannot write an empty payload")
         handle = self._handle(region_id)
         remote_addr = handle.translate(dest_offset, len(data))
+        metadata = self.metadata_ring  # refused before anything is taken
+        if metadata.tail - metadata.head >= metadata.capacity:
+            raise BufferFullError(_metadata_full(metadata))
         before = self.request_data.tail
         try:
             src_addr = self.request_data.reserve(len(data))
@@ -336,12 +346,9 @@ class CowbirdInstance:
         pad = (self.request_data.tail - before) - len(data)
         self.request_data.write(src_addr, data)
         sequence = next(self._write_seq)
-        try:
-            self._append_metadata(
-                RequestMetadata(RwType.WRITE, src_addr, remote_addr, len(data), region_id)
-            )
-        except RingFullError as exc:
-            raise BufferFullError(str(exc)) from exc
+        self._append_metadata(
+            RequestMetadata(RwType.WRITE, src_addr, remote_addr, len(data), region_id)
+        )
         self._writes[sequence] = _OutstandingWrite(sequence, pad, len(data))
         self.requests_issued += 1
         # Post cost plus the payload copy into the request data ring.

@@ -11,6 +11,11 @@ When the in-memory footprint exceeds the budget the head advances: the
 oldest page is scheduled for flushing and dropped once the device
 acknowledges the write.  Pages being flushed still serve reads from
 memory, exactly like FASTER's closed-page protocol.
+
+Log pages are numbered consecutively (a new page is always the tail
+page + 1), so the oldest resident page and the oldest still-flushing
+page are kept as counters: eviction and head tracking cost O(1) per page
+and never iterate the page dicts.
 """
 
 from __future__ import annotations
@@ -49,9 +54,14 @@ class HybridLog:
         self.config = config or HybridLogConfig()
         self.tail_addr = 0
         self.head_addr = 0
+        #: Resident pages: exactly ``[_head_page, _head_page + len(_pages))``.
         self._pages: dict[int, bytearray] = {}
-        #: Pages whose flush is in flight (still readable from memory).
+        self._head_page = 0
+        #: Pages whose flush is in flight (still readable from memory), all
+        #: in ``[_flush_head, _head_page)``; every page below
+        #: ``_flush_head`` is on the device.
         self._flushing: dict[int, bytearray] = {}
+        self._flush_head = 0
         self.pages_evicted = 0
         self.bytes_flushed = 0
 
@@ -106,20 +116,18 @@ class HybridLog:
         offset_in_page = self.tail_addr & (self.config.page_bytes - 1)
         return offset_in_page == 0 or offset_in_page + size > self.config.page_bytes
 
-    def append_page(self, data: bytes) -> int:
-        """Open a new page at the tail holding ``data`` at its start.
+    def append_page(self, buffer: bytearray, length: int) -> int:
+        """Open a new page at the tail that adopts ``buffer`` uncopied.
 
-        Pads the current page like :meth:`allocate` and leaves the tail
-        just past ``data``.  Returns the page's start address.
+        ``buffer`` must be ``page_bytes`` long, hold the page's records in
+        its first ``length`` bytes and zeros after them.  Pads the current
+        page like :meth:`allocate` and leaves the tail ``length`` bytes
+        into the new page.  Returns the page's start address.
         """
         page_bytes = self.config.page_bytes
-        if len(data) > page_bytes:
-            raise ValueError(f"{len(data)} bytes exceed page size {page_bytes}")
         addr = -(-self.tail_addr // page_bytes) * page_bytes
-        buffer = bytearray(page_bytes)
-        buffer[: len(data)] = data
         self._pages[addr >> self.config.page_bits] = buffer
-        self.tail_addr = addr + len(data)
+        self.tail_addr = addr + length
         return addr
 
     def _page_for(self, addr: int, length: int) -> tuple[bytearray, int]:
@@ -149,6 +157,15 @@ class HybridLog:
     def pages_over_budget(self) -> int:
         return max(0, len(self._pages) - self.config.memory_pages)
 
+    def _pop_oldest(self) -> Optional[tuple[int, bytearray]]:
+        page = self._head_page
+        if page >= self.tail_addr >> self.config.page_bits:
+            return None  # nothing resident, or only the tail page
+        buffer = self._pages.pop(page)
+        self._head_page = page + 1
+        self.bytes_flushed += len(buffer)
+        return page, buffer
+
     def begin_evict(self) -> Optional[tuple[int, int, bytes]]:
         """Start evicting the oldest in-memory page.
 
@@ -156,30 +173,48 @@ class HybridLog:
         caller to write to the storage device, or ``None`` if nothing is
         evictable (the tail page never evicts).
         """
-        # _pages fills in ascending page order, so its first key is the
-        # oldest page.
-        page = next(iter(self._pages), None)
-        if page is None or page >= self.tail_addr >> self.config.page_bits:
+        oldest = self._pop_oldest()
+        if oldest is None:
             return None
-        buffer = self._pages.pop(page)
+        page, buffer = oldest
         self._flushing[page] = buffer
-        data = bytes(buffer)
-        self.bytes_flushed += len(data)
-        return page, page << self.config.page_bits, data
+        return page, page << self.config.page_bits, bytes(buffer)
 
     def finish_evict(self, page: int) -> None:
-        """The device acknowledged the flush: drop the page, move head."""
+        """The device acknowledged the flush: drop the page, move head.
+
+        Acknowledgements may arrive in any order.
+        """
         if page not in self._flushing:
             raise KeyError(f"page {page} is not being flushed")
         del self._flushing[page]
         self.pages_evicted += 1
-        # Head = lowest address still in memory (or tail if none).  Both
-        # dicts fill in ascending page order, so their first keys are
-        # their lowest pages.
-        oldest = [
-            next(iter(pages)) for pages in (self._flushing, self._pages) if pages
-        ]
-        if oldest:
-            self.head_addr = min(oldest) << self.config.page_bits
+        self._move_head()
+
+    def evict_now(self) -> Optional[tuple[int, bytearray]]:
+        """Evict the oldest page whose write completes at once (bulk load).
+
+        Returns ``(device_offset, buffer)`` or ``None`` like
+        :meth:`begin_evict`, but hands over the page's buffer itself: the
+        caller must copy it out before reusing it.
+        """
+        oldest = self._pop_oldest()
+        if oldest is None:
+            return None
+        page, buffer = oldest
+        self.pages_evicted += 1
+        self._move_head()
+        return page << self.config.page_bits, buffer
+
+    def _move_head(self) -> None:
+        """Head = lowest address still in memory (or tail if none)."""
+        flush_head, head_page = self._flush_head, self._head_page
+        flushing = self._flushing
+        # Each page is stepped over once, so this is O(1) amortized.
+        while flush_head < head_page and flush_head not in flushing:
+            flush_head += 1
+        self._flush_head = flush_head
+        if flush_head < head_page or self._pages:
+            self.head_addr = flush_head << self.config.page_bits
         else:
             self.head_addr = self.tail_addr

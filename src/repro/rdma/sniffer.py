@@ -1,8 +1,7 @@
 """Packet capture and protocol tracing.
 
 A :class:`PacketSniffer` taps one or more RNICs (via their rx-hook
-chain) and/or switch pipelines, recording every RoCEv2 packet with its
-timestamp.  Captures render as human-readable protocol traces — the
+chain), recording every RoCEv2 packet with its timestamp.  Captures render as human-readable protocol traces — the
 tool we used to validate the Cowbird-P4 recycling sequence — can be
 filtered by opcode, QP, or time window, and export as JSONL or Chrome
 ``trace_event`` JSON (each packet an instant on its tap's track).
@@ -52,7 +51,7 @@ class CapturedPacket:
 
 
 class PacketSniffer:
-    """Records RoCEv2 packets from NIC and switch tap points."""
+    """Records RoCEv2 packets from NIC tap points."""
 
     def __init__(self, sim: Simulator, max_packets: int = 100_000) -> None:
         self.sim = sim
@@ -71,19 +70,6 @@ class PacketSniffer:
         """
         name = tap_name or f"rx@{nic.node}"
         nic.add_rx_hook(lambda packet: self._record(name, packet))
-
-    def attach_switch(self, switch, tap_name: str = "switch") -> None:
-        """Record every packet traversing ``switch`` (wraps its pipeline)."""
-        previous = switch.pipeline
-
-        def pipeline(packet, link):
-            if isinstance(packet, RocePacket):
-                self._record(tap_name, packet)
-            if previous is not None:
-                return previous(packet, link)
-            return [packet]
-
-        switch.pipeline = pipeline
 
     def _record(self, tap: str, packet: RocePacket) -> None:
         if len(self.packets) >= self.max_packets:
@@ -138,13 +124,6 @@ class PacketSniffer:
         for packet in self.packets:
             counts[packet.opcode.name] = counts.get(packet.opcode.name, 0) + 1
         return counts
-
-    def bytes_by_direction(self) -> dict[tuple[str, str], int]:
-        totals: dict[tuple[str, str], int] = {}
-        for packet in self.packets:
-            key = (packet.src, packet.dst)
-            totals[key] = totals.get(key, 0) + packet.size_bytes
-        return totals
 
     def render(self, limit: Optional[int] = None) -> str:
         """Human-readable trace (optionally the first ``limit`` lines)."""

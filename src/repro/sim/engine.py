@@ -453,11 +453,6 @@ class Simulator:
         process._completion.add_callback(_on_complete)
         return process
 
-    @property
-    def live_processes(self) -> list[Process]:
-        """Processes spawned but not yet completed, in spawn order."""
-        return list(self._live)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

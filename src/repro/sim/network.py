@@ -267,9 +267,6 @@ class Link:
                 # progress: it starts when the egress frees.
                 self._arm_wake(busy_until)
 
-    def queued_packets(self) -> int:
-        return self._queued
-
     def set_rx_delay(self, rx_delay_ns: float) -> None:
         """Change :attr:`rx_delay_ns`; deliveries must stay FIFO, so only
         while none is pending."""

@@ -146,6 +146,9 @@ class YcsbWorkload:
         else:
             self._keys = UniformGenerator(config.record_count, seed)
         self._op_rng = random.Random(seed ^ 0x5EED)
+        self._value_reps = -(-config.value_bytes // 4)
+        #: ``None`` when the repeated unit is exactly ``value_bytes`` long.
+        self._value_trim = slice(config.value_bytes) if config.value_bytes % 4 else None
 
     def next_op(self) -> tuple[YcsbOp, int]:
         key = self._keys.next()
@@ -159,7 +162,6 @@ class YcsbWorkload:
 
     def value_for(self, key: int) -> bytes:
         """Deterministic record payload for verification."""
-        seedling = (key * 2654435761) & 0xFFFF_FFFF
-        unit = seedling.to_bytes(4, "little")
-        reps = -(-self.config.value_bytes // 4)
-        return (unit * reps)[: self.config.value_bytes]
+        unit = ((key * 2654435761) & 0xFFFF_FFFF).to_bytes(4, "little")
+        value = unit * self._value_reps
+        return value if self._value_trim is None else value[self._value_trim]

@@ -16,7 +16,6 @@ from repro.cluster import (
     WorkloadSpec,
     load_scenario,
 )
-from repro.cluster.spec import _parse_toml_subset
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
 
@@ -181,30 +180,3 @@ class TestLoading:
         path.write_text("{nope")
         with pytest.raises(ScenarioError, match="bad.json"):
             load_scenario(path)
-
-
-class TestTomlFallbackParser:
-    """The subset parser must agree with tomllib on scenario files."""
-
-    def test_matches_tomllib_on_example_files(self):
-        tomllib = pytest.importorskip("tomllib")
-        for name in ("fig08_point.toml", "fig08_point_sharded.toml"):
-            text = (SCENARIO_DIR / name).read_text()
-            assert _parse_toml_subset(text, name) == tomllib.loads(text)
-
-    def test_value_types_and_dotted_sections(self):
-        parsed = _parse_toml_subset(
-            's = "str"\nn = 42\nf = 2.5\nb = true\nb2 = false\n'
-            "[a.b]\nk = 1\n",
-            "inline",
-        )
-        assert parsed == {
-            "s": "str", "n": 42, "f": 2.5, "b": True, "b2": False,
-            "a": {"b": {"k": 1}},
-        }
-
-    def test_malformed_lines_rejected(self):
-        with pytest.raises(ScenarioError, match="key = value"):
-            _parse_toml_subset("just some words\n", "inline")
-        with pytest.raises(ScenarioError, match="cannot parse value"):
-            _parse_toml_subset("k = [1, 2]\n", "inline")

@@ -1,10 +1,12 @@
 """Tests for FASTER's page-at-a-time load path and dict-backed index.
 
-``FasterKv.load`` fills the hybrid log one page per step and evicts the
-oldest page in O(1).  It must leave the index, the log and the device
-exactly as the record-by-record loop it replaced; that loop, the old
-min-scan eviction and the old bucket-list index are kept here as the
-references.
+``FasterKv.load`` packs each full page with one ``struct`` write into the
+buffer of the page evicted before it.  The hybrid log finds its oldest
+resident and oldest still-flushing pages from counters, so eviction
+never iterates a page dict (``NoIterDict`` below fails a test that
+does).  The load must leave the index, the log and the device exactly as
+the record-by-record loop it replaced; that loop, the old min-scan
+eviction and the old bucket-list index are kept here as the references.
 """
 
 import os
@@ -93,6 +95,56 @@ class BucketListIndex:
 
     def load_factor(self):
         return self.entry_count / (self.num_buckets * self.BUCKET_ENTRIES)
+
+
+class NoIterDict(dict):
+    """A page dict that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("a page dict was iterated")
+
+    keys = values = items = __iter__
+
+
+def forbid_page_iteration(log):
+    log._pages = NoIterDict(log._pages)
+    log._flushing = NoIterDict(log._flushing)
+
+
+def allow_page_iteration(log):
+    log._pages = dict(dict.items(log._pages))
+    log._flushing = dict(dict.items(log._flushing))
+
+
+class FakeThread:
+    def compute(self, ns, tag=None):
+        return
+        yield
+
+
+class FakeDevice:
+    """Accepts page flushes at once; the test acknowledges them later."""
+
+    def __init__(self):
+        self.writes = []
+
+    def issue_write(self, thread, offset, data):
+        self.writes.append((offset, bytes(data)))
+        return len(self.writes)
+        yield
+
+
+class FreeCost:
+    faster_op_overhead = memcpy_per_byte = record_touch_per_byte = 0
+
+
+def run_to_end(generator):
+    """Drive a generator that never blocks; return its result."""
+    try:
+        while True:
+            next(generator)
+    except StopIteration as stop:
+        return stop.value
 
 
 def make_store(page_bits, memory_pages, value_bytes, log_class=HybridLog):
@@ -191,10 +243,69 @@ class TestPageAtATimeLoad:
         with pytest.raises(ValueError):
             store.load({1: b"v" * 60})
 
+    @pytest.mark.parametrize("bad_page", [0, 1, 15, 16, 17])
+    def test_bad_record_on_a_later_page_of_a_batch(self, bad_page):
+        """A batch takes 16 pages; the pages before the bad record's page
+        go in packed, the rest record by record up to the bad one."""
+        value_bytes, per_page = 24, 8  # 32 B records, 256 B pages
+        items = [(k, value_of(k, value_bytes)) for k in range(40 * per_page)]
+        items[bad_page * per_page + 3] = (7, b"x" * (value_bytes + 1))
+        new = make_store(8, 3, value_bytes)
+        ref = make_store(8, 3, value_bytes, MinScanLog)
+        with pytest.raises(ValueError, match="bad value size"):
+            new.load(iter(items))
+        with pytest.raises(ValueError, match="bad value size"):
+            record_by_record_load(ref, items)
+        assert snapshot(new) == snapshot(ref)
+        assert new.log.tail_addr == (bad_page * per_page + 3) * 32
+
+    def test_load_after_a_run_with_flushes_in_flight(self):
+        value_bytes = 24
+        new = make_store(8, 3, value_bytes)
+        ref = make_store(8, 3, value_bytes, MinScanLog)
+        thread = FakeThread()
+        for store in (new, ref):
+            store.device, store.cost = FakeDevice(), FreeCost()
+            for key in range(45):  # a partly filled tail page
+                run_to_end(store.upsert(thread, key, value_of(key, value_bytes, 3)))
+            assert len(store.log._flushing) == 3 and store.log.head_addr == 0
+        items = [(k, value_of(k, value_bytes, 4)) for k in range(20, 200)]
+        new.load(iter(items))
+        record_by_record_load(ref, items)
+        assert snapshot(new) == snapshot(ref)
+        assert new.device.writes == ref.device.writes
+        # Acknowledge the run's flushes newest first.
+        for store in (new, ref):
+            tokens = list(range(len(store.device.writes), 0, -1))
+            run_to_end(store.complete(thread, tokens))
+            assert not store.log._flushing
+        assert snapshot(new) == snapshot(ref)
+        assert new.log.head_addr == new.log._head_page << 8
+
+    def test_eviction_and_load_never_iterate_the_page_dicts(self):
+        store = make_store(page_bits=8, memory_pages=3, value_bytes=24)
+        store.device, store.cost = FakeDevice(), FreeCost()
+        thread = FakeThread()
+        log = store.log
+        forbid_page_iteration(log)
+        with pytest.raises(AssertionError):
+            next(iter(log._pages))
+        for key in range(60):
+            run_to_end(store.upsert(thread, key, value_of(key, 24)))
+        assert store.stats_flushes == 5
+        run_to_end(store.complete(thread, [2, 1]))  # out of order
+        store.load((k, value_of(k, 24, 1)) for k in range(60, 500))
+        run_to_end(store.complete(thread, [5, 3, 4]))
+        for key in range(500, 520):
+            run_to_end(store.upsert(thread, key, value_of(key, 24)))
+        assert log.pages_evicted > 50 and log.head_addr > 0
+        allow_page_iteration(log)
+        assert sorted(log._pages) == list(range(log._head_page, log._head_page + 3))
+
     def test_eviction_takes_oldest_page_without_a_scan(self):
         log = HybridLog(HybridLogConfig(page_bits=10, memory_pages=2))
         for _ in range(4):
-            log.append_page(b"r" * 1000)
+            log.append_page(bytearray(1024), 1000)
         assert log.begin_evict()[0] == 0
         assert log.begin_evict()[0] == 1
         log.finish_evict(1)  # acknowledged out of order

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.cowbird.api import BufferFullError, CowbirdConfig
 from repro.cowbird.wire import RwType, decode_request_id
 from repro.experiments.common import build_microbench
 from repro.sim.engine import SimulationError
@@ -163,6 +164,71 @@ class TestP4Linearizability:
             engine_config={"timeout_ns": 100_000},
         )
         random_workload_check(dep, seed, ops=40)
+
+
+class TestFullMetadataRing:
+    """A full metadata ring refuses an op before it takes anything: no
+    sequence number is burnt and no data-ring space is held, so every
+    op the client accepted still completes in order."""
+
+    @pytest.mark.parametrize("system", ["cowbird", "cowbird-p4"])
+    def test_rejected_ops_leave_no_trace(self, system):
+        dep = build_microbench(
+            system, 1, remote_bytes=REGION_BYTES,
+            cowbird_config=CowbirdConfig(metadata_capacity=2),
+        )
+        inst = dep.instances[0]
+        thread = dep.compute.cpu.thread()
+        rng = random.Random(system)
+        issued = {RwType.READ: [], RwType.WRITE: []}
+        completed = {RwType.READ: [], RwType.WRITE: []}
+        rejected = 0
+
+        def client_state():
+            return (
+                inst.metadata_ring.tail, inst.request_data.tail,
+                inst.response_data.tail, sorted(inst._reads),
+                sorted(inst._writes), inst.requests_issued,
+            )
+
+        def record(events):
+            for event in events:
+                completed[event.rw_type].append(event.request_id)
+
+        def app():
+            nonlocal rejected
+            poll = inst.poll_create()
+            for i in range(60):
+                offset = rng.randrange(SLOTS) * SLOT_BYTES
+                before = client_state()
+                try:
+                    if rng.random() < 0.5:
+                        request_id = yield from inst.async_write(
+                            thread, 0, offset, bytes([i]) * SLOT_BYTES
+                        )
+                    else:
+                        request_id = yield from inst.async_read(
+                            thread, 0, offset, SLOT_BYTES
+                        )
+                except BufferFullError:
+                    rejected += 1
+                    assert client_state() == before
+                    record((yield from inst.poll_wait(thread, poll, max_ret=16)))
+                    continue
+                rw_type, _region, sequence = decode_request_id(request_id)
+                issued[rw_type].append(request_id)
+                assert sequence == len(issued[rw_type])  # none burnt
+                inst.poll_add(poll, request_id)
+            while sum(map(len, completed.values())) < sum(map(len, issued.values())):
+                record((yield from inst.poll_wait(thread, poll, max_ret=16)))
+
+        dep.sim.run_until_complete(dep.sim.spawn(app()), deadline=1e9)
+        assert rejected > 0
+        assert completed == issued
+        assert inst.red.read_progress == len(issued[RwType.READ])
+        assert inst.red.write_progress == len(issued[RwType.WRITE])
+        assert dep.engine.stats.ops_failed == 0
+        dep.close()
 
 
 def fast_failing(engine):

@@ -16,10 +16,10 @@ and says in CHANGES.md which values moved and why.  The sanitizer runs
 its own event loop, so the counts do not apply under ``REPRO_SANITIZE=1``.
 
 From Python 3.12 on, ``sum()`` compensates float rounding, so the
-``FLOAT_TOTALS`` can differ from the 3.10/3.11 values in the last bit
+``FLOAT_TOTALS`` can differ from the 3.11 values in the last bit
 (``spot.agent_busy_frac`` on ``ht-spot-256`` reads 0.3303486487727746,
 not 0.33034864877277453).  There they are not compared, and the file is
-written with 3.10 or 3.11.
+written with 3.11.
 """
 
 import json
@@ -85,7 +85,7 @@ def test_counts_match_golden(workload):
 
 if __name__ == "__main__":
     if UNCOMPARED:
-        sys.exit("write the golden file with Python 3.10 or 3.11 (see the module docstring)")
+        sys.exit("write the golden file with Python 3.11 (see the module docstring)")
     GOLDEN.write_text(
         json.dumps({w: measure(w) for w in WORKLOADS}, indent=2, sort_keys=True) + "\n"
     )
