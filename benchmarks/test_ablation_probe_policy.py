@@ -38,7 +38,7 @@ def run_policy(policy):
 
     sim.run_until_complete(sim.spawn(app()), deadline=120e9)
     idle_probes = sum(
-        state.probe_channel.send_psn for state in dep.engine._instances[1:]
+        state.probe_channel.window.send_psn for state in dep.engine._instances[1:]
     )
     return {
         "policy": policy,

@@ -3,8 +3,10 @@
 
 Injects random packet loss on every link and drives reads and writes
 through the switch offload engine.  The protocol recovers via data-plane
-timeouts and Go-Back-N re-execution (Section 5.3) — every operation
-still completes with the right bytes (the example checks them, and exits
+timeouts and Go-Back-N (Section 5.3): a channel sends every outstanding
+operation again at its own PSNs, and a write train whose payload the
+switch no longer has reads it again first — every operation still
+completes with the right bytes (the example checks them, and exits
 non-zero if one does not), and the engine's counters show how much
 recovery work the loss cost.  Each link draws its losses from its own
 seeded stream.

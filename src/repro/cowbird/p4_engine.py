@@ -15,12 +15,20 @@ metadata, then *recycles* packets to execute transfers (Phase III):
 Engine-to-host traffic uses three requester channels per instance —
 probe (low priority), compute data, and one per memory-pool peer — so
 strict-priority queueing can never reorder packets within a PSN space.
+Each channel keeps its operations in a
+:class:`~repro.rdma.window.RequesterWindow`, as an RNIC queue pair does.
 
 Consistency (Section 5.3): the switch cannot do range comparisons, so
 whenever any write is fetching its payload (Phase III step 1b) the
-engine pauses *all* newly probed reads.  Recovery is Go-Back-N: on a
-data-plane timeout the channel's PSN is rewound to the oldest
-incomplete operation and everything after it is re-executed.
+engine pauses *all* newly probed reads.  Recovery is Go-Back-N: on a NAK
+or a data-plane timeout the channel sends every outstanding operation
+again at its own PSNs, oldest first.  The switch keeps no payloads, so a
+write train re-reads its payload before it goes out again: a response
+train from the pool, as a new read behind every write the pool executed
+before it, and a pool write train from the client's request data ring,
+over the probe channel, which carries only reads and so never waits
+behind a write.  A channel sends in PSN order: nothing behind a train
+that waits for its payload goes out before that train.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from typing import Optional
 
 from repro.cowbird.api import CowbirdInstance, InstanceDescriptor
 from repro.cowbird.engine_core import RequestCore
-from repro.cowbird.wire import GreenBlock, RequestMetadata, RwType
+from repro.cowbird.wire import GreenBlock, RedBlock, RequestMetadata, RwType
 from repro.rdma.packets import (
     CARRIES_RETH,
     OP_ACKNOWLEDGE,
@@ -43,23 +51,21 @@ from repro.rdma.packets import (
     OP_WRITE_MIDDLE,
     OP_WRITE_ONLY,
     PSN_MASK,
-    PSN_MODULUS,
     READ_RESPONSE_TAILS,
     READ_RESPONSES,
     PacketPool,
     RocePacket,
 )
+from repro.rdma.window import HALF_PSN_SPACE, RequesterWindow, WindowEntry
 from repro.sim.engine import Simulator
 from repro.sim.network import PRIORITY_LOW, PRIORITY_NORMAL, Switch
 
 __all__ = ["CowbirdP4Engine", "P4EngineConfig"]
 
-#: Serial-number comparison window: ``b`` is at or after ``a`` when
-#: ``(b - a) & PSN_MASK`` is below half the PSN space.
-_HALF_PSN_SPACE = PSN_MODULUS // 2
-#: Op kinds a cumulative ACK retires; read-kind ops retire only through
-#: their responses.
-_ACKED_KINDS = frozenset({"resp_write", "pool_write", "red_update"})
+#: Op kinds that read from a host; the rest write to one.
+_READ_KINDS = frozenset({"probe", "meta", "read_fetch", "write_fetch", "refetch"})
+#: Write trains: the payload of one request, converted from a read.
+_TRAIN_KINDS = frozenset({"resp_write", "pool_write"})
 
 
 @dataclass
@@ -110,29 +116,28 @@ class P4EngineStats:
 
 
 @dataclass(eq=False, slots=True)
-class _EngineOp:
-    """One switch-initiated RDMA operation awaiting its response/ACK.
+class _EngineOp(WindowEntry):
+    """One switch-initiated RDMA operation awaiting its response/ACK."""
 
-    Ops compare by identity, so finding one in a channel's in-flight
-    queue never compares field values.
-    """
-
-    kind: str  # probe | meta | read_fetch | write_fetch | resp_write | pool_write | red_update
-    channel: "_Channel"
-    first_psn: int
-    num_psns: int
-    expect_bytes: int = 0
-    received_bytes: int = 0
-    issued_at: float = 0.0
+    #: probe | meta | read_fetch | write_fetch | refetch (reads);
+    #: resp_write | pool_write (write trains) | red_update
+    kind: str = ""
+    channel: Optional["_Channel"] = None
+    #: Bytes moved, and where: the read's source or the write's target.
+    length: int = 0
+    addr: int = 0
+    rkey: int = 0
     parent: Optional["_AppOp"] = None
     instance: Optional["_Instance"] = None
-    #: The response bytes of a probe or metadata read, from its first
-    #: response packet on; the pipeline parses only those.
+    #: A probe or metadata read's response, the only data parsed.
     buffer: Optional[bytearray] = None
-
-    @property
-    def last_psn(self) -> int:
-        return (self.first_psn + self.num_psns - 1) & PSN_MASK
+    #: A write train's payload: one execution of the read it converts;
+    #: None while the train waits for a re-fetch, and once it is sent.
+    source: Optional["_EngineOp"] = None
+    #: Segments of a write train sent so far, in order.
+    sent: int = 0
+    #: A read's response was handled; a late duplicate changes nothing.
+    done: bool = False
 
 
 @dataclass
@@ -146,148 +151,49 @@ class _AppOp:
     #: Sim time the switch parsed this request (span begin for telemetry).
     parsed_at: float = 0.0
     completed: bool = False
-    fetch_op: Optional[_EngineOp] = None
     write_train: Optional[_EngineOp] = None
-    #: Go-Back-N replays so far.
-    retries: int = 0
+    #: Counted in ``ops_failed``: one of its ops ran out of retries.
+    failed: bool = False
 
 
 class _Channel:
-    """The engine's requester state toward one host QP.
+    """The engine's requester state toward one host QP, held in switch
+    registers: the destination QPN and a window of in-flight operations.
+    It sends in PSN order: while a write train streams or waits for its
+    payload, the ops opened behind it wait in ``backlog``."""
 
-    The switch holds this in stateful registers: the destination QPN,
-    the next PSN, and the set of in-flight operations keyed by PSN.
-    """
-
-    def __init__(
-        self,
-        engine: "CowbirdP4Engine",
-        peer_node: str,
-        peer_qpn: int,
-        virtual_qpn: int,
-        rkey: int,
-        priority: int,
-    ) -> None:
+    def __init__(self, engine: "CowbirdP4Engine", peer_node: str, peer_qpn: int,
+                 virtual_qpn: int, rkey: int, priority: int) -> None:
         self.engine = engine
         self.peer_node = peer_node
         self.peer_qpn = peer_qpn
         self.virtual_qpn = virtual_qpn
         self.rkey = rkey
         self.priority = priority
-        self.send_psn = 0
-        self.inflight: deque[_EngineOp] = deque()
+        self.window = RequesterWindow()
+        #: Opened ops not yet sent, in PSN order, headed by a write train.
+        self.backlog: deque[_EngineOp] = deque()
 
-    # ------------------------------------------------------------------
-    def open_op(
-        self,
-        length: int,
-        kind: str,
-        parent: Optional[_AppOp] = None,
-        instance: Optional["_Instance"] = None,
-    ) -> _EngineOp:
-        """Reserve the PSN range for ``length`` bytes and track the op."""
-        engine = self.engine
-        mtu = engine.config.mtu_bytes
-        num_psns = (length + mtu - 1) // mtu or 1
-        first_psn = self.send_psn
-        # Fields in declaration order: kind, channel, first_psn, num_psns,
-        # expect_bytes, received_bytes, issued_at, parent, instance.
+    def emit(self, addr: int, length: int, kind: str, parent: Optional[_AppOp] = None,
+             instance: Optional["_Instance"] = None,
+             rkey: Optional[int] = None) -> _EngineOp:
+        """Open a read, or a red block update, and send it unless it must
+        wait behind a write train; read responses are matched by PSN."""
+        mtu = self.engine.config.mtu_bytes
+        # first_psn (the window's to give), num_psns, issued_at, missing,
+        # retries, kind, channel, length, addr, rkey, parent, instance
         op = _EngineOp(
-            kind, self, first_psn, num_psns, length, 0, engine.sim.now, parent, instance
+            0, (length + mtu - 1) // mtu or 1, self.engine.sim.now,
+            length if kind in _READ_KINDS else 0, 0,
+            kind, self, length, addr, self.rkey if rkey is None else rkey,
+            parent, instance,
         )
-        self.send_psn = (first_psn + num_psns) & PSN_MASK
-        self.inflight.append(op)
+        self.window.open(op)
+        if self.backlog:
+            self.backlog.append(op)
+        else:
+            self.engine._send(self, op)
         return op
-
-    def emit_read(
-        self,
-        addr: int,
-        length: int,
-        kind: str,
-        parent: Optional[_AppOp] = None,
-        instance: Optional["_Instance"] = None,
-        rkey: Optional[int] = None,
-    ) -> _EngineOp:
-        """Issue an RDMA READ request; responses are matched by PSN."""
-        op = self.open_op(length, kind, parent, instance)
-        engine = self.engine
-        packet = engine.pool.acquire(
-            engine.node, self.peer_node, OP_READ_REQUEST, self.peer_qpn, op.first_psn,
-            True, addr, rkey if rkey is not None else self.rkey, length,  # RETH
-            0, 0, b"",  # no AETH, no payload
-            self.priority,
-        )
-        engine.switch.inject(packet)
-        return op
-
-    def emit_write_segment(
-        self,
-        op: _EngineOp,
-        segment_index: int,
-        dest_addr: int,
-        dest_rkey: int,
-        payload: bytes,
-        recycle: Optional[RocePacket] = None,
-    ) -> None:
-        """Stream one converted segment of a write train.
-
-        When ``recycle`` is given (the Phase III read-response-to-write
-        conversion), the incoming packet is rewritten in place — headers
-        swapped, payload untouched — so the steady-state execute path
-        allocates no packet objects.
-        """
-        n = op.num_psns
-        if n == 1:
-            opcode = OP_WRITE_ONLY
-        elif segment_index == 0:
-            opcode = OP_WRITE_FIRST
-        elif segment_index == n - 1:
-            opcode = OP_WRITE_LAST
-        else:
-            opcode = OP_WRITE_MIDDLE
-        is_tail = segment_index == n - 1
-        # Only the head of the train (FIRST or ONLY) carries the RETH.
-        if opcode in CARRIES_RETH:
-            vaddr, rkey, length = dest_addr, dest_rkey, op.expect_bytes
-        else:
-            vaddr = rkey = length = 0
-        psn = (op.first_psn + segment_index) & PSN_MASK
-        engine = self.engine
-        if recycle is not None:
-            packet = recycle.recycle(
-                engine.node, self.peer_node, opcode, self.peer_qpn, psn,
-                is_tail, vaddr, rkey, length,  # ack_request, RETH
-                self.priority,
-            )
-        else:
-            packet = engine.pool.acquire(
-                engine.node, self.peer_node, opcode, self.peer_qpn, psn,
-                is_tail, vaddr, rkey, length,  # ack_request, RETH
-                0, 0, payload,  # no AETH
-                self.priority,
-            )
-        engine.switch.inject(packet)
-
-    # ------------------------------------------------------------------
-    def match(self, psn: int) -> Optional[_EngineOp]:
-        for op in self.inflight:
-            if (psn - op.first_psn) & PSN_MASK < op.num_psns:
-                return op
-        return None
-
-    def retire(self, op: _EngineOp) -> bool:
-        """Remove a finished op, or one a replayed parent supersedes.
-
-        Returns whether ``op`` was still in flight.
-        """
-        try:
-            self.inflight.remove(op)
-        except ValueError:
-            return False  # already gone
-        return True
-
-    def oldest_pending(self) -> Optional[_EngineOp]:
-        return self.inflight[0] if self.inflight else None
 
 
 class _Instance(RequestCore):
@@ -361,35 +267,27 @@ class CowbirdP4Engine:
         """
         descriptor = instance.descriptor()
         state = _Instance(descriptor)
-        compute_host = instance.host
-        # Probe channel and data channel toward the compute node.
-        for attr, priority in (
-            ("probe_channel", self.config.probe_priority),
-            ("data_channel", self.config.data_priority),
-        ):
-            qp = compute_host.nic.create_qp()
-            vqpn = next(self._vqpn_counter)
-            qp.connect(self.node, vqpn)
-            channel = _Channel(
-                self, compute_host.name, qp.qpn, vqpn, descriptor.rkey, priority
-            )
-            setattr(state, attr, channel)
-            self._channels_by_vqpn[vqpn] = channel
-            self._instance_by_vqpn[vqpn] = state
+        compute, rkey = instance.host, descriptor.rkey
+        config = self.config
+        state.probe_channel = self._connect(state, compute, rkey, config.probe_priority)
+        state.data_channel = self._connect(state, compute, rkey, config.data_priority)
         # One channel per distinct memory-pool node.
-        pool_nodes = {h.node for h in descriptor.remote_regions.values()}
-        for pool_node in sorted(pool_nodes):
-            pool_host = pool_hosts[pool_node]
-            qp = pool_host.nic.create_qp()
-            vqpn = next(self._vqpn_counter)
-            qp.connect(self.node, vqpn)
-            channel = _Channel(
-                self, pool_node, qp.qpn, vqpn, 0, self.config.data_priority
+        for pool_node in sorted({h.node for h in descriptor.remote_regions.values()}):
+            state.pool_channels[pool_node] = self._connect(
+                state, pool_hosts[pool_node], 0, config.data_priority
             )
-            state.pool_channels[pool_node] = channel
-            self._channels_by_vqpn[vqpn] = channel
-            self._instance_by_vqpn[vqpn] = state
         self._instances.append(state)
+
+    def _connect(self, state: _Instance, host, rkey: int, priority: int) -> _Channel:
+        """A channel toward a new QP on ``host``, which the switch answers
+        under a virtual QPN (Section 5.4: the switch keys on the QPN)."""
+        qp = host.nic.create_qp()
+        vqpn = next(self._vqpn_counter)
+        qp.connect(self.node, vqpn)
+        channel = _Channel(self, host.name, qp.qpn, vqpn, rkey, priority)
+        self._channels_by_vqpn[vqpn] = channel
+        self._instance_by_vqpn[vqpn] = state
+        return channel
 
     def start(self) -> None:
         """Begin Phase II probing and the timeout scanner."""
@@ -442,7 +340,7 @@ class CowbirdP4Engine:
         if state is not None and not state.probe_inflight:
             state.probe_inflight = True
             self.stats.probes_sent += 1
-            state.probe_channel.emit_read(
+            state.probe_channel.emit(
                 state.descriptor.bookkeeping_addr,
                 GreenBlock.SIZE,
                 kind="probe",
@@ -490,54 +388,66 @@ class CowbirdP4Engine:
         state = self._instance_by_vqpn[packet.dest_qp]
         opcode = packet.opcode
         if opcode in READ_RESPONSES:
-            self._on_read_response(state, channel, packet)
-        elif opcode is OP_ACKNOWLEDGE:
-            self._on_ack(state, channel, packet)
+            psn = self._on_read_response(state, channel, packet)
+        elif opcode is not OP_ACKNOWLEDGE:
+            return []
+        elif (packet.syndrome & 0xE0) == 0x60:  # a NAK, of any NAK code
+            self._go_back_n(channel)
+            return []
+        else:
+            psn = packet.psn
+        if psn is not None:
+            # Phase IV: an ACK, or a read's last response, retires what it
+            # covers; an acknowledged write train completes its request.
+            # Nothing waiting in the backlog retires, though the responder
+            # may have executed it before: an older duplicate sent since
+            # may have undone it.  So a train never retires while it
+            # waits for its payload.
+            backlog = channel.backlog
+            if backlog:
+                first = backlog[0].first_psn
+                if (psn - first) & PSN_MASK < HALF_PSN_SPACE:  # psn >= first
+                    psn = (first - 1) & PSN_MASK
+            for op in channel.window.retire_through(psn):
+                if op.kind in _TRAIN_KINDS:
+                    self._complete_app_op(state, op.parent)
         return []  # always consumed: the switch interdicts all RDMA
 
-    def _on_read_response(self, state: _Instance, channel: _Channel, packet) -> None:
-        op = channel.match(packet.psn)
+    def _on_read_response(self, state: _Instance, channel: _Channel, packet) -> Optional[int]:
+        """Handle one read response; return the read's last PSN once its
+        data is all in."""
+        op = channel.window.find(packet.psn)
         if op is None:
             self.stats.stale_packets += 1
-            return
-        offset = ((packet.psn - op.first_psn) & PSN_MASK) * self.config.mtu_bytes
-        if op.kind in ("probe", "meta"):
+            return None
+        op.missing -= len(packet.payload)
+        complete = op.missing <= 0 and packet.opcode in READ_RESPONSE_TAILS
+        # A duplicate of a response already handled only retires the op.
+        if op.done:
+            pass
+        elif op.kind == "probe" or op.kind == "meta":
             # Control reads are parsed by the pipeline (they fit the PHV).
             if op.buffer is None:
-                op.buffer = bytearray(op.expect_bytes)
+                op.buffer = bytearray(op.length)
+            offset = ((packet.psn - op.first_psn) & PSN_MASK) * self.config.mtu_bytes
             op.buffer[offset : offset + len(packet.payload)] = packet.payload
-        op.received_bytes += len(packet.payload)
-        complete = (
-            op.received_bytes >= op.expect_bytes
-            and packet.opcode in READ_RESPONSE_TAILS
-        )
-        # ``match`` found ``op`` in flight on ``channel``; a finished op
-        # leaves it (the ``retire`` of an op known to be there).
-        if op.kind == "probe":
             if complete:
-                channel.inflight.remove(op)
+                op.done = True
+                probe = op.kind == "probe"
                 if self._tel.enabled:
                     self._tel.complete(
-                        "p4.probe", op.issued_at, self.sim.now,
+                        "p4.probe" if probe else "p4.meta_fetch",
+                        op.issued_at, self.sim.now,
                         process=self.node, track=f"qp{channel.virtual_qpn}",
+                        **({} if probe else {"bytes": op.length}),
                     )
-                self._on_probe_response(state, bytes(op.buffer))
-        elif op.kind == "meta":
-            if complete:
-                channel.inflight.remove(op)
-                if self._tel.enabled:
-                    self._tel.complete(
-                        "p4.meta_fetch", op.issued_at, self.sim.now,
-                        process=self.node, track=f"qp{channel.virtual_qpn}",
-                        bytes=op.expect_bytes,
-                    )
-                self._on_metadata(state, bytes(op.buffer))
-        elif op.kind == "read_fetch":
-            self._convert_read_data(state, op, packet, offset, complete)
-        elif op.kind == "write_fetch":
-            self._convert_write_data(state, op, packet, offset, complete)
+                if probe:
+                    self._on_probe_response(state, bytes(op.buffer))
+                else:
+                    self._on_metadata(state, bytes(op.buffer))
         else:
-            self.stats.stale_packets += 1
+            self._convert(state, op, packet, complete)
+        return (op.first_psn + op.num_psns - 1) & PSN_MASK if complete else None
 
     # -- Phase II continued: probe response -> metadata fetch ------------
     def _on_probe_response(self, state: _Instance, payload: bytes) -> None:
@@ -564,7 +474,7 @@ class CowbirdP4Engine:
         state.meta_fetch_inflight = True
         self.stats.metadata_fetches += 1
         self.stats.recycled_packets += 1  # probe response recycled into this read
-        state.data_channel.emit_read(addr, length, kind="meta", instance=state)
+        state.data_channel.emit(addr, length, kind="meta", instance=state)
         state._meta_fetch_span = (start, end)
 
     # -- Phase III: parse metadata, execute transfers ---------------------
@@ -600,94 +510,88 @@ class CowbirdP4Engine:
     def _execute_read(self, state: _Instance, app_op: _AppOp) -> None:
         """Phase III step 1a: fetch the requested data from the pool."""
         handle = state.descriptor.remote_regions[app_op.metadata.region_id]
-        if not app_op.retries:
-            self.stats.recycled_packets += 1  # recycled from the Phase II response
+        self.stats.recycled_packets += 1  # recycled from the Phase II response
         metadata = app_op.metadata
-        app_op.fetch_op = state.pool_channels[handle.node].emit_read(
+        state.pool_channels[handle.node].emit(
             metadata.req_addr, metadata.length, "read_fetch", app_op, state, handle.rkey
         )
 
     def _execute_write(self, state: _Instance, app_op: _AppOp) -> None:
         """Phase III step 1b: fetch the to-be-written data from compute."""
         self.stats.recycled_packets += 1
-        self._execute_write_fetch(state, app_op)
-
-    def _execute_write_fetch(self, state: _Instance, app_op: _AppOp) -> None:
         state.fetching_writes += 1
         metadata = app_op.metadata
-        app_op.fetch_op = state.data_channel.emit_read(
+        state.data_channel.emit(
             metadata.req_addr, metadata.length, "write_fetch", app_op, state
         )
 
-    def _convert_read_data(
-        self, state: _Instance, op: _EngineOp, packet, offset: int, complete: bool
-    ) -> None:
-        """Step 2a: recycle a pool read response into a compute write."""
+    def _convert(self, state: _Instance, op: _EngineOp, packet, complete: bool) -> None:
+        """Step 2: recycle a fetched segment into the request's write train,
+        a pool read response into a compute write (2a) or compute data
+        into a pool write (2b).  The fetch's first response opens the
+        train; only its current source feeds it, one segment after the
+        other."""
         app_op = op.parent
-        if app_op.write_train is None:
-            app_op.write_train = state.data_channel.open_op(
-                op.expect_bytes, "resp_write", app_op, state
+        train = app_op.write_train
+        if train is None:
+            metadata = app_op.metadata
+            if op.kind == "read_fetch":
+                channel = state.data_channel
+                kind, rkey = "resp_write", state.descriptor.rkey
+            else:
+                handle = state.descriptor.remote_regions[metadata.region_id]
+                channel = state.pool_channels[handle.node]
+                kind, rkey = "pool_write", handle.rkey
+            # first_psn, num_psns, issued_at, missing, retries, kind, channel,
+            # length, addr, rkey, parent, instance, buffer, source
+            train = app_op.write_train = _EngineOp(
+                0, op.num_psns, self.sim.now, 0, 0, kind, channel,
+                op.length, metadata.resp_addr, rkey, app_op, state, None, op,
             )
-        self.stats.recycled_packets += 1
+            channel.window.open(train)
+            if channel.backlog:
+                train.source = None  # behind another train: re-fetch at the head
+            channel.backlog.append(train)
         segment = (packet.psn - op.first_psn) & PSN_MASK
+        if train.source is op and segment == train.sent:
+            # Recycle the response in place: headers swapped, payload
+            # untouched, so the execute path allocates no packets.
+            self.stats.recycled_packets += 1
+            n = train.num_psns
+            if n == 1:
+                opcode = OP_WRITE_ONLY
+            elif segment == 0:
+                opcode = OP_WRITE_FIRST
+            elif segment == n - 1:
+                opcode = OP_WRITE_LAST
+            else:
+                opcode = OP_WRITE_MIDDLE
+            is_tail = segment == n - 1
+            # Only the head of the train (FIRST or ONLY) carries the RETH.
+            if opcode in CARRIES_RETH:
+                vaddr, rkey, length = train.addr, train.rkey, train.length
+            else:
+                vaddr = rkey = length = 0
+            channel = train.channel
+            self.switch.inject(packet.recycle(
+                self.node, channel.peer_node, opcode, channel.peer_qpn,
+                (train.first_psn + segment) & PSN_MASK,
+                is_tail, vaddr, rkey, length,  # ack_request, RETH
+                channel.priority,
+            ))
+            train.sent = segment + 1
+            if is_tail:  # the train heads its backlog: the ops behind it go
+                train.source = None
+                channel.backlog.popleft()
+                if channel.backlog:
+                    self._flush(channel)
         if complete:
-            op.channel.inflight.remove(op)
-        state.data_channel.emit_write_segment(
-            app_op.write_train, segment, app_op.metadata.resp_addr,
-            state.descriptor.rkey, packet.payload, packet,
-        )
-
-    def _convert_write_data(
-        self, state: _Instance, op: _EngineOp, packet, offset: int, complete: bool
-    ) -> None:
-        """Step 2b: recycle compute data into a memory-pool write."""
-        app_op = op.parent
-        handle = state.descriptor.remote_regions[app_op.metadata.region_id]
-        channel = state.pool_channels[handle.node]
-        if app_op.write_train is None:
-            app_op.write_train = channel.open_op(
-                op.expect_bytes, "pool_write", app_op, state
-            )
-        self.stats.recycled_packets += 1
-        segment = (packet.psn - op.first_psn) & PSN_MASK
-        channel.emit_write_segment(
-            app_op.write_train, segment, app_op.metadata.resp_addr,
-            handle.rkey, packet.payload, packet,
-        )
-        if complete:
-            op.channel.inflight.remove(op)
-            state.fetching_writes -= 1
-            self._drain_pending(state)
+            op.done = True
+            if op.kind == "write_fetch":
+                state.fetching_writes -= 1
+                self._drain_pending(state)
 
     # -- Phase IV: completion ---------------------------------------------
-    def _on_ack(self, state: _Instance, channel: _Channel, packet) -> None:
-        if (packet.syndrome & 0xE0) == 0x60:  # a NAK, of any NAK code
-            self._go_back_n(channel)
-            return
-        # Cumulative ACK: retire covered *write* ops on this channel, in
-        # PSN order.  Read-kind ops retire only via their responses — if
-        # a response was dropped, the timeout path must still find the op
-        # pending.  ``inflight`` is in PSN order: every append allocates
-        # the next PSNs, and Go-Back-N drops every pending op when it
-        # rewinds ``send_psn``.  So the scan stops at the first op that
-        # starts after the ACKed PSN; no later op can be covered while
-        # fewer than half the PSN space is in flight.
-        psn = packet.psn
-        covered = []
-        for op in channel.inflight:
-            first_psn = op.first_psn
-            if (psn - first_psn) & PSN_MASK >= _HALF_PSN_SPACE:
-                break
-            if (
-                op.kind in _ACKED_KINDS
-                and (psn - first_psn - op.num_psns + 1) & PSN_MASK < _HALF_PSN_SPACE
-            ):
-                covered.append(op)
-        for op in covered:
-            channel.retire(op)
-            if op.kind != "red_update":
-                self._complete_app_op(state, op.parent)
-
     def _complete_app_op(self, state: _Instance, app_op: _AppOp) -> None:
         app_op.completed = True
         metadata = app_op.metadata
@@ -704,19 +608,12 @@ class CowbirdP4Engine:
         else:
             self.stats.writes_executed += 1
         state.publish()
-        self._emit_red_update(state)
-
-    def _emit_red_update(self, state: _Instance) -> None:
-        """Phase IV: one RDMA write refreshes all bookkeeping (R3)."""
+        # Phase IV: one RDMA write refreshes all bookkeeping (R3).
         self.stats.red_updates += 1
         self.stats.recycled_packets += 1  # recycled from the ACK
-        payload = state.red.pack()
-        channel = state.data_channel
-        train = channel.open_op(len(payload), "red_update", None, state)
-        channel.emit_write_segment(
-            train, 0,
+        state.data_channel.emit(
             state.descriptor.bookkeeping_addr + 64,  # the red block's offset
-            state.descriptor.rkey, payload,
+            RedBlock.SIZE, "red_update", None, state,
         )
 
     # ------------------------------------------------------------------
@@ -725,77 +622,117 @@ class CowbirdP4Engine:
     def _timeout_tick(self) -> None:
         if not self._started:
             return
+        now = self.sim.now
+        timeout = self.config.timeout_ns
         for channel in self._channels_by_vqpn.values():
-            oldest = channel.oldest_pending()
-            if oldest is not None and (
-                self.sim.now - oldest.issued_at >= self.config.timeout_ns
-            ):
+            if channel.window.expired(now, timeout):
                 self._go_back_n(channel)
         self._timeout_token = self.sim.call_after_cancellable(
             self.config.timeout_ns, self._timeout_tick
         )
 
     def _go_back_n(self, channel: _Channel) -> None:
-        """Rewind the channel PSN and re-execute everything incomplete.
-
-        Replayed reads go back to the front of the instance's pending
-        queue, in their original order, and obey pause-all-reads like new
-        ones: a replayed write fetches its payload from the compute node
-        again, and a read sent at once could overtake it.  Every red
-        block update carries the whole current red block, so one replay
-        stands for all the rewound ones.
-        """
-        pending = list(channel.inflight)
-        if not pending:
+        """Send every outstanding op again at its own PSNs, oldest first,
+        as the RNIC does; ``send_psn`` never moves back.  A write train
+        re-fetches its payload first (:meth:`_flush`), and nothing behind
+        it goes out before it: the older write, executed again, would
+        undo a later one.  An op sent more than ``max_retries`` times is
+        given up."""
+        outstanding = channel.window.outstanding
+        if not outstanding:
             return
         self.stats.go_back_n_events += 1
         if self._tel.enabled:
             self._tel.instant(
                 "p4.go_back_n", process=self.node,
-                track=f"qp{channel.virtual_qpn}", pending=len(pending),
+                track=f"qp{channel.virtual_qpn}", pending=len(outstanding),
             )
-        channel.inflight.clear()
-        channel.send_psn = pending[0].first_psn
-        state = pending[0].instance
-        reads = []
-        red_replayed = False
-        for op in pending:
-            if op.kind == "probe":
-                state.probe_inflight = False
-                continue  # the probe loop regenerates probes
-            if op.kind == "meta":
-                state.meta_fetch_inflight = False
-                self._maybe_fetch_metadata(state)
+        now = self.sim.now
+        backlog = channel.backlog
+        backlog.clear()
+        starved = []
+        for op in list(outstanding):
+            op.retries += 1
+            if op.kind in _READ_KINDS:
+                op.missing = op.length
+                train = op.parent.write_train if op.parent is not None else None
+                if train is not None and train.source is op:
+                    # A read sent again may return newer data: the train
+                    # it streams into re-fetches rather than mix versions.
+                    train.source = None
+                    starved.append(train)
+            elif op.kind in _TRAIN_KINDS:
+                op.source = None
+            if op.retries > self.config.max_retries:
+                self._give_up(channel, op)
                 continue
-            if op.kind == "red_update":
-                if not red_replayed:
-                    red_replayed = True
-                    self._emit_red_update(state)
-                continue
-            # The op executes a request; the switch keeps no payloads, so
-            # a replay fetches from the source again and supersedes the
-            # request's fetch and converted train, on whichever channel.
-            app_op = op.parent
-            fetch = app_op.fetch_op
-            if fetch is not None:
-                # The fetch was in flight if it still sits on its own
-                # channel or is ``op`` (the rewind just cleared it).  A
-                # write fetch cut short gives back its ``fetching_writes``
-                # count; only the fetch re-emitted below takes one again.
-                in_flight = fetch.channel.retire(fetch) or fetch is op
-                if in_flight and fetch.kind == "write_fetch":
-                    state.fetching_writes -= 1
-            if app_op.write_train is not None:
-                app_op.write_train.channel.retire(app_op.write_train)
-                app_op.write_train = None
-            app_op.retries += 1
-            if app_op.retries > self.config.max_retries:
-                # Give up: the request never completes, so the client
-                # sees it stall and ``ops_failed`` says why.
-                self.stats.ops_failed += 1
-            elif op.kind in ("read_fetch", "resp_write"):
-                reads.append(app_op)
-            else:
-                self._execute_write_fetch(state, app_op)
-        state.pending.extendleft(reversed(reads))
-        self._drain_pending(state)
+            op.issued_at = now
+            backlog.append(op)
+        self._flush(channel)
+        for train in starved:
+            self._flush(train.channel)
+
+    def _send(self, channel: _Channel, op: _EngineOp) -> None:
+        """Put a read request or a red block update on the wire.  An
+        update carries the red block as it is when sent."""
+        op.issued_at = self.sim.now
+        if op.kind == "red_update":
+            opcode, payload = OP_WRITE_ONLY, op.instance.red.pack()
+        else:
+            opcode, payload = OP_READ_REQUEST, b""
+        self.switch.inject(self.pool.acquire(
+            self.node, channel.peer_node, opcode, channel.peer_qpn, op.first_psn,
+            True, op.addr, op.rkey, op.length,  # ack_request, RETH
+            0, 0, payload,  # no AETH
+            channel.priority,
+        ))
+
+    def _flush(self, channel: _Channel) -> None:
+        """Send the channel's backlog in PSN order, up to the first write
+        train; a train without a payload source re-fetches it."""
+        backlog = channel.backlog
+        while backlog:
+            op = backlog[0]
+            if op.kind in _TRAIN_KINDS:
+                if op.source is None:
+                    self._refetch(op)
+                return  # the train's tail lets the rest go
+            backlog.popleft()
+            self._send(channel, op)
+
+    def _refetch(self, train: _EngineOp) -> None:
+        """Read a write train's payload again.  A response train reads the
+        pool as a new read on its pool channel, after every write the pool
+        executed before it.  A pool write train reads the client's request
+        data ring over the probe channel, which carries only reads; the
+        client frees those bytes only once this train is acknowledged."""
+        state = train.instance
+        app_op = train.parent
+        metadata = app_op.metadata
+        if train.kind == "resp_write":
+            handle = state.descriptor.remote_regions[metadata.region_id]
+            channel, rkey = state.pool_channels[handle.node], handle.rkey
+        else:
+            channel, rkey = state.probe_channel, None
+        train.issued_at = self.sim.now
+        train.sent = 0
+        train.source = channel.emit(
+            metadata.req_addr, metadata.length, "refetch", app_op, state, rkey
+        )
+
+    def _give_up(self, channel: _Channel, op: _EngineOp) -> None:
+        """Drop an op out of retries: its request never completes, and
+        ``ops_failed`` says why; a probe or metadata read is issued anew."""
+        channel.window.outstanding.remove(op)
+        state = op.instance
+        if op.kind == "probe":
+            state.probe_inflight = False
+        elif op.kind == "meta":
+            state.meta_fetch_inflight = False
+        app_op = op.parent
+        if app_op is not None and not app_op.failed:
+            app_op.failed = True
+            self.stats.ops_failed += 1
+        if op.kind == "write_fetch" and not op.done:
+            state.fetching_writes -= 1
+            self._drain_pending(state)

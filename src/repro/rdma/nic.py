@@ -14,7 +14,10 @@ the reliable-connection protocol:
 * **Reliability**: 24-bit PSN validation, cumulative ACKs, one NAK per
   sequence error, and Go-Back-N retransmission on a sequence NAK or
   timeout (Section 5.3's recovery story ends up exercising exactly this
-  machinery).  A remote access error (bad rkey, out of bounds) is not
+  machinery).  Each QP's outstanding WRs live in a
+  :class:`~repro.rdma.window.RequesterWindow`.  Duplicates execute
+  again, but a duplicate multi-packet write lands only with a replay
+  that is whole.  A remote access error (bad rkey, out of bounds) is not
   retried: it fails its WR and puts the QP in the error state.
 * **Pacing**: a per-message initiation gap models the NIC's finite
   message rate — the "request-level bottleneck" that motivates
@@ -47,7 +50,6 @@ from repro.rdma.packets import (
     WRITE_TAILS,
     WRITES,
     PSN_MASK,
-    PSN_MODULUS,
     RocePacket,
     SYNDROME_ACK,
     SYNDROME_NAK_PSN_ERROR,
@@ -62,14 +64,11 @@ from repro.rdma.qp import (
     WorkType,
     _Outstanding,
 )
+from repro.rdma.window import HALF_PSN_SPACE
 from repro.sim.engine import Simulator
 from repro.sim.network import Link, PRIORITY_NORMAL
 
 __all__ = ["NicConfig", "RNIC"]
-
-#: A PSN up to half the PSN space behind the expected one is a duplicate;
-#: one further behind is read as ahead of it, a gap.
-_HALF_PSN_SPACE = PSN_MODULUS // 2
 
 
 @dataclass
@@ -217,99 +216,75 @@ class RNIC:
             self._flush(qp, wr)
             return
         self.stats.messages_initiated += 1
-        if wr.work_type is WorkType.READ:
-            self._initiate_read(qp, wr)
-        elif wr.work_type is WorkType.WRITE:
-            self._initiate_write(qp, wr)
-        elif wr.work_type is WorkType.SEND:
-            self._initiate_send(qp, wr)
-        else:  # pragma: no cover - RECV handled in post()
-            raise RuntimeError(f"cannot initiate {wr.work_type}")
+        work_type = wr.work_type
+        mtu = self.config.mtu_bytes
+        num_psns = 1 if work_type is WorkType.SEND else (wr.length + mtu - 1) // mtu or 1
+        # first_psn (the window's to give), num_psns, issued_at, missing
+        # (a read's data), retries, wr
+        entry = _Outstanding(
+            0, num_psns, self.sim.now,
+            wr.length if work_type is WorkType.READ else 0, 0, wr,
+        )
+        window = qp.window
+        window.open(entry)
+        qp._tel_outstanding.set(len(window.outstanding))
+        self._emit(qp, entry)
         self._arm_timer(qp)
 
-    def _segments(self, length: int) -> int:
-        mtu = self.config.mtu_bytes
-        return max(1, (length + mtu - 1) // mtu)
-
-    def _initiate_read(self, qp: QueuePair, wr: WorkRequest) -> None:
-        num_packets = self._segments(wr.length)
-        first_psn = qp.reserve_psns(num_packets)
-        # wr, first_psn, num_packets, bytes_received, issued_at
-        entry = _Outstanding(wr, first_psn, num_packets, 0, self.sim.now)
-        qp.track(entry)
-        self._emit_read_request(qp, entry)
-
-    def _emit_read_request(self, qp: QueuePair, entry: _Outstanding) -> None:
+    def _emit(self, qp: QueuePair, entry: _Outstanding) -> None:
+        """Send a WR's packets: one READ request, a WRITE train (First /
+        Middle / Last) or one SEND."""
         wr = entry.wr
-        packet = RocePacket(
-            self.node, qp.remote_node, OP_READ_REQUEST, qp.remote_qpn, entry.first_psn,
-            True, wr.remote_addr, wr.rkey, wr.length,  # ack_request, RETH
-            0, 0, b"",  # no AETH, no payload
-            wr.priority if wr.priority is not None else self.config.priority,
-        )
-        self._transmit(packet, qp)
-
-    def _initiate_write(self, qp: QueuePair, wr: WorkRequest) -> None:
-        num_packets = self._segments(wr.length)
-        first_psn = qp.reserve_psns(num_packets)
-        entry = _Outstanding(wr, first_psn, num_packets, 0, self.sim.now)
-        qp.track(entry)
-        self._emit_write_train(qp, entry)
-
-    def _emit_write_train(self, qp: QueuePair, entry: _Outstanding) -> None:
-        wr = entry.wr
-        payload = self._dma_read_local(wr.local_addr, wr.length)
-        mtu = self.config.mtu_bytes
-        n = entry.num_packets
+        work_type = wr.work_type
         priority = wr.priority if wr.priority is not None else self.config.priority
-        for i in range(n):
-            chunk = payload[i * mtu : (i + 1) * mtu]
-            if n == 1:
-                opcode = OP_WRITE_ONLY
-            elif i == 0:
-                opcode = OP_WRITE_FIRST
-            elif i == n - 1:
-                opcode = OP_WRITE_LAST
-            else:
-                opcode = OP_WRITE_MIDDLE
-            # Only the head of the train (FIRST or ONLY) carries the RETH.
-            if opcode in CARRIES_RETH:
-                vaddr, rkey, length = wr.remote_addr, wr.rkey, wr.length
-            else:
-                vaddr = rkey = length = 0
+        if work_type is WorkType.READ:
             packet = RocePacket(
-                self.node, qp.remote_node, opcode, qp.remote_qpn,
-                (entry.first_psn + i) & PSN_MASK,
-                i == n - 1, vaddr, rkey, length,  # ack_request, RETH
-                0, 0, chunk,  # no AETH
+                self.node, qp.remote_node, OP_READ_REQUEST, qp.remote_qpn, entry.first_psn,
+                True, wr.remote_addr, wr.rkey, wr.length,  # ack_request, RETH
+                0, 0, b"",  # no AETH, no payload
                 priority,
             )
             self._transmit(packet, qp)
-
-    def _initiate_send(self, qp: QueuePair, wr: WorkRequest) -> None:
-        first_psn = qp.reserve_psns(1)
-        entry = _Outstanding(
-            wr=wr, first_psn=first_psn, num_packets=1, issued_at=self.sim.now
-        )
-        qp.track(entry)
-        self._emit_send(qp, entry)
-
-    def _emit_send(self, qp: QueuePair, entry: _Outstanding) -> None:
-        wr = entry.wr
-        payload = wr.inline_payload or self._dma_read_local(wr.local_addr, wr.length)
-        if len(payload) > self.config.mtu_bytes:
-            raise ValueError("SEND payloads above one MTU are not modelled")
-        packet = RocePacket(
-            src=self.node,
-            dst=qp.remote_node,
-            opcode=OP_SEND_ONLY,
-            dest_qp=qp.remote_qpn,
-            psn=entry.first_psn,
-            ack_request=True,
-            payload=payload,
-            priority=self.config.priority,
-        )
-        self._transmit(packet, qp)
+        elif work_type is WorkType.WRITE:
+            payload = self._dma_read_local(wr.local_addr, wr.length)
+            mtu = self.config.mtu_bytes
+            n = entry.num_psns
+            for i in range(n):
+                chunk = payload[i * mtu : (i + 1) * mtu]
+                if n == 1:
+                    opcode = OP_WRITE_ONLY
+                elif i == 0:
+                    opcode = OP_WRITE_FIRST
+                elif i == n - 1:
+                    opcode = OP_WRITE_LAST
+                else:
+                    opcode = OP_WRITE_MIDDLE
+                # Only the head of the train (FIRST or ONLY) carries the RETH.
+                if opcode in CARRIES_RETH:
+                    vaddr, rkey, length = wr.remote_addr, wr.rkey, wr.length
+                else:
+                    vaddr = rkey = length = 0
+                packet = RocePacket(
+                    self.node, qp.remote_node, opcode, qp.remote_qpn,
+                    (entry.first_psn + i) & PSN_MASK,
+                    i == n - 1, vaddr, rkey, length,  # ack_request, RETH
+                    0, 0, chunk,  # no AETH
+                    priority,
+                )
+                self._transmit(packet, qp)
+        elif work_type is WorkType.SEND:
+            payload = wr.inline_payload or self._dma_read_local(wr.local_addr, wr.length)
+            if len(payload) > self.config.mtu_bytes:
+                raise ValueError("SEND payloads above one MTU are not modelled")
+            packet = RocePacket(
+                self.node, qp.remote_node, OP_SEND_ONLY, qp.remote_qpn, entry.first_psn,
+                True, 0, 0, 0,  # ack_request, no RETH
+                0, 0, payload,  # no AETH
+                self.config.priority,
+            )
+            self._transmit(packet, qp)
+        else:  # pragma: no cover - RECV handled in post()
+            raise RuntimeError(f"cannot initiate {work_type}")
 
     def _dma_read_local(self, addr: int, length: int) -> bytes:
         region = self.registry.by_addr(addr, length)
@@ -384,12 +359,38 @@ class RNIC:
         gaps, and each NAK would cost the requester a full Go-Back-N
         round.
         """
-        if (qp.expected_psn - packet.psn) & PSN_MASK < _HALF_PSN_SPACE:
+        if (qp.expected_psn - packet.psn) & PSN_MASK < HALF_PSN_SPACE:
             self.stats.duplicates += 1
             return False
         if not qp.nak_pending:
             qp.nak_pending = True
             self._send_nak(qp, packet.src, SYNDROME_NAK_PSN_ERROR, qp.expected_psn)
+        return True
+
+    # A requester replay sends executed requests again, in PSN order, up to
+    # the expected PSN.  They execute again, but a duplicate multi-packet
+    # write waits until the replay reaches the expected PSN with no packet
+    # missing, and then lands: cut short, it would be torn, or land over a
+    # newer write whose own duplicate was lost.
+    def _replay(self, qp: QueuePair, psn: int, next_psn: int, starts: bool,
+                held: Optional[tuple] = None) -> bool:
+        """Follow the replay through the duplicate at ``psn`` (up to
+        ``next_psn``); return whether it continues it with no hole (a first
+        packet may begin a new one).  ``held`` waits for the replay's end."""
+        if psn != qp.replay_psn:
+            qp.replay_writes.clear()
+            if not starts:
+                qp.replay_psn = None
+                return False
+        if held is not None:
+            qp.replay_writes.append(held)
+        if next_psn != qp.expected_psn:
+            qp.replay_psn = next_psn
+            return True
+        qp.replay_psn = None
+        writes, qp.replay_writes = qp.replay_writes, []
+        for addr, payload, rkey in writes:  # each landed once before
+            self.registry.by_rkey(rkey).remote_write(addr, payload, rkey)
         return True
 
     def _nak_access_error(self, qp: QueuePair, packet: RocePacket) -> None:
@@ -403,14 +404,10 @@ class RNIC:
     def _send_nak(self, qp: QueuePair, dst: str, syndrome: int, psn: int) -> None:
         self.stats.naks_sent += 1
         packet = RocePacket(
-            src=self.node,
-            dst=dst,
-            opcode=OP_ACKNOWLEDGE,
-            dest_qp=qp.remote_qpn,
-            psn=psn,
-            syndrome=syndrome,
-            msn=qp.msn,
-            priority=self.config.priority,
+            self.node, dst, OP_ACKNOWLEDGE, qp.remote_qpn, psn,
+            False, 0, 0, 0,  # no ack request, no RETH
+            syndrome, qp.msn, b"",  # AETH, no payload
+            self.config.priority,
         )
         self._transmit(packet, qp)
 
@@ -429,17 +426,30 @@ class RNIC:
         expected = psn == qp.expected_psn
         if expected:
             qp.nak_pending = False
+            if qp.replay_psn is not None:
+                qp.replay_psn = None  # a replay cut short: its writes never land
+                qp.replay_writes.clear()
         elif self._out_of_sequence(qp, packet):
             return
         rkey = packet.remote_key
+        mtu = self.config.mtu_bytes
+        n = max(1, (packet.dma_length + mtu - 1) // mtu)
+        if not expected:
+            self._replay(qp, psn, (psn + n) & PSN_MASK, True)
+            partial = qp.partial_write
+            if (partial is not None and partial[0] == rkey
+                    and packet.virtual_address < partial[2]
+                    and partial[1] < packet.virtual_address + packet.dma_length):
+                # A write the read came before is half applied: the read
+                # would return a torn range.  Leave it to the requester's
+                # timeout; by then the write is whole.
+                return
         try:
             region = self.registry.by_rkey(rkey)
             data = region.remote_read(packet.virtual_address, packet.dma_length, rkey)
         except (AccessError, BoundsError):
             self._nak_access_error(qp, packet)
             return
-        mtu = self.config.mtu_bytes
-        n = max(1, (len(data) + mtu - 1) // mtu)
         if expected:
             qp.expected_psn = (psn + n) & PSN_MASK
             qp.msn = (qp.msn + 1) & PSN_MASK
@@ -470,11 +480,14 @@ class RNIC:
 
     def _respond_write(self, qp: QueuePair, packet: RocePacket) -> None:
         psn = packet.psn
-        expected = psn == qp.expected_psn
-        if expected:
-            qp.nak_pending = False
-        elif self._out_of_sequence(qp, packet):
+        if psn != qp.expected_psn:
+            if not self._out_of_sequence(qp, packet):
+                self._replay_write(qp, packet)
             return
+        qp.nak_pending = False
+        if qp.replay_psn is not None:
+            qp.replay_psn = None  # a replay cut short: its held writes never land
+            qp.replay_writes.clear()
         opcode = packet.opcode
         if opcode in CARRIES_RETH:
             context = _WriteContext(packet.remote_key, packet.virtual_address)
@@ -484,21 +497,45 @@ class RNIC:
             if context is None:
                 self._send_nak(qp, packet.src, SYNDROME_NAK_PSN_ERROR, qp.expected_psn)
                 return
+        addr = context.next_addr
         try:
             region = self.registry.by_rkey(context.rkey)
-            region.remote_write(context.next_addr, packet.payload, context.rkey)
+            region.remote_write(addr, packet.payload, context.rkey)
         except (AccessError, BoundsError):
             self._nak_access_error(qp, packet)
             return
         context.next_addr += len(packet.payload)
-        if expected:
-            qp.expected_psn = (psn + 1) & PSN_MASK
-            if opcode in WRITE_TAILS:
-                qp.msn = (qp.msn + 1) & PSN_MASK
+        qp.expected_psn = (psn + 1) & PSN_MASK
+        if opcode in WRITE_TAILS:
+            qp.msn = (qp.msn + 1) & PSN_MASK
+            if qp.partial_write is not None:
+                qp.partial_write = None
+        elif opcode is OP_WRITE_FIRST:
+            qp.partial_write = (context.rkey, addr, addr + packet.dma_length)
+        if packet.ack_request:
+            self._send_ack(qp, psn, packet.priority)
+
+    def _replay_write(self, qp: QueuePair, packet: RocePacket) -> None:
+        """A duplicate write packet: it lands again with its replay."""
+        psn = packet.psn
+        opcode = packet.opcode
+        starts = opcode in CARRIES_RETH
+        if starts:
+            qp.replay_context = (packet.remote_key, packet.virtual_address, psn)
+        rkey, first_addr, first_psn = qp.replay_context
+        # By PSN: a continuing packet follows its write's first one.
+        addr = first_addr + ((psn - first_psn) & PSN_MASK) * self.config.mtu_bytes
+        single = opcode is OP_WRITE_ONLY
+        held = None if single else (addr, packet.payload, rkey)
+        if self._replay(qp, psn, (psn + 1) & PSN_MASK, starts, held) and single:
+            try:
+                self.registry.by_rkey(rkey).remote_write(addr, packet.payload, rkey)
+            except (AccessError, BoundsError):
+                self._nak_access_error(qp, packet)
+                return
         if packet.ack_request:
             # Cumulative: acknowledge everything received so far.
-            ack_psn = psn if expected else (qp.expected_psn - 1) & PSN_MASK
-            self._send_ack(qp, ack_psn, packet.priority)
+            self._send_ack(qp, (qp.expected_psn - 1) & PSN_MASK, packet.priority)
 
     def _respond_send(self, qp: QueuePair, packet: RocePacket) -> None:
         psn = packet.psn
@@ -514,12 +551,8 @@ class RNIC:
                     self._dma_write_local(recv_wr.local_addr, packet.payload[:length])
                 qp.cq.push(
                     Completion(
-                        wr_id=recv_wr.wr_id,
-                        status=CompletionStatus.SUCCESS,
-                        work_type=WorkType.RECV,
-                        byte_len=length,
-                        qp_num=qp.qpn,
-                        completed_at=self.sim.now,
+                        recv_wr.wr_id, CompletionStatus.SUCCESS, WorkType.RECV,
+                        length, qp.qpn, self.sim.now,
                     )
                 )
             # Receiver-not-ready without a posted recv: real RC would RNR-NAK;
@@ -531,21 +564,20 @@ class RNIC:
 
     # -- requester side ---------------------------------------------------
     def _requester_read_response(self, qp: QueuePair, packet: RocePacket) -> None:
-        entry = qp.find_outstanding_by_psn(packet.psn)
+        window = qp.window
+        entry = window.find(packet.psn)
         if entry is None:
             self.stats.duplicates += 1
             return
         offset = ((packet.psn - entry.first_psn) & PSN_MASK) * self.config.mtu_bytes
         if entry.wr.local_addr:
             self._dma_write_local(entry.wr.local_addr + offset, packet.payload)
-        entry.bytes_received += len(packet.payload)
-        is_tail = packet.opcode in READ_RESPONSE_TAILS
-        if is_tail and entry.bytes_received >= entry.wr.length:
+        entry.missing -= len(packet.payload)
+        if packet.opcode in READ_RESPONSE_TAILS and entry.missing <= 0:
             # Read responses arrive in order on RC; the tail retires the
             # entry and everything acknowledged before it.
-            last_psn = (entry.first_psn + entry.num_packets - 1) & PSN_MASK
-            retired = qp.complete_through(last_psn, self.sim.now)
-            for done in retired:
+            last_psn = (entry.first_psn + entry.num_psns - 1) & PSN_MASK
+            for done in window.retire_through(last_psn):
                 self._complete(qp, done, CompletionStatus.SUCCESS)
 
     def _requester_ack(self, qp: QueuePair, packet: RocePacket) -> None:
@@ -558,8 +590,7 @@ class RNIC:
             else:
                 self._fail_from(qp, packet.psn)
             return
-        retired = qp.complete_through(packet.psn, self.sim.now)
-        for done in retired:
+        for done in qp.window.retire_through(packet.psn):
             self._complete(qp, done, CompletionStatus.SUCCESS)
 
     def _fail_from(self, qp: QueuePair, psn: int) -> None:
@@ -570,14 +601,15 @@ class RNIC:
         is flushed, and the QP enters the error state, in which later
         posts complete ``FLUSHED`` at once.
         """
-        failed = qp.find_outstanding_by_psn(psn)
+        window = qp.window
+        failed = window.find(psn)
         if failed is None:
             return  # stale: that WR already retired
-        for done in qp.complete_through((failed.first_psn - 1) & PSN_MASK, self.sim.now):
+        for done in window.retire_through((failed.first_psn - 1) & PSN_MASK):
             self._complete(qp, done, CompletionStatus.SUCCESS)
         qp.in_error = True
-        rest = list(qp.outstanding)
-        qp.outstanding.clear()
+        rest = list(window.outstanding)
+        window.outstanding.clear()
         for entry in rest:
             status = (
                 CompletionStatus.REMOTE_ACCESS_ERROR if entry is failed
@@ -587,9 +619,7 @@ class RNIC:
 
     def _flush(self, qp: QueuePair, wr: WorkRequest) -> None:
         """Complete a WR posted to a QP in the error state."""
-        entry = _Outstanding(
-            wr=wr, first_psn=qp.send_psn, num_packets=1, issued_at=self.sim.now
-        )
+        entry = _Outstanding(qp.window.send_psn, 1, self.sim.now, 0, 0, wr)
         self._complete(qp, entry, CompletionStatus.FLUSHED)
 
     def _complete(self, qp: QueuePair, entry: _Outstanding, status: CompletionStatus) -> None:
@@ -612,27 +642,25 @@ class RNIC:
     # Go-Back-N recovery
     # ------------------------------------------------------------------
     def _go_back_n(self, qp: QueuePair) -> None:
-        """Retransmit every outstanding WR, oldest first (Section 5.3)."""
+        """Retransmit every outstanding WR at its own PSNs, oldest first
+        (Section 5.3)."""
+        outstanding = qp.window.outstanding
         qp.note_retransmission()
         if self._tel.enabled:
             self._tel.instant(
                 "rdma.go_back_n", process=self.node, track=f"qp{qp.qpn}",
-                outstanding=len(qp.outstanding),
+                outstanding=len(outstanding),
             )
-        for entry in list(qp.outstanding):
+        for entry in list(outstanding):
             entry.retries += 1
             if entry.retries > self.config.max_retries:
-                qp.outstanding.remove(entry)
+                outstanding.remove(entry)
                 self._complete(qp, entry, CompletionStatus.RETRY_EXCEEDED)
                 continue
             entry.issued_at = self.sim.now
-            entry.bytes_received = 0
             if entry.wr.work_type is WorkType.READ:
-                self._emit_read_request(qp, entry)
-            elif entry.wr.work_type is WorkType.WRITE:
-                self._emit_write_train(qp, entry)
-            elif entry.wr.work_type is WorkType.SEND:
-                self._emit_send(qp, entry)
+                entry.missing = entry.wr.length
+            self._emit(qp, entry)
 
     def _arm_timer(self, qp: QueuePair) -> None:
         if qp.qpn in self._timer_armed:
@@ -647,10 +675,10 @@ class RNIC:
 
     def _check_timeout(self, qp: QueuePair) -> None:
         self._timer_armed.discard(qp.qpn)
-        oldest = qp.oldest_outstanding()
-        if oldest is None:
+        window = qp.window
+        if not window.outstanding:
             return
-        if self.sim.now - oldest.issued_at >= self.config.retransmit_timeout_ns:
+        if window.expired(self.sim.now, self.config.retransmit_timeout_ns):
             self.stats.retransmit_timeouts += 1
             self._go_back_n(qp)
         self._arm_timer(qp)

@@ -1,9 +1,9 @@
 """Queue pairs, work requests, and completion queues.
 
 A reliable-connection (RC) queue pair carries the requester state the
-RNIC model needs: the next PSN to stamp on outgoing packets, the
-expected PSN on the responder side, and the window of outstanding work
-requests awaiting acknowledgment (the Go-Back-N retransmit window).
+RNIC model needs, a :class:`~repro.rdma.window.RequesterWindow` of the
+work requests awaiting acknowledgment (the Go-Back-N retransmit window),
+and the responder's expected PSN.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.rdma.packets import PSN_MASK, PSN_MODULUS
+from repro.rdma.window import RequesterWindow, WindowEntry
 
 __all__ = [
     "Completion",
@@ -43,10 +43,6 @@ class CompletionStatus(enum.Enum):
 
 
 _wr_ids = itertools.count(1)
-
-#: ``b`` is at or after ``a`` in serial arithmetic when
-#: ``(b - a) & PSN_MASK`` is below half the PSN space.
-_HALF_PSN_SPACE = PSN_MODULUS // 2
 
 
 @dataclass(slots=True)
@@ -138,21 +134,11 @@ class CompletionQueue:
         return len(self._entries)
 
 
-@dataclass(slots=True)
-class _Outstanding:
+@dataclass(eq=False, slots=True)
+class _Outstanding(WindowEntry):
     """Requester-side tracking of one in-flight work request."""
 
-    wr: WorkRequest
-    first_psn: int
-    num_packets: int
-    #: For READs: payload bytes DMA'd so far (completion when == length).
-    bytes_received: int = 0
-    issued_at: float = 0.0
-    retries: int = 0
-
-    @property
-    def last_psn(self) -> int:
-        return (self.first_psn + self.num_packets - 1) & PSN_MASK
+    wr: Optional[WorkRequest] = None
 
 
 class QueuePair:
@@ -160,8 +146,7 @@ class QueuePair:
 
     Created by :meth:`repro.rdma.nic.RNIC.create_qp` and connected to a
     remote QP during setup (Phase I).  The QP holds both requester state
-    (``send_psn``, outstanding window) and responder state
-    (``expected_psn``, ``msn``).
+    (``window``) and responder state (``expected_psn``, ``msn``).
     """
 
     MAX_OUTSTANDING = 1024
@@ -173,8 +158,7 @@ class QueuePair:
         self.remote_node: Optional[str] = None
         self.remote_qpn: Optional[int] = None
         # Requester state.
-        self.send_psn = 0
-        self.outstanding: deque[_Outstanding] = deque()
+        self.window = RequesterWindow(capacity=self.MAX_OUTSTANDING)
         #: A fatal NAK (remote access error) put the QP in the error
         #: state: every WR posted from then on completes ``FLUSHED``.
         self.in_error = False
@@ -185,6 +169,13 @@ class QueuePair:
         #: responder sends one per sequence error and sends no other
         #: until the expected PSN arrives.
         self.nak_pending = False
+        #: A requester replay (``RNIC._replay``): the next PSN it needs, the
+        #: writes waiting for it, and ``(rkey, addr, psn)`` of its write.
+        self.replay_psn: Optional[int] = None
+        self.replay_writes: list = []
+        self.replay_context = (0, 0, 0)
+        #: ``(rkey, lo, hi)`` of a multi-packet write missing its last packet.
+        self.partial_write: Optional[tuple[int, int, int]] = None
         # Stats.
         self.packets_sent = 0
         self.packets_received = 0
@@ -207,25 +198,8 @@ class QueuePair:
             raise RuntimeError(f"QP {self.qpn} already connected")
         self.remote_node = remote_node
         self.remote_qpn = remote_qpn
-        self.send_psn = initial_psn
+        self.window.send_psn = initial_psn
         self.expected_psn = initial_psn
-
-    # ------------------------------------------------------------------
-    # Requester-side PSN window management
-    # ------------------------------------------------------------------
-    def reserve_psns(self, count: int) -> int:
-        """Allocate ``count`` consecutive PSNs; return the first."""
-        if count < 1:
-            raise ValueError("must reserve at least one PSN")
-        first = self.send_psn
-        self.send_psn = (first + count) & PSN_MASK
-        return first
-
-    def track(self, entry: _Outstanding) -> None:
-        if len(self.outstanding) >= self.MAX_OUTSTANDING:
-            raise RuntimeError(f"QP {self.qpn} outstanding window full")
-        self.outstanding.append(entry)
-        self._tel_outstanding.set(len(self.outstanding))
 
     def note_retransmission(self) -> None:
         """Count one Go-Back-N episode (plain stat + telemetry mirror)."""
@@ -237,46 +211,8 @@ class QueuePair:
         self.naks_received += 1
         self._tel_naks.inc()
 
-    def oldest_outstanding(self) -> Optional[_Outstanding]:
-        return self.outstanding[0] if self.outstanding else None
-
-    def find_outstanding_by_psn(self, psn: int) -> Optional[_Outstanding]:
-        """Locate the in-flight WR whose PSN range covers ``psn``."""
-        for entry in self.outstanding:
-            if (psn - entry.first_psn) & PSN_MASK < entry.num_packets:
-                return entry
-        return None
-
-    def complete_through(self, psn: int, now: float) -> list[_Outstanding]:
-        """Retire outstanding WRs fully acknowledged by ``psn`` (inclusive).
-
-        Used on ACK receipt: an ACK for PSN p acknowledges everything at
-        or before p (cumulative acknowledgment semantics) — **except**
-        READs whose response data has not arrived.  An ACK proves the
-        responder processed the read, but if the response packets were
-        lost in flight the requester still has no data; real HCAs keep
-        the read outstanding and retry it (here: the Go-Back-N timeout
-        re-issues it).  Retiring it on the ACK would complete the WR
-        with a garbage buffer.
-        """
-        retired: list[_Outstanding] = []
-        outstanding = self.outstanding
-        while outstanding:
-            head = outstanding[0]
-            last_psn = head.first_psn + head.num_packets - 1
-            if (psn - last_psn) & PSN_MASK >= _HALF_PSN_SPACE:
-                break  # head.last_psn > psn in serial arithmetic
-            if (
-                head.wr.work_type is WorkType.READ
-                and head.bytes_received < head.wr.length
-            ):
-                break  # data not here yet: the timeout path must retry
-            outstanding.popleft()
-            retired.append(head)
-        return retired
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"QueuePair(qpn={self.qpn}, remote={self.remote_node}:"
-            f"{self.remote_qpn}, psn={self.send_psn})"
+            f"{self.remote_qpn}, psn={self.window.send_psn})"
         )

@@ -324,7 +324,6 @@ class Simulator:
         "now",
         "_queue",
         "_sequence",
-        "_live",
         "telemetry",
         "_tel_events",
         "_tel_spawns",
@@ -342,7 +341,6 @@ class Simulator:
         self.now: float = 0.0
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = count(1)
-        self._live: dict[Process, None] = {}
         self.events_dispatched = 0
         #: Sequence number of the event being dispatched: events due at
         #: the same time run in sequence order.
@@ -431,26 +429,22 @@ class Simulator:
     def spawn(self, generator: Generator[Any, Any, Any], name: str = "") -> Process:
         """Start a new process from ``generator`` on the next event."""
         process = Process(self, generator, name=name)
-        self._live[process] = None
+        # No registry of live processes is needed: a blocked process is
+        # kept alive by the future it waits on, which the event heap or
+        # another process holds.
         self.call_at(self.now, process)
         self._tel_spawns.inc()
         if self.telemetry.enabled:
             spawned_at = self.now
 
             def _on_complete(future: Future) -> None:
-                self._live.pop(process, None)
                 self.telemetry.complete(
                     "sim.process", spawned_at, self.now,
                     process="sim", track=process.name,
                     ok=future.exception is None,
                 )
 
-        else:
-
-            def _on_complete(future: Future) -> None:
-                self._live.pop(process, None)
-
-        process._completion.add_callback(_on_complete)
+            process._completion.add_callback(_on_complete)
         return process
 
     # ------------------------------------------------------------------

@@ -271,7 +271,7 @@ class TestMultiInstanceTdm:
         dep.sim.run(until=100_000)
         # All three instances' probe channels saw traffic.
         for state in dep.engine._instances:
-            assert state.probe_channel.send_psn > 0
+            assert state.probe_channel.window.send_psn > 0
 
     def test_instances_do_not_interfere(self):
         dep = build_microbench("cowbird-p4", 2)

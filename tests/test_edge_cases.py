@@ -16,7 +16,7 @@ class TestPsnWraparound:
         compute = bed.add_host("compute", cpu_cores=2)
         pool = bed.add_host("pool")
         qp_c, qp_p = bed.connect_qps(compute, pool)
-        qp_c.send_psn = initial_psn
+        qp_c.window.send_psn = initial_psn
         qp_p.expected_psn = initial_psn
         remote = pool.registry.register(1 << 16)
         local = compute.registry.register(1 << 16)
@@ -35,7 +35,7 @@ class TestPsnWraparound:
                 )
 
         bed.sim.run_until_complete(bed.sim.spawn(op()), deadline=1e9)
-        assert qp_c.send_psn < 16  # wrapped
+        assert qp_c.window.send_psn < 16  # wrapped
         assert local.read(local.base_addr, 8) == bytes(range(56, 64))
 
     def test_segmented_write_across_wrap(self):

@@ -4,26 +4,35 @@ Section 4.1/5.3: Cowbird guarantees per-type ordered execution from a
 single thread and read-after-write consistency (linearizability), on
 both offload engines — even under packet loss.  These tests run seeded
 random workloads and check every completion against a sequential
-reference model of the remote region.
+reference model of the remote region: at 1 % random loss over the
+whole loss census, with slots that take three packets each, and with
+chosen packets dropped on one link (a hypothesis search that shrinks a
+failure to a minimal drop set).
 """
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cowbird.api import BufferFullError, CowbirdConfig
 from repro.cowbird.wire import RwType, decode_request_id
 from repro.experiments.common import build_microbench
+from repro.rdma.packets import READ_RESPONSES, WRITES, Opcode
 from repro.sim.engine import SimulationError
 from repro.sim.network import FaultInjector
 
 REGION_BYTES = 1 << 14
 SLOTS = 16
 SLOT_BYTES = 64
+#: Slots of three packets each at the 1024 B MTU.
+TRAIN_SLOT_BYTES = 2560
 
 
-def random_workload_check(dep, seed, ops=60, deadline=500e9):
-    """Issue a random read/write mix; validate against a shadow model."""
+def random_workload_check(dep, seed, ops=60, deadline=500e9, slot_bytes=SLOT_BYTES):
+    """Issue a random read/write mix of ``slot_bytes`` slots; validate
+    against a shadow model.  The region must hold ``SLOTS`` slots."""
     inst = dep.instances[0]
     thread = dep.compute.cpu.thread()
     rng = random.Random(seed)
@@ -33,7 +42,7 @@ def random_workload_check(dep, seed, ops=60, deadline=500e9):
     # guarantees per-type order and read-AFTER-write consistency, but a
     # write issued after an in-flight read may legally be observed by it
     # (both linearization orders are valid for concurrent operations).
-    history = {slot: [b"\x00" * SLOT_BYTES] for slot in range(SLOTS)}
+    history = {slot: [b"\x00" * slot_bytes] for slot in range(SLOTS)}
     read_window = {}   # request_id -> (slot, index of version at issue)
     issue_order = {"read": [], "write": []}
     completion_order = {"read": [], "write": []}
@@ -58,10 +67,10 @@ def random_workload_check(dep, seed, ops=60, deadline=500e9):
         outstanding = 0
         for _ in range(ops):
             slot = rng.randrange(SLOTS)
-            offset = slot * SLOT_BYTES
+            offset = slot * slot_bytes
             if rng.random() < 0.4:
                 version += 1
-                payload = version.to_bytes(4, "little") * (SLOT_BYTES // 4)
+                payload = version.to_bytes(4, "little") * (slot_bytes // 4)
                 request_id = yield from inst.async_write(
                     thread, 0, offset, payload
                 )
@@ -69,7 +78,7 @@ def random_workload_check(dep, seed, ops=60, deadline=500e9):
                 issue_order["write"].append(request_id)
             else:
                 request_id = yield from inst.async_read(
-                    thread, 0, offset, SLOT_BYTES
+                    thread, 0, offset, slot_bytes
                 )
                 read_window[request_id] = (slot, len(history[slot]) - 1)
                 issue_order["read"].append(request_id)
@@ -114,8 +123,8 @@ def random_workload_check(dep, seed, ops=60, deadline=500e9):
     # order, so the last issued write is the last applied).
     pool_region = dep.pool_region()
     for slot, versions in history.items():
-        actual = pool_region.read(dep.region.translate(slot * SLOT_BYTES),
-                                  SLOT_BYTES)
+        actual = pool_region.read(dep.region.translate(slot * slot_bytes),
+                                  slot_bytes)
         assert actual == versions[-1], f"slot {slot} diverged from the model"
     # Under REPRO_SANITIZE=1 this also drains the network and fails on a
     # leaked packet or timer.
@@ -131,8 +140,37 @@ def lossless_cases(seeds):
     ]
 
 
+def loss_census():
+    """``(seed, ops)`` inputs of the loss census: seeds 1–20 at 40 ops
+    and seeds 1–60 at 200 ops.  A 200-op case's id is its seed; a 40-op
+    case's ends in ``-ops40``."""
+    return [pytest.param(seed, 40, id=f"{seed}-ops40") for seed in range(1, 21)] + [
+        pytest.param(seed, 200, id=str(seed)) for seed in range(1, 61)
+    ]
+
+
 SPOT_SEEDS = [1, 7, 42]
 P4_SEEDS = [3, 11]
+#: Seeds of the 3-packet-slot runs under loss, at 200 ops each.
+TRAIN_SEEDS = range(1, 21)
+
+
+def lossy_deployment(system, seed, remote_bytes=REGION_BYTES, **fault):
+    """``system`` with every link dropping packets: 1 % at random by
+    default, or as ``fault`` tells the injector.  Spot draws its losses
+    from ``seed``, P4 from ``seed + 100`` with a 100 µs data-plane
+    timeout."""
+    fault = fault or {"drop_rate": 0.01}
+    if system == "cowbird":
+        return build_microbench(
+            system, 1, remote_bytes=remote_bytes,
+            fault_injector=FaultInjector(seed=seed, **fault),
+        )
+    return build_microbench(
+        system, 1, remote_bytes=remote_bytes,
+        fault_injector=FaultInjector(seed=seed + 100, **fault),
+        engine_config={"timeout_ns": 100_000},
+    )
 
 
 class TestSpotLinearizability:
@@ -141,13 +179,14 @@ class TestSpotLinearizability:
         dep = build_microbench("cowbird", 1, remote_bytes=REGION_BYTES)
         random_workload_check(dep, seed, ops=ops)
 
-    @pytest.mark.parametrize("seed", SPOT_SEEDS)
-    def test_random_mix_under_loss(self, seed):
-        dep = build_microbench(
-            "cowbird", 1, remote_bytes=REGION_BYTES,
-            fault_injector=FaultInjector(seed=seed, drop_rate=0.01),
-        )
-        random_workload_check(dep, seed, ops=200)
+    @pytest.mark.parametrize("seed, ops", loss_census())
+    def test_random_mix_under_loss(self, seed, ops):
+        random_workload_check(lossy_deployment("cowbird", seed), seed, ops=ops)
+
+    @pytest.mark.parametrize("seed", TRAIN_SEEDS)
+    def test_multi_packet_slots_under_loss(self, seed):
+        dep = lossy_deployment("cowbird", seed, remote_bytes=SLOTS * TRAIN_SLOT_BYTES)
+        random_workload_check(dep, seed, ops=200, slot_bytes=TRAIN_SLOT_BYTES)
 
 
 class TestP4Linearizability:
@@ -156,14 +195,84 @@ class TestP4Linearizability:
         dep = build_microbench("cowbird-p4", 1, remote_bytes=REGION_BYTES)
         random_workload_check(dep, seed, ops=ops)
 
-    @pytest.mark.parametrize("seed", P4_SEEDS)
-    def test_random_mix_under_loss(self, seed):
-        dep = build_microbench(
-            "cowbird-p4", 1, remote_bytes=REGION_BYTES,
-            fault_injector=FaultInjector(seed=seed + 100, drop_rate=0.01),
-            engine_config={"timeout_ns": 100_000},
-        )
-        random_workload_check(dep, seed, ops=40)
+    @pytest.mark.parametrize("seed, ops", loss_census())
+    def test_random_mix_under_loss(self, seed, ops):
+        random_workload_check(lossy_deployment("cowbird-p4", seed), seed, ops=ops)
+
+    @pytest.mark.parametrize("seed", TRAIN_SEEDS)
+    def test_multi_packet_slots_under_loss(self, seed):
+        dep = lossy_deployment("cowbird-p4", seed, remote_bytes=SLOTS * TRAIN_SLOT_BYTES)
+        random_workload_check(dep, seed, ops=200, slot_bytes=TRAIN_SLOT_BYTES)
+
+
+#: The workload every drop set is checked on.
+DROP_SEED, DROP_OPS = 3, 40
+
+
+def packet_kind(packet, red_addr):
+    """The class a dropped packet is picked from, or None."""
+    opcode = packet.opcode
+    if opcode is Opcode.RC_RDMA_READ_REQUEST:
+        return "read request"
+    if opcode in READ_RESPONSES:
+        return "read response"
+    if opcode is Opcode.RC_ACKNOWLEDGE:
+        return "ack or nak"
+    if opcode in WRITES and packet.virtual_address == red_addr:
+        return "red block write"
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def droppable_packets(system):
+    """One lossless pass of the drop-set workload on ``system``: the
+    1-based ordinal of every packet on each link, by ``(link, kind)``.
+
+    A link counts the packets it commits, in commit order, which is the
+    order its injector is asked about them, so a later run with only
+    ``drop_exactly`` loss sees the same packets up to its first drop.
+    """
+    dep = lossy_deployment(system, DROP_SEED, drop_rate=0.0)
+    red_addr = dep.instances[0].bookkeeping.red_addr
+    ordinals = {}
+
+    def tap(link):
+        commit = link._start
+        seen = 0
+
+        def start(packet, at):
+            nonlocal seen
+            seen += 1
+            kind = packet_kind(packet, red_addr)
+            if kind is not None:
+                ordinals.setdefault((link.name, kind), []).append(seen)
+            return commit(packet, at)
+
+        link._start = start
+
+    for host in dep.bed.hosts.values():
+        tap(host.uplink)
+        tap(host.downlink)
+    random_workload_check(dep, DROP_SEED, ops=DROP_OPS)
+    return {key: tuple(found) for key, found in sorted(ordinals.items())}
+
+
+@pytest.mark.parametrize("system", ["cowbird", "cowbird-p4"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_any_drop_set_on_one_link_keeps_the_model(system, data):
+    """Drop a few chosen packets of one kind on one link: read requests,
+    read responses, ACKs and NAKs, or red-block writes.  Every completion
+    must still match the shadow model, and hypothesis shrinks a failure
+    to a minimal drop set."""
+    packets = droppable_packets(system)
+    link, kind = data.draw(st.sampled_from(sorted(packets)), label="link, kind")
+    drops = data.draw(
+        st.lists(st.sampled_from(packets[link, kind]), min_size=1, max_size=3, unique=True),
+        label="ordinals",
+    )
+    dep = lossy_deployment(system, DROP_SEED, drop_exactly={link: drops})
+    random_workload_check(dep, DROP_SEED, ops=DROP_OPS)
 
 
 class TestFullMetadataRing:

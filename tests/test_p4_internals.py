@@ -1,9 +1,15 @@
-"""White-box tests for Cowbird-P4 engine internals."""
+"""White-box tests for Cowbird-P4 engine internals.
+
+The channels' PSN bookkeeping is the shared requester window
+(``tests/test_requester_window.py`` covers it for both engines); these
+cases drive the switch pipeline: acknowledgments completing requests,
+and Go-Back-N sending every outstanding op again at its own PSNs.
+"""
 
 import pytest
 
-from repro.cowbird.p4_engine import _AppOp
-from repro.cowbird.wire import RequestMetadata, RwType
+from repro.cowbird.p4_engine import _AppOp, _EngineOp
+from repro.cowbird.wire import RedBlock, RequestMetadata, RwType
 from repro.experiments.common import build_microbench
 from repro.rdma.packets import (
     PSN_MODULUS,
@@ -11,12 +17,70 @@ from repro.rdma.packets import (
     Opcode,
     RocePacket,
     psn_add,
-    psn_distance,
 )
 
 
 def build(num_instances=1, **p4_kwargs):
     return build_microbench("cowbird-p4", num_instances, engine_config=p4_kwargs)
+
+
+def capture(dep):
+    """Keep every packet the switch sends in a list instead of the network."""
+    sent = []
+    dep.bed.switch.inject = sent.append
+    return sent
+
+
+def wire(packets):
+    """``(destination, opcode, psn)`` of each sent packet."""
+    return [(p.dst, p.opcode, p.psn) for p in packets]
+
+
+def _app_op(state, rw_type, sequence, length=8):
+    metadata = RequestMetadata(
+        rw_type=rw_type, req_addr=0, resp_addr=0, length=length, region_id=0
+    )
+    return _AppOp(
+        instance=state, sequence=sequence, metadata=metadata,
+        ring_index=sequence - 1,
+    )
+
+
+def _open(channel, kind, num_psns, parent=None):
+    """Open a write op on ``channel`` as the engine would have sent it."""
+    op = _EngineOp(
+        num_psns=num_psns, kind=kind, channel=channel, length=num_psns * 1024,
+        parent=parent, instance=channel.engine._instances[0],
+    )
+    channel.window.open(op)
+    if parent is not None:
+        parent.write_train = op
+    return op
+
+
+def _ack(engine, channel, psn):
+    packet = RocePacket(
+        src=channel.peer_node, dst=engine.node,
+        opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=channel.virtual_qpn, psn=psn,
+        syndrome=SYNDROME_ACK, msn=0,
+    )
+    assert engine._pipeline(packet, None) == []
+
+
+def _response(engine, channel, op, segment, opcode):
+    """One read-response segment for ``op`` on ``channel``."""
+    mtu = engine.config.mtu_bytes
+    size = min(mtu, op.length - segment * mtu)
+    return RocePacket(
+        src=channel.peer_node, dst=engine.node,
+        opcode=opcode, dest_qp=channel.virtual_qpn,
+        psn=psn_add(op.first_psn, segment),
+        syndrome=SYNDROME_ACK, msn=0,
+        payload=b"w" * size,
+    )
+
+
+ONLY = Opcode.RC_RDMA_READ_RESPONSE_ONLY
 
 
 class TestChannels:
@@ -48,266 +112,215 @@ class TestChannels:
         dep = build()
         state = dep.engine._instances[0]
         channel = state.data_channel
-        op1 = channel.emit_read(0x1000, 100, kind="meta", instance=state)
-        op2 = channel.emit_read(0x2000, 3000, kind="meta", instance=state)
+        op1 = channel.emit(0x1000, 100, kind="meta", instance=state)
+        op2 = channel.emit(0x2000, 3000, kind="meta", instance=state)
         assert op1.first_psn == 0 and op1.num_psns == 1
         assert op2.first_psn == 1 and op2.num_psns == 3  # 3000 B / 1024 MTU
-        assert channel.send_psn == 4
+        assert channel.window.send_psn == 4
 
     def test_match_finds_covering_op_and_skips_done(self):
         dep = build()
         state = dep.engine._instances[0]
-        channel = state.data_channel
-        op = channel.emit_read(0x1000, 3000, kind="meta", instance=state)
-        assert channel.match(op.first_psn) is op
-        assert channel.match(psn_add(op.first_psn, 2)) is op
-        assert channel.match(psn_add(op.first_psn, 3)) is None
-        channel.retire(op)
-        assert channel.match(op.first_psn) is None
+        window = state.data_channel.window
+        op = state.data_channel.emit(0x1000, 3000, kind="meta", instance=state)
+        assert window.find(op.first_psn) is op
+        assert window.find(psn_add(op.first_psn, 2)) is op
+        assert window.find(psn_add(op.first_psn, 3)) is None
+        op.missing = 0  # its data is in
+        assert window.retire_through(op.last_psn) == [op]
+        assert window.find(op.first_psn) is None
 
-    def test_go_back_n_rewinds_psn(self):
+    def test_go_back_n_replays_at_own_psns(self):
+        """Go-Back-N sends every outstanding op again at its own PSNs,
+        oldest first; ``send_psn`` never moves back."""
         dep = build()
         engine = dep.engine
         state = engine._instances[0]
         channel = state.data_channel
-        op1 = channel.emit_read(0x1000, 100, kind="meta", instance=state)
-        op2 = channel.emit_read(0x2000, 100, kind="meta", instance=state)
-        del op2
-        psn_before = channel.send_psn
-        assert psn_before == 2
+        sent = capture(dep)
+        op1 = channel.emit(0x1000, 100, kind="meta", instance=state)
+        op2 = channel.emit(0x2000, 100, kind="meta", instance=state)
+        sent.clear()
         engine._go_back_n(channel)
-        # The rewind resets to the oldest incomplete op's first PSN and
-        # re-allocates; meta replays re-enter via _maybe_fetch_metadata,
-        # so the counter never exceeds its pre-failure value.
-        assert channel.send_psn <= psn_before
+        read = Opcode.RC_RDMA_READ_REQUEST
+        assert wire(sent) == [("compute", read, 0), ("compute", read, 1)]
+        assert channel.window.send_psn == 2
+        assert list(channel.window.outstanding) == [op1, op2]
+        assert op1.retries == op2.retries == 1
         assert engine.stats.go_back_n_events == 1
 
 
-def _app_op(state, rw_type, sequence, length=8):
-    metadata = RequestMetadata(
-        rw_type=rw_type, req_addr=0, resp_addr=0, length=length, region_id=0
-    )
-    return _AppOp(
-        instance=state, sequence=sequence, metadata=metadata,
-        ring_index=sequence - 1,
-    )
-
-
-def _full_scan_retired(channel, psn):
-    """What a scan over every in-flight op retires for an ACK of ``psn``:
-    each pending write-kind op whose last PSN is at or before ``psn``."""
-    return [
-        op for op in channel.inflight
-        if op.kind in ("resp_write", "pool_write", "red_update")
-        and psn_distance(op.last_psn, psn) < PSN_MODULUS // 2
-    ]
-
-
-def _assert_psn_order(channel):
-    start = channel.inflight[0].first_psn
-    offsets = [psn_distance(start, op.first_psn) for op in channel.inflight]
-    assert offsets == sorted(offsets)
-
-
 class TestCumulativeAckAcrossPsnWrap:
-    """A cumulative ACK retires exactly the covered write-kind ops, in
-    PSN order, also when their PSN ranges cross the 24-bit wrap."""
-
-    def _ack(self, engine, channel, psn):
-        """Deliver an ACK for ``psn``; return the ops it retired, in order."""
-        expected = _full_scan_retired(channel, psn)
-        retired = []
-        retire = channel.retire
-        channel.retire = lambda op: (retired.append(op), retire(op))
-        try:
-            packet = RocePacket(
-                src=channel.peer_node, dst=engine.node,
-                opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=channel.virtual_qpn, psn=psn,
-                syndrome=SYNDROME_ACK, msn=0,
-            )
-            assert engine._pipeline(packet, None) == []
-        finally:
-            del channel.retire
-        assert retired == expected
-        return retired
+    """An ACK through the pipeline completes the requests of the trains
+    it covers, in PSN order, also across the 24-bit wrap."""
 
     def test_data_channel_writes_cross_the_wrap(self):
         dep = build()
         engine = dep.engine
         state = engine._instances[0]
         channel = state.data_channel
-        channel.send_psn = PSN_MODULUS - 2
+        sent = capture(dep)
+        channel.window.send_psn = PSN_MODULUS - 2
         first, second = _app_op(state, RwType.READ, 1), _app_op(state, RwType.READ, 2)
-        meta = channel.emit_read(0x1000, 100, kind="meta", instance=state)
-        train = channel.open_op(3000, kind="resp_write", parent=first, instance=state)
-        fetch = channel.emit_read(
-            0x2000, 100, kind="write_fetch",
-            parent=_app_op(state, RwType.WRITE, 1), instance=state,
-        )
-        red = channel.open_op(40, kind="red_update", parent=None, instance=state)
-        later = channel.open_op(2048, kind="resp_write", parent=second, instance=state)
-        assert [op.first_psn for op in channel.inflight] == [
-            PSN_MODULUS - 2, PSN_MODULUS - 1, 2, 3, 4,
+        train = _open(channel, "resp_write", 3, first)
+        red = _open(channel, "red_update", 1)
+        later = _open(channel, "resp_write", 2, second)
+        assert [op.first_psn for op in channel.window.outstanding] == [
+            PSN_MODULUS - 2, 1, 2,
         ]
-        assert train.last_psn == 1  # the train crosses the wrap
 
-        assert self._ack(engine, channel, PSN_MODULUS - 1) == []
-        assert self._ack(engine, channel, 0) == []  # mid-train: not covered
-        assert self._ack(engine, channel, 3) == [train, red]
+        _ack(engine, channel, PSN_MODULUS - 1)  # mid-train: not covered
+        assert list(channel.window.outstanding) == [train, red, later]
+        _ack(engine, channel, 0)
         assert first.completed and not second.completed
-        # Read-kind ops stay pending; completing ``first`` queued its red
-        # block update (PSN 6) behind ``later``.
-        assert list(channel.inflight)[:3] == [meta, fetch, later]
-        update = channel.inflight[-1]
-        assert (update.kind, update.first_psn) == ("red_update", 6)
-        assert self._ack(engine, channel, 5) == [later]
+        # The completion sent its red block update at the next PSN.
+        update = channel.window.outstanding[-1]
+        assert (update.kind, update.first_psn) == ("red_update", 4)
+        assert wire(sent) == [("compute", Opcode.RC_RDMA_WRITE_ONLY, 4)]
+        _ack(engine, channel, 3)
         assert second.completed
-        assert self._ack(engine, channel, 6) == [update]
-        assert list(channel.inflight)[:2] == [meta, fetch]
+        assert [op.kind for op in channel.window.outstanding] == ["red_update"] * 2
+        _ack(engine, channel, 5)
+        assert not channel.window.outstanding
 
     def test_pool_channel_leaves_read_fetches_pending(self):
+        """A read fetch whose data is not in holds back the write behind
+        it, though the pool acknowledged the write: the fetch may have to
+        be sent again, and then so must everything after it."""
         dep = build()
         engine = dep.engine
         state = engine._instances[0]
         channel = next(iter(state.pool_channels.values()))
-        channel.send_psn = PSN_MODULUS - 1
+        capture(dep)
+        channel.window.send_psn = PSN_MODULUS - 1
         rkey = state.descriptor.remote_regions[0].rkey
-        reads = [_app_op(state, RwType.READ, n) for n in (1, 2)]
-        fetch = channel.emit_read(
+        reads = [_app_op(state, RwType.READ, n, length=1024) for n in (1, 2)]
+        fetch = channel.emit(
             0, 1024, kind="read_fetch", parent=reads[0], instance=state, rkey=rkey
         )
         write = _app_op(state, RwType.WRITE, 1)
-        train = channel.open_op(2048, kind="pool_write", parent=write, instance=state)
-        fetch2 = channel.emit_read(
-            1024, 2048, kind="read_fetch", parent=reads[1], instance=state, rkey=rkey
+        train = _open(channel, "pool_write", 2, write)
+        fetch2 = channel.emit(
+            1024, 1024, kind="read_fetch", parent=reads[1], instance=state, rkey=rkey
         )
-        assert [op.first_psn for op in channel.inflight] == [PSN_MODULUS - 1, 0, 2]
-        assert self._ack(engine, channel, 3) == [train]
+        assert [op.first_psn for op in channel.window.outstanding] == [PSN_MODULUS - 1, 0, 2]
+        _ack(engine, channel, 1)
+        assert not write.completed
+        assert list(channel.window.outstanding) == [fetch, train, fetch2]
+        # The fetch's data arrives: it retires, and the next ACK covers
+        # the write.
+        engine._pipeline(_response(engine, channel, fetch, 0, ONLY), None)
+        assert list(channel.window.outstanding) == [train, fetch2]
+        _ack(engine, channel, 1)
         assert write.completed
-        assert list(channel.inflight) == [fetch, fetch2]
+        assert list(channel.window.outstanding) == [fetch2]
 
-    def test_after_go_back_n_rewind(self):
+    def test_after_go_back_n_replay(self):
+        """After a replay, new ops take the PSNs after every replayed
+        one, and ACKs retire them all in PSN order."""
         dep = build()
         engine = dep.engine
         state = engine._instances[0]
         channel = state.data_channel
-        channel.send_psn = PSN_MODULUS - 2
-        channel.emit_read(0x1000, 100, kind="meta", instance=state)
-        channel.emit_read(
+        sent = capture(dep)
+        channel.window.send_psn = PSN_MODULUS - 2
+        meta = channel.emit(0x1000, 100, kind="meta", instance=state)
+        fetch = channel.emit(
             0x2000, 100, kind="write_fetch",
             parent=_app_op(state, RwType.WRITE, 1), instance=state,
         )
-        channel.open_op(3000, kind="resp_write",
-                            parent=_app_op(state, RwType.READ, 1), instance=state)
-        channel.open_op(40, kind="red_update", parent=None, instance=state)
+        red = _open(channel, "red_update", 1)
+        sent.clear()
         engine._go_back_n(channel)
-        # Rewound to the oldest op's PSN and replayed in order: the write
-        # fetch and the red block update; the meta read is regenerated by
-        # probing and the response train by a pool re-fetch.
-        assert channel.send_psn == psn_add(PSN_MODULUS - 2, 2)
-        fetch, red = channel.inflight
-        assert (fetch.kind, fetch.first_psn) == ("write_fetch", PSN_MODULUS - 2)
-        assert (red.kind, red.first_psn) == ("red_update", PSN_MODULUS - 1)
-        train = channel.open_op(3000, kind="resp_write",
-                                    parent=_app_op(state, RwType.READ, 2), instance=state)
-        meta = channel.emit_read(0x3000, 100, kind="meta", instance=state)
-        red2 = channel.open_op(40, kind="red_update", parent=None, instance=state)
-        _assert_psn_order(channel)
-        assert (train.first_psn, train.last_psn) == (0, 2)
-        assert self._ack(engine, channel, 1) == [red]
-        assert self._ack(engine, channel, 4) == [train, red2]
-        assert list(channel.inflight)[:2] == [fetch, meta]
-        _assert_psn_order(channel)
-
-
-def _fetch_response(engine, state, fetch, segment, opcode):
-    """One compute-node read-response segment for ``fetch``."""
-    mtu = engine.config.mtu_bytes
-    size = min(mtu, fetch.expect_bytes - segment * mtu)
-    return RocePacket(
-        src="compute", dst=engine.node,
-        opcode=opcode, dest_qp=state.data_channel.virtual_qpn,
-        psn=psn_add(fetch.first_psn, segment),
-        syndrome=SYNDROME_ACK, msn=0,
-        payload=b"w" * size,
-    )
+        read, write = Opcode.RC_RDMA_READ_REQUEST, Opcode.RC_RDMA_WRITE_ONLY
+        assert wire(sent) == [
+            ("compute", read, PSN_MODULUS - 2),
+            ("compute", read, PSN_MODULUS - 1),
+            ("compute", write, 0),
+        ]
+        meta2 = channel.emit(0x3000, 100, kind="meta", instance=state)
+        assert meta2.first_psn == 1
+        assert wire(sent[-1:]) == [("compute", read, 1)]
+        _ack(engine, channel, 0)
+        assert list(channel.window.outstanding) == [meta, fetch, red, meta2]
+        meta.missing = fetch.missing = 0  # their data arrived
+        _ack(engine, channel, 0)
+        assert list(channel.window.outstanding) == [meta2]
 
 
 class TestGoBackNReplay:
     def test_replayed_read_waits_for_a_replayed_write_fetch(self):
-        """Go-Back-N on a pool channel re-fetches a lost pool write's
-        payload from the compute node; the read replayed with it waits
-        for that fetch (pause-all-reads) instead of overtaking the write,
-        and counts as no new recycled packet."""
+        """Go-Back-N on a pool channel re-fetches a pool write's payload
+        over the probe channel, which carries only reads; the read
+        behind the write waits until the write went out again."""
         dep = build()
         engine = dep.engine
         state = engine._instances[0]
         pool = next(iter(state.pool_channels.values()))
+        sent = capture(dep)
         write = _app_op(state, RwType.WRITE, 1)
         read = _app_op(state, RwType.READ, 2)
         engine._execute_write(state, write)
-        engine._pipeline(_fetch_response(
-            engine, state, write.fetch_op, 0, Opcode.RC_RDMA_READ_RESPONSE_ONLY,
-        ), None)
+        (fetch,) = state.data_channel.window.outstanding
+        engine._pipeline(_response(engine, state.data_channel, fetch, 0, ONLY), None)
+        assert not state.data_channel.window.outstanding  # the fetch retired
         engine._execute_read(state, read)
         recycled = engine.stats.recycled_packets
 
+        sent.clear()
         engine._go_back_n(pool)
-        assert list(state.pending) == [read]
-        assert not pool.inflight
-        (fetch,) = state.data_channel.inflight
-        assert (fetch.kind, fetch.parent) == ("write_fetch", write)
-        assert state.fetching_writes == 1
+        (refetch,) = state.probe_channel.window.outstanding
+        assert (refetch.kind, refetch.parent) == ("refetch", write)
+        assert wire(sent) == [("compute", Opcode.RC_RDMA_READ_REQUEST, 0)]
+        assert [op.parent for op in pool.backlog] == [write, read]
 
-        # The payload arrives: the write goes to the pool, then the read.
-        response = _fetch_response(
-            engine, state, fetch, 0, Opcode.RC_RDMA_READ_RESPONSE_ONLY,
-        )
-        assert engine._pipeline(response, None) == []
-        assert [(op.kind, op.parent) for op in pool.inflight] == [
-            ("pool_write", write), ("read_fetch", read),
+        # The payload arrives: the write goes to the pool again, then the
+        # read, each at its own PSN.
+        engine._pipeline(_response(engine, state.probe_channel, refetch, 0, ONLY), None)
+        assert wire(sent[1:]) == [
+            ("pool", Opcode.RC_RDMA_WRITE_ONLY, 0),
+            ("pool", Opcode.RC_RDMA_READ_REQUEST, 1),
         ]
-        assert not state.pending
-        assert state.fetching_writes == 0
-        # One recycle for the converted write data, none for the replay.
+        assert not pool.backlog
+        # One recycle for the converted write data.
         assert engine.stats.recycled_packets == recycled + 1
 
-    def test_one_red_update_per_rewind(self):
-        """Each red block update carries the whole current red block, so
-        a rewind over several of them replays one, in the first one's
-        place, with the current block."""
+    def test_red_updates_replay_the_current_block(self):
+        """Each red block update is sent again at its own PSN, carrying
+        the red block as it is now."""
         dep = build()
         engine = dep.engine
         state = engine._instances[0]
         channel = state.data_channel
-        for sequence in (1, 2, 3):
-            channel.open_op(40, kind="red_update", parent=None, instance=state)
-            write = _app_op(state, RwType.WRITE, sequence)
-            write.fetch_op = channel.emit_read(
-                0x2000, 100, kind="write_fetch", parent=write, instance=state,
-            )
-        state.fetching_writes = 3
+        sent = capture(dep)
+        writes = [_app_op(state, RwType.WRITE, n) for n in (1, 2, 3)]
+        state.in_order.extend(writes)
+        for write in writes:
+            engine._complete_app_op(state, write)
+        assert [RedBlock.unpack(p.payload).write_progress for p in sent] == [1, 2, 3]
         updates = engine.stats.red_updates
 
+        sent.clear()
         engine._go_back_n(channel)
-        assert [op.kind for op in channel.inflight] == [
-            "red_update", "write_fetch", "write_fetch", "write_fetch",
+        assert wire(sent) == [
+            ("compute", Opcode.RC_RDMA_WRITE_ONLY, psn) for psn in (0, 1, 2)
         ]
-        assert [op.first_psn for op in channel.inflight] == [0, 1, 2, 3]
-        assert engine.stats.red_updates == updates + 1
-        assert state.fetching_writes == 3
+        assert [RedBlock.unpack(p.payload).write_progress for p in sent] == [3, 3, 3]
+        assert engine.stats.red_updates == updates
 
     @pytest.mark.parametrize("max_retries", [16, 0])
     def test_rewind_mid_fetch_keeps_fetching_writes_balanced(self, max_retries):
         """A two-MTU write opens its pool train on the first fetched
-        segment.  Rewinding the pool channel then supersedes a fetch that
-        is still streaming: its ``fetching_writes`` count is given back,
-        so a queued read drains once the replayed fetch lands (or at once
-        when the write is given up)."""
+        segment.  Go-Back-N on the pool channel while the fetch still
+        streams makes the train re-fetch its payload (or gives it up).
+        The fetch's own completion gives back its ``fetching_writes``
+        count, so the paused read drains, and goes to the pool only
+        behind the write."""
         dep = build(max_retries=max_retries)
         engine = dep.engine
         state = engine._instances[0]
         pool = next(iter(state.pool_channels.values()))
+        sent = capture(dep)
         mtu = engine.config.mtu_bytes
         write = _app_op(state, RwType.WRITE, 1, length=2 * mtu)
         read = _app_op(state, RwType.READ, 2)
@@ -316,40 +329,114 @@ class TestGoBackNReplay:
         engine._drain_pending(state)
         assert list(state.pending) == [read]  # paused behind the write
 
-        stale_fetch = write.fetch_op
-        engine._pipeline(_fetch_response(
-            engine, state, stale_fetch, 0, Opcode.RC_RDMA_READ_RESPONSE_FIRST,
-        ), None)
-        assert [op.kind for op in pool.inflight] == ["pool_write"]
+        (fetch,) = state.data_channel.window.outstanding
+        first, last = Opcode.RC_RDMA_READ_RESPONSE_FIRST, Opcode.RC_RDMA_READ_RESPONSE_LAST
+        engine._pipeline(_response(engine, state.data_channel, fetch, 0, first), None)
+        assert [op.kind for op in pool.window.outstanding] == ["pool_write"]
 
         engine._go_back_n(pool)
-        assert stale_fetch not in state.data_channel.inflight
-        # The rest of the superseded fetch is stale.
-        stale = engine.stats.stale_packets
-        engine._pipeline(_fetch_response(
-            engine, state, stale_fetch, 1, Opcode.RC_RDMA_READ_RESPONSE_LAST,
-        ), None)
-        assert engine.stats.stale_packets == stale + 1
-
-        if max_retries == 0:
-            assert engine.stats.ops_failed == 1
-            assert not state.data_channel.inflight
-        else:
-            assert state.fetching_writes == 1
-            assert list(state.pending) == [read]
-            fetch = write.fetch_op
-            for segment, opcode in enumerate((
-                Opcode.RC_RDMA_READ_RESPONSE_FIRST,
-                Opcode.RC_RDMA_READ_RESPONSE_LAST,
-            )):
-                engine._pipeline(
-                    _fetch_response(engine, state, fetch, segment, opcode), None
-                )
-            assert [(op.kind, op.parent) for op in pool.inflight] == [
-                ("pool_write", write), ("read_fetch", read),
-            ]
+        sent.clear()
+        # The rest of the fetch completes it, but no longer feeds the train.
+        engine._pipeline(_response(engine, state.data_channel, fetch, 1, last), None)
         assert state.fetching_writes == 0
         assert not state.pending
+        if max_retries == 0:
+            assert engine.stats.ops_failed == 1
+            assert wire(sent) == [("pool", Opcode.RC_RDMA_READ_REQUEST, 2)]
+        else:
+            assert not sent  # the read waits behind the train
+            (refetch,) = state.probe_channel.window.outstanding
+            for segment, opcode in enumerate((first, last)):
+                engine._pipeline(
+                    _response(engine, state.probe_channel, refetch, segment, opcode),
+                    None,
+                )
+            assert wire(sent) == [
+                ("pool", Opcode.RC_RDMA_WRITE_FIRST, 0),
+                ("pool", Opcode.RC_RDMA_WRITE_LAST, 1),
+                ("pool", Opcode.RC_RDMA_READ_REQUEST, 2),
+            ]
+            assert engine.stats.ops_failed == 0
+
+    def test_a_waiting_train_is_not_acknowledged(self):
+        """An ACK for a train that waits to be sent again retires neither
+        it nor what follows: an older duplicate sent since may have undone
+        it at the responder."""
+        dep = build()
+        engine = dep.engine
+        state = engine._instances[0]
+        pool = next(iter(state.pool_channels.values()))
+        capture(dep)
+        older, newer = _app_op(state, RwType.WRITE, 1), _app_op(state, RwType.WRITE, 2)
+        _open(pool, "pool_write", 1, older)
+        _open(pool, "pool_write", 1, newer)
+        engine._go_back_n(pool)
+        assert [op.parent for op in pool.backlog] == [older, newer]
+        _ack(engine, pool, 1)  # the originals' late ACK
+        assert not older.completed and not newer.completed
+        assert len(pool.window.outstanding) == 2
+
+    def test_a_response_train_refetches_from_the_pool(self):
+        """A response train whose pool read is done reads the pool again
+        as a new read at the pool channel's next PSN, behind every write
+        the pool executed before it."""
+        dep = build()
+        engine = dep.engine
+        state = engine._instances[0]
+        pool = next(iter(state.pool_channels.values()))
+        sent = capture(dep)
+        read = _app_op(state, RwType.READ, 1)
+        engine._execute_read(state, read)
+        (fetch,) = pool.window.outstanding
+        engine._pipeline(_response(engine, pool, fetch, 0, ONLY), None)
+        train = read.write_train
+        assert (train.kind, train.first_psn) == ("resp_write", 0)
+        engine._execute_write(state, _app_op(state, RwType.WRITE, 1))
+
+        sent.clear()
+        engine._go_back_n(state.data_channel)
+        (refetch,) = pool.window.outstanding
+        assert (refetch.kind, refetch.first_psn) == ("refetch", 1)
+        # The write fetch behind the train waits for it.
+        assert wire(sent) == [("pool", Opcode.RC_RDMA_READ_REQUEST, 1)]
+        engine._pipeline(_response(engine, pool, refetch, 0, ONLY), None)
+        assert wire(sent[1:]) == [
+            ("compute", Opcode.RC_RDMA_WRITE_ONLY, 0),
+            ("compute", Opcode.RC_RDMA_READ_REQUEST, 1),
+        ]
+
+    def test_a_source_read_sent_again_makes_its_train_refetch(self):
+        """A pool read sent again may return newer data than the segments
+        its train already sent; the train takes its payload from one new
+        read instead, so one response never mixes two versions."""
+        dep = build()
+        engine = dep.engine
+        state = engine._instances[0]
+        pool = next(iter(state.pool_channels.values()))
+        sent = capture(dep)
+        mtu = engine.config.mtu_bytes
+        read = _app_op(state, RwType.READ, 1, length=2 * mtu)
+        engine._execute_read(state, read)
+        (fetch,) = pool.window.outstanding
+        first = Opcode.RC_RDMA_READ_RESPONSE_FIRST
+        engine._pipeline(_response(engine, pool, fetch, 0, first), None)
+        train = read.write_train
+        assert train.source is fetch and train.sent == 1
+
+        sent.clear()
+        engine._go_back_n(pool)
+        refetch = pool.window.outstanding[-1]
+        assert refetch.kind == "refetch" and train.source is refetch
+        assert wire(sent) == [
+            ("pool", Opcode.RC_RDMA_READ_REQUEST, 0),
+            ("pool", Opcode.RC_RDMA_READ_REQUEST, 2),
+        ]
+        # The old read's responses feed nothing; the new one's restart
+        # the train at its first segment.
+        engine._pipeline(_response(engine, pool, fetch, 0, first), None)
+        assert len(sent) == 2
+        engine._pipeline(_response(engine, pool, refetch, 0, first), None)
+        assert wire(sent[2:]) == [("compute", Opcode.RC_RDMA_WRITE_FIRST, 0)]
 
 
 class TestProbePolicies:

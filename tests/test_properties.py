@@ -79,7 +79,7 @@ class TestPsnProperties:
     def test_last_psn_of_a_range_across_the_wrap(self, first, count):
         """A requester WR and a switch op spanning ``count`` PSNs end at
         ``psn_add(first, count - 1)``, also when the range wraps."""
-        entry = _Outstanding(wr=None, first_psn=first, num_packets=count)
+        entry = _Outstanding(wr=None, first_psn=first, num_psns=count)
         op = _EngineOp(kind="meta", channel=None, first_psn=first, num_psns=count)
         assert entry.last_psn == op.last_psn == psn_add(first, count - 1)
         assert 0 <= op.last_psn < PSN_MODULUS

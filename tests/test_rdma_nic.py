@@ -3,6 +3,7 @@
 import pytest
 
 from repro.rdma.nic import NicConfig
+from repro.rdma.packets import Opcode, RocePacket
 from repro.rdma.qp import (
     CompletionQueue,
     CompletionStatus,
@@ -92,7 +93,7 @@ class TestOneSidedRead:
             )
 
         run_op(bed, op())
-        assert qp_c.send_psn == 3
+        assert qp_c.window.send_psn == 3
 
     def test_sync_read_charges_post_and_spin_as_comm(self):
         bed, compute, pool, qp_c, _ = build_bed()
@@ -336,6 +337,79 @@ class TestReliability:
         assert len(failed) == 1
         assert "remote_access_error" in str(failed[0])
         assert qp_c.retransmissions == 0
+
+
+def _write_train(qp, region, payload, first_psn, mtu=1024):
+    """The packets of one WRITE of ``payload`` to ``region``'s base."""
+    chunks = [payload[i : i + mtu] for i in range(0, len(payload), mtu)]
+    opcodes = (
+        [Opcode.RC_RDMA_WRITE_ONLY] if len(chunks) == 1 else
+        [Opcode.RC_RDMA_WRITE_FIRST]
+        + [Opcode.RC_RDMA_WRITE_MIDDLE] * (len(chunks) - 2)
+        + [Opcode.RC_RDMA_WRITE_LAST]
+    )
+    return [
+        RocePacket(
+            src="compute", dst="pool", opcode=opcode, dest_qp=qp.qpn,
+            psn=first_psn + i, ack_request=i == len(chunks) - 1,
+            payload=chunk,
+            **({"virtual_address": region.base_addr, "remote_key": region.rkey,
+                "dma_length": len(payload)} if i == 0 else {}),
+        )
+        for i, (opcode, chunk) in enumerate(zip(opcodes, chunks))
+    ]
+
+
+class TestDuplicates:
+    """A requester replay sends requests the responder executed already.
+    Duplicates execute again, but a duplicate multi-packet write lands
+    only with a replay that reaches the expected PSN whole."""
+
+    def deliver(self, pool, packets):
+        for packet in packets:
+            pool.nic.receive(packet, None)
+
+    def test_a_replay_cut_short_lands_no_older_write(self):
+        bed, compute, pool, qp_c, qp_p = build_bed()
+        remote = pool.registry.register(8192)
+        older = _write_train(qp_p, remote, b"1" * 2560, 0)
+        newer = _write_train(qp_p, remote, b"2" * 2560, 3)
+        self.deliver(pool, older + newer)
+        assert qp_p.expected_psn == 6
+        # The replay loses the newer write's middle packet.
+        self.deliver(pool, older + [newer[0], newer[2]])
+        assert remote.read(remote.base_addr, 2560) == b"2" * 2560
+
+    def test_a_whole_replay_lands_in_psn_order(self):
+        bed, compute, pool, qp_c, qp_p = build_bed()
+        remote = pool.registry.register(8192)
+        self.deliver(pool, _write_train(qp_p, remote, b"1" * 2560, 0))
+        self.deliver(pool, _write_train(qp_p, remote, b"2" * 2560, 3))
+        replay = (
+            _write_train(qp_p, remote, b"3" * 2560, 0)
+            + _write_train(qp_p, remote, b"4" * 2560, 3)
+        )
+        self.deliver(pool, replay[:-1])
+        assert remote.read(remote.base_addr, 2560) == b"2" * 2560  # held
+        self.deliver(pool, replay[-1:])
+        assert remote.read(remote.base_addr, 2560) == b"4" * 2560
+        assert pool.nic.stats.duplicates == 6
+
+    def test_a_duplicate_read_of_a_half_written_range_is_not_answered(self):
+        bed, compute, pool, qp_c, qp_p = build_bed()
+        remote = pool.registry.register(8192)
+        read = RocePacket(
+            src="compute", dst="pool", opcode=Opcode.RC_RDMA_READ_REQUEST,
+            dest_qp=qp_p.qpn, psn=0, ack_request=True,
+            virtual_address=remote.base_addr, remote_key=remote.rkey, dma_length=64,
+        )
+        write = _write_train(qp_p, remote, b"w" * 2560, 1)
+        self.deliver(pool, [read] + write[:2])  # the write's last packet is late
+        sent = qp_p.packets_sent
+        self.deliver(pool, [read])
+        assert qp_p.packets_sent == sent  # it would return a torn range
+        self.deliver(pool, write[2:] + [read])
+        assert qp_p.packets_sent == sent + 2  # the write's ACK, then the read
 
 
 class TestRemoteAccessErrors:

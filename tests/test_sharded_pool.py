@@ -270,29 +270,26 @@ def _count_early_p4_publications(engine, readers):
     """Count, per reader, red-block updates the P4 engine emits with
     ``read_progress`` at or past a read whose write-back it has not yet
     seen acknowledged.  Such an update lands after the engine emits it,
-    so a client-side check would miss reads completed in between."""
+    so a client-side check would miss reads completed in between.  The
+    engine emits one with each completion, and a replayed one carries
+    the red block as last published."""
     by_instance = {r.instance.instance_id: r for r in readers}
     completed = {instance_id: set() for instance_id in by_instance}
     first_incomplete = dict.fromkeys(by_instance, 1)
     complete_app_op = engine._complete_app_op
-    emit_red_update = engine._emit_red_update
 
-    def recording_complete(state, app_op):
-        if app_op.metadata.rw_type is RwType.READ:
-            completed[state.descriptor.instance_id].add(app_op.sequence)
-        return complete_app_op(state, app_op)
-
-    def checked_emit(state):
+    def checked_complete(state, app_op):
         instance_id = state.descriptor.instance_id
         done = completed[instance_id]
+        if app_op.metadata.rw_type is RwType.READ:
+            done.add(app_op.sequence)
+        complete_app_op(state, app_op)  # publishes and emits the update
         while first_incomplete[instance_id] in done:
             first_incomplete[instance_id] += 1
         if state.red.read_progress >= first_incomplete[instance_id]:
             by_instance[instance_id].published_past_incomplete += 1
-        return emit_red_update(state)
 
-    engine._complete_app_op = recording_complete
-    engine._emit_red_update = checked_emit
+    engine._complete_app_op = checked_complete
 
 
 def _random_reads_check(system, shards, drop_rate=0.0, threads=4, reads=512,
@@ -333,22 +330,13 @@ def _random_reads_check(system, shards, drop_rate=0.0, threads=4, reads=512,
 
 def _read_check_cases():
     """Lossless cases keep the ``system-shards`` id; lossy ones end in
-    ``-loss``.  P4 with two shards returns reads 352 and 355 with the
-    records of reads 345 and 346 at 1 % loss (ROADMAP item 1: two
-    rewinds in one timeout tick reuse in-flight pool PSNs)."""
+    ``-loss``."""
     cases = []
     for drop_rate, suffix in ((0.0, ""), (0.01, "-loss")):
         for system in ("cowbird", "cowbird-p4"):
             for shards in (2, 4):
-                marks = ()
-                if drop_rate and system == "cowbird-p4" and shards == 2:
-                    marks = pytest.mark.xfail(
-                        strict=True, reason="ROADMAP item 1: stale PSNs after "
-                        "two rewinds in one timeout tick",
-                    )
                 cases.append(pytest.param(
-                    system, shards, drop_rate, marks=marks,
-                    id=f"{system}-{shards}{suffix}",
+                    system, shards, drop_rate, id=f"{system}-{shards}{suffix}",
                 ))
     return cases
 

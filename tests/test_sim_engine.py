@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine (repro.sim.engine)."""
 
+import gc
+
 import pytest
 
 from repro.sim.engine import AllOf, AnyOf, Future, SimulationError, Simulator
@@ -247,6 +249,26 @@ class TestProcess:
         process = sim.spawn(proc())
         sim.call_after(10, lambda: future.fail(ValueError("x")))
         assert sim.run_until_complete(process) == "caught"
+
+    def test_an_unreferenced_blocked_process_still_finishes(self):
+        """Nothing keeps a registry of live processes: a spawned process
+        that nobody references, blocked on a future a timer resolves, is
+        kept alive by that future and runs to completion."""
+        sim = Simulator()
+        finished = []
+
+        def proc():
+            future = sim.future()
+            sim.call_after(100, lambda: future.resolve("late"))
+            value = yield future
+            finished.append((sim.now, value))
+
+        sim.spawn(proc())
+        sim.run(until=50)
+        gc.collect()
+        assert finished == []
+        sim.run()
+        assert finished == [(100.0, "late")]
 
     def test_deadlock_detection(self):
         sim = Simulator()
