@@ -130,6 +130,37 @@ class HybridLog:
         self.tail_addr = addr + length
         return addr
 
+    def close_page(self) -> int:
+        """Pad the tail to the next page boundary and return it.
+
+        :meth:`allocate` and :meth:`append_page` pad the same way before
+        they open a page; a bulk load pads first so that every resident
+        page lies below the tail and may evict.
+        """
+        page_bytes = self.config.page_bytes
+        self.tail_addr = -(-self.tail_addr // page_bytes) * page_bytes
+        return self.tail_addr
+
+    def append_cold_pages(self, count: int) -> int:
+        """Append ``count`` full pages that are already on the device.
+
+        Pads the tail like :meth:`append_page` and leaves it at the end of
+        the last page.  The head counters, ``pages_evicted`` and
+        ``bytes_flushed`` end as if each page had been appended and then
+        evicted with :meth:`evict_now`, which is possible only with no
+        page resident: those are older and evict first.  Returns the
+        first page's device offset.
+        """
+        if self._pages:
+            raise ValueError("resident pages must evict before cold pages append")
+        first = self.close_page() >> self.config.page_bits
+        self._head_page = first + count
+        self.tail_addr = self._head_page << self.config.page_bits
+        self.pages_evicted += count
+        self.bytes_flushed += count * self.config.page_bytes
+        self._move_head()
+        return first << self.config.page_bits
+
     def _page_for(self, addr: int, length: int) -> tuple[bytearray, int]:
         page_bytes = self.config.page_bytes
         page = addr >> self.config.page_bits
@@ -149,7 +180,7 @@ class HybridLog:
 
     def read(self, addr: int, length: int) -> bytes:
         buffer, offset = self._page_for(addr, length)
-        return bytes(buffer[offset : offset + length])
+        return memoryview(buffer)[offset : offset + length].tobytes()
 
     # ------------------------------------------------------------------
     # Eviction protocol
@@ -166,19 +197,24 @@ class HybridLog:
         self.bytes_flushed += len(buffer)
         return page, buffer
 
-    def begin_evict(self) -> Optional[tuple[int, int, bytes]]:
+    def begin_evict(self) -> Optional[tuple[int, int, bytearray]]:
         """Start evicting the oldest in-memory page.
 
-        Returns ``(page_number, device_offset, page_bytes)`` for the
-        caller to write to the storage device, or ``None`` if nothing is
-        evictable (the tail page never evicts).
+        Returns ``(page_number, device_offset, buffer)`` for the caller to
+        write to the storage device, or ``None`` if nothing is evictable
+        (the tail page never evicts).  ``buffer`` is the page's own,
+        uncopied: records are written only at the tail, which never
+        evicts, and the log drops the buffer at :meth:`finish_evict` and
+        never reuses it.  So the page holds still from here on, and a
+        backend may keep a reference until its write runs, as AIFM's
+        IOKernel queue and Redy's batches do.
         """
         oldest = self._pop_oldest()
         if oldest is None:
             return None
         page, buffer = oldest
         self._flushing[page] = buffer
-        return page, page << self.config.page_bits, bytes(buffer)
+        return page, page << self.config.page_bits, buffer
 
     def finish_evict(self, page: int) -> None:
         """The device acknowledged the flush: drop the page, move head.
@@ -195,8 +231,7 @@ class HybridLog:
         """Evict the oldest page whose write completes at once (bulk load).
 
         Returns ``(device_offset, buffer)`` or ``None`` like
-        :meth:`begin_evict`, but hands over the page's buffer itself: the
-        caller must copy it out before reusing it.
+        :meth:`begin_evict`.
         """
         oldest = self._pop_oldest()
         if oldest is None:
