@@ -64,9 +64,18 @@ def _metadata_full(ring: MetadataRing) -> str:
 class BufferFullError(Exception):
     """A queue/buffer is full; retry after consuming completions.
 
-    For writes the retry can be immediate; for reads the application
-    should consume existing responses first (Section 4.3).
+    ``ring`` names the full one: ``"metadata"``, ``"request_data"`` (a
+    write's payload) or ``"response_data"`` (a read's result).  For
+    writes the retry can be immediate; for reads the application should
+    consume existing responses first (Section 4.3).
     """
+
+    def __init__(self, message: str, ring: str) -> None:
+        super().__init__(message)
+        self.ring = ring
+
+    def __reduce__(self):
+        return type(self), (str(self), self.ring)
 
 
 @dataclass
@@ -303,14 +312,14 @@ class CowbirdInstance:
         # refused before anything is taken (inlined: one check per op).
         metadata = self.metadata_ring
         if metadata.tail - metadata.head >= metadata.capacity:
-            raise BufferFullError(_metadata_full(metadata))
+            raise BufferFullError(_metadata_full(metadata), "metadata")
         # Reserve the response slot next (step 2 of Section 4.3) so a
         # full response ring fails before any state is published.
         before = self.response_data.tail
         try:
             dest_addr = self.response_data.reserve(length)
         except RingFullError as exc:
-            raise BufferFullError(str(exc)) from exc
+            raise BufferFullError(str(exc), "response_data") from exc
         pad = (self.response_data.tail - before) - length
         sequence = next(self._read_seq)
         self._append_metadata(
@@ -337,12 +346,12 @@ class CowbirdInstance:
         remote_addr = handle.translate(dest_offset, len(data))
         metadata = self.metadata_ring  # refused before anything is taken
         if metadata.tail - metadata.head >= metadata.capacity:
-            raise BufferFullError(_metadata_full(metadata))
+            raise BufferFullError(_metadata_full(metadata), "metadata")
         before = self.request_data.tail
         try:
             src_addr = self.request_data.reserve(len(data))
         except RingFullError as exc:
-            raise BufferFullError(str(exc)) from exc
+            raise BufferFullError(str(exc), "request_data") from exc
         pad = (self.request_data.tail - before) - len(data)
         self.request_data.write(src_addr, data)
         sequence = next(self._write_seq)

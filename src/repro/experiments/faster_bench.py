@@ -208,8 +208,9 @@ def load_backing(deployment: MicrobenchDeployment, store: FasterKv) -> None:
     """Wire the store's cold-page backing writes into the deployment.
 
     For RDMA/Cowbird systems cold pages live in the pool region, and the
-    pages a bulk load of a mapping spills are deferred there: each is
-    packed and written when the run first reads or writes it.  For the
+    pages a bulk load of a mapping spills are deferred there: a read packs
+    only the records it returns, and a page is packed and written into the
+    region only when a write changes part of it.  For the
     SSD they live in its buffer; local memory needs nothing (the log's
     page budget is effectively infinite there).
     """
@@ -233,9 +234,9 @@ def load_backing(deployment: MicrobenchDeployment, store: FasterKv) -> None:
     def backing_write(offset: int, data: bytes) -> None:
         pool_region.write(handle.translate(offset, len(data)), data)
 
-    def defer_cold_pages(offset: int, count: int, fill) -> None:
+    def defer_cold_pages(offset: int, count: int, fill, release) -> None:
         addr = handle.translate(offset, count * page_bytes)
-        pool_region.defer(addr, page_bytes, count, fill)
+        pool_region.defer(addr, page_bytes, count, fill, release)
 
     store._store_cold_page = backing_write
     store._defer_cold_pages = defer_cold_pages

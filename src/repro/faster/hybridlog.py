@@ -16,6 +16,12 @@ Log pages are numbered consecutively (a new page is always the tail
 page + 1), so the oldest resident page and the oldest still-flushing
 page are kept as counters: eviction and head tracking cost O(1) per page
 and never iterate the page dicts.
+
+A resident page is a ``page_bytes`` ``bytearray``, or a page that a bulk
+load appended as its records' keys and values (any object with
+``read(offset, length) -> bytes`` and ``pack() -> bytearray``).  Such a
+page is packed into a buffer only when something writes into it or it
+leaves memory.
 """
 
 from __future__ import annotations
@@ -54,8 +60,9 @@ class HybridLog:
         self.config = config or HybridLogConfig()
         self.tail_addr = 0
         self.head_addr = 0
-        #: Resident pages: exactly ``[_head_page, _head_page + len(_pages))``.
-        self._pages: dict[int, bytearray] = {}
+        #: Resident pages: exactly ``[_head_page, _head_page + len(_pages))``,
+        #: each a buffer or a page still held as records (see above).
+        self._pages: dict[int, object] = {}
         self._head_page = 0
         #: Pages whose flush is in flight (still readable from memory), all
         #: in ``[_flush_head, _head_page)``; every page below
@@ -116,10 +123,11 @@ class HybridLog:
         offset_in_page = self.tail_addr & (self.config.page_bytes - 1)
         return offset_in_page == 0 or offset_in_page + size > self.config.page_bytes
 
-    def append_page(self, buffer: bytearray, length: int) -> int:
+    def append_page(self, buffer, length: int) -> int:
         """Open a new page at the tail that adopts ``buffer`` uncopied.
 
-        ``buffer`` must be ``page_bytes`` long, hold the page's records in
+        ``buffer`` is a ``page_bytes`` ``bytearray`` or a page held as
+        records (see the module docstring); its page holds the records in
         its first ``length`` bytes and zeros after them.  Pads the current
         page like :meth:`allocate` and leaves the tail ``length`` bytes
         into the new page.  Returns the page's start address.
@@ -161,7 +169,7 @@ class HybridLog:
         self._move_head()
         return first << self.config.page_bits
 
-    def _page_for(self, addr: int, length: int) -> tuple[bytearray, int]:
+    def _page_for(self, addr: int, length: int) -> tuple[object, int]:
         page_bytes = self.config.page_bytes
         page = addr >> self.config.page_bits
         offset = addr & (page_bytes - 1)
@@ -176,11 +184,23 @@ class HybridLog:
 
     def write(self, addr: int, data: bytes) -> None:
         buffer, offset = self._page_for(addr, len(data))
+        if type(buffer) is not bytearray:  # resident: a page is packed as it leaves
+            buffer = self._pages[addr >> self.config.page_bits] = buffer.pack()
         buffer[offset : offset + len(data)] = data
 
     def read(self, addr: int, length: int) -> bytes:
         buffer, offset = self._page_for(addr, length)
+        if type(buffer) is not bytearray:
+            return buffer.read(offset, length)
         return memoryview(buffer)[offset : offset + length].tobytes()
+
+    def resident_images(self) -> list[tuple[int, bytes]]:
+        """``(page number, contents)`` of every resident page, oldest
+        first; a page held as records is packed for this and stays so."""
+        return [
+            (page, self.read(page << self.config.page_bits, self.config.page_bytes))
+            for page in sorted(self._pages)
+        ]
 
     # ------------------------------------------------------------------
     # Eviction protocol
@@ -193,6 +213,8 @@ class HybridLog:
         if page >= self.tail_addr >> self.config.page_bits:
             return None  # nothing resident, or only the tail page
         buffer = self._pages.pop(page)
+        if type(buffer) is not bytearray:
+            buffer = buffer.pack()
         self._head_page = page + 1
         self.bytes_flushed += len(buffer)
         return page, buffer

@@ -17,7 +17,7 @@ import struct
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import islice
 from typing import Any, Generator, Optional
 
 from repro.baselines.backends import Backend
@@ -64,18 +64,56 @@ def _good_keys(keys) -> int:
     return len(keys)
 
 
-def _page_filler(pages: list[list], pack_page, page_bytes: int):
-    """``fill(i)``: page ``i`` of ``pages`` packed into a fresh
-    ``page_bytes`` buffer.  Each page's keys and values are released once
-    it is packed."""
+class _RecordPage:
+    """A full log page of loaded records, held as the caller's keys and
+    values until it is packed: ``records`` is ``[key0, value0, key1,
+    value1, ...]`` and ``layout`` is ``(record_bytes, page_bytes,
+    pack_record, pack_page_into)``, shared by a load's pages."""
 
-    def fill(i: int) -> bytearray:
+    __slots__ = ("records", "layout")
+
+    def __init__(self, records: list, layout: tuple) -> None:
+        self.records = records
+        self.layout = layout
+
+    def read(self, offset: int, length: int) -> bytes:
+        """Bytes ``[offset, offset + length)`` of the packed page, from the
+        records they overlap only."""
+        record_bytes, _page_bytes, pack_record, _pack_page = self.layout
+        records = self.records
+        first = offset // record_bytes
+        if length == record_bytes and offset == first * record_bytes:
+            if 2 * first < len(records):  # one whole record
+                return pack_record(records[2 * first], records[2 * first + 1])
+        stop = -(-(offset + length) // record_bytes)
+        packed = b"".join(map(
+            pack_record, records[2 * first : 2 * stop : 2],
+            records[2 * first + 1 : 2 * stop : 2],
+        ))
+        start = offset - first * record_bytes
+        part = packed[start : start + length]
+        return part + bytes(length - len(part))
+
+    def pack(self) -> bytearray:
+        """The page packed into a fresh ``page_bytes`` buffer."""
+        _record_bytes, page_bytes, _pack_record, pack_page = self.layout
         buffer = bytearray(page_bytes)
-        pack_page(buffer, 0, *pages[i])
-        pages[i] = None
+        pack_page(buffer, 0, *self.records)
         return buffer
 
-    return fill
+
+def _page_filler(pages: list):
+    """``(fill, release)`` over a list of record pages, as
+    :meth:`repro.memory.region.MemoryRegion.defer` takes them: page
+    ``i``'s keys and values are released once the region wrote it."""
+
+    def fill(i: int, start: int, stop: int) -> bytes:
+        return pages[i].read(start, stop - start)
+
+    def release(i: int) -> None:
+        pages[i] = None
+
+    return fill, release
 
 
 @lru_cache(maxsize=8)
@@ -83,6 +121,12 @@ def _page_packer(value_bytes: int, per_page: int):
     """``pack_into(buffer, 0, key0, value0, key1, value1, ...)`` for one
     page of ``per_page`` records."""
     return struct.Struct("<" + f"Q{value_bytes}s" * per_page).pack_into
+
+
+@lru_cache(maxsize=8)
+def _record_packer(value_bytes: int):
+    """``pack(key, value)`` for one record."""
+    return struct.Struct(f"<Q{value_bytes}s").pack
 
 
 @dataclass
@@ -238,16 +282,18 @@ class FasterKv:
 
         Full pages wait in a window of the newest ``memory_pages`` and are
         appended to the log when records go in one at a time (a short last
-        page) or the load ends; each is packed with one ``struct`` write.
-        A mapping's pages wait as key/value slices that share its values,
-        and one that leaves the window goes to :meth:`_defer_cold_pages`
-        unpacked.  A stream's values are made for the load and would be
-        kept alive only by it, so its pages are packed as they come in,
-        and one that leaves the window is written through
+        page) or the load ends.  A mapping's pages are record pages: key
+        and value slices that share its values, packed with one ``struct``
+        write only when the log writes into or evicts one.  Those that
+        leave the window go to :meth:`_defer_cold_pages` unpacked, and
+        those the log keeps stay so.  A stream's values are made for the
+        load and would be kept alive only by it, so its pages are packed
+        as they come in, and one that leaves the window is written through
         :meth:`_store_cold_page`, as are pages evicted from the log itself.
-        The log, index and device end up exactly as if each record had
-        been appended on its own; a record whose key or value does not
-        fit raises as it would have there.
+        Each step's keys go to :meth:`HashIndex.insert_pages`.  The log,
+        index and device end up exactly as if each record had been
+        appended on its own; a record whose key or value does not fit
+        raises as it would have there.
         """
         log = self.log
         record_bytes = self.config.record_bytes
@@ -258,9 +304,9 @@ class FasterKv:
             for keys, values in _columns(items, 1):
                 self._load_record(keys[0], values[0])
             return
-        # Full pages not yet in the log, oldest first: interleaved
-        # key/value lists for a mapping, packed buffers for a stream.  The
-        # oldest starts at the log's tail.
+        # Full pages not yet in the log, oldest first: record pages for a
+        # mapping, packed buffers for a stream.  The oldest starts at the
+        # log's tail.
         window: list = []
         by_reference = isinstance(items, Mapping)
         try:
@@ -297,8 +343,8 @@ class FasterKv:
         self, keys: list, values: list, window: list, by_reference: bool,
     ) -> None:
         """Index whole pages of records and add them to the load's
-        ``window``, as key/value lists ``by_reference`` and packed
-        otherwise; spill the pages that leave it (see :meth:`load`).
+        ``window``, as record pages ``by_reference`` and packed otherwise;
+        spill the pages that leave it (see :meth:`load`).
 
         Pages leave in the order that appending each page and evicting
         the oldest while over budget would give: resident pages first,
@@ -306,10 +352,10 @@ class FasterKv:
         """
         log = self.log
         record_bytes = self.config.record_bytes
+        value_bytes = self.config.value_bytes
         page_bytes = log.config.page_bytes
         per_page = page_bytes // record_bytes
-        used = per_page * record_bytes
-        pack_page = _page_packer(self.config.value_bytes, per_page)
+        pack_page = _page_packer(value_bytes, per_page)
         if by_reference and set(map(type, values)) != {bytes}:
             # Packed later: copy buffers that may change.
             values = list(map(bytes, values))
@@ -317,20 +363,16 @@ class FasterKv:
         flat[::2] = keys
         flat[1::2] = values
         stride = 2 * per_page
-        pages = []
-        for lo in range(0, len(flat), stride):
-            page = flat[lo : lo + stride]
-            if not by_reference:  # before the index points at it
-                packed = bytearray(page_bytes)
-                pack_page(packed, 0, *page)
-                page = packed
-            pages.append(page)
+        pages = [flat[lo : lo + stride] for lo in range(0, len(flat), stride)]
+        if by_reference:
+            layout = (record_bytes, page_bytes, _record_packer(value_bytes), pack_page)
+            pages = [_RecordPage(page, layout) for page in pages]
+        else:  # before the index points at them
+            for i, page in enumerate(pages):
+                pages[i] = bytearray(page_bytes)
+                pack_page(pages[i], 0, *page)
         first = log.close_page() + len(window) * page_bytes
-        last = first + len(pages) * page_bytes
-        self.index.update(zip(keys, chain.from_iterable(map(
-            range, range(first, last, page_bytes),
-            range(first + used, last + used, page_bytes), repeat(record_bytes),
-        ))))
+        self.index.insert_pages(keys, first, per_page, page_bytes, record_bytes)
         window += pages
         over = log.memory_page_count + len(window) - log.config.memory_pages
         if over <= 0:
@@ -343,27 +385,18 @@ class FasterKv:
         del window[: len(cold)]
         offset = log.append_cold_pages(len(cold))
         if by_reference:
-            self._defer_cold_pages(
-                offset, len(cold), _page_filler(cold, pack_page, page_bytes),
-            )
+            self._defer_cold_pages(offset, len(cold), *_page_filler(cold))
         else:
             for buffer in cold:
                 self._store_cold_page(offset, buffer)
                 offset += page_bytes
 
     def _append_pages(self, pages: list) -> None:
-        """Append the load's ``pages`` to the log, packing those that are
-        key/value lists; empties ``pages``.  The caller keeps them within
-        the memory budget."""
-        page_bytes = self.log.config.page_bytes
-        per_page = page_bytes // self.config.record_bytes
-        used = per_page * self.config.record_bytes
-        pack_page = _page_packer(self.config.value_bytes, per_page)
+        """Append the load's ``pages`` to the log; empties ``pages``.  The
+        caller keeps them within the memory budget."""
+        record_bytes = self.config.record_bytes
+        used = self.log.config.page_bytes // record_bytes * record_bytes
         for page in pages:
-            if type(page) is list:
-                packed = bytearray(page_bytes)
-                pack_page(packed, 0, *page)
-                page = packed
             self.log.append_page(page, used)
         pages.clear()
 
@@ -383,19 +416,24 @@ class FasterKv:
                 break
             self._store_cold_page(*eviction)
 
-    def _defer_cold_pages(self, device_offset: int, count: int, fill) -> None:
+    def _defer_cold_pages(
+        self, device_offset: int, count: int, fill, release,
+    ) -> None:
         """Hand the load's ``count`` full pages from ``device_offset`` on
-        to the device's backing store; page ``i`` holds ``fill(i)``.
+        to the device's backing store; ``fill(i, start, stop)`` packs
+        bytes ``[start, stop)`` of page ``i``, and ``release(i)`` frees
+        the page's records once nothing reads them through ``fill``.
 
-        ``fill`` packs a page each call and may be called once per page.
         This default writes every page at once through
-        :meth:`_store_cold_page`; a backing that can write a page when it
-        is first touched takes ``fill`` as it is instead
+        :meth:`_store_cold_page`; a backing that can serve a page's reads
+        from ``fill`` takes both as they are instead
         (:meth:`repro.memory.region.MemoryRegion.defer`).
         """
         page_bytes = self.log.config.page_bytes
         for i in range(count):
-            self._store_cold_page(device_offset + i * page_bytes, fill(i))
+            page = fill(i, 0, page_bytes)
+            self._store_cold_page(device_offset + i * page_bytes, page)
+            release(i)
 
     def _store_cold_page(self, device_offset: int, data: bytes) -> None:
         """Write a page into the device's backing store instantly.

@@ -11,8 +11,8 @@ Every region is backed by an anonymous ``mmap``, which the OS zero-fills
 lazily, page by page, on first touch: registering a multi-gigabyte pool
 costs host RAM only for the pages a simulation actually writes.  Contents
 a region's owner can regenerate may be handed over unwritten with
-:meth:`MemoryRegion.defer`; they are written the first time an access
-overlaps them.
+:meth:`MemoryRegion.defer`: reads take their bytes from the owner, and
+only a write that changes part of such a page writes it into the mapping.
 """
 
 from __future__ import annotations
@@ -153,17 +153,22 @@ class MemoryRegion:
         self._data.close()
         self._data = None
 
-    def defer(self, addr: int, page_bytes: int, count: int, fill) -> None:
+    def defer(
+        self, addr: int, page_bytes: int, count: int, fill, release=None,
+    ) -> None:
         """Hand over ``count`` pages from ``addr`` on without writing them.
 
-        Page ``i`` spans ``page_bytes`` from ``addr + i * page_bytes`` and
-        holds ``fill(i)`` (at most ``page_bytes`` long), zero-padded.  The
-        region calls ``fill(i)`` when the first ``read``, ``remote_read``,
-        ``write`` or ``remote_write`` overlaps the page, and writes the
-        result into the mapping before that access runs; the page stays
-        pending until a call returns.  A write that covers the whole page
-        drops it unfilled, and so does a later ``defer`` over it, as an
-        overwrite would.  :meth:`close` drops every pending page.
+        Page ``i`` spans ``page_bytes`` from ``addr + i * page_bytes``, and
+        ``fill(i, start, stop)`` returns its bytes ``[start, stop)`` (with
+        ``0 <= start < stop <= page_bytes``) as ``bytes``.  A ``read`` or
+        ``remote_read`` that overlaps a pending page takes that part of
+        its result from ``fill`` and leaves the page pending.  A write
+        that covers the whole page drops it unfilled, and so does a later
+        ``defer`` over it, as an overwrite would.  A write that changes
+        only part of it first writes ``fill(i, 0, page_bytes)`` into the
+        mapping; the page stays pending until that call returns, and then
+        ``release(i)``, when given, is called.  :meth:`close` drops every
+        pending page.
 
         Reads and writes thus see exactly what eager writes of every page
         would have left.  All pages pending at once lie on one grid: a
@@ -199,14 +204,49 @@ class MemoryRegion:
             self._defer_lo = min(self._defer_lo, addr)
             self._defer_hi = max(self._defer_hi, end)
         first = addr // page_bytes
-        self._deferred.update(dict.fromkeys(range(first, first + count), (fill, first)))
+        self._deferred.update(
+            dict.fromkeys(range(first, first + count), (fill, release, first))
+        )
 
-    def _settle(self, lo: int, hi: int, covering: bool = False) -> None:
-        """Write the pending pages overlapping ``[lo, hi)`` into the mapping.
+    @staticmethod
+    def _filled(fill, i: int, start: int, stop: int) -> bytes:
+        part = fill(i, start, stop)
+        if len(part) != stop - start:
+            raise ValueError(
+                f"deferred page {i} gave {len(part)} B for its bytes "
+                f"[{start}, {stop})"
+            )
+        return part
 
-        With ``covering`` (the caller is about to overwrite ``[lo, hi)``),
-        the pages inside ``[lo, hi)`` are dropped instead.
-        """
+    def _read_through(self, addr: int, length: int) -> bytes:
+        """Bytes ``[addr, addr + length)``, pending pages' parts from their
+        ``fill``; nothing is written."""
+        if not length:
+            return b""
+        size, phase = self._defer_grid
+        pending = self._deferred
+        base = self.base_addr
+        end = addr + length
+        parts = []
+        done = addr  # bytes below it are in ``parts``
+        for number in range((addr - phase) // size, -(-(end - phase) // size)):
+            entry = pending.get(number)
+            if entry is None:
+                continue
+            start = number * size + phase
+            lo, hi = max(start, addr), min(start + size, end)
+            if done < lo:
+                parts.append(self._data[done - base : lo - base])
+            fill, _release, first = entry
+            parts.append(self._filled(fill, number - first, lo - start, hi - start))
+            done = hi
+        if done < end:
+            parts.append(self._data[done - base : end - base])
+        return b"".join(parts)
+
+    def _settle(self, lo: int, hi: int) -> None:
+        """Before a write of ``[lo, hi)``: drop the pending pages inside it
+        and write those it overlaps only in part into the mapping."""
         if hi <= lo:
             return
         size, phase = self._defer_grid
@@ -216,19 +256,17 @@ class MemoryRegion:
             if entry is None:
                 continue
             start = number * size + phase
-            if not (covering and lo <= start and start + size <= hi):
-                fill, first = entry
-                page = fill(number - first)
-                if len(page) > size:
-                    raise ValueError(
-                        f"deferred page {number - first} holds {len(page)} B, "
-                        f"over {size} B"
-                    )
-                offset = start - self.base_addr
-                self._data[offset : offset + len(page)] = page
-                if len(page) < size:
-                    self._data[offset + len(page) : offset + size] = bytes(size - len(page))
+            if lo <= start and start + size <= hi:
+                del pending[number]
+                continue
+            fill, release, first = entry
+            offset = start - self.base_addr
+            self._data[offset : offset + size] = self._filled(
+                fill, number - first, 0, size
+            )
             del pending[number]
+            if release is not None:
+                release(number - first)
         if not pending:
             self._defer_lo = self._defer_hi = 0
 
@@ -286,7 +324,7 @@ class MemoryRegion:
         if length < 0 or not 0 <= offset <= self.length - length:
             raise self._bounds_error(addr, length)
         if addr < self._defer_hi and addr + length > self._defer_lo:
-            self._settle(addr, addr + length)
+            return self._read_through(addr, length)
         return self._data[offset : offset + length]
 
     def write(self, addr: int, data: bytes) -> None:
@@ -297,7 +335,7 @@ class MemoryRegion:
         if not 0 <= offset <= self.length - length:
             raise self._bounds_error(addr, length)
         if addr < self._defer_hi and addr + length > self._defer_lo:
-            self._settle(addr, addr + length, covering=True)
+            self._settle(addr, addr + length)
         self._data[offset : offset + length] = data
         if addr < self._watch_hi and addr + length > self._watch_lo:
             for lo, hi, callback in self._watchers:
@@ -316,7 +354,7 @@ class MemoryRegion:
         if length < 0 or not 0 <= offset <= self.length - length:
             raise self._bounds_error(addr, length)
         if addr < self._defer_hi and addr + length > self._defer_lo:
-            self._settle(addr, addr + length)
+            return self._read_through(addr, length)
         return self._data[offset : offset + length]
 
     def remote_write(self, addr: int, data: bytes, rkey: int) -> None:
@@ -332,7 +370,7 @@ class MemoryRegion:
         if not 0 <= offset <= self.length - length:
             raise self._bounds_error(addr, length)
         if addr < self._defer_hi and addr + length > self._defer_lo:
-            self._settle(addr, addr + length, covering=True)
+            self._settle(addr, addr + length)
         self._data[offset : offset + length] = data
         if addr < self._watch_hi and addr + length > self._watch_lo:
             for lo, hi, callback in self._watchers:

@@ -29,11 +29,9 @@ _FNV_PRIME = 0x100000001B3
 
 def fnv1a_64(value: int) -> int:
     """64-bit FNV-1a hash of an integer (YCSB's scrambling hash)."""
-    data = value.to_bytes(8, "little")
-    result = _FNV_OFFSET
-    for byte in data:
-        result ^= byte
-        result = (result * _FNV_PRIME) & 0xFFFF_FFFF_FFFF_FFFF
+    result, prime, mask = _FNV_OFFSET, _FNV_PRIME, 0xFFFF_FFFF_FFFF_FFFF
+    for byte in value.to_bytes(8, "little"):
+        result = ((result ^ byte) * prime) & mask
     return result
 
 
@@ -71,6 +69,8 @@ class ZipfianGenerator:
         self._zetan = self._zeta(item_count, theta)
         self._zeta2 = self._zeta(2, theta)
         self._alpha = 1.0 / (1.0 - theta)
+        #: ``u * zeta(n)`` below this and at least 1 draws rank 1.
+        self._rank1_below = 1.0 + 0.5 ** theta
         denominator = 1.0 - self._zeta2 / self._zetan
         if denominator == 0.0:  # item_count == 2: zeta(n) == zeta(2)
             self._eta = 0.0
@@ -90,7 +90,7 @@ class ZipfianGenerator:
         uz = u * self._zetan
         if uz < 1.0:
             rank = 0
-        elif uz < 1.0 + 0.5 ** self.theta:
+        elif uz < self._rank1_below:
             rank = 1
         else:
             rank = int(

@@ -6,6 +6,8 @@ what the client publishes in its green block, how requests are laid out
 in the rings, and how progress counters drive poll_wait.
 """
 
+import pickle
+
 import pytest
 
 from repro.cowbird.api import BufferFullError, CowbirdConfig
@@ -178,6 +180,65 @@ class TestBackpressure:
 
         with pytest.raises(BufferFullError):
             run(dep, app())
+
+    def test_full_ring_is_named_and_refused_op_leaves_no_trace(self):
+        """Each of the three rings fills on one instance; the refusal names
+        it, keeps its message, and changes no ring pointer, sequence
+        number or request count."""
+        dep = deploy(cowbird_config=CowbirdConfig(
+            metadata_capacity=5, request_data_capacity=256,
+            response_data_capacity=256,
+        ))
+        inst = dep.instances[0]
+        thread = dep.compute.cpu.thread()
+        refused = []
+
+        def state():
+            return (
+                inst.metadata_ring.head, inst.metadata_ring.tail,
+                inst.request_data.head, inst.request_data.tail,
+                inst.response_data.head, inst.response_data.tail,
+                repr(inst._read_seq), repr(inst._write_seq),
+                sorted(inst._reads), sorted(inst._writes), inst.requests_issued,
+            )
+
+        def attempt(op):
+            before = state()
+            try:
+                return (yield from op)
+            except BufferFullError as exc:
+                assert state() == before
+                refused.append((exc.ring, str(exc).split(" (")[0]))
+                copy = pickle.loads(pickle.dumps(exc))  # as from a worker process
+                assert (copy.ring, str(copy)) == (exc.ring, str(exc))
+                return None
+
+        def app():
+            ids = []
+            for _ in range(3):  # the third payload does not fit
+                ids.append((yield from attempt(inst.async_write(thread, 0, 0, b"w" * 100))))
+            for _ in range(3):  # nor does the third result
+                ids.append((yield from attempt(inst.async_read(thread, 0, 0, 100))))
+            ids.append((yield from attempt(inst.async_write(thread, 0, 0, b"w" * 8))))
+            # Five entries outstanding: both kinds are refused first by
+            # the metadata ring, though both data rings have room.
+            ids.append((yield from attempt(inst.async_read(thread, 0, 0, 8))))
+            ids.append((yield from attempt(inst.async_write(thread, 0, 0, b"w" * 8))))
+            return ids
+
+        ids = run(dep, app())
+        assert refused == [
+            ("request_data", "data ring full"),
+            ("response_data", "data ring full"),
+            ("metadata", "metadata ring full"),
+            ("metadata", "metadata ring full"),
+        ]
+        assert [None if i is None else decode_request_id(i)[::2] for i in ids] == [
+            (RwType.WRITE, 1), (RwType.WRITE, 2), None,
+            (RwType.READ, 1), (RwType.READ, 2), None,
+            (RwType.WRITE, 3), None, None,
+        ]
+        assert inst.requests_issued == 5
 
     def test_engine_head_advance_frees_metadata_ring(self):
         dep = deploy(cowbird_config=CowbirdConfig(metadata_capacity=2))

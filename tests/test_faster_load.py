@@ -1,17 +1,19 @@
-"""Tests for FASTER's page-at-a-time load path and dict-backed index.
+"""Tests for FASTER's page-at-a-time load path and its hash index.
 
-``FasterKv.load`` keeps its newest full pages in a window and packs each
-with one ``struct`` write.  A mapping's pages wait there as key/value
-slices, and those that spill to the device go unpacked to
-``_defer_cold_pages``, which a pool region backing points at
-``MemoryRegion.defer``; a stream's pages are packed at once and spilled
-ones written through ``_store_cold_page``.  The hybrid log
+``FasterKv.load`` keeps its newest full pages in a window.  A mapping's
+pages are record pages (key/value slices that pack themselves with one
+``struct`` write when the log writes into or evicts them); those that
+spill to the device go unpacked to ``_defer_cold_pages``, which a pool
+region backing points at ``MemoryRegion.defer``, and those the log keeps
+stay unpacked.  A stream's pages are packed at once and spilled ones
+written through ``_store_cold_page``.  The hybrid log
 finds its oldest resident and oldest still-flushing pages from counters,
 so eviction never iterates a page dict (``NoIterDict`` below fails a test
 that does).  The load must leave the index, the log and the device
 exactly as the record-by-record loop it replaced; that loop, the old
 min-scan eviction and the old bucket-list index are kept here as the
-references.
+references.  The index keeps consecutive loaded keys as runs and must
+answer as one dict of the same upserts would (``TestRunIndex``).
 """
 
 import os
@@ -25,7 +27,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.faster.hashindex import HashIndex, _mix64
 from repro.faster.hybridlog import HybridLog, HybridLogConfig
-from repro.faster.store import FasterConfig, FasterKv, _page_filler, _page_packer
+from repro.faster.store import (
+    FasterConfig,
+    FasterKv,
+    _page_filler,
+    _page_packer,
+    _record_packer,
+    _RecordPage,
+)
 from repro.memory import MemoryRegion
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -180,8 +189,8 @@ def region_backed_store(page_bits, memory_pages, value_bytes, region, defer):
     )
     if defer:
         page_bytes = 1 << page_bits
-        store._defer_cold_pages = lambda offset, count, fill: region.defer(
-            region.base_addr + offset, page_bytes, count, fill
+        store._defer_cold_pages = lambda offset, count, fill, release: region.defer(
+            region.base_addr + offset, page_bytes, count, fill, release
         )
     return store
 
@@ -192,7 +201,7 @@ def snapshot(store):
         "index": {key: store.index.get(key) for key in store.index.keys()},
         "tail_addr": log.tail_addr,
         "head_addr": log.head_addr,
-        "pages": [(page, bytes(buf)) for page, buf in log._pages.items()],
+        "pages": log.resident_images(),
         "flushing": [(page, bytes(buf)) for page, buf in log._flushing.items()],
         "pages_evicted": log.pages_evicted,
         "bytes_flushed": log.bytes_flushed,
@@ -433,6 +442,8 @@ class TestDeferredColdPages:
         )
 
     def test_pages_touched_after_the_load_are_the_ones_filled(self):
+        """A read packs the record it returns and leaves its page pending;
+        a write into part of a page packs and writes that page."""
         value_bytes, per_page = 24, 8  # 32 B records, 256 B pages
         region = MemoryRegion(0x1000, 64 * 256, 1, 2, name="pool")
         store = region_backed_store(8, 3, value_bytes, region, defer=True)
@@ -444,16 +455,32 @@ class TestDeferredColdPages:
         assert record == (5 * per_page + 3).to_bytes(8, "little") + value_of(
             5 * per_page + 3, value_bytes
         )
-        assert len(pending) == 36
+        assert len(pending) == 37
+        region.write(0x1000 + 5 * 256 + 3 * 32, b"new")
+        assert len(pending) == 36 and 0x1000 // 256 + 5 not in pending
+        assert region._data[5 * 256 : 5 * 256 + 3 * 32] == b"".join(
+            (5 * per_page + k).to_bytes(8, "little") + value_of(5 * per_page + k, value_bytes)
+            for k in range(3)
+        )
 
     def test_a_fill_releases_its_page_once_packed(self):
-        pages = [[1, b"a" * 8], [2, b"b" * 8], [-1, b"c" * 8]]
-        fill = _page_filler(pages, _page_packer(8, 1), 32)
-        assert fill(1) == (2).to_bytes(8, "little") + b"b" * 8 + bytes(16)
-        assert pages[1:] == [None, [-1, b"c" * 8]]
-        with pytest.raises(struct.error):
-            fill(2)
-        assert pages[2] == [-1, b"c" * 8]  # kept for another try
+        """A deferred page keeps its keys and values while reads go through
+        it, and drops them once a write packs it into the region."""
+        layout = (16, 32, _record_packer(8), _page_packer(8, 2))
+        pages = [_RecordPage([1, b"a" * 8, 2, b"b" * 8], layout),
+                 _RecordPage([3, b"c" * 8, 4, b"d" * 8], layout)]
+        record = (3).to_bytes(8, "little") + b"c" * 8
+        region = MemoryRegion(0x1000, 64, 1, 2, name="pool")
+        region.defer(0x1000, 32, 2, *_page_filler(pages))
+        assert region.read(0x1020, 16) == record
+        assert region.read(0x1018, 16) == b"b" * 8 + record[:8]
+        assert pages[1].read(0, 32) == bytes(pages[1].pack())
+        assert None not in pages
+        region.write(0x1028, b"C" * 8)
+        assert pages[0] is not None and pages[1] is None
+        assert region.read(0x1020, 32) == record[:8] + b"C" * 8 + (4).to_bytes(
+            8, "little"
+        ) + b"d" * 8
 
 
 class TestHashIndexOccupancy:
@@ -491,6 +518,101 @@ class TestHashIndexOccupancy:
         assert index.delete(4)
         assert index.delete(5)
         assert index.collision_overflow == 0
+
+
+def page_addresses(count, first_addr, per_page, page_bytes, record_bytes):
+    """Where ``insert_pages`` puts its ``count`` keys."""
+    return [
+        first_addr + j // per_page * page_bytes + j % per_page * record_bytes
+        for j in range(count)
+    ]
+
+
+@st.composite
+def index_steps(draw):
+    """Key blocks laid out on pages (consecutive, gapped, repeated or
+    descending, and consecutive blocks that continue the previous one in
+    keys and addresses), then upserts and deletes, on keys below 160 so
+    that they overlap often."""
+    per_page = draw(st.integers(1, 4))
+    record_bytes = draw(st.integers(1, 16))
+    page_bytes = per_page * record_bytes + draw(st.integers(0, 8))
+    steps = []
+    next_key, next_addr = 0, 0
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(
+            ["consecutive", "continuing", "gapped", "repeated", "descending",
+             "upsert", "delete", "delete"]
+        ))
+        start = draw(st.integers(0, 120))
+        if kind in ("upsert", "delete"):
+            steps.append((kind, draw(st.integers(0, 159)), draw(st.integers(0, 1 << 20))))
+            continue
+        count = draw(st.integers(1, 3 * per_page + 1))
+        first_addr = draw(st.integers(0, 64)) * page_bytes
+        if kind == "continuing":
+            start, first_addr = next_key, next_addr
+        keys = list(range(start, start + count))
+        if kind == "gapped":
+            keys = keys[::2] + [start + count + 1]
+        elif kind == "repeated":
+            keys.insert(draw(st.integers(0, count)), draw(st.sampled_from(keys)))
+        elif kind == "descending":
+            keys.reverse()
+        next_key = keys[-1] + 1
+        # The next page, or the start of a last page it fills only in part.
+        next_addr = first_addr + draw(st.sampled_from(
+            [-(-len(keys) // per_page), len(keys) // per_page]
+        )) * page_bytes
+        steps.append(("pages", keys, first_addr))
+    return (per_page, page_bytes, record_bytes), steps
+
+
+class TestRunIndex:
+    """``HashIndex`` keeps consecutive loaded keys as runs; it must
+    answer every query as one dict of the same upserts would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2, 16]), index_steps())
+    def test_matches_dict_model(self, num_buckets, case):
+        (per_page, page_bytes, record_bytes), steps = case
+        index, model = HashIndex(num_buckets), {}
+        for step in steps:
+            if step[0] == "pages":
+                _kind, keys, first_addr = step
+                index.insert_pages(keys, first_addr, per_page, page_bytes, record_bytes)
+                model.update(zip(keys, page_addresses(
+                    len(keys), first_addr, per_page, page_bytes, record_bytes,
+                )))
+            elif step[0] == "upsert":
+                index.upsert(step[1], step[2])
+                model[step[1]] = step[2]
+            else:
+                assert index.delete(step[1]) == (model.pop(step[1], None) is not None)
+            for key in range(-1, 170):
+                assert index.get(key) == model.get(key), (step, key)
+                assert (key in index) == (key in model)
+            assert len(index) == len(model)
+            assert sorted(index.keys()) == sorted(model)
+            reference = HashIndex(num_buckets)
+            for key, address in model.items():
+                reference.upsert(key, address)
+            assert index.collision_overflow == reference.collision_overflow
+            assert index.load_factor() == reference.load_factor()
+
+    def test_consecutive_pages_make_one_run(self):
+        index = HashIndex()
+        for step in range(4):  # 16 pages of 31 records at a time
+            index.insert_pages(
+                list(range(step * 496, (step + 1) * 496)), step * 16 * 16384,
+                31, 16384, 520,
+            )
+        assert index._runs == [(0, 1984, 0, 31, 16384, 520)] and not index._addresses
+        assert index.get(1983) == 63 * 16384 + 30 * 520
+        index.insert_pages([1984, 1985], 70 * 16384, 31, 16384, 520)  # a gap in addresses
+        assert len(index._runs) == 2
+        index.insert_pages([5, 6], 0, 31, 16384, 520)  # already indexed
+        assert index._addresses == {5: 0, 6: 520}
 
 
 def test_faster_run_path_does_not_import_numpy():

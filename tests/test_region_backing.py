@@ -4,7 +4,7 @@ The mapping-backed :class:`MemoryRegion` must behave exactly like the
 ``bytearray``-backed region it replaced; :class:`BytearrayRegion` below
 keeps that old implementation as the reference.  Its ``defer`` writes
 every page at once, which is what the region's deferred pages must look
-like to every access.
+like to every access, although reads leave them pending.
 """
 
 import ctypes
@@ -109,9 +109,8 @@ class BytearrayRegion:
         if any(watched.start < end and addr < watched.stop for watched, _ in self._watched):
             raise ValueError(f"deferred span [{addr:#x}, {end:#x}) overlaps a watch")
         for i in range(count):
-            page = fill(i)
             start = offset + i * page_bytes
-            self._data[start : start + page_bytes] = page.ljust(page_bytes, b"\0")
+            self._data[start : start + page_bytes] = fill(i, 0, page_bytes)
 
     def _notify_write(self, addr, length):
         # Byte by byte: a write is reported to each range holding any
@@ -131,17 +130,22 @@ def as_kind(payload, kind):
 
 
 def filler(tag, page_bytes, calls):
-    """``fill(i)`` for a deferred span: a page of up to ``page_bytes``
-    bytes, its length and contents set by ``tag`` and ``i``.  Each call
-    is recorded in ``calls`` as ``(span, i)``, ``span`` unique to this
-    fill."""
+    """``(fill, release)`` for a deferred span: page ``i`` holds up to
+    ``page_bytes`` nonzero bytes, their count and value set by ``tag`` and
+    ``i``, then zeros.  Each call is recorded in ``calls`` as ``(span,
+    "fill", i, start, stop)`` or ``(span, "release", i)``, ``span`` unique
+    to this span."""
     span = object()
 
-    def fill(i):
-        calls.append((span, i))
-        return bytes([(tag + i) % 251 + 1]) * ((tag * 7 + i * 3) % (page_bytes + 1))
+    def fill(i, start, stop):
+        calls.append((span, "fill", i, start, stop))
+        page = bytes([(tag + i) % 251 + 1]) * ((tag * 7 + i * 3) % (page_bytes + 1))
+        return page.ljust(page_bytes, b"\0")[start:stop]
 
-    return fill
+    def release(i):
+        calls.append((span, "release", i))
+
+    return fill, release
 
 
 def outcome(call):
@@ -229,8 +233,10 @@ def apply(region, op, calls=None):
     addr = BASE + offset
     if kind == "defer":
         page_bytes, count, tag = op[2], op[3], op[4]
-        fill = filler(tag, page_bytes, [] if calls is None else calls)
-        return outcome(lambda: region.defer(addr, page_bytes, count, fill))
+        fill, release = filler(tag, page_bytes, [] if calls is None else calls)
+        if isinstance(region, BytearrayRegion):
+            return outcome(lambda: region.defer(addr, page_bytes, count, fill))
+        return outcome(lambda: region.defer(addr, page_bytes, count, fill, release))
     if kind == "write":
         payload, payload_kind = op[2]
         return outcome(lambda: region.write(addr, as_kind(payload, payload_kind)))
@@ -274,24 +280,31 @@ class TestMatchesBytearrayReference:
     @given(scenario=defer_scenarios())
     def test_deferred_pages_read_as_written_at_once(self, scenario):
         """The reference writes deferred pages at once; the region must
-        fill each page at most once and look the same to every access.
-        Only drawn sub-ranges are watched: a span may not be deferred
-        over a watch."""
+        look the same to every access, change its mapping only on writes,
+        write each page into it at most once, and never read a page
+        through ``fill`` after releasing it.  Only drawn sub-ranges are
+        watched: a span may not be deferred over a watch."""
         length, permissions, watched, ops = scenario
         region = MemoryRegion(BASE, length, 1, RKEY, permissions, name="r")
         reference = BytearrayRegion(BASE, length, 1, RKEY, permissions, name="r")
-        seen, want, fills = [], [], []
+        seen, want, calls = [], [], []
         for index, (start, size) in enumerate(watched):
             lo, hi = BASE + start, BASE + start + size
             region.watch(lo, hi, lambda a, n, i=index: seen.append((i, a, n)))
             reference.watch(lo, hi, lambda a, n, i=index: want.append((i, a, n)))
         for op in ops:
-            got, expected = apply(region, op, fills), apply(reference, op)
+            before = region._data[:]
+            got, expected = apply(region, op, calls), apply(reference, op)
             assert got == expected, op
+            if op[0] in ("read", "remote_read"):
+                assert region._data[:] == before, "a read wrote the mapping"
         assert seen == want
-        assert len(fills) == len(set(fills)), "a deferred page was filled twice"
-        region._settle(BASE, BASE + length)
-        assert region._data[:] == bytes(reference._data)
+        released = set()
+        for span, kind, i, *_range in calls:
+            assert (span, i) not in released, f"page {i} used after its release"
+            if kind == "release":
+                released.add((span, i))
+        assert region._read_through(BASE, length) == bytes(reference._data)
 
     @pytest.mark.parametrize(
         "flags", [region_mod.MAP_FLAGS, None], ids=["default-flags", "no-map-private"]
@@ -327,124 +340,144 @@ class TestWatch:
 
 
 class TestDefer:
-    """Pages handed over by ``defer`` are filled on first touch."""
+    """Pages handed over by ``defer`` are read in place and written into
+    the mapping only by a write that changes part of them."""
 
     def deferred(self, pages=3, page_bytes=64):
+        """A region with ``pages`` pending pages at ``BASE + 128``; returns
+        it, the ``(i, start, stop)`` of every fill call and the pages
+        released."""
         region = MemoryRegion(BASE, PAGE, 1, RKEY, name="r")
-        calls = []
+        calls, released = [], []
 
-        def fill(i):
-            calls.append(i)
-            return bytes([i + 1]) * (page_bytes - 8)  # zero-padded to the page
+        def fill(i, start, stop):
+            calls.append((i, start, stop))
+            return self.page(i, page_bytes)[start:stop]
 
-        region.defer(BASE + 128, page_bytes, pages, fill)
-        return region, calls
+        region.defer(BASE + 128, page_bytes, pages, fill, released.append)
+        return region, calls, released
 
     @staticmethod
     def page(i, page_bytes=64):
         return bytes([i + 1]) * (page_bytes - 8) + bytes(8)
 
     def test_nothing_is_filled_until_touched(self):
-        region, calls = self.deferred()
+        region, calls, released = self.deferred()
         assert region.read(BASE, 128) == bytes(128)  # ends where page 0 starts
         region.write(BASE + 128 + 3 * 64, b"after")  # starts where page 2 ends
         assert region.read(BASE + 130, 0) == b""  # empty: overlaps nothing
-        assert calls == []
+        assert calls == [] and released == []
 
-    def test_read_across_a_page_boundary_fills_both_pages_once(self):
-        region, calls = self.deferred()
+    def test_read_across_a_page_boundary_reads_both_pages_in_place(self):
+        region, calls, released = self.deferred()
         assert region.remote_read(BASE + 128 + 60, 10, RKEY) == (
             self.page(0)[60:] + self.page(1)[:6]
         )
-        assert sorted(calls) == [0, 1]
-        assert region.read(BASE + 128, 3 * 64) == self.page(0) + self.page(1) + self.page(2)
-        assert sorted(calls) == [0, 1, 2]
+        assert calls == [(0, 60, 64), (1, 0, 6)]
+        assert region.read(BASE + 120, 3 * 64 + 16) == (
+            bytes(8) + self.page(0) + self.page(1) + self.page(2) + bytes(8)
+        )
+        assert calls[2:] == [(0, 0, 64), (1, 0, 64), (2, 0, 64)]
+        assert len(region._deferred) == 3 and released == []
+        assert region._data[128 : 128 + 3 * 64] == bytes(3 * 64)
 
     def test_partial_write_fills_the_page_first(self):
-        region, calls = self.deferred()
+        region, calls, released = self.deferred()
         region.write(BASE + 128 + 70, b"xy")  # inside page 1
         region.remote_write(BASE + 128 + 2 * 64 - 1, b"zz", RKEY)  # pages 1 and 2
-        assert sorted(calls) == [1, 2]
+        assert calls == [(1, 0, 64), (2, 0, 64)] and released == [1, 2]
         region.write(BASE + 128 + 1, b"q" * 63)  # all of page 0 but its first byte
-        assert sorted(calls) == [0, 1, 2]
+        assert calls[2:] == [(0, 0, 64)] and released == [1, 2, 0]
         want = bytearray(self.page(0) + self.page(1) + self.page(2))
         want[70:72] = b"xy"
         want[127:129] = b"zz"
         want[1:64] = b"q" * 63
         assert region.read(BASE + 128, 3 * 64) == bytes(want)
+        assert len(calls) == 3 and not region._deferred
 
     def test_write_short_of_a_page_end_fills_it(self):
-        region, calls = self.deferred()
+        region, calls, released = self.deferred()
         region.write(BASE + 128, b"q" * 63)  # all of page 0 but its last byte
-        assert calls == [0]
+        assert calls == [(0, 0, 64)] and released == [0]
 
     def test_write_covering_a_page_drops_it_unfilled(self):
-        region, calls = self.deferred()
+        region, calls, released = self.deferred()
         region.write(BASE + 128 + 60, b"w" * 72)  # all of page 1, parts of 0 and 2
-        assert sorted(calls) == [0, 2]
+        assert calls == [(0, 0, 64), (2, 0, 64)] and released == [0, 2]
         assert region.read(BASE + 128 + 56, 80) == bytes(4) + b"w" * 72 + self.page(2)[12:16]
 
     def test_later_defer_supersedes_pending_pages(self):
-        region, calls = self.deferred()
+        region, calls, released = self.deferred()
         later = []
 
-        def fill_later(i):
-            later.append(i)
-            return bytes([0xA0 + i]) * 60  # zero-padded to 64 B
+        def fill_later(i, start, stop):
+            later.append((i, start, stop))
+            return (bytes([0xA0 + i]) * 60 + bytes(4))[start:stop]
 
         region.defer(BASE + 128 + 64, 64, 1, fill_later)  # page 1 only
         assert region.read(BASE + 128, 3 * 64) == (
             self.page(0) + bytes([0xA0]) * 60 + bytes(4) + self.page(2)
         )
-        assert sorted(calls) == [0, 2] and later == [0]
+        assert calls == [(0, 0, 64), (2, 0, 64)] and later == [(0, 0, 64)]
+        assert released == []
 
     def test_defer_over_the_same_pages_drops_them(self):
-        region, calls = self.deferred()
-        region.defer(BASE + 128, 64, 3, lambda i: b"n" * 64)
+        region, calls, released = self.deferred()
+        region.defer(BASE + 128, 64, 3, lambda i, start, stop: b"n" * (stop - start))
         assert region.read(BASE + 128, 3 * 64) == b"n" * 3 * 64
-        assert calls == []
+        assert calls == [] and released == []
 
     def test_another_grid_waits_until_no_page_is_pending(self):
-        region, calls = self.deferred()
+        region, calls, released = self.deferred()
         with pytest.raises(ValueError, match="off the pending pages' grid"):
-            region.defer(BASE + 128 + 64, 96, 1, lambda i: b"")  # page size
+            region.defer(BASE + 128 + 64, 96, 1, lambda i, start, stop: b"")  # page size
         with pytest.raises(ValueError, match="off the pending pages' grid"):
-            region.defer(BASE + 32, 64, 1, lambda i: b"")  # phase
-        region.read(BASE + 128, 3 * 64)
-        region.defer(BASE + 32, 96, 2, lambda i: b"g" * 96)
+            region.defer(BASE + 32, 64, 1, lambda i, start, stop: b"")  # phase
+        region.read(BASE + 128, 3 * 64)  # reads leave the pages pending
+        with pytest.raises(ValueError, match="off the pending pages' grid"):
+            region.defer(BASE + 32, 96, 2, lambda i, start, stop: b"g" * (stop - start))
+        region.write(BASE + 128, bytes(64))  # drops page 0
+        region.write(BASE + 128 + 65, b"x")  # writes page 1 into the mapping
+        region.write(BASE + 128 + 2 * 64, bytes(64))  # drops page 2
+        region.defer(BASE + 32, 96, 2, lambda i, start, stop: b"g" * (stop - start))
         assert region.read(BASE + 128, 64) == b"g" * 64
-        assert sorted(calls) == [0, 1, 2]
+        assert region.read(BASE + 224, 4) == self.page(1)[32:36]  # written, not dropped
+        assert calls[-1] == (1, 0, 64) and released == [1]
 
     def test_a_fill_that_raises_leaves_its_page_pending(self):
         region = MemoryRegion(BASE, PAGE, 1, RKEY, name="r")
         attempts = []
 
-        def fill(i):
+        def fill(i, start, stop):
             attempts.append(i)
             if len(attempts) == 1:
                 raise RuntimeError("not yet")
-            return b"f" * 64
+            return b"f" * (stop - start)
 
         region.defer(BASE, 64, 2, fill)
         with pytest.raises(RuntimeError, match="not yet"):
-            region.read(BASE, 128)
-        assert region.read(BASE, 128) == b"f" * 128
-        assert attempts == [0, 0, 1]
+            region.write(BASE + 1, b"x")
+        assert region._data[:64] == bytes(64) and len(region._deferred) == 2
+        region.write(BASE + 1, b"x")
+        assert region.read(BASE, 128) == b"f" + b"x" + b"f" * 126
+        assert attempts == [0, 0, 1] and sorted(region._deferred) == [BASE // 64 + 1]
 
     def test_close_drops_pending_pages(self):
-        region, calls = self.deferred()
+        region, calls, released = self.deferred()
         region.close()
-        assert calls == [] and not region._deferred
+        assert calls == [] and released == [] and not region._deferred
         with pytest.raises(AccessError, match="closed"):
             region.read(BASE + 128, 1)
         with pytest.raises(AccessError, match="closed"):
-            region.defer(BASE, 64, 1, lambda i: b"")
+            region.defer(BASE, 64, 1, lambda i, start, stop: b"")
 
     def test_accesses_make_no_call_once_every_page_is_filled(self):
-        region, calls = self.deferred()
-        region.read(BASE + 128, 3 * 64)
+        region, calls, released = self.deferred()
+        for i in range(3):
+            region.write(BASE + 128 + i * 64 + 3, b"w")
         assert (region._defer_lo, region._defer_hi) == (0, 0)
-        with mock.patch.object(MemoryRegion, "_settle", side_effect=AssertionError):
+        with mock.patch.object(MemoryRegion, "_settle", side_effect=AssertionError), \
+                mock.patch.object(MemoryRegion, "_read_through", side_effect=AssertionError):
             region.read(BASE + 128, 64)
             region.remote_write(BASE + 128, b"x", RKEY)
 
@@ -452,17 +485,19 @@ class TestDefer:
         region = MemoryRegion(BASE, PAGE, 1, RKEY, name="r")
         region.watch(BASE + 8, BASE + 16, lambda a, n: None)
         with pytest.raises(ValueError, match="overlaps a watch"):
-            region.defer(BASE, 64, 1, lambda i: b"")
+            region.defer(BASE, 64, 1, lambda i, start, stop: b"")
         with pytest.raises(BoundsError):
-            region.defer(BASE + PAGE - 64, 64, 2, lambda i: b"")
+            region.defer(BASE + PAGE - 64, 64, 2, lambda i, start, stop: b"")
         with pytest.raises(ValueError, match="bad deferred span"):
-            region.defer(BASE + 64, 0, 1, lambda i: b"")
-        region.defer(BASE + 64, 64, 1, lambda i: b"x" * 65)
-        with pytest.raises(ValueError, match="over 64 B"):
+            region.defer(BASE + 64, 0, 1, lambda i, start, stop: b"")
+        region.defer(BASE + 64, 64, 1, lambda i, start, stop: b"x" * (stop - start + 1))
+        with pytest.raises(ValueError, match=r"gave 2 B for its bytes \[0, 1\)"):
             region.read(BASE + 64, 1)
+        with pytest.raises(ValueError, match=r"gave 65 B for its bytes \[0, 64\)"):
+            region.write(BASE + 65, b"y")
         readonly = MemoryRegion(BASE, PAGE, 1, RKEY, Permission.LOCAL_READ, name="r")
         with pytest.raises(AccessError, match="not locally writable"):
-            readonly.defer(BASE, 64, 1, lambda i: b"")
+            readonly.defer(BASE, 64, 1, lambda i, start, stop: b"")
 
 
 class TestPermissions:

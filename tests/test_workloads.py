@@ -83,6 +83,56 @@ class TestZipfianGenerator:
             ZipfianGenerator(100, theta=0.0)
 
 
+def reference_fnv1a_64(value):
+    """The byte loop before its constants were bound as locals."""
+    data = value.to_bytes(8, "little")
+    result = 0xCBF29CE484222325
+    for byte in data:
+        result ^= byte
+        result = (result * 0x100000001B3) & 0xFFFF_FFFF_FFFF_FFFF
+    return result
+
+
+class ReferenceZipfian(ZipfianGenerator):
+    """``next`` before the rank-1 bound was computed once, kept as the
+    reference for the key stream."""
+
+    def next(self):
+        u = self._rng.random()
+        uz = u * self._zetan
+        if uz < 1.0:
+            rank = 0
+        elif uz < 1.0 + 0.5 ** self.theta:
+            rank = 1
+        else:
+            rank = int(
+                self.item_count * (self._eta * u - self._eta + 1.0) ** self._alpha
+            )
+            rank = min(rank, self.item_count - 1)
+        if self.scrambled:
+            return reference_fnv1a_64(rank) % self.item_count
+        return rank
+
+
+class TestKeyStreamsPinned:
+    @pytest.mark.parametrize("value", [0, 1, 1 << 63, (1 << 64) - 1])
+    def test_fnv1a_matches_reference(self, value):
+        assert fnv1a_64(value) == reference_fnv1a_64(value)
+
+    @pytest.mark.parametrize("value", [-1, 1 << 64])
+    def test_fnv1a_rejects_what_the_reference_rejects(self, value):
+        with pytest.raises(OverflowError):
+            reference_fnv1a_64(value)
+        with pytest.raises(OverflowError):
+            fnv1a_64(value)
+
+    @pytest.mark.parametrize("item_count, seed", [(2, 3), (1000, 2), (40_000, 1)])
+    def test_first_keys_match_reference(self, item_count, seed):
+        gen = ZipfianGenerator(item_count, seed=seed)
+        ref = ReferenceZipfian(item_count, seed=seed)
+        assert [gen.next() for _ in range(5000)] == [ref.next() for _ in range(5000)]
+
+
 class TestYcsbWorkload:
     def test_pure_read_mix(self):
         workload = YcsbWorkload(YcsbConfig(read_fraction=1.0))
