@@ -156,15 +156,13 @@ class PollGroup:
         self._reads: list[tuple[int, int]] = []
         self._writes: list[tuple[int, int]] = []
 
-    def _ids_of(self, request_id: int) -> tuple[list[tuple[int, int]], tuple[int, int]]:
-        """The id's per-type list and its sort key in that list."""
-        ids = self._reads if request_id >> REQUEST_TYPE_SHIFT == _READ else self._writes
-        return ids, (request_id & REQUEST_SEQUENCE_MASK, request_id)
-
+    # add and remove find the id's per-type list and its sort key in
+    # that list inline: each runs once per request.
     def add(self, request_id: int) -> None:
         if request_id in self._stamps:
             return  # already registered: keeps its place
-        ids, key = self._ids_of(request_id)
+        ids = self._reads if request_id >> REQUEST_TYPE_SHIFT == _READ else self._writes
+        key = (request_id & REQUEST_SEQUENCE_MASK, request_id)
         self._stamps[request_id] = next(self._next_stamp)
         if not ids or ids[-1] < key:
             ids.append(key)  # the usual case: issued in sequence order
@@ -174,8 +172,8 @@ class PollGroup:
     def remove(self, request_id: int) -> None:
         if self._stamps.pop(request_id, None) is None:
             return
-        ids, key = self._ids_of(request_id)
-        del ids[bisect.bisect_left(ids, key)]
+        ids = self._reads if request_id >> REQUEST_TYPE_SHIFT == _READ else self._writes
+        del ids[bisect.bisect_left(ids, (request_id & REQUEST_SEQUENCE_MASK, request_id))]
 
     def __len__(self) -> int:
         return len(self._stamps)
@@ -197,7 +195,7 @@ class PollGroup:
         return done
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _OutstandingRead:
     sequence: int
     addr: int
@@ -206,7 +204,7 @@ class _OutstandingRead:
     consumed: bool = False
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _OutstandingWrite:
     sequence: int
     data_pad: int
@@ -305,32 +303,9 @@ class CowbirdInstance:
         The result lands in the response data ring, at the slot whose
         address the metadata entry carries as ``resp_addr``.
         """
-        handle = self._handle(region_id)
-        remote_addr = handle.translate(src_offset, length)
-        # A request takes its metadata entry, data-ring space and
-        # sequence number together or not at all, so a full ring is
-        # refused before anything is taken (inlined: one check per op).
-        metadata = self.metadata_ring
-        if metadata.tail - metadata.head >= metadata.capacity:
-            raise BufferFullError(_metadata_full(metadata), "metadata")
-        # Reserve the response slot next (step 2 of Section 4.3) so a
-        # full response ring fails before any state is published.
-        before = self.response_data.tail
-        try:
-            dest_addr = self.response_data.reserve(length)
-        except RingFullError as exc:
-            raise BufferFullError(str(exc), "response_data") from exc
-        pad = (self.response_data.tail - before) - length
-        sequence = next(self._read_seq)
-        self._append_metadata(
-            RequestMetadata(RwType.READ, remote_addr, dest_addr, length, region_id)
-        )
-        self._reads[sequence] = _OutstandingRead(sequence, dest_addr, length, pad)
-        self._read_order.append(sequence)
-        self.requests_issued += 1
-        # The whole issue path is a handful of local stores (Figure 2).
-        yield from thread.compute(self.cost.cowbird_post, TAG_COMM)
-        return encode_request_id(RwType.READ, region_id, sequence)
+        request_id, cpu_ns = self.post_read(region_id, src_offset, length)
+        yield from thread.compute(cpu_ns, TAG_COMM)
+        return request_id
 
     def async_write(
         self,
@@ -340,31 +315,9 @@ class CowbirdInstance:
         data: bytes,
     ) -> Generator[Any, Any, int]:
         """Asynchronously write ``data`` to remote memory; returns a request id."""
-        if not data:
-            raise ValueError("cannot write an empty payload")
-        handle = self._handle(region_id)
-        remote_addr = handle.translate(dest_offset, len(data))
-        metadata = self.metadata_ring  # refused before anything is taken
-        if metadata.tail - metadata.head >= metadata.capacity:
-            raise BufferFullError(_metadata_full(metadata), "metadata")
-        before = self.request_data.tail
-        try:
-            src_addr = self.request_data.reserve(len(data))
-        except RingFullError as exc:
-            raise BufferFullError(str(exc), "request_data") from exc
-        pad = (self.request_data.tail - before) - len(data)
-        self.request_data.write(src_addr, data)
-        sequence = next(self._write_seq)
-        self._append_metadata(
-            RequestMetadata(RwType.WRITE, src_addr, remote_addr, len(data), region_id)
-        )
-        self._writes[sequence] = _OutstandingWrite(sequence, pad, len(data))
-        self.requests_issued += 1
-        # Post cost plus the payload copy into the request data ring.
-        yield from thread.compute(
-            self.cost.cowbird_post + self.cost.memcpy_per_byte * len(data), TAG_COMM
-        )
-        return encode_request_id(RwType.WRITE, region_id, sequence)
+        request_id, cpu_ns = self.post_write(region_id, dest_offset, data)
+        yield from thread.compute(cpu_ns, TAG_COMM)
+        return request_id
 
     def poll_create(self) -> int:
         """Initialize a notification group; returns a poll id."""
@@ -390,46 +343,142 @@ class CowbirdInstance:
         Completion checks are purely local: integer comparisons against
         the red block's progress counters (Section 4.3).
         """
-        group = self._poll_groups[poll_id]
         deadline = None if timeout is None else self.sim.now + timeout
         while True:
-            # Register for progress *before* checking, so an engine
-            # update landing between the check and the wait cannot be
-            # missed (the classic lost-wakeup race).  A call whose
-            # deadline has passed cannot wait, so it registers nothing.
-            if deadline is None or deadline > self.sim.now:
-                progress = self.sim.future()
-                self._progress_waiters.append(progress)
-            else:
-                progress = None
-            if self._red_dirty:
-                self._sync_red()
-            done_ids = group.completed(self.red)[:max_ret]
-            if done_ids or not group._stamps:
-                if progress is not None:
-                    self._discard_waiter(progress)
-                yield from thread.compute(
-                    self.cost.cowbird_poll if done_ids else self.cost.cowbird_poll_empty,
-                    TAG_COMM,
-                )
-                events = [self._complete(request_id) for request_id in done_ids]
-                for request_id in done_ids:
-                    group.remove(request_id)
-                return events
-            yield from thread.compute(self.cost.cowbird_poll_empty, TAG_COMM)
-            if deadline is not None and self.sim.now >= deadline:
-                if progress is not None:
-                    self._discard_waiter(progress)
+            cpu_ns, done_ids, progress = self.poll_check(poll_id, max_ret, deadline)
+            yield from thread.compute(cpu_ns, TAG_COMM)
+            if done_ids is not None:
+                return self.poll_reap(poll_id, done_ids)
+            wake = self.poll_wake(progress, deadline)
+            if wake is None:
                 return []
-            if deadline is None:
-                yield from thread.wait(progress)
-            else:
-                yield from thread.wait(
-                    self.sim.any_of([progress, self.sim.timeout(deadline - self.sim.now)])
-                )
-                if not progress.done:
-                    # The timeout won: the next pass registers afresh.
-                    self._discard_waiter(progress)
+            yield from thread.wait(wake)
+            self.poll_woken(progress)
+
+    # ------------------------------------------------------------------
+    # The Table 2 calls without their simulated CPU time.  Each returns
+    # what its call returns and the CPU time the caller charges (with
+    # ``thread.compute(..., TAG_COMM)``) before it uses the result; a
+    # caller that charges it itself saves a generator level on every
+    # resumption of that charge.
+    # ------------------------------------------------------------------
+    def post_read(self, region_id: int, src_offset: int, length: int) -> tuple[int, float]:
+        """:meth:`async_read` up to its CPU charge: ``(request id, ns)``."""
+        handle = self._handle(region_id)
+        remote_addr = handle.translate(src_offset, length)
+        # A request takes its metadata entry, data-ring space and
+        # sequence number together or not at all, so a full ring is
+        # refused before anything is taken (inlined: one check per op).
+        metadata = self.metadata_ring
+        if metadata.tail - metadata.head >= metadata.capacity:
+            raise BufferFullError(_metadata_full(metadata), "metadata")
+        # Reserve the response slot next (step 2 of Section 4.3) so a
+        # full response ring fails before any state is published.
+        before = self.response_data.tail
+        try:
+            dest_addr = self.response_data.reserve(length)
+        except RingFullError as exc:
+            raise BufferFullError(str(exc), "response_data") from exc
+        pad = (self.response_data.tail - before) - length
+        sequence = next(self._read_seq)
+        self._append_metadata(
+            RequestMetadata(RwType.READ, remote_addr, dest_addr, length, region_id)
+        )
+        self._reads[sequence] = _OutstandingRead(sequence, dest_addr, length, pad)
+        self._read_order.append(sequence)
+        self.requests_issued += 1
+        # The whole issue path is a handful of local stores (Figure 2).
+        return encode_request_id(RwType.READ, region_id, sequence), self.cost.cowbird_post
+
+    def post_write(
+        self, region_id: int, dest_offset: int, data: bytes
+    ) -> tuple[int, float]:
+        """:meth:`async_write` up to its CPU charge: ``(request id, ns)``."""
+        if not data:
+            raise ValueError("cannot write an empty payload")
+        handle = self._handle(region_id)
+        remote_addr = handle.translate(dest_offset, len(data))
+        metadata = self.metadata_ring  # refused before anything is taken
+        if metadata.tail - metadata.head >= metadata.capacity:
+            raise BufferFullError(_metadata_full(metadata), "metadata")
+        before = self.request_data.tail
+        try:
+            src_addr = self.request_data.reserve(len(data))
+        except RingFullError as exc:
+            raise BufferFullError(str(exc), "request_data") from exc
+        pad = (self.request_data.tail - before) - len(data)
+        self.request_data.write(src_addr, data)
+        sequence = next(self._write_seq)
+        self._append_metadata(
+            RequestMetadata(RwType.WRITE, src_addr, remote_addr, len(data), region_id)
+        )
+        self._writes[sequence] = _OutstandingWrite(sequence, pad, len(data))
+        self.requests_issued += 1
+        # Post cost plus the payload copy into the request data ring.
+        return (
+            encode_request_id(RwType.WRITE, region_id, sequence),
+            self.cost.cowbird_post + self.cost.memcpy_per_byte * len(data),
+        )
+
+    def poll_check(
+        self, poll_id: int, max_ret: int, deadline: Optional[float]
+    ) -> tuple[float, Optional[list[int]], Any]:
+        """One pass of :meth:`poll_wait` up to its CPU charge.
+
+        Returns ``(ns, done_ids, progress)``.  With ``done_ids`` a list,
+        the pass is over: charge ``ns``, then :meth:`poll_reap` them.
+        With ``done_ids`` None nothing completed: charge ``ns``, then wait
+        on :meth:`poll_wake`'s future and check again, or stop if it
+        gives none.  Completion checks are purely local: integer
+        comparisons against the red block's progress counters
+        (Section 4.3).
+        """
+        group = self._poll_groups[poll_id]
+        # Register for progress *before* checking, so an engine update
+        # landing between the check and the wait cannot be missed (the
+        # classic lost-wakeup race).  A call whose deadline has passed
+        # cannot wait, so it registers nothing.
+        if deadline is None or deadline > self.sim.now:
+            progress = self.sim.future()
+            self._progress_waiters.append(progress)
+        else:
+            progress = None
+        if self._red_dirty:
+            self._sync_red()
+        done_ids = group.completed(self.red)[:max_ret]
+        if done_ids or not group._stamps:
+            if progress is not None:
+                self._discard_waiter(progress)
+            cost = self.cost
+            return (cost.cowbird_poll if done_ids else cost.cowbird_poll_empty), done_ids, None
+        return self.cost.cowbird_poll_empty, None, progress
+
+    def poll_wake(self, progress, deadline: Optional[float]):
+        """What an empty :meth:`poll_check` pass waits on once charged:
+        its progress future, or that or the deadline; None once the
+        deadline has passed."""
+        if deadline is None:
+            return progress
+        now = self.sim.now
+        if now >= deadline:
+            if progress is not None:
+                self._discard_waiter(progress)
+            return None
+        return self.sim.any_of([progress, self.sim.timeout(deadline - now)])
+
+    def poll_woken(self, progress) -> None:
+        """After the wait on :meth:`poll_wake`'s future: if the timeout
+        won, drop the registration; the next pass registers afresh."""
+        if not progress.done:
+            self._discard_waiter(progress)
+
+    def poll_reap(self, poll_id: int, done_ids: list[int]) -> list[CompletionEvent]:
+        """Consume the completions a :meth:`poll_check` pass found."""
+        group = self._poll_groups[poll_id]
+        events = [self._complete(request_id) for request_id in done_ids]
+        for request_id in done_ids:
+            group.remove(request_id)
+        return events
 
     # ------------------------------------------------------------------
     # Convenience methods (Section 4.1: "Simple extensions can be made
@@ -497,11 +546,7 @@ class CowbirdInstance:
             raise RuntimeError(f"read {sequence} not complete yet")
         data = self.region.read(entry.addr, entry.length)
         entry.consumed = True
-        self._release_consumed_reads()
-        return data
-
-    def _release_consumed_reads(self) -> None:
-        """Advance the response ring head past consumed leading reads."""
+        # Advance the response ring head past consumed leading reads.
         order = self._read_order
         while order:
             entry = self._reads[order[0]]
@@ -511,6 +556,7 @@ class CowbirdInstance:
                 self.response_data.head + entry.pad + entry.length
             )
             del self._reads[order.popleft()]
+        return data
 
     # ------------------------------------------------------------------
     # Internals
@@ -523,9 +569,10 @@ class CowbirdInstance:
 
     def _append_metadata(self, entry: RequestMetadata) -> None:
         self.metadata_ring.append(entry)
-        self.green.request_meta_tail = self.metadata_ring.tail
-        self.green.request_data_tail = self.request_data.tail
-        self._publish_green()
+        green = self.green
+        green.request_meta_tail = self.metadata_ring.tail
+        green.request_data_tail = self.request_data.tail
+        self.region.write(self._green_addr, green.pack())  # _publish_green
 
     def _publish_green(self) -> None:
         self.region.write(self._green_addr, self.green.pack())

@@ -144,22 +144,26 @@ class DataRing:
         """
         if length <= 0:
             raise ValueError(f"allocation length must be positive: {length}")
+        capacity = self.capacity
         # Cap allocations at half the ring so boundary padding (counted
         # as occupancy by the conservative full-check below) can never
         # make an allocation permanently unsatisfiable.
-        if length > self.capacity // 2:
+        if length > capacity // 2:
             raise ValueError(
                 f"allocation of {length} bytes exceeds half the ring "
-                f"capacity ({self.capacity})"
+                f"capacity ({capacity})"
             )
-        pad = skip_pad(self.tail, length, self.capacity)
-        if self.tail - self.head + pad + length > self.capacity:
+        tail = self.tail
+        offset = tail % capacity
+        # skip_pad, inlined: one reservation per request.
+        pad = capacity - offset if offset + length > capacity else 0
+        if tail - self.head + pad + length > capacity:
             raise RingFullError(
                 f"data ring full ({self.free_bytes()} free, need {pad + length})"
             )
-        self.tail += pad
-        addr = self.base_addr + (self.tail % self.capacity)  # addr_at(tail)
-        self.tail += length
+        tail += pad
+        addr = self.base_addr + (tail % capacity)  # addr_at(tail)
+        self.tail = tail + length
         return addr
 
     def write(self, addr: int, payload: bytes) -> None:

@@ -105,8 +105,9 @@ class RequestCore:
         """
         requests = []
         offset = 0
+        unpack = RequestMetadata.unpack
         for index in range(start, end):
-            metadata = RequestMetadata.unpack(payload[offset : offset + ENTRY_BYTES])
+            metadata = unpack(payload, offset)
             if metadata.rw_type is RwType.INVALID:
                 end = index
                 break

@@ -29,6 +29,7 @@ import bisect
 import dataclasses
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.cowbird.api import CowbirdInstance, InstanceDescriptor
@@ -91,18 +92,23 @@ class SpotEngineStats:
         return self.batch_entries_total / self.batches_flushed
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _SpotOp:
-    """One application request moving through the agent."""
+    """One application request moving through the agent.
+
+    The first two fields lead, so that ``partial(_SpotOp, instance,
+    parsed_at)`` is the ``make`` that :meth:`RequestCore.parse` calls
+    with the rest; ops compare by identity.
+    """
 
     instance: "_SpotInstance"
-    sequence: int
+    #: Sim time the agent parsed this request (span begin for telemetry).
+    parsed_at: float
     metadata: RequestMetadata
+    sequence: int
     ring_index: int
     staging_addr: int = 0
     completed: bool = False
-    #: Sim time the agent parsed this request (span begin for telemetry).
-    parsed_at: float = 0.0
 
 
 class _SpotInstance(RequestCore):
@@ -328,12 +334,9 @@ class CowbirdSpotEngine:
                 # Control traffic rides a higher class so discovery
                 # latency is independent of bulk data bursts.
                 wr = WorkRequest(
-                    work_type=WorkType.READ,
-                    local_addr=state.green_staging,
-                    remote_addr=state.descriptor.bookkeeping_addr,
-                    rkey=state.descriptor.rkey,
-                    length=GreenBlock.SIZE,
-                    priority=PRIORITY_HIGH,
+                    WorkType.READ, state.green_staging,
+                    state.descriptor.bookkeeping_addr, state.descriptor.rkey,
+                    GreenBlock.SIZE, priority=PRIORITY_HIGH,
                 )
                 self._wr_ops[wr.wr_id] = ("probe", state)
                 posts.append((state.qp_compute, wr))
@@ -349,11 +352,7 @@ class CowbirdSpotEngine:
         state.meta_fetch_inflight = True
         self.stats.metadata_fetches += 1
         wr = WorkRequest(
-            work_type=WorkType.READ,
-            local_addr=state.meta_staging,
-            remote_addr=addr,
-            rkey=state.descriptor.rkey,
-            length=length,
+            WorkType.READ, state.meta_staging, addr, state.descriptor.rkey, length,
             priority=PRIORITY_HIGH,
         )
         self._wr_ops[wr.wr_id] = ("meta", (state, (start, end)))
@@ -364,19 +363,13 @@ class CowbirdSpotEngine:
         # Parse entries (the agent, unlike the switch, can do this);
         # per-entry parse cost is charged in one lump per fetch.
         yield from thread.compute(
-            self.cost.engine_parse_request * (end - start), tag=TAG_ENGINE
+            self.cost.engine_parse_request * (end - start), TAG_ENGINE
         )
         now = self.sim.now
         payload = self.staging.read(
             state.meta_staging, (end - start) * MetadataRing.ENTRY_BYTES
         )
-        ops = state.parse(
-            payload, start, end,
-            lambda metadata, sequence, index: _SpotOp(
-                instance=state, sequence=sequence, metadata=metadata,
-                ring_index=index, parsed_at=now,
-            ),
-        )
+        ops = state.parse(payload, start, end, partial(_SpotOp, state, now))
         self.stats.requests_parsed += len(ops)
         return self._dispatch_posts(state, ops)
 
@@ -398,7 +391,9 @@ class CowbirdSpotEngine:
         for op in ops:
             metadata = op.metadata
             if metadata.rw_type is RwType.READ:
-                if state.stalled_reads or self._overlaps_active_write(state, metadata):
+                if state.stalled_reads or (
+                    state.active_writes and self._overlaps_active_write(state, metadata)
+                ):
                     # Reads execute in order: once one stalls, later
                     # reads queue behind it (Section 6).
                     self.stats.overlap_stalls += 1
@@ -415,11 +410,8 @@ class CowbirdSpotEngine:
         op.staging_addr = self._batch_staging(op.metadata.length)
         handle = state.descriptor.remote_regions[op.metadata.region_id]
         wr = WorkRequest(
-            work_type=WorkType.READ,
-            local_addr=op.staging_addr,
-            remote_addr=op.metadata.req_addr,
-            rkey=handle.rkey,
-            length=op.metadata.length,
+            WorkType.READ, op.staging_addr, op.metadata.req_addr, handle.rkey,
+            op.metadata.length,
         )
         self._wr_ops[wr.wr_id] = ("read_fetch", op)
         return (state.qp_pools[handle.node], wr)
@@ -427,11 +419,8 @@ class CowbirdSpotEngine:
     def _build_write_fetch(self, state: _SpotInstance, op: _SpotOp):
         op.staging_addr = self._batch_staging(op.metadata.length)
         wr = WorkRequest(
-            work_type=WorkType.READ,
-            local_addr=op.staging_addr,
-            remote_addr=op.metadata.req_addr,
-            rkey=state.descriptor.rkey,
-            length=op.metadata.length,
+            WorkType.READ, op.staging_addr, op.metadata.req_addr,
+            state.descriptor.rkey, op.metadata.length,
         )
         self._wr_ops[wr.wr_id] = ("write_fetch", op)
         return (state.qp_compute_data, wr)
@@ -445,7 +434,7 @@ class CowbirdSpotEngine:
             yield from thread.compute(
                 self.cost.engine_rdma_call
                 + self.cost.engine_wqe_batched * len(chunk),
-                tag=TAG_ENGINE,
+                TAG_ENGINE,
             )
             self.stats.rdma_calls += 1
             for qp, wr in chunk:
@@ -457,7 +446,7 @@ class CowbirdSpotEngine:
     def _completion_loop(self, thread):
         wr_ops = self._wr_ops
         while self._running:
-            completions = self.cq.poll(max_entries=256)
+            completions = self.cq.poll(256)
             if not completions:
                 signal = self.sim.future()
                 self.cq.notify_next_push(signal)
@@ -480,7 +469,7 @@ class CowbirdSpotEngine:
                 entries[:0] = discovery
             follow_up: list[tuple[object, WorkRequest]] = []
             yield from thread.compute(
-                self.cost.engine_cqe_batched * len(completions), tag=TAG_ENGINE
+                self.cost.engine_cqe_batched * len(completions), TAG_ENGINE
             )
             for kind, payload in entries:
                 if kind == "probe":
@@ -559,11 +548,8 @@ class CowbirdSpotEngine:
         state = op.instance
         handle = state.descriptor.remote_regions[op.metadata.region_id]
         wr = WorkRequest(
-            work_type=WorkType.WRITE,
-            local_addr=op.staging_addr,
-            remote_addr=op.metadata.resp_addr,
-            rkey=handle.rkey,
-            length=op.metadata.length,
+            WorkType.WRITE, op.staging_addr, op.metadata.resp_addr, handle.rkey,
+            op.metadata.length,
         )
         self._wr_ops[wr.wr_id] = ("pool_write", op)
         return (state.qp_pools[handle.node], wr)
@@ -613,21 +599,18 @@ class CowbirdSpotEngine:
         # Gather staged payloads into one contiguous send buffer; the
         # batch's response slots are adjacent, so they concatenate.
         gather_addr = self._batch_staging(total)
-        offset = 0
+        read = self.staging.read
+        parts = []
         for op in batch:
-            data = self.staging.read(op.staging_addr, op.metadata.length)
-            self.staging.write(gather_addr + offset, data)
-            offset += op.metadata.length
+            parts.append(read(op.staging_addr, op.metadata.length))
             op.completed = True
+        self.staging.write(gather_addr, b"".join(parts))
         yield from thread.compute(
-            self.cost.engine_batch_copy_per_byte * total, tag=TAG_ENGINE
+            self.cost.engine_batch_copy_per_byte * total, TAG_ENGINE
         )
         wr = WorkRequest(
-            work_type=WorkType.WRITE,
-            local_addr=gather_addr,
-            remote_addr=batch[0].metadata.resp_addr,
-            rkey=state.descriptor.rkey,
-            length=total,
+            WorkType.WRITE, gather_addr, batch[0].metadata.resp_addr,
+            state.descriptor.rkey, total,
         )
         self._wr_ops[wr.wr_id] = (
             "batch_flush",
@@ -675,11 +658,8 @@ class CowbirdSpotEngine:
         addr = self._batch_staging(len(payload))
         self.staging.write(addr, payload)
         wr = WorkRequest(
-            work_type=WorkType.WRITE,
-            local_addr=addr,
-            remote_addr=state.descriptor.bookkeeping_addr + 64,
-            rkey=state.descriptor.rkey,
-            length=len(payload),
+            WorkType.WRITE, addr, state.descriptor.bookkeeping_addr + 64,
+            state.descriptor.rkey, len(payload),
         )
         self._wr_ops[wr.wr_id] = ("red_update", (state, addr))
         return (state.qp_compute_data, wr)

@@ -74,10 +74,13 @@ def _rw_type_of(value: int) -> RwType:
 #: alignment (R1: fixed-size, trivially parsed by packet-centric devices).
 _METADATA_STRUCT = struct.Struct("<HHIQQ")
 METADATA_ENTRY_BYTES = 32
-_METADATA_PAD = METADATA_ENTRY_BYTES - _METADATA_STRUCT.size
+#: The same fields and the zero padding, as one whole entry.
+_METADATA_ENTRY_STRUCT = struct.Struct(
+    f"<HHIQQ{METADATA_ENTRY_BYTES - _METADATA_STRUCT.size}x"
+)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False)
 class RequestMetadata:
     """One entry of the request metadata ring (Table 3).
 
@@ -86,6 +89,11 @@ class RequestMetadata:
     for writes.  ``resp_addr`` is where the result lands: a compute-node
     address (in the response data ring) for reads, a memory-pool address
     for writes.
+
+    A plain slots record: the client builds one per request and an
+    engine parses one per request, so neither pays a frozen dataclass's
+    ``object.__setattr__`` per field.  Nothing mutates an entry once
+    built.
     """
 
     rw_type: RwType
@@ -94,44 +102,47 @@ class RequestMetadata:
     length: int
     region_id: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.region_id <= 0xFFFF:
-            raise ValueError(f"region_id out of 16-bit range: {self.region_id}")
-        if not 0 <= self.length < (1 << 32):
-            raise ValueError(f"length out of 32-bit range: {self.length}")
-        if self.req_addr < 0 or self.resp_addr < 0:
+    def __init__(
+        self, rw_type: RwType, req_addr: int, resp_addr: int, length: int,
+        region_id: int,
+    ) -> None:
+        if not 0 <= region_id <= 0xFFFF:
+            raise ValueError(f"region_id out of 16-bit range: {region_id}")
+        if not 0 <= length < (1 << 32):
+            raise ValueError(f"length out of 32-bit range: {length}")
+        if req_addr < 0 or resp_addr < 0:
             raise ValueError("addresses must be non-negative")
+        self.rw_type = rw_type
+        self.req_addr = req_addr
+        self.resp_addr = resp_addr
+        self.length = length
+        self.region_id = region_id
 
     def pack(self) -> bytes:
-        return (
-            _METADATA_STRUCT.pack(
-                int(self.rw_type),
-                self.region_id,
-                self.length,
-                self.req_addr,
-                self.resp_addr,
-            )
-            + b"\x00" * _METADATA_PAD
+        return _METADATA_ENTRY_STRUCT.pack(
+            self.rw_type, self.region_id, self.length, self.req_addr, self.resp_addr
         )
 
     @classmethod
-    def unpack(cls, data: bytes) -> "RequestMetadata":
-        if len(data) < _METADATA_STRUCT.size:
-            raise ValueError(f"metadata entry too short: {len(data)} bytes")
-        rw, region_id, length, req_addr, resp_addr = _METADATA_STRUCT.unpack_from(data)
+    def unpack(cls, data: bytes, offset: int = 0) -> "RequestMetadata":
+        """Parse the entry at ``offset`` of ``data`` (an engine reads a
+        fetched run in place, one entry per request)."""
+        if len(data) - offset < _METADATA_STRUCT.size:
+            raise ValueError(f"metadata entry too short: {len(data) - offset} bytes")
+        rw, region_id, length, req_addr, resp_addr = _METADATA_STRUCT.unpack_from(
+            data, offset
+        )
         rw_type = RW_TYPE_BY_VALUE[rw] if rw < _RW_TYPE_LIMIT else None
         if rw_type is None:
             _rw_type_of(rw)  # raises the ValueError
-        # The wire field widths already bound every value __post_init__
-        # checks, so the (frozen) entry is filled in directly: engines
-        # parse one per request.
+        # The wire field widths already bound every value the constructor
+        # checks, so the entry is filled in directly.
         entry = object.__new__(cls)
-        set_field = object.__setattr__
-        set_field(entry, "rw_type", rw_type)
-        set_field(entry, "req_addr", req_addr)
-        set_field(entry, "resp_addr", resp_addr)
-        set_field(entry, "length", length)
-        set_field(entry, "region_id", region_id)
+        entry.rw_type = rw_type
+        entry.req_addr = req_addr
+        entry.resp_addr = resp_addr
+        entry.length = length
+        entry.region_id = region_id
         return entry
 
 

@@ -27,7 +27,7 @@ the reliable-connection protocol:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.memory.region import AccessError, BoundsError, RegionRegistry
@@ -88,12 +88,14 @@ class NicConfig:
     max_retries: int = 7
     #: Network priority stamped on generated packets.
     priority: int = PRIORITY_NORMAL
+    #: Minimum time between two message initiations, derived from
+    #: ``message_rate_mops`` once rather than on every post.
+    message_gap_ns: float = field(init=False)
 
-    @property
-    def message_gap_ns(self) -> float:
-        if self.message_rate_mops <= 0:
-            return 0.0
-        return 1_000.0 / self.message_rate_mops
+    def __post_init__(self) -> None:
+        self.message_gap_ns = (
+            1_000.0 / self.message_rate_mops if self.message_rate_mops > 0 else 0.0
+        )
 
 
 @dataclass
@@ -187,7 +189,7 @@ class RNIC:
         CPU cost of the post is charged by the verbs layer; here the NIC
         schedules the work respecting its message-rate limit.
         """
-        if not qp.connected:
+        if qp.remote_node is None or qp.remote_qpn is None:  # QueuePair.connected
             raise RuntimeError(f"QP {qp.qpn} not connected")
         self.stats.posts += 1
         if qp.in_error:
@@ -196,22 +198,17 @@ class RNIC:
         if wr.work_type is WorkType.RECV:
             self._recv_queues[qp.qpn].append(wr)
             return
-        delay = self._reserve_send_slot()
-        self._initiate_pending.append((qp, wr))
-        self.sim.call_after(delay, self._initiate_next_callback)
-
-    def _reserve_send_slot(self) -> float:
-        """Serialize message initiations at the NIC's message rate."""
-        now = self.sim.now
+        # Serialize message initiations at the NIC's message rate.
+        sim = self.sim
+        now = sim.now
         slot = max(now, self._next_send_slot)
         self._next_send_slot = slot + self.config.message_gap_ns
-        return slot - now
+        self._initiate_pending.append((qp, wr))
+        sim.call_at(now + (slot - now), self._initiate_next_callback)
 
     def _initiate_next(self) -> None:
+        """Initiate the oldest posted work request, at its send slot."""
         qp, wr = self._initiate_pending.popleft()
-        self._initiate(qp, wr)
-
-    def _initiate(self, qp: QueuePair, wr: WorkRequest) -> None:
         if qp.in_error:  # the QP failed while ``wr`` waited for its slot
             self._flush(qp, wr)
             return
@@ -227,9 +224,11 @@ class RNIC:
         )
         window = qp.window
         window.open(entry)
-        qp._tel_outstanding.set(len(window.outstanding))
+        if self._tel.enabled:
+            qp._tel_outstanding.set(len(window.outstanding))
         self._emit(qp, entry)
-        self._arm_timer(qp)
+        if qp.qpn not in self._timer_armed:
+            self._arm_timer(qp)
 
     def _emit(self, qp: QueuePair, entry: _Outstanding) -> None:
         """Send a WR's packets: one READ request, a WRITE train (First /
@@ -247,13 +246,21 @@ class RNIC:
             self._transmit(packet, qp)
         elif work_type is WorkType.WRITE:
             payload = self._dma_read_local(wr.local_addr, wr.length)
-            mtu = self.config.mtu_bytes
             n = entry.num_psns
+            if n == 1:
+                packet = RocePacket(
+                    self.node, qp.remote_node, OP_WRITE_ONLY, qp.remote_qpn,
+                    entry.first_psn,
+                    True, wr.remote_addr, wr.rkey, wr.length,  # ack_request, RETH
+                    0, 0, payload,  # no AETH
+                    priority,
+                )
+                self._transmit(packet, qp)
+                return
+            mtu = self.config.mtu_bytes
             for i in range(n):
                 chunk = payload[i * mtu : (i + 1) * mtu]
-                if n == 1:
-                    opcode = OP_WRITE_ONLY
-                elif i == 0:
+                if i == 0:
                     opcode = OP_WRITE_FIRST
                 elif i == n - 1:
                     opcode = OP_WRITE_LAST
@@ -453,11 +460,20 @@ class RNIC:
         if expected:
             qp.expected_psn = (psn + n) & PSN_MASK
             qp.msn = (qp.msn + 1) & PSN_MASK
+        if n == 1:
+            response = RocePacket(
+                self.node, packet.src, OP_READ_RESPONSE_ONLY, qp.remote_qpn, psn,
+                False, 0, 0, 0,  # no ack request, no RETH
+                SYNDROME_ACK, qp.msn, data,
+                # Echo the request's class (DSCP reflection): control
+                # reads come back at control priority.
+                packet.priority,
+            )
+            self._transmit(response, qp)
+            return
         for i in range(n):
             chunk = data[i * mtu : (i + 1) * mtu]
-            if n == 1:
-                opcode = OP_READ_RESPONSE_ONLY
-            elif i == 0:
+            if i == 0:
                 opcode = OP_READ_RESPONSE_FIRST
             elif i == n - 1:
                 opcode = OP_READ_RESPONSE_LAST
@@ -472,8 +488,6 @@ class RNIC:
                 self.node, packet.src, opcode, qp.remote_qpn, (psn + i) & PSN_MASK,
                 False, 0, 0, 0,  # no ack request, no RETH
                 syndrome, msn, chunk,
-                # Echo the request's class (DSCP reflection): control
-                # reads come back at control priority.
                 packet.priority,
             )
             self._transmit(response, qp)
@@ -489,29 +503,38 @@ class RNIC:
             qp.replay_psn = None  # a replay cut short: its held writes never land
             qp.replay_writes.clear()
         opcode = packet.opcode
-        if opcode in CARRIES_RETH:
-            context = _WriteContext(packet.remote_key, packet.virtual_address)
-            self._write_contexts[qp.qpn] = context
+        # A multi-packet write keeps a cursor from its first packet to its
+        # last; a single-packet one needs none.  A continuation with no
+        # write in progress is NAKed.
+        if opcode is OP_WRITE_ONLY:
+            context = None
+            rkey, addr = packet.remote_key, packet.virtual_address
         else:
-            context = self._write_contexts.get(qp.qpn)
+            if opcode is OP_WRITE_FIRST:
+                context = _WriteContext(packet.remote_key, packet.virtual_address)
+                self._write_contexts[qp.qpn] = context
+            elif opcode is OP_WRITE_LAST:
+                context = self._write_contexts.pop(qp.qpn, None)
+            else:
+                context = self._write_contexts.get(qp.qpn)
             if context is None:
                 self._send_nak(qp, packet.src, SYNDROME_NAK_PSN_ERROR, qp.expected_psn)
                 return
-        addr = context.next_addr
+            rkey, addr = context.rkey, context.next_addr
+            context.next_addr = addr + len(packet.payload)
         try:
-            region = self.registry.by_rkey(context.rkey)
-            region.remote_write(addr, packet.payload, context.rkey)
+            region = self.registry.by_rkey(rkey)
+            region.remote_write(addr, packet.payload, rkey)
         except (AccessError, BoundsError):
             self._nak_access_error(qp, packet)
             return
-        context.next_addr += len(packet.payload)
         qp.expected_psn = (psn + 1) & PSN_MASK
         if opcode in WRITE_TAILS:
             qp.msn = (qp.msn + 1) & PSN_MASK
             if qp.partial_write is not None:
                 qp.partial_write = None
         elif opcode is OP_WRITE_FIRST:
-            qp.partial_write = (context.rkey, addr, addr + packet.dma_length)
+            qp.partial_write = (rkey, addr, addr + packet.dma_length)
         if packet.ack_request:
             self._send_ack(qp, psn, packet.priority)
 
@@ -570,8 +593,11 @@ class RNIC:
             self.stats.duplicates += 1
             return
         offset = ((packet.psn - entry.first_psn) & PSN_MASK) * self.config.mtu_bytes
-        if entry.wr.local_addr:
-            self._dma_write_local(entry.wr.local_addr + offset, packet.payload)
+        local_addr = entry.wr.local_addr
+        if local_addr:
+            payload = packet.payload  # _dma_write_local, inlined
+            addr = local_addr + offset
+            self.registry.by_addr(addr, len(payload)).write(addr, payload)
         entry.missing -= len(packet.payload)
         if packet.opcode in READ_RESPONSE_TAILS and entry.missing <= 0:
             # Read responses arrive in order on RC; the tail retires the
@@ -623,20 +649,19 @@ class RNIC:
         self._complete(qp, entry, CompletionStatus.FLUSHED)
 
     def _complete(self, qp: QueuePair, entry: _Outstanding, status: CompletionStatus) -> None:
+        wr = entry.wr
         if self._tel.enabled:
             self._tel.complete(
-                f"rdma.{entry.wr.work_type.value}",
+                f"rdma.{wr.work_type.value}",
                 entry.issued_at, self.sim.now,
                 process=self.node, track=f"qp{qp.qpn}",
-                wr_id=entry.wr.wr_id, bytes=entry.wr.length,
+                wr_id=wr.wr_id, bytes=wr.length,
                 status=status.value, retries=entry.retries,
             )
-        if not entry.wr.signaled:
-            return
-        wr = entry.wr
-        qp.cq.push(
-            Completion(wr.wr_id, status, wr.work_type, wr.length, qp.qpn, self.sim.now)
-        )
+        if wr.signaled:
+            qp.cq.push(
+                Completion(wr.wr_id, status, wr.work_type, wr.length, qp.qpn, self.sim.now)
+            )
 
     # ------------------------------------------------------------------
     # Go-Back-N recovery

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.rdma.window import RequesterWindow, WindowEntry
@@ -45,13 +45,15 @@ class CompletionStatus(enum.Enum):
 _wr_ids = itertools.count(1)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class WorkRequest:
     """One posted operation (the WQE the doorbell announces).
 
     Addresses are absolute virtual addresses; ``local_addr`` names
     requester-side memory (the DMA target for reads, source for
     writes), ``remote_addr``/``rkey`` name responder-side memory.
+    ``wr_id`` defaults to the next id of one process-wide counter, so
+    ids are unique and increase in construction order.
     """
 
     work_type: WorkType
@@ -59,16 +61,32 @@ class WorkRequest:
     remote_addr: int
     rkey: int
     length: int
-    wr_id: int = field(default_factory=lambda: next(_wr_ids))
-    signaled: bool = True
+    wr_id: int
+    signaled: bool
     #: Inline payload for SEND operations (bypasses local memory read).
-    inline_payload: bytes = b""
+    inline_payload: bytes
     #: Network priority override (None -> the NIC's configured class).
-    priority: Optional[int] = None
+    priority: Optional[int]
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError(f"negative length: {self.length}")
+    # Written out rather than generated: a default factory and a
+    # __post_init__ would make each work request three calls, and the
+    # Spot agent builds several per client request.
+    def __init__(
+        self, work_type: WorkType, local_addr: int, remote_addr: int, rkey: int,
+        length: int, wr_id: Optional[int] = None, signaled: bool = True,
+        inline_payload: bytes = b"", priority: Optional[int] = None,
+    ) -> None:
+        if length < 0:
+            raise ValueError(f"negative length: {length}")
+        self.work_type = work_type
+        self.local_addr = local_addr
+        self.remote_addr = remote_addr
+        self.rkey = rkey
+        self.length = length
+        self.wr_id = next(_wr_ids) if wr_id is None else wr_id
+        self.signaled = signaled
+        self.inline_payload = inline_payload
+        self.priority = priority
 
 
 @dataclass(slots=True)
@@ -105,9 +123,10 @@ class CompletionQueue:
             self.overflows += 1
             return
         self._entries.append(completion)
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter.resolve(None)
+        if self._waiters:
+            waiters, self._waiters = self._waiters, []
+            for waiter in waiters:
+                waiter.resolve(None)
 
     def notify_next_push(self, future) -> None:
         """Resolve ``future`` when the next completion arrives.

@@ -239,13 +239,24 @@ class Link:
         The packet reaches the egress at ``ready_at`` (default: now); a
         switch passes ``now + forward_delay_ns``.  Ready times on one
         link must not decrease and must be at least ``lookahead_ns`` away.
+        A link without lookahead takes packets that are ready now.
         """
         now = self.sim.now
-        ready = now if ready_at is None else ready_at
-        if ready < self._last_ready or ready < now + self.lookahead_ns:
+        lookahead = self.lookahead_ns
+        if ready_at is None:
+            # Ready now: refused within a lookahead; without one, every
+            # earlier ready time was its hand-over time, so none is later.
+            ready = now
+            refused = lookahead > 0.0
+        else:
+            ready = ready_at
+            refused = (ready < self._last_ready or ready < now + lookahead
+                       or (ready > now and not lookahead))
+        if refused:
             raise ValueError(
                 f"link {self.name}: ready time {ready} is before the last one "
-                f"({self._last_ready}) or within the lookahead"
+                f"({self._last_ready}), within the lookahead, or later than "
+                "now on a link without lookahead"
             )
         self._last_ready = ready
         if self._tel.enabled:
@@ -257,9 +268,12 @@ class Link:
             self._start(packet, ready)
         else:
             self._handed += 1
-            self._queues[min(max(packet.priority, 0), PRIORITY_LOW)].append(
-                (ready, self._handed, packet)
-            )
+            priority = packet.priority
+            if priority > PRIORITY_LOW:
+                priority = PRIORITY_LOW
+            elif priority < 0:
+                priority = 0
+            self._queues[priority].append((ready, self._handed, packet))
             self._queued += 1
             if not self._wake_armed:
                 # The wake is armed whenever packets are queued, so this
@@ -350,38 +364,6 @@ class Link:
         if release is not None:
             release()
 
-    def _pop_winner(self, start: float) -> Packet:
-        """Remove the queued packet that starts at ``start``."""
-        # One pass over the classes whose head has reached the egress by
-        # ``start``: the first (highest priority), the first whose head got
-        # there before ``start``, and the oldest hand-over.
-        first = early = oldest = None
-        for queue in self._queues:
-            if queue:
-                head = queue[0]
-                if head[0] <= start:
-                    if first is None:
-                        first = queue
-                    if early is None and head[0] < start:
-                        early = queue
-                    if oldest is None or head[1] < oldest[0][1]:
-                        oldest = queue
-        if start != self.busy_until:
-            # The egress is idle when the packets reach it: they go out in
-            # hand-over order, without arbitration.
-            winner = oldest
-        elif self.lookahead_ns and start - self.lookahead_ns >= self._busy_start:
-            # Packets ready right now reach the egress only after it frees;
-            # they do not take part in this arbitration unless none other
-            # is waiting.
-            winner = early if early is not None else oldest
-        else:
-            # The egress frees at ``start``: strict priority among the
-            # packets waiting for it.
-            winner = first
-        self._queued -= 1
-        return winner.popleft()[2]
-
     def _arm_wake(self, when: float) -> None:
         """Schedule the arbiter's wake-up at ``when``, the next start."""
         self._wake_armed = True
@@ -394,12 +376,61 @@ class Link:
     def _wake(self) -> None:
         """Start the next queued packet, and every later one whose start
         falls inside the lookahead (no unseen packet can compete)."""
-        self._wake_armed = False
         start = self.sim.now
-        horizon = start + self.lookahead_ns
         queues = self._queues
+        if not self.lookahead_ns:
+            # Every queued packet was ready when handed over, and the wake
+            # fires where the egress frees: strict priority picks the head
+            # of the first non-empty class, and the next wake is due when
+            # that packet's serialization ends, at the sequence number its
+            # serialization-end event would get.
+            for queue in queues:
+                if queue:
+                    break
+            self._queued -= 1
+            self._start(queue.popleft()[2], start)
+            if self._queued:
+                heapq.heappush(
+                    self.sim._queue,
+                    (self.busy_until, self._free_seq, self._wake_callback),
+                )
+            else:
+                self._wake_armed = False
+            return
+        self._wake_armed = False
+        lookahead = self.lookahead_ns
+        horizon = start + lookahead
         while True:
-            self._start(self._pop_winner(start), start)
+            # The winner, in one pass over the classes whose head has
+            # reached the egress by ``start``: the first (highest
+            # priority), the first whose head got there before ``start``,
+            # and the oldest hand-over.
+            first = early = oldest = None
+            for queue in queues:
+                if queue:
+                    head = queue[0]
+                    if head[0] <= start:
+                        if first is None:
+                            first = queue
+                        if early is None and head[0] < start:
+                            early = queue
+                        if oldest is None or head[1] < oldest[0][1]:
+                            oldest = queue
+            if start != self.busy_until:
+                # The egress is idle when the packets reach it: they go
+                # out in hand-over order, without arbitration.
+                winner = oldest
+            elif start - lookahead >= self._busy_start:
+                # Packets ready right now reach the egress only after it
+                # frees; they do not take part in this arbitration unless
+                # none other is waiting.
+                winner = early if early is not None else oldest
+            else:
+                # The egress frees at ``start``: strict priority among the
+                # packets waiting for it.
+                winner = first
+            self._queued -= 1
+            self._start(winner.popleft()[2], start)
             if not self._queued:
                 return
             # The next start: the earliest head's ready time, or when the

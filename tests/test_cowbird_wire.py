@@ -64,6 +64,63 @@ class TestRequestMetadata:
         with pytest.raises(ValueError):
             RequestMetadata.unpack(b"\x00" * 8)
 
+    #: Fixed entries and their packed bytes: rw_type u16, region_id u16,
+    #: length u32, req_addr u64, resp_addr u64, little-endian, then
+    #: 8 bytes of padding.
+    PINNED = [
+        (
+            (RwType.READ, 0x4000_0000, 0x2000, 256, 3),
+            "0100" "0300" "00010000" "0000004000000000" "0020000000000000"
+            + "00" * 8,
+        ),
+        (
+            (RwType.WRITE, 0x1122334455667788, (1 << 64) - 1, (1 << 32) - 1, 0xFFFF),
+            "0200" "ffff" "ffffffff" "8877665544332211" "ffffffffffffffff"
+            + "00" * 8,
+        ),
+        (
+            (RwType.READ, 0, 0, 0, 0),
+            "0100" + "00" * 30,
+        ),
+    ]
+
+    @pytest.mark.parametrize("fields, packed", PINNED)
+    def test_pack_is_pinned(self, fields, packed):
+        assert RequestMetadata(*fields).pack() == bytes.fromhex(packed)
+
+    @pytest.mark.parametrize("fields, packed", PINNED)
+    def test_unpack_of_pinned_bytes(self, fields, packed):
+        entry = RequestMetadata.unpack(bytes.fromhex(packed))
+        assert entry == RequestMetadata(*fields)
+        assert entry.rw_type is fields[0]
+        assert (entry.req_addr, entry.resp_addr, entry.length, entry.region_id) == (
+            fields[1:]
+        )
+
+    def test_unpack_at_an_offset(self):
+        """An engine parses a fetched run in place, entry by entry."""
+        entries = [RequestMetadata(*fields) for fields, _packed in self.PINNED]
+        run = b"".join(entry.pack() for entry in entries)
+        assert [
+            RequestMetadata.unpack(run, offset)
+            for offset in range(0, len(run), METADATA_ENTRY_BYTES)
+        ] == entries
+        with pytest.raises(ValueError):
+            RequestMetadata.unpack(run, len(run) - 8)
+
+    @pytest.mark.parametrize("bad", [
+        dict(region_id=0x10000), dict(region_id=-1),
+        dict(length=1 << 32), dict(length=-1),
+        dict(req_addr=-1), dict(resp_addr=-1),
+    ])
+    def test_client_constructor_checks_each_field(self, bad):
+        with pytest.raises(ValueError):
+            self.entry(**bad)
+
+    def test_unknown_rw_type_is_refused(self):
+        with pytest.raises(ValueError):
+            RequestMetadata.unpack(b"\x07" + b"\x00" * 31)
+
 
 class TestBookkeepingBlocks:
     def test_green_round_trip(self):

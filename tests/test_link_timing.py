@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -371,3 +372,192 @@ def test_uplinks_freeing_together_keep_serialization_order():
     assert outcome == run(True, plan)
     log = outcome.deliveries
     assert [label for _, label in log["h2"]] == ["0.0", "1.0", "3.0", "2.0"]
+
+
+# ----------------------------------------------------------------------
+# The wake on a link without lookahead, against the scanning wake
+# ----------------------------------------------------------------------
+_INFINITY = float("inf")
+
+
+class ScanWakeLink(Link):
+    """A link whose arbiter wake is the general one that
+    :class:`~repro.sim.network.Link` ran on every link before its wake
+    on a link without lookahead became one pop: a scan of the classes
+    for the winner, then a scan for the next start and a re-arm through
+    ``_arm_wake``.  Kept verbatim as the reference."""
+
+    def _pop_winner(self, start: float) -> Pkt:
+        """Remove the queued packet that starts at ``start``."""
+        # One pass over the classes whose head has reached the egress by
+        # ``start``: the first (highest priority), the first whose head got
+        # there before ``start``, and the oldest hand-over.
+        first = early = oldest = None
+        for queue in self._queues:
+            if queue:
+                head = queue[0]
+                if head[0] <= start:
+                    if first is None:
+                        first = queue
+                    if early is None and head[0] < start:
+                        early = queue
+                    if oldest is None or head[1] < oldest[0][1]:
+                        oldest = queue
+        if start != self.busy_until:
+            # The egress is idle when the packets reach it: they go out in
+            # hand-over order, without arbitration.
+            winner = oldest
+        elif self.lookahead_ns and start - self.lookahead_ns >= self._busy_start:
+            # Packets ready right now reach the egress only after it frees;
+            # they do not take part in this arbitration unless none other
+            # is waiting.
+            winner = early if early is not None else oldest
+        else:
+            # The egress frees at ``start``: strict priority among the
+            # packets waiting for it.
+            winner = first
+        self._queued -= 1
+        return winner.popleft()[2]
+
+    def _wake(self) -> None:
+        """Start the next queued packet, and every later one whose start
+        falls inside the lookahead (no unseen packet can compete)."""
+        self._wake_armed = False
+        start = self.sim.now
+        horizon = start + self.lookahead_ns
+        queues = self._queues
+        while True:
+            self._start(self._pop_winner(start), start)
+            if not self._queued:
+                return
+            # The next start: the earliest head's ready time, or when the
+            # serialization just committed ends.
+            start = _INFINITY
+            for queue in queues:
+                if queue and queue[0][0] < start:
+                    start = queue[0][0]
+            if start <= self.busy_until:
+                start = self.busy_until
+            if start >= horizon:
+                break
+        self._arm_wake(start)
+
+
+class Sink:
+    """Logs each delivery with its time and its event's sequence number,
+    which is its place in the simulator's heap order."""
+
+    def __init__(self, sim, log):
+        self.sim = sim
+        self.log = log
+
+    def receive(self, packet, link):
+        self.log.append((self.sim.now, self.sim.current_seq, link.name, packet.label))
+
+
+UPLINKS = ("a", "b")
+
+
+def run_uplinks(link_class, plan, drop_exactly=None):
+    """Run ``plan`` on two lookahead-0 uplinks into one sink.
+
+    Each action ``(when, delay, uplink, packets)`` runs at ``when``; it
+    hands ``packets`` over at once when ``delay`` is 0, and otherwise
+    schedules the hand-over ``delay`` later from there.  A hand-over that
+    lands where a serialization ends is thus scheduled before that
+    serialization started (an action at its own time) or after it (a
+    delayed one).  Returns the deliveries, the events dispatched and the
+    per-link stats.
+    """
+    sim = Simulator(sanitize=False)
+    log = []
+    sink = Sink(sim, log)
+    injector = FaultInjector(drop_exactly=drop_exactly) if drop_exactly else None
+    links = {
+        name: link_class(
+            sim, name, sink, bandwidth_gbps=100.0, propagation_delay_ns=PROPAGATION_NS,
+            fault_injector=injector,
+        )
+        for name in UPLINKS
+    }
+
+    def hand_over(index, uplink, packets):
+        def act():
+            for k, (size, priority) in enumerate(packets):
+                links[uplink].send(Pkt("h", "sink", size, priority, f"{index}.{k}"))
+
+        return act
+
+    def deferred(when, delay, act):
+        return lambda: sim.call_at(when + delay, act)
+
+    for index, (when, delay, uplink, packets) in enumerate(plan):
+        act = hand_over(index, uplink, packets)
+        sim.call_at(when, act if not delay else deferred(when, delay, act))
+    sim.run()
+    return log, sim.events_dispatched, {name: link.stats for name, link in links.items()}
+
+
+#: Sizes serialize in whole multiples of 10 ns at 100 Gb/s and actions
+#: fall on the same grid, so hand-overs land on serialization ends.
+handover_plans = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=40).map(lambda t: t * 10.0),
+        st.sampled_from([0.0, 0.0, 10.0, 20.0, 50.0, 100.0]),
+        st.sampled_from(UPLINKS),
+        st.lists(st.tuples(SIZES, PRIORITIES), min_size=1, max_size=4),
+    ),
+    min_size=1, max_size=12,
+)
+
+uplink_drops = st.none() | st.dictionaries(
+    st.sampled_from(UPLINKS),
+    st.sets(st.integers(min_value=1, max_value=8), min_size=1, max_size=3),
+    min_size=1,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(handover_plans, uplink_drops)
+def test_lookahead_zero_wake_matches_scanning_wake(plan, drop_exactly):
+    """On a link without lookahead every queued packet was ready when it
+    was handed over and the wake fires as the egress frees, so popping
+    the head of the first non-empty class and re-arming at the end of
+    its serialization is what the scanning wake does: same deliveries,
+    at the same times, in the same heap order."""
+    assert run_uplinks(Link, plan, drop_exactly) == run_uplinks(
+        ScanWakeLink, plan, drop_exactly
+    )
+
+
+@pytest.mark.parametrize("handover, order", [
+    ((100.0, 0.0), ["0.0", "2.0", "1.0"]),
+    ((0.0, 100.0), ["0.0", "1.0", "2.0"]),
+], ids=["before-the-end", "after-the-end"])
+def test_lookahead_zero_wake_ties_on_both_sides_of_the_serialization_end(
+    handover, order
+):
+    """A 1 250 B packet serializes from 0 to 100 ns and another queues
+    behind it at 50 ns.  A high-priority packet handed over at 100 ns by
+    an event scheduled before the first serialization started reaches
+    the egress first and wins the arbitration as the egress frees; one
+    handed over by an event scheduled after it finds the queued packet
+    started."""
+    when, delay = handover
+    plan = [
+        (0.0, 0.0, "a", [(1250, 1)]),
+        (50.0, 0.0, "a", [(1250, 1)]),
+        (when, delay, "a", [(125, 0)]),
+    ]
+    new = run_uplinks(Link, plan)
+    assert new == run_uplinks(ScanWakeLink, plan)
+    log, _events, _stats = new
+    assert [label for *_rest, label in log] == order
+
+
+def test_lookahead_zero_link_refuses_a_later_ready_time():
+    sim = Simulator(sanitize=False)
+    link = Link(sim, "a", Sink(sim, []))
+    with pytest.raises(ValueError):
+        link.send(Pkt("h", "sink", 125, 0, "late"), ready_at=10.0)
+    link.send(Pkt("h", "sink", 125, 0, "now"), ready_at=0.0)

@@ -412,6 +412,40 @@ class TestDuplicates:
         assert qp_p.packets_sent == sent + 2  # the write's ACK, then the read
 
 
+class TestWriteContinuations:
+    """A multi-packet write's middle and last packets continue the write
+    its first packet opened.  One that arrives in sequence with no write
+    open is NAKed and writes nothing."""
+
+    def continuation(self, qp, psn, payload):
+        return RocePacket(
+            src="compute", dst="pool", opcode=Opcode.RC_RDMA_WRITE_MIDDLE,
+            dest_qp=qp.qpn, psn=psn, payload=payload,
+        )
+
+    @pytest.mark.parametrize("size", [64, 2560], ids=["single", "train"])
+    def test_a_continuation_after_a_whole_write_is_naked(self, size):
+        bed, compute, pool, qp_c, qp_p = build_bed()
+        remote = pool.registry.register(8192)
+        train = _write_train(qp_p, remote, b"w" * size, 0)
+        for packet in train:
+            pool.nic.receive(packet, None)
+        assert qp_p.expected_psn == len(train)
+        pool.nic.receive(self.continuation(qp_p, len(train), b"x" * 64), None)
+        assert pool.nic.stats.naks_sent == 1
+        assert qp_p.expected_psn == len(train)
+        assert remote.read(remote.base_addr, size + 64) == b"w" * size + bytes(64)
+
+    def test_a_train_lands_packet_by_packet(self):
+        bed, compute, pool, qp_c, qp_p = build_bed()
+        remote = pool.registry.register(8192)
+        payload = bytes(range(256)) * 10
+        for packet in _write_train(qp_p, remote, payload, 0):
+            pool.nic.receive(packet, None)
+        assert remote.read(remote.base_addr, len(payload)) == payload
+        assert pool.nic.stats.naks_sent == 0
+
+
 class TestRemoteAccessErrors:
     """A bad rkey or an out-of-bounds access is fatal to its WR: the
     responder NAKs it as a remote access error, the requester fails it at
@@ -570,3 +604,21 @@ class TestCompletionQueue:
         cq = CompletionQueue()
         with pytest.raises(ValueError):
             cq.poll(max_entries=0)
+
+
+class TestWorkRequest:
+    def test_negative_length_raises(self):
+        with pytest.raises(ValueError):
+            WorkRequest(WorkType.READ, 0, 0, 0, -1)
+
+    def test_wr_ids_are_unique_and_increasing(self):
+        ids = [WorkRequest(WorkType.WRITE, 0, 0, 0, 8).wr_id for _ in range(100)]
+        assert ids == sorted(set(ids))
+        assert WorkRequest(WorkType.READ, 0, 0, 0, 8).wr_id > ids[-1]
+
+    def test_an_explicit_wr_id_is_kept(self):
+        wr = WorkRequest(WorkType.SEND, 0, 0, 0, 0, wr_id=7, inline_payload=b"x")
+        assert (wr.wr_id, wr.signaled, wr.inline_payload, wr.priority) == (
+            7, True, b"x", None
+        )
+
