@@ -16,14 +16,12 @@ round trip; Cowbird's adapter pays tens of nanoseconds of local stores.
 from __future__ import annotations
 
 import itertools
-import operator
 import struct
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Any, Generator
 
 from repro.cowbird.api import BufferFullError, CowbirdInstance
-from repro.cowbird.wire import RwType
 from repro.rdma.qp import WorkRequest, WorkType
 from repro.sim.cpu import TAG_APP, TAG_COMM, Thread
 
@@ -343,9 +341,6 @@ class TwoSidedSyncBackend(_RdmaBackendBase, _ImmediateCompletions):
         return self._completed_token()
 
 
-_request_id = operator.attrgetter("request_id")
-
-
 class CowbirdBackend(Backend):
     """Adapter presenting a Cowbird instance through the Backend API."""
 
@@ -360,6 +355,7 @@ class CowbirdBackend(Backend):
         #: to the owning shard's region_id (block striping).
         self.sharded = sharded
         self.poll_id = instance.poll_create()
+        self._poll_group = instance.poll_group(self.poll_id)
         self._outstanding = 0
         #: Tokens completed while draining for ring space inside an
         #: issue call; the next poll returns them first.
@@ -392,7 +388,7 @@ class CowbirdBackend(Backend):
                 # Paper semantics: consume completions, then retry.
                 yield from self._drain_one(thread)
         yield from thread.compute(cpu_ns, TAG_COMM)
-        self.instance.poll_add(self.poll_id, request_id)
+        self._poll_group.add(request_id)  # poll_add, without its lookup
         self._outstanding += 1
         return request_id
 
@@ -405,21 +401,27 @@ class CowbirdBackend(Backend):
             except BufferFullError:
                 yield from self._drain_one(thread)
         yield from thread.compute(cpu_ns, TAG_COMM)
-        self.instance.poll_add(self.poll_id, request_id)
+        self._poll_group.add(request_id)
         self._outstanding += 1
         return request_id
 
+    # Completed reads' responses are freed unread (poll_release): the
+    # backend API hands back tokens, never data.
     def _drain_one(self, thread):
-        events = yield from self.instance.poll_wait(thread, self.poll_id, max_ret=64)
-        for event in events:
-            self._release(event)
-        self._pre_drained.extend(event.request_id for event in events)
-
-    def _release(self, event):
-        self._outstanding -= 1
-        if event.rw_type is RwType.READ:
-            # Consume the payload so the response ring recycles.
-            self.instance.fetch_response(event.request_id)
+        """Wait for completions (``poll_wait`` without a deadline, over
+        its halves) and free them; the next poll returns their tokens."""
+        instance = self.instance
+        poll_id = self.poll_id
+        while True:
+            cpu_ns, done_ids, progress = instance.poll_check(poll_id, 64, None)
+            yield from thread.compute(cpu_ns, TAG_COMM)
+            if done_ids is not None:
+                break
+            yield from thread.wait(progress)  # poll_wake's future, without a deadline
+            instance.poll_woken(progress)
+        instance.poll_release(poll_id, done_ids)
+        self._outstanding -= len(done_ids)
+        self._pre_drained.extend(done_ids)
 
     def poll_completions(self, thread, max_ret=64, block=False):
         out = self._pre_drained[:max_ret]
@@ -434,14 +436,13 @@ class CowbirdBackend(Backend):
             cpu_ns, done_ids, progress = instance.poll_check(poll_id, max_ret, deadline)
             yield from thread.compute(cpu_ns, TAG_COMM)
             if done_ids is not None:
-                events = instance.poll_reap(poll_id, done_ids)
                 break
             wake = instance.poll_wake(progress, deadline)
             if wake is None:
-                events = []
-                break
+                return []
             yield from thread.wait(wake)
             instance.poll_woken(progress)
-        for event in events:
-            self._release(event)
-        return list(map(_request_id, events))
+        if done_ids:
+            instance.poll_release(poll_id, done_ids)
+            self._outstanding -= len(done_ids)
+        return done_ids

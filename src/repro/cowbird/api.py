@@ -28,6 +28,7 @@ from typing import Any, Generator, Optional
 
 from repro.cowbird.buffers import DataRing, MetadataRing, RingFullError
 from repro.cowbird.wire import (
+    REQUEST_REGION_SHIFT,
     REQUEST_SEQUENCE_MASK,
     REQUEST_TYPE_SHIFT,
     BookkeepingLayout,
@@ -55,6 +56,8 @@ __all__ = [
 _second = operator.itemgetter(1)
 #: ``request_id >> REQUEST_TYPE_SHIFT`` of a read's id.
 _READ = int(RwType.READ)
+#: A read's id without its region and sequence (encode_request_id).
+_READ_ID = _READ << REQUEST_TYPE_SHIFT
 
 
 def _metadata_full(ring: MetadataRing) -> str:
@@ -331,6 +334,10 @@ class CowbirdInstance:
     def poll_remove(self, poll_id: int, request_id: int) -> None:
         self._poll_groups[poll_id].remove(request_id)
 
+    def poll_group(self, poll_id: int) -> PollGroup:
+        """The group behind ``poll_id``; its ``add`` is :meth:`poll_add`."""
+        return self._poll_groups[poll_id]
+
     def poll_wait(
         self,
         thread: Thread,
@@ -364,7 +371,11 @@ class CowbirdInstance:
     # ------------------------------------------------------------------
     def post_read(self, region_id: int, src_offset: int, length: int) -> tuple[int, float]:
         """:meth:`async_read` up to its CPU charge: ``(request id, ns)``."""
-        handle = self._handle(region_id)
+        # _handle, _append_metadata and encode_request_id, inlined: one
+        # call each per read.
+        handle = self.remote_regions.get(region_id)
+        if handle is None:
+            raise KeyError(f"region {region_id} not registered with instance")
         remote_addr = handle.translate(src_offset, length)
         # A request takes its metadata entry, data-ring space and
         # sequence number together or not at all, so a full ring is
@@ -381,14 +392,25 @@ class CowbirdInstance:
             raise BufferFullError(str(exc), "response_data") from exc
         pad = (self.response_data.tail - before) - length
         sequence = next(self._read_seq)
-        self._append_metadata(
+        metadata.append(
             RequestMetadata(RwType.READ, remote_addr, dest_addr, length, region_id)
         )
+        green = self.green
+        green.request_meta_tail = metadata.tail
+        green.request_data_tail = self.request_data.tail
+        self.region.write(self._green_addr, green.pack())  # _publish_green
         self._reads[sequence] = _OutstandingRead(sequence, dest_addr, length, pad)
         self._read_order.append(sequence)
         self.requests_issued += 1
+        if not 0 <= region_id <= 0xFFFF:
+            raise ValueError(f"region_id out of range: {region_id}")
+        if not 0 < sequence <= REQUEST_SEQUENCE_MASK:
+            raise ValueError(f"sequence out of range: {sequence}")
         # The whole issue path is a handful of local stores (Figure 2).
-        return encode_request_id(RwType.READ, region_id, sequence), self.cost.cowbird_post
+        return (
+            _READ_ID | (region_id << REQUEST_REGION_SHIFT) | sequence,
+            self.cost.cowbird_post,
+        )
 
     def post_write(
         self, region_id: int, dest_offset: int, data: bytes
@@ -480,6 +502,28 @@ class CowbirdInstance:
             group.remove(request_id)
         return events
 
+    def poll_release(self, poll_id: int, done_ids: list[int]) -> None:
+        """Consume the completions a :meth:`poll_check` pass found, for a
+        caller that does not look at them: :meth:`poll_reap`, then
+        :meth:`fetch_response` of each read, without a
+        :class:`CompletionEvent` or a copy of the response.  The response
+        ring's head ends where those calls would leave it."""
+        group = self._poll_groups[poll_id]
+        reads = self._reads
+        writes = self._writes
+        freed = False
+        for request_id in done_ids:
+            group.remove(request_id)
+            sequence = request_id & REQUEST_SEQUENCE_MASK
+            if request_id >> REQUEST_TYPE_SHIFT == _READ:
+                reads[sequence].consumed = True
+                freed = True
+            else:
+                del writes[sequence]
+        self.requests_completed += len(done_ids)
+        if freed:
+            self._free_consumed_reads()
+
     # ------------------------------------------------------------------
     # Convenience methods (Section 4.1: "Simple extensions can be made
     # to the API to allow convenience methods like traditional
@@ -546,17 +590,25 @@ class CowbirdInstance:
             raise RuntimeError(f"read {sequence} not complete yet")
         data = self.region.read(entry.addr, entry.length)
         entry.consumed = True
-        # Advance the response ring head past consumed leading reads.
+        self._free_consumed_reads()
+        return data
+
+    def _free_consumed_reads(self) -> None:
+        """Advance the response ring's head past the consumed leading
+        reads, in issue order: a read consumed early waits for the reads
+        before it."""
         order = self._read_order
+        reads = self._reads
+        ring = self.response_data
+        head = ring.head
         while order:
-            entry = self._reads[order[0]]
+            entry = reads[order[0]]
             if not entry.consumed:
                 break
-            self.response_data.advance_head(
-                self.response_data.head + entry.pad + entry.length
-            )
-            del self._reads[order.popleft()]
-        return data
+            head += entry.pad + entry.length
+            del reads[order.popleft()]
+        if head != ring.head:
+            ring.advance_head(head)
 
     # ------------------------------------------------------------------
     # Internals

@@ -5,8 +5,9 @@ Both offload engines follow a client's rings the same way.
 into requests with per-type sequence numbers, publishes the red block
 over the completed FIFO prefix, and resumes from a published red block.
 The data-ring cursors follow the client's allocations from request
-lengths alone (R2/R3) through :func:`place`, the no-wrap rule of
-:meth:`DataRing.reserve <repro.cowbird.buffers.DataRing.reserve>`.
+lengths alone (R2/R3) by :func:`place`, the no-wrap rule of
+:meth:`DataRing.reserve <repro.cowbird.buffers.DataRing.reserve>`, which
+:meth:`RequestCore.publish` applies inline.
 Engines add only their transport: how a request executes and when it
 counts as complete.
 """
@@ -139,16 +140,22 @@ class RequestCore:
         while in_order and in_order[0].completed:
             done = in_order.popleft()
             red.request_meta_head = done.ring_index + 1
-            length = done.metadata.length
-            if done.metadata.rw_type is RwType.READ:
+            metadata = done.metadata
+            length = metadata.length
+            # place(cursor, length, capacity)[1], inlined: one per request.
+            if metadata.rw_type is RwType.READ:
                 red.read_progress = done.sequence
-                red.response_data_tail = place(
-                    red.response_data_tail, length,
-                    descriptor.response_data_capacity,
-                )[1]
+                cursor = red.response_data_tail
+                capacity = descriptor.response_data_capacity
+                offset = cursor % capacity
+                if offset + length > capacity:
+                    cursor += capacity - offset
+                red.response_data_tail = cursor + length
             else:
                 red.write_progress = done.sequence
-                red.request_data_head = place(
-                    red.request_data_head, length,
-                    descriptor.request_data_capacity,
-                )[1]
+                cursor = red.request_data_head
+                capacity = descriptor.request_data_capacity
+                offset = cursor % capacity
+                if offset + length > capacity:
+                    cursor += capacity - offset
+                red.request_data_head = cursor + length

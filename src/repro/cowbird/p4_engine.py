@@ -37,6 +37,7 @@ import dataclasses
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.cowbird.api import CowbirdInstance, InstanceDescriptor
@@ -58,7 +59,7 @@ from repro.rdma.packets import (
 )
 from repro.rdma.window import HALF_PSN_SPACE, RequesterWindow, WindowEntry
 from repro.sim.engine import Simulator
-from repro.sim.network import PRIORITY_LOW, PRIORITY_NORMAL, Switch
+from repro.sim.network import PRIORITY_LOW, PRIORITY_NORMAL, Link, Switch
 
 __all__ = ["CowbirdP4Engine", "P4EngineConfig"]
 
@@ -140,16 +141,20 @@ class _EngineOp(WindowEntry):
     done: bool = False
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _AppOp:
-    """One application-level Cowbird request being executed."""
+    """One application-level Cowbird request being executed.
 
-    instance: "_Instance"
-    sequence: int
-    metadata: RequestMetadata
-    ring_index: int
+    ``parsed_at`` leads, so that ``partial(_AppOp, parsed_at)`` is the
+    ``make`` that :meth:`RequestCore.parse` calls with the rest; ops
+    compare by identity.
+    """
+
     #: Sim time the switch parsed this request (span begin for telemetry).
-    parsed_at: float = 0.0
+    parsed_at: float
+    metadata: RequestMetadata
+    sequence: int
+    ring_index: int
     completed: bool = False
     write_train: Optional[_EngineOp] = None
     #: Counted in ``ops_failed``: one of its ops ran out of retries.
@@ -158,42 +163,24 @@ class _AppOp:
 
 class _Channel:
     """The engine's requester state toward one host QP, held in switch
-    registers: the destination QPN and a window of in-flight operations.
-    It sends in PSN order: while a write train streams or waits for its
-    payload, the ops opened behind it wait in ``backlog``."""
+    registers: the destination QPN, the switch port that reaches it and
+    a window of in-flight operations.  It sends in PSN order: while a
+    write train streams or waits for its payload, the ops opened behind
+    it wait in ``backlog``."""
 
     def __init__(self, engine: "CowbirdP4Engine", peer_node: str, peer_qpn: int,
-                 virtual_qpn: int, rkey: int, priority: int) -> None:
+                 virtual_qpn: int, rkey: int, priority: int, egress: Link) -> None:
         self.engine = engine
         self.peer_node = peer_node
         self.peer_qpn = peer_qpn
         self.virtual_qpn = virtual_qpn
         self.rkey = rkey
         self.priority = priority
+        #: The switch's egress link toward ``peer_node``.
+        self.egress = egress
         self.window = RequesterWindow()
         #: Opened ops not yet sent, in PSN order, headed by a write train.
         self.backlog: deque[_EngineOp] = deque()
-
-    def emit(self, addr: int, length: int, kind: str, parent: Optional[_AppOp] = None,
-             instance: Optional["_Instance"] = None,
-             rkey: Optional[int] = None) -> _EngineOp:
-        """Open a read, or a red block update, and send it unless it must
-        wait behind a write train; read responses are matched by PSN."""
-        mtu = self.engine.config.mtu_bytes
-        # first_psn (the window's to give), num_psns, issued_at, missing,
-        # retries, kind, channel, length, addr, rkey, parent, instance
-        op = _EngineOp(
-            0, (length + mtu - 1) // mtu or 1, self.engine.sim.now,
-            length if kind in _READ_KINDS else 0, 0,
-            kind, self, length, addr, self.rkey if rkey is None else rkey,
-            parent, instance,
-        )
-        self.window.open(op)
-        if self.backlog:
-            self.backlog.append(op)
-        else:
-            self.engine._send(self, op)
-        return op
 
 
 class _Instance(RequestCore):
@@ -251,10 +238,11 @@ class CowbirdP4Engine:
         self._started = False
         self._probe_token = None
         self._timeout_token = None
-        previous = switch.pipeline
-        if previous is not None:
-            raise RuntimeError("switch already has a pipeline installed")
-        switch.pipeline = self._pipeline
+        #: The program keeps the switch's counters for the packets it
+        #: consumes and sends (see :meth:`Switch.install`).
+        self._switch_stats = switch.stats
+        self._forward_delay_ns = switch.forward_delay_ns
+        switch.install(self)
 
     # ------------------------------------------------------------------
     # Phase I: setup (control-plane RPC from the compute node)
@@ -284,7 +272,10 @@ class CowbirdP4Engine:
         qp = host.nic.create_qp()
         vqpn = next(self._vqpn_counter)
         qp.connect(self.node, vqpn)
-        channel = _Channel(self, host.name, qp.qpn, vqpn, rkey, priority)
+        channel = _Channel(
+            self, host.name, qp.qpn, vqpn, rkey, priority,
+            self.switch.port_to(host.name),
+        )
         self._channels_by_vqpn[vqpn] = channel
         self._instance_by_vqpn[vqpn] = state
         return channel
@@ -340,7 +331,8 @@ class CowbirdP4Engine:
         if state is not None and not state.probe_inflight:
             state.probe_inflight = True
             self.stats.probes_sent += 1
-            state.probe_channel.emit(
+            self._emit(
+                state.probe_channel,
                 state.descriptor.bookkeeping_addr,
                 GreenBlock.SIZE,
                 kind="probe",
@@ -376,42 +368,66 @@ class CowbirdP4Engine:
         return None
 
     # ------------------------------------------------------------------
-    # The data plane pipeline: every packet traverses this
+    # The data plane program: every packet that arrives at the switch
+    # comes here first (Switch.install)
     # ------------------------------------------------------------------
-    def _pipeline(self, packet, link) -> list:
+    def receive(self, packet, link) -> None:
+        """Consume an RDMA packet addressed to the switch (the switch
+        interdicts all RDMA); forward any other packet unchanged."""
         if packet.__class__ is not RocePacket or packet.dst != self.node:
-            return [packet]  # transit traffic: forward unchanged
+            self.switch.receive(packet, link)  # transit traffic
+            return
+        self._switch_stats.packets_consumed += 1
         channel = self._channels_by_vqpn.get(packet.dest_qp)
         if channel is None:
             self.stats.stale_packets += 1
-            return []
+            return
         state = self._instance_by_vqpn[packet.dest_qp]
         opcode = packet.opcode
         if opcode in READ_RESPONSES:
             psn = self._on_read_response(state, channel, packet)
+            if psn is None:
+                return
         elif opcode is not OP_ACKNOWLEDGE:
-            return []
+            return
         elif (packet.syndrome & 0xE0) == 0x60:  # a NAK, of any NAK code
             self._go_back_n(channel)
-            return []
+            return
         else:
             psn = packet.psn
-        if psn is not None:
-            # Phase IV: an ACK, or a read's last response, retires what it
-            # covers; an acknowledged write train completes its request.
-            # Nothing waiting in the backlog retires, though the responder
-            # may have executed it before: an older duplicate sent since
-            # may have undone it.  So a train never retires while it
-            # waits for its payload.
-            backlog = channel.backlog
-            if backlog:
-                first = backlog[0].first_psn
-                if (psn - first) & PSN_MASK < HALF_PSN_SPACE:  # psn >= first
-                    psn = (first - 1) & PSN_MASK
-            for op in channel.window.retire_through(psn):
-                if op.kind in _TRAIN_KINDS:
-                    self._complete_app_op(state, op.parent)
-        return []  # always consumed: the switch interdicts all RDMA
+        # Phase IV: an ACK, or a read's last response, retires what it
+        # covers; an acknowledged write train completes its request.
+        # Nothing waiting in the backlog retires, though the responder
+        # may have executed it before: an older duplicate sent since may
+        # have undone it.  So a train never retires while it waits for
+        # its payload.
+        backlog = channel.backlog
+        if backlog:
+            first = backlog[0].first_psn
+            if (psn - first) & PSN_MASK < HALF_PSN_SPACE:  # psn >= first
+                psn = (first - 1) & PSN_MASK
+        for op in channel.window.retire_through(psn):
+            if op.kind not in _TRAIN_KINDS:
+                continue
+            # The request completes.
+            app_op = op.parent
+            app_op.completed = True
+            if self._tel.enabled:
+                self._trace_request(state, app_op)
+            stats = self.stats
+            if app_op.metadata.rw_type is RwType.READ:
+                stats.reads_executed += 1
+            else:
+                stats.writes_executed += 1
+            state.publish()
+            # One RDMA write refreshes all bookkeeping (R3).
+            stats.red_updates += 1
+            stats.recycled_packets += 1  # recycled from the ACK
+            self._emit(
+                state.data_channel,
+                state.descriptor.bookkeeping_addr + 64,  # the red block's offset
+                RedBlock.SIZE, "red_update", None, state,
+            )
 
     def _on_read_response(self, state: _Instance, channel: _Channel, packet) -> Optional[int]:
         """Handle one read response; return the read's last PSN once its
@@ -474,20 +490,14 @@ class CowbirdP4Engine:
         state.meta_fetch_inflight = True
         self.stats.metadata_fetches += 1
         self.stats.recycled_packets += 1  # probe response recycled into this read
-        state.data_channel.emit(addr, length, kind="meta", instance=state)
+        self._emit(state.data_channel, addr, length, kind="meta", instance=state)
         state._meta_fetch_span = (start, end)
 
     # -- Phase III: parse metadata, execute transfers ---------------------
     def _on_metadata(self, state: _Instance, payload: bytes) -> None:
         start, end = state._meta_fetch_span
         state.meta_fetch_inflight = False
-        now = self.sim.now
-        app_ops = state.parse(
-            payload, start, end,
-            lambda metadata, sequence, index: _AppOp(
-                state, sequence, metadata, index, now
-            ),
-        )
+        app_ops = state.parse(payload, start, end, partial(_AppOp, self.sim.now))
         self.stats.requests_parsed += len(app_ops)
         state.pending.extend(app_ops)
         self._drain_pending(state)
@@ -495,34 +505,34 @@ class CowbirdP4Engine:
 
     def _drain_pending(self, state: _Instance) -> None:
         """FIFO execution with the pause-all-reads rule (Section 5.3)."""
-        while state.pending:
-            app_op = state.pending[0]
-            if app_op.metadata.rw_type is RwType.READ:
-                if state.fetching_writes > 0:
-                    self.stats.reads_paused += 1
-                    return  # paused until no write is in Phase III step 1b
-                state.pending.popleft()
-                self._execute_read(state, app_op)
-            else:
-                state.pending.popleft()
+        pending = state.pending
+        while pending:
+            app_op = pending[0]
+            metadata = app_op.metadata
+            if metadata.rw_type is not RwType.READ:
+                pending.popleft()
                 self._execute_write(state, app_op)
-
-    def _execute_read(self, state: _Instance, app_op: _AppOp) -> None:
-        """Phase III step 1a: fetch the requested data from the pool."""
-        handle = state.descriptor.remote_regions[app_op.metadata.region_id]
-        self.stats.recycled_packets += 1  # recycled from the Phase II response
-        metadata = app_op.metadata
-        state.pool_channels[handle.node].emit(
-            metadata.req_addr, metadata.length, "read_fetch", app_op, state, handle.rkey
-        )
+                continue
+            if state.fetching_writes > 0:
+                self.stats.reads_paused += 1
+                return  # paused until no write is in Phase III step 1b
+            pending.popleft()
+            # Phase III step 1a: fetch the requested data from the pool.
+            handle = state.descriptor.remote_regions[metadata.region_id]
+            self.stats.recycled_packets += 1  # recycled from the Phase II response
+            self._emit(
+                state.pool_channels[handle.node], metadata.req_addr, metadata.length,
+                "read_fetch", app_op, state, handle.rkey,
+            )
 
     def _execute_write(self, state: _Instance, app_op: _AppOp) -> None:
         """Phase III step 1b: fetch the to-be-written data from compute."""
         self.stats.recycled_packets += 1
         state.fetching_writes += 1
         metadata = app_op.metadata
-        state.data_channel.emit(
-            metadata.req_addr, metadata.length, "write_fetch", app_op, state
+        self._emit(
+            state.data_channel, metadata.req_addr, metadata.length, "write_fetch",
+            app_op, state,
         )
 
     def _convert(self, state: _Instance, op: _EngineOp, packet, complete: bool) -> None:
@@ -573,12 +583,18 @@ class CowbirdP4Engine:
             else:
                 vaddr = rkey = length = 0
             channel = train.channel
-            self.switch.inject(packet.recycle(
-                self.node, channel.peer_node, opcode, channel.peer_qpn,
-                (train.first_psn + segment) & PSN_MASK,
-                is_tail, vaddr, rkey, length,  # ack_request, RETH
-                channel.priority,
-            ))
+            switch_stats = self._switch_stats
+            switch_stats.packets_generated += 1
+            switch_stats.packets_forwarded += 1
+            channel.egress.send(
+                packet.recycle(
+                    self.node, channel.peer_node, opcode, channel.peer_qpn,
+                    (train.first_psn + segment) & PSN_MASK,
+                    is_tail, vaddr, rkey, length,  # ack_request, RETH
+                    channel.priority,
+                ),
+                self.sim.now + self._forward_delay_ns,
+            )
             train.sent = segment + 1
             if is_tail:  # the train heads its backlog: the ops behind it go
                 train.source = None
@@ -591,29 +607,16 @@ class CowbirdP4Engine:
                 state.fetching_writes -= 1
                 self._drain_pending(state)
 
-    # -- Phase IV: completion ---------------------------------------------
-    def _complete_app_op(self, state: _Instance, app_op: _AppOp) -> None:
-        app_op.completed = True
+    # -- Phase IV: completion (in receive) ---------------------------------
+    def _trace_request(self, state: _Instance, app_op: _AppOp) -> None:
+        """Record a completed request's latency and span."""
         metadata = app_op.metadata
-        if self._tel.enabled:
-            self._tel_request_ns.observe(self.sim.now - app_op.parsed_at)
-            self._tel.complete(
-                "p4.request", app_op.parsed_at, self.sim.now,
-                process=self.node, track=f"inst{self._instances.index(state)}",
-                rw=metadata.rw_type.name.lower(), bytes=metadata.length,
-                sequence=app_op.sequence,
-            )
-        if metadata.rw_type is RwType.READ:
-            self.stats.reads_executed += 1
-        else:
-            self.stats.writes_executed += 1
-        state.publish()
-        # Phase IV: one RDMA write refreshes all bookkeeping (R3).
-        self.stats.red_updates += 1
-        self.stats.recycled_packets += 1  # recycled from the ACK
-        state.data_channel.emit(
-            state.descriptor.bookkeeping_addr + 64,  # the red block's offset
-            RedBlock.SIZE, "red_update", None, state,
+        self._tel_request_ns.observe(self.sim.now - app_op.parsed_at)
+        self._tel.complete(
+            "p4.request", app_op.parsed_at, self.sim.now,
+            process=self.node, track=f"inst{self._instances.index(state)}",
+            rw=metadata.rw_type.name.lower(), bytes=metadata.length,
+            sequence=app_op.sequence,
         )
 
     # ------------------------------------------------------------------
@@ -672,20 +675,66 @@ class CowbirdP4Engine:
         for train in starved:
             self._flush(train.channel)
 
+    def _emit(self, channel: _Channel, addr: int, length: int, kind: str,
+              parent: Optional[_AppOp] = None, instance: Optional[_Instance] = None,
+              rkey: Optional[int] = None) -> _EngineOp:
+        """Open a read, or a red block update, on ``channel`` and send it
+        unless it must wait behind a write train; read responses are
+        matched by PSN."""
+        mtu = self.config.mtu_bytes
+        now = self.sim.now
+        # first_psn (the window's to give), num_psns, issued_at, missing,
+        # retries, kind, channel, length, addr, rkey, parent, instance
+        op = _EngineOp(
+            0, (length + mtu - 1) // mtu or 1, now,
+            length if kind in _READ_KINDS else 0, 0,
+            kind, channel, length, addr, channel.rkey if rkey is None else rkey,
+            parent, instance,
+        )
+        channel.window.open(op)
+        if channel.backlog:
+            channel.backlog.append(op)
+            return op
+        # _send, inlined: one send per op.
+        if kind == "red_update":
+            opcode, payload = OP_WRITE_ONLY, instance.red.pack()
+        else:
+            opcode, payload = OP_READ_REQUEST, b""
+        stats = self._switch_stats
+        stats.packets_generated += 1
+        stats.packets_forwarded += 1
+        channel.egress.send(
+            self.pool.acquire(
+                self.node, channel.peer_node, opcode, channel.peer_qpn, op.first_psn,
+                True, addr, op.rkey, length,  # ack_request, RETH
+                0, 0, payload,  # no AETH
+                channel.priority,
+            ),
+            now + self._forward_delay_ns,
+        )
+        return op
+
     def _send(self, channel: _Channel, op: _EngineOp) -> None:
-        """Put a read request or a red block update on the wire.  An
-        update carries the red block as it is when sent."""
-        op.issued_at = self.sim.now
+        """Put a read request or a red block update from the backlog on the
+        wire (:meth:`_emit` sends the others itself).  An update carries
+        the red block as it is when sent."""
+        now = op.issued_at = self.sim.now
         if op.kind == "red_update":
             opcode, payload = OP_WRITE_ONLY, op.instance.red.pack()
         else:
             opcode, payload = OP_READ_REQUEST, b""
-        self.switch.inject(self.pool.acquire(
-            self.node, channel.peer_node, opcode, channel.peer_qpn, op.first_psn,
-            True, op.addr, op.rkey, op.length,  # ack_request, RETH
-            0, 0, payload,  # no AETH
-            channel.priority,
-        ))
+        stats = self._switch_stats
+        stats.packets_generated += 1
+        stats.packets_forwarded += 1
+        channel.egress.send(
+            self.pool.acquire(
+                self.node, channel.peer_node, opcode, channel.peer_qpn, op.first_psn,
+                True, op.addr, op.rkey, op.length,  # ack_request, RETH
+                0, 0, payload,  # no AETH
+                channel.priority,
+            ),
+            now + self._forward_delay_ns,
+        )
 
     def _flush(self, channel: _Channel) -> None:
         """Send the channel's backlog in PSN order, up to the first write
@@ -716,8 +765,8 @@ class CowbirdP4Engine:
             channel, rkey = state.probe_channel, None
         train.issued_at = self.sim.now
         train.sent = 0
-        train.source = channel.emit(
-            metadata.req_addr, metadata.length, "refetch", app_op, state, rkey
+        train.source = self._emit(
+            channel, metadata.req_addr, metadata.length, "refetch", app_op, state, rkey
         )
 
     def _give_up(self, channel: _Channel, op: _EngineOp) -> None:

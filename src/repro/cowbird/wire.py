@@ -27,6 +27,7 @@ __all__ = [
     "BookkeepingLayout",
     "GreenBlock",
     "RedBlock",
+    "REQUEST_REGION_SHIFT",
     "REQUEST_SEQUENCE_MASK",
     "REQUEST_TYPE_SHIFT",
     "RW_TYPE_BY_VALUE",
@@ -243,9 +244,11 @@ class BookkeepingLayout:
 _REQ_SEQ_BITS = 32
 _REQ_REGION_SHIFT = _REQ_SEQ_BITS
 #: A request id's rw_type value is ``request_id >> REQUEST_TYPE_SHIFT``
-#: (ids are built only by :func:`encode_request_id`, so nothing sits
-#: above it) and its sequence is ``request_id & REQUEST_SEQUENCE_MASK``:
-#: hot paths read them inline.
+#: (ids are built as :func:`encode_request_id` builds them, so nothing
+#: sits above it), its region is ``request_id >> REQUEST_REGION_SHIFT``
+#: masked to 16 bits and its sequence is ``request_id &
+#: REQUEST_SEQUENCE_MASK``: hot paths read and build them inline.
+REQUEST_REGION_SHIFT = _REQ_REGION_SHIFT
 REQUEST_TYPE_SHIFT = _REQ_REGION_SHIFT + 16
 REQUEST_SEQUENCE_MASK = (1 << _REQ_SEQ_BITS) - 1
 

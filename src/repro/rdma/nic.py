@@ -469,7 +469,15 @@ class RNIC:
                 # reads come back at control priority.
                 packet.priority,
             )
-            self._transmit(response, qp)
+            # _transmit, inlined: one response per single-packet read.
+            link = self.link
+            if link is None:
+                raise RuntimeError(f"NIC {self.node!r} has no link attached")
+            stats = self.stats
+            stats.tx_packets += 1
+            stats.tx_bytes += response.size_bytes
+            qp.packets_sent += 1
+            link.send(response)
             return
         for i in range(n):
             chunk = data[i * mtu : (i + 1) * mtu]
@@ -536,7 +544,21 @@ class RNIC:
         elif opcode is OP_WRITE_FIRST:
             qp.partial_write = (rkey, addr, addr + packet.dma_length)
         if packet.ack_request:
-            self._send_ack(qp, psn, packet.priority)
+            # _send_ack and _transmit, inlined: one ACK per write.
+            ack = RocePacket(
+                self.node, qp.remote_node, OP_ACKNOWLEDGE, qp.remote_qpn, psn,
+                False, 0, 0, 0,  # no ack request, no RETH
+                SYNDROME_ACK, qp.msn, b"",  # AETH, no payload
+                packet.priority,
+            )
+            link = self.link
+            if link is None:
+                raise RuntimeError(f"NIC {self.node!r} has no link attached")
+            stats = self.stats
+            stats.tx_packets += 1
+            stats.tx_bytes += ack.size_bytes
+            qp.packets_sent += 1
+            link.send(ack)
 
     def _replay_write(self, qp: QueuePair, packet: RocePacket) -> None:
         """A duplicate write packet: it lands again with its replay."""

@@ -472,9 +472,14 @@ class Switch:
     """An output-queued switch with destination-based forwarding.
 
     Nodes attach with :meth:`attach`, registering the egress link that
-    reaches them.  An optional ``pipeline`` callable sees every packet
-    before forwarding and may consume, rewrite, or multiply it — that is
-    the abstraction the Cowbird-P4 offload engine programs against.
+    reaches them and, optionally, the ingress link from them.  An
+    optional ``pipeline`` callable sees every packet before forwarding
+    and may consume, rewrite, or multiply it.  A data plane program
+    (the Cowbird-P4 offload engine) goes in with :meth:`install`
+    instead: it terminates the ingress links itself, so a packet
+    addressed to it reaches it in one call, and it hands transit
+    packets back to :meth:`receive` and sends its own on the egress
+    links it looks up with :meth:`port_to`.
     """
 
     def __init__(
@@ -487,19 +492,47 @@ class Switch:
         self.name = name
         self.forward_delay_ns = forward_delay_ns
         self._ports: dict[str, Link] = {}
+        #: Links into the switch, each registered by :meth:`attach`.
+        self._ingress: list[Link] = []
         self.pipeline: Optional[PipelineFn] = None
+        #: The installed data plane program, if any (:meth:`install`).
+        self.program: Optional[Endpoint] = None
         self.stats = SwitchStats()
         sim.telemetry.expose(f"switch.{name}", self.stats)
 
     # ------------------------------------------------------------------
-    def attach(self, node_id: str, egress_link: Link) -> None:
-        """Register ``egress_link`` as the path to ``node_id``."""
+    def attach(
+        self, node_id: str, egress_link: Link, ingress_link: Optional[Link] = None
+    ) -> None:
+        """Register ``egress_link`` as the path to ``node_id``, and
+        ``ingress_link``, which ends at this switch, as the path from it."""
         if node_id in self._ports:
             raise ValueError(f"node {node_id!r} already attached")
         self._ports[node_id] = egress_link
         # Packets reach the egress forward_delay_ns after the switch
         # hands them over, so the egress may commit that far ahead.
         egress_link.lookahead_ns = self.forward_delay_ns
+        if ingress_link is not None:
+            if ingress_link.endpoint is not self:
+                raise ValueError(f"link {ingress_link.name!r} does not end at this switch")
+            self._ingress.append(ingress_link)
+            if self.program is not None:
+                ingress_link.endpoint = self.program
+
+    def install(self, program: Endpoint) -> None:
+        """Terminate every ingress link at ``program``, a data plane
+        program, from now on; links attached later end there too.
+
+        ``program.receive(packet, link)`` then sees each packet that
+        arrives at the switch.  It consumes what it handles itself and
+        passes the rest to :meth:`receive` to be forwarded; the switch's
+        counters are its to keep for the packets it consumes and sends.
+        """
+        if self.program is not None or self.pipeline is not None:
+            raise RuntimeError("switch already has a pipeline installed")
+        self.program = program
+        for link in self._ingress:
+            link.endpoint = program
 
     def port_to(self, node_id: str) -> Link:
         return self._ports[node_id]

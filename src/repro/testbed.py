@@ -190,7 +190,7 @@ class Testbed:
         host.nic.attach_link(uplink)
         host.uplink = uplink
         host.downlink = downlink
-        self.switch.attach(name, downlink)
+        self.switch.attach(name, downlink, uplink)
         self.hosts[name] = host
         return host
 

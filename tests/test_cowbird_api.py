@@ -9,7 +9,9 @@ in the rings, and how progress counters drive poll_wait.
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.baselines.backends import CowbirdBackend
 from repro.cowbird.api import BufferFullError, CowbirdConfig
 from repro.cowbird.wire import GreenBlock, RedBlock, RwType, decode_request_id
 from tests.client_only import client_only as deploy
@@ -497,3 +499,158 @@ class TestMultiInstance:
         assert descriptor.rkey == inst.region.rkey
         assert descriptor.metadata_base == inst.metadata_ring.base_addr
         assert descriptor.remote_regions[0].node == "pool"
+
+
+class TestPollRelease:
+    """``poll_release`` frees completed reads' response slots without a
+    copy; the rings, the outstanding requests and the groups must end
+    exactly as ``poll_reap`` followed by ``fetch_response`` of each read
+    leaves them, whatever order the groups complete in."""
+
+    @staticmethod
+    def _state(inst):
+        return (
+            inst.response_data.head, list(inst._read_order),
+            sorted((s, e.consumed) for s, e in inst._reads.items()),
+            sorted(inst._writes), inst.requests_completed,
+            sorted((p, len(g)) for p, g in inst._poll_groups.items()),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_poll_reap_and_fetch_response(self, data):
+        config = CowbirdConfig(response_data_capacity=1024)
+        sides = [deploy(cowbird_config=config).instances[0] for _ in range(2)]
+        requests = data.draw(st.lists(
+            st.tuples(st.booleans(), st.integers(1, 60), st.integers(0, 2)),
+            min_size=1, max_size=12,
+        ))
+        for inst in sides:
+            # A consumed 500 B read first, so the drawn reads wrap the ring.
+            filler = inst.poll_create()
+            request_id, _ = inst.post_read(0, 0, 500)
+            inst.poll_add(filler, request_id)
+            push_red(inst, read_progress=1)
+            _, done, _ = inst.poll_check(filler, 1, inst.sim.now)
+            inst.poll_reap(filler, done)
+            inst.fetch_response(request_id)
+            polls = [inst.poll_create() for _ in range(3)]
+            reads, writes = 1, 0
+            for is_read, length, group in requests:
+                if is_read:
+                    request_id, _ = inst.post_read(0, 0, length)
+                    reads += 1
+                else:
+                    request_id, _ = inst.post_write(0, 0, b"w" * length)
+                    writes += 1
+                inst.poll_add(polls[group], request_id)
+        steps = data.draw(st.lists(
+            st.tuples(st.integers(0, reads), st.integers(0, writes),
+                      st.integers(0, 2), st.integers(1, 4)),
+            max_size=10,
+        ))
+        reference, released = sides
+        steps.append((reads, writes, 0, 64))
+        steps += [(reads, writes, g, 64) for g in (1, 2)]
+        for read_progress, write_progress, group, max_ret in steps:
+            for inst in sides:
+                red = inst.red
+                push_red(
+                    inst, read_progress=max(red.read_progress, read_progress),
+                    write_progress=max(red.write_progress, write_progress),
+                )
+            poll = polls[group]
+            _, done, _ = reference.poll_check(poll, max_ret, reference.sim.now)
+            _, got, _ = released.poll_check(poll, max_ret, released.sim.now)
+            assert got == done
+            if done is None:
+                continue  # nothing in the group completed yet
+            for event in reference.poll_reap(poll, done):
+                if event.rw_type is RwType.READ:
+                    reference.fetch_response(event.request_id)
+            released.poll_release(poll, got)
+            assert self._state(released) == self._state(reference)
+        assert not released._reads and not released._writes
+        assert released.response_data.head == released.response_data.tail
+
+    def test_drain_one_under_buffer_full_matches_the_reference(self):
+        """A backend whose response ring fills drains completions inside
+        ``issue_read``; it returns the same tokens at the same times, and
+        frees the ring as one that consumes ``CompletionEvent``s with
+        ``fetch_response`` does."""
+
+        class ReferenceBackend(CowbirdBackend):
+            def _drain_one(self, thread):
+                events = yield from self.instance.poll_wait(
+                    thread, self.poll_id, max_ret=64
+                )
+                for event in events:
+                    self._consume(event)
+                self._pre_drained.extend(event.request_id for event in events)
+
+            def _consume(self, event):
+                self._outstanding -= 1
+                if event.rw_type is RwType.READ:
+                    self.instance.fetch_response(event.request_id)
+
+            def poll_completions(self, thread, max_ret=64, block=False):
+                out = self._pre_drained[:max_ret]
+                if out:
+                    self._pre_drained = self._pre_drained[len(out):]
+                    return out
+                timeout = None if block and self._outstanding else 0.0
+                events = yield from self.instance.poll_wait(
+                    thread, self.poll_id, max_ret, timeout=timeout
+                )
+                for event in events:
+                    self._consume(event)
+                return [event.request_id for event in events]
+
+        def scenario(backend_class):
+            config = CowbirdConfig(response_data_capacity=512)
+            dep = deploy(cowbird_config=config)
+            inst = dep.instances[0]
+            backend = backend_class(inst)
+            thread = dep.compute.cpu.thread()
+            trace, drains = [], []
+            drain_one = backend._drain_one
+
+            def counted_drain(thread):
+                drains.append(dep.sim.now)
+                yield from drain_one(thread)
+
+            backend._drain_one = counted_drain
+
+            def engine():  # completes two more requests of each type a tick
+                while True:
+                    yield dep.sim.timeout(700)
+                    red = inst.red
+                    push_red(
+                        inst,
+                        read_progress=min(red.read_progress + 2, reads_issued[0]),
+                        write_progress=min(red.write_progress + 1, writes_issued[0]),
+                    )
+
+            reads_issued, writes_issued = [0], [0]
+
+            def app():
+                for i in range(24):
+                    yield from backend.issue_read(thread, 0, 100 + i)
+                    reads_issued[0] += 1
+                    if i % 5 == 0:
+                        yield from backend.issue_write(thread, 0, b"x" * 16)
+                        writes_issued[0] += 1
+                    tokens = yield from backend.poll_completions(thread, max_ret=3)
+                    trace.append((dep.sim.now, tokens, inst.response_data.head))
+                while backend.outstanding():
+                    tokens = yield from backend.poll_completions(thread, block=True)
+                    trace.append((dep.sim.now, tokens, inst.response_data.head))
+
+            dep.sim.spawn(engine())
+            run(dep, app(), deadline=1e9)
+            return trace, drains, inst.response_data.head, inst.response_data.tail
+
+        got = scenario(CowbirdBackend)
+        assert got[1]  # the ring did fill: issue_read drained
+        assert got[2] == got[3]  # every response slot freed
+        assert got == scenario(ReferenceBackend)

@@ -2,12 +2,64 @@
 
 import pytest
 
+from repro.cowbird.wire import decode_request_id
 from repro.experiments.common import build_microbench
-from repro.experiments.faster_bench import load_backing, run_faster_bench
+from repro.experiments.faster_bench import (
+    _log_config_for,
+    load_backing,
+    run_faster_bench,
+    ycsb_worker,
+)
 from repro.faster.hashindex import HashIndex
 from repro.faster.hybridlog import HybridLog, HybridLogConfig
-from repro.faster.store import FasterConfig, FasterKv
+from repro.faster.store import KEY_BYTES, FasterConfig, FasterKv
 from repro.sim.cpu import CostModel
+from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
+
+
+class DeviceReads:
+    """Every device read's record, as the engine wrote it into the
+    response ring, taken just before the backend frees the slot.
+
+    Wraps each Cowbird backend's ``issue_read`` to learn each token's
+    log address, and its instance's ``poll_release`` to copy the slot;
+    ``records`` maps a log address to every record read from it.
+    """
+
+    def __init__(self, backends):
+        self.records: dict[int, list[bytes]] = {}
+        for backend in set(backends):
+            address_of = {}  # token -> log address; tokens are per instance
+            backend.issue_read = self._issue(backend.issue_read, address_of)
+            instance = backend.instance
+            instance.poll_release = self._release(
+                instance, instance.poll_release, address_of
+            )
+
+    @staticmethod
+    def _issue(issue_read, address_of):
+        def issue(thread, offset, length):
+            token = yield from issue_read(thread, offset, length)
+            address_of[token] = offset
+            return token
+
+        return issue
+
+    def _release(self, instance, poll_release, address_of):
+        def release(poll_id, done_ids):
+            for request_id in done_ids:
+                addr = address_of.pop(request_id, None)
+                if addr is not None:
+                    entry = instance._reads[decode_request_id(request_id)[2]]
+                    self.records.setdefault(addr, []).append(
+                        instance.region.read(entry.addr, entry.length)
+                    )
+            poll_release(poll_id, done_ids)
+
+        return release
+
+    def count(self) -> int:
+        return sum(map(len, self.records.values()))
 
 
 class TestHashIndex:
@@ -174,8 +226,9 @@ class TestFasterKvSimulated:
 
     def test_eviction_spills_through_device_and_reads_back(self):
         """End to end on Cowbird: records pushed out of memory come back
-        from the pool via the offload engine."""
+        from the pool via the offload engine, byte for byte."""
         dep, store = self.make_store(system="cowbird", memory_pages=2)
+        device_reads = DeviceReads(dep.backends)
         thread = dep.compute.cpu.thread()
         n = 300  # enough 72 B records to overflow two 4 KB pages
 
@@ -207,6 +260,60 @@ class TestFasterKvSimulated:
         assert outcome.source == "device"
         assert store.stats_flushes > 0
         assert store.stats_reads_device >= 1
+        assert device_reads.records == {
+            store.index.get(0): [(0).to_bytes(KEY_BYTES, "little") + bytes(64)]
+        }
+
+    @pytest.mark.parametrize("system", ["cowbird", "cowbird-p4"])
+    def test_every_device_read_returns_the_record_it_names(self, system):
+        """A FASTER/YCSB 50/50 round at a 25 % in-memory log: every record
+        a device read brings back into the response ring is the one last
+        loaded or upserted at that log address."""
+        records, value_bytes, threads = 2_000, 64, 2
+        ycsb = YcsbConfig(
+            record_count=records, value_bytes=value_bytes, read_fraction=0.5, seed=3,
+        )
+        config = FasterConfig(
+            value_bytes=value_bytes,
+            log=_log_config_for(records, ycsb.record_bytes, 0.25),
+        )
+        dep = build_microbench(
+            system, threads, remote_bytes=records * config.record_bytes * 2 + (1 << 20),
+            pipeline_depth=32,
+        )
+        store = FasterKv(dep.backends[0], CostModel(), config)
+        load_backing(dep, store)
+        loader = YcsbWorkload(ycsb, worker_seed=0)
+        store.load({key: loader.value_for(key) for key in range(records)})
+        expected = {
+            store.index.get(key): key.to_bytes(KEY_BYTES, "little") + loader.value_for(key)
+            for key in range(records)
+        }
+        write = store.log.write
+
+        def recording_write(addr, data):
+            expected[addr] = bytes(data)
+            write(addr, data)
+
+        store.log.write = recording_write  # every upsert's record
+        device_reads = DeviceReads(dep.backends)
+        processes = [
+            dep.sim.spawn(ycsb_worker(
+                dep.compute.cpu.thread(f"faster-{i}"), store, dep.backends[i],
+                YcsbWorkload(ycsb, worker_seed=i + 1), 150, depth=32,
+            ))
+            for i in range(threads)
+        ]
+        for process in processes:
+            dep.sim.run_until_complete(process, deadline=300e9)
+        dep.close()
+        assert store.stats_upserts > 0 and store.stats_flushes > 0
+        assert device_reads.count() == store.stats_reads_device > 50
+        wrong = [
+            addr for addr, got in device_reads.records.items()
+            if got != [expected[addr]] * len(got)
+        ]
+        assert wrong == []
 
     def test_memory_budget_respected_after_flushes(self):
         dep, store = self.make_store(system="cowbird", memory_pages=2)

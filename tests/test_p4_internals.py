@@ -2,7 +2,7 @@
 
 The channels' PSN bookkeeping is the shared requester window
 (``tests/test_requester_window.py`` covers it for both engines); these
-cases drive the switch pipeline: acknowledgments completing requests,
+cases drive the data plane program: acknowledgments completing requests,
 and Go-Back-N sending every outstanding op again at its own PSNs.
 """
 
@@ -25,9 +25,12 @@ def build(num_instances=1, **p4_kwargs):
 
 
 def capture(dep):
-    """Keep every packet the switch sends in a list instead of the network."""
+    """Keep every packet the switch sends in a list instead of the network:
+    the engine sends on the switch's egress links, in order."""
     sent = []
-    dep.bed.switch.inject = sent.append
+    switch = dep.bed.switch
+    for node in switch.attached_nodes:
+        switch.port_to(node).send = lambda packet, ready_at=None: sent.append(packet)
     return sent
 
 
@@ -41,7 +44,7 @@ def _app_op(state, rw_type, sequence, length=8):
         rw_type=rw_type, req_addr=0, resp_addr=0, length=length, region_id=0
     )
     return _AppOp(
-        instance=state, sequence=sequence, metadata=metadata,
+        parsed_at=0.0, metadata=metadata, sequence=sequence,
         ring_index=sequence - 1,
     )
 
@@ -64,7 +67,9 @@ def _ack(engine, channel, psn):
         opcode=Opcode.RC_ACKNOWLEDGE, dest_qp=channel.virtual_qpn, psn=psn,
         syndrome=SYNDROME_ACK, msn=0,
     )
-    assert engine._pipeline(packet, None) == []
+    consumed = engine.switch.stats.packets_consumed
+    engine.receive(packet, None)
+    assert engine.switch.stats.packets_consumed == consumed + 1
 
 
 def _response(engine, channel, op, segment, opcode):
@@ -112,8 +117,8 @@ class TestChannels:
         dep = build()
         state = dep.engine._instances[0]
         channel = state.data_channel
-        op1 = channel.emit(0x1000, 100, kind="meta", instance=state)
-        op2 = channel.emit(0x2000, 3000, kind="meta", instance=state)
+        op1 = dep.engine._emit(channel, 0x1000, 100, kind="meta", instance=state)
+        op2 = dep.engine._emit(channel, 0x2000, 3000, kind="meta", instance=state)
         assert op1.first_psn == 0 and op1.num_psns == 1
         assert op2.first_psn == 1 and op2.num_psns == 3  # 3000 B / 1024 MTU
         assert channel.window.send_psn == 4
@@ -122,7 +127,9 @@ class TestChannels:
         dep = build()
         state = dep.engine._instances[0]
         window = state.data_channel.window
-        op = state.data_channel.emit(0x1000, 3000, kind="meta", instance=state)
+        op = dep.engine._emit(
+            state.data_channel, 0x1000, 3000, kind="meta", instance=state
+        )
         assert window.find(op.first_psn) is op
         assert window.find(psn_add(op.first_psn, 2)) is op
         assert window.find(psn_add(op.first_psn, 3)) is None
@@ -138,8 +145,8 @@ class TestChannels:
         state = engine._instances[0]
         channel = state.data_channel
         sent = capture(dep)
-        op1 = channel.emit(0x1000, 100, kind="meta", instance=state)
-        op2 = channel.emit(0x2000, 100, kind="meta", instance=state)
+        op1 = engine._emit(channel, 0x1000, 100, kind="meta", instance=state)
+        op2 = engine._emit(channel, 0x2000, 100, kind="meta", instance=state)
         sent.clear()
         engine._go_back_n(channel)
         read = Opcode.RC_RDMA_READ_REQUEST
@@ -195,13 +202,13 @@ class TestCumulativeAckAcrossPsnWrap:
         channel.window.send_psn = PSN_MODULUS - 1
         rkey = state.descriptor.remote_regions[0].rkey
         reads = [_app_op(state, RwType.READ, n, length=1024) for n in (1, 2)]
-        fetch = channel.emit(
-            0, 1024, kind="read_fetch", parent=reads[0], instance=state, rkey=rkey
+        fetch = engine._emit(
+            channel, 0, 1024, kind="read_fetch", parent=reads[0], instance=state, rkey=rkey
         )
         write = _app_op(state, RwType.WRITE, 1)
         train = _open(channel, "pool_write", 2, write)
-        fetch2 = channel.emit(
-            1024, 1024, kind="read_fetch", parent=reads[1], instance=state, rkey=rkey
+        fetch2 = engine._emit(
+            channel, 1024, 1024, kind="read_fetch", parent=reads[1], instance=state, rkey=rkey
         )
         assert [op.first_psn for op in channel.window.outstanding] == [PSN_MODULUS - 1, 0, 2]
         _ack(engine, channel, 1)
@@ -209,7 +216,7 @@ class TestCumulativeAckAcrossPsnWrap:
         assert list(channel.window.outstanding) == [fetch, train, fetch2]
         # The fetch's data arrives: it retires, and the next ACK covers
         # the write.
-        engine._pipeline(_response(engine, channel, fetch, 0, ONLY), None)
+        engine.receive(_response(engine, channel, fetch, 0, ONLY), None)
         assert list(channel.window.outstanding) == [train, fetch2]
         _ack(engine, channel, 1)
         assert write.completed
@@ -224,9 +231,9 @@ class TestCumulativeAckAcrossPsnWrap:
         channel = state.data_channel
         sent = capture(dep)
         channel.window.send_psn = PSN_MODULUS - 2
-        meta = channel.emit(0x1000, 100, kind="meta", instance=state)
-        fetch = channel.emit(
-            0x2000, 100, kind="write_fetch",
+        meta = engine._emit(channel, 0x1000, 100, kind="meta", instance=state)
+        fetch = engine._emit(
+            channel, 0x2000, 100, kind="write_fetch",
             parent=_app_op(state, RwType.WRITE, 1), instance=state,
         )
         red = _open(channel, "red_update", 1)
@@ -238,7 +245,7 @@ class TestCumulativeAckAcrossPsnWrap:
             ("compute", read, PSN_MODULUS - 1),
             ("compute", write, 0),
         ]
-        meta2 = channel.emit(0x3000, 100, kind="meta", instance=state)
+        meta2 = engine._emit(channel, 0x3000, 100, kind="meta", instance=state)
         assert meta2.first_psn == 1
         assert wire(sent[-1:]) == [("compute", read, 1)]
         _ack(engine, channel, 0)
@@ -262,9 +269,10 @@ class TestGoBackNReplay:
         read = _app_op(state, RwType.READ, 2)
         engine._execute_write(state, write)
         (fetch,) = state.data_channel.window.outstanding
-        engine._pipeline(_response(engine, state.data_channel, fetch, 0, ONLY), None)
+        engine.receive(_response(engine, state.data_channel, fetch, 0, ONLY), None)
         assert not state.data_channel.window.outstanding  # the fetch retired
-        engine._execute_read(state, read)
+        state.pending.append(read)
+        engine._drain_pending(state)
         recycled = engine.stats.recycled_packets
 
         sent.clear()
@@ -276,7 +284,7 @@ class TestGoBackNReplay:
 
         # The payload arrives: the write goes to the pool again, then the
         # read, each at its own PSN.
-        engine._pipeline(_response(engine, state.probe_channel, refetch, 0, ONLY), None)
+        engine.receive(_response(engine, state.probe_channel, refetch, 0, ONLY), None)
         assert wire(sent[1:]) == [
             ("pool", Opcode.RC_RDMA_WRITE_ONLY, 0),
             ("pool", Opcode.RC_RDMA_READ_REQUEST, 1),
@@ -293,10 +301,14 @@ class TestGoBackNReplay:
         state = engine._instances[0]
         channel = state.data_channel
         sent = capture(dep)
+        pool = next(iter(state.pool_channels.values()))
         writes = [_app_op(state, RwType.WRITE, n) for n in (1, 2, 3)]
         state.in_order.extend(writes)
         for write in writes:
-            engine._complete_app_op(state, write)
+            _open(pool, "pool_write", 1, write)
+        for psn in (0, 1, 2):
+            _ack(engine, pool, psn)  # completes one write, which sends an update
+        assert all(write.completed for write in writes)
         assert [RedBlock.unpack(p.payload).write_progress for p in sent] == [1, 2, 3]
         updates = engine.stats.red_updates
 
@@ -331,13 +343,13 @@ class TestGoBackNReplay:
 
         (fetch,) = state.data_channel.window.outstanding
         first, last = Opcode.RC_RDMA_READ_RESPONSE_FIRST, Opcode.RC_RDMA_READ_RESPONSE_LAST
-        engine._pipeline(_response(engine, state.data_channel, fetch, 0, first), None)
+        engine.receive(_response(engine, state.data_channel, fetch, 0, first), None)
         assert [op.kind for op in pool.window.outstanding] == ["pool_write"]
 
         engine._go_back_n(pool)
         sent.clear()
         # The rest of the fetch completes it, but no longer feeds the train.
-        engine._pipeline(_response(engine, state.data_channel, fetch, 1, last), None)
+        engine.receive(_response(engine, state.data_channel, fetch, 1, last), None)
         assert state.fetching_writes == 0
         assert not state.pending
         if max_retries == 0:
@@ -347,7 +359,7 @@ class TestGoBackNReplay:
             assert not sent  # the read waits behind the train
             (refetch,) = state.probe_channel.window.outstanding
             for segment, opcode in enumerate((first, last)):
-                engine._pipeline(
+                engine.receive(
                     _response(engine, state.probe_channel, refetch, segment, opcode),
                     None,
                 )
@@ -386,9 +398,10 @@ class TestGoBackNReplay:
         pool = next(iter(state.pool_channels.values()))
         sent = capture(dep)
         read = _app_op(state, RwType.READ, 1)
-        engine._execute_read(state, read)
+        state.pending.append(read)
+        engine._drain_pending(state)
         (fetch,) = pool.window.outstanding
-        engine._pipeline(_response(engine, pool, fetch, 0, ONLY), None)
+        engine.receive(_response(engine, pool, fetch, 0, ONLY), None)
         train = read.write_train
         assert (train.kind, train.first_psn) == ("resp_write", 0)
         engine._execute_write(state, _app_op(state, RwType.WRITE, 1))
@@ -399,7 +412,7 @@ class TestGoBackNReplay:
         assert (refetch.kind, refetch.first_psn) == ("refetch", 1)
         # The write fetch behind the train waits for it.
         assert wire(sent) == [("pool", Opcode.RC_RDMA_READ_REQUEST, 1)]
-        engine._pipeline(_response(engine, pool, refetch, 0, ONLY), None)
+        engine.receive(_response(engine, pool, refetch, 0, ONLY), None)
         assert wire(sent[1:]) == [
             ("compute", Opcode.RC_RDMA_WRITE_ONLY, 0),
             ("compute", Opcode.RC_RDMA_READ_REQUEST, 1),
@@ -416,10 +429,11 @@ class TestGoBackNReplay:
         sent = capture(dep)
         mtu = engine.config.mtu_bytes
         read = _app_op(state, RwType.READ, 1, length=2 * mtu)
-        engine._execute_read(state, read)
+        state.pending.append(read)
+        engine._drain_pending(state)
         (fetch,) = pool.window.outstanding
         first = Opcode.RC_RDMA_READ_RESPONSE_FIRST
-        engine._pipeline(_response(engine, pool, fetch, 0, first), None)
+        engine.receive(_response(engine, pool, fetch, 0, first), None)
         train = read.write_train
         assert train.source is fetch and train.sent == 1
 
@@ -433,9 +447,9 @@ class TestGoBackNReplay:
         ]
         # The old read's responses feed nothing; the new one's restart
         # the train at its first segment.
-        engine._pipeline(_response(engine, pool, fetch, 0, first), None)
+        engine.receive(_response(engine, pool, fetch, 0, first), None)
         assert len(sent) == 2
-        engine._pipeline(_response(engine, pool, refetch, 0, first), None)
+        engine.receive(_response(engine, pool, refetch, 0, first), None)
         assert wire(sent[2:]) == [("compute", Opcode.RC_RDMA_WRITE_FIRST, 0)]
 
 

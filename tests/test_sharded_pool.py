@@ -8,6 +8,7 @@ request to the owning shard — so reads/writes land on the right host
 and a spot failover recovers against every shard.
 """
 
+import functools
 import random
 
 import pytest
@@ -208,9 +209,10 @@ def _record(index):
 
 class _CheckedReader:
     """Random record reads through one backend, checked as they happen:
-    every ``fetch_response`` must return the read's own record, and a
-    red block landing at the client may cover (``read_progress``) only
-    reads whose bytes are already in their response slots."""
+    the response slot of every read the backend frees
+    (``poll_release``) must hold the read's own record, and a red block
+    landing at the client may cover (``read_progress``) only reads whose
+    bytes are already in their response slots."""
 
     def __init__(self, backend, records, rng):
         self.backend = backend
@@ -224,17 +226,21 @@ class _CheckedReader:
         #: Red-block updates the engine emitted with ``read_progress``
         #: past a read it had not completed (counted for P4 only).
         self.published_past_incomplete = 0
-        self._fetch_response = instance.fetch_response
-        instance.fetch_response = self._checked_fetch
+        self._poll_release = instance.poll_release
+        instance.poll_release = self._checked_release
         red_addr = instance.bookkeeping.red_addr
         instance.region.watch(red_addr, red_addr + RedBlock.SIZE, self._on_write)
 
-    def _checked_fetch(self, request_id):
-        data = self._fetch_response(request_id)
-        if data != _record(self.expected.pop(request_id)):
-            self.mismatches.append(request_id)
-        del self.unconsumed[decode_request_id(request_id)[2]]
-        return data
+    def _checked_release(self, poll_id, done_ids):
+        instance = self.instance
+        for request_id in done_ids:
+            sequence = decode_request_id(request_id)[2]
+            entry = instance._reads[sequence]
+            data = instance.region.read(entry.addr, entry.length)
+            if data != _record(self.expected.pop(request_id)):
+                self.mismatches.append(request_id)
+            del self.unconsumed[sequence]
+        self._poll_release(poll_id, done_ids)
 
     def _on_write(self, addr, length):
         """A write touched the red block."""
@@ -271,25 +277,27 @@ def _count_early_p4_publications(engine, readers):
     ``read_progress`` at or past a read whose write-back it has not yet
     seen acknowledged.  Such an update lands after the engine emits it,
     so a client-side check would miss reads completed in between.  The
-    engine emits one with each completion, and a replayed one carries
-    the red block as last published."""
+    engine publishes, and emits an update, with each completion, which
+    marks the request completed first; a replayed update carries the red
+    block as last published."""
     by_instance = {r.instance.instance_id: r for r in readers}
     completed = {instance_id: set() for instance_id in by_instance}
     first_incomplete = dict.fromkeys(by_instance, 1)
-    complete_app_op = engine._complete_app_op
 
-    def checked_complete(state, app_op):
+    def checked_publish(state, publish):
         instance_id = state.descriptor.instance_id
         done = completed[instance_id]
-        if app_op.metadata.rw_type is RwType.READ:
-            done.add(app_op.sequence)
-        complete_app_op(state, app_op)  # publishes and emits the update
+        for app_op in state.in_order:
+            if app_op.completed and app_op.metadata.rw_type is RwType.READ:
+                done.add(app_op.sequence)
+        publish()  # the engine emits the update next
         while first_incomplete[instance_id] in done:
             first_incomplete[instance_id] += 1
         if state.red.read_progress >= first_incomplete[instance_id]:
             by_instance[instance_id].published_past_incomplete += 1
 
-    engine._complete_app_op = checked_complete
+    for state in engine._instances:
+        state.publish = functools.partial(checked_publish, state, state.publish)
 
 
 def _random_reads_check(system, shards, drop_rate=0.0, threads=4, reads=512,
