@@ -166,9 +166,7 @@ def run_faster_bench(
     # channel (instance/QP), exactly like the paper's IDevice port.
     store = FasterKv(deployment.backends[0], cost, faster_config)
     load_backing(deployment, store)
-    loader = YcsbWorkload(ycsb, worker_seed=0)
-    keys = range(record_count)
-    store.load(zip(keys, map(loader.value_for, keys)))
+    store.load(range(record_count), YcsbWorkload(ycsb, worker_seed=0).value_for)
     sim = deployment.sim
     processes = []
     for i in range(threads):
@@ -208,20 +206,20 @@ def load_backing(deployment: MicrobenchDeployment, store: FasterKv) -> None:
     """Wire the store's cold-page backing writes into the deployment.
 
     For RDMA/Cowbird systems cold pages live in the pool region, and the
-    pages a bulk load of a mapping spills are deferred there: a read packs
+    pages a bulk load spills are deferred there as one span: a read makes
     only the records it returns, and a page is packed and written into the
-    region only when a write changes part of it.  For the
-    SSD they live in its buffer; local memory needs nothing (the log's
-    page budget is effectively infinite there).
+    region only when a write changes part of it.  The SSD needs nothing
+    here: the store writes cold pages into its buffer through the device's
+    own ``backing_write``, page by page.  Local memory never evicts (the
+    log's page budget is effectively infinite there).
     """
     system = deployment.system
     if system == "local":
         store.log.config.memory_pages = 1 << 30  # never evict
         return
-    backend0 = deployment.backends[0]
     if system == "ssd":
-        store._store_cold_page = backend0.backing_write  # shared drive
         return
+    backend0 = deployment.backends[0]
     # Network systems: cold pages land in the pool region.
     if system.startswith("cowbird"):
         handle = backend0.instance.remote_regions[0]
@@ -234,9 +232,9 @@ def load_backing(deployment: MicrobenchDeployment, store: FasterKv) -> None:
     def backing_write(offset: int, data: bytes) -> None:
         pool_region.write(handle.translate(offset, len(data)), data)
 
-    def defer_cold_pages(offset: int, count: int, fill, release) -> None:
+    def defer_cold_pages(offset: int, count: int, fill) -> None:
         addr = handle.translate(offset, count * page_bytes)
-        pool_region.defer(addr, page_bytes, count, fill, release)
+        pool_region.defer(addr, page_bytes, count, fill)
 
     store._store_cold_page = backing_write
     store._defer_cold_pages = defer_cold_pages

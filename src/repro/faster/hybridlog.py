@@ -17,11 +17,12 @@ page + 1), so the oldest resident page and the oldest still-flushing
 page are kept as counters: eviction and head tracking cost O(1) per page
 and never iterate the page dicts.
 
-A resident page is a ``page_bytes`` ``bytearray``, or a page that a bulk
-load appended as its records' keys and values (any object with
+A resident page is a ``page_bytes`` ``bytearray``, or a full page that a
+bulk load appended as its place in the load's records (any object with
 ``read(offset, length) -> bytes`` and ``pack() -> bytearray``).  Such a
-page is packed into a buffer only when something writes into it or it
-leaves memory.
+page holds no values: a read makes the records it overlaps, and the page
+is packed into a buffer only when something writes into it or it leaves
+memory.
 """
 
 from __future__ import annotations

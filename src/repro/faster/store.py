@@ -14,10 +14,7 @@ never span pages, and a record's device offset equals its log address.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice
 from typing import Any, Generator, Optional
 
 from repro.baselines.backends import Backend
@@ -31,24 +28,9 @@ KEY_BYTES = 8
 
 _pack_key = struct.Struct("<Q").pack
 
-#: Full pages that :meth:`FasterKv.load` takes from its input per step.
-_LOAD_PAGES_PER_STEP = 16
-
-
-def _columns(
-    items: Mapping[int, bytes] | Iterable[tuple[int, bytes]], size: int,
-):
-    """``(keys, values)`` of up to ``size`` records at a time: a mapping's
-    columns are read straight from its views, pairs are transposed."""
-    if isinstance(items, Mapping):
-        keys, values = iter(items), iter(items.values())
-        while batch := list(islice(keys, size)):
-            yield batch, list(islice(values, size))
-    else:
-        pairs = iter(items)
-        while chunk := list(islice(pairs, size)):
-            batch, batch_values = zip(*chunk, strict=True)
-            yield batch, batch_values
+#: Full pages of records whose keys and value sizes :meth:`FasterKv.load`
+#: checks per step.
+_CHECK_PAGES_PER_STEP = 16
 
 
 def _good_keys(keys) -> int:
@@ -64,69 +46,89 @@ def _good_keys(keys) -> int:
     return len(keys)
 
 
-class _RecordPage:
-    """A full log page of loaded records, held as the caller's keys and
-    values until it is packed: ``records`` is ``[key0, value0, key1,
-    value1, ...]`` and ``layout`` is ``(record_bytes, page_bytes,
-    pack_record, pack_page_into)``, shared by a load's pages."""
+class _RecordSource:
+    """Full log pages of a load's records, made from the records on demand.
 
-    __slots__ = ("records", "layout")
+    Record ``j`` is ``keys[j]`` and ``value_for(lookup[j])``, and page
+    ``i`` holds the ``per_page`` records from ``first + i * per_page`` on,
+    then zeros.  Nothing is held per record beyond what the caller's
+    ``keys`` and ``value_for`` hold.
+    """
 
-    def __init__(self, records: list, layout: tuple) -> None:
-        self.records = records
-        self.layout = layout
+    __slots__ = (
+        "keys", "lookup", "value_for", "first", "per_page", "value_bytes",
+        "record_bytes", "page_bytes", "pack_record",
+    )
+
+    def __init__(
+        self, keys, lookup, value_for, first: int, per_page: int,
+        value_bytes: int, page_bytes: int,
+    ) -> None:
+        self.keys = keys
+        self.lookup = lookup
+        self.value_for = value_for
+        self.first = first
+        self.per_page = per_page
+        self.value_bytes = value_bytes
+        self.record_bytes = KEY_BYTES + value_bytes
+        self.page_bytes = page_bytes
+        self.pack_record = struct.Struct(f"<Q{value_bytes}s").pack
+
+    def good_records(self, step: int) -> int:
+        """The index of the first record from ``first`` on whose key does
+        not pack or whose value is not ``value_bytes`` long, or the number
+        of keys.  Checks ``step`` records at a time and holds no value past
+        its check."""
+        keys, lookup, value_for = self.keys, self.lookup, self.value_for
+        value_bytes = self.value_bytes
+        count = len(keys)
+        for lo in range(self.first, count, step):
+            hi = min(lo + step, count)
+            good = _good_keys(keys[lo:hi])
+            if set(map(len, map(value_for, lookup[lo:hi]))) != {value_bytes}:
+                lengths = map(len, map(value_for, lookup[lo:hi]))
+                good = min(good, next(
+                    i for i, length in enumerate(lengths) if length != value_bytes
+                ))
+            if lo + good < hi:
+                return lo + good
+        return count
+
+    def fill(self, i: int, start: int, stop: int) -> bytes:
+        """Bytes ``[start, stop)`` of page ``i``, from the records they
+        overlap only: the ``fill`` that
+        :meth:`repro.memory.region.MemoryRegion.defer` takes."""
+        record_bytes = self.record_bytes
+        lo, offset = divmod(start, record_bytes)
+        j = self.first + i * self.per_page + lo  # the first record overlapped
+        if not offset and stop - start == record_bytes and lo < self.per_page:
+            # One whole record, as a device read asks for.
+            return self.pack_record(self.keys[j], self.value_for(self.lookup[j]))
+        end = j - lo + min(-(-stop // record_bytes), self.per_page)
+        packed = b"".join(map(
+            self.pack_record, self.keys[j:end], map(self.value_for, self.lookup[j:end]),
+        ))
+        part = packed[offset : offset + stop - start]
+        return part + bytes(stop - start - len(part))
+
+
+class _LoadedPage:
+    """A full log page of loaded records, held as its number in the
+    load's :class:`_RecordSource` until the log packs it."""
+
+    __slots__ = ("source", "number")
+
+    def __init__(self, source: _RecordSource, number: int) -> None:
+        self.source = source
+        self.number = number
 
     def read(self, offset: int, length: int) -> bytes:
-        """Bytes ``[offset, offset + length)`` of the packed page, from the
-        records they overlap only."""
-        record_bytes, _page_bytes, pack_record, _pack_page = self.layout
-        records = self.records
-        first = offset // record_bytes
-        if length == record_bytes and offset == first * record_bytes:
-            if 2 * first < len(records):  # one whole record
-                return pack_record(records[2 * first], records[2 * first + 1])
-        stop = -(-(offset + length) // record_bytes)
-        packed = b"".join(map(
-            pack_record, records[2 * first : 2 * stop : 2],
-            records[2 * first + 1 : 2 * stop : 2],
-        ))
-        start = offset - first * record_bytes
-        part = packed[start : start + length]
-        return part + bytes(length - len(part))
+        """Bytes ``[offset, offset + length)`` of the packed page."""
+        return self.source.fill(self.number, offset, offset + length)
 
     def pack(self) -> bytearray:
         """The page packed into a fresh ``page_bytes`` buffer."""
-        _record_bytes, page_bytes, _pack_record, pack_page = self.layout
-        buffer = bytearray(page_bytes)
-        pack_page(buffer, 0, *self.records)
-        return buffer
-
-
-def _page_filler(pages: list):
-    """``(fill, release)`` over a list of record pages, as
-    :meth:`repro.memory.region.MemoryRegion.defer` takes them: page
-    ``i``'s keys and values are released once the region wrote it."""
-
-    def fill(i: int, start: int, stop: int) -> bytes:
-        return pages[i].read(start, stop - start)
-
-    def release(i: int) -> None:
-        pages[i] = None
-
-    return fill, release
-
-
-@lru_cache(maxsize=8)
-def _page_packer(value_bytes: int, per_page: int):
-    """``pack_into(buffer, 0, key0, value0, key1, value1, ...)`` for one
-    page of ``per_page`` records."""
-    return struct.Struct("<" + f"Q{value_bytes}s" * per_page).pack_into
-
-
-@lru_cache(maxsize=8)
-def _record_packer(value_bytes: int):
-    """``pack(key, value)`` for one record."""
-    return struct.Struct(f"<Q{value_bytes}s").pack
+        return bytearray(self.source.fill(self.number, 0, self.source.page_bytes))
 
 
 @dataclass
@@ -269,136 +271,91 @@ class FasterKv:
     # ------------------------------------------------------------------
     # Non-simulated helpers (loading, verification)
     # ------------------------------------------------------------------
-    def load(
-        self, items: Mapping[int, bytes] | Iterable[tuple[int, bytes]]
-    ) -> None:
+    def load(self, keys, value_for=None) -> None:
         """Bulk-load records without charging simulated time.
 
         Used to build the initial database before measurement starts —
         the paper's experiments also measure steady state, not loading.
-        ``items`` is a mapping or any iterable of ``(key, value)`` pairs,
-        consumed as a stream, 16 pages of records at a time; a repeated
-        key ends at its last record.
+        The records are ``keys``, a sequence in log order, each with the
+        value ``value_for(key)`` of a pure ``value_for``; a repeated key
+        ends at its last record.  A mapping may stand for both: its keys
+        and values are then taken in order, the values copied when they
+        are not ``bytes``, so that later changes to the mapping or its
+        buffers do not reach the store.
 
-        Full pages wait in a window of the newest ``memory_pages`` and are
-        appended to the log when records go in one at a time (a short last
-        page) or the load ends.  A mapping's pages are record pages: key
-        and value slices that share its values, packed with one ``struct``
-        write only when the log writes into or evicts one.  Those that
-        leave the window go to :meth:`_defer_cold_pages` unpacked, and
-        those the log keeps stay so.  A stream's values are made for the
-        load and would be kept alive only by it, so its pages are packed
-        as they come in, and one that leaves the window is written through
-        :meth:`_store_cold_page`, as are pages evicted from the log itself.
-        Each step's keys go to :meth:`HashIndex.insert_pages`.  The log,
-        index and device end up exactly as if each record had been
-        appended on its own; a record whose key or value does not fit
-        raises as it would have there.
+        The log, index and device end up exactly as if each record had
+        been appended on its own, and a record whose key or value does
+        not fit raises as it would have there.  A partly filled tail page
+        is finished one record at a time; the full pages after it go in
+        through :meth:`_load_full_pages`, which holds them as their place
+        in the records, not as values; a short last page, or the records
+        from a bad one on, go in one at a time again.
+        """
+        if value_for is None:
+            # A mapping (duck-typed: an ABC check may run Python code):
+            # record j's value is values[j], read by position.
+            if not hasattr(keys, "values"):
+                raise TypeError("load takes a mapping, or keys and value_for")
+            values = list(keys.values())
+            if set(map(type, values)) != {bytes}:  # copy buffers that may change
+                values = [
+                    v if type(v) is bytes else bytes(memoryview(v)) for v in values
+                ]
+            keys, lookup, value_for = list(keys), range(len(values)), values.__getitem__
+        else:
+            lookup = keys
+        log = self.log
+        record_bytes = self.config.record_bytes
+        per_page = log.config.page_bytes // record_bytes
+        count = len(keys)
+        start = 0
+        while start < count and not log.starts_fresh_page(record_bytes):
+            self._load_record(keys[start], value_for(lookup[start]))
+            start += 1
+        end = start
+        if per_page:  # else no record fits a page, and the first one raises
+            source = _RecordSource(
+                keys, lookup, value_for, start, per_page,
+                self.config.value_bytes, log.config.page_bytes,
+            )
+            good = source.good_records(per_page * _CHECK_PAGES_PER_STEP)
+            pages = (good - start) // per_page
+            end += pages * per_page
+            if pages:
+                self._load_full_pages(source, pages, end < good)
+        # A short last page, or the records from a bad one on, which raises
+        # at the bad record as the record-by-record loop does.
+        for i in range(end, count):
+            self._load_record(keys[i], value_for(lookup[i]))
+
+    def _load_full_pages(self, source: _RecordSource, pages: int, tail: bool) -> None:
+        """Index the first ``pages`` full pages of ``source`` and place
+        them where appending each one and evicting the oldest while over
+        budget would leave them; ``tail`` says that a record on a page of
+        its own follows them.
+
+        The log then keeps the newest ``memory_pages`` of its resident
+        pages, these pages and that tail page.  The older resident pages
+        are spilled first, then these pages' oldest, which go to
+        :meth:`_defer_cold_pages` as one span; the rest stay resident as
+        :class:`_LoadedPage` objects.
         """
         log = self.log
         record_bytes = self.config.record_bytes
-        value_bytes = self.config.value_bytes
         page_bytes = log.config.page_bytes
-        per_page = page_bytes // record_bytes
-        if per_page == 0:  # no record fits a page: the first one raises
-            for keys, values in _columns(items, 1):
-                self._load_record(keys[0], values[0])
-            return
-        # Full pages not yet in the log, oldest first: record pages for a
-        # mapping, packed buffers for a stream.  The oldest starts at the
-        # log's tail.
-        window: list = []
-        by_reference = isinstance(items, Mapping)
-        try:
-            for keys, values in _columns(items, per_page * _LOAD_PAGES_PER_STEP):
-                count = len(keys)
-                # Finish a partly filled tail page one record at a time.
-                start = 0
-                while start < count and not log.starts_fresh_page(record_bytes):
-                    self._load_record(keys[start], values[start])
-                    start += 1
-                good = _good_keys(keys)
-                if set(map(len, values)) != {value_bytes}:
-                    good = min(good, next(
-                        i for i, v in enumerate(values) if len(v) != value_bytes
-                    ))
-                end = start + (good - start) // per_page * per_page
-                if end > start:
-                    self._load_full_pages(
-                        keys[start:end], values[start:end], window, by_reference,
-                    )
-                if end < count:
-                    # A short last page, or the records from a bad one on,
-                    # which raises at the bad record as the record-by-record
-                    # loop does.
-                    self._append_pages(window)
-                    for key, value in zip(keys[end:], values[end:]):
-                        self._load_record(key, value)
-        finally:
-            # The index already points into the window: append it even
-            # when the input raises.
-            self._append_pages(window)
-
-    def _load_full_pages(
-        self, keys: list, values: list, window: list, by_reference: bool,
-    ) -> None:
-        """Index whole pages of records and add them to the load's
-        ``window``, as record pages ``by_reference`` and packed otherwise;
-        spill the pages that leave it (see :meth:`load`).
-
-        Pages leave in the order that appending each page and evicting
-        the oldest while over budget would give: resident pages first,
-        then the window's oldest.
-        """
-        log = self.log
-        record_bytes = self.config.record_bytes
-        value_bytes = self.config.value_bytes
-        page_bytes = log.config.page_bytes
-        per_page = page_bytes // record_bytes
-        pack_page = _page_packer(value_bytes, per_page)
-        if by_reference and set(map(type, values)) != {bytes}:
-            # Packed later: copy buffers that may change.
-            values = list(map(bytes, values))
-        flat = [None] * (2 * len(keys))
-        flat[::2] = keys
-        flat[1::2] = values
-        stride = 2 * per_page
-        pages = [flat[lo : lo + stride] for lo in range(0, len(flat), stride)]
-        if by_reference:
-            layout = (record_bytes, page_bytes, _record_packer(value_bytes), pack_page)
-            pages = [_RecordPage(page, layout) for page in pages]
-        else:  # before the index points at them
-            for i, page in enumerate(pages):
-                pages[i] = bytearray(page_bytes)
-                pack_page(pages[i], 0, *page)
-        first = log.close_page() + len(window) * page_bytes
-        self.index.insert_pages(keys, first, per_page, page_bytes, record_bytes)
-        window += pages
-        over = log.memory_page_count + len(window) - log.config.memory_pages
-        if over <= 0:
-            return
+        per_page = source.per_page
+        keys = source.keys[source.first : source.first + pages * per_page]
+        self.index.insert_pages(
+            keys, log.close_page(), per_page, page_bytes, record_bytes,
+        )
+        over = max(0, log.memory_page_count + pages + tail - log.config.memory_pages)
         resident = min(over, log.memory_page_count)
         self._evict_sync(resident)
-        cold = window[: over - resident]
-        if not cold:
-            return
-        del window[: len(cold)]
-        offset = log.append_cold_pages(len(cold))
-        if by_reference:
-            self._defer_cold_pages(offset, len(cold), *_page_filler(cold))
-        else:
-            for buffer in cold:
-                self._store_cold_page(offset, buffer)
-                offset += page_bytes
-
-    def _append_pages(self, pages: list) -> None:
-        """Append the load's ``pages`` to the log; empties ``pages``.  The
-        caller keeps them within the memory budget."""
-        record_bytes = self.config.record_bytes
-        used = self.log.config.page_bytes // record_bytes * record_bytes
-        for page in pages:
-            self.log.append_page(page, used)
-        pages.clear()
+        cold = over - resident  # fewer than ``pages``: ``memory_pages`` > 1
+        if cold:
+            self._defer_cold_pages(log.append_cold_pages(cold), cold, source.fill)
+        for number in range(cold, pages):
+            log.append_page(_LoadedPage(source, number), per_page * record_bytes)
 
     def _load_record(self, key: int, value: bytes) -> None:
         if len(value) != self.config.value_bytes:
@@ -416,24 +373,20 @@ class FasterKv:
                 break
             self._store_cold_page(*eviction)
 
-    def _defer_cold_pages(
-        self, device_offset: int, count: int, fill, release,
-    ) -> None:
+    def _defer_cold_pages(self, device_offset: int, count: int, fill) -> None:
         """Hand the load's ``count`` full pages from ``device_offset`` on
-        to the device's backing store; ``fill(i, start, stop)`` packs
-        bytes ``[start, stop)`` of page ``i``, and ``release(i)`` frees
-        the page's records once nothing reads them through ``fill``.
+        to the device's backing store; ``fill(i, start, stop)`` makes
+        bytes ``[start, stop)`` of page ``i``.
 
         This default writes every page at once through
         :meth:`_store_cold_page`; a backing that can serve a page's reads
-        from ``fill`` takes both as they are instead
+        from ``fill`` takes it as it is instead
         (:meth:`repro.memory.region.MemoryRegion.defer`).
         """
         page_bytes = self.log.config.page_bytes
         for i in range(count):
             page = fill(i, 0, page_bytes)
             self._store_cold_page(device_offset + i * page_bytes, page)
-            release(i)
 
     def _store_cold_page(self, device_offset: int, data: bytes) -> None:
         """Write a page into the device's backing store instantly.

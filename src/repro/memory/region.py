@@ -21,6 +21,7 @@ import bisect
 import enum
 import itertools
 import mmap
+import sys
 from typing import Iterator
 
 __all__ = [
@@ -56,12 +57,17 @@ class Permission(enum.Flag):
 
 
 #: ``flags`` for the backing mappings: private and anonymous, so reads of
-#: untouched pages share the kernel's zero page and add no RSS.  None
-#: where ``mmap`` has no ``MAP_PRIVATE`` (Windows), which maps plain
-#: ``mmap.mmap(-1, length)`` — also lazily zeroed by the OS.
+#: untouched pages share the kernel's zero page and add no RSS.  On Linux
+#: also ``MAP_NORESERVE`` (which Python 3.11's ``mmap`` does not export),
+#: so that heuristic overcommit does not refuse a pool larger than RAM;
+#: pages still cost memory only once written.  None where ``mmap`` has no
+#: ``MAP_PRIVATE`` (Windows), which maps plain ``mmap.mmap(-1, length)`` —
+#: also lazily zeroed by the OS.
 MAP_FLAGS = (
     mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS if hasattr(mmap, "MAP_PRIVATE") else None
 )
+if MAP_FLAGS is not None and sys.platform.startswith("linux"):
+    MAP_FLAGS |= getattr(mmap, "MAP_NORESERVE", 0x4000)
 
 
 def _zeroed_mapping(length: int) -> mmap.mmap:
@@ -153,9 +159,7 @@ class MemoryRegion:
         self._data.close()
         self._data = None
 
-    def defer(
-        self, addr: int, page_bytes: int, count: int, fill, release=None,
-    ) -> None:
+    def defer(self, addr: int, page_bytes: int, count: int, fill) -> None:
         """Hand over ``count`` pages from ``addr`` on without writing them.
 
         Page ``i`` spans ``page_bytes`` from ``addr + i * page_bytes``, and
@@ -166,9 +170,8 @@ class MemoryRegion:
         that covers the whole page drops it unfilled, and so does a later
         ``defer`` over it, as an overwrite would.  A write that changes
         only part of it first writes ``fill(i, 0, page_bytes)`` into the
-        mapping; the page stays pending until that call returns, and then
-        ``release(i)``, when given, is called.  :meth:`close` drops every
-        pending page.
+        mapping; the page stays pending until that call returns.
+        :meth:`close` drops every pending page.
 
         Reads and writes thus see exactly what eager writes of every page
         would have left.  All pages pending at once lie on one grid: a
@@ -205,7 +208,7 @@ class MemoryRegion:
             self._defer_hi = max(self._defer_hi, end)
         first = addr // page_bytes
         self._deferred.update(
-            dict.fromkeys(range(first, first + count), (fill, release, first))
+            dict.fromkeys(range(first, first + count), (fill, first))
         )
 
     @staticmethod
@@ -237,7 +240,7 @@ class MemoryRegion:
             lo, hi = max(start, addr), min(start + size, end)
             if done < lo:
                 parts.append(self._data[done - base : lo - base])
-            fill, _release, first = entry
+            fill, first = entry
             parts.append(self._filled(fill, number - first, lo - start, hi - start))
             done = hi
         if done < end:
@@ -259,14 +262,12 @@ class MemoryRegion:
             if lo <= start and start + size <= hi:
                 del pending[number]
                 continue
-            fill, release, first = entry
+            fill, first = entry
             offset = start - self.base_addr
             self._data[offset : offset + size] = self._filled(
                 fill, number - first, 0, size
             )
             del pending[number]
-            if release is not None:
-                release(number - first)
         if not pending:
             self._defer_lo = self._defer_hi = 0
 

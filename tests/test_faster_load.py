@@ -1,12 +1,13 @@
 """Tests for FASTER's page-at-a-time load path and its hash index.
 
-``FasterKv.load`` keeps its newest full pages in a window.  A mapping's
-pages are record pages (key/value slices that pack themselves with one
-``struct`` write when the log writes into or evicts them); those that
-spill to the device go unpacked to ``_defer_cold_pages``, which a pool
-region backing points at ``MemoryRegion.defer``, and those the log keeps
-stay unpacked.  A stream's pages are packed at once and spilled ones
-written through ``_store_cold_page``.  The hybrid log
+``FasterKv.load`` reads its records from a keyed source: keys in log
+order and a pure ``value_for(key)``, or a mapping, whose keys and values
+it takes in order.  From the number of records it plans where the full
+pages go: those the log keeps are ``_LoadedPage`` objects, which make the
+records a read overlaps and pack themselves only when the log writes
+into or evicts them; those that spill to the device go to
+``_defer_cold_pages`` as one span, which a pool region backing points at
+``MemoryRegion.defer``.  Neither holds a value.  The hybrid log
 finds its oldest resident and oldest still-flushing pages from counters,
 so eviction never iterates a page dict (``NoIterDict`` below fails a test
 that does).  The load must leave the index, the log and the device
@@ -27,14 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.faster.hashindex import HashIndex, _mix64
 from repro.faster.hybridlog import HybridLog, HybridLogConfig
-from repro.faster.store import (
-    FasterConfig,
-    FasterKv,
-    _page_filler,
-    _page_packer,
-    _record_packer,
-    _RecordPage,
-)
+from repro.faster.store import FasterConfig, FasterKv, _LoadedPage, _RecordSource
 from repro.memory import MemoryRegion
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -69,7 +63,8 @@ class MinScanLog(HybridLog):
 
 
 def record_by_record_load(store, items):
-    """The previous ``FasterKv.load`` loop, kept as the reference."""
+    """The previous ``FasterKv.load`` loop over a mapping or ``(key,
+    value)`` pairs, kept as the reference."""
     pairs = items.items() if isinstance(items, dict) else items
     for key, value in pairs:
         if len(value) != store.config.value_bytes:
@@ -189,10 +184,24 @@ def region_backed_store(page_bits, memory_pages, value_bytes, region, defer):
     )
     if defer:
         page_bytes = 1 << page_bits
-        store._defer_cold_pages = lambda offset, count, fill, release: region.defer(
-            region.base_addr + offset, page_bytes, count, fill, release
+        store._defer_cold_pages = lambda offset, count, fill: region.defer(
+            region.base_addr + offset, page_bytes, count, fill
         )
     return store
+
+
+def as_source(items):
+    """``(keys, value_for)`` of ``(key, value)`` pairs whose values are a
+    function of their keys, as :meth:`FasterKv.load` takes them."""
+    return [key for key, _value in items], dict(items).__getitem__
+
+
+def load_as(store, items, as_mapping):
+    """Load ``items`` into ``store`` as a mapping or as a keyed source."""
+    if as_mapping:
+        store.load(dict(items))
+    else:
+        store.load(*as_source(items))
 
 
 def snapshot(store):
@@ -240,15 +249,15 @@ class TestPageAtATimeLoad:
         for store in (new, ref):
             record_by_record_load(store, prefill_items)
         # Both loads overlap in keys; each may also repeat keys itself.
-        new.load(dict(first_items) if as_mapping else iter(first_items))
+        load_as(new, first_items, as_mapping)
         record_by_record_load(ref, dict(first_items) if as_mapping else first_items)
-        new.load(pair for pair in second_items)
+        new.load(second, lambda key: value_of(key, value_bytes, 2))
         record_by_record_load(ref, second_items)
         assert snapshot(new) == snapshot(ref)
 
     @settings(max_examples=60, deadline=None)
-    @given(load_cases(), st.data())
-    def test_wrong_value_size_raises_at_the_same_record(self, case, data):
+    @given(load_cases(), st.booleans(), st.data())
+    def test_wrong_value_size_raises_at_the_same_record(self, case, as_mapping, data):
         page_bits, memory_pages, value_bytes, prefill, first, _second = case
         items = [(k, value_of(k, value_bytes)) for k in prefill + first]
         bad_at = data.draw(st.integers(0, len(items)))
@@ -257,37 +266,48 @@ class TestPageAtATimeLoad:
                 lambda n: n >= 0 and n != value_bytes
             )
         )
-        items.insert(bad_at, (1, b"x" * bad_size))
+        items.insert(bad_at, (1 << 40, b"x" * bad_size))  # a fresh key
         new = make_store(page_bits, memory_pages, value_bytes)
         ref = make_store(page_bits, memory_pages, value_bytes, MinScanLog)
         with pytest.raises(ValueError):
-            new.load(iter(items))
+            load_as(new, items, as_mapping)
         with pytest.raises(ValueError):
-            record_by_record_load(ref, items)
+            record_by_record_load(ref, dict(items) if as_mapping else items)
         assert snapshot(new) == snapshot(ref)
 
     def test_duplicate_key_ends_at_later_address(self):
         store = make_store(page_bits=8, memory_pages=4, value_bytes=24)
-        store.load([(5, b"a" * 24), (6, b"b" * 24), (5, b"c" * 24)])
+        store.load([5, 6, 5], lambda key: bytes([key]) * 24)
         assert store.index.get(5) == 64
-        assert store.read_sync_for_test(5) == b"c" * 24
+        assert store.read_sync_for_test(5) == bytes([5]) * 24
 
     def test_record_larger_than_page_rejected(self):
         store = make_store(page_bits=6, memory_pages=2, value_bytes=60)
         with pytest.raises(ValueError):
             store.load({1: b"v" * 60})
+        with pytest.raises(ValueError):
+            store.load(range(1, 3), lambda key: b"v" * 60)
+        assert store.log.tail_addr == 0 and len(store.index) == 0
+
+    def test_pairs_are_refused(self):
+        store = make_store(page_bits=8, memory_pages=4, value_bytes=24)
+        with pytest.raises(TypeError, match="a mapping, or keys and value_for"):
+            store.load([(5, b"a" * 24)])
+        assert store.log.tail_addr == 0
 
     @pytest.mark.parametrize("bad_page", [0, 1, 15, 16, 17])
     def test_bad_record_on_a_later_page_of_a_batch(self, bad_page):
-        """A batch takes 16 pages; the pages before the bad record's page
-        go in packed, the rest record by record up to the bad one."""
+        """The load checks 16 pages of records at a time.  A bad record
+        on any page of a step, or on the first page of the next, stops
+        it there: the pages before the bad record's page go in as full
+        pages, the rest record by record up to the bad one."""
         value_bytes, per_page = 24, 8  # 32 B records, 256 B pages
         items = [(k, value_of(k, value_bytes)) for k in range(40 * per_page)]
-        items[bad_page * per_page + 3] = (7, b"x" * (value_bytes + 1))
+        items[bad_page * per_page + 3] = (1 << 40, b"x" * (value_bytes + 1))
         new = make_store(8, 3, value_bytes)
         ref = make_store(8, 3, value_bytes, MinScanLog)
         with pytest.raises(ValueError, match="bad value size"):
-            new.load(iter(items))
+            new.load(*as_source(items))
         with pytest.raises(ValueError, match="bad value size"):
             record_by_record_load(ref, items)
         assert snapshot(new) == snapshot(ref)
@@ -304,7 +324,7 @@ class TestPageAtATimeLoad:
                 run_to_end(store.upsert(thread, key, value_of(key, value_bytes, 3)))
             assert len(store.log._flushing) == 3 and store.log.head_addr == 0
         items = [(k, value_of(k, value_bytes, 4)) for k in range(20, 200)]
-        new.load(iter(items))
+        new.load(range(20, 200), lambda key: value_of(key, value_bytes, 4))
         record_by_record_load(ref, items)
         assert snapshot(new) == snapshot(ref)
         assert new.device.writes == ref.device.writes
@@ -328,7 +348,7 @@ class TestPageAtATimeLoad:
             run_to_end(store.upsert(thread, key, value_of(key, 24)))
         assert store.stats_flushes == 5
         run_to_end(store.complete(thread, [2, 1]))  # out of order
-        store.load((k, value_of(k, 24, 1)) for k in range(60, 500))
+        store.load(range(60, 500), lambda key: value_of(key, 24, 1))
         run_to_end(store.complete(thread, [5, 3, 4]))
         for key in range(500, 520):
             run_to_end(store.upsert(thread, key, value_of(key, 24)))
@@ -360,7 +380,7 @@ class TestDeferredColdPages:
         from a fresh store over the same device range, which stops at a
         bad record (a value of the wrong size, or a key that is no
         unsigned 64-bit int) in the middle of a batch.  Either load reads
-        a mapping, whose spilled pages are deferred, or a stream."""
+        a mapping or a keyed source; both defer their spilled pages."""
         page_bits, memory_pages, value_bytes, prefill, first, second = case
         page_bytes = 1 << page_bits
         records = len(prefill) + len(first) + len(second) + 2
@@ -382,9 +402,15 @@ class TestDeferredColdPages:
             region = MemoryRegion(0x1000, length, 1, 2, name="pool")
             loaded = region_backed_store(page_bits, memory_pages, value_bytes, region, defer)
             fresh = region_backed_store(page_bits, memory_pages, value_bytes, region, defer)
-            load = FasterKv.load if defer else record_by_record_load
+
+            def load(store, items, as_mapping, defer=defer):
+                if defer:
+                    load_as(store, items, as_mapping)
+                else:
+                    record_by_record_load(store, dict(items) if as_mapping else items)
+
             record_by_record_load(loaded, [(k, value_of(k, value_bytes, 7)) for k in prefill])
-            load(loaded, dict(first_items) if first_mapping else iter(first_items))
+            load(loaded, first_items, first_mapping)
             reads = [
                 region.read(region.base_addr + start, min(size, length - start))
                 for start, size in touches
@@ -394,7 +420,7 @@ class TestDeferredColdPages:
             else:
                 error = ValueError if bad_key is None else struct.error
             with pytest.raises(error):
-                load(fresh, dict(second_items) if second_mapping else iter(second_items))
+                load(fresh, second_items, second_mapping)
             outcomes.append((
                 snapshot(loaded), snapshot(fresh), reads,
                 region.read(region.base_addr, length),
@@ -404,9 +430,9 @@ class TestDeferredColdPages:
 
     @pytest.mark.parametrize("bad_key", [-1, 1 << 64, 2.5])
     def test_a_bad_key_on_a_deferred_page_raises_during_the_load(self, bad_key):
-        """The key goes on page 20 of 40, which a load keeping a 3-page
-        window would defer: the load stops at it without indexing it, and
-        every page it spilled reads back as the reference wrote it."""
+        """The key goes on page 20 of 40, after three good records: the
+        load stops at it without indexing it, and every page it spilled
+        reads back as the reference wrote it."""
         value_bytes, per_page = 24, 8  # 32 B records, 256 B pages
         bad_at = 20 * per_page + 3
         items = {
@@ -420,7 +446,9 @@ class TestDeferredColdPages:
             if defer:
                 with pytest.raises(struct.error):
                     store.load(items)
-                assert len(region._deferred) == 17  # pages 0-16 wait for a touch
+                # Pages 0-17 wait for a touch: 18 and 19 stay resident
+                # beside page 20, which the three good records open.
+                assert len(region._deferred) == 18
             else:
                 with pytest.raises((OverflowError, AttributeError)):
                     record_by_record_load(store, items)
@@ -429,17 +457,6 @@ class TestDeferredColdPages:
         assert outcomes[0] == outcomes[1]
         assert bad_key not in outcomes[0][0]["index"]
         assert outcomes[0][0]["tail_addr"] == (bad_at + 1) * 32
-
-    def test_a_stream_writes_its_spilled_pages_at_once(self):
-        value_bytes, per_page = 24, 8  # 32 B records, 256 B pages
-        region = MemoryRegion(0x1000, 64 * 256, 1, 2, name="pool")
-        store = region_backed_store(8, 3, value_bytes, region, defer=True)
-        store.load((k, value_of(k, value_bytes)) for k in range(40 * per_page))
-        assert store.log.pages_evicted == 37
-        assert not region._deferred
-        assert region._data[5 * 256 + 3 * 32 : 5 * 256 + 4 * 32] == (
-            (5 * per_page + 3).to_bytes(8, "little") + value_of(5 * per_page + 3, value_bytes)
-        )
 
     def test_pages_touched_after_the_load_are_the_ones_filled(self):
         """A read packs the record it returns and leaves its page pending;
@@ -463,24 +480,65 @@ class TestDeferredColdPages:
             for k in range(3)
         )
 
-    def test_a_fill_releases_its_page_once_packed(self):
-        """A deferred page keeps its keys and values while reads go through
-        it, and drops them once a write packs it into the region."""
-        layout = (16, 32, _record_packer(8), _page_packer(8, 2))
-        pages = [_RecordPage([1, b"a" * 8, 2, b"b" * 8], layout),
-                 _RecordPage([3, b"c" * 8, 4, b"d" * 8], layout)]
-        record = (3).to_bytes(8, "little") + b"c" * 8
-        region = MemoryRegion(0x1000, 64, 1, 2, name="pool")
-        region.defer(0x1000, 32, 2, *_page_filler(pages))
-        assert region.read(0x1020, 16) == record
-        assert region.read(0x1018, 16) == b"b" * 8 + record[:8]
-        assert pages[1].read(0, 32) == bytes(pages[1].pack())
-        assert None not in pages
-        region.write(0x1028, b"C" * 8)
-        assert pages[0] is not None and pages[1] is None
-        assert region.read(0x1020, 32) == record[:8] + b"C" * 8 + (4).to_bytes(
-            8, "little"
-        ) + b"d" * 8
+    def test_source_pages_make_only_the_records_they_overlap(self):
+        """A source page makes its bytes from the records they overlap,
+        asking ``value_for`` for those records only, with zeros past its
+        last record; a deferred span reads through the same pages."""
+        made = []
+
+        def value_for(key):
+            made.append(key)
+            return bytes([key]) * 8
+
+        def record(key):
+            return key.to_bytes(8, "little") + bytes([key]) * 8
+
+        # Two 16 B records to a 48 B page, from record 1 of keys 10-19 on:
+        # page 1 holds keys 13 and 14, then 16 zero bytes.
+        source = _RecordSource(range(10, 20), range(10, 20), value_for, 1, 2, 8, 48)
+        assert source.fill(1, 0, 16) == record(13) and made == [13]
+        assert source.fill(1, 12, 20) == record(13)[12:] + record(14)[:4]
+        assert source.fill(1, 32, 48) == bytes(16) and made == [13, 13, 14]
+        assert source.fill(1, 30, 40) == record(14)[14:] + bytes(8)
+        page = _LoadedPage(source, 1)
+        assert page.read(16, 16) == record(14)
+        assert page.pack() == bytearray(record(13) + record(14) + bytes(16))
+        region = MemoryRegion(0x1000, 96, 1, 2, name="pool")
+        region.defer(0x1000, 48, 2, source.fill)
+        # Page 0 holds keys 11 and 12; this crosses into page 1.
+        assert region.read(0x1000 + 24, 32) == record(12)[8:] + bytes(16) + record(13)[:8]
+        region.write(0x1000 + 48 + 3, b"w")  # packs page 1 into the region
+        assert region._data[48:96] == record(13)[:3] + b"w" + record(13)[4:] + record(
+            14
+        ) + bytes(16)
+        assert sorted(region._deferred) == [0x1000 // 48]
+
+    def test_later_changes_by_the_caller_do_not_reach_the_store(self):
+        """The store keeps what a mapping held when it was loaded, whether
+        a record's page stays resident or is deferred to the pool region,
+        however the caller changes the mapping or its buffers later."""
+        value_bytes, per_page = 24, 8  # 32 B records, 256 B pages
+        items = {
+            k: bytearray(value_of(k, value_bytes)) if k % 3 else value_of(k, value_bytes)
+            for k in range(40 * per_page)
+        }
+        region = MemoryRegion(0x1000, 64 * 256, 1, 2, name="pool")
+        store = region_backed_store(8, 3, value_bytes, region, defer=True)
+        store.load(items)
+        resident, deferred = 39 * per_page + 1, 2 * per_page + 1  # pages 39 and 2
+        assert store.log.in_memory(store.index.get(resident))
+        assert not store.log.in_memory(store.index.get(deferred))
+        items[resident - 1] = b"r" * value_bytes
+        items[resident][:4] = b"XXXX"
+        items[deferred][:4] = b"YYYY"
+        for key in (resident - 1, resident, deferred):
+            want = key.to_bytes(8, "little") + value_of(key, value_bytes)
+            addr = store.index.get(key)
+            if key == deferred:
+                assert region.read(0x1000 + addr, 32) == want
+            else:
+                assert store.read_sync_for_test(key) == want[8:]
+                assert store.log.read(addr, 32) == want
 
 
 class TestHashIndexOccupancy:

@@ -10,6 +10,7 @@ like to every access, although reads leave them pending.
 import ctypes
 import mmap
 import os
+import sys
 from unittest import mock
 
 import pytest
@@ -130,22 +131,18 @@ def as_kind(payload, kind):
 
 
 def filler(tag, page_bytes, calls):
-    """``(fill, release)`` for a deferred span: page ``i`` holds up to
-    ``page_bytes`` nonzero bytes, their count and value set by ``tag`` and
-    ``i``, then zeros.  Each call is recorded in ``calls`` as ``(span,
-    "fill", i, start, stop)`` or ``(span, "release", i)``, ``span`` unique
-    to this span."""
+    """``fill`` for a deferred span: page ``i`` holds up to ``page_bytes``
+    nonzero bytes, their count and value set by ``tag`` and ``i``, then
+    zeros.  Each call is recorded in ``calls`` as ``(span, i, start,
+    stop)``, ``span`` unique to this span."""
     span = object()
 
     def fill(i, start, stop):
-        calls.append((span, "fill", i, start, stop))
+        calls.append((span, i, start, stop))
         page = bytes([(tag + i) % 251 + 1]) * ((tag * 7 + i * 3) % (page_bytes + 1))
         return page.ljust(page_bytes, b"\0")[start:stop]
 
-    def release(i):
-        calls.append((span, "release", i))
-
-    return fill, release
+    return fill
 
 
 def outcome(call):
@@ -233,10 +230,8 @@ def apply(region, op, calls=None):
     addr = BASE + offset
     if kind == "defer":
         page_bytes, count, tag = op[2], op[3], op[4]
-        fill, release = filler(tag, page_bytes, [] if calls is None else calls)
-        if isinstance(region, BytearrayRegion):
-            return outcome(lambda: region.defer(addr, page_bytes, count, fill))
-        return outcome(lambda: region.defer(addr, page_bytes, count, fill, release))
+        fill = filler(tag, page_bytes, [] if calls is None else calls)
+        return outcome(lambda: region.defer(addr, page_bytes, count, fill))
     if kind == "write":
         payload, payload_kind = op[2]
         return outcome(lambda: region.write(addr, as_kind(payload, payload_kind)))
@@ -280,10 +275,9 @@ class TestMatchesBytearrayReference:
     @given(scenario=defer_scenarios())
     def test_deferred_pages_read_as_written_at_once(self, scenario):
         """The reference writes deferred pages at once; the region must
-        look the same to every access, change its mapping only on writes,
-        write each page into it at most once, and never read a page
-        through ``fill`` after releasing it.  Only drawn sub-ranges are
-        watched: a span may not be deferred over a watch."""
+        look the same to every access and change its mapping only on
+        writes.  Only drawn sub-ranges are watched: a span may not be
+        deferred over a watch."""
         length, permissions, watched, ops = scenario
         region = MemoryRegion(BASE, length, 1, RKEY, permissions, name="r")
         reference = BytearrayRegion(BASE, length, 1, RKEY, permissions, name="r")
@@ -299,11 +293,6 @@ class TestMatchesBytearrayReference:
             if op[0] in ("read", "remote_read"):
                 assert region._data[:] == before, "a read wrote the mapping"
         assert seen == want
-        released = set()
-        for span, kind, i, *_range in calls:
-            assert (span, i) not in released, f"page {i} used after its release"
-            if kind == "release":
-                released.add((span, i))
         assert region._read_through(BASE, length) == bytes(reference._data)
 
     @pytest.mark.parametrize(
@@ -345,31 +334,30 @@ class TestDefer:
 
     def deferred(self, pages=3, page_bytes=64):
         """A region with ``pages`` pending pages at ``BASE + 128``; returns
-        it, the ``(i, start, stop)`` of every fill call and the pages
-        released."""
+        it and the ``(i, start, stop)`` of every fill call."""
         region = MemoryRegion(BASE, PAGE, 1, RKEY, name="r")
-        calls, released = [], []
+        calls = []
 
         def fill(i, start, stop):
             calls.append((i, start, stop))
             return self.page(i, page_bytes)[start:stop]
 
-        region.defer(BASE + 128, page_bytes, pages, fill, released.append)
-        return region, calls, released
+        region.defer(BASE + 128, page_bytes, pages, fill)
+        return region, calls
 
     @staticmethod
     def page(i, page_bytes=64):
         return bytes([i + 1]) * (page_bytes - 8) + bytes(8)
 
     def test_nothing_is_filled_until_touched(self):
-        region, calls, released = self.deferred()
+        region, calls = self.deferred()
         assert region.read(BASE, 128) == bytes(128)  # ends where page 0 starts
         region.write(BASE + 128 + 3 * 64, b"after")  # starts where page 2 ends
         assert region.read(BASE + 130, 0) == b""  # empty: overlaps nothing
-        assert calls == [] and released == []
+        assert calls == []
 
     def test_read_across_a_page_boundary_reads_both_pages_in_place(self):
-        region, calls, released = self.deferred()
+        region, calls = self.deferred()
         assert region.remote_read(BASE + 128 + 60, 10, RKEY) == (
             self.page(0)[60:] + self.page(1)[:6]
         )
@@ -378,16 +366,16 @@ class TestDefer:
             bytes(8) + self.page(0) + self.page(1) + self.page(2) + bytes(8)
         )
         assert calls[2:] == [(0, 0, 64), (1, 0, 64), (2, 0, 64)]
-        assert len(region._deferred) == 3 and released == []
+        assert len(region._deferred) == 3
         assert region._data[128 : 128 + 3 * 64] == bytes(3 * 64)
 
     def test_partial_write_fills_the_page_first(self):
-        region, calls, released = self.deferred()
+        region, calls = self.deferred()
         region.write(BASE + 128 + 70, b"xy")  # inside page 1
         region.remote_write(BASE + 128 + 2 * 64 - 1, b"zz", RKEY)  # pages 1 and 2
-        assert calls == [(1, 0, 64), (2, 0, 64)] and released == [1, 2]
+        assert calls == [(1, 0, 64), (2, 0, 64)]
         region.write(BASE + 128 + 1, b"q" * 63)  # all of page 0 but its first byte
-        assert calls[2:] == [(0, 0, 64)] and released == [1, 2, 0]
+        assert calls[2:] == [(0, 0, 64)]
         want = bytearray(self.page(0) + self.page(1) + self.page(2))
         want[70:72] = b"xy"
         want[127:129] = b"zz"
@@ -396,18 +384,18 @@ class TestDefer:
         assert len(calls) == 3 and not region._deferred
 
     def test_write_short_of_a_page_end_fills_it(self):
-        region, calls, released = self.deferred()
+        region, calls = self.deferred()
         region.write(BASE + 128, b"q" * 63)  # all of page 0 but its last byte
-        assert calls == [(0, 0, 64)] and released == [0]
+        assert calls == [(0, 0, 64)]
 
     def test_write_covering_a_page_drops_it_unfilled(self):
-        region, calls, released = self.deferred()
+        region, calls = self.deferred()
         region.write(BASE + 128 + 60, b"w" * 72)  # all of page 1, parts of 0 and 2
-        assert calls == [(0, 0, 64), (2, 0, 64)] and released == [0, 2]
+        assert calls == [(0, 0, 64), (2, 0, 64)]
         assert region.read(BASE + 128 + 56, 80) == bytes(4) + b"w" * 72 + self.page(2)[12:16]
 
     def test_later_defer_supersedes_pending_pages(self):
-        region, calls, released = self.deferred()
+        region, calls = self.deferred()
         later = []
 
         def fill_later(i, start, stop):
@@ -419,16 +407,15 @@ class TestDefer:
             self.page(0) + bytes([0xA0]) * 60 + bytes(4) + self.page(2)
         )
         assert calls == [(0, 0, 64), (2, 0, 64)] and later == [(0, 0, 64)]
-        assert released == []
 
     def test_defer_over_the_same_pages_drops_them(self):
-        region, calls, released = self.deferred()
+        region, calls = self.deferred()
         region.defer(BASE + 128, 64, 3, lambda i, start, stop: b"n" * (stop - start))
         assert region.read(BASE + 128, 3 * 64) == b"n" * 3 * 64
-        assert calls == [] and released == []
+        assert calls == []
 
     def test_another_grid_waits_until_no_page_is_pending(self):
-        region, calls, released = self.deferred()
+        region, calls = self.deferred()
         with pytest.raises(ValueError, match="off the pending pages' grid"):
             region.defer(BASE + 128 + 64, 96, 1, lambda i, start, stop: b"")  # page size
         with pytest.raises(ValueError, match="off the pending pages' grid"):
@@ -442,7 +429,7 @@ class TestDefer:
         region.defer(BASE + 32, 96, 2, lambda i, start, stop: b"g" * (stop - start))
         assert region.read(BASE + 128, 64) == b"g" * 64
         assert region.read(BASE + 224, 4) == self.page(1)[32:36]  # written, not dropped
-        assert calls[-1] == (1, 0, 64) and released == [1]
+        assert calls[-1] == (1, 0, 64)
 
     def test_a_fill_that_raises_leaves_its_page_pending(self):
         region = MemoryRegion(BASE, PAGE, 1, RKEY, name="r")
@@ -463,16 +450,16 @@ class TestDefer:
         assert attempts == [0, 0, 1] and sorted(region._deferred) == [BASE // 64 + 1]
 
     def test_close_drops_pending_pages(self):
-        region, calls, released = self.deferred()
+        region, calls = self.deferred()
         region.close()
-        assert calls == [] and released == [] and not region._deferred
+        assert calls == [] and not region._deferred
         with pytest.raises(AccessError, match="closed"):
             region.read(BASE + 128, 1)
         with pytest.raises(AccessError, match="closed"):
             region.defer(BASE, 64, 1, lambda i, start, stop: b"")
 
     def test_accesses_make_no_call_once_every_page_is_filled(self):
-        region, calls, released = self.deferred()
+        region, calls = self.deferred()
         for i in range(3):
             region.write(BASE + 128 + i * 64 + 3, b"w")
         assert (region._defer_lo, region._defer_hi) == (0, 0)
@@ -544,6 +531,34 @@ def test_untouched_pages_cost_no_host_memory():
         # Reading an untouched page maps the zero page, not fresh memory.
         assert region.read(addr + PAGE, 8) == bytes(8)
     assert region.read(region.end_addr - 8, 8) == bytes(8)
+    assert resident_bytes() - before < 8 << 20
+    region.close()
+
+
+def overcommit_mode():
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as handle:
+            return handle.read().strip()
+    except OSError:
+        return None
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not os.path.exists("/proc/self/statm"),
+    reason="MAP_NORESERVE is passed on Linux only",
+)
+@pytest.mark.skipif(
+    overcommit_mode() == "2", reason="strict overcommit ignores MAP_NORESERVE"
+)
+def test_a_region_larger_than_ram_maps_and_costs_only_its_written_pages():
+    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    before = resident_bytes()
+    region = MemoryRegion(BASE, 2 * ram, 1, RKEY, name="huge")
+    ends = (BASE, region.end_addr - PAGE)
+    for i, addr in enumerate(ends):
+        region.write(addr, bytes([i + 1]) * PAGE)
+    for i, addr in enumerate(ends):
+        assert region.read(addr, PAGE) == bytes([i + 1]) * PAGE
     assert resident_bytes() - before < 8 << 20
     region.close()
 
