@@ -21,10 +21,11 @@ writes a Chrome ``trace_event`` JSON of the run, loadable in Perfetto;
 ``--metrics`` (or the ``metrics`` subcommand) prints the flat telemetry
 counter/gauge/histogram snapshot.
 
-Sweep experiments (``fig01``, ``fig08``, ``fig09``, ``fig13``) fan their
-point grids out over ``--parallel N`` worker processes; every point
-carries its own seed, results merge in submission order, and the JSON
-output is byte-identical for any ``N`` (pinned by ``tests/test_sweep.py``).
+Every grid figure (``fig01`` and ``fig08`` to ``fig14``) runs its points
+through the sweep harness and fans them out over ``--parallel N`` worker
+processes; every point carries its own seed, results, metrics and trace
+spans merge in submission order, and the JSON, metrics and trace output
+is byte-identical for any ``N`` (pinned by ``tests/test_sweep.py``).
 Points are cached on disk in ``.repro_cache/`` keyed by (repro version,
 point config); ``--no-cache`` bypasses the cache.
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 import time
@@ -55,45 +57,40 @@ from repro.experiments import (
 
 __all__ = ["main"]
 
-#: Default seed baked into each experiment's ``run()`` signature
-#: (``None`` = the experiment is deterministic and takes no seed).
-DEFAULT_SEEDS: dict[str, int | None] = {
-    "fig01": 1, "fig02": None, "fig08": 8, "fig09": 9, "fig10": 10,
-    "fig11": 11, "fig12": 12, "fig13": 13, "fig14": 14,
-    "tab01": None, "tab05": None,
-}
-
-
-#: Experiments whose point grid runs through the sweep harness.
-SWEEPABLE = ("fig01", "fig08", "fig09", "fig13")
-
 #: Default on-disk cache for sweep points (bypass with ``--no-cache``).
 CACHE_DIR = ".repro_cache"
 
 
-def _seed_kw(args) -> dict[str, int]:
-    seed = getattr(args, "seed", None)
-    return {} if seed is None else {"seed": seed}
+def _default_seed(module) -> int | None:
+    """The ``seed`` default of ``module.run`` (``None``: it takes none)."""
+    param = inspect.signature(module.run).parameters.get("seed")
+    return None if param is None else param.default
 
 
-def _sweep_kw(args) -> dict[str, Any]:
-    """Harness routing for sweepable experiments.
+#: Default seed of each experiment's ``run()`` (``None`` = the
+#: experiment is deterministic and takes no seed).
+DEFAULT_SEEDS: dict[str, int | None] = {
+    module.__name__.rpartition(".")[2]: _default_seed(module)
+    for module in (
+        fig01, fig02, fig08, fig09, fig10, fig11, fig12, fig13, fig14,
+        tab01, tab05,
+    )
+}
 
-    Default is the harness with one worker (identical bytes to any
-    ``--parallel N``); ``--trace`` falls back to the legacy inline path
-    because span events only exist in-process.
-    """
-    if getattr(args, "trace", None):
-        return {}
-    kw: dict[str, Any] = {"parallel": getattr(args, "parallel", None) or 1}
-    if not getattr(args, "no_cache", False):
-        kw["cache_dir"] = CACHE_DIR
+
+def _grid_kw(args) -> dict[str, Any]:
+    """Seed override and sweep-harness routing for a grid figure."""
+    kw: dict[str, Any] = {
+        "parallel": getattr(args, "parallel", None) or 1,
+        "cache_dir": None if getattr(args, "no_cache", False) else CACHE_DIR,
+    }
+    if getattr(args, "seed", None) is not None:
+        kw["seed"] = args.seed
     return kw
 
 
 def _run_fig01(args) -> tuple[Any, str]:
-    rows = fig01.run(ops_per_thread=args.ops or 300, **_seed_kw(args),
-                     **_sweep_kw(args))
+    rows = fig01.run(ops_per_thread=args.ops or 300, **_grid_kw(args))
     return rows, fig01.format_rows(rows)
 
 
@@ -104,43 +101,40 @@ def _run_fig02(args) -> tuple[Any, str]:
 
 def _run_fig08(args) -> tuple[Any, str]:
     cells = fig08.run(ops_per_thread=args.ops or 300,
-                      thread_counts=(1, 2, 4, 8, 16), **_seed_kw(args),
-                      **_sweep_kw(args))
+                      thread_counts=(1, 2, 4, 8, 16), **_grid_kw(args))
     return cells, fig08.format_cells(cells)
 
 
 def _run_fig09(args) -> tuple[Any, str]:
     results = fig09.run(ops_per_thread=args.ops or 250,
-                        record_count=12_000, **_seed_kw(args),
-                        **_sweep_kw(args))
+                        record_count=12_000, **_grid_kw(args))
     return results, fig09.format_results(results)
 
 
 def _run_fig10(args) -> tuple[Any, str]:
     results = fig10.run(ops_per_thread=args.ops or 250,
-                        record_count=12_000, **_seed_kw(args))
+                        record_count=12_000, **_grid_kw(args))
     return results, fig10.format_results(results)
 
 
 def _run_fig11(args) -> tuple[Any, str]:
     results = fig11.run(ops_per_thread=args.ops or 250,
-                        record_count=12_000, **_seed_kw(args))
+                        record_count=12_000, **_grid_kw(args))
     return results, fig11.format_results(results)
 
 
 def _run_fig12(args) -> tuple[Any, str]:
-    results = fig12.run(ops_per_thread=args.ops or 300, **_seed_kw(args))
+    results = fig12.run(ops_per_thread=args.ops or 300, **_grid_kw(args))
     return results, fig12.format_results(results)
 
 
 def _run_fig13(args) -> tuple[Any, str]:
-    rows = fig13.run(ops=args.ops or 200, **_seed_kw(args),
-                     **_sweep_kw(args))
+    rows = fig13.run(ops=args.ops or 200, **_grid_kw(args))
     return rows, fig13.format_rows(rows)
 
 
 def _run_fig14(args) -> tuple[Any, str]:
-    rows = fig14.run(ops_per_thread=args.ops or 200, **_seed_kw(args))
+    rows = fig14.run(ops_per_thread=args.ops or 200, **_grid_kw(args))
     return rows, fig14.format_rows(rows)
 
 
@@ -262,8 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("--seed", type=int, default=None,
                             help="override the experiment's default seed")
     run_parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                            help="worker processes for sweep experiments "
-                                 f"({', '.join(SWEEPABLE)}); output is "
+                            help="worker processes for the grid figures "
+                                 "(fig01, fig08-fig14); output is "
                                  "byte-identical for any N")
     run_parser.add_argument("--no-cache", action="store_true",
                             help=f"skip the {CACHE_DIR}/ sweep-point cache")
@@ -318,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "metrics":
         description, fn = EXPERIMENTS[args.experiment]
-        tel = telemetry.Telemetry()
+        tel = telemetry.Telemetry(max_events=0)  # metrics only, no spans
         with telemetry.activate(tel):
             fn(args)
         print(f"== {args.experiment}: telemetry metrics")
@@ -327,7 +321,8 @@ def main(argv: list[str] | None = None) -> int:
 
     # Telemetry observes only sim-time, so enabling it never changes the
     # numbers (pinned by tests/test_telemetry.py); collect it whenever any
-    # output consumer (--trace, --metrics, --json metadata) wants it.
+    # output consumer (--trace, --metrics, --json metadata) wants it, and
+    # record spans only for --trace.
     collect = bool(args.trace or args.metrics or args.json)
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     dump: dict[str, Any] = {}
@@ -341,7 +336,12 @@ def main(argv: list[str] | None = None) -> int:
         description, fn = EXPERIMENTS[name]
         print(f"== {name}: {description}")
         started = time.time()
-        tel = telemetry.Telemetry() if collect else telemetry.NULL_TELEMETRY
+        if args.trace:
+            tel = telemetry.Telemetry()
+        elif collect:
+            tel = telemetry.Telemetry(max_events=0)
+        else:
+            tel = telemetry.NULL_TELEMETRY
         with telemetry.activate(tel):
             raw, rendered = fn(args)
         elapsed = time.time() - started

@@ -42,6 +42,7 @@ __all__ = [
     "MicrobenchDeployment",
     "MicrobenchResult",
     "build_microbench",
+    "probe_table",
     "run_microbench",
 ]
 
@@ -184,6 +185,23 @@ def drive_probe_workload(
     return aggregate
 
 
+def probe_table(
+    *, num_records: int, record_bytes: int, local_fraction: float,
+    ops_per_thread: int, pipeline_depth: int,
+) -> tuple[HashTable, int]:
+    """The probe workload's hash table and the remote bytes it needs."""
+    table = HashTable(
+        HashTableConfig(
+            num_records=num_records,
+            record_bytes=record_bytes,
+            local_fraction=local_fraction,
+            ops_per_thread=ops_per_thread,
+            pipeline_depth=pipeline_depth,
+        )
+    )
+    return table, max(table.remote_bytes_needed(), 1 << 16)
+
+
 def run_microbench(
     system: str,
     threads: int,
@@ -195,22 +213,23 @@ def run_microbench(
     cost: Optional[CostModel] = None,
     seed: int = 0,
     deadline_ns: float = 60e9,
+    **build_options,
 ) -> MicrobenchResult:
-    """Run the Section 8.1 hash-table microbenchmark for one system."""
+    """Run the Section 8.1 hash-table microbenchmark for one system.
+
+    ``build_options`` go to :func:`build_microbench` as they are
+    (``pool_shards=``, ``engine_config=``, link and compute-host shape);
+    a scenario runs through here with its own.
+    """
     cost = cost or CostModel()
-    table = HashTable(
-        HashTableConfig(
-            num_records=num_records,
-            record_bytes=record_bytes,
-            local_fraction=local_fraction,
-            ops_per_thread=ops_per_thread,
-            pipeline_depth=pipeline_depth,
-        )
+    table, remote_bytes = probe_table(
+        num_records=num_records, record_bytes=record_bytes,
+        local_fraction=local_fraction, ops_per_thread=ops_per_thread,
+        pipeline_depth=pipeline_depth,
     )
-    remote_bytes = max(table.remote_bytes_needed(), 1 << 16)
     deployment = build_microbench(
         system, threads, remote_bytes=remote_bytes, cost=cost, seed=seed,
-        pipeline_depth=pipeline_depth,
+        pipeline_depth=pipeline_depth, **build_options,
     )
     return drive_probe_workload(
         deployment, table, cost, seed=seed, deadline_ns=deadline_ns

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.experiments.common import run_microbench
 from repro.experiments.sweep import SweepPoint, run_sweep
-from repro.sim.cpu import CostModel
 
 __all__ = ["Fig01Row", "SYSTEMS", "run"]
 
@@ -35,55 +33,28 @@ class Fig01Row:
 
 def run(
     ops_per_thread: int = 600,
-    cost: Optional[CostModel] = None,
     seed: int = 1,
-    parallel: int = 0,
+    parallel: int = 1,
     cache_dir: Optional[str] = None,
 ) -> list[Fig01Row]:
     """Regenerate Figure 1's series (scaled-down op counts).
 
-    ``parallel >= 1`` routes every (system, threads) point through the
-    deterministic sweep harness (``parallel`` worker processes, optional
-    on-disk cache); ``0`` keeps the legacy inline loop.  The harness
-    path requires the default cost model, whose parameters live inside
-    each point.
+    Every (system, threads) point runs through the sweep harness
+    (``parallel`` worker processes, optional on-disk cache).
     """
-    if parallel >= 1 and cost is None:
-        points = [
-            SweepPoint("microbench", _point_kwargs(system, threads,
-                                                   ops_per_thread, seed))
-            for threads in THREAD_COUNTS
-            for system in ("local", *SYSTEMS)
-        ]
-        results = run_sweep(points, parallel=parallel, cache_dir=cache_dir)
-        rows = []
-        per_row = 1 + len(SYSTEMS)
-        for i, threads in enumerate(THREAD_COUNTS):
-            local, *rest = results[i * per_row:(i + 1) * per_row]
-            row = Fig01Row(threads=threads, local_mops=local.throughput_mops)
-            for system, result in zip(SYSTEMS, rest):
-                row.absolute_mops[system] = result.throughput_mops
-                row.normalized[system] = (
-                    result.throughput_mops / local.throughput_mops
-                    if local.throughput_mops > 0 else 0.0
-                )
-            rows.append(row)
-        return rows
-
-    cost = cost or CostModel()
+    points = [
+        SweepPoint("microbench", _point_kwargs(system, threads,
+                                               ops_per_thread, seed))
+        for threads in THREAD_COUNTS
+        for system in ("local", *SYSTEMS)
+    ]
+    results = run_sweep(points, parallel=parallel, cache_dir=cache_dir)
     rows = []
-    for threads in THREAD_COUNTS:
-        local = run_microbench(
-            "local", threads, record_bytes=RECORD_BYTES,
-            ops_per_thread=ops_per_thread, cost=cost, seed=seed,
-        )
+    per_row = 1 + len(SYSTEMS)
+    for i, threads in enumerate(THREAD_COUNTS):
+        local, *rest = results[i * per_row:(i + 1) * per_row]
         row = Fig01Row(threads=threads, local_mops=local.throughput_mops)
-        for system in SYSTEMS:
-            result = run_microbench(
-                system, threads, record_bytes=RECORD_BYTES,
-                ops_per_thread=ops_per_thread, cost=cost, seed=seed,
-                pipeline_depth=512 if system.startswith("cowbird") else 100,
-            )
+        for system, result in zip(SYSTEMS, rest):
             row.absolute_mops[system] = result.throughput_mops
             row.normalized[system] = (
                 result.throughput_mops / local.throughput_mops

@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.experiments.common import run_microbench
 from repro.experiments.sweep import SweepPoint, run_sweep
-from repro.sim.cpu import CostModel
 from repro.rdma.packets import HEADER_OVERHEAD_BYTES
 
 __all__ = ["Fig08Cell", "SYSTEMS", "bandwidth_ceiling_mops", "run"]
@@ -53,43 +51,27 @@ def run(
     thread_counts: Sequence[int] = THREAD_COUNTS,
     systems: Sequence[str] = SYSTEMS,
     ops_per_thread: int = 500,
-    cost: Optional[CostModel] = None,
     seed: int = 8,
-    parallel: int = 0,
+    parallel: int = 1,
     cache_dir: Optional[str] = None,
 ) -> list[Fig08Cell]:
-    """Regenerate the Figure 8 panels (scaled-down op counts).
-
-    ``parallel >= 1`` fans the (record size, system, threads) grid out
-    through the deterministic sweep harness; ``0`` keeps the legacy
-    inline loop.  Both orders and results are identical.
-    """
+    """Regenerate the Figure 8 panels (scaled-down op counts) through
+    the sweep harness, one point per (record size, system, threads)."""
     grid = [
         (record_bytes, system, threads)
         for record_bytes in record_sizes
         for system in systems
         for threads in thread_counts
     ]
-    if parallel >= 1 and cost is None:
-        points = [
-            SweepPoint("microbench", dict(
-                system=system, threads=threads, record_bytes=record_bytes,
-                ops_per_thread=ops_per_thread, seed=seed,
-                pipeline_depth=512 if system.startswith("cowbird") else 100,
-            ))
-            for record_bytes, system, threads in grid
-        ]
-        results = run_sweep(points, parallel=parallel, cache_dir=cache_dir)
-    else:
-        cost = cost or CostModel()
-        results = [
-            run_microbench(
-                system, threads, record_bytes=record_bytes,
-                ops_per_thread=ops_per_thread, cost=cost, seed=seed,
-                pipeline_depth=512 if system.startswith("cowbird") else 100,
-            )
-            for record_bytes, system, threads in grid
-        ]
+    points = [
+        SweepPoint("microbench", dict(
+            system=system, threads=threads, record_bytes=record_bytes,
+            ops_per_thread=ops_per_thread, seed=seed,
+            pipeline_depth=512 if system.startswith("cowbird") else 100,
+        ))
+        for record_bytes, system, threads in grid
+    ]
+    results = run_sweep(points, parallel=parallel, cache_dir=cache_dir)
     return [
         Fig08Cell(
             record_bytes=record_bytes,

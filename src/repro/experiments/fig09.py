@@ -12,12 +12,10 @@ Two panels (64 B and 512 B values), six storage backends, threads
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.experiments.faster_bench import FasterBenchResult, run_faster_bench
+from repro.experiments.faster_bench import FasterBenchResult
 from repro.experiments.sweep import SweepPoint, run_sweep
-from repro.sim.cpu import CostModel
 
 __all__ = ["SYSTEMS", "run"]
 
@@ -32,44 +30,24 @@ def run(
     systems: Sequence[str] = SYSTEMS,
     record_count: int = 20_000,
     ops_per_thread: int = 300,
-    cost: Optional[CostModel] = None,
     seed: int = 9,
-    parallel: int = 0,
+    parallel: int = 1,
     cache_dir: Optional[str] = None,
 ) -> list[FasterBenchResult]:
-    """Regenerate both Figure 9 panels (scaled-down).
-
-    ``parallel >= 1`` routes the grid through the deterministic sweep
-    harness; ``0`` keeps the legacy inline loop.
-    """
-    grid = [
-        (value_bytes, system, threads)
+    """Regenerate both Figure 9 panels (scaled-down) through the sweep
+    harness, one point per (value size, system, threads)."""
+    points = [
+        SweepPoint("faster", dict(
+            system=system, threads=threads, value_bytes=value_bytes,
+            record_count=record_count, ops_per_thread=ops_per_thread,
+            distribution="zipfian", seed=seed,
+            pipeline_depth=128 if system.startswith("cowbird") else 64,
+        ))
         for value_bytes in value_sizes
         for system in systems
         for threads in thread_counts
     ]
-    if parallel >= 1 and cost is None:
-        points = [
-            SweepPoint("faster", dict(
-                system=system, threads=threads, value_bytes=value_bytes,
-                record_count=record_count, ops_per_thread=ops_per_thread,
-                distribution="zipfian", seed=seed,
-                pipeline_depth=128 if system.startswith("cowbird") else 64,
-            ))
-            for value_bytes, system, threads in grid
-        ]
-        return run_sweep(points, parallel=parallel, cache_dir=cache_dir)
-    cost = cost or CostModel()
-    return [
-        run_faster_bench(
-            system, threads, value_bytes=value_bytes,
-            record_count=record_count,
-            ops_per_thread=ops_per_thread,
-            distribution="zipfian", cost=cost, seed=seed,
-            pipeline_depth=128 if system.startswith("cowbird") else 64,
-        )
-        for value_bytes, system, threads in grid
-    ]
+    return run_sweep(points, parallel=parallel, cache_dir=cache_dir)
 
 
 def format_results(results: list[FasterBenchResult]) -> str:

@@ -8,11 +8,10 @@ Cowbird stays under 20 %, "with much of that in wrapper code".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.experiments.faster_bench import FasterBenchResult, run_faster_bench
-from repro.sim.cpu import CostModel
+from repro.experiments import fig09
+from repro.experiments.faster_bench import FasterBenchResult
 
 __all__ = ["SYSTEMS", "run"]
 
@@ -27,25 +26,17 @@ def run(
     systems: Sequence[str] = SYSTEMS,
     record_count: int = 20_000,
     ops_per_thread: int = 300,
-    cost: Optional[CostModel] = None,
     seed: int = 10,
+    parallel: int = 1,
+    cache_dir: Optional[str] = None,
 ) -> list[FasterBenchResult]:
-    """Regenerate both Figure 10 panels (scaled-down)."""
-    cost = cost or CostModel()
-    results: list[FasterBenchResult] = []
-    for value_bytes in value_sizes:
-        for system in systems:
-            for threads in thread_counts:
-                results.append(
-                    run_faster_bench(
-                        system, threads, value_bytes=value_bytes,
-                        record_count=record_count,
-                        ops_per_thread=ops_per_thread,
-                        distribution="zipfian", cost=cost, seed=seed,
-                        pipeline_depth=128 if system.startswith("cowbird") else 64,
-                    )
-                )
-    return results
+    """Regenerate both Figure 10 panels (scaled-down): Figure 9's YCSB
+    grid over the remote backends, read for its communication ratio."""
+    return fig09.run(
+        value_sizes=value_sizes, thread_counts=thread_counts, systems=systems,
+        record_count=record_count, ops_per_thread=ops_per_thread, seed=seed,
+        parallel=parallel, cache_dir=cache_dir,
+    )
 
 
 def format_results(results: list[FasterBenchResult]) -> str:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.faster_bench import FasterBenchResult, run_faster_bench
-from repro.sim.cpu import CostModel
+from repro.experiments.faster_bench import FasterBenchResult
+from repro.experiments.sweep import SweepPoint, run_sweep
 
 __all__ = ["SYSTEMS", "run"]
 
@@ -25,26 +25,25 @@ def run(
     systems: Sequence[str] = SYSTEMS,
     record_count: int = 20_000,
     ops_per_thread: int = 300,
-    cost: Optional[CostModel] = None,
     seed: int = 11,
+    parallel: int = 1,
+    cache_dir: Optional[str] = None,
 ) -> list[FasterBenchResult]:
-    """Regenerate Figure 11 (scaled-down)."""
-    cost = cost or CostModel()
-    results: list[FasterBenchResult] = []
-    for system in systems:
-        for threads in thread_counts:
-            results.append(
-                run_faster_bench(
-                    system, threads, value_bytes=64,
-                    record_count=record_count, ops_per_thread=ops_per_thread,
-                    distribution="uniform",
-                    # 1 GB local log instead of 5 GB: a tighter budget.
-                    memory_fraction=0.08,
-                    cost=cost, seed=seed,
-                    pipeline_depth=128 if system == "cowbird" else 64,
-                )
-            )
-    return results
+    """Regenerate Figure 11 (scaled-down) through the sweep harness."""
+    points = [
+        SweepPoint("faster", dict(
+            system=system, threads=threads, value_bytes=64,
+            record_count=record_count, ops_per_thread=ops_per_thread,
+            distribution="uniform",
+            # 1 GB local log instead of 5 GB: a tighter budget.
+            memory_fraction=0.08,
+            seed=seed,
+            pipeline_depth=128 if system == "cowbird" else 64,
+        ))
+        for system in systems
+        for threads in thread_counts
+    ]
+    return run_sweep(points, parallel=parallel, cache_dir=cache_dir)
 
 
 def format_results(results: list[FasterBenchResult]) -> str:

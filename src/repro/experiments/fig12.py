@@ -12,42 +12,52 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.common import MicrobenchResult, run_microbench
+from repro.experiments.sweep import SweepPoint, run_sweep
 from repro.sim.cpu import CostModel
 
-__all__ = ["SYSTEMS", "run"]
+__all__ = ["SYSTEMS", "measure_read_point", "run"]
 
 SYSTEMS = ("aifm", "cowbird")
 THREAD_COUNTS = (1, 2, 4, 8, 16)
 RECORD_BYTES = 8
 
 
-def run(
-    thread_counts: Sequence[int] = THREAD_COUNTS,
-    systems: Sequence[str] = SYSTEMS,
-    ops_per_thread: int = 400,
-    cost: Optional[CostModel] = None,
-    seed: int = 12,
-) -> list[MicrobenchResult]:
-    """Regenerate Figure 12 (scaled-down).
+def measure_read_point(
+    system: str, threads: int, ops_per_thread: int, seed: int,
+) -> MicrobenchResult:
+    """Measure one (system, threads) point; the ``aifm-read`` sweep kind.
 
     The paper's workload is a bare loop of 8-byte object reads — no
     hash-table semantics — so per-op application work is a pointer
     dereference, not an index probe.
     """
-    cost = cost or CostModel(hash_probe_compute=20.0)
-    results: list[MicrobenchResult] = []
-    for system in systems:
-        for threads in thread_counts:
-            results.append(
-                run_microbench(
-                    system, threads, record_bytes=RECORD_BYTES,
-                    ops_per_thread=ops_per_thread,
-                    local_fraction=0.0,  # every read is remote
-                    cost=cost, seed=seed,
-                    pipeline_depth=512 if system == "cowbird" else 8,
-                )
-            )
-    return results
+    return run_microbench(
+        system, threads, record_bytes=RECORD_BYTES,
+        ops_per_thread=ops_per_thread,
+        local_fraction=0.0,  # every read is remote
+        cost=CostModel(hash_probe_compute=20.0), seed=seed,
+        pipeline_depth=512 if system == "cowbird" else 8,
+    )
+
+
+def run(
+    thread_counts: Sequence[int] = THREAD_COUNTS,
+    systems: Sequence[str] = SYSTEMS,
+    ops_per_thread: int = 400,
+    seed: int = 12,
+    parallel: int = 1,
+    cache_dir: Optional[str] = None,
+) -> list[MicrobenchResult]:
+    """Regenerate Figure 12 (scaled-down) through the sweep harness."""
+    points = [
+        SweepPoint("aifm-read", dict(
+            system=system, threads=threads, ops_per_thread=ops_per_thread,
+            seed=seed,
+        ))
+        for system in systems
+        for threads in thread_counts
+    ]
+    return run_sweep(points, parallel=parallel, cache_dir=cache_dir)
 
 
 def max_speedup(results: list[MicrobenchResult]) -> float:

@@ -21,7 +21,6 @@ from typing import Any, Generator, Optional, Sequence
 
 from repro.experiments.common import build_microbench
 from repro.experiments.sweep import SweepPoint, run_sweep
-from repro.sim.cpu import CostModel
 from repro.sim.trace import LatencyRecorder
 
 __all__ = ["Fig13Row", "SYSTEMS", "measure_latency_point", "run"]
@@ -73,24 +72,14 @@ def _latency_worker(
 
 
 def measure_latency_point(
-    system: str,
-    record_bytes: int,
-    ops: int,
-    seed: int,
-    cost: Optional[CostModel] = None,
+    system: str, record_bytes: int, ops: int, seed: int,
 ) -> Fig13Row:
-    """Measure one (system, record size) latency point.
-
-    Registered as the ``latency`` sweep-point kind, so every argument
-    except ``cost`` must stay JSON-serializable.
-    """
-    cost = cost or CostModel()
+    """Measure one (system, record size) point; the ``latency`` sweep kind."""
     # Batching systems measure latency *with* their batching
     # configuration (Section 8.3 keeps the Section 8.1 config).
     depth = 100 if system in ("async", "cowbird") else 1
     deployment = build_microbench(
-        system, 1, remote_bytes=1 << 21, cost=cost, seed=seed,
-        pipeline_depth=depth,
+        system, 1, remote_bytes=1 << 21, seed=seed, pipeline_depth=depth,
     )
     recorder = LatencyRecorder()
     thread = deployment.compute.cpu.thread("latency-probe")
@@ -112,34 +101,20 @@ def run(
     record_sizes: Sequence[int] = RECORD_SIZES,
     systems: Sequence[str] = SYSTEMS,
     ops: int = 300,
-    cost: Optional[CostModel] = None,
     seed: int = 13,
-    parallel: int = 0,
+    parallel: int = 1,
     cache_dir: Optional[str] = None,
 ) -> list[Fig13Row]:
-    """Regenerate Figure 13: one thread, per-record-size latency.
-
-    ``parallel >= 1`` routes the grid through the deterministic sweep
-    harness; ``0`` keeps the legacy inline loop.
-    """
-    grid = [
-        (system, record_bytes)
+    """Regenerate Figure 13 through the sweep harness: one thread,
+    per-record-size latency."""
+    points = [
+        SweepPoint("latency", dict(
+            system=system, record_bytes=record_bytes, ops=ops, seed=seed,
+        ))
         for system in systems
         for record_bytes in record_sizes
     ]
-    if parallel >= 1 and cost is None:
-        points = [
-            SweepPoint("latency", dict(
-                system=system, record_bytes=record_bytes, ops=ops, seed=seed,
-            ))
-            for system, record_bytes in grid
-        ]
-        return run_sweep(points, parallel=parallel, cache_dir=cache_dir)
-    cost = cost or CostModel()
-    return [
-        measure_latency_point(system, record_bytes, ops, seed, cost=cost)
-        for system, record_bytes in grid
-    ]
+    return run_sweep(points, parallel=parallel, cache_dir=cache_dir)
 
 
 def format_rows(rows: list[Fig13Row]) -> str:

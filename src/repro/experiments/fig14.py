@@ -22,12 +22,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.experiments.common import build_microbench
+from repro.experiments.sweep import SweepPoint, run_sweep
 from repro.sim.cpu import CostModel
 from repro.sim.network import PRIORITY_HIGH, PRIORITY_NORMAL
 from repro.sim.tcp import TcpAckDemux, TcpFlow, TcpSink
 from repro.workloads.hashtable import HashTable, HashTableConfig, probe_worker
 
-__all__ = ["Fig14Row", "SYSTEMS", "run"]
+__all__ = ["Fig14Row", "SYSTEMS", "measure_contention_point", "run"]
 
 SYSTEMS = ("cowbird-p4", "cowbird", "none")
 THREAD_COUNTS = (1, 2, 4, 8)
@@ -73,89 +74,100 @@ def _wire_tcp(deployment, sim) -> tuple[list[TcpFlow], TcpSink]:
     return flows, sink
 
 
+def measure_contention_point(
+    system: str, threads: int, ops_per_thread: int, seed: int,
+) -> Fig14Row:
+    """Measure one (system, threads) point; the ``tcp-contention`` sweep kind."""
+    # Emulate FASTER's per-operation application work (Section 8.4 runs
+    # FASTER, not the raw microbenchmark): index + log bookkeeping on
+    # top of the probe makes per-op app time ~0.5 us.
+    cost = CostModel(hash_probe_compute=450.0)
+    build_system = "local" if system == "none" else system
+    table = HashTable(
+        HashTableConfig(
+            num_records=50_000, record_bytes=RECORD_BYTES,
+            ops_per_thread=ops_per_thread, pipeline_depth=256,
+        )
+    )
+    deployment = build_microbench(
+        build_system, threads,
+        remote_bytes=max(table.remote_bytes_needed(), 1 << 20),
+        cost=cost, seed=seed, pipeline_depth=256,
+    )
+    sim = deployment.sim
+    # Worst case: ALL of Cowbird's RDMA above the user traffic
+    # (probes included — at lower priority they would starve
+    # under a saturating TCP load and stall the protocol).
+    if system == "cowbird-p4":
+        deployment.engine.config.data_priority = PRIORITY_HIGH
+        deployment.engine.config.probe_priority = PRIORITY_HIGH
+        for channel in deployment.engine._channels_by_vqpn.values():
+            channel.priority = PRIORITY_HIGH
+    elif system == "cowbird":
+        deployment.bed.hosts["spot-agent"].nic.config.priority = PRIORITY_HIGH
+        deployment.pool_host.nic.config.priority = PRIORITY_HIGH
+        deployment.compute.nic.config.priority = PRIORITY_HIGH
+    # The shared egress segment: TCP data and Cowbird's
+    # host-bound protocol packets contend here at 25 Gb/s with a
+    # per-packet engine cost; the data direction stays 100 Gb/s.
+    deployment.compute.uplink.bandwidth_gbps = SINK_BANDWIDTH_GBPS
+    deployment.compute.uplink.fixed_packet_overhead_ns = PACKET_ENGINE_NS
+    flows, sink = _wire_tcp(deployment, sim)
+    for flow in flows:
+        flow.start()
+    processes = []
+    if system != "none":
+        for i in range(threads):
+            thread = deployment.compute.cpu.thread(f"app-{i}")
+            processes.append(
+                sim.spawn(
+                    probe_worker(
+                        thread, deployment.backends[i], table, cost,
+                        seed=seed + i,
+                    )
+                )
+            )
+    results = [
+        sim.run_until_complete(process, deadline=20e9)
+        for process in processes
+    ]
+    # Measure TCP over the full overlap window.
+    window_end = sim.now if results else sim.run(until=400_000)
+    for flow in flows:
+        flow.stop()
+    deployment.close()
+    tcp_gbps = sum(flow.achieved_gbps(window_end) for flow in flows)
+    total_ops = sum(r.ops for r in results)
+    elapsed = (
+        max(r.finished_at for r in results)
+        - min(r.started_at for r in results)
+        if results else 1.0
+    )
+    return Fig14Row(
+        system=system, threads=threads, tcp_gbps=tcp_gbps,
+        cowbird_mops=total_ops / elapsed * 1000.0 if results else 0.0,
+    )
+
+
 def run(
     thread_counts: Sequence[int] = THREAD_COUNTS,
     systems: Sequence[str] = SYSTEMS,
     ops_per_thread: int = 400,
-    cost: Optional[CostModel] = None,
     seed: int = 14,
+    parallel: int = 1,
+    cache_dir: Optional[str] = None,
 ) -> list[Fig14Row]:
-    """Regenerate Figure 14 (scaled-down measurement window)."""
-    # Emulate FASTER's per-operation application work (Section 8.4 runs
-    # FASTER, not the raw microbenchmark): index + log bookkeeping on
-    # top of the probe makes per-op app time ~0.5 us.
-    cost = cost or CostModel(hash_probe_compute=450.0)
-    rows: list[Fig14Row] = []
-    for system in systems:
-        for threads in thread_counts:
-            build_system = "local" if system == "none" else system
-            table = HashTable(
-                HashTableConfig(
-                    num_records=50_000, record_bytes=RECORD_BYTES,
-                    ops_per_thread=ops_per_thread, pipeline_depth=256,
-                )
-            )
-            deployment = build_microbench(
-                build_system, threads,
-                remote_bytes=max(table.remote_bytes_needed(), 1 << 20),
-                cost=cost, seed=seed, pipeline_depth=256,
-            )
-            sim = deployment.sim
-            # Worst case: ALL of Cowbird's RDMA above the user traffic
-            # (probes included — at lower priority they would starve
-            # under a saturating TCP load and stall the protocol).
-            if system == "cowbird-p4":
-                deployment.engine.config.data_priority = PRIORITY_HIGH
-                deployment.engine.config.probe_priority = PRIORITY_HIGH
-                for channel in deployment.engine._channels_by_vqpn.values():
-                    channel.priority = PRIORITY_HIGH
-            elif system == "cowbird":
-                deployment.bed.hosts["spot-agent"].nic.config.priority = PRIORITY_HIGH
-                deployment.pool_host.nic.config.priority = PRIORITY_HIGH
-                deployment.compute.nic.config.priority = PRIORITY_HIGH
-            # The shared egress segment: TCP data and Cowbird's
-            # host-bound protocol packets contend here at 25 Gb/s with a
-            # per-packet engine cost; the data direction stays 100 Gb/s.
-            deployment.compute.uplink.bandwidth_gbps = SINK_BANDWIDTH_GBPS
-            deployment.compute.uplink.fixed_packet_overhead_ns = PACKET_ENGINE_NS
-            flows, sink = _wire_tcp(deployment, sim)
-            for flow in flows:
-                flow.start()
-            processes = []
-            if system != "none":
-                for i in range(threads):
-                    thread = deployment.compute.cpu.thread(f"app-{i}")
-                    processes.append(
-                        sim.spawn(
-                            probe_worker(
-                                thread, deployment.backends[i], table, cost,
-                                seed=seed + i,
-                            )
-                        )
-                    )
-            results = [
-                sim.run_until_complete(process, deadline=20e9)
-                for process in processes
-            ]
-            # Measure TCP over the full overlap window.
-            window_end = sim.now if results else sim.run(until=400_000)
-            for flow in flows:
-                flow.stop()
-            deployment.close()
-            tcp_gbps = sum(flow.achieved_gbps(window_end) for flow in flows)
-            total_ops = sum(r.ops for r in results) if results else 0
-            elapsed = (
-                max(r.finished_at for r in results)
-                - min(r.started_at for r in results)
-                if results else 1.0
-            )
-            rows.append(
-                Fig14Row(
-                    system=system, threads=threads, tcp_gbps=tcp_gbps,
-                    cowbird_mops=total_ops / elapsed * 1000.0 if results else 0.0,
-                )
-            )
-    return rows
+    """Regenerate Figure 14 (scaled-down measurement window) through
+    the sweep harness."""
+    points = [
+        SweepPoint("tcp-contention", dict(
+            system=system, threads=threads, ops_per_thread=ops_per_thread,
+            seed=seed,
+        ))
+        for system in systems
+        for threads in thread_counts
+    ]
+    return run_sweep(points, parallel=parallel, cache_dir=cache_dir)
 
 
 def format_rows(rows: list[Fig14Row]) -> str:

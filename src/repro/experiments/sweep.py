@@ -2,12 +2,13 @@
 
 The paper's figures are sweeps over a grid of independent simulations —
 (system, threads, record size, ...) points that share nothing at run
-time.  This module turns such a grid into a list of :class:`SweepPoint`
-specs and executes them either inline or across a ``multiprocessing``
-pool, with three invariants:
+time.  Every grid figure (1 and 8–14) turns its grid into a list of
+:class:`SweepPoint` specs and runs it here, either inline or across a
+``multiprocessing`` pool, with three invariants:
 
 * **Determinism.**  Each point is fully described by JSON-serializable
-  kwargs (including its seed); a point's result depends on nothing else.
+  kwargs (including its seed); a point's result depends on nothing else,
+  and its trace neither (it restarts the process-wide ``wr_id`` sequence).
   Results are returned in submission order no matter how workers
   interleave, and per-point telemetry snapshots are merged back in that
   same order, so ``--parallel N`` output is byte-identical to
@@ -15,13 +16,13 @@ pool, with three invariants:
 * **Telemetry isolation.**  Every point runs under its own fresh
   :class:`~repro.telemetry.Telemetry`; the harness folds the per-point
   metric snapshots into the caller's active telemetry afterwards via
-  :meth:`MetricsRegistry.merge_snapshot` and records one summary span
-  covering the longest point, so ``--json`` metadata and ``--metrics``
-  keep working unchanged.
+  :meth:`MetricsRegistry.merge_snapshot`, and appends the per-point span
+  events to the caller's tracer under its cap, so ``--json`` metadata,
+  ``--metrics`` and ``--trace`` work for any worker count.
 * **Caching.**  With ``cache_dir`` set, each point's result is stored
   on disk keyed by a SHA-256 over (repro version, point kind, sorted
-  kwargs).  A warm cache replays the identical results, so cached and
-  fresh runs produce the same bytes.
+  kwargs, telemetry and span collection).  A warm cache replays the
+  identical results, so cached and fresh runs produce the same bytes.
 
 Points name their entry function by *kind* (a registry of dotted paths,
 resolved lazily to avoid import cycles with the figure modules) rather
@@ -43,6 +44,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro import __version__, telemetry
 from repro.analysis.sanitizer import sanitize_enabled
+from repro.rdma.qp import reset_wr_ids
 
 __all__ = ["SweepPoint", "run_sweep", "sweep_cache_key"]
 
@@ -51,7 +53,9 @@ __all__ = ["SweepPoint", "run_sweep", "sweep_cache_key"]
 _POINT_KINDS: dict[str, tuple[str, str]] = {
     "microbench": ("repro.experiments.common", "run_microbench"),
     "faster": ("repro.experiments.faster_bench", "run_faster_bench"),
+    "aifm-read": ("repro.experiments.fig12", "measure_read_point"),
     "latency": ("repro.experiments.fig13", "measure_latency_point"),
+    "tcp-contention": ("repro.experiments.fig14", "measure_contention_point"),
 }
 
 
@@ -80,36 +84,47 @@ def _resolve(kind: str) -> Callable:
     return getattr(importlib.import_module(module_name), attr)
 
 
-def _execute_point(spec: tuple[str, dict, bool]) -> tuple[Any, Optional[dict], float]:
+def _execute_point(
+    spec: tuple[str, dict, bool, int],
+) -> tuple[Any, Optional[dict], Optional[tuple]]:
     """Run one point under its own telemetry; the pool's map target.
 
-    Returns ``(result, metrics_snapshot, last_timestamp_ns)``; the
-    snapshot is ``None`` when collection is off.
+    Returns ``(result, metrics_snapshot, trace)``, where ``trace`` is
+    the point's ``(span events, dropped over capacity, last timestamp)``
+    recorded under a cap of ``max_events``; both are ``None`` when
+    collection is off.
     """
-    kind, kwargs, collect = spec
+    kind, kwargs, collect, max_events = spec
     fn = _resolve(kind)
-    if collect:
-        tel = telemetry.Telemetry()
-        with telemetry.activate(tel):
-            result = fn(**kwargs)
-        return result, tel.snapshot(), tel.tracer.last_timestamp_ns()
-    with telemetry.activate(telemetry.NULL_TELEMETRY):
+    reset_wr_ids()
+    if not collect:
+        with telemetry.activate(telemetry.NULL_TELEMETRY):
+            return fn(**kwargs), None, None
+    tel = telemetry.Telemetry(max_events=max_events)
+    with telemetry.activate(tel):
         result = fn(**kwargs)
-    return result, None, 0.0
+    tracer = tel.tracer
+    return result, tel.snapshot(), (
+        tracer.events, tracer.dropped_over_capacity, tracer.last_timestamp_ns()
+    )
 
 
-def sweep_cache_key(kind: str, kwargs: dict, collect: bool) -> str:
+def sweep_cache_key(
+    kind: str, kwargs: dict, collect: bool, max_events: int = 0,
+) -> str:
     """Stable cache key: SHA-256 over version + kind + sorted kwargs.
 
-    Sanitized runs key separately (their snapshots carry ``sim.digest``
-    gauges); the flag is only added when on, so pre-existing cache
-    entries stay valid for default runs.
+    ``max_events`` is the span cap the point recorded under (0: no
+    spans), so a traced run's entries, which hold its spans, never
+    serve an untraced run.  Sanitized runs key separately (their
+    snapshots carry ``sim.digest`` gauges).
     """
     payload = {
         "repro_version": __version__,
         "kind": kind,
         "kwargs": kwargs,
         "collect": collect,
+        "max_events": max_events,
     }
     if sanitize_enabled():
         payload["sanitize"] = True
@@ -151,22 +166,26 @@ def run_sweep(
     ``parallel`` is the worker-process count; ``1`` runs every point
     inline (same code path, no pool).  With ``cache_dir`` set, cached
     points are replayed from disk and fresh ones stored after running.
-    Per-point metric snapshots are merged into the caller's active
-    telemetry in submission order, and one ``sweep.points`` span is
-    recorded whose end is the longest per-point sim time, so
-    ``Tracer.last_timestamp_ns()`` reports the sweep's sim duration.
+    Each point's metric snapshot and span events are merged into the
+    caller's active telemetry in submission order; points record spans
+    only if the caller's tracer keeps any (``max_events > 0``), under
+    the same cap, so the caller's tracer ends up as if every point had
+    run inline against it.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel}")
     parent = telemetry.current()
     collect = parent is not None and parent.enabled
-    specs = [(p.kind, p.kwargs, collect) for p in points]
+    max_events = parent.tracer.max_events if collect else 0
+    specs = [(p.kind, p.kwargs, collect, max_events) for p in points]
 
-    triples: list[Optional[tuple]] = [None] * len(specs)
+    outcomes: list[Optional[tuple]] = [None] * len(specs)
     pending: list[int] = []
     if cache_dir is not None:
         keys = [sweep_cache_key(*spec) for spec in specs]
         for i, key in enumerate(keys):
-            triples[i] = _cache_load(cache_dir, key)
-            if triples[i] is None:
+            outcomes[i] = _cache_load(cache_dir, key)
+            if outcomes[i] is None:
                 pending.append(i)
     else:
         keys = []
@@ -180,22 +199,15 @@ def run_sweep(
                 )
         else:
             fresh = [_execute_point(specs[i]) for i in pending]
-        for i, triple in zip(pending, fresh):
-            triples[i] = triple
+        for i, outcome in zip(pending, fresh):
+            outcomes[i] = outcome
             if cache_dir is not None:
-                _cache_store(cache_dir, keys[i], triple)
+                _cache_store(cache_dir, keys[i], outcome)
 
     results = []
-    last_ns = 0.0
-    for triple in triples:
-        result, snapshot, point_last_ns = triple
+    for result, snapshot, trace in outcomes:
         results.append(result)
-        if collect and snapshot is not None:
+        if collect:
             parent.metrics.merge_snapshot(snapshot)
-        if point_last_ns > last_ns:
-            last_ns = point_last_ns
-    if collect:
-        parent.complete(
-            "sweep.points", 0.0, last_ns, process="sweep", points=len(points)
-        )
+            parent.tracer.extend(*trace)
     return results

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse, islice, repeat
 from operator import eq
 from typing import Iterator, Optional
 
@@ -75,11 +75,12 @@ class HashIndex:
 
     def insert_pages(
         self, keys, first_addr: int, per_page: int, page_bytes: int,
-        record_bytes: int,
+        record_bytes: int, start: int = 0, stop: Optional[int] = None,
     ) -> None:
-        """Upsert ``keys`` at records laid out ``per_page`` to a page from
-        ``first_addr`` on: ``keys[j]`` at ``first_addr + (j // per_page) *
-        page_bytes + (j % per_page) * record_bytes``.
+        """Upsert ``keys[start:stop]`` at records laid out ``per_page`` to
+        a page from ``first_addr`` on: ``keys[start + j]`` at ``first_addr +
+        (j // per_page) * page_bytes + (j % per_page) * record_bytes``.
+        The keys are read in place, never copied.
 
         Consecutive ascending integer keys that no entry or run holds yet
         become one run (merged into the run before them when keys and
@@ -87,14 +88,16 @@ class HashIndex:
         upserts in order would put them (a repeated key keeps its last
         address).
         """
-        count = len(keys)
-        if not count:
+        if stop is None:
+            stop = len(keys)
+        count = stop - start
+        if count <= 0:
             return
-        lo, last = keys[0], keys[-1]
+        lo, last = keys[start], keys[stop - 1]
         if (
             isinstance(lo, int) and isinstance(last, int)
             and last - lo == count - 1
-            and all(map(eq, keys, range(lo, lo + count)))
+            and all(map(eq, islice(keys, start, stop), range(lo, lo + count)))
             and self._addresses.keys().isdisjoint(range(lo, lo + count))
         ):
             i = bisect_left(self._run_starts, lo + count)
@@ -115,11 +118,12 @@ class HashIndex:
                 return
         used = per_page * record_bytes
         last_addr = first_addr + -(-count // per_page) * page_bytes
-        self._addresses.update(zip(keys, chain.from_iterable(map(
+        addresses = chain.from_iterable(map(
             range, range(first_addr, last_addr, page_bytes),
             range(first_addr + used, last_addr + used, page_bytes),
             repeat(record_bytes),
-        ))))
+        ))
+        self._addresses.update(zip(islice(keys, start, stop), addresses))
 
     def _in_run(self, key) -> bool:
         if not self._runs or not isinstance(key, int):

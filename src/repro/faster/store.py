@@ -344,9 +344,9 @@ class FasterKv:
         record_bytes = self.config.record_bytes
         page_bytes = log.config.page_bytes
         per_page = source.per_page
-        keys = source.keys[source.first : source.first + pages * per_page]
         self.index.insert_pages(
-            keys, log.close_page(), per_page, page_bytes, record_bytes,
+            source.keys, log.close_page(), per_page, page_bytes, record_bytes,
+            source.first, source.first + pages * per_page,
         )
         over = max(0, log.memory_page_count + pages + tail - log.config.memory_pages)
         resident = min(over, log.memory_page_count)

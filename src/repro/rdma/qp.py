@@ -23,6 +23,7 @@ __all__ = [
     "QueuePair",
     "WorkRequest",
     "WorkType",
+    "reset_wr_ids",
 ]
 
 
@@ -45,6 +46,17 @@ class CompletionStatus(enum.Enum):
 _wr_ids = itertools.count(1)
 
 
+def reset_wr_ids() -> None:
+    """Start the process-wide ``wr_id`` sequence again from 1.
+
+    Traces carry ``wr_id``s, so a sweep point resets the sequence before
+    it runs: its ids are then those of a fresh process, whichever points
+    ran before it in the same worker.
+    """
+    global _wr_ids
+    _wr_ids = itertools.count(1)
+
+
 @dataclass(slots=True, init=False)
 class WorkRequest:
     """One posted operation (the WQE the doorbell announces).
@@ -53,7 +65,8 @@ class WorkRequest:
     requester-side memory (the DMA target for reads, source for
     writes), ``remote_addr``/``rkey`` name responder-side memory.
     ``wr_id`` defaults to the next id of one process-wide counter, so
-    ids are unique and increase in construction order.
+    ids are unique and increase in construction order (from the last
+    :func:`reset_wr_ids` on).
     """
 
     work_type: WorkType

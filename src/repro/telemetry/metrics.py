@@ -267,10 +267,14 @@ class MetricsRegistry:
         """Fold another registry's :meth:`snapshot` into this one.
 
         Counters add, histograms combine bucket-by-bucket, and gauges
-        replay (max first, then last value) so that merging per-worker
-        snapshots *in submission order* reproduces exactly the state a
-        single shared registry would have reached.  This is what makes
-        parallel sweep runs byte-identical to serial ones.
+        replay (max first, then last value).  Merged *in submission
+        order*, counters, histogram counts, buckets and ``max``, and
+        gauges are exactly what one shared registry would hold; a
+        histogram's float ``sum`` is the submission-order total of the
+        per-snapshot sums, which can differ in the last bits from one
+        running sum over every observation.  Either way the result
+        depends only on the snapshots and their order, which is what
+        makes parallel sweep runs byte-identical to serial ones.
         """
         for name, value in snapshot.items():
             if isinstance(value, dict) and "bucket_counts" in value:

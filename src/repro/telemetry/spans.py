@@ -97,6 +97,8 @@ class Tracer:
         self.max_events = max_events
         self.events: list[SpanEvent] = []
         self.dropped_over_capacity = 0
+        #: Latest end seen, kept or dropped: the sim time the run reached.
+        self._last_ns = 0.0
         self._clock: Callable[[], float] = lambda: 0.0
 
     # ------------------------------------------------------------------
@@ -123,6 +125,8 @@ class Tracer:
         **attrs,
     ) -> None:
         """Record a finished interval with explicit sim timestamps."""
+        if end_ns > self._last_ns:
+            self._last_ns = end_ns
         if len(self.events) >= self.max_events:
             self.dropped_over_capacity += 1
             return
@@ -143,9 +147,20 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.events)
 
+    def extend(self, events: list[SpanEvent], dropped: int, last_ns: float) -> None:
+        """Append another tracer's ``events`` in order under this one's
+        cap, with that tracer's over-capacity count and latest end, as if
+        they had been recorded here."""
+        room = max(self.max_events - len(self.events), 0)
+        self.events.extend(events[:room])
+        self.dropped_over_capacity += dropped + max(len(events) - room, 0)
+        if last_ns > self._last_ns:
+            self._last_ns = last_ns
+
     def clear(self) -> None:
         self.events.clear()
         self.dropped_over_capacity = 0
+        self._last_ns = 0.0
 
     def span_names(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -154,7 +169,8 @@ class Tracer:
         return counts
 
     def last_timestamp_ns(self) -> float:
-        return max((e.end_ns for e in self.events), default=0.0)
+        """The latest end of any interval recorded or dropped over capacity."""
+        return self._last_ns
 
 
 class _NullSpan(Span):

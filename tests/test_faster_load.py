@@ -672,6 +672,15 @@ class TestRunIndex:
         index.insert_pages([5, 6], 0, 31, 16384, 520)  # already indexed
         assert index._addresses == {5: 0, 6: 520}
 
+    @pytest.mark.parametrize("keys", [list(range(100)), [7, 3, 7, *range(97)]])
+    def test_start_stop_index_the_slice(self, keys):
+        sliced, ranged = HashIndex(), HashIndex()
+        sliced.insert_pages(keys[10:70], 4096, 4, 256, 60)
+        ranged.insert_pages(keys, 4096, 4, 256, 60, 10, 70)
+        assert ranged._runs == sliced._runs
+        assert ranged._addresses == sliced._addresses
+        assert all(ranged.get(key) == sliced.get(key) for key in range(-1, 101))
+
 
 def test_faster_run_path_does_not_import_numpy():
     """numpy adds ~14 MB of RSS, over the benchmark's peak-RSS bound."""

@@ -1,7 +1,7 @@
 """Host memory of the FASTER bulk load: a deterministic guard.
 
 ``tests/test_call_budget.py`` bounds the load's host work; this bounds
-what it allocates.  A load holds no value of its own: the pages the log
+what it allocates, the index step's own share included.  A load holds no value of its own: the pages the log
 keeps and the span it defers to the pool region read their records from
 the load's source, and its consecutive keys are one index run.  A
 mapping's values are held once, by position, as the source of its
@@ -79,3 +79,37 @@ def test_source_load_grows_per_page_not_per_record():
         pages.append(records // 31)
     assert peaks[0] <= SOURCE_LOAD_PEAK_BUDGET
     assert peaks[1] - peaks[0] <= SOURCE_LOAD_BYTES_PER_PAGE * (pages[1] - pages[0])
+
+
+#: What the index step of that mapping load allocates at its peak, from
+#: the start of its full pages, on 3.11: 520 (``insert_pages`` itself
+#: takes 352 to 360 B on 3.11 to 3.13).  Before it read the keys in
+#: place: 32 404, mostly a list of the 3 999 keys it indexes, 8 B each.
+#: Bounded well under that copy, which grows with the load.
+INDEX_STEP_BUDGET = 1_000
+
+
+def test_index_step_reads_the_keys_in_place(monkeypatch):
+    from repro.faster.hashindex import HashIndex
+    from repro.faster.store import FasterKv
+
+    marks = []
+    load_full_pages = FasterKv._load_full_pages
+    insert_pages = HashIndex.insert_pages
+
+    def traced_load_full_pages(self, *args):
+        marks.append(tracemalloc.get_traced_memory()[0])
+        return load_full_pages(self, *args)
+
+    def traced_insert_pages(self, *args):
+        tracemalloc.reset_peak()
+        insert_pages(self, *args)
+        marks.append(tracemalloc.get_traced_memory()[1] - marks.pop())
+
+    monkeypatch.setattr(FasterKv, "_load_full_pages", traced_load_full_pages)
+    monkeypatch.setattr(HashIndex, "insert_pages", traced_insert_pages)
+    _peak, deployment, store, _drive = traced_peak()
+    deployment.close()
+    assert store.index._runs == [(0, 3_999, 0, 31, 16_384, 520)]
+    (index_step_bytes,) = marks
+    assert index_step_bytes <= INDEX_STEP_BUDGET

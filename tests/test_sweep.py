@@ -3,11 +3,13 @@
 Pins the Issue's acceptance criteria for the sweep runner:
 
 * serial (``parallel=1``) and parallel (``parallel=N``) runs return
-  identical results and byte-identical ``--json`` dumps, and
-  ``--parallel 2`` runs its points in one pool of two processes,
-* the legacy inline path (``parallel=0``) agrees with the harness,
+  identical results and byte-identical ``--json`` dumps for every grid
+  figure, and ``--parallel 2`` runs its points in one pool of two
+  processes,
+* ``--trace`` changes neither the metrics nor the records, and its
+  trace file is byte-identical for any worker count,
 * the on-disk cache replays identical bytes and actually skips work,
-* per-point telemetry snapshots merge back losslessly.
+* per-point telemetry snapshots and spans merge back losslessly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.experiments import fig01, fig08, fig13, sweep
+from repro.experiments import fig08, fig10, fig11, fig12, fig13, fig14, sweep
 from repro.experiments.sweep import SweepPoint, run_sweep, sweep_cache_key
 from repro.sim.network import LinkStats
 from repro.telemetry.metrics import MetricsRegistry
@@ -32,6 +34,15 @@ FIG08_KW = dict(
     ops_per_thread=20,
 )
 FIG13_KW = dict(record_sizes=(8, 64), systems=("one-sided", "cowbird"), ops=20)
+FASTER_KW = dict(thread_counts=(1, 2), record_count=2_000, ops_per_thread=10)
+SMALL_GRIDS = {
+    "fig10": (fig10.run, dict(FASTER_KW, value_sizes=(64,),
+                              systems=("one-sided", "cowbird"))),
+    "fig11": (fig11.run, FASTER_KW),
+    "fig12": (fig12.run, dict(thread_counts=(1, 2), ops_per_thread=20)),
+    "fig14": (fig14.run, dict(thread_counts=(1, 2), systems=("cowbird", "none"),
+                              ops_per_thread=10)),
+}
 
 
 class TestSweepPoint:
@@ -48,7 +59,8 @@ class TestSweepPoint:
         a = sweep_cache_key("microbench", {"threads": 1}, True)
         b = sweep_cache_key("microbench", {"threads": 2}, True)
         c = sweep_cache_key("faster", {"threads": 1}, True)
-        assert len({a, b, c}) == 3
+        traced = sweep_cache_key("microbench", {"threads": 1}, True, 500_000)
+        assert len({a, b, c, traced}) == 4
 
 
 class TestSerialParallelIdentity:
@@ -57,18 +69,21 @@ class TestSerialParallelIdentity:
         parallel = fig08.run(parallel=2, **FIG08_KW)
         assert parallel == serial
 
-    def test_fig08_harness_matches_legacy_inline(self):
-        assert fig08.run(parallel=1, **FIG08_KW) == fig08.run(**FIG08_KW)
-
     def test_fig13_parallel_matches_serial(self):
         serial = fig13.run(parallel=1, **FIG13_KW)
         parallel = fig13.run(parallel=2, **FIG13_KW)
         assert parallel == serial
 
-    def test_fig01_harness_matches_legacy_inline(self):
-        assert fig01.run(ops_per_thread=10, parallel=1) == fig01.run(
-            ops_per_thread=10
-        )
+    @pytest.mark.parametrize("figure", sorted(SMALL_GRIDS))
+    def test_grid_parallel_matches_serial(self, figure):
+        run, kwargs = SMALL_GRIDS[figure]
+        serial = run(parallel=1, **kwargs)
+        assert run(parallel=2, **kwargs) == serial
+        assert len(serial) == 4
+
+    def test_parallel_below_one_rejected(self):
+        with pytest.raises(ValueError, match="parallel must be at least 1"):
+            fig13.run(parallel=0, **FIG13_KW)
 
     def test_merged_telemetry_identical_serial_vs_parallel(self):
         with telemetry.activate() as tel_serial:
@@ -77,19 +92,35 @@ class TestSerialParallelIdentity:
             fig08.run(parallel=2, **FIG08_KW)
         assert tel_parallel.snapshot() == tel_serial.snapshot()
         assert tel_serial.snapshot().get("sim.events_dispatched", 0) > 0
+        assert tel_parallel.tracer.events == tel_serial.tracer.events
         assert (
             tel_parallel.tracer.last_timestamp_ns()
             == tel_serial.tracer.last_timestamp_ns()
         )
 
+    def test_spans_appended_under_the_callers_cap(self):
+        """A capped caller keeps the first ``max_events`` spans of the
+        sweep and counts the rest as dropped, as it would inline."""
+        with telemetry.activate() as full:
+            fig13.run(parallel=1, **FIG13_KW)
+        cap = len(full.tracer.events) // 2
+        for workers in (1, 2):
+            with telemetry.activate(telemetry.Telemetry(max_events=cap)) as capped:
+                fig13.run(parallel=workers, **FIG13_KW)
+            assert capped.tracer.events == full.tracer.events[:cap]
+            assert capped.tracer.dropped_over_capacity == len(full.tracer.events) - cap
+            assert (
+                capped.tracer.last_timestamp_ns() == full.tracer.last_timestamp_ns()
+            )
+
 
 class TestCliByteIdentity:
-    def _dump(self, tmp_path, name, *extra):
+    def _dump(self, tmp_path, name, *extra, figure="fig08"):
         from repro.cli import main
 
         path = tmp_path / f"{name}.json"
         rc = main([
-            "run", "fig08", "--ops", "10", "--json", str(path), *extra,
+            "run", figure, "--ops", "10", "--json", str(path), *extra,
         ])
         assert rc == 0
         return path.read_bytes()
@@ -98,6 +129,41 @@ class TestCliByteIdentity:
         serial = self._dump(tmp_path, "serial", "--parallel", "1", "--no-cache")
         parallel = self._dump(tmp_path, "par", "--parallel", "2", "--no-cache")
         assert parallel == serial
+
+    @pytest.mark.parametrize("figure", ["fig10", "fig11", "fig12", "fig14"])
+    def test_grid_figure_json_byte_identical(self, tmp_path, figure):
+        serial = self._dump(tmp_path, "serial", "--parallel", "1", "--no-cache",
+                            figure=figure)
+        parallel = self._dump(tmp_path, "par", "--parallel", "2", "--no-cache",
+                              figure=figure)
+        assert parallel == serial
+
+    def test_trace_changes_neither_metrics_nor_records(self, tmp_path, capsys):
+        """``--trace`` runs the same harness path as ``--metrics`` alone:
+        the metrics snapshot (a histogram's float ``sum`` included) and
+        the JSON dump are the same with and without it, and the trace is
+        byte-identical for one worker or two."""
+        from repro.cli import main
+
+        def run(name, *extra):
+            path = tmp_path / f"{name}.json"
+            assert main([
+                "run", "fig01", "--ops", "10", "--no-cache", "--metrics",
+                "--json", str(path), *extra,
+            ]) == 0
+            out = capsys.readouterr().out
+            metrics = out[out.index("-- fig01: telemetry metrics"):]
+            return metrics[:metrics.index("raw records written")], path.read_bytes()
+
+        bare = run("bare")
+        traces = []
+        for workers in ("1", "2"):
+            trace = tmp_path / f"trace{workers}.json"
+            assert run(f"traced{workers}", "--parallel", workers,
+                       "--trace", str(trace)) == bare
+            traces.append(trace.read_bytes())
+        assert traces[0] == traces[1]
+        assert b'"verbs.read_sync"' in traces[0]
 
     def test_parallel_speedup(self, tmp_path, monkeypatch):
         """The speedup comes from worker processes: ``--parallel 1`` opens
