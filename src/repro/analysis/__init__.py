@@ -4,9 +4,10 @@ Two complementary passes over the same invariants (DESIGN.md
 §"Correctness tooling"):
 
 * :mod:`repro.analysis.simcheck` — ``repro lint``, an AST linter whose
-  SIM001–SIM006 rules catch determinism and resource-lifetime hazards
+  SIM001–SIM007 rules catch determinism and resource-lifetime hazards
   (wall-clock in sim code, unseeded RNGs, unordered scheduling,
-  uncancelled timer tokens, unreleased pool packets, swallowed errors)
+  uncancelled timer tokens, unreleased pool packets, swallowed errors,
+  process-wide counters)
   before they run.
 * :mod:`repro.analysis.sanitizer` — ``REPRO_SANITIZE=1`` /
   ``Simulator(sanitize=True)``, a runtime hook layer that proves at run

@@ -21,6 +21,8 @@ SIM005   pool ``acquire``/``get``/``alloc`` in a class with no matching
          ``release``/``recycle`` anywhere in that class
 SIM006   bare ``except:`` or ``except Exception:`` that swallows the
          error (no re-raise, bound name unused)
+SIM007   a module-level ``itertools.count(...)`` in sim-path modules:
+         every simulation in the process would share its ids
 =======  ==============================================================
 """
 
@@ -439,3 +441,44 @@ class SwallowedErrorRule(Rule):
                         "exception (swallows SimulationError)"
                     ),
                 )
+
+
+@register_rule
+class ModuleCounterRule(Rule):
+    """SIM007: a counter built at import time is shared by every
+    simulation in the process, so the ids a run draws from it depend on
+    what ran before it."""
+
+    code = "SIM007"
+    summary = "module-level itertools.count() in sim-path code"
+    hint = (
+        "hold the counter on its owner (the Simulator, a backend, an "
+        "instance) so each simulation numbers its own ids"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if not ctx.sim_path:
+            return
+        # Dotted names that call itertools.count, under any import alias.
+        counters = {"itertools.count"}
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                counters.update(
+                    f"{alias.asname}.count"
+                    for alias in node.names
+                    if alias.name == "itertools" and alias.asname
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                counters.update(
+                    alias.asname or alias.name
+                    for alias in node.names if alias.name == "count"
+                )
+        for stmt in ctx.tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Call)
+                    and ".".join(_attr_chain(node.func)) in counters
+                ):
+                    yield self.finding(ctx, node)

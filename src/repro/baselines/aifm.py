@@ -19,18 +19,15 @@ an RDMA-based design, which is exactly the gap Figure 12 shows.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
-from repro.baselines.backends import Backend
+from repro.baselines.backends import LedgerBackend
 from repro.sim.cpu import TAG_COMM
 
 __all__ = ["AifmBackend", "AifmConfig"]
-
-_tokens = itertools.count(1)
-
 
 @dataclass
 class AifmConfig:
@@ -48,13 +45,14 @@ class AifmConfig:
     green_threads: int = 8
 
 
-class AifmBackend(Backend):
+class AifmBackend(LedgerBackend):
     """AIFM as a workload backend."""
 
     name = "aifm"
 
     def __init__(self, compute_host, pool_host, region_handle,
                  config: Optional[AifmConfig] = None) -> None:
+        super().__init__()
         self.host = compute_host
         self.pool_host = pool_host
         self.region = region_handle
@@ -62,10 +60,7 @@ class AifmBackend(Backend):
         self.cost = compute_host.verbs.cost
         self.pending_limit = self.config.green_threads
         self._queue: deque[tuple[int, int, bool, int, int, bytes]] = deque()
-        self._completed: dict[int, deque[int]] = {}
-        self._outstanding: dict[int, int] = {}
         self._wake: list = []
-        self._completion_waiters: dict[int, list] = {}
         self._started = False
         self.iokernel_thread = None
 
@@ -78,9 +73,6 @@ class AifmBackend(Backend):
         self.host.sim.spawn(self._iokernel_loop(self.iokernel_thread),
                             name="aifm-iokernel")
 
-    def outstanding(self) -> int:
-        return sum(self._outstanding.values())
-
     # ------------------------------------------------------------------
     def issue_read(self, thread, offset, length):
         self.start()
@@ -88,46 +80,29 @@ class AifmBackend(Backend):
         yield from thread.compute(
             self.config.deref_ns + self.config.switch_ns, tag=TAG_COMM
         )
-        token = next(_tokens)
-        issuer = thread.thread_id
-        self._queue.append((token, issuer, False, offset, length, b""))
-        self._outstanding[issuer] = self._outstanding.get(issuer, 0) + 1
-        self._completed.setdefault(issuer, deque())
-        self._wake_iokernel()
-        return token
+        return self._enqueue(thread, False, offset, length, b"")
 
     def issue_write(self, thread, offset, data):
         self.start()
         yield from thread.compute(
             self.config.deref_ns + self.config.switch_ns, tag=TAG_COMM
         )
-        token = next(_tokens)
-        issuer = thread.thread_id
-        self._queue.append((token, issuer, True, offset, len(data), data))
-        self._outstanding[issuer] = self._outstanding.get(issuer, 0) + 1
-        self._completed.setdefault(issuer, deque())
-        self._wake_iokernel()
-        return token
+        return self._enqueue(thread, True, offset, len(data), data)
 
     def poll_completions(self, thread, max_ret=64, block=False):
         # The green thread being rescheduled is the second switch.
         yield from thread.compute(self.config.switch_ns, tag=TAG_COMM)
-        issuer = thread.thread_id
-        mine = self._completed.setdefault(issuer, deque())
-        while block and not mine and self._outstanding.get(issuer, 0):
-            waiter = self.host.sim.future()
-            self._completion_waiters.setdefault(issuer, []).append(waiter)
-            yield from thread.wait(waiter)
-        out = []
-        while mine and len(out) < max_ret:
-            out.append(mine.popleft())
-        return out
+        return (yield from self.ledger.poll(thread, max_ret, block))
 
     # ------------------------------------------------------------------
-    def _wake_iokernel(self) -> None:
+    def _enqueue(self, thread, is_write, offset, length, data) -> int:
+        """Queue a request for the IOKernel and wake it."""
+        token = self.ledger.issue(thread)
+        self._queue.append((token, thread.thread_id, is_write, offset, length, data))
         wakers, self._wake = self._wake, []
         for waker in wakers:
             waker.resolve(None)
+        return token
 
     def _iokernel_loop(self, thread):
         """The single IOKernel core: every packet goes through here."""
@@ -148,11 +123,7 @@ class AifmBackend(Backend):
                 pool_region.write(self.region.translate(offset, length), data)
             # The round trip to the remote agent overlaps with the next
             # request's CPU work (the IOKernel pipelines).
-            def complete(token=token, issuer=issuer):
-                self._completed.setdefault(issuer, deque()).append(token)
-                self._outstanding[issuer] -= 1
-                waiters = self._completion_waiters.pop(issuer, [])
-                for waiter in waiters:
-                    waiter.resolve(None)
-
-            sim.call_after(self.config.network_rtt_ns, complete)
+            sim.call_after(
+                self.config.network_rtt_ns,
+                partial(self.ledger.complete, issuer, token),
+            )

@@ -27,18 +27,25 @@ from repro.sim.cpu import TAG_APP, TAG_COMM, Thread
 
 __all__ = [
     "Backend",
+    "CompletionLedger",
     "CowbirdBackend",
+    "LedgerBackend",
     "LocalMemoryBackend",
     "OneSidedAsyncBackend",
     "OneSidedSyncBackend",
     "TwoSidedSyncBackend",
 ]
 
-_token_counter = itertools.count(1)
-
 
 class Backend(ABC):
-    """A remote-memory system under test."""
+    """A remote-memory system under test.
+
+    A token is unique among the tokens of the backend that returned it,
+    and no further: two backends may hand out the same token (a Cowbird
+    token is its instance's request id, a one-sided async one its
+    simulation's ``wr_id``).  A caller that keeps state for the tokens
+    of several backends keys it by backend as well.
+    """
 
     name: str = "backend"
     #: Maximum operations the workload may keep outstanding.
@@ -72,27 +79,73 @@ class Backend(ABC):
         return 0
 
 
-class _ImmediateCompletions(Backend):
-    """Base for synchronous backends: an operation is done when its issue
-    call returns, so the token goes straight onto a completed queue."""
+class CompletionLedger:
+    """One backend's tokens and completions, kept per issuing thread.
+
+    ``issue`` hands out the backend's next token; ``complete`` queues it
+    for the thread that issued it, which alone gets it back from
+    ``poll``, so threads sharing one backend never take each other's
+    completions.
+    """
 
     def __init__(self) -> None:
-        self._done: deque[int] = deque()
+        self._next_token = itertools.count(1).__next__
+        self._done: dict[int, deque[int]] = {}
+        self._outstanding: dict[int, int] = {}
+        self._waiters: dict[int, list] = {}
 
-    def _completed_token(self) -> int:
-        token = next(_token_counter)
-        self._done.append(token)
+    def outstanding(self) -> int:
+        return sum(self._outstanding.values())
+
+    def issue(self, thread: Thread) -> int:
+        """A token for an operation ``thread`` starts."""
+        issuer = thread.thread_id
+        self._outstanding[issuer] = self._outstanding.get(issuer, 0) + 1
+        return self._next_token()
+
+    def complete(self, issuer: int, token: int) -> None:
+        """``token``, issued by thread ``issuer``, finished."""
+        self._done.setdefault(issuer, deque()).append(token)
+        self._outstanding[issuer] -= 1
+        for waiter in self._waiters.pop(issuer, ()):
+            waiter.resolve(None)
+
+    def finished(self, thread: Thread) -> int:
+        """A token for an operation that finished as ``thread`` issued it."""
+        token = self.issue(thread)
+        self.complete(thread.thread_id, token)
         return token
 
-    def poll_completions(self, thread, max_ret=64, block=False):
+    def poll(self, thread: Thread, max_ret: int, block: bool):
+        """Up to ``max_ret`` of ``thread``'s finished tokens; with
+        ``block``, wait for one while any of its operations is out."""
+        issuer = thread.thread_id
+        mine = self._done.setdefault(issuer, deque())
+        while block and not mine and self._outstanding.get(issuer, 0):
+            waiter = thread.sim.future()
+            self._waiters.setdefault(issuer, []).append(waiter)
+            yield from thread.wait(waiter)
         out = []
-        while self._done and len(out) < max_ret:
-            out.append(self._done.popleft())
+        while mine and len(out) < max_ret:
+            out.append(mine.popleft())
         return out
-        yield  # pragma: no cover - keeps this a generator
 
 
-class LocalMemoryBackend(_ImmediateCompletions):
+class LedgerBackend(Backend):
+    """Base for backends whose tokens a :class:`CompletionLedger` keeps;
+    a poll costs nothing unless the subclass charges for it."""
+
+    def __init__(self) -> None:
+        self.ledger = CompletionLedger()
+
+    def outstanding(self) -> int:
+        return self.ledger.outstanding()
+
+    def poll_completions(self, thread, max_ret=64, block=False):
+        return self.ledger.poll(thread, max_ret, block)
+
+
+class LocalMemoryBackend(LedgerBackend):
     """The upper bound: 'remote' accesses hit local DRAM.
 
     Completion is immediate; the only cost is the memory touch itself,
@@ -108,14 +161,14 @@ class LocalMemoryBackend(_ImmediateCompletions):
 
     def issue_read(self, thread, offset, length):
         yield from thread.compute(self.cost.local_memory_write, tag=TAG_APP)
-        return self._completed_token()
+        return self.ledger.finished(thread)
 
     def issue_write(self, thread, offset, data):
         yield from thread.compute(
             self.cost.local_memory_write + self.cost.memcpy_per_byte * len(data),
             tag=TAG_APP,
         )
-        return self._completed_token()
+        return self.ledger.finished(thread)
 
 
 class _RdmaBackendBase(Backend):
@@ -143,7 +196,7 @@ class _RdmaBackendBase(Backend):
         return addr
 
 
-class OneSidedSyncBackend(_RdmaBackendBase, _ImmediateCompletions):
+class OneSidedSyncBackend(_RdmaBackendBase, LedgerBackend):
     """Synchronous one-sided RDMA: post, busy-poll, repeat (Section 8)."""
 
     name = "one-sided-sync"
@@ -154,7 +207,7 @@ class OneSidedSyncBackend(_RdmaBackendBase, _ImmediateCompletions):
             thread, self.qp, self._scratch_slot(length),
             self.region.translate(offset, length), self.region.rkey, length,
         )
-        return self._completed_token()
+        return self.ledger.finished(thread)
 
     def issue_write(self, thread, offset, data):
         addr = self._scratch_slot(len(data))
@@ -163,7 +216,7 @@ class OneSidedSyncBackend(_RdmaBackendBase, _ImmediateCompletions):
             thread, self.qp, addr,
             self.region.translate(offset, len(data)), self.region.rkey, len(data),
         )
-        return self._completed_token()
+        return self.ledger.finished(thread)
 
 
 class OneSidedAsyncBackend(_RdmaBackendBase):
@@ -172,7 +225,9 @@ class OneSidedAsyncBackend(_RdmaBackendBase):
     The paper's strongest conventional baseline: requests are posted in
     batches of 100 and completions reaped later, overlapping
     communication with computation.  Every post and poll still costs the
-    full Figure 2 breakdown on the application thread.
+    full Figure 2 breakdown on the application thread.  A token is the
+    operation's ``wr_id``; the backend's queue pair has a completion
+    queue of its own, so every completion on it is one of its tokens.
     """
 
     name = "one-sided-async"
@@ -180,20 +235,19 @@ class OneSidedAsyncBackend(_RdmaBackendBase):
     def __init__(self, compute_host, qp, region_handle, batch: int = 100, **kwargs):
         super().__init__(compute_host, qp, region_handle, **kwargs)
         self.pending_limit = batch
-        self._wr_to_token: dict[int, int] = {}
+        self._outstanding = 0
         self._completed: deque[int] = deque()
 
     def outstanding(self) -> int:
-        return len(self._wr_to_token)
+        return self._outstanding
 
     def issue_read(self, thread, offset, length):
         wr_id = yield from self.verbs.read_async(
             thread, self.qp, self._scratch_slot(length),
             self.region.translate(offset, length), self.region.rkey, length,
         )
-        token = next(_token_counter)
-        self._wr_to_token[wr_id] = token
-        return token
+        self._outstanding += 1
+        return wr_id
 
     def issue_write(self, thread, offset, data):
         addr = self._scratch_slot(len(data))
@@ -202,18 +256,16 @@ class OneSidedAsyncBackend(_RdmaBackendBase):
             thread, self.qp, addr,
             self.region.translate(offset, len(data)), self.region.rkey, len(data),
         )
-        token = next(_token_counter)
-        self._wr_to_token[wr_id] = token
-        return token
+        self._outstanding += 1
+        return wr_id
 
     def poll_completions(self, thread, max_ret=64, block=False):
         while True:
             completions = yield from self.verbs.poll_cq(thread, self.qp.cq, max_ret)
+            self._outstanding -= len(completions)
             for completion in completions:
-                token = self._wr_to_token.pop(completion.wr_id, None)
-                if token is not None:
-                    self._completed.append(token)
-            if self._completed or not block or not self._wr_to_token:
+                self._completed.append(completion.wr_id)
+            if self._completed or not block or not self._outstanding:
                 break
             waiter = self.host.sim.future()
             self.qp.cq.notify_next_push(waiter)
@@ -224,7 +276,7 @@ class OneSidedAsyncBackend(_RdmaBackendBase):
         return out
 
 
-class TwoSidedSyncBackend(_RdmaBackendBase, _ImmediateCompletions):
+class TwoSidedSyncBackend(_RdmaBackendBase, LedgerBackend):
     """Two-sided RDMA RPC: SEND request, server WRITE + SEND response.
 
     The memory pool runs a real server thread (so this baseline consumes
@@ -243,6 +295,13 @@ class TwoSidedSyncBackend(_RdmaBackendBase, _ImmediateCompletions):
         self.pool_host = pool_host
         self.server_qp = server_qp
         self._server_started = False
+
+    def _message(self, work_type, length, payload=b""):
+        """A RECV or SEND work request: no addresses, an inline payload."""
+        return WorkRequest(
+            work_type, 0, 0, 0, length, self.host.sim.next_wr_id(),
+            inline_payload=payload,
+        )
 
     def start_server(self) -> None:
         """Spawn the pool-side RPC loop on a pool CPU thread."""
@@ -264,11 +323,9 @@ class TwoSidedSyncBackend(_RdmaBackendBase, _ImmediateCompletions):
         )
         while True:
             # Keep a recv posted, then busy-wait for the next request.
-            recv = WorkRequest(
-                work_type=WorkType.RECV, local_addr=0, remote_addr=0,
-                rkey=0, length=self.REQUEST_BYTES,
+            self.pool_host.nic.post(
+                self.server_qp, self._message(WorkType.RECV, self.REQUEST_BYTES)
             )
-            self.pool_host.nic.post(self.server_qp, recv)
             completions = yield from verbs.spin_poll(thread, self.server_qp.cq, 1)
             del completions
             request = self._pending_request
@@ -283,18 +340,13 @@ class TwoSidedSyncBackend(_RdmaBackendBase, _ImmediateCompletions):
                 yield from verbs.post_send(
                     thread, self.server_qp,
                     WorkRequest(
-                        work_type=WorkType.WRITE, local_addr=scratch.base_addr,
-                        remote_addr=reply_addr, rkey=self.scratch.rkey,
-                        length=length,
+                        WorkType.WRITE, scratch.base_addr, reply_addr,
+                        self.scratch.rkey, length, self.host.sim.next_wr_id(),
                     ),
                 )
             # Response notification (SEND completes the client's RECV).
             yield from verbs.post_send(
-                thread, self.server_qp,
-                WorkRequest(
-                    work_type=WorkType.SEND, local_addr=0, remote_addr=0,
-                    rkey=0, length=8, inline_payload=b"RESP-OK!",
-                ),
+                thread, self.server_qp, self._message(WorkType.SEND, 8, b"RESP-OK!"),
             )
             # Drain our own WRITE/SEND completions.
             yield from verbs.spin_poll(thread, self.server_qp.cq, 2 if op == 0 else 1)
@@ -304,41 +356,33 @@ class TwoSidedSyncBackend(_RdmaBackendBase, _ImmediateCompletions):
         reply_addr = self._scratch_slot(length)
         # Pre-post the RECV for the server's response notification.
         yield from self.verbs.post_recv(
-            thread, self.qp,
-            WorkRequest(work_type=WorkType.RECV, local_addr=0, remote_addr=0,
-                        rkey=0, length=8),
+            thread, self.qp, self._message(WorkType.RECV, 8)
         )
         self._pending_request = (0, offset, length, reply_addr)
         request = struct.pack("<IIQQ", 0, length, offset, reply_addr)[: self.REQUEST_BYTES]
         yield from self.verbs.post_send(
-            thread, self.qp,
-            WorkRequest(work_type=WorkType.SEND, local_addr=0, remote_addr=0,
-                        rkey=0, length=len(request), inline_payload=request),
+            thread, self.qp, self._message(WorkType.SEND, len(request), request)
         )
         # Busy-poll until both our SEND and the response RECV complete.
         yield from self.verbs.spin_poll(thread, self.qp.cq, 2)
-        return self._completed_token()
+        return self.ledger.finished(thread)
 
     def issue_write(self, thread, offset, data):
         # Write RPC: inline for small payloads (the microbenchmark case);
         # the server applies it during request handling.
         self.start_server()
         yield from self.verbs.post_recv(
-            thread, self.qp,
-            WorkRequest(work_type=WorkType.RECV, local_addr=0, remote_addr=0,
-                        rkey=0, length=8),
+            thread, self.qp, self._message(WorkType.RECV, 8)
         )
         pool_region = self.pool_host.registry.by_rkey(self.region.rkey)
         pool_region.write(self.region.translate(offset, len(data)), data)
         self._pending_request = (1, offset, len(data), 0)
         request = struct.pack("<IIQQ", 1, len(data), offset, 0)[: self.REQUEST_BYTES]
         yield from self.verbs.post_send(
-            thread, self.qp,
-            WorkRequest(work_type=WorkType.SEND, local_addr=0, remote_addr=0,
-                        rkey=0, length=len(request), inline_payload=request),
+            thread, self.qp, self._message(WorkType.SEND, len(request), request)
         )
         yield from self.verbs.spin_poll(thread, self.qp.cq, 2)
-        return self._completed_token()
+        return self.ledger.finished(thread)
 
 
 class CowbirdBackend(Backend):

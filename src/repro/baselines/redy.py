@@ -20,19 +20,15 @@ over the simulated RDMA fabric.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.baselines.backends import Backend
+from repro.baselines.backends import LedgerBackend
 from repro.rdma.qp import WorkRequest, WorkType
 from repro.sim.cpu import TAG_COMM
 
 __all__ = ["RedyBackend", "RedyConfig"]
-
-_tokens = itertools.count(1)
-
 
 @dataclass
 class RedyConfig:
@@ -58,11 +54,11 @@ class _RedyRequest:
     is_write: bool
     offset: int
     length: int
-    issuer: int = 0
+    issuer: int
     data: bytes = b""
 
 
-class RedyBackend(Backend):
+class RedyBackend(LedgerBackend):
     """Redy as a workload backend."""
 
     name = "redy"
@@ -76,6 +72,7 @@ class RedyBackend(Backend):
         config: Optional[RedyConfig] = None,
     ) -> None:
         """``qp_pairs``: one (client_qp, server_qp) tuple per I/O thread."""
+        super().__init__()
         self.host = compute_host
         self.pool_host = pool_host
         self.region = region_handle
@@ -86,10 +83,7 @@ class RedyBackend(Backend):
         self.qp_pairs = qp_pairs
         self.pending_limit = self.config.batch_size * self.config.io_threads
         self._queue: deque[_RedyRequest] = deque()
-        self._completed: dict[int, deque[int]] = {}
-        self._outstanding: dict[int, int] = {}
         self._wake_futures: list = []
-        self._completion_futures: dict[int, list] = {}
         self._started = False
         #: Threads created (visible so experiments can count stolen cores).
         self.io_thread_objs = []
@@ -108,50 +102,32 @@ class RedyBackend(Backend):
                 self._io_loop(io_thread, *self.qp_pairs[i]), name=f"redy-io-{i}"
             )
 
-    def outstanding(self) -> int:
-        return sum(self._outstanding.values())
-
     # ------------------------------------------------------------------
     # Backend interface (application side)
     # ------------------------------------------------------------------
     def issue_read(self, thread, offset, length):
         self.start()
         yield from thread.compute(self.config.enqueue_ns, tag=TAG_COMM)
-        token = next(_tokens)
-        self._enqueue(_RedyRequest(token=token, is_write=False, offset=offset,
-                                   length=length, issuer=thread.thread_id))
-        return token
+        return self._enqueue(thread, False, offset, length)
 
     def issue_write(self, thread, offset, data):
         self.start()
         yield from thread.compute(self.config.enqueue_ns, tag=TAG_COMM)
-        token = next(_tokens)
-        self._enqueue(_RedyRequest(token=token, is_write=True, offset=offset,
-                                   length=len(data), data=data,
-                                   issuer=thread.thread_id))
-        return token
+        return self._enqueue(thread, True, offset, len(data), data)
 
-    def _enqueue(self, request: _RedyRequest) -> None:
-        self._queue.append(request)
-        issuer = request.issuer
-        self._outstanding[issuer] = self._outstanding.get(issuer, 0) + 1
-        self._completed.setdefault(issuer, deque())
+    def _enqueue(self, thread, is_write, offset, length, data=b"") -> int:
+        token = self.ledger.issue(thread)
+        self._queue.append(_RedyRequest(
+            token, is_write, offset, length, thread.thread_id, data
+        ))
         wakers, self._wake_futures = self._wake_futures, []
         for waker in wakers:
             waker.resolve(None)
+        return token
 
     def poll_completions(self, thread, max_ret=64, block=False):
         yield from thread.compute(self.cost.cowbird_poll_empty, tag=TAG_COMM)
-        issuer = thread.thread_id
-        mine = self._completed.setdefault(issuer, deque())
-        while block and not mine and self._outstanding.get(issuer, 0):
-            waiter = self.host.sim.future()
-            self._completion_futures.setdefault(issuer, []).append(waiter)
-            yield from thread.wait(waiter)
-        out = []
-        while mine and len(out) < max_ret:
-            out.append(mine.popleft())
-        return out
+        return (yield from self.ledger.poll(thread, max_ret, block))
 
     # ------------------------------------------------------------------
     # The pinned I/O loop (compute node) and server processing
@@ -159,7 +135,7 @@ class RedyBackend(Backend):
     def _io_loop(self, thread, client_qp, server_qp):
         config = self.config
         pool_region = self.pool_host.registry.by_rkey(self.region.rkey)
-        slab = self.host.registry.register(1 << 20, name=f"redy-slab-{thread.name}")
+        next_wr_id = self.host.sim.next_wr_id
         while True:
             if not self._queue:
                 waiter = self.host.sim.future()
@@ -175,50 +151,33 @@ class RedyBackend(Backend):
                 tag=TAG_COMM,
             )
             descriptor = b"B" * min(1024, 16 * len(batch))
-            wr = WorkRequest(
-                work_type=WorkType.SEND, local_addr=0, remote_addr=0, rkey=0,
-                length=len(descriptor), inline_payload=descriptor,
-            )
-            self.host.nic.post(client_qp, wr)
+            self.host.nic.post(client_qp, WorkRequest(
+                WorkType.SEND, 0, 0, 0, len(descriptor), next_wr_id(),
+                inline_payload=descriptor,
+            ))
             self.pool_host.nic.post(
-                server_qp,
-                WorkRequest(work_type=WorkType.RECV, local_addr=0,
-                            remote_addr=0, rkey=0, length=1024),
+                server_qp, WorkRequest(WorkType.RECV, 0, 0, 0, 1024, next_wr_id())
             )
             # Server-side sequential processing (charged as simulated
             # delay on the pool: the server is not a modelled CPU-core
             # bottleneck for the compute node, only a rate limit).
             server_time = config.per_batch_ns + config.server_per_op_ns * len(batch)
-            total_bytes = 0
             for request in batch:
                 if request.is_write:
                     pool_region.write(
                         self.region.translate(request.offset, request.length),
                         request.data,
                     )
-                else:
-                    total_bytes += request.length
             yield from thread.sleep(
                 2.0 * self.cost.propagation_delay_ns
                 + 2.0 * self.cost.nic_processing_delay_ns
                 + server_time
             )
-            # Response batch lands in the slab via one RDMA write; the
-            # I/O thread reaps it and completes the app requests.
-            response_wr = WorkRequest(
-                work_type=WorkType.WRITE, local_addr=slab.base_addr,
-                remote_addr=slab.base_addr, rkey=slab.rkey,
-                length=max(64, min(total_bytes, slab.length // 2)),
-            )
-            del response_wr  # bytes accounted in server_time + link below
+            # The response batch comes back by one RDMA write, whose time
+            # the sleep above includes; the I/O thread reaps it and
+            # completes the app requests.
             yield from thread.compute(
                 self.cost.rdma_poll_total(), tag=TAG_COMM
             )
             for request in batch:
-                self._completed.setdefault(request.issuer, deque()).append(
-                    request.token
-                )
-                self._outstanding[request.issuer] -= 1
-                completers = self._completion_futures.pop(request.issuer, [])
-                for completer in completers:
-                    completer.resolve(None)
+                self.ledger.complete(request.issuer, request.token)

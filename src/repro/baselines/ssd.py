@@ -12,20 +12,16 @@ Remote memory beats this by ≥2.3× in the paper; Cowbird by 12–84×.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.baselines.backends import Backend
+from repro.baselines.backends import LedgerBackend
 from repro.sim.cpu import TAG_COMM
 from repro.sim.engine import Future, Simulator
 from repro.sim.units import transmission_time_ns
 
 __all__ = ["SsdBackend", "SsdConfig", "SsdDrive"]
-
-_tokens = itertools.count(1)
-
 
 @dataclass
 class SsdConfig:
@@ -100,25 +96,20 @@ class SsdDrive:
             self._start(self._waiting.popleft())
 
 
-class SsdBackend(Backend):
+class SsdBackend(LedgerBackend):
     """The drive exposed through the workload Backend interface."""
 
     name = "ssd"
 
     def __init__(self, compute_host, config: Optional[SsdConfig] = None,
                  pending_limit: int = 64) -> None:
+        super().__init__()
         self.host = compute_host
         self.config = config or SsdConfig()
         self.drive = SsdDrive(compute_host.sim, self.config)
         self.pending_limit = pending_limit
-        self._completed: dict[int, deque[int]] = {}
-        self._outstanding: dict[int, int] = {}
-        self._waiters: dict[int, list] = {}
         #: Backing store for verification (offset -> bytes).
         self._backing: dict[int, bytes] = {}
-
-    def outstanding(self) -> int:
-        return sum(self._outstanding.values())
 
     def backing_write(self, offset: int, data: bytes) -> None:
         self._backing[offset] = bytes(data)
@@ -129,20 +120,11 @@ class SsdBackend(Backend):
 
     def _submit(self, thread, size_bytes):
         yield from thread.compute(self.config.submit_ns, tag=TAG_COMM)
-        token = next(_tokens)
+        token = self.ledger.issue(thread)
         issuer = thread.thread_id
-        self._outstanding[issuer] = self._outstanding.get(issuer, 0) + 1
-        self._completed.setdefault(issuer, deque())
-        future = self.drive.submit(size_bytes)
-
-        def on_done(_future, token=token, issuer=issuer):
-            self._completed[issuer].append(token)
-            self._outstanding[issuer] -= 1
-            waiters = self._waiters.pop(issuer, [])
-            for waiter in waiters:
-                waiter.resolve(None)
-
-        future.add_callback(on_done)
+        self.drive.submit(size_bytes).add_callback(
+            lambda _future: self.ledger.complete(issuer, token)
+        )
         return token
 
     def issue_read(self, thread, offset, length):
@@ -154,13 +136,4 @@ class SsdBackend(Backend):
     def poll_completions(self, thread, max_ret=64, block=False):
         yield from thread.compute(self.host.verbs.cost.cowbird_poll_empty,
                                   tag=TAG_COMM)
-        issuer = thread.thread_id
-        mine = self._completed.setdefault(issuer, deque())
-        while block and not mine and self._outstanding.get(issuer, 0):
-            waiter = self.host.sim.future()
-            self._waiters.setdefault(issuer, []).append(waiter)
-            yield from thread.wait(waiter)
-        out = []
-        while mine and len(out) < max_ret:
-            out.append(mine.popleft())
-        return out
+        return (yield from self.ledger.poll(thread, max_ret, block))

@@ -27,7 +27,8 @@ processes; every point carries its own seed, results, metrics and trace
 spans merge in submission order, and the JSON, metrics and trace output
 is byte-identical for any ``N`` (pinned by ``tests/test_sweep.py``).
 Points are cached on disk in ``.repro_cache/`` keyed by (repro version,
-point config); ``--no-cache`` bypasses the cache.
+point config); ``--no-cache`` bypasses the cache, and a ``--trace`` run
+neither reads nor writes it.
 
 ``run scenario FILE...`` loads declarative deployment descriptions
 (JSON/TOML, see ``repro.cluster``) and runs the microbenchmark workload
@@ -278,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics_parser.add_argument("--prefix", default="",
                                 help="only show metrics under this dotted prefix")
     lint_parser = subparsers.add_parser(
-        "lint", help="run the simcheck sim-safety linter (SIM001-SIM006)"
+        "lint", help="run the simcheck sim-safety linter (SIM001-SIM007)"
     )
     lint_parser.add_argument("paths", nargs="*", metavar="PATH",
                              help="files/directories to lint (default: src/repro)")

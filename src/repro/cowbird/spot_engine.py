@@ -150,6 +150,7 @@ class CowbirdSpotEngine:
     def __init__(self, agent_host, config: Optional[SpotEngineConfig] = None) -> None:
         self.host = agent_host
         self.sim = agent_host.sim
+        self._next_wr_id = self.sim.next_wr_id
         self.cost = agent_host.verbs.cost
         self.config = config or SpotEngineConfig()
         self.stats = SpotEngineStats()
@@ -336,7 +337,7 @@ class CowbirdSpotEngine:
                 wr = WorkRequest(
                     WorkType.READ, state.green_staging,
                     state.descriptor.bookkeeping_addr, state.descriptor.rkey,
-                    GreenBlock.SIZE, priority=PRIORITY_HIGH,
+                    GreenBlock.SIZE, self._next_wr_id(), priority=PRIORITY_HIGH,
                 )
                 self._wr_ops[wr.wr_id] = ("probe", state)
                 posts.append((state.qp_compute, wr))
@@ -353,7 +354,7 @@ class CowbirdSpotEngine:
         self.stats.metadata_fetches += 1
         wr = WorkRequest(
             WorkType.READ, state.meta_staging, addr, state.descriptor.rkey, length,
-            priority=PRIORITY_HIGH,
+            self._next_wr_id(), priority=PRIORITY_HIGH,
         )
         self._wr_ops[wr.wr_id] = ("meta", (state, (start, end)))
         return (state.qp_compute, wr)
@@ -411,7 +412,7 @@ class CowbirdSpotEngine:
         handle = state.descriptor.remote_regions[op.metadata.region_id]
         wr = WorkRequest(
             WorkType.READ, op.staging_addr, op.metadata.req_addr, handle.rkey,
-            op.metadata.length,
+            op.metadata.length, self._next_wr_id(),
         )
         self._wr_ops[wr.wr_id] = ("read_fetch", op)
         return (state.qp_pools[handle.node], wr)
@@ -420,7 +421,7 @@ class CowbirdSpotEngine:
         op.staging_addr = self._batch_staging(op.metadata.length)
         wr = WorkRequest(
             WorkType.READ, op.staging_addr, op.metadata.req_addr,
-            state.descriptor.rkey, op.metadata.length,
+            state.descriptor.rkey, op.metadata.length, self._next_wr_id(),
         )
         self._wr_ops[wr.wr_id] = ("write_fetch", op)
         return (state.qp_compute_data, wr)
@@ -549,7 +550,7 @@ class CowbirdSpotEngine:
         handle = state.descriptor.remote_regions[op.metadata.region_id]
         wr = WorkRequest(
             WorkType.WRITE, op.staging_addr, op.metadata.resp_addr, handle.rkey,
-            op.metadata.length,
+            op.metadata.length, self._next_wr_id(),
         )
         self._wr_ops[wr.wr_id] = ("pool_write", op)
         return (state.qp_pools[handle.node], wr)
@@ -610,7 +611,7 @@ class CowbirdSpotEngine:
         )
         wr = WorkRequest(
             WorkType.WRITE, gather_addr, batch[0].metadata.resp_addr,
-            state.descriptor.rkey, total,
+            state.descriptor.rkey, total, self._next_wr_id(),
         )
         self._wr_ops[wr.wr_id] = (
             "batch_flush",
@@ -659,7 +660,7 @@ class CowbirdSpotEngine:
         self.staging.write(addr, payload)
         wr = WorkRequest(
             WorkType.WRITE, addr, state.descriptor.bookkeeping_addr + 64,
-            state.descriptor.rkey, len(payload),
+            state.descriptor.rkey, len(payload), self._next_wr_id(),
         )
         self._wr_ops[wr.wr_id] = ("red_update", (state, addr))
         return (state.qp_compute_data, wr)

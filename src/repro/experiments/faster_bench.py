@@ -83,7 +83,7 @@ def ycsb_worker(
     def reap(block: bool) -> Generator[Any, Any, None]:
         nonlocal inflight, finished
         tokens = yield from device.poll_completions(thread, max_ret=depth, block=block)
-        done_keys = yield from store.complete(thread, tokens)
+        done_keys = yield from store.complete(thread, tokens, device)
         finished += len(done_keys)
         inflight -= len(tokens)
 

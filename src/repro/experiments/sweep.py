@@ -7,11 +7,10 @@ time.  Every grid figure (1 and 8–14) turns its grid into a list of
 ``multiprocessing`` pool, with three invariants:
 
 * **Determinism.**  Each point is fully described by JSON-serializable
-  kwargs (including its seed); a point's result depends on nothing else,
-  and its trace neither (it restarts the process-wide ``wr_id`` sequence).
-  Results are returned in submission order no matter how workers
-  interleave, and per-point telemetry snapshots are merged back in that
-  same order, so ``--parallel N`` output is byte-identical to
+  kwargs (including its seed); a point's result and trace depend on
+  nothing else.  Results are returned in submission order no matter how
+  workers interleave, and per-point telemetry snapshots are merged back
+  in that same order, so ``--parallel N`` output is byte-identical to
   ``--parallel 1`` (pinned by ``tests/test_sweep.py``).
 * **Telemetry isolation.**  Every point runs under its own fresh
   :class:`~repro.telemetry.Telemetry`; the harness folds the per-point
@@ -19,10 +18,12 @@ time.  Every grid figure (1 and 8–14) turns its grid into a list of
   :meth:`MetricsRegistry.merge_snapshot`, and appends the per-point span
   events to the caller's tracer under its cap, so ``--json`` metadata,
   ``--metrics`` and ``--trace`` work for any worker count.
-* **Caching.**  With ``cache_dir`` set, each point's result is stored
-  on disk keyed by a SHA-256 over (repro version, point kind, sorted
-  kwargs, telemetry and span collection).  A warm cache replays the
+* **Caching.**  With ``cache_dir`` set, each untraced point's result is
+  stored on disk keyed by a SHA-256 over (repro version, point kind,
+  sorted kwargs, telemetry collection).  A warm cache replays the
   identical results, so cached and fresh runs produce the same bytes.
+  Traced points (a span cap above 0) always run: they can hold hundreds
+  of thousands of span events each.
 
 Points name their entry function by *kind* (a registry of dotted paths,
 resolved lazily to avoid import cycles with the figure modules) rather
@@ -44,7 +45,6 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro import __version__, telemetry
 from repro.analysis.sanitizer import sanitize_enabled
-from repro.rdma.qp import reset_wr_ids
 
 __all__ = ["SweepPoint", "run_sweep", "sweep_cache_key"]
 
@@ -96,7 +96,6 @@ def _execute_point(
     """
     kind, kwargs, collect, max_events = spec
     fn = _resolve(kind)
-    reset_wr_ids()
     if not collect:
         with telemetry.activate(telemetry.NULL_TELEMETRY):
             return fn(**kwargs), None, None
@@ -109,22 +108,17 @@ def _execute_point(
     )
 
 
-def sweep_cache_key(
-    kind: str, kwargs: dict, collect: bool, max_events: int = 0,
-) -> str:
+def sweep_cache_key(kind: str, kwargs: dict, collect: bool) -> str:
     """Stable cache key: SHA-256 over version + kind + sorted kwargs.
 
-    ``max_events`` is the span cap the point recorded under (0: no
-    spans), so a traced run's entries, which hold its spans, never
-    serve an untraced run.  Sanitized runs key separately (their
-    snapshots carry ``sim.digest`` gauges).
+    Sanitized runs key separately (their snapshots carry ``sim.digest``
+    gauges).
     """
     payload = {
         "repro_version": __version__,
         "kind": kind,
         "kwargs": kwargs,
         "collect": collect,
-        "max_events": max_events,
     }
     if sanitize_enabled():
         payload["sanitize"] = True
@@ -164,8 +158,9 @@ def run_sweep(
     """Execute ``points`` and return their results in submission order.
 
     ``parallel`` is the worker-process count; ``1`` runs every point
-    inline (same code path, no pool).  With ``cache_dir`` set, cached
-    points are replayed from disk and fresh ones stored after running.
+    inline (same code path, no pool).  With ``cache_dir`` set and no
+    spans recorded, cached points are replayed from disk and fresh ones
+    stored after running.
     Each point's metric snapshot and span events are merged into the
     caller's active telemetry in submission order; points record spans
     only if the caller's tracer keeps any (``max_events > 0``), under
@@ -180,16 +175,11 @@ def run_sweep(
     specs = [(p.kind, p.kwargs, collect, max_events) for p in points]
 
     outcomes: list[Optional[tuple]] = [None] * len(specs)
-    pending: list[int] = []
-    if cache_dir is not None:
-        keys = [sweep_cache_key(*spec) for spec in specs]
-        for i, key in enumerate(keys):
-            outcomes[i] = _cache_load(cache_dir, key)
-            if outcomes[i] is None:
-                pending.append(i)
-    else:
-        keys = []
-        pending = list(range(len(specs)))
+    keys: list[str] = []
+    if cache_dir is not None and not max_events:
+        keys = [sweep_cache_key(p.kind, p.kwargs, collect) for p in points]
+        outcomes = [_cache_load(cache_dir, key) for key in keys]
+    pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
 
     if pending:
         if parallel > 1 and len(pending) > 1:
@@ -201,7 +191,7 @@ def run_sweep(
             fresh = [_execute_point(specs[i]) for i in pending]
         for i, outcome in zip(pending, fresh):
             outcomes[i] = outcome
-            if cache_dir is not None:
+            if keys:
                 _cache_store(cache_dir, keys[i], outcome)
 
     results = []

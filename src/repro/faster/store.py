@@ -167,8 +167,9 @@ class FasterKv:
         self.config = config or FasterConfig()
         self.index = HashIndex(self.config.index_buckets)
         self.log = HybridLog(self.config.log)
-        #: token -> ("read", key) | ("flush", page_number)
-        self._pending: dict[int, tuple[str, int]] = {}
+        #: (device, token) -> ("read", key) | ("flush", page_number): a
+        #: token is unique only among its own device's tokens.
+        self._pending: dict[tuple[Backend, int], tuple[str, int]] = {}
         self.stats_reads_memory = 0
         self.stats_reads_device = 0
         self.stats_upserts = 0
@@ -222,20 +223,20 @@ class FasterKv:
             return ReadOutcome(source="memory", value=record[KEY_BYTES:], key=key)
         # Cold record: fetch from the storage layer asynchronously,
         # through the calling thread's device channel.
-        token = yield from (device or self.device).issue_read(
-            thread, addr, self.config.record_bytes
-        )
-        self._pending[token] = ("read", key)
+        device = device or self.device
+        token = yield from device.issue_read(thread, addr, self.config.record_bytes)
+        self._pending[device, token] = ("read", key)
         self.stats_reads_device += 1
         return ReadOutcome(source="device", token=token, key=key)
 
     def complete(
-        self, thread: Thread, tokens: list[int]
+        self, thread: Thread, tokens: list[int], device: Optional[Backend] = None,
     ) -> Generator[Any, Any, list[int]]:
-        """Process completed device I/O; returns finished read keys."""
+        """Process I/O that ``device`` completed; returns finished read keys."""
+        device = device or self.device
         finished: list[int] = []
         for token in tokens:
-            kind, payload = self._pending.pop(token, (None, None))
+            kind, payload = self._pending.pop((device, token), (None, None))
             if kind == "read":
                 yield from thread.compute(
                     self.cost.record_touch_per_byte * self.config.record_bytes,
@@ -263,7 +264,7 @@ class FasterKv:
                 break
             page, device_offset, data = eviction
             token = yield from device.issue_write(thread, device_offset, data)
-            self._pending[token] = ("flush", page)
+            self._pending[device, token] = ("flush", page)
             self.stats_flushes += 1
             issued += 1
         return issued

@@ -9,7 +9,6 @@ and the responder's expected PSN.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -23,7 +22,6 @@ __all__ = [
     "QueuePair",
     "WorkRequest",
     "WorkType",
-    "reset_wr_ids",
 ]
 
 
@@ -43,20 +41,6 @@ class CompletionStatus(enum.Enum):
     FLUSHED = "flushed"
 
 
-_wr_ids = itertools.count(1)
-
-
-def reset_wr_ids() -> None:
-    """Start the process-wide ``wr_id`` sequence again from 1.
-
-    Traces carry ``wr_id``s, so a sweep point resets the sequence before
-    it runs: its ids are then those of a fresh process, whichever points
-    ran before it in the same worker.
-    """
-    global _wr_ids
-    _wr_ids = itertools.count(1)
-
-
 @dataclass(slots=True, init=False)
 class WorkRequest:
     """One posted operation (the WQE the doorbell announces).
@@ -64,9 +48,9 @@ class WorkRequest:
     Addresses are absolute virtual addresses; ``local_addr`` names
     requester-side memory (the DMA target for reads, source for
     writes), ``remote_addr``/``rkey`` name responder-side memory.
-    ``wr_id`` defaults to the next id of one process-wide counter, so
-    ids are unique and increase in construction order (from the last
-    :func:`reset_wr_ids` on).
+    ``wr_id`` is the next id of the simulation the request runs in
+    (``Simulator.next_wr_id``), so a run's ids are unique and increase
+    in construction order, whatever ran before it in the process.
     """
 
     work_type: WorkType
@@ -86,7 +70,7 @@ class WorkRequest:
     # Spot agent builds several per client request.
     def __init__(
         self, work_type: WorkType, local_addr: int, remote_addr: int, rkey: int,
-        length: int, wr_id: Optional[int] = None, signaled: bool = True,
+        length: int, wr_id: int, signaled: bool = True,
         inline_payload: bytes = b"", priority: Optional[int] = None,
     ) -> None:
         if length < 0:
@@ -96,7 +80,7 @@ class WorkRequest:
         self.remote_addr = remote_addr
         self.rkey = rkey
         self.length = length
-        self.wr_id = next(_wr_ids) if wr_id is None else wr_id
+        self.wr_id = wr_id
         self.signaled = signaled
         self.inline_payload = inline_payload
         self.priority = priority

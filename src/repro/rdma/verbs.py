@@ -116,6 +116,7 @@ class RdmaVerbs:
             remote_addr=remote_addr,
             rkey=rkey,
             length=length,
+            wr_id=self.nic.sim.next_wr_id(),
         )
         with self._tel.span(
             "verbs.read_sync", process=self.nic.node, track=thread.name,
@@ -143,6 +144,7 @@ class RdmaVerbs:
             remote_addr=remote_addr,
             rkey=rkey,
             length=length,
+            wr_id=self.nic.sim.next_wr_id(),
         )
         with self._tel.span(
             "verbs.write_sync", process=self.nic.node, track=thread.name,
@@ -173,6 +175,7 @@ class RdmaVerbs:
             remote_addr=remote_addr,
             rkey=rkey,
             length=length,
+            wr_id=self.nic.sim.next_wr_id(),
         )
         yield from self.post_send(thread, qp, wr)
         return wr.wr_id
@@ -193,6 +196,7 @@ class RdmaVerbs:
             remote_addr=remote_addr,
             rkey=rkey,
             length=length,
+            wr_id=self.nic.sim.next_wr_id(),
         )
         yield from self.post_send(thread, qp, wr)
         return wr.wr_id

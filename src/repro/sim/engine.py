@@ -330,6 +330,7 @@ class Simulator:
         "events_dispatched",
         "current_seq",
         "sanitizer",
+        "next_wr_id",
         "__weakref__",
     )
 
@@ -345,6 +346,9 @@ class Simulator:
         #: Sequence number of the event being dispatched: events due at
         #: the same time run in sequence order.
         self.current_seq = 0
+        #: Hands out this simulation's work-request ids, 1, 2, ...: every
+        #: ``WorkRequest`` built for it takes one (one C call).
+        self.next_wr_id = count(1).__next__
         self.telemetry: Telemetry = NULL_TELEMETRY
         self._tel_events = NULL_TELEMETRY.counter("sim.events_dispatched")
         self._tel_spawns = NULL_TELEMETRY.counter("sim.processes_spawned")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.baselines import (
     AifmConfig,
     LocalMemoryBackend,
@@ -10,7 +11,7 @@ from repro.baselines import (
     SsdConfig,
     SsdDrive,
 )
-from repro.experiments.common import build_microbench
+from repro.experiments.common import build_microbench, run_microbench
 from repro.sim.cpu import CostModel
 from repro.sim.engine import Simulator
 from repro.testbed import Testbed
@@ -286,3 +287,49 @@ class TestAifm:
         drive_worker(dep, 0, gen)
         pool_region = dep.pool_host.registry.by_rkey(handle.rkey)
         assert pool_region.read(handle.translate(64), 8) == b"aifm-obj"
+
+
+class TestIdScope:
+    """Tokens are scoped to their backend and work-request ids to their
+    simulation: nothing depends on what ran before in the process."""
+
+    @pytest.mark.parametrize("system", ["redy", "aifm", "ssd"])
+    def test_each_thread_polls_exactly_its_own_tokens(self, system):
+        """Two threads share one backend; each poll returns only tokens
+        its thread issued, and every one of them once."""
+        dep = build_microbench(system, 2)
+        issued, polled = {}, {}
+
+        def gen(name, thread, backend, reads):
+            issued[name] = []
+            for i in range(reads):
+                token = yield from backend.issue_read(thread, i * 64, 64)
+                issued[name].append(token)
+            polled[name] = []
+            while len(polled[name]) < reads:
+                got = yield from backend.poll_completions(thread, max_ret=4, block=True)
+                assert set(got) <= set(issued[name])
+                polled[name].extend(got)
+
+        processes = [
+            dep.sim.spawn(gen(name, dep.compute.cpu.thread(), dep.backends[i], reads))
+            for i, (name, reads) in enumerate((("a", 5), ("b", 7)))
+        ]
+        for process in processes:
+            dep.sim.run_until_complete(process, deadline=10e9)
+        assert dep.backends[0] is dep.backends[1]
+        assert not set(issued["a"]) & set(issued["b"])
+        for name in ("a", "b"):
+            assert sorted(polled[name]) == sorted(issued[name])
+        assert dep.backends[0].outstanding() == 0
+
+    def test_repeated_traced_runs_record_identical_spans(self):
+        """Two identical traced ``async`` runs in one process, outside the
+        sweep harness, record the same span events, ``wr_id``s included."""
+        events = []
+        for _ in range(2):
+            with telemetry.activate() as tel:
+                run_microbench("async", 2, ops_per_thread=20, num_records=2_000)
+            events.append(tel.tracer.events)
+        assert any("wr_id" in str(event) for event in events[0])
+        assert events[0] == events[1]

@@ -264,12 +264,12 @@ class TestFasterKvSimulated:
             store.index.get(0): [(0).to_bytes(KEY_BYTES, "little") + bytes(64)]
         }
 
-    @pytest.mark.parametrize("system", ["cowbird", "cowbird-p4"])
-    def test_every_device_read_returns_the_record_it_names(self, system):
-        """A FASTER/YCSB 50/50 round at a 25 % in-memory log: every record
-        a device read brings back into the response ring is the one last
-        loaded or upserted at that log address."""
-        records, value_bytes, threads = 2_000, 64, 2
+    @staticmethod
+    def ycsb_round(system, records):
+        """A 2-thread FASTER/YCSB 50/50 round at a 25 % in-memory log,
+        loaded but not run: returns the deployment, the store, the loader
+        and a callable that runs the round."""
+        value_bytes, threads = 64, 2
         ycsb = YcsbConfig(
             record_count=records, value_bytes=value_bytes, read_fraction=0.5, seed=3,
         )
@@ -285,6 +285,28 @@ class TestFasterKvSimulated:
         load_backing(dep, store)
         loader = YcsbWorkload(ycsb, worker_seed=0)
         store.load({key: loader.value_for(key) for key in range(records)})
+
+        def run():
+            processes = [
+                dep.sim.spawn(ycsb_worker(
+                    dep.compute.cpu.thread(f"faster-{i}"), store, dep.backends[i],
+                    YcsbWorkload(ycsb, worker_seed=i + 1), 150, depth=32,
+                ))
+                for i in range(threads)
+            ]
+            for process in processes:
+                dep.sim.run_until_complete(process, deadline=300e9)
+            dep.close()
+
+        return dep, store, loader, run
+
+    @pytest.mark.parametrize("system", ["cowbird", "cowbird-p4"])
+    def test_every_device_read_returns_the_record_it_names(self, system):
+        """A FASTER/YCSB 50/50 round at a 25 % in-memory log: every record
+        a device read brings back into the response ring is the one last
+        loaded or upserted at that log address."""
+        records = 2_000
+        dep, store, loader, run = self.ycsb_round(system, records)
         expected = {
             store.index.get(key): key.to_bytes(KEY_BYTES, "little") + loader.value_for(key)
             for key in range(records)
@@ -297,16 +319,7 @@ class TestFasterKvSimulated:
 
         store.log.write = recording_write  # every upsert's record
         device_reads = DeviceReads(dep.backends)
-        processes = [
-            dep.sim.spawn(ycsb_worker(
-                dep.compute.cpu.thread(f"faster-{i}"), store, dep.backends[i],
-                YcsbWorkload(ycsb, worker_seed=i + 1), 150, depth=32,
-            ))
-            for i in range(threads)
-        ]
-        for process in processes:
-            dep.sim.run_until_complete(process, deadline=300e9)
-        dep.close()
+        run()
         assert store.stats_upserts > 0 and store.stats_flushes > 0
         assert device_reads.count() == store.stats_reads_device > 50
         wrong = [
@@ -314,6 +327,36 @@ class TestFasterKvSimulated:
             if got != [expected[addr]] * len(got)
         ]
         assert wrong == []
+
+    @pytest.mark.parametrize("system", ["cowbird", "cowbird-p4"])
+    def test_each_thread_completes_its_own_device_io(self, system):
+        """The two threads' backends hand out the same tokens (a Cowbird
+        token is its instance's request id), so the store keys its
+        pending I/O by device: every flushed page finishes its flush, and
+        every device read comes back through ``complete`` as its own key,
+        once."""
+        dep, store, _loader, run = self.ycsb_round(system, 2_000)
+        read_keys, completed_keys = [], []
+        start_read, complete = store.start_read, store.complete
+
+        def recording_start_read(thread, key, device=None):
+            outcome = yield from start_read(thread, key, device=device)
+            if outcome.source == "device":
+                read_keys.append(key)
+            return outcome
+
+        def recording_complete(thread, tokens, *device):
+            keys = yield from complete(thread, tokens, *device)
+            completed_keys.extend(keys)
+            return keys
+
+        store.start_read = recording_start_read
+        store.complete = recording_complete
+        run()
+        assert store.stats_flushes > 0 and len(read_keys) > 50
+        assert store.log._flushing == {}
+        assert sorted(completed_keys) == sorted(read_keys)
+        assert store.pending_reads() == 0
 
     def test_memory_budget_respected_after_flushes(self):
         dep, store = self.make_store(system="cowbird", memory_pages=2)

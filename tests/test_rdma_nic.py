@@ -10,6 +10,7 @@ from repro.rdma.qp import (
     WorkRequest,
     WorkType,
 )
+from repro.sim.engine import Simulator
 from repro.sim.network import FaultInjector
 from repro.testbed import Testbed
 
@@ -176,7 +177,7 @@ class TestTwoSided:
             WorkRequest(
                 work_type=WorkType.RECV,
                 local_addr=recv_buf.base_addr,
-                remote_addr=0, rkey=0, length=1024,
+                remote_addr=0, rkey=0, length=1024, wr_id=bed.sim.next_wr_id(),
             ),
         )
         thread = compute.cpu.thread()
@@ -185,7 +186,7 @@ class TestTwoSided:
             wr = WorkRequest(
                 work_type=WorkType.SEND,
                 local_addr=0, remote_addr=0, rkey=0,
-                length=5, inline_payload=b"hello",
+                length=5, wr_id=bed.sim.next_wr_id(), inline_payload=b"hello",
             )
             yield from compute.verbs.post_send(thread, qp_c, wr)
             yield from compute.verbs.spin_poll(thread, qp_c.cq, count=1)
@@ -567,7 +568,7 @@ class TestNicPacing:
                 qp,
                 WorkRequest(
                     work_type=WorkType.READ, local_addr=0, remote_addr=0,
-                    rkey=0, length=8,
+                    rkey=0, length=8, wr_id=1,
                 ),
             )
 
@@ -609,12 +610,36 @@ class TestCompletionQueue:
 class TestWorkRequest:
     def test_negative_length_raises(self):
         with pytest.raises(ValueError):
-            WorkRequest(WorkType.READ, 0, 0, 0, -1)
+            WorkRequest(WorkType.READ, 0, 0, 0, -1, 1)
 
     def test_wr_ids_are_unique_and_increasing(self):
-        ids = [WorkRequest(WorkType.WRITE, 0, 0, 0, 8).wr_id for _ in range(100)]
-        assert ids == sorted(set(ids))
-        assert WorkRequest(WorkType.READ, 0, 0, 0, 8).wr_id > ids[-1]
+        """Each simulation numbers its work requests from 1, whatever
+        other simulations in the process have drawn."""
+        first, second = Simulator(), Simulator()
+        ids = [first.next_wr_id() for _ in range(100)]
+        assert ids == list(range(1, 101))
+        assert second.next_wr_id() == 1
+        assert first.next_wr_id() == 101
+        assert Simulator().next_wr_id() == 1
+
+    def test_verbs_draw_wr_ids_from_their_simulation(self):
+        def three_reads(bed, compute, pool, qp_c, _qp_p):
+            thread = compute.cpu.thread()
+            remote = pool.registry.register(64)
+            local = compute.registry.register(64)
+            ids = []
+
+            def op():
+                for _ in range(3):
+                    ids.append((yield from compute.verbs.read_async(
+                        thread, qp_c, local.base_addr, remote.base_addr,
+                        remote.rkey, 8,
+                    )))
+
+            run_op(bed, op())
+            return ids
+
+        assert three_reads(*build_bed()) + three_reads(*build_bed()) == [1, 2, 3] * 2
 
     def test_an_explicit_wr_id_is_kept(self):
         wr = WorkRequest(WorkType.SEND, 0, 0, 0, 0, wr_id=7, inline_payload=b"x")

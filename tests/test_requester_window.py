@@ -17,7 +17,7 @@ from repro.rdma.window import HALF_PSN_SPACE, RequesterWindow
 
 def rnic_entry(num_psns, read_bytes=0):
     work_type = WorkType.READ if read_bytes else WorkType.WRITE
-    wr = WorkRequest(work_type, 0, 0, 0, read_bytes or num_psns * 1024)
+    wr = WorkRequest(work_type, 0, 0, 0, read_bytes or num_psns * 1024, 1)
     return _Outstanding(num_psns=num_psns, missing=read_bytes, wr=wr)
 
 

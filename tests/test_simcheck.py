@@ -68,6 +68,12 @@ class TestRulePositives:
         # All three handlers in fine() are acceptable.
         assert max(f.line for f in findings) < 15
 
+    def test_sim007_module_level_counters(self):
+        findings = lint_fixture("sim007_counter.py")
+        assert codes(findings) == ["SIM007"] * 4
+        # Counters built per owner or per call are not flagged.
+        assert [f.line for f in findings] == [7, 8, 9, 10]
+
     def test_sim000_parse_error(self):
         findings = lint_source("broken.py", "def f(:\n    pass\n")
         assert codes(findings) == ["SIM000"]

@@ -59,8 +59,8 @@ class TestSweepPoint:
         a = sweep_cache_key("microbench", {"threads": 1}, True)
         b = sweep_cache_key("microbench", {"threads": 2}, True)
         c = sweep_cache_key("faster", {"threads": 1}, True)
-        traced = sweep_cache_key("microbench", {"threads": 1}, True, 500_000)
-        assert len({a, b, c, traced}) == 4
+        untraced = sweep_cache_key("microbench", {"threads": 1}, False)
+        assert len({a, b, c, untraced}) == 4
 
 
 class TestSerialParallelIdentity:
@@ -207,6 +207,27 @@ class TestCache:
         assert len(os.listdir(cache)) == 1
         second = run_sweep(points, parallel=1, cache_dir=cache)
         assert second == first
+
+    def test_traced_points_neither_read_nor_write_the_cache(self, tmp_path):
+        """A point that records spans always runs: a metrics-only entry
+        (same key) must not serve it, and it stores nothing."""
+        cache = str(tmp_path / "cache")
+        points = [
+            SweepPoint("microbench", dict(
+                system="one-sided", threads=1, record_bytes=64,
+                ops_per_thread=20, seed=3,
+            ))
+        ]
+        with telemetry.activate():
+            run_sweep(points, parallel=1, cache_dir=cache)
+        assert not os.path.exists(cache)
+        with telemetry.activate(telemetry.Telemetry(max_events=0)):
+            run_sweep(points, parallel=1, cache_dir=cache)
+        assert len(os.listdir(cache)) == 1
+        with telemetry.activate() as traced:
+            run_sweep(points, parallel=1, cache_dir=cache)
+        assert traced.tracer.events
+        assert len(os.listdir(cache)) == 1
 
     def test_corrupt_cache_entry_recomputed(self, tmp_path):
         cache = str(tmp_path / "cache")
